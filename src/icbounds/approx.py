@@ -67,7 +67,8 @@ def alpha_greedy(inst: Instance) -> ExpandingSequence:
             seq.append(j)
             used |= r.knows | {r.wants}
     out = ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
-    assert is_expanding_sequence(inst, out.receivers)
+    if not is_expanding_sequence(inst, out.receivers):
+        raise AssertionError("greedy produced a sequence that is not expanding")
     return out
 
 

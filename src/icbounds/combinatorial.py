@@ -248,7 +248,8 @@ def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
             raise ValueError(f"no {kind} hyperclique covers {t}")
         p.add(row, ">=", r)
     opt = solve_min(p)
-    assert opt.status == "optimal"
+    if opt.status != "optimal":
+        raise AssertionError(f"cover LP came back {opt.status}")
     items = [(cliques[j], opt.x[j]) for j in range(len(cliques)) if opt.x[j] > 0]
     cover = FractionalCover(kind, items, opt.value)
     bad = verify_cover(inst, cover)
@@ -384,6 +385,7 @@ def minrk2(g: Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResult:
         rows_by_u.pop(u, None)
 
     dfs(0, {})
-    assert best_rows is not None
+    if best_rows is None:
+        raise AssertionError("minrank search found no fitting matrix")
     mat = [[best_rows[u] >> v & 1 for v in range(n)] for u in range(n)]
     return MinrkResult(best, mat, 2, True)

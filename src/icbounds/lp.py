@@ -1,17 +1,26 @@
 """Exact rational LP solver (minimization).
 
-Revised simplex over Fraction arithmetic: no floating point anywhere, every
-reported optimum is re-verified by substitution before it is returned.  All
-variables are implicitly >= 0; constraints are (sparse row, relation, rhs)
-with relation one of ">=", "<=", "==".
+All variables are implicitly >= 0; constraints are (sparse row, relation,
+rhs) with relation one of ">=", "<=", "==".  Floats may propose an optimum,
+but only exact rational arithmetic accepts one: every optimum returned comes
+with a primal x and a dual y (one entry per row, y >= 0 on ">=" rows, y <= 0
+on "<=" rows) that pass four exact checks -- x >= 0 satisfies every row, y
+has the right sign, the reduced costs c - A'y are >= 0, and c'x = b'y.
 
-Two solve paths share one simplex core:
-  * primal two-phase -- the default; basis size = number of rows.
+`solve_min` first hands the LP to HiGHS (scipy's linprog) as sparse
+matrices and rounds its primal and dual solutions to nearby fractions with
+small denominators (ROUNDING_BOUNDS).  If the checks accept a rounding, that
+is the answer.  Otherwise -- HiGHS reports no optimum, or no rounding passes
+-- the exact simplex decides, with one of two paths sharing one revised
+simplex core over Fraction arithmetic:
   * dual path -- for problems with c >= 0, all rows ">=", and far fewer
     variables than rows (the entropy LPs): solve max b'y s.t. A'y <= c,
     y >= 0, whose standard form starts from the all-slack basis and whose
     simplex multipliers recover the primal optimum.  Basis size drops to
     the number of primal variables.
+  * primal two-phase -- everything else; basis size = number of rows.
+`LpOptimum.method` and `LpOptimum.fallback` record which path answered and
+why the rounding did not.
 
 Pivot rule: Dantzig with lowest-index tie-breaks, switching permanently to
 Bland's rule after a run of degenerate pivots, so termination is guaranteed;
@@ -60,7 +69,12 @@ class LpOptimum:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     x: list[Fraction] | None = None
-    dual: list[Fraction] | None = None
+    dual: list[Fraction] | None = None  # per row; >= 0 on ">=", <= 0 on "<="
+    method: str | None = None  # "rounded" | "dual-simplex" | "primal-simplex"
+    # None when the rounding answered, else "highs-status-<n>" (HiGHS found
+    # no optimum), "rounding-rejected" (no rounding passed the checks) or
+    # "float-overflow" (a coefficient is beyond the float range)
+    fallback: str | None = None
 
 
 def check_feasible(p: LpProblem, x) -> list[int]:
@@ -78,6 +92,28 @@ def check_feasible(p: LpProblem, x) -> list[int]:
 
 def objective_value(p: LpProblem, x) -> Fraction:
     return sum((c * x[j] for j, c in p.objective.items()), F0)
+
+
+def certified_value(p: LpProblem, x, y) -> Fraction | None:
+    """c'x when x and the row duals y prove each other optimal: x >= 0
+    satisfies every row, y >= 0 on ">=" rows and <= 0 on "<=" rows, the
+    reduced costs c - A'y are >= 0, and c'x = b'y.  None otherwise."""
+    if check_feasible(p, x):
+        return None
+    reduced = dict(p.objective)
+    dual_value = F0
+    for (row, rel, rhs), yi in zip(p.constraints, y, strict=True):
+        if not yi:
+            continue
+        if (rel == ">=" and yi < 0) or (rel == "<=" and yi > 0):
+            return None
+        dual_value += yi * rhs
+        for j, a in row.items():
+            reduced[j] = reduced.get(j, F0) - yi * a
+    if any(v < 0 for v in reduced.values()):
+        return None
+    value = objective_value(p, x)
+    return value if value == dual_value else None
 
 
 # -- simplex core -----------------------------------------------------------
@@ -212,7 +248,9 @@ def _primal_two_phase(p: LpProblem, bland: bool) -> LpOptimum:
     m = len(p.constraints)
     rows = []  # (sparse dict, rhs) in equality form with rhs >= 0, before slacks
     kinds = []
+    negated = []
     for row, rel, rhs in p.constraints:
+        negated.append(rhs < 0)
         if rhs < 0:
             row = {j: -c for j, c in row.items()}
             rhs = -rhs
@@ -259,7 +297,8 @@ def _primal_two_phase(p: LpProblem, bland: bool) -> LpOptimum:
     except _Unbounded:
         return LpOptimum("unbounded")
     x = core.primal_values(n)
-    return LpOptimum("optimal", z, x, core.multipliers(cost2))
+    y = [-v if neg else v for v, neg in zip(core.multipliers(cost2), negated)]
+    return LpOptimum("optimal", z, x, y)
 
 
 def _drive_out_artificials(core: _Core, arts, nslacked) -> None:
@@ -315,192 +354,77 @@ def _dual_path(p: LpProblem, bland: bool) -> LpOptimum | None:
     return LpOptimum("optimal", z, x, y)
 
 
-def _solve_square(rows: list[dict[int, Fraction]], rhs: list[Fraction], cols: list[int]):
-    """Exact solution of the square system rows x = rhs over the given column
-    set, or None when singular."""
-    k = len(cols)
-    if len(rows) != k:
-        return None
-    pos = {c: i for i, c in enumerate(cols)}
-    a = [[row.get(c, F0) for c in cols] + [r] for row, r in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = F1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return {c: a[pos[c]][k] for c in cols}
+# Denominators tried, in order, when rounding HiGHS's solution.  Hierarchy
+# and cover LPs certify at the first; a larger one catches rarer optima
+# before the exact simplex is needed.
+ROUNDING_BOUNDS = (10**3, 10**6)
+DUAL_PATH_RATIO = 2  # use the dual path when rows >= 2x variables
 
 
-def _float_guided(p: LpProblem) -> LpOptimum | None:
-    """Reconstruct an exact optimum from a floating-point solve: HiGHS
-    proposes the active set, the basic solution and its dual are re-derived
-    by rational linear solves, and feasibility / dual feasibility / equal
-    objectives are all checked exactly.  Any failure returns None and the
-    exact simplex runs instead, so this is purely an accelerator."""
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-    except ImportError:
-        return None
+def _highs(p: LpProblem):
+    """HiGHS's float solve of p: (None, x, row duals in the sign convention
+    of LpOptimum.dual) at an optimum, else (the fallback reason, None, None)."""
+    # Imported here: scipy.optimize costs more to import than the package.
+    import numpy as np
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     n, m = p.num_vars, len(p.constraints)
-    c = np.zeros(n)
-    for j, v in p.objective.items():
-        c[j] = float(v)
-    a_ub, b_ub, ub_idx, a_eq, b_eq, eq_idx = [], [], [], [], [], []
-    for i, (row, rel, rhs) in enumerate(p.constraints):
-        dense = np.zeros(n)
-        for j, v in row.items():
-            dense[j] = float(v)
-        if rel == "==":
-            a_eq.append(dense), b_eq.append(float(rhs)), eq_idx.append(i)
-        elif rel == ">=":
-            a_ub.append(-dense), b_ub.append(-float(rhs)), ub_idx.append(i)
-        else:
-            a_ub.append(dense), b_ub.append(float(rhs)), ub_idx.append(i)
+    if n == 0:  # linprog rejects an empty c; x = [], y = 0 is the only candidate
+        return None, [], [0.0] * m
+    try:
+        c = np.array([float(p.objective.get(j, 0)) for j in range(n)])
+        val = [float(v) for row, _, _ in p.constraints for v in row.values()]
+        b = np.array([float(r) for _, _, r in p.constraints])
+    except OverflowError:
+        return "float-overflow", None, None
+    ptr, idx = [0], []
+    for row, _, _ in p.constraints:
+        idx.extend(row)
+        ptr.append(len(idx))
+    a = sparse.csr_array((val, idx, ptr), shape=(m, n))
+    rel = np.array([r for _, r, _ in p.constraints])
+    # ">=" rows enter A_ub negated; their duals come back negated too.
+    sign = np.where(rel == ">=", -1.0, 1.0)
+    ub, eq = np.flatnonzero(rel != "=="), np.flatnonzero(rel == "==")
     res = linprog(
-        c, a_ub or None, b_ub or None, a_eq or None, b_eq or None,
-        bounds=(0, None), method="highs",
+        c, A_ub=sparse.diags_array(sign[ub]) @ a[ub], b_ub=sign[ub] * b[ub],
+        A_eq=a[eq], b_eq=b[eq], bounds=(0, None), method="highs",
     )
     if res.status != 0:
-        return None
-    tol = 1e-7
-    # duals back in original row numbering and >=-convention sign
-    dual = {i: 0.0 for i in range(m)}
-    if ub_idx:
-        for i, mg in zip(ub_idx, res.ineqlin.marginals):
-            dual[i] = -mg if p.constraints[i][1] == ">=" else mg
-    if eq_idx:
-        for i, mg in zip(eq_idx, res.eqlin.marginals):
-            dual[i] = mg
-    dual_support = sorted(set(eq_idx) | {i for i in range(m) if abs(dual[i]) > tol})
-
-    def dense_row(i):
-        out = np.zeros(n)
-        for j, v in p.constraints[i][0].items():
-            out[j] = float(v)
-        return out
-
-    def greedy_independent(vecs, need):
-        # rank-greedy selection by Gram-Schmidt; float only, soundness rests
-        # on the exact checks afterwards
-        basis: list[np.ndarray] = []
-        chosen = []
-        for idx, v in vecs:
-            if len(chosen) == need:
-                break
-            w = v.astype(float)
-            for b in basis:
-                w = w - np.dot(w, b) * b
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-6:
-                basis.append(w / nrm)
-                chosen.append(idx)
-        return chosen if len(chosen) == need else None
-
-    # primal vertex: n independent tight conditions (dual-support rows first,
-    # then x_j = 0 bounds, then the remaining tight rows)
-    slack = {
-        i: abs(sum(float(v) * res.x[j] for j, v in p.constraints[i][0].items())
-               - float(p.constraints[i][2]))
-        for i in range(m)
-    }
-    cand: list[tuple[tuple[str, int], np.ndarray]] = []
-    for i in dual_support:
-        cand.append((("row", i), dense_row(i)))
-    for j in range(n):
-        if res.x[j] < tol:
-            e = np.zeros(n)
-            e[j] = 1.0
-            cand.append((("bound", j), e))
-    for i in range(m):
-        if i not in dual_support and slack[i] < 1e-6:
-            cand.append((("row", i), dense_row(i)))
-    chosen = greedy_independent(cand, n)
-    if chosen is None:
-        return None
-    sys_rows, sys_rhs = [], []
-    for kind, i in chosen:
-        if kind == "row":
-            sys_rows.append(p.constraints[i][0])
-            sys_rhs.append(p.constraints[i][2])
-        else:
-            sys_rows.append({i: F1})
-            sys_rhs.append(F0)
-    sol = _solve_square(sys_rows, sys_rhs, list(range(n)))
-    if sol is None:
-        return None
-    x = [sol[j] for j in range(n)]
-    if any(v < 0 for v in x) or check_feasible(p, x):
-        return None
-
-    # dual: y supported on dual_support, determined by zero reduced cost on
-    # |support| independent columns among the positive variables
-    k = len(dual_support)
-    col_cand = []
-    for j in range(n):
-        if res.x[j] > tol:
-            v = np.array([float(p.constraints[i][0].get(j, 0)) for i in dual_support])
-            col_cand.append((j, v))
-    cols = greedy_independent(col_cand, k)
-    if cols is None:
-        return None
-    rows_t = [
-        {t: p.constraints[i][0].get(j, F0) for t, i in enumerate(dual_support)}
-        for j in cols
-    ]
-    y_act = _solve_square(rows_t, [Fraction(p.objective.get(j, 0)) for j in cols],
-                          list(range(k)))
-    if y_act is None:
-        return None
-    y = [F0] * m
-    for t, i in enumerate(dual_support):
-        y[i] = y_act[t]
-        if p.constraints[i][1] == ">=" and y[i] < 0:
-            return None
-        if p.constraints[i][1] == "<=" and y[i] > 0:
-            return None
-    reduced = {j: Fraction(v) for j, v in p.objective.items()}
-    for i in dual_support:
-        yi = y[i]
-        if yi:
-            for j, v in p.constraints[i][0].items():
-                reduced[j] = reduced.get(j, F0) - yi * v
-    if any(v < 0 for v in reduced.values()):
-        return None
-    z = objective_value(p, x)
-    if z != sum((y[i] * p.constraints[i][2] for i in dual_support), F0):
-        return None
-    return LpOptimum("optimal", z, x, y)
+        return f"highs-status-{res.status}", None, None
+    y = np.zeros(m)
+    y[ub] = sign[ub] * res.ineqlin.marginals
+    y[eq] = res.eqlin.marginals
+    return None, res.x.tolist(), y.tolist()
 
 
-DUAL_PATH_RATIO = 2  # use the dual path when rows >= 2x variables
-FLOAT_GUIDE_SIZE = 10_000  # vars * rows above which the float guess is tried
+def _round(values, bound: int) -> list[Fraction]:
+    return [Fraction(v).limit_denominator(bound) if v else F0 for v in values]
 
 
 def solve_min(p: LpProblem, bland: bool = False) -> LpOptimum:
-    """Exact optimum of the minimization problem; assignment re-verified by
-    substitution before return."""
+    """Exact optimum of the minimization problem.  An optimum is returned
+    only with an x and a dual that pass certified_value."""
     for row, _, _ in p.constraints:
         if any(not 0 <= j < p.num_vars for j in row):
             raise ValueError("constraint references an unknown variable")
+    fallback, xf, yf = _highs(p)
+    if fallback is None:
+        for bound in ROUNDING_BOUNDS:
+            x, y = _round(xf, bound), _round(yf, bound)
+            value = certified_value(p, x, y)
+            if value is not None:
+                return LpOptimum("optimal", value, x, y, "rounded")
+        fallback = "rounding-rejected"
     opt = None
-    if p.num_vars * len(p.constraints) >= FLOAT_GUIDE_SIZE:
-        opt = _float_guided(p)
-    if opt is None and len(p.constraints) >= DUAL_PATH_RATIO * p.num_vars:
+    if len(p.constraints) >= DUAL_PATH_RATIO * p.num_vars:
         opt = _dual_path(p, bland)
+        method = "dual-simplex"
     if opt is None:
         opt = _primal_two_phase(p, bland)
-    if opt.status == "optimal":
-        bad = check_feasible(p, opt.x)
-        if bad:
-            raise AssertionError(f"solver returned an infeasible optimum (rows {bad})")
-        if objective_value(p, opt.x) != opt.value:
-            raise AssertionError("solver value does not match its assignment")
+        method = "primal-simplex"
+    opt.method, opt.fallback = method, fallback
+    if opt.status == "optimal" and certified_value(p, opt.x, opt.dual) != opt.value:
+        raise AssertionError("exact simplex returned an optimum that fails its certificate")
     return opt

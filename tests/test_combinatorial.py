@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from icbounds import combinatorial
 from icbounds.combinatorial import (
     ExpandingSequence,
     alpha_exact,
@@ -24,6 +25,7 @@ from icbounds.combinatorial import (
 from icbounds.families import cycle, complement, petersen, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
 from icbounds.instance import Graph, from_graph
+from icbounds.lp import LpOptimum, solve_min
 
 F = Fraction
 
@@ -94,6 +96,25 @@ def test_fractional_cover_values():
     assert fractional_cover(from_graph(cycle(5)), "strong").total == F(5, 2)
     assert fractional_cover(from_graph(complement(cycle(7))), "strong").total == F(7, 3)
     assert fractional_cover(from_graph(petersen()), "strong").total == 5
+
+
+def test_cover_lp_is_certified_by_rounding(monkeypatch):
+    seen = []
+
+    def spy(p):
+        seen.append(solve_min(p))
+        return seen[-1]
+
+    monkeypatch.setattr(combinatorial, "solve_min", spy)
+    assert fractional_cover(from_graph(complement(cycle(7))), "strong").total == F(7, 3)
+    assert [(o.method, o.fallback) for o in seen] == [("rounded", None)]
+
+
+def test_cover_rejects_non_optimal_lp(monkeypatch):
+    # an explicit raise, not an assert, so it holds under python -O too
+    monkeypatch.setattr(combinatorial, "solve_min", lambda p: LpOptimum("infeasible"))
+    with pytest.raises(AssertionError, match="cover LP came back infeasible"):
+        fractional_cover(from_graph(cycle(5)), "strong")
 
 
 def test_integer_clique_cover():

@@ -7,6 +7,7 @@ from icbounds.combinatorial import alpha_exact, fractional_cover
 from icbounds.families import (
     circulant,
     cycle,
+    family,
     random_gnp,
     random_instance,
     shift_perm,
@@ -25,6 +26,7 @@ from icbounds.hierarchy import (
     verify_hierarchy_membership,
 )
 from icbounds.instance import disjoint_union, from_graph
+from icbounds.lp import solve_min
 
 F = Fraction
 
@@ -111,9 +113,28 @@ def test_reduced_equals_unreduced():
         k = rng.randrange(1, n + 1)
         p_red, _ = build_hierarchy_lp(inst, k)
         p_full, _ = build_hierarchy_lp(inst, k, reduced=False)
-        from icbounds.lp import solve_min
-
         assert solve_min(p_red).value == solve_min(p_full).value
+
+
+@pytest.mark.parametrize("name, params, with_symmetry", [
+    ("cycle", {"n": 5}, True),
+    ("complement-cycle", {"n": 5}, True),
+    ("cycle", {"n": 8}, True),
+    ("complement-cycle", {"n": 8}, True),
+    ("circulant", {"n": 8, "k": 2}, True),
+    ("cayley3", {"n": 8}, True),
+    ("complement-cycle", {"n": 7}, True),
+    ("circulant", {"n": 7, "k": 2}, True),
+    ("petersen", {}, True),
+    ("complement-cycle", {"n": 9}, True),
+    ("cycle", {"n": 9}, False),  # 512 variables, 9 572 rows
+])
+def test_family_b2_lps_certify_by_rounding(name, params, with_symmetry):
+    f = family(name, **params)
+    p, _ = build_hierarchy_lp(from_graph(f.graph), 2, f.symmetry if with_symmetry else None)
+    opt = solve_min(p)
+    assert opt.value == f.expected["b2"]
+    assert (opt.method, opt.fallback) == ("rounded", None)
 
 
 def _slope_submod_ok(x, n):

@@ -5,7 +5,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from icbounds import lp as lpmod
-from icbounds.lp import LpProblem, check_feasible, objective_value, solve_min
+from icbounds.lp import LpProblem, certified_value, check_feasible, objective_value, solve_min
 
 F = Fraction
 
@@ -23,6 +23,7 @@ def test_small_optimum():
     assert opt.status == "optimal"
     assert opt.value == F(14, 5)
     assert opt.x == [F(8, 5), F(6, 5)]
+    assert (opt.method, opt.fallback) == ("rounded", None)
 
 
 def test_dual_certificate():
@@ -35,12 +36,16 @@ def test_dual_certificate():
 
 
 def test_infeasible_and_unbounded():
+    # HiGHS finds no optimum, so the exact simplex decides the status
     p = LpProblem(1, {0: F(1)})
     p.add({0: F(1)}, "<=", -1)
-    assert solve_min(p).status == "infeasible"
+    opt = solve_min(p)
+    assert (opt.status, opt.fallback) == ("infeasible", "highs-status-2")
     p = LpProblem(1, {0: F(-1)})
     p.add({0: F(1)}, ">=", 0)
-    assert solve_min(p).status == "unbounded"
+    opt = solve_min(p)
+    assert (opt.status, opt.fallback) == ("unbounded", "highs-status-3")
+    assert opt.method == "primal-simplex"
 
 
 def test_equality_rows():
@@ -69,6 +74,18 @@ def test_check_feasible_reports_rows():
     assert check_feasible(p, [F(0), F(0)]) == [0, 1]
     assert check_feasible(p, [F(8, 5), F(6, 5)]) == []
     assert objective_value(p, [F(2), F(1)]) == 3
+
+
+def test_certificate_rejects_each_failed_check():
+    # min x0  s.t.  x0 >= 1, x0 <= 3: optimum 1 with duals (1, 0)
+    p = LpProblem(1, {0: F(1)})
+    p.add({0: F(1)}, ">=", 1)
+    p.add({0: F(1)}, "<=", 3)
+    assert certified_value(p, [F(1)], [F(1), F(0)]) == 1
+    assert certified_value(p, [F(0)], [F(0), F(0)]) is None  # x violates a row
+    assert certified_value(p, [F(3)], [F(0), F(1)]) is None  # y > 0 on a "<=" row
+    assert certified_value(p, [F(1)], [F(2), F(0)]) is None  # reduced cost 1 - 2 < 0
+    assert certified_value(p, [F(3)], [F(1), F(0)]) is None  # c'x = 3 != 1 = b'y
 
 
 def _random_lp(rng, n, m):
@@ -123,23 +140,72 @@ def test_random_lps_match_scipy():
     assert agree > 30  # the sampler should hit plenty of bounded problems
 
 
-def test_float_guided_path_agrees_with_exact():
-    # force the accelerated path on problems below its usual size gate
+def test_coefficients_beyond_float_range_fall_back():
+    p = LpProblem(1, {0: F(1)})
+    p.add({0: F(1)}, ">=", 10**400)
+    opt = solve_min(p)
+    assert opt.value == 10**400
+    assert (opt.method, opt.fallback) == ("primal-simplex", "float-overflow")
+
+
+def _assert_certificate(p, opt):
+    """x and the row duals prove each other optimal, checked densely."""
+    x, y = opt.x, opt.dual
+    assert len(x) == p.num_vars and len(y) == len(p.constraints)
+    assert all(v >= 0 for v in x)
+    reduced = [F(p.objective.get(j, 0)) for j in range(p.num_vars)]
+    for (row, rel, rhs), yi in zip(p.constraints, y):
+        lhs = sum(c * x[j] for j, c in row.items())
+        assert {">=": lhs >= rhs and yi >= 0, "<=": lhs <= rhs and yi <= 0, "==": lhs == rhs}[rel]
+        for j, c in row.items():
+            reduced[j] -= yi * c
+    assert all(v >= 0 for v in reduced)
+    assert opt.value == objective_value(p, x) == sum(yi * rhs for yi, (_, _, rhs) in zip(y, p.constraints))
+
+
+def test_rounded_path_matches_exact_simplex():
     rng = random.Random(21)
-    old = lpmod.FLOAT_GUIDE_SIZE
-    lpmod.FLOAT_GUIDE_SIZE = 1
-    try:
-        for _ in range(60):
-            p = _random_lp(rng, rng.randint(2, 6), rng.randint(2, 9))
-            fast = solve_min(p)
-            lpmod.FLOAT_GUIDE_SIZE = 10**9
-            slow = solve_min(p)
-            lpmod.FLOAT_GUIDE_SIZE = 1
-            assert fast.status == slow.status
-            if fast.status == "optimal":
-                assert fast.value == slow.value
-    finally:
-        lpmod.FLOAT_GUIDE_SIZE = old
+    rounded = 0
+    for _ in range(120):
+        p = _random_lp(rng, rng.randint(2, 6), rng.randint(2, 9))
+        opt = solve_min(p)
+        for ref in (lpmod._primal_two_phase(p, False), lpmod._dual_path(p, False)):
+            if ref is None:  # the dual path does not fit this shape
+                continue
+            assert ref.status == opt.status
+            if ref.status == "optimal":
+                assert ref.value == opt.value
+                _assert_certificate(p, ref)
+        if opt.status == "optimal":
+            _assert_certificate(p, opt)
+            rounded += opt.method == "rounded"
+    assert rounded > 20  # bounded LPs are rare in this sampler
+
+
+def test_dual_path_certificate():
+    # covering shape (c >= 0, rows ">=", rows >= 2x vars) solved by the dual path
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        p = LpProblem(n, {j: F(rng.randint(0, 4)) for j in range(n)})
+        for _ in range(2 * n + rng.randint(0, 3)):
+            p.add({j: F(rng.randint(1, 3)) for j in rng.sample(range(n), rng.randint(1, n))},
+                  ">=", rng.randint(0, 5))
+        opt = lpmod._dual_path(p, False)
+        assert opt.status == "optimal" and opt.value == solve_min(p).value
+        _assert_certificate(p, opt)
+
+
+def test_rounding_rejected_falls_back_to_exact_simplex():
+    # the optimum's denominator exceeds every rounding bound: rounding to 10**6
+    # gives the feasible x = 10**-6, and the reduced-cost check rejects it
+    assert 1_000_003 > max(lpmod.ROUNDING_BOUNDS)
+    p = LpProblem(1, {0: F(1)})
+    p.add({0: F(1_000_003)}, ">=", 1)
+    opt = solve_min(p)
+    assert opt.value == F(1, 1_000_003)
+    assert (opt.method, opt.fallback) == ("primal-simplex", "rounding-rejected")
+    _assert_certificate(p, opt)
 
 
 def test_dump_roundtrips_visually():
