@@ -24,16 +24,11 @@ from .combinatorial import is_weak_hyperclique
 from .instance import Instance
 
 
-def blind_set(inst: Instance, j: int) -> frozenset[int]:
-    r = inst.receivers[j]
-    return frozenset(range(inst.n)) - r.knows - {r.wants}
-
-
 def sharp_relation(inst: Instance) -> dict[frozenset[int], int]:
     """Unordered related pairs, each with one witnessing receiver index."""
     pairs: dict[frozenset[int], int] = {}
     for j in range(inst.m):
-        t = sorted(blind_set(inst, j))
+        t = sorted(inst.receivers[j].blind_set(inst.n))
         for a in range(len(t)):
             for b in range(a + 1, len(t)):
                 pairs.setdefault(frozenset((t[a], t[b])), j)
@@ -65,7 +60,7 @@ def validate_aac(inst: Instance, w: AacWitness) -> list[str]:
         return w.vertices[i + n]
 
     for i, j in enumerate(w.edges):
-        t = blind_set(inst, j)
+        t = inst.receivers[j].blind_set(inst.n)
         if inst.receivers[j].wants != v(i - n):
             bad.append(f"edge {i}: wanted message is not v_{i - n}")
         if v(i) not in t:
@@ -114,7 +109,7 @@ def _extract_aac(inst: Instance, j_star: int, pairs: dict[frozenset[int], int]) 
     """BFS in the #-graph from f(j*) to the blind set of j*; unroll the
     shortest path into an almost-alternating-cycle witness."""
     src = inst.receivers[j_star].wants
-    goal = blind_set(inst, j_star)
+    goal = inst.receivers[j_star].blind_set(inst.n)
     adj: dict[int, list[tuple[int, int]]] = {}
     for pr, j in pairs.items():
         a, b = sorted(pr)
@@ -158,7 +153,7 @@ def decide_beta_eq_2(inst: Instance) -> Beta2Certificate:
         return Beta2Certificate(False, reason="beta_below_2")
     lab, num, pairs = _classes(inst)
     for j in range(inst.m):
-        t = blind_set(inst, j)
+        t = inst.receivers[j].blind_set(inst.n)
         if not t:
             continue
         c = lab[next(iter(t))]

@@ -160,7 +160,7 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_bounds(args) -> dict:
-    inst, graph, _ = _load(args.instance)
+    inst, graph, data = _load(args.instance)
     out: dict = {"n": inst.n, "m": inst.m}
     if args.alpha:
         v, seq = alpha_exact(inst)
@@ -190,7 +190,6 @@ def cmd_bounds(args) -> dict:
                 raise CapExceeded("minrk-free-entries", 2 * len(graph.edges), args.minrk_cap)
             mr = minrk2(graph)
         else:
-            _, _, data = _load(args.instance)
             if "matrix" not in data:
                 raise ParseError("gram mode needs a 'matrix' entry in the input file")
             mr = representation_rank(graph, data["matrix"], data.get("matrix_field", 2))

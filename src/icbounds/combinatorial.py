@@ -246,7 +246,7 @@ def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
         row = {j: F1 for j, s in enumerate(cliques) if member(s, t)}
         if not row:
             raise ValueError(f"no {kind} hyperclique covers {t}")
-        p.add(row, ">=", r)
+        p.add(row, r)
     opt = solve_min(p)
     if opt.status != "optimal":
         raise AssertionError(f"cover LP came back {opt.status}")

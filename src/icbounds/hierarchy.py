@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .instance import Instance, closure_step, from_mask, to_mask
-from .lp import LpProblem, LpOptimum, solve_min
+from .lp import LpProblem, check_feasible, solve_min
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -126,7 +126,7 @@ def build_hierarchy_lp(
         if key in seen_rows:
             return
         seen_rows.add(key)
-        p.add(row, ">=", rhs)
+        p.add(row, rhs)
         counts[cat] = counts.get(cat, 0) + 1
 
     add({full: F1}, inst.total_rate(), "initialize")
@@ -208,10 +208,9 @@ def solve_bk(
     inst: Instance,
     k: int,
     sym: list[list[int]] | None = None,
-    bland: bool = False,
 ) -> HierarchyBound:
     p, meta = build_hierarchy_lp(inst, k, sym)
-    opt = solve_min(p, bland=bland)
+    opt = solve_min(p)
     if opt.status != "optimal":
         raise AssertionError(f"hierarchy LP came back {opt.status}")
     vec = {m: opt.x[meta.var_of_mask[meta.rep[m]]] for m in range(1 << inst.n)}
@@ -220,13 +219,8 @@ def solve_bk(
 
 def verify_hierarchy_membership(x: dict[int, Fraction], inst: Instance, k: int) -> bool:
     """Feasibility of a full vector against the unreduced level-k system."""
-    p, meta = build_hierarchy_lp(inst, k, reduced=False)
-    from .lp import check_feasible
-
-    assignment = [x[m] for m in range(1 << inst.n)]
-    if any(v < 0 for v in assignment):
-        return False
-    return not check_feasible(p, assignment)
+    p, _ = build_hierarchy_lp(inst, k, reduced=False)
+    return not check_feasible(p, [x[m] for m in range(1 << inst.n)])
 
 
 def alpha_feasible_vector(inst: Instance) -> dict[int, Fraction]:

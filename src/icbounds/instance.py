@@ -169,19 +169,6 @@ def graph_disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph.from_edge_list(a.n + b.n, edges)
 
 
-def blow_up(g: Graph, t: int) -> Graph:
-    """t-blow-up with independent sets: vertex (u,i) -> u*t+i, edges between
-    copies of adjacent vertices only."""
-    if t < 1:
-        raise ValueError("blow-up factor must be >= 1")
-    edges = []
-    for u, v in g.edge_list():
-        for i in range(t):
-            for j in range(t):
-                edges.append((u * t + i, v * t + j))
-    return Graph.from_edge_list(g.n * t, edges)
-
-
 class ParseError(ValueError):
     pass
 
@@ -284,8 +271,3 @@ def from_mask(mask: int) -> frozenset[int]:
         mask >>= 1
         v += 1
     return frozenset(out)
-
-
-def receiver_masks(inst: Instance) -> list[tuple[int, int, int]]:
-    """(wants, knows_mask, side_mask) per receiver."""
-    return [(r.wants, to_mask(r.knows), to_mask(r.knows) | (1 << r.wants)) for r in inst.receivers]

@@ -1,30 +1,27 @@
-"""Exact rational LP solver (minimization).
+"""Exact LP solver for covering-form problems.
 
-All variables are implicitly >= 0; constraints are (sparse row, relation,
-rhs) with relation one of ">=", "<=", "==".  Floats may propose an optimum,
-but only exact rational arithmetic accepts one: every optimum returned comes
-with a primal x and a dual y (one entry per row, y >= 0 on ">=" rows, y <= 0
-on "<=" rows) that pass four exact checks -- x >= 0 satisfies every row, y
-has the right sign, the reduced costs c - A'y are >= 0, and c'x = b'y.
+Every LP here has one shape: minimize c'x subject to A x >= b and x >= 0,
+with c >= 0, so the objective is bounded below and the only outcomes are an
+optimum or infeasibility.  Constraints are (sparse row, rhs) pairs, each
+meaning row . x >= rhs.  Floats may propose an optimum, but only exact
+rational arithmetic accepts one: every optimum returned comes with a primal
+x and a dual y >= 0 (one entry per row) that pass four exact checks -- x >= 0
+satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
+c'x = b'y.
 
 `solve_min` first hands the LP to HiGHS (scipy's linprog) as sparse
 matrices and rounds its primal and dual solutions to nearby fractions with
 small denominators (ROUNDING_BOUNDS).  If the checks accept a rounding, that
 is the answer.  Otherwise -- HiGHS reports no optimum, or no rounding passes
--- the exact simplex decides, with one of two paths sharing one revised
-simplex core over Fraction arithmetic:
-  * dual path -- for problems with c >= 0, all rows ">=", and far fewer
-    variables than rows (the entropy LPs): solve max b'y s.t. A'y <= c,
-    y >= 0, whose standard form starts from the all-slack basis and whose
-    simplex multipliers recover the primal optimum.  Basis size drops to
-    the number of primal variables.
-  * primal two-phase -- everything else; basis size = number of rows.
-`LpOptimum.method` and `LpOptimum.fallback` record which path answered and
-why the rounding did not.
+-- one exact revised simplex over Fraction arithmetic decides.  It solves
+the dual, max b'y s.t. A'y <= c, y >= 0, whose standard form starts from the
+all-slack basis (feasible because c >= 0), so the basis has one row per
+primal variable; the simplex multipliers recover the primal optimum, and an
+unbounded dual means an infeasible primal.  `LpOptimum.method` and
+`LpOptimum.fallback` record which path answered and why the rounding did not.
 
 Pivot rule: Dantzig with lowest-index tie-breaks, switching permanently to
-Bland's rule after a run of degenerate pivots, so termination is guaranteed;
-`bland=True` forces Bland's rule throughout.
+Bland's rule after a run of degenerate pivots, so termination is guaranteed.
 """
 
 from __future__ import annotations
@@ -42,35 +39,20 @@ STALL_LIMIT = 50  # degenerate pivots before switching to Bland's rule
 class LpProblem:
     num_vars: int
     objective: dict[int, Fraction]
-    # (sparse row {var: coeff}, relation, rhs)
-    constraints: list[tuple[dict[int, Fraction], str, Fraction]] = field(default_factory=list)
+    # (sparse row {var: coeff}, rhs), each meaning row . x >= rhs
+    constraints: list[tuple[dict[int, Fraction], Fraction]] = field(default_factory=list)
 
-    def add(self, row: dict[int, Fraction], rel: str, rhs) -> None:
-        if rel not in (">=", "<=", "=="):
-            raise ValueError(f"bad relation {rel!r}")
-        self.constraints.append(({k: Fraction(v) for k, v in row.items() if v}, rel, Fraction(rhs)))
-
-    def dump(self) -> str:
-        """Plain-text "min / st" rendering for debugging."""
-
-        def term(c, j):
-            return f"{c}*x{j}"
-
-        lines = ["min " + " + ".join(term(c, j) for j, c in sorted(self.objective.items()))]
-        lines.append("st")
-        for row, rel, rhs in self.constraints:
-            lines.append("  " + " + ".join(term(c, j) for j, c in sorted(row.items())) + f" {rel} {rhs}")
-        lines.append("  x >= 0")
-        return "\n".join(lines)
+    def add(self, row: dict[int, Fraction], rhs) -> None:
+        self.constraints.append(({k: Fraction(v) for k, v in row.items() if v}, Fraction(rhs)))
 
 
 @dataclass
 class LpOptimum:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     value: Fraction | None = None
     x: list[Fraction] | None = None
-    dual: list[Fraction] | None = None  # per row; >= 0 on ">=", <= 0 on "<="
-    method: str | None = None  # "rounded" | "dual-simplex" | "primal-simplex"
+    dual: list[Fraction] | None = None  # per row, >= 0
+    method: str | None = None  # "rounded" | "simplex"
     # None when the rounding answered, else "highs-status-<n>" (HiGHS found
     # no optimum), "rounding-rejected" (no rounding passed the checks) or
     # "float-overflow" (a coefficient is beyond the float range)
@@ -82,10 +64,8 @@ def check_feasible(p: LpProblem, x) -> list[int]:
     bad = []
     if any(v < 0 for v in x):
         bad.append(-1)
-    for i, (row, rel, rhs) in enumerate(p.constraints):
-        lhs = sum((c * x[j] for j, c in row.items()), F0)
-        ok = lhs >= rhs if rel == ">=" else lhs <= rhs if rel == "<=" else lhs == rhs
-        if not ok:
+    for i, (row, rhs) in enumerate(p.constraints):
+        if sum((c * x[j] for j, c in row.items()), F0) < rhs:
             bad.append(i)
     return bad
 
@@ -96,16 +76,16 @@ def objective_value(p: LpProblem, x) -> Fraction:
 
 def certified_value(p: LpProblem, x, y) -> Fraction | None:
     """c'x when x and the row duals y prove each other optimal: x >= 0
-    satisfies every row, y >= 0 on ">=" rows and <= 0 on "<=" rows, the
-    reduced costs c - A'y are >= 0, and c'x = b'y.  None otherwise."""
+    satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
+    c'x = b'y.  None otherwise."""
     if check_feasible(p, x):
         return None
     reduced = dict(p.objective)
     dual_value = F0
-    for (row, rel, rhs), yi in zip(p.constraints, y, strict=True):
+    for (row, rhs), yi in zip(p.constraints, y, strict=True):
         if not yi:
             continue
-        if (rel == ">=" and yi < 0) or (rel == "<=" and yi > 0):
+        if yi < 0:
             return None
         dual_value += yi * rhs
         for j, a in row.items():
@@ -116,7 +96,7 @@ def certified_value(p: LpProblem, x, y) -> Fraction | None:
     return value if value == dual_value else None
 
 
-# -- simplex core -----------------------------------------------------------
+# -- exact simplex ----------------------------------------------------------
 
 
 class _Unbounded(Exception):
@@ -124,7 +104,8 @@ class _Unbounded(Exception):
 
 
 class _Core:
-    """min cost'x  s.t.  A x = b, x >= 0, given a starting feasible basis.
+    """min cost'x  s.t.  A x = b, x >= 0, starting from a feasible basis of
+    unit columns (basis[i] is the column e_i, so B^-1 starts as I).
 
     Columns are sparse [(row, coeff), ...]; the basis inverse is dense.
     """
@@ -138,34 +119,6 @@ class _Core:
             self.in_basis[j] = True
         self.binv = [[F1 if i == k else F0 for k in range(self.m)] for i in range(self.m)]
         self.xb = list(b)
-        self._factor_start(b)
-
-    def _factor_start(self, b):
-        # The starting basis need not be the identity: eliminate to B^-1.
-        mat = [[F0] * self.m for _ in range(self.m)]
-        for k, j in enumerate(self.basis):
-            for i, v in self.cols[j]:
-                mat[i][k] = v
-        ident = all(mat[i][k] == (F1 if i == k else F0) for k in range(self.m) for i in range(self.m))
-        if ident:
-            return
-        # Gauss-Jordan on [mat | I]; basis columns are guaranteed independent
-        # by the callers (slack/artificial identity blocks).
-        binv = self.binv
-        for k in range(self.m):
-            piv = next(i for i in range(k, self.m) if mat[i][k] != 0)
-            mat[k], mat[piv] = mat[piv], mat[k]
-            binv[k], binv[piv] = binv[piv], binv[k]
-            d = mat[k][k]
-            if d != 1:
-                mat[k] = [v / d for v in mat[k]]
-                binv[k] = [v / d for v in binv[k]]
-            for i in range(self.m):
-                if i != k and mat[i][k] != 0:
-                    f = mat[i][k]
-                    mat[i] = [a - f * c for a, c in zip(mat[i], mat[k])]
-                    binv[i] = [a - f * c for a, c in zip(binv[i], binv[k])]
-        self.xb = [sum((binv[i][r] * b[r] for r in range(self.m)), F0) for i in range(self.m)]
 
     def multipliers(self, cost):
         m = self.m
@@ -176,8 +129,9 @@ class _Core:
     def _col_times(self, vec, j):
         return sum((vec[i] * v for i, v in self.cols[j]), F0)
 
-    def solve(self, cost, banned=frozenset(), bland=False):
+    def solve(self, cost):
         """Run to optimality.  Raises _Unbounded.  Returns objective value."""
+        bland = False
         stall = 0
         last_z = None
         while True:
@@ -185,7 +139,7 @@ class _Core:
             enter = -1
             best = F0
             for j in range(len(self.cols)):
-                if self.in_basis[j] or j in banned:
+                if self.in_basis[j]:
                     continue
                 d = cost[j] - self._col_times(pi, j)
                 if d < 0:
@@ -240,130 +194,39 @@ class _Core:
         return x
 
 
-# -- the two solve paths ----------------------------------------------------
-
-
-def _primal_two_phase(p: LpProblem, bland: bool) -> LpOptimum:
+def _dual_path(p: LpProblem) -> LpOptimum:
+    """The exact optimum or infeasibility of p, by the simplex on its dual."""
     n = p.num_vars
-    m = len(p.constraints)
-    rows = []  # (sparse dict, rhs) in equality form with rhs >= 0, before slacks
-    kinds = []
-    negated = []
-    for row, rel, rhs in p.constraints:
-        negated.append(rhs < 0)
-        if rhs < 0:
-            row = {j: -c for j, c in row.items()}
-            rhs = -rhs
-            rel = {">=": "<=", "<=": ">=", "==": "=="}[rel]
-        rows.append((row, rhs))
-        kinds.append(rel)
-
-    cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for i, (row, _) in enumerate(rows):
-        for j, c in row.items():
-            cols[j].append((i, c))
-    slack_of_row = {}
-    for i, rel in enumerate(kinds):
-        if rel == "<=":
-            slack_of_row[i] = len(cols)
-            cols.append([(i, F1)])
-        elif rel == ">=":
-            cols.append([(i, -F1)])  # surplus
-    nslacked = len(cols)
-    # Artificials for rows lacking a +1 slack.
-    art_of_row = {}
-    for i, rel in enumerate(kinds):
-        if rel != "<=":
-            art_of_row[i] = len(cols)
-            cols.append([(i, F1)])
-    arts = set(art_of_row.values())
-    b = [rhs for _, rhs in rows]
-    basis = [slack_of_row[i] if i in slack_of_row else art_of_row[i] for i in range(m)]
-
-    core = _Core(cols, b, basis)
-    if arts:
-        cost1 = [F0] * len(cols)
-        for j in arts:
-            cost1[j] = F1
-        z1 = core.solve(cost1, bland=bland)
-        if z1 != 0:
-            return LpOptimum("infeasible")
-        _drive_out_artificials(core, arts, nslacked)
-    cost2 = [F0] * len(cols)
-    for j, c in p.objective.items():
-        cost2[j] = Fraction(c)
-    try:
-        z = core.solve(cost2, banned=frozenset(arts), bland=bland)
-    except _Unbounded:
-        return LpOptimum("unbounded")
-    x = core.primal_values(n)
-    y = [-v if neg else v for v, neg in zip(core.multipliers(cost2), negated)]
-    return LpOptimum("optimal", z, x, y)
-
-
-def _drive_out_artificials(core: _Core, arts, nslacked) -> None:
-    # A basic artificial sits at value 0; swap it for any original column with
-    # a nonzero pivot entry.  If none exists the row is redundant and the
-    # artificial can stay: no original column ever moves that row again.
-    for r in range(core.m):
-        if core.basis[r] not in arts:
-            continue
-        for j in range(nslacked):
-            if core.in_basis[j]:
-                continue
-            urj = core._col_times(core.binv[r], j)
-            if urj != 0:
-                u = [core._col_times(core.binv[i], j) for i in range(core.m)]
-                core._pivot(j, r, u, core.xb[r] / urj)
-                break
-
-
-def _dual_path(p: LpProblem, bland: bool) -> LpOptimum | None:
-    """Solve via the dual when c >= 0 and every row is ">=".  Returns None if
-    the shape does not fit (caller falls back to the primal path)."""
-    n = p.num_vars
-    if any(c < 0 for c in p.objective.values()):
-        return None
-    if any(rel != ">=" for _, rel, _ in p.constraints):
-        return None
     m = len(p.constraints)
     # Dual in standard form: min -b'y  s.t.  A'y + s = c,  y, s >= 0.
-    cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    for i, (row, _, _) in enumerate(p.constraints):
-        cols[i] = [(j, c) for j, c in row.items()]
+    cols: list[list[tuple[int, Fraction]]] = [list(row.items()) for row, _ in p.constraints]
     for j in range(n):
         cols.append([(j, F1)])  # slack for dual row j
     rhs = [Fraction(p.objective.get(j, 0)) for j in range(n)]
-    cost = [-r for _, _, r in p.constraints] + [F0] * n
-    basis = list(range(m, m + n))  # all-slack start, feasible since c >= 0
-    core = _Core(cols, rhs, basis)
+    cost = [-r for _, r in p.constraints] + [F0] * n
+    core = _Core(cols, rhs, range(m, m + n))  # all-slack start, feasible since c >= 0
     try:
-        zd = core.solve(cost, bland=bland)
+        zd = core.solve(cost)
     except _Unbounded:
         return LpOptimum("infeasible")  # dual unbounded => primal infeasible
     # Simplex multipliers of the dual solve carry the primal optimum: the
     # slack column j prices to -pi_j >= 0, so x_j = -pi_j.
-    pi = core.multipliers(cost)
-    x = [-v for v in pi]
-    if check_feasible(p, x):
-        return None  # paranoia: fall back to the primal path
-    z = objective_value(p, x)
-    if z != -zd:
-        return None
-    y = core.primal_values(m)
-    return LpOptimum("optimal", z, x, y)
+    x = [-v for v in core.multipliers(cost)]
+    return LpOptimum("optimal", -zd, x, core.primal_values(m))
+
+
+# -- HiGHS and rounding -----------------------------------------------------
 
 
 # Denominators tried, in order, when rounding HiGHS's solution.  Hierarchy
 # and cover LPs certify at the first; a larger one catches rarer optima
 # before the exact simplex is needed.
 ROUNDING_BOUNDS = (10**3, 10**6)
-DUAL_PATH_RATIO = 2  # use the dual path when rows >= 2x variables
 
 
 def _highs(p: LpProblem):
-    """HiGHS's float solve of p: (None, x, row duals in the sign convention
-    of LpOptimum.dual) at an optimum, else (the fallback reason, None, None)."""
+    """HiGHS's float solve of p: (None, x, row duals >= 0) at an optimum,
+    else (the fallback reason, None, None)."""
     # Imported here: scipy.optimize costs more to import than the package.
     import numpy as np
     from scipy import sparse
@@ -374,41 +237,34 @@ def _highs(p: LpProblem):
         return None, [], [0.0] * m
     try:
         c = np.array([float(p.objective.get(j, 0)) for j in range(n)])
-        val = [float(v) for row, _, _ in p.constraints for v in row.values()]
-        b = np.array([float(r) for _, _, r in p.constraints])
+        val = [float(v) for row, _ in p.constraints for v in row.values()]
+        b = np.array([float(r) for _, r in p.constraints])
     except OverflowError:
         return "float-overflow", None, None
     ptr, idx = [0], []
-    for row, _, _ in p.constraints:
+    for row, _ in p.constraints:
         idx.extend(row)
         ptr.append(len(idx))
     a = sparse.csr_array((val, idx, ptr), shape=(m, n))
-    rel = np.array([r for _, r, _ in p.constraints])
-    # ">=" rows enter A_ub negated; their duals come back negated too.
-    sign = np.where(rel == ">=", -1.0, 1.0)
-    ub, eq = np.flatnonzero(rel != "=="), np.flatnonzero(rel == "==")
-    res = linprog(
-        c, A_ub=sparse.diags_array(sign[ub]) @ a[ub], b_ub=sign[ub] * b[ub],
-        A_eq=a[eq], b_eq=b[eq], bounds=(0, None), method="highs",
-    )
+    # A x >= b enters as -A x <= -b; its duals come back negated too.
+    res = linprog(c, A_ub=-a, b_ub=-b, bounds=(0, None), method="highs")
     if res.status != 0:
         return f"highs-status-{res.status}", None, None
-    y = np.zeros(m)
-    y[ub] = sign[ub] * res.ineqlin.marginals
-    y[eq] = res.eqlin.marginals
-    return None, res.x.tolist(), y.tolist()
+    return None, res.x.tolist(), (-res.ineqlin.marginals).tolist()
 
 
 def _round(values, bound: int) -> list[Fraction]:
     return [Fraction(v).limit_denominator(bound) if v else F0 for v in values]
 
 
-def solve_min(p: LpProblem, bland: bool = False) -> LpOptimum:
-    """Exact optimum of the minimization problem.  An optimum is returned
+def solve_min(p: LpProblem) -> LpOptimum:
+    """Exact optimum of the covering-form problem.  An optimum is returned
     only with an x and a dual that pass certified_value."""
-    for row, _, _ in p.constraints:
+    for row in [p.objective, *(row for row, _ in p.constraints)]:
         if any(not 0 <= j < p.num_vars for j in row):
-            raise ValueError("constraint references an unknown variable")
+            raise ValueError("objective or constraint references an unknown variable")
+    if any(c < 0 for c in p.objective.values()):
+        raise ValueError("objective has a negative coefficient")
     fallback, xf, yf = _highs(p)
     if fallback is None:
         for bound in ROUNDING_BOUNDS:
@@ -417,14 +273,8 @@ def solve_min(p: LpProblem, bland: bool = False) -> LpOptimum:
             if value is not None:
                 return LpOptimum("optimal", value, x, y, "rounded")
         fallback = "rounding-rejected"
-    opt = None
-    if len(p.constraints) >= DUAL_PATH_RATIO * p.num_vars:
-        opt = _dual_path(p, bland)
-        method = "dual-simplex"
-    if opt is None:
-        opt = _primal_two_phase(p, bland)
-        method = "primal-simplex"
-    opt.method, opt.fallback = method, fallback
+    opt = _dual_path(p)
+    opt.method, opt.fallback = "simplex", fallback
     if opt.status == "optimal" and certified_value(p, opt.x, opt.dual) != opt.value:
         raise AssertionError("exact simplex returned an optimum that fails its certificate")
     return opt

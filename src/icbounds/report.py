@@ -15,7 +15,6 @@ from .combinatorial import (
     fractional_cover,
     integer_clique_cover,
     minrk2,
-    representation_rank,
 )
 from .hierarchy import solve_bk
 from .instance import Graph, Instance
@@ -182,9 +181,3 @@ def build_report(
                     f"b{k} = {format_rational(rep.bounds[f'b{k}'].value)} exceeds a valid rate"
                 )
     return rep
-
-
-def gram_minrk_report(graph: Graph, matrix: list[list[int]], p: int):
-    """Upper bound via a supplied representation over F_p (e.g. a Gram
-    matrix): zero-pattern check plus rank."""
-    return representation_rank(graph, matrix, p)

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 from icbounds.beta2 import (
-    blind_set,
     decide_beta_eq_2,
     sharp_relation,
     undirected_beta2,
@@ -27,7 +26,7 @@ def bipartite_complement(rng, n):
 
 def test_blind_and_sharp():
     inst = from_graph(cycle(5))
-    assert blind_set(inst, 0) == frozenset({2, 3})
+    assert inst.receivers[0].blind_set(inst.n) == frozenset({2, 3})
     rel = sharp_relation(inst)
     assert frozenset({2, 3}) in rel
 
@@ -83,7 +82,7 @@ def test_labeling_properties():
     lab = cert.labeling
     # constant on every blind set, different at the wanted message
     for j, r in enumerate(inst.receivers):
-        t = blind_set(inst, j)
+        t = r.blind_set(inst.n)
         vals = {lab[v] for v in t}
         assert len(vals) <= 1
         if vals:

@@ -51,6 +51,19 @@ def test_bounds_minrk(capsys, tmp_path):
     assert out["minrk2"]["value"] == "3"
 
 
+def test_bounds_minrk_gram(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "projective-hadamard", "q=3")
+    out = run_json(capsys, "bounds", str(path), "--minrk2", "gram")
+    assert out["minrk2"] == {"value": "3", "field": 3, "exact": False}
+
+
+def test_bounds_minrk_gram_needs_matrix(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    code, _, err = run(capsys, "bounds", str(path), "--minrk2", "gram")
+    assert code == 2
+    assert "matrix" in err
+
+
 def test_hierarchy_c5(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     out = run_json(capsys, "hierarchy", str(path), "--level", "2")
