@@ -23,7 +23,6 @@ from .instance import Instance, Graph, to_mask, from_mask
 from .lp import LpProblem, solve_min
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 # -- rank helpers -----------------------------------------------------------
@@ -241,9 +240,9 @@ def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
         targets = list(inst.distinct_receivers())
         member = lambda s, j: j in s
         thresh = [inst.rate(inst.receivers[j].wants) for j in targets]
-    p = LpProblem(len(cliques), {j: F1 for j in range(len(cliques))})
+    p = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1))
     for t, r in zip(targets, thresh):
-        row = {j: F1 for j, s in enumerate(cliques) if member(s, t)}
+        row = {j: 1 for j, s in enumerate(cliques) if member(s, t)}
         if not row:
             raise ValueError(f"no {kind} hyperclique covers {t}")
         p.add(row, r)

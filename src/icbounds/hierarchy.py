@@ -12,32 +12,42 @@ chaining recovers the general forms, which is property-tested against the
 unreduced emission at small n.  Orbit reduction under a supplied vertex
 symmetry group replaces X(S) by its orbit representative; generators are
 validated as instance automorphisms.
+
+The LP is built from numpy index arrays over all 2^n masks at once.  Orbit
+labels come from vectorized bit permutations and min-label propagation, and
+one array maps every mask to its variable.  Each category is emitted as a
+block of rows -- mask columns, +-1 coefficients and the id of a right-hand
+side -- in a fixed order: initialize, non-negativity, slope and
+monotonicity interleaved per pair S < T, decode, submodularity-2..k.
+Mapping masks to variables can merge columns within a row, and a row equal
+to an earlier one (same columns, coefficients and right-hand side) is
+dropped, so the rows and their order match a row-by-row build.
+Coefficients are integers; rates appear only in the right-hand sides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .instance import Instance, closure_step, from_mask, to_mask
-from .lp import LpProblem, check_feasible, solve_min
+import numpy as np
+
+from .instance import Instance, to_mask
+from .lp import LpProblem, check_feasible, ints, solve_min
 
 F0 = Fraction(0)
-F1 = Fraction(1)
+
+# Row categories, in emission order; submodularity-2..k follow.
+CATEGORIES = ["initialize", "non-negativity", "slope", "monotonicity", "decode"]
+INITIALIZE, NON_NEGATIVITY, SLOPE, MONOTONICITY, DECODE = range(len(CATEGORIES))
+
+# Rows deduplicated at a time, which bounds the build's working memory.
+CHUNK_ROWS = 1 << 14
 
 
 # -- subset orbits under a vertex permutation group -------------------------
-
-
-def apply_perm_mask(perm: list[int], mask: int) -> int:
-    out = 0
-    v = 0
-    while mask >> v:
-        if mask >> v & 1:
-            out |= 1 << perm[v]
-        v += 1
-    return out
 
 
 def validate_symmetry(inst: Instance, perms: list[list[int]]) -> list[str]:
@@ -57,29 +67,28 @@ def validate_symmetry(inst: Instance, perms: list[list[int]]) -> list[str]:
     return bad
 
 
-def subset_orbits(n: int, perms: list[list[int]]) -> tuple[list[int], list[int]]:
+def _permuted(masks: np.ndarray, perm: list[int]) -> np.ndarray:
+    out = np.zeros_like(masks)
+    for v, pv in enumerate(perm):
+        out |= (masks >> v & 1) << pv
+    return out
+
+
+def subset_orbits(n: int, perms: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """(rep, reps): rep[mask] = smallest mask in its orbit; reps = sorted
     distinct representatives."""
-    size = 1 << n
-    rep = [-1] * size
-    reps = []
-    for m in range(size):
-        if rep[m] != -1:
-            continue
-        # BFS the orbit of m under the generators.
-        orbit = [m]
-        rep[m] = m
-        head = 0
-        while head < len(orbit):
-            cur = orbit[head]
-            head += 1
-            for p in perms:
-                im = apply_perm_mask(p, cur)
-                if rep[im] == -1:
-                    rep[im] = m
-                    orbit.append(im)
-        reps.append(m)
-    return rep, reps
+    masks = np.arange(1 << n)
+    images = [_permuted(masks, p) for p in perms]
+    rep = masks
+    while True:
+        # Every label stays a member of its mask's orbit and only decreases;
+        # at the fixed point it is constant on each orbit, hence the minimum.
+        before, rep = rep, rep.copy()
+        for img in images:  # a bijection of the masks, so img has no repeats
+            rep[img] = np.minimum(rep[img], rep)
+        rep = rep[rep]
+        if np.array_equal(rep, before):
+            return rep, np.flatnonzero(rep == masks)
 
 
 # -- LP construction --------------------------------------------------------
@@ -88,9 +97,126 @@ def subset_orbits(n: int, perms: list[list[int]]) -> tuple[list[int], list[int]]
 @dataclass
 class HierarchyMeta:
     level: int
-    var_of_mask: dict[int, int]  # orbit representative mask -> variable index
-    rep: list[int]  # mask -> representative mask
+    var_of_mask: np.ndarray  # mask -> variable of its orbit
     counts: dict[str, int] = field(default_factory=dict)
+
+
+def _submasks(gain: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, sub): for each gain[i] in turn, its submasks in decreasing
+    order (0 last), each tagged with owner i."""
+    size = 1 << np.bitwise_count(gain).astype(np.int64)
+    owner = np.repeat(np.arange(len(gain)), size)
+    # Count down from size - 1 to 0 per owner and deposit the count's bits
+    # into gain's set bits: a monotone map onto the submasks.
+    count = np.repeat(np.cumsum(size), size) - 1 - np.arange(owner.size)
+    g = gain[owner]
+    sub = np.zeros_like(g)
+    rank = np.zeros_like(g)
+    for v in range(n):
+        bit = g >> v & 1
+        sub |= (count >> rank & bit) << v
+        rank += bit
+    return owner, sub
+
+
+def _closure_masks(inst: Instance, masks: np.ndarray) -> np.ndarray:
+    """closure_step of every mask at once."""
+    plus = masks.copy()
+    for r in inst.receivers:
+        knows = to_mask(r.knows)
+        plus[masks & knows == knows] |= 1 << r.wants
+    return plus
+
+
+def _rhs_ids(inst: Instance, masks: np.ndarray) -> tuple[np.ndarray, list[Fraction]]:
+    """(ids, values): values[ids[mask]] = -(rate sum of mask), and the last
+    value is the total rate, the initialize row's right-hand side."""
+    n = inst.n
+    d = math.lcm(*(inst.rate(v).denominator for v in range(n)))
+    nums = [inst.rate(v).numerator * (d // inst.rate(v).denominator) for v in range(n)]
+    bound = sum(map(abs, nums))
+    sums = ints(masks[:, None] >> np.arange(n) & 1, bound) @ ints(nums, bound)
+    distinct, ids = np.unique(sums, return_inverse=True)
+    return ids, [-Fraction(int(s), d) for s in distinct] + [inst.total_rate()]
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the first occurrence of each distinct row."""
+    # A stable sort keeps equal rows in their original order, so each run
+    # of equal rows starts with its first occurrence.
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.ones(len(order), bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(1)
+    return np.sort(order[starts])
+
+
+def _row_blocks(inst: Instance, k: int, reduced: bool, ids: np.ndarray, total: int):
+    """The rows over masks, category by category in emission order, as
+    blocks (masks, coefficients, right-hand side ids, categories), the
+    coefficients shared by every row of a block."""
+    n = inst.n
+    masks = np.arange(1 << n)
+    full = (1 << n) - 1
+    zero = ids[0]
+    yield np.array([[full]]), [1], [total], [INITIALIZE]
+    yield np.array([[0]]), [1], [zero], [NON_NEGATIVITY]
+
+    # Pairs S < T: one-element steps when reduced, every superset otherwise.
+    if reduced:
+        s, v = np.nonzero((masks[:, None] >> np.arange(n) & 1) == 0)
+        t = s | 1 << v
+    else:
+        s, sub = _submasks(full & ~masks, n)
+        s, t = s[sub != 0], (s | sub)[sub != 0]
+    # slope X(S) - X(T) >= -rate(T \ S), then monotonicity X(T) - X(S) >= 0
+    rhs = np.stack([ids[t & ~s], np.full_like(s, zero)], 1).ravel()
+    yield np.stack([s, t, t, s], 1).reshape(-1, 2), [1, -1], rhs, np.tile([SLOPE, MONOTONICITY], len(s))
+
+    # decode X(S) - X(T) >= 0 for T the closure step of S (when unreduced,
+    # S plus any part of what the step adds)
+    plus = _closure_masks(inst, masks)
+    if reduced:
+        s = np.flatnonzero(plus != masks)
+        t = plus[s]
+    else:
+        s, sub = _submasks(plus & ~masks, n)
+        s, t = s[sub != 0], (s | sub)[sub != 0]
+    yield np.stack([s, t], 1), [1, -1], np.full_like(s, zero), np.full_like(s, DECODE)
+
+    # submodularity-r, for each r-set R and each Z disjoint from it: the sum
+    # over T <= R of (-1)^(r - |T| + 1) X(T | Z) is >= 0 (the definition's
+    # <= 0 row, negated)
+    for order in range(2, k + 1):
+        members = np.array(list(combinations(range(n), order)))
+        owner, z = _submasks(full & ~(1 << members).sum(1), n)
+        t_index = np.arange(1 << order)
+        t_subs = ((t_index[:, None] >> np.arange(order) & 1) << members[:, None, :]).sum(2)
+        coefs = np.where((order - np.bitwise_count(t_index)) & 1, 1, -1)
+        cat = len(CATEGORIES) + order - 2
+        yield t_subs[owner] | z[:, None], coefs, np.full_like(z, zero), np.full_like(z, cat)
+
+
+def _canonical(cols: np.ndarray, coefs, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's columns sorted and merged (coefficients summed), padded to
+    width with column -1 and coefficient 0."""
+    r, w = cols.shape
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, 1)
+    vals = np.take_along_axis(np.broadcast_to(np.asarray(coefs, np.int64), (r, w)), order, 1)
+    run = np.ones((r, w), bool)
+    run[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    run = np.flatnonzero(run)
+    # Merged columns never cancel: orbits preserve |S|, and within a row
+    # every X(S) of one size has the same sign.
+    sums = np.add.reduceat(vals.ravel(), run)
+    row = run // w
+    pos = np.arange(len(row)) - np.searchsorted(row, row)
+    out_cols = np.full((r, width), -1)
+    out_cols[row, pos] = cols.ravel()[run]
+    out_vals = np.zeros((r, width), np.int64)
+    out_vals[row, pos] = sums
+    return out_cols, out_vals
 
 
 def build_hierarchy_lp(
@@ -102,96 +228,39 @@ def build_hierarchy_lp(
     n = inst.n
     if not 1 <= k <= n:
         raise ValueError(f"level must be in 1..{n}")
+    masks = np.arange(1 << n)
     if sym:
         bad = validate_symmetry(inst, sym)
         if bad:
             raise ValueError(f"invalid symmetry group: {bad}")
-        rep, reps = subset_orbits(n, sym)
+        rep, _ = subset_orbits(n, sym)
+        var_of_mask = (np.cumsum(rep == masks) - 1)[rep]
     else:
-        rep = list(range(1 << n))
-        reps = rep
-    var_of = {m: i for i, m in enumerate(reps)}
-    full = (1 << n) - 1
-    p = LpProblem(len(reps), {var_of[rep[0]]: F1})
-    counts: dict[str, int] = {}
-    seen_rows: set = set()
+        var_of_mask = masks
+    ids, rhs_values = _rhs_ids(inst, masks)
+    # Rows are keyed by (columns, coefficients, rhs id) and deduplicated
+    # CHUNK_ROWS at a time against every row kept so far, the earlier kept.
+    width = max(2, 1 << k)
+    keys = np.zeros((0, 2 * width + 1), np.int64)
+    cats = np.zeros(0, np.int64)
+    for row_masks, coefs, rhs, cat in _row_blocks(inst, k, reduced, ids, len(rhs_values) - 1):
+        for lo in range(0, len(row_masks), CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            cols, vals = _canonical(var_of_mask[row_masks[lo:hi]], coefs, width)
+            keys = np.concatenate([keys, np.column_stack([cols, vals, rhs[lo:hi]])])
+            cats = np.concatenate([cats, cat[lo:hi]])
+            first = _first_rows(keys)
+            keys, cats = keys[first], cats[first]
 
-    def add(row_masks: dict[int, Fraction], rhs: Fraction, cat: str) -> None:
-        row: dict[int, Fraction] = {}
-        for m, c in row_masks.items():
-            j = var_of[rep[m]]
-            row[j] = row.get(j, F0) + c
-        row = {j: c for j, c in row.items() if c}
-        key = (frozenset(row.items()), rhs)
-        if key in seen_rows:
-            return
-        seen_rows.add(key)
-        p.add(row, rhs)
-        counts[cat] = counts.get(cat, 0) + 1
-
-    add({full: F1}, inst.total_rate(), "initialize")
-    add({0: F1}, F0, "non-negativity")
-
-    if reduced:
-        for s in range(1 << n):
-            for v in range(n):
-                if s >> v & 1:
-                    continue
-                t = s | 1 << v
-                add({s: F1, t: -F1}, -inst.rate(v), "slope")
-                add({t: F1, s: -F1}, F0, "monotonicity")
-        for s in range(1 << n):
-            a = from_mask(s)
-            plus = closure_step(inst, a)
-            if plus != a:
-                add({s: F1, to_mask(plus): -F1}, F0, "decode")
-    else:
-        for s in range(1 << n):
-            rest = full & ~s
-            t_sub = rest
-            while True:
-                t = s | t_sub
-                if t != s:
-                    gap = sum((inst.rate(v) for v in from_mask(t_sub)), F0)
-                    add({s: F1, t: -F1}, -gap, "slope")
-                    add({t: F1, s: -F1}, F0, "monotonicity")
-                if t_sub == 0:
-                    break
-                t_sub = (t_sub - 1) & rest
-        for s in range(1 << n):
-            a = from_mask(s)
-            plus = to_mask(closure_step(inst, a))
-            gain = plus & ~s
-            b_sub = gain
-            while True:
-                if b_sub:
-                    add({s: F1, (s | b_sub): -F1}, F0, "decode")
-                if b_sub == 0:
-                    break
-                b_sub = (b_sub - 1) & gain
-
-    for order in range(2, k + 1):
-        for r_tuple in combinations(range(n), order):
-            rmask = to_mask(r_tuple)
-            rest = full & ~rmask
-            z = rest
-            while True:
-                row: dict[int, Fraction] = {}
-                t_sub = rmask
-                while True:
-                    sign = (order - t_sub.bit_count()) & 1
-                    m = t_sub | z
-                    # Emitted as >= 0 (the definition's <= 0 row, negated).
-                    row[m] = row.get(m, F0) + (F1 if sign else -F1)
-                    if t_sub == 0:
-                        break
-                    t_sub = (t_sub - 1) & rmask
-                add(row, F0, f"submodularity-{order}")
-                if z == 0:
-                    break
-                z = (z - 1) & rest
-    meta = HierarchyMeta(k, var_of, rep, counts)
-    return p, meta
+    cols, vals = keys[:, :width], keys[:, width:-1]
+    live = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(live.sum(1))])
+    rhs = [rhs_values[i] for i in keys[:, -1].tolist()]
+    p = LpProblem(int(var_of_mask.max()) + 1, {0: 1}, indptr, cols[live], vals[live],
+                  np.ones(len(rhs), np.int64), rhs)
+    names = CATEGORIES + [f"submodularity-{order}" for order in range(2, k + 1)]
+    counts = {name: int(c) for name, c in zip(names, np.bincount(cats, minlength=len(names))) if c}
+    return p, HierarchyMeta(k, var_of_mask, counts)
 
 
 @dataclass
@@ -213,7 +282,7 @@ def solve_bk(
     opt = solve_min(p)
     if opt.status != "optimal":
         raise AssertionError(f"hierarchy LP came back {opt.status}")
-    vec = {m: opt.x[meta.var_of_mask[meta.rep[m]]] for m in range(1 << inst.n)}
+    vec = {m: opt.x[j] for m, j in enumerate(meta.var_of_mask.tolist())}
     return HierarchyBound(k, opt.value, vec, meta.counts, p.num_vars, len(p.constraints))
 
 

@@ -2,12 +2,19 @@
 
 Every LP here has one shape: minimize c'x subject to A x >= b and x >= 0,
 with c >= 0, so the objective is bounded below and the only outcomes are an
-optimum or infeasibility.  Constraints are (sparse row, rhs) pairs, each
-meaning row . x >= rhs.  Floats may propose an optimum, but only exact
-rational arithmetic accepts one: every optimum returned comes with a primal
-x and a dual y >= 0 (one entry per row) that pass four exact checks -- x >= 0
-satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
-c'x = b'y.
+optimum or infeasibility.  A is stored as integer CSR: each row holds
+integer coefficients over one positive integer denominator (1 for every row
+the hierarchy and cover builders emit), and each right-hand side is a
+Fraction.  `LpProblem.add` appends a {var: coeff} row, and
+`LpProblem.constraints` shows the rows as (dict, rhs) pairs.
+
+Floats may propose an optimum, but only exact arithmetic accepts one: every
+optimum returned comes with a primal x and a dual y >= 0 (one entry per
+row) that pass four exact checks -- x >= 0 satisfies every row, y >= 0, the
+reduced costs c - A'y are >= 0, and c'x = b'y.  The checks scale x and y to
+integers by their common denominators and form A x and A'y as integer
+segment sums, in int64 when a magnitude bound rules out overflow and in
+Python ints (dtype object) otherwise, through the same code.
 
 `solve_min` first hands the LP to HiGHS (scipy's linprog) as sparse
 matrices and rounds its primal and dual solutions to nearby fractions with
@@ -26,24 +33,95 @@ Bland's rule after a run of degenerate pivots, so termination is guaranteed.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 STALL_LIMIT = 50  # degenerate pivots before switching to Bland's rule
 
+INT64_LIMIT = 2**63  # magnitudes below this fit int64
 
-@dataclass
+
+def ints(values, bound: int) -> np.ndarray:
+    """Integers as int64 when `bound` (a bound on every magnitude computed
+    from them) is below INT64_LIMIT, else as Python ints (dtype object)."""
+    return np.asarray(values, dtype=np.int64 if bound < INT64_LIMIT else object)
+
+
+def _max_abs(a) -> int:
+    return int(np.abs(a).max()) if len(a) else 0
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """(v * d for each value, d), d the common denominator of the rationals."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _segment_sums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of terms over the consecutive segments that begin at starts (the
+    last one runs to the end); an empty segment sums to 0."""
+    sums = np.add.reduceat(np.concatenate([terms, np.zeros(1, terms.dtype)]), starts)
+    sums[starts == np.append(starts[1:], len(terms))] = 0
+    return sums
+
+
+@dataclass(eq=False)
 class LpProblem:
-    num_vars: int
-    objective: dict[int, Fraction]
-    # (sparse row {var: coeff}, rhs), each meaning row . x >= rhs
-    constraints: list[tuple[dict[int, Fraction], Fraction]] = field(default_factory=list)
+    """min c'x  s.t.  A x >= b, x >= 0.  Row i of A has the coefficients
+    coefs[indptr[i]:indptr[i+1]] / denoms[i] on the variables
+    indices[indptr[i]:indptr[i+1]]; rhs[i] is its right-hand side."""
 
-    def add(self, row: dict[int, Fraction], rhs) -> None:
-        self.constraints.append(({k: Fraction(v) for k, v in row.items() if v}, Fraction(rhs)))
+    num_vars: int
+    objective: dict[int, int | Fraction]  # var -> cost >= 0
+    indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
+    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    coefs: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    denoms: np.ndarray = field(default_factory=lambda: np.ones(0, np.int64))
+    rhs: list[Fraction] = field(default_factory=list)
+
+    def add(self, row: dict, rhs) -> None:
+        """Append row . x >= rhs; row maps variables to ints or Fractions."""
+        row = {j: c for j, c in row.items() if c}
+        den = math.lcm(*(c.denominator for c in row.values()))
+        nums = [c.numerator * (den // c.denominator) for c in row.values()]
+        self.indptr = np.append(self.indptr, self.indptr[-1] + len(row))
+        self.indices = np.append(self.indices, np.array(list(row), np.int64))
+        self.coefs = np.concatenate([self.coefs, ints(nums, max(map(abs, nums), default=0))])
+        self.denoms = np.concatenate([self.denoms, ints([den], den)])
+        self.rhs.append(Fraction(rhs))
+
+    @property
+    def constraints(self) -> Sequence[tuple[dict, Fraction]]:
+        return _Rows(self)
+
+
+class _Rows(Sequence):
+    """The constraints of an LpProblem as (row, rhs) pairs, row a
+    {var: coeff} dict, each meaning row . x >= rhs."""
+
+    def __init__(self, p: LpProblem):
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p.rhs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        p = self._p
+        i = range(len(self))[i]
+        lo, hi = p.indptr[i], p.indptr[i + 1]
+        den = int(p.denoms[i])
+        nums = p.coefs[lo:hi].tolist()
+        row = dict(zip(p.indices[lo:hi].tolist(), nums if den == 1 else (Fraction(c, den) for c in nums)))
+        return row, p.rhs[i]
 
 
 @dataclass
@@ -61,13 +139,21 @@ class LpOptimum:
 
 def check_feasible(p: LpProblem, x) -> list[int]:
     """Indices of violated constraints; index -1 flags a negative variable."""
-    bad = []
-    if any(v < 0 for v in x):
-        bad.append(-1)
-    for i, (row, rhs) in enumerate(p.constraints):
-        if sum((c * x[j] for j, c in row.items()), F0) < rhs:
-            bad.append(i)
-    return bad
+    bad = [-1] if any(v < 0 for v in x) else []
+    if not p.rhs:
+        return bad
+    xs, d = _scaled(x)
+    # With X = d x and rhs_i = r_i / q_i, row i holds iff
+    # (coefs_i . X) q_i >= r_i denoms_i d, a comparison of integers.
+    r = [b.numerator for b in p.rhs]
+    q = [b.denominator for b in p.rhs]
+    row_len = int(np.diff(p.indptr).max())
+    bound = max(_max_abs(p.coefs) * row_len * max(map(abs, xs), default=0) * max(q),
+                max(1, *map(abs, r)) * _max_abs(p.denoms) * d)
+    terms = ints(p.coefs, bound) * ints(xs, bound)[p.indices]
+    lhs = _segment_sums(terms, p.indptr[:-1]) * ints(q, bound)
+    need = ints(r, bound) * ints(p.denoms, bound) * d
+    return bad + np.flatnonzero(lhs < need).tolist()
 
 
 def objective_value(p: LpProblem, x) -> Fraction:
@@ -78,21 +164,33 @@ def certified_value(p: LpProblem, x, y) -> Fraction | None:
     """c'x when x and the row duals y prove each other optimal: x >= 0
     satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
     c'x = b'y.  None otherwise."""
-    if check_feasible(p, x):
+    if len(y) != len(p.rhs):
+        raise ValueError("certified_value needs one dual value per row")
+    if check_feasible(p, x) or any(v < 0 for v in y):
         return None
-    reduced = dict(p.objective)
-    dual_value = F0
-    for (row, rhs), yi in zip(p.constraints, y, strict=True):
-        if not yi:
-            continue
-        if yi < 0:
-            return None
-        dual_value += yi * rhs
-        for j, a in row.items():
-            reduced[j] = reduced.get(j, F0) - yi * a
-    if any(v < 0 for v in reduced.values()):
+    n = p.num_vars
+    # A'y = (coefs' W) / e with W_i = y_i e / denoms_i, all integers for the
+    # common denominator e of the y_i / denoms_i.
+    ydens = [v.denominator * den for v, den in zip(y, p.denoms.tolist())]
+    e = math.lcm(*ydens)
+    ws = [v.numerator * (e // dv) for v, dv in zip(y, ydens)]
+    cn = [0] * n
+    cd = [1] * n
+    for j, c in p.objective.items():
+        cn[j], cd[j] = c.numerator, c.denominator
+    col_len = int(np.bincount(p.indices, minlength=1).max())
+    # c_j - (A'y)_j >= 0  iff  cn_j e >= (coefs' W)_j cd_j
+    bound = max(_max_abs(p.coefs) * col_len * max(map(abs, ws), default=0) * max(cd, default=1),
+                max(1, *map(abs, cn)) * e)
+    rows = np.repeat(np.arange(len(ws)), np.diff(p.indptr))
+    terms = ints(p.coefs, bound) * ints(ws, bound)[rows]
+    order = np.argsort(p.indices, kind="stable")
+    starts = np.searchsorted(p.indices[order], np.arange(n))
+    aty = _segment_sums(terms[order], starts) * ints(cd, bound)
+    if np.any(ints(cn, bound) * e < aty):
         return None
     value = objective_value(p, x)
+    dual_value = sum((v * b for v, b in zip(y, p.rhs) if v), F0)
     return value if value == dual_value else None
 
 
@@ -197,13 +295,18 @@ class _Core:
 def _dual_path(p: LpProblem) -> LpOptimum:
     """The exact optimum or infeasibility of p, by the simplex on its dual."""
     n = p.num_vars
-    m = len(p.constraints)
-    # Dual in standard form: min -b'y  s.t.  A'y + s = c,  y, s >= 0.
-    cols: list[list[tuple[int, Fraction]]] = [list(row.items()) for row, _ in p.constraints]
+    m = len(p.rhs)
+    # Dual in standard form: min -b'y  s.t.  A'y + s = c,  y, s >= 0.  Its
+    # columns are the rows of A, rational where a row has a denominator.
+    ptr, idx, nums, dens = (a.tolist() for a in (p.indptr, p.indices, p.coefs, p.denoms))
+    cols: list[list[tuple[int, Fraction]]] = [
+        [(idx[k], nums[k] if dens[i] == 1 else Fraction(nums[k], dens[i])) for k in range(ptr[i], ptr[i + 1])]
+        for i in range(m)
+    ]
     for j in range(n):
         cols.append([(j, F1)])  # slack for dual row j
     rhs = [Fraction(p.objective.get(j, 0)) for j in range(n)]
-    cost = [-r for _, r in p.constraints] + [F0] * n
+    cost = [-r for r in p.rhs] + [F0] * n
     core = _Core(cols, rhs, range(m, m + n))  # all-slack start, feasible since c >= 0
     try:
         zd = core.solve(cost)
@@ -228,24 +331,19 @@ def _highs(p: LpProblem):
     """HiGHS's float solve of p: (None, x, row duals >= 0) at an optimum,
     else (the fallback reason, None, None)."""
     # Imported here: scipy.optimize costs more to import than the package.
-    import numpy as np
     from scipy import sparse
     from scipy.optimize import linprog
 
-    n, m = p.num_vars, len(p.constraints)
+    n, m = p.num_vars, len(p.rhs)
     if n == 0:  # linprog rejects an empty c; x = [], y = 0 is the only candidate
         return None, [], [0.0] * m
     try:
         c = np.array([float(p.objective.get(j, 0)) for j in range(n)])
-        val = [float(v) for row, _ in p.constraints for v in row.values()]
-        b = np.array([float(r) for _, r in p.constraints])
+        val = p.coefs.astype(float) / np.repeat(p.denoms.astype(float), np.diff(p.indptr))
+        b = np.array([float(r) for r in p.rhs])
     except OverflowError:
         return "float-overflow", None, None
-    ptr, idx = [0], []
-    for row, _ in p.constraints:
-        idx.extend(row)
-        ptr.append(len(idx))
-    a = sparse.csr_array((val, idx, ptr), shape=(m, n))
+    a = sparse.csr_array((val, p.indices, p.indptr), shape=(m, n))
     # A x >= b enters as -A x <= -b; its duals come back negated too.
     res = linprog(c, A_ub=-a, b_ub=-b, bounds=(0, None), method="highs")
     if res.status != 0:
@@ -257,14 +355,23 @@ def _round(values, bound: int) -> list[Fraction]:
     return [Fraction(v).limit_denominator(bound) if v else F0 for v in values]
 
 
+def _validate(p: LpProblem) -> None:
+    m = len(p.rhs)
+    if len(p.indptr) != m + 1 or len(p.denoms) != m or not len(p.indices) == len(p.coefs) == p.indptr[-1]:
+        raise ValueError("constraint arrays disagree on the number of rows or entries")
+    if p.indptr[0] != 0 or np.any(np.diff(p.indptr) < 0) or np.any(p.denoms <= 0):
+        raise ValueError("row pointers must not decrease and denominators must be positive")
+    cols = list(p.objective) + ([int(p.indices.min()), int(p.indices.max())] if len(p.indices) else [])
+    if any(not 0 <= j < p.num_vars for j in cols):
+        raise ValueError("objective or constraint references an unknown variable")
+    if any(c < 0 for c in p.objective.values()):
+        raise ValueError("objective has a negative coefficient")
+
+
 def solve_min(p: LpProblem) -> LpOptimum:
     """Exact optimum of the covering-form problem.  An optimum is returned
     only with an x and a dual that pass certified_value."""
-    for row in [p.objective, *(row for row, _ in p.constraints)]:
-        if any(not 0 <= j < p.num_vars for j in row):
-            raise ValueError("objective or constraint references an unknown variable")
-    if any(c < 0 for c in p.objective.values()):
-        raise ValueError("objective has a negative coefficient")
+    _validate(p)
     fallback, xf, yf = _highs(p)
     if fallback is None:
         for bound in ROUNDING_BOUNDS:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hierarchy_reference import reference_lp
+from hierarchy_reference import subset_orbits as reference_orbits
 
 from icbounds.combinatorial import alpha_exact, fractional_cover
 from icbounds.families import (
@@ -15,7 +17,6 @@ from icbounds.families import (
 )
 from icbounds.hierarchy import (
     alpha_feasible_vector,
-    apply_perm_mask,
     build_hierarchy_lp,
     componentwise_b2,
     compose_coverage,
@@ -25,7 +26,7 @@ from icbounds.hierarchy import (
     validate_symmetry,
     verify_hierarchy_membership,
 )
-from icbounds.instance import disjoint_union, from_graph
+from icbounds.instance import Instance, disjoint_union, from_graph
 from icbounds.lp import solve_min
 
 F = Fraction
@@ -43,10 +44,11 @@ def test_tri3_levels():
     assert solve_bk(inst, 3).value == 3
 
 
-def test_apply_perm_mask():
-    perm = [1, 2, 0]
-    assert apply_perm_mask(perm, 0b001) == 0b010
-    assert apply_perm_mask(perm, 0b101) == 0b011
+def test_subset_orbits_permute_bits():
+    # perm [1, 2, 0] sends 0b001 to 0b010 and 0b101 to 0b011
+    rep, reps = subset_orbits(3, [[1, 2, 0]])
+    assert rep.tolist() == [0, 1, 1, 3, 1, 3, 3, 7]
+    assert reps.tolist() == [0, 1, 3, 7]
 
 
 def test_validate_symmetry():
@@ -116,7 +118,42 @@ def test_reduced_equals_unreduced():
         assert solve_min(p_red).value == solve_min(p_full).value
 
 
-@pytest.mark.parametrize("name, params, with_symmetry", [
+def _assert_same_lp(inst, k, sym=None, reduced=True):
+    rows, objective, num_vars, counts, var_of_mask = reference_lp(inst, k, sym, reduced)
+    p, meta = build_hierarchy_lp(inst, k, sym, reduced)
+    assert list(p.constraints) == rows
+    assert p.objective == objective and p.num_vars == num_vars
+    assert list(meta.counts.items()) == list(counts.items())
+    assert meta.var_of_mask.tolist() == var_of_mask
+
+
+def test_build_matches_reference_on_random_instances():
+    # the array build against the loop builder, row for row and in order
+    rng = random.Random(17)
+    for i in range(320):
+        n = rng.randrange(1, 7)
+        inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
+        if i % 2:
+            den = rng.randrange(1, 13)
+            rates = tuple(F(rng.randint(1, den), den) for _ in range(n))
+            inst = Instance(n, inst.receivers, rates)
+        k = rng.randrange(1, n + 1)
+        _assert_same_lp(inst, k, reduced=True)
+        _assert_same_lp(inst, k, reduced=False)
+
+
+def test_build_matches_reference_with_symmetry():
+    for n in range(4, 10):
+        for c in [c for c in (1, 2, 3) if c < (n - 1) / 2]:
+            inst = from_graph(circulant(n, c))
+            sym = [shift_perm(n)]
+            rep, reps = subset_orbits(n, sym)
+            assert (rep.tolist(), reps.tolist()) == reference_orbits(n, sym)
+            for k in range(1, 4):
+                _assert_same_lp(inst, k, sym)
+
+
+HIERARCHY_B2_LPS = [
     ("cycle", {"n": 5}, True),
     ("complement-cycle", {"n": 5}, True),
     ("cycle", {"n": 8}, True),
@@ -128,13 +165,22 @@ def test_reduced_equals_unreduced():
     ("petersen", {}, True),
     ("complement-cycle", {"n": 9}, True),
     ("cycle", {"n": 9}, False),  # 512 variables, 9 572 rows
-])
+]
+
+
+@pytest.mark.parametrize("name, params, with_symmetry", HIERARCHY_B2_LPS)
 def test_family_b2_lps_certify_by_rounding(name, params, with_symmetry):
     f = family(name, **params)
     p, _ = build_hierarchy_lp(from_graph(f.graph), 2, f.symmetry if with_symmetry else None)
     opt = solve_min(p)
     assert opt.value == f.expected["b2"]
     assert (opt.method, opt.fallback) == ("rounded", None)
+
+
+@pytest.mark.parametrize("name, params, with_symmetry", HIERARCHY_B2_LPS)
+def test_family_b2_lps_match_reference(name, params, with_symmetry):
+    f = family(name, **params)
+    _assert_same_lp(f.instance, 2, f.symmetry if with_symmetry else None)
 
 
 def _slope_submod_ok(x, n):

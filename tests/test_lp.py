@@ -69,6 +69,8 @@ def test_degenerate_cycling_guard(monkeypatch):
     p.add({0: F(-60), 1: F(-90)}, -150)
     p.add({0: F(-1, 25), 1: F(-1, 50), 2: F(1)}, F(1, 50))
     p.add({0: F(9), 1: F(3)}, -6)
+    # the rows stay rational: scaled to integers, Dantzig's rule would not cycle
+    assert p.constraints[2] == ({0: F(-1, 25), 1: F(-1, 50), 2: F(1)}, F(1, 50))
     opt = solve_min(p)
     assert (opt.status, opt.method, opt.fallback) == ("optimal", "simplex", "rounding-rejected")
     assert opt.value == F(1, 20)
@@ -198,3 +200,125 @@ def test_coefficients_beyond_float_range_fall_back():
     opt = solve_min(p)
     assert opt.value == 10**400
     assert (opt.method, opt.fallback) == ("simplex", "float-overflow")
+
+
+def test_constraints_view():
+    p = LpProblem(3, {0: F(1)})
+    p.add({0: 2, 2: F(0), 1: -1}, F(1, 3))
+    p.add({1: F(1, 6), 2: F(1, 4)}, 0)
+    p.add({}, -1)
+    rows = p.constraints
+    assert len(rows) == 3
+    assert rows[0] == ({0: 2, 1: -1}, F(1, 3))  # the zero coefficient is dropped
+    assert rows[-2] == ({1: F(1, 6), 2: F(1, 4)}, 0)
+    assert p.coefs.tolist()[2:] == [2, 3] and p.denoms.tolist() == [1, 12, 1]
+    assert list(rows) == rows[:] == [rows[0], rows[1], ({}, -1)]
+    with pytest.raises(IndexError):
+        rows[3]
+
+
+def test_rejects_malformed_rows():
+    p = small_lp()
+    p.denoms = p.denoms * 0
+    with pytest.raises(ValueError, match="denominators"):
+        solve_min(p)
+    p = small_lp()
+    p.indptr = p.indptr[:-1]
+    with pytest.raises(ValueError, match="number of rows"):
+        solve_min(p)
+
+
+def test_ints_dtype_follows_the_bound():
+    assert lpmod.ints([1, -2], lpmod.INT64_LIMIT - 1).dtype == np.int64
+    big = lpmod.ints([1, -2], lpmod.INT64_LIMIT)
+    assert big.dtype == object and type(big[0]) is int
+
+
+def _fraction_violations(p, x):
+    """check_feasible by plain Fraction arithmetic over the rows."""
+    bad = [-1] if any(v < 0 for v in x) else []
+    return bad + [i for i, (row, rhs) in enumerate(p.constraints)
+                  if sum((F(c) * x[j] for j, c in row.items()), F(0)) < rhs]
+
+
+def _fraction_certifies(p, x, y):
+    """certified_value by plain Fraction arithmetic: the value, or None."""
+    if _fraction_violations(p, x) or any(v < 0 for v in y):
+        return None
+    reduced = [F(p.objective.get(j, 0)) for j in range(p.num_vars)]
+    for (row, _), yi in zip(p.constraints, y):
+        for j, c in row.items():
+            reduced[j] -= yi * c
+    value = objective_value(p, x)
+    ok = all(v >= 0 for v in reduced) and value == sum(yi * rhs for yi, (_, rhs) in zip(y, p.constraints))
+    return value if ok else None
+
+
+def _record_dtypes(monkeypatch):
+    seen = set()
+    real = lpmod.ints
+
+    def ints(values, bound):
+        out = real(values, bound)
+        seen.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(lpmod, "ints", ints)
+    return seen
+
+
+@pytest.mark.parametrize("denominator", [6, 10**15 + 37])
+def test_checks_agree_with_fractions_in_both_dtypes(monkeypatch, denominator):
+    # x and y on a denominator near 10**15 push the integer check beyond
+    # int64, so it runs on Python ints; a small one keeps it in int64
+    seen = _record_dtypes(monkeypatch)
+    rng = random.Random(denominator % 1000)
+    accepted = 0
+    for p in _random_lps(31, count=60):
+        p.add({j: F(rng.randint(-9, 9), rng.randint(1, 4)) for j in range(p.num_vars)}, F(rng.randint(-9, 9), 7))
+        x = [F(rng.randint(0, 3 * denominator), denominator) for _ in range(p.num_vars)]
+        assert check_feasible(p, x) == _fraction_violations(p, x)
+        opt = solve_min(p)
+        if opt.status != "optimal":
+            continue
+        scaled = [v * denominator for v in opt.dual]
+        for y in (opt.dual, [v + F(1, denominator) for v in opt.dual], [v / denominator for v in scaled]):
+            assert certified_value(p, opt.x, y) == _fraction_certifies(p, opt.x, y)
+        accepted += certified_value(p, opt.x, opt.dual) is not None
+    assert accepted > 10
+    assert (np.dtype(object) in seen) == (denominator > 10**12)
+
+
+def test_check_flags_a_row_missed_by_one_over_the_denominator(monkeypatch):
+    # coefficients near 10**15 and x on a large denominator D: the integer
+    # check runs on Python ints and still sees a shortfall of exactly 1/D
+    seen = _record_dtypes(monkeypatch)
+    d = 10**15 + 37
+    x = [F(10**15 + 1, d), F(3, d)]
+    p = LpProblem(2, {0: F(1), 1: F(1)})
+    lhs = F(10**15 + 3) * x[0] - F(10**15) * x[1]
+    p.add({0: 10**15 + 3, 1: -(10**15)}, lhs)
+    p.add({0: 10**15 + 3, 1: -(10**15)}, lhs + F(1, d))
+    p.add({0: 1}, x[0] - F(1, d))
+    assert check_feasible(p, x) == _fraction_violations(p, x) == [1]
+    assert np.dtype(object) in seen
+
+
+def test_coefficients_beyond_int64():
+    # HiGHS finds no optimum here; the exact simplex takes the Python ints
+    p = LpProblem(1, {0: F(1)})
+    p.add({0: 10**20}, 3 * 10**20)
+    assert p.coefs.dtype == object
+    opt = solve_min(p)
+    assert opt.value == 3
+    _assert_certificate(p, opt)
+
+
+def test_checks_scale_past_int64_with_zero_rhs_and_costs():
+    # every rhs and cost is 0, so only the scale factors exceed int64
+    p = LpProblem(2, {})
+    p.add({0: 1, 1: -1}, 0)
+    d = 10**30 + 1
+    assert check_feasible(p, [F(1, d), F(2, d)]) == [0]
+    assert certified_value(p, [F(2, d), F(1, d)], [F(0)]) == 0
+    assert certified_value(p, [F(2, d), F(1, d)], [F(1, d)]) is None  # reduced cost -1/d
