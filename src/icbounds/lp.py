@@ -112,9 +112,7 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return len(self._p.rhs)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> tuple[dict, Fraction]:
         p = self._p
         i = range(len(self))[i]
         lo, hi = p.indptr[i], p.indptr[i + 1]

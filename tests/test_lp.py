@@ -212,7 +212,7 @@ def test_constraints_view():
     assert rows[0] == ({0: 2, 1: -1}, F(1, 3))  # the zero coefficient is dropped
     assert rows[-2] == ({1: F(1, 6), 2: F(1, 4)}, 0)
     assert p.coefs.tolist()[2:] == [2, 3] and p.denoms.tolist() == [1, 12, 1]
-    assert list(rows) == rows[:] == [rows[0], rows[1], ({}, -1)]
+    assert list(rows) == [rows[0], rows[1], ({}, -1)]
     with pytest.raises(IndexError):
         rows[3]
 
