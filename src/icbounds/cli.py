@@ -5,24 +5,28 @@ reports, and the one-shot reproduction suite.
 Output formats: json (default), csv (flattened key,value rows), table
 (aligned, rationals annotated with an approximate 4-place decimal).  All
 rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
-3 resource cap exceeded.
+3 resource cap exceeded.  The library raises CapExceeded where the resource
+is spent (minrk2 for --minrk-cap, verify_code for exhaustive checks, the
+report for --max-lp-vars); the CLI passes its flags through and maps that
+to exit code 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
+import random
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import codes, families
 from .approx import approximate_beta
 from .beta2 import decide_beta_eq_2, undirected_beta2
 from .combinatorial import (
+    MINRK_FREE_ENTRY_CAP,
     alpha_exact,
     fractional_cover,
     integer_clique_cover,
@@ -31,15 +35,17 @@ from .combinatorial import (
 )
 from .hierarchy import solve_bk
 from .instance import (
-    Graph,
+    CapExceeded,
     Instance,
     ParseError,
     from_graph,
-    read_problem,
+    problem_from_dict,
+    read_json,
     validate,
+    validate_graph,
 )
 from .numeric import format_rational
-from .report import BoundReport, CapExceeded, build_report
+from .report import build_report
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -100,21 +106,21 @@ def _rat(x) -> str:
 
 def _load(path: str):
     """Returns (instance, graph-or-None, metadata dict)."""
-    inst, data = read_problem(path)
-    graph = None
-    if "edges" in data:
-        graph = Graph.from_edge_list(
-            int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]]
-        )
-    rep = validate(inst)
-    if not rep.ok:
-        raise ParseError(f"invalid instance: {rep.violations}")
+    data = read_json(path)
+    inst, graph = problem_from_dict(data, path)
+    violations = validate(inst).violations
+    if graph is not None:
+        violations += validate_graph(graph).violations
+    if violations:
+        raise ParseError(f"invalid instance: {violations}")
     return inst, graph, data
 
 
-def _sym_arg(spec: str | None, inst: Instance):
-    if not spec or spec in ("none", "auto"):
-        return None  # "auto" defers to symmetry metadata in the input file
+def _sym_arg(spec: str | None, inst: Instance, data: dict):
+    if spec == "auto":
+        return data.get("symmetry")  # generators stored by `gen`
+    if not spec or spec == "none":
+        return None
     if spec == "cyclic":
         return [families.shift_perm(inst.n)]
     if spec.startswith("file:"):
@@ -186,9 +192,7 @@ def cmd_bounds(args) -> dict:
         if graph is None:
             raise ParseError("minrk2 needs a graph input")
         if args.minrk2 == "exact":
-            if 2 * len(graph.edges) > args.minrk_cap:
-                raise CapExceeded("minrk-free-entries", 2 * len(graph.edges), args.minrk_cap)
-            mr = minrk2(graph)
+            mr = minrk2(graph, cap=args.minrk_cap)
         else:
             if "matrix" not in data:
                 raise ParseError("gram mode needs a 'matrix' entry in the input file")
@@ -201,11 +205,8 @@ def cmd_hierarchy(args) -> dict:
     inst, _, data = _load(args.instance)
     if 1 << inst.n > args.max_lp_vars:
         raise CapExceeded("max-lp-vars", 1 << inst.n, args.max_lp_vars)
-    sym = _sym_arg(args.sym, inst)
-    if sym is None and args.sym == "auto":
-        sym = data.get("symmetry")
     t0 = time.perf_counter()
-    b = solve_bk(inst, args.level, sym=sym)
+    b = solve_bk(inst, args.level, sym=_sym_arg(args.sym, inst, data))
     out = {
         "level": b.level,
         "value": _rat(b.value),
@@ -308,9 +309,7 @@ def cmd_code(args) -> dict:
         if "matrix" in data:
             rep = representation_rank(graph, data["matrix"], data.get("matrix_field", 2))
         else:
-            if 2 * len(graph.edges) > args.minrk_cap:
-                raise CapExceeded("minrk-free-entries", 2 * len(graph.edges), args.minrk_cap)
-            rep = minrk2(graph)
+            rep = minrk2(graph, cap=args.minrk_cap)
         scheme = codes.minrk_code(graph, rep)
     elif name == "twosymbol":
         cert = decide_beta_eq_2(inst)
@@ -324,9 +323,6 @@ def cmd_code(args) -> dict:
     mode, trials, seed = "auto", codes.RANDOM_TRIALS, 0
     if args.verify:
         if args.verify == "exhaustive":
-            total = scheme.field ** (inst.n * scheme.msg_symbols)
-            if total > codes.EXHAUSTIVE_CAP:
-                raise CapExceeded("exhaustive-verify", total, codes.EXHAUSTIVE_CAP)
             mode = "exhaustive"
         elif args.verify.startswith("random"):
             parts = args.verify.split(":")
@@ -356,18 +352,15 @@ def cmd_report(args) -> dict:
         levels = tuple(int(x) for x in args.levels.split(","))
     else:
         levels = (args.level,)
-    sym = _sym_arg(args.sym, inst)
-    if sym is None and args.sym == "auto":
-        sym = data.get("symmetry")
+    on_graph = args.all and graph is not None
     rep = build_report(
         inst,
         graph,
         descriptor=args.instance,
         levels=levels,
-        sym=sym,
-        with_chibar=args.all and graph is not None,
-        with_minrk=(args.all and graph is not None
-                    and 2 * len(graph.edges) <= args.minrk_cap),
+        sym=_sym_arg(args.sym, inst, data),
+        with_chibar=on_graph,
+        minrk_cap=args.minrk_cap if on_graph else None,
         with_decide2=args.all or args.decide2,
         max_lp_vars=args.max_lp_vars,
         seed=args.seed,
@@ -378,35 +371,34 @@ def cmd_report(args) -> dict:
 # -- reproduction suite ------------------------------------------------------
 
 
-def _suite_c5():
-    f = families.family("cycle", n=5)
-    inst = from_graph(f.graph)
-    b2 = solve_bk(inst, 2, sym=f.symmetry).value
-    cover = fractional_cover(inst, "strong")
-    scheme = codes.strong_cover_code(inst, cover)
-    ver = codes.verify_code(inst, scheme, mode="exhaustive")
-    ok = b2 == Fraction(5, 2) and scheme.rate == Fraction(5, 2) and ver.passed
-    return ok, ("beta(C5) = 5/2 exact" if ok else f"b2={b2} rate={scheme.rate} ver={ver.passed}")
+def _verified_cover_rate(f: families.FamilyOutput) -> Fraction:
+    """The rate of the family's strong-cover code, an upper bound on beta
+    once exhaustive verification has passed."""
+    scheme = codes.strong_cover_code(f.instance, fractional_cover(f.instance, "strong"))
+    if not codes.verify_code(f.instance, scheme, mode="exhaustive").passed:
+        raise ValueError(f"{f.name}: strong-cover code failed verification")
+    return scheme.rate
 
 
-def _suite_cycles():
-    for n, want in ((7, Fraction(7, 2)), (9, Fraction(9, 2))):
-        f = families.family("cycle", n=n)
-        v = solve_bk(from_graph(f.graph), 2, sym=f.symmetry).value
-        if v != want:
-            return False, f"b2(C{n}) = {v} != {want}"
-    return True, "b2(C7) = 7/2, b2(C9) = 9/2"
+_MEASURES = {
+    "alpha": lambda f: alpha_exact(f.instance)[0],
+    "b2": lambda f: solve_bk(f.instance, 2, sym=f.symmetry).value,
+    "chi_bar_f": lambda f: fractional_cover(f.instance, "strong").total,
+    "beta": _verified_cover_rate,
+}
 
 
-def _suite_complements():
-    for n, want in ((5, Fraction(5, 2)), (7, Fraction(7, 3))):
-        f = families.family("complement-cycle", n=n)
-        inst = from_graph(f.graph)
-        v = solve_bk(inst, 2, sym=f.symmetry).value
-        cf = fractional_cover(inst, "strong").total
-        if v != want or cf != want:
-            return False, f"complement C{n}: b2={v} chibarf={cf} want {want}"
-    return True, "complement cycles match n/floor(n/2)"
+def _family_claim(keys: tuple[str, ...], *cases: tuple[str, dict]):
+    """Measure `keys` on each (family name, params) case and compare every
+    value with the family's expected one.  Returns (ok, detail)."""
+    ok, details = True, []
+    for name, params in cases:
+        f = families.family(name, **params)
+        got = {k: _MEASURES[k](f) for k in keys}
+        ok = ok and all(v == f.expected[k] for k, v in got.items())
+        label = name + "".join(f" {k}={v}" for k, v in params.items())
+        details.append(f"{label}: " + " ".join(f"{k}={_rat(v)}" for k, v in got.items()))
+    return ok, "; ".join(details)
 
 
 def _suite_tri3():
@@ -420,22 +412,13 @@ def _suite_tri3():
 
 
 def _suite_decide2():
-    import random
-
     rng = random.Random(11)
     done = 0
     while done < 10:
         n = rng.randint(3, 8)
         g = families.random_gnp(n, rng.uniform(0.2, 0.8), rng)
-        comp = families.complement(g)
-        if not comp.edges:
-            continue
-        import networkx as nx
-
-        h = nx.Graph()
-        h.add_nodes_from(range(n))
-        h.add_edges_from(comp.edge_list())
-        if not nx.is_bipartite(h):
+        # undirected_beta2 rejects a complete graph (its rate is 1)
+        if len(g.edges) == n * (n - 1) // 2 or not undirected_beta2(g):
             continue
         inst = from_graph(g)
         cert = decide_beta_eq_2(inst)
@@ -456,27 +439,6 @@ def _suite_decide2():
     return True, "10 bipartite-complement schemes verified; AAC obstructions tight"
 
 
-def _suite_circulant_cayley():
-    f = families.family("circulant", n=7, k=2)
-    inst = from_graph(f.graph)
-    b2 = solve_bk(inst, 2, sym=f.symmetry).value
-    cf = fractional_cover(inst, "strong")
-    if b2 != Fraction(7, 3) or cf.total != Fraction(7, 3):
-        return False, f"circulant(7,2): b2={b2} chibarf={cf.total}"
-    scheme = codes.strong_cover_code(inst, cf)
-    if not codes.verify_code(inst, scheme, mode="exhaustive").passed:
-        return False, "circulant(7,2) cover code failed"
-    f = families.family("cayley3", n=8)
-    inst = from_graph(f.graph)
-    b2 = solve_bk(inst, 2, sym=f.symmetry).value
-    cf = fractional_cover(inst, "strong")
-    if b2 != 4 or cf.total != 4:
-        return False, f"cayley3(8): b2={b2} chibarf={cf.total}"
-    scheme = codes.strong_cover_code(inst, cf)
-    ok = codes.verify_code(inst, scheme).passed
-    return ok, "circulant(7,2) = 7/3, cayley3(8) = 4, cover codes verified"
-
-
 def _suite_hadamard():
     f = families.family("projective-hadamard", q=3)
     inst = from_graph(f.graph)
@@ -490,8 +452,6 @@ def _suite_hadamard():
 
 
 def _suite_oddtown():
-    from .combinatorial import rank_gf2
-
     f = families.family("oddtown", m=6)
     g, inc = f.graph, f.matrix
     inst = from_graph(g)
@@ -530,54 +490,32 @@ def _suite_union():
     return True, "k*C5 additivity holds for k=2,3"
 
 
-def _suite_petersen():
-    f = families.family("petersen")
-    inst = from_graph(f.graph)
-    a = alpha_exact(inst)[0]
-    b2 = solve_bk(inst, 2, sym=f.symmetry).value
-    cf = fractional_cover(inst, "strong").total
-    ok = a == 4 and b2 == 5 and cf == 5
-    return ok, f"alpha={a} b2={b2} chibarf={cf}"
-
-
-def _suite_groetzsch():
-    f = families.family("groetzsch")
-    inst = from_graph(f.graph)
-    a = alpha_exact(inst)[0]
-    b2 = solve_bk(inst, 2, sym=f.symmetry).value
-    ok = a == 5 and b2 == Fraction(11, 2)
-    return ok, f"alpha={a} b2={b2}"
-
-
-def _suite_chvatal():
-    f = families.family("chvatal")
-    inst = from_graph(f.graph)
-    a = alpha_exact(inst)[0]
-    b2 = solve_bk(inst, 2, sym=f.symmetry).value
-    ok = a == 4 and b2 == 6
-    return ok, f"alpha={a} b2={b2}"
-
-
 QUICK_SUITE = [
-    ("beta(C5) = 5/2 with verified scheme", _suite_c5),
-    ("odd cycles C7, C9", _suite_cycles),
-    ("complements of C5, C7", _suite_complements),
+    ("beta(C5) = 5/2 with verified scheme",
+     partial(_family_claim, ("b2", "beta"), ("cycle", {"n": 5}))),
+    ("odd cycles C7, C9",
+     partial(_family_claim, ("b2",), ("cycle", {"n": 7}), ("cycle", {"n": 9}))),
+    ("complements of C5, C7",
+     partial(_family_claim, ("b2", "chi_bar_f"),
+             ("complement-cycle", {"n": 5}), ("complement-cycle", {"n": 7}))),
     ("tri3: b3 overshoots a rate-2 scheme", _suite_tri3),
     ("rate-2 decider with certificates", _suite_decide2),
-    ("circulant(7,2) and cayley3(8)", _suite_circulant_cayley),
+    ("circulant(7,2) and cayley3(8)",
+     partial(_family_claim, ("b2", "chi_bar_f", "beta"),
+             ("circulant", {"n": 7, "k": 2}), ("cayley3", {"n": 8}))),
     ("projective-hadamard q=3", _suite_hadamard),
     ("triangle-free oddtown m=6", _suite_oddtown),
     ("disjoint-union additivity k*C5", _suite_union),
 ]
 FULL_SUITE = QUICK_SUITE + [
-    ("petersen full tier", _suite_petersen),
-    ("groetzsch full tier", _suite_groetzsch),
-    ("chvatal full tier", _suite_chvatal),
+    ("petersen full tier",
+     partial(_family_claim, ("alpha", "b2", "chi_bar_f"), ("petersen", {}))),
+    ("groetzsch full tier", partial(_family_claim, ("alpha", "b2"), ("groetzsch", {}))),
+    ("chvatal full tier", partial(_family_claim, ("alpha", "b2"), ("chvatal", {}))),
 ]
 
 
-def _run_suite_item(item):
-    name, fn = item
+def _run_suite_item(name, fn):
     t0 = time.perf_counter()
     try:
         ok, detail = fn()
@@ -593,14 +531,7 @@ def _run_suite_item(item):
 
 def cmd_paper_suite(args) -> dict:
     items = FULL_SUITE if args.scale == "full" else QUICK_SUITE
-    workers = int(os.environ.get("ICBOUNDS_WORKERS", "1"))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_suite_item, items))
-    else:
-        results = [_run_suite_item(it) for it in items]
+    results = [_run_suite_item(name, fn) for name, fn in items]
     return {
         "scale": args.scale,
         "passed": sum(r["pass"] for r in results),
@@ -635,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chibarf", action="store_true")
     p.add_argument("--chibar", action="store_true")
     p.add_argument("--minrk2", choices=["exact", "gram"])
-    p.add_argument("--minrk-cap", type=int, default=26)
+    p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("hierarchy", help="solve one LP hierarchy level")
@@ -662,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True,
                    choices=["cliquecover", "strongcover", "mds", "minrk", "twosymbol"])
     p.add_argument("--verify", default=None, help="exhaustive | random[:N[:seed]]")
-    p.add_argument("--minrk-cap", type=int, default=26)
+    p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("report", help="paired lower/upper bound report")
@@ -674,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decide2", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-lp-vars", type=int, default=100_000)
-    p.add_argument("--minrk-cap", type=int, default=26)
+    p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("paper-suite", help="run the reproduction suite")

@@ -10,7 +10,6 @@ trials) and reports counterexamples.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -18,11 +17,12 @@ from math import lcm
 import numpy as np
 
 from .combinatorial import FractionalCover, MinrkResult, rank_mod_p
-from .instance import Graph, Instance
+from .instance import CapExceeded, Graph, Instance
 from .numeric import inv_mod, next_prime
 
 EXHAUSTIVE_CAP = 1 << 24
 RANDOM_TRIALS = 100_000
+MAX_FAILURES = 5  # counterexamples kept per report
 
 
 @dataclass
@@ -79,7 +79,6 @@ def verify_code(
     mode: str = "auto",
     trials: int = RANDOM_TRIALS,
     seed: int = 0,
-    max_failures: int = 5,
 ) -> VerificationReport:
     _check_decoder_locality(inst, scheme)
     if {d.receiver for d in scheme.decoders} != set(range(inst.m)):
@@ -90,6 +89,8 @@ def verify_code(
     total = p**cols
     if mode == "auto":
         mode = "exhaustive" if total <= EXHAUSTIVE_CAP else "random"
+    elif mode == "exhaustive" and total > EXHAUSTIVE_CAP:
+        raise CapExceeded("exhaustive-verify", total, EXHAUSTIVE_CAP)
     enc = np.array(scheme.encoder, dtype=np.int64) % p
     decs = [
         (
@@ -108,12 +109,10 @@ def verify_code(
             got = (bcast @ bc.T + xs @ sc.T) % p
             target = xs[:, want * d : (want + 1) * d]
             bad = np.nonzero((got != target).any(axis=1))[0]
-            for i in bad[: max_failures - len(failures)]:
+            for i in bad[: MAX_FAILURES - len(failures)]:
                 failures.append((tuple(int(v) for v in xs[i]), j))
 
     if mode == "exhaustive":
-        if total > EXHAUSTIVE_CAP:
-            raise ValueError(f"exhaustive verification above cap ({total} vectors)")
         chunk = 1 << 14
         for start in range(0, total, chunk):
             idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -123,7 +122,7 @@ def verify_code(
                 xs[:, c] = rem % p
                 rem //= p
             run_batch(xs)
-            if len(failures) >= max_failures:
+            if len(failures) >= MAX_FAILURES:
                 break
         return VerificationReport("exhaustive", total, None, failures)
     rng = np.random.default_rng(seed)

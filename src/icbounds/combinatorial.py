@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from .instance import Instance, Graph, to_mask, from_mask
+from .instance import CapExceeded, Instance, Graph, from_graph, to_mask
 from .lp import LpProblem, solve_min
 
 F0 = Fraction(0)
@@ -331,14 +331,13 @@ MINRK_FREE_ENTRY_CAP = 26
 def minrk2(g: Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResult:
     """Exact minimum GF(2) rank over all fitting matrices (diagonal 1, free
     entries on ordered adjacent pairs).  Row-by-row search with incremental
-    elimination and rank pruning."""
+    elimination and rank pruning; raises CapExceeded above `cap` free entries."""
     n = g.n
     nbr = [to_mask(g.neighbors(u)) for u in range(n)]
-    if sum(m.bit_count() for m in nbr) > cap:
-        raise ValueError(f"free-entry count exceeds cap {cap}")
+    free = sum(m.bit_count() for m in nbr)
+    if free > cap:
+        raise CapExceeded("minrk-free-entries", free, cap)
     # The independence number is a lower bound on minrank: stop when reached.
-    from .instance import from_graph
-
     alpha_lb = int(alpha_exact(from_graph(g))[0])
     order = sorted(range(n), key=lambda u: nbr[u].bit_count())
     best = n + 1

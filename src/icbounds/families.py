@@ -36,9 +36,10 @@ def circulant(n: int, k: int) -> Graph:
 
 
 def cayley_3regular(n: int) -> Graph:
-    """Cayley graph of Z_n with generators {1, n/2}; 3-regular for n >= 6."""
-    if n < 4 or n % 2:
-        raise ValueError("need even n >= 4")
+    """3-regular Cayley graph of Z_n with generators {1, n/2}, even n >= 6
+    (n = 4 gives K4, whose rate is 1, not the family's n/2)."""
+    if n < 6 or n % 2:
+        raise ValueError("need even n >= 6")
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + n // 2) % n) for i in range(n // 2)]
     return Graph.from_edge_list(n, edges)
 
@@ -244,17 +245,17 @@ def family(name: str, **params) -> FamilyOutput:
     if name == "complement-cycle":
         n = params["n"]
         g = complement(cycle(n))
-        exp = {"beta": Fraction(n, n // 2), "b2": Fraction(n, n // 2)}
+        exp = dict.fromkeys(("beta", "b2", "chi_bar_f"), Fraction(n, n // 2))
         return FamilyOutput(name, params, from_graph(g), g, None, exp, [shift_perm(n)])
     if name == "circulant":
         n, k = params["n"], params["k"]
         g = circulant(n, k)
-        exp = {"beta": Fraction(n, k + 1), "b2": Fraction(n, k + 1)}
+        exp = dict.fromkeys(("beta", "b2", "chi_bar_f"), Fraction(n, k + 1))
         return FamilyOutput(name, params, from_graph(g), g, None, exp, [shift_perm(n)])
     if name == "cayley3":
         n = params["n"]
         g = cayley_3regular(n)
-        exp = {"beta": Fraction(n, 2), "b2": Fraction(n, 2)}
+        exp = dict.fromkeys(("beta", "b2", "chi_bar_f"), Fraction(n, 2))
         return FamilyOutput(name, params, from_graph(g), g, None, exp, [shift_perm(n)])
     if name == "kneser-complement":
         n, k = params["n"], params["k"]

@@ -173,6 +173,25 @@ class ParseError(ValueError):
     pass
 
 
+class CapExceeded(RuntimeError):
+    """A named resource cap would be exceeded; raised instead of degrading."""
+
+    def __init__(self, cap: str, needed, limit):
+        super().__init__(f"cap {cap}: needed {needed}, limit {limit}")
+        self.cap = cap
+
+
+def read_json(path) -> dict:
+    with open(path) as f:
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return data
+
+
 def _instance_from_dict(data: dict) -> Instance:
     try:
         n = int(data["n"])
@@ -196,13 +215,26 @@ def _instance_from_dict(data: dict) -> Instance:
     return Instance(n, recs, rates, scale)
 
 
+def _graph_from_dict(data: dict) -> Graph:
+    try:
+        return Graph.from_edge_list(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed graph file: {exc}") from exc
+
+
+def problem_from_dict(data: dict, source) -> tuple[Instance, Graph | None]:
+    """The instance a parsed JSON file describes, and its graph if the file
+    holds a graph (converted to an instance via from_graph)."""
+    if "receivers" in data:
+        return _instance_from_dict(data), None
+    if "edges" in data:
+        g = _graph_from_dict(data)
+        return from_graph(g), g
+    raise ParseError(f"{source}: neither an instance nor a graph file")
+
+
 def read_instance(path) -> Instance:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return _instance_from_dict(data)
+    return _instance_from_dict(read_json(path))
 
 
 def write_instance(inst: Instance, path) -> None:
@@ -220,15 +252,7 @@ def write_instance(inst: Instance, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    try:
-        return Graph.from_edge_list(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed graph file: {exc}") from exc
+    return _graph_from_dict(read_json(path))
 
 
 def write_graph(g: Graph, path) -> None:
@@ -240,17 +264,8 @@ def write_graph(g: Graph, path) -> None:
 def read_problem(path):
     """Read a JSON file holding either an instance or a graph; graphs are
     converted via from_graph.  Returns (instance, data_dict)."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if "receivers" in data:
-        return _instance_from_dict(data), data
-    if "edges" in data:
-        g = Graph.from_edge_list(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
-        return from_graph(g), data
-    raise ParseError(f"{path}: neither an instance nor a graph file")
+    data = read_json(path)
+    return problem_from_dict(data, path)[0], data
 
 
 # -- bitmask helpers shared by the LP modules -------------------------------

@@ -17,16 +17,8 @@ from .combinatorial import (
     minrk2,
 )
 from .hierarchy import solve_bk
-from .instance import Graph, Instance
+from .instance import CapExceeded, Graph, Instance
 from .numeric import format_rational
-
-
-class CapExceeded(RuntimeError):
-    """A named resource cap would be exceeded; raised instead of degrading."""
-
-    def __init__(self, cap: str, needed, limit):
-        super().__init__(f"cap {cap}: needed {needed}, limit {limit}")
-        self.cap = cap
 
 
 @dataclass
@@ -75,25 +67,26 @@ def build_report(
     descriptor: str = "instance",
     levels: tuple[int, ...] = (2,),
     sym: list[list[int]] | None = None,
-    with_alpha: bool = True,
-    with_chibarf: bool = True,
     with_chibar: bool = False,
-    with_minrk: bool = False,
-    with_scheme: bool = True,
+    minrk_cap: int | None = None,
     with_decide2: bool = False,
     max_lp_vars: int = 100_000,
     seed: int = 0,
 ) -> BoundReport:
+    """alpha, the b_k of `levels`, chi_bar_f and its verified strong-cover
+    code always; the integer clique cover with `with_chibar`; the exact
+    GF(2) minrank under free-entry cap `minrk_cap` unless it is None; the
+    rate-2 decision with `with_decide2`.  A cap that would be exceeded
+    raises CapExceeded."""
     rep = BoundReport(descriptor, inst.n, inst.m)
     lowers: list[tuple[str, Fraction]] = []
     uppers: list[tuple[str, Fraction]] = []
 
-    if with_alpha:
-        (a, seq), ms = _timed(lambda: alpha_exact(inst))
-        rep.bounds["alpha"] = BoundEntry(
-            a, "lower", f"expanding sequence {list(seq.receivers)}", ms
-        )
-        lowers.append(("alpha", a))
+    (a, seq), ms = _timed(lambda: alpha_exact(inst))
+    rep.bounds["alpha"] = BoundEntry(
+        a, "lower", f"expanding sequence {list(seq.receivers)}", ms
+    )
+    lowers.append(("alpha", a))
 
     for k in levels:
         if 1 << inst.n > max_lp_vars:
@@ -106,13 +99,11 @@ def build_report(
         if k <= 2:
             lowers.append((f"b{k}", b.value))
 
-    strong = None
-    if with_chibarf:
-        strong, ms = _timed(lambda: fractional_cover(inst, "strong"))
-        rep.bounds["chibarf"] = BoundEntry(
-            strong.total, "upper", f"strong fractional cover, {len(strong.items)} sets", ms
-        )
-        uppers.append(("chibarf", strong.total))
+    strong, ms = _timed(lambda: fractional_cover(inst, "strong"))
+    rep.bounds["chibarf"] = BoundEntry(
+        strong.total, "upper", f"strong fractional cover, {len(strong.items)} sets", ms
+    )
+    uppers.append(("chibarf", strong.total))
 
     if with_chibar:
         if graph is None:
@@ -123,16 +114,16 @@ def build_report(
         )
         uppers.append(("chibar", Fraction(k)))
 
-    if with_minrk:
+    if minrk_cap is not None:
         if graph is None:
             raise ValueError("minrk needs a graph input")
-        mr, ms = _timed(lambda: minrk2(graph))
+        mr, ms = _timed(lambda: minrk2(graph, cap=minrk_cap))
         rep.bounds["minrk2"] = BoundEntry(
             Fraction(mr.value), "upper", "GF(2) representation" + (" (exact)" if mr.exact else ""), ms
         )
         uppers.append(("minrk2", Fraction(mr.value)))
 
-    if with_scheme and strong is not None and inst.m:
+    if inst.m:
         def run():
             scheme = codes.strong_cover_code(inst, strong)
             ver = codes.verify_code(inst, scheme, seed=seed)

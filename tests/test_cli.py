@@ -116,6 +116,26 @@ def test_code_exhaustive_cap(capsys, tmp_path):
     assert out["verification"]["passed"] is True
 
 
+def test_minrk_cap_reaches_minrk2(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "petersen")  # 30 free minrank entries
+    out = run_json(capsys, "bounds", str(path), "--minrk2", "exact", "--minrk-cap", "30")
+    assert out["minrk2"]["value"] == "5"
+    out = run_json(capsys, "code", str(path), "--scheme", "minrk", "--minrk-cap", "30",
+                   "--verify", "exhaustive")
+    assert out["scheme"]["rate"] == "5"
+    assert out["verification"]["mode"] == "exhaustive"
+    assert out["verification"]["passed"] is True
+
+
+def test_report_all_minrk_cap(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "petersen")
+    code, _, err = run(capsys, "report", str(path), "--all")
+    assert code == 3
+    assert "minrk-free-entries" in err
+    out = run_json(capsys, "report", str(path), "--all", "--minrk-cap", "30")
+    assert out["bounds"]["minrk2"]["value"] == "5"
+
+
 def test_report_exact_verdict(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     out = run_json(capsys, "report", str(path), "--level", "2", "--sym", "cyclic")
@@ -142,9 +162,34 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def test_graph_with_self_loop(capsys, tmp_path):
+    p = tmp_path / "loop.json"
+    p.write_text('{"n": 3, "edges": [[0, 0], [1, 2]]}')
+    code, _, err = run(capsys, "bounds", str(p), "--alpha", "--chibar")
+    assert code == 2
+    assert "self-loop" in err
+
+
 def test_corrupt_file(capsys, tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("{broken")
-    code, _, err = run(capsys, "decide2", str(p))
-    assert code == 2
-    assert "error" in err
+    for text in ("{broken", "5"):
+        p.write_text(text)
+        code, _, err = run(capsys, "decide2", str(p))
+        assert code == 2
+        assert "error" in err
+
+
+def test_paper_suite_quick(capsys):
+    out = run_json(capsys, "paper-suite", "quick")
+    assert [c["claim"] for c in out["claims"]] == [
+        "beta(C5) = 5/2 with verified scheme",
+        "odd cycles C7, C9",
+        "complements of C5, C7",
+        "tri3: b3 overshoots a rate-2 scheme",
+        "rate-2 decider with certificates",
+        "circulant(7,2) and cayley3(8)",
+        "projective-hadamard q=3",
+        "triangle-free oddtown m=6",
+        "disjoint-union additivity k*C5",
+    ]
+    assert all(c["pass"] for c in out["claims"]), out["claims"]

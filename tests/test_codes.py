@@ -17,7 +17,7 @@ from icbounds.combinatorial import fractional_cover, integer_clique_cover, minrk
 from icbounds.beta2 import decide_beta_eq_2
 from icbounds.families import complement, cycle, petersen, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
-from icbounds.instance import Graph, from_graph
+from icbounds.instance import CapExceeded, Graph, from_graph
 
 F = Fraction
 
@@ -120,6 +120,8 @@ def test_random_mode_kicks_in_past_cap():
     assert scheme.field ** (inst.n * scheme.msg_symbols) > 1 << 24
     rep = verify_code(inst, scheme, mode="auto", trials=5_000, seed=3)
     assert rep.mode == "random" and rep.passed
+    with pytest.raises(CapExceeded, match="exhaustive-verify"):
+        verify_code(inst, scheme, mode="exhaustive")
 
 
 def test_every_verified_rate_at_least_b2():

@@ -24,7 +24,7 @@ from icbounds.combinatorial import (
 )
 from icbounds.families import cycle, complement, petersen, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
-from icbounds.instance import Graph, from_graph
+from icbounds.instance import CapExceeded, Graph, from_graph
 from icbounds.lp import LpOptimum, solve_min
 
 F = Fraction
@@ -149,6 +149,9 @@ def test_minrk2_small():
     assert minrk2(k4).value == 1
     empty = Graph.from_edge_list(3, [])
     assert minrk2(empty).value == 3
+    # Petersen has 30 free entries, above the default cap
+    with pytest.raises(CapExceeded, match="minrk-free-entries: needed 30, limit 26"):
+        minrk2(petersen())
 
 
 def test_minrk2_bounds_b2():
