@@ -1,11 +1,15 @@
 """Every upper bound in the library is backed by an actual linear code.
 
-This script builds the four graph-based constructions on the Petersen graph
-and the 5-cycle and runs each through the decodability checker.
+This script builds the four cover and min-rank constructions on the
+Petersen graph and the 5-cycle and runs each through the decodability
+checker.  An integer clique cover is the strong cover with weight 1 per
+clique, so it shares the strong-cover code.
 """
 
+from fractions import Fraction
+
 from icbounds import (
-    clique_cover_code,
+    FractionalCover,
     fractional_cover,
     from_graph,
     integer_clique_cover,
@@ -29,11 +33,12 @@ if __name__ == "__main__":
         inst = from_graph(g)
         print(f"-- {name} --")
         k, cover = integer_clique_cover(g)
-        check(inst, clique_cover_code(g, cover), f"integer clique cover ({k})")
+        unit = FractionalCover("strong", [(c, Fraction(1)) for c in cover], Fraction(k))
+        check(inst, strong_cover_code(inst, unit), f"integer clique cover ({k})")
         sc = fractional_cover(inst, "strong")
         check(inst, strong_cover_code(inst, sc), "fractional strong cover")
         wc = fractional_cover(inst, "weak")
         check(inst, mds_weak_cover_code(inst, wc), "MDS over the weak cover")
         # Petersen's 30 free entries sit past the default search cap
-        check(inst, minrk_code(g, minrk2(g, cap=30)), "min-rank representation")
+        check(inst, minrk_code(inst, minrk2(inst, cap=30)), "min-rank representation")
         print()

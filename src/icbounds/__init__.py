@@ -7,7 +7,7 @@ The pieces:
 * an exact rational LP solver (`lp`) feeding the entropy-style hierarchy
   b_1..b_n (`hierarchy`);
 * combinatorial bounds -- expanding sequences, hyperclique covers, clique
-  covers, minimum representation rank (`combinatorial`);
+  covers, the GF(2) minimum rank of any instance (`combinatorial`);
 * the polynomial-time approximation pipeline (`approx`);
 * the rate-equals-2 decision procedure with certificates both ways (`beta2`);
 * code constructions and a decodability simulator (`codes`);
@@ -28,7 +28,6 @@ from .beta2 import AacWitness, Beta2Certificate, decide_beta_eq_2, undirected_be
 from .codes import (
     CodeScheme,
     VerificationReport,
-    clique_cover_code,
     mds_weak_cover_code,
     minrk_code,
     strong_cover_code,
@@ -83,15 +82,14 @@ __all__ = [
     "FractionalCover", "Graph", "HierarchyBound", "Instance", "LpOptimum",
     "LpProblem", "MinrkResult", "Receiver", "TauCertificate",
     "VerificationReport", "alpha_exact", "alpha_greedy", "approximate_beta",
-    "build_hierarchy_lp", "build_report", "clique_cover_code",
-    "compose_coverage", "decide_beta_eq_2", "decompose_coverage",
-    "disjoint_union", "enumerate_maximal_hypercliques", "family",
-    "find_expanding_or_cover", "fractional_cover", "from_graph",
-    "integer_clique_cover", "is_expanding_sequence", "is_strong_hyperclique",
-    "is_weak_hyperclique", "low_degree_cover", "mds_weak_cover_code",
-    "minrk2", "minrk_code", "read_graph", "read_instance", "read_problem",
-    "representation_rank", "solve_bk", "solve_min", "strong_cover_code",
-    "tau", "two_symbol_code", "undirected_beta2", "validate", "verify_code",
-    "verify_cover", "verify_hierarchy_membership", "write_graph",
-    "write_instance",
+    "build_hierarchy_lp", "build_report", "compose_coverage",
+    "decide_beta_eq_2", "decompose_coverage", "disjoint_union",
+    "enumerate_maximal_hypercliques", "family", "find_expanding_or_cover",
+    "fractional_cover", "from_graph", "integer_clique_cover",
+    "is_expanding_sequence", "is_strong_hyperclique", "is_weak_hyperclique",
+    "low_degree_cover", "mds_weak_cover_code", "minrk2", "minrk_code",
+    "read_graph", "read_instance", "read_problem", "representation_rank",
+    "solve_bk", "solve_min", "strong_cover_code", "tau", "two_symbol_code",
+    "undirected_beta2", "validate", "verify_code", "verify_cover",
+    "verify_hierarchy_membership", "write_graph", "write_instance",
 ]

@@ -1,14 +1,16 @@
 """Command-line surface: generators, bounds, the LP hierarchy, the
 approximation pipeline, the rate-2 decider, code construction, combined
-reports, and the one-shot reproduction suite.
+reports, and the one-shot reproduction suite.  Every command takes an
+instance or a graph file; only the integer clique cover (`--chibar`,
+`--scheme cliquecover`) needs a graph.
 
 Output formats: json (default), csv (flattened key,value rows), table
 (aligned, rationals annotated with an approximate 4-place decimal).  All
 rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
 3 resource cap exceeded.  The library raises CapExceeded where the resource
 is spent (minrk2 for --minrk-cap, verify_code for exhaustive checks, the
-report for --max-lp-vars); the CLI passes its flags through and maps that
-to exit code 3.
+hierarchy LP builder for --max-lp-vars); the CLI passes its flags through
+and maps that to exit code 3.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from .approx import approximate_beta
 from .beta2 import decide_beta_eq_2, undirected_beta2
 from .combinatorial import (
     MINRK_FREE_ENTRY_CAP,
+    FractionalCover,
     alpha_exact,
     fractional_cover,
     integer_clique_cover,
     minrk2,
     representation_rank,
 )
-from .hierarchy import solve_bk
+from .hierarchy import MAX_LP_VARS, solve_bk
 from .instance import (
     CapExceeded,
     Instance,
@@ -189,24 +192,21 @@ def cmd_bounds(args) -> dict:
         k, cover = integer_clique_cover(graph)
         out["chibar"] = {"value": str(k), "cover": [sorted(c) for c in cover]}
     if args.minrk2:
-        if graph is None:
-            raise ParseError("minrk2 needs a graph input")
         if args.minrk2 == "exact":
-            mr = minrk2(graph, cap=args.minrk_cap)
+            mr = minrk2(inst, cap=args.minrk_cap)
         else:
             if "matrix" not in data:
                 raise ParseError("gram mode needs a 'matrix' entry in the input file")
-            mr = representation_rank(graph, data["matrix"], data.get("matrix_field", 2))
+            mr = representation_rank(inst, data["matrix"], data.get("matrix_field", 2))
         out["minrk2"] = {"value": str(mr.value), "field": mr.field, "exact": mr.exact}
     return out
 
 
 def cmd_hierarchy(args) -> dict:
     inst, _, data = _load(args.instance)
-    if 1 << inst.n > args.max_lp_vars:
-        raise CapExceeded("max-lp-vars", 1 << inst.n, args.max_lp_vars)
     t0 = time.perf_counter()
-    b = solve_bk(inst, args.level, sym=_sym_arg(args.sym, inst, data))
+    b = solve_bk(inst, args.level, sym=_sym_arg(args.sym, inst, data),
+                 max_lp_vars=args.max_lp_vars)
     out = {
         "level": b.level,
         "value": _rat(b.value),
@@ -297,20 +297,19 @@ def cmd_code(args) -> dict:
     if name == "cliquecover":
         if graph is None:
             raise ParseError("cliquecover needs a graph input")
-        _, cover = integer_clique_cover(graph)
-        scheme = codes.clique_cover_code(graph, cover)
+        k, cover = integer_clique_cover(graph)
+        unit = FractionalCover("strong", [(c, Fraction(1)) for c in cover], Fraction(k))
+        scheme = codes.strong_cover_code(inst, unit)
     elif name == "strongcover":
         scheme = codes.strong_cover_code(inst, fractional_cover(inst, "strong"))
     elif name == "mds":
         scheme = codes.mds_weak_cover_code(inst, fractional_cover(inst, "weak"))
     elif name == "minrk":
-        if graph is None:
-            raise ParseError("minrk needs a graph input")
         if "matrix" in data:
-            rep = representation_rank(graph, data["matrix"], data.get("matrix_field", 2))
+            rep = representation_rank(inst, data["matrix"], data.get("matrix_field", 2))
         else:
-            rep = minrk2(graph, cap=args.minrk_cap)
-        scheme = codes.minrk_code(graph, rep)
+            rep = minrk2(inst, cap=args.minrk_cap)
+        scheme = codes.minrk_code(inst, rep)
     elif name == "twosymbol":
         cert = decide_beta_eq_2(inst)
         if not cert.is_two:
@@ -352,15 +351,14 @@ def cmd_report(args) -> dict:
         levels = tuple(int(x) for x in args.levels.split(","))
     else:
         levels = (args.level,)
-    on_graph = args.all and graph is not None
     rep = build_report(
         inst,
         graph,
         descriptor=args.instance,
         levels=levels,
         sym=_sym_arg(args.sym, inst, data),
-        with_chibar=on_graph,
-        minrk_cap=args.minrk_cap if on_graph else None,
+        with_chibar=args.all and graph is not None,
+        minrk_cap=args.minrk_cap if args.all else None,
         with_decide2=args.all or args.decide2,
         max_lp_vars=args.max_lp_vars,
         seed=args.seed,
@@ -441,10 +439,10 @@ def _suite_decide2():
 
 def _suite_hadamard():
     f = families.family("projective-hadamard", q=3)
-    inst = from_graph(f.graph)
+    inst = f.instance
     a = alpha_exact(inst)[0]
-    rep = representation_rank(f.graph, f.matrix, 3)
-    scheme = codes.minrk_code(f.graph, rep)
+    rep = representation_rank(inst, f.matrix, 3)
+    scheme = codes.minrk_code(inst, rep)
     ver = codes.verify_code(inst, scheme, mode="exhaustive")
     cf = fractional_cover(inst, "strong").total
     ok = inst.n == 9 and a == 3 and rep.value == 3 and ver.passed and cf >= 3
@@ -453,8 +451,7 @@ def _suite_hadamard():
 
 def _suite_oddtown():
     f = families.family("oddtown", m=6)
-    g, inc = f.graph, f.matrix
-    inst = from_graph(g)
+    g, inc, inst = f.graph, f.matrix, f.instance
     tri_free = all(
         not (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c))
         for a in range(g.n) for b in range(a + 1, g.n) for c in range(b + 1, g.n)
@@ -464,8 +461,8 @@ def _suite_oddtown():
         [sum(inc[i][t] * inc[j][t] for t in range(len(inc[0]))) % 2 for j in range(g.n)]
         for i in range(g.n)
     ]
-    rep = representation_rank(g, gram, 2)
-    scheme = codes.minrk_code(g, rep)
+    rep = representation_rank(inst, gram, 2)
+    scheme = codes.minrk_code(inst, rep)
     ver = codes.verify_code(inst, scheme, mode="exhaustive")
     ok = g.n == 16 and tri_free and cf >= 8 and rep.value <= 6 and ver.passed
     return ok, f"n={g.n} triangle-free={tri_free} chibarf={cf} rank={rep.value}"
@@ -575,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sym", default=None,
                    help="cyclic | none | file:PATH | auto (from input metadata)")
     p.add_argument("--dump-lp", action="store_true")
-    p.add_argument("--max-lp-vars", type=int, default=100_000)
+    p.add_argument("--max-lp-vars", type=int, default=MAX_LP_VARS)
     p.set_defaults(fn=cmd_hierarchy)
 
     p = sub.add_parser("approx", help="greedy lower bound and tau certificate")
@@ -604,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sym", default="auto")
     p.add_argument("--decide2", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-lp-vars", type=int, default=100_000)
+    p.add_argument("--max-lp-vars", type=int, default=MAX_LP_VARS)
     p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
     p.set_defaults(fn=cmd_report)
 

@@ -6,6 +6,11 @@ and each receiver has a linear decoder (a combination of broadcast symbols
 and its own side-information symbols).  verify_code simulates decoding over
 all message vectors (exhaustively up to a cap, else with seeded random
 trials) and reports counterexamples.
+
+Constructions: the strong-cover code (an integer clique cover is the strong
+cover with weight 1 per clique), the MDS weak-cover code, the minrank code
+of any instance's fitting matrix, and the two-symbol code of a rate-2
+instance.  Their inverses and span solves run on `combinatorial.row_reduce`.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from math import lcm
 
 import numpy as np
 
-from .combinatorial import FractionalCover, MinrkResult, rank_mod_p
-from .instance import CapExceeded, Graph, Instance
+from .combinatorial import FractionalCover, MinrkResult, row_reduce
+from .instance import CapExceeded, Graph, Instance, from_graph
 from .numeric import inv_mod, next_prime
 
 EXHAUSTIVE_CAP = 1 << 24
@@ -134,26 +139,6 @@ def verify_code(
 # -- constructions ----------------------------------------------------------
 
 
-def clique_cover_code(g: Graph, cover: list[frozenset[int]]) -> CodeScheme:
-    """One XOR symbol per clique of a vertex-disjoint-or-not clique cover."""
-    n = g.n
-    for s in cover:
-        for u in s:
-            for v in s:
-                if u < v and not g.has_edge(u, v):
-                    raise ValueError(f"{sorted(s)} is not a clique")
-    if set().union(*cover) != set(range(n)):
-        raise ValueError("cover does not cover every vertex")
-    encoder = [[1 if v in s else 0 for v in range(n)] for s in cover]
-    decoders = []
-    for v in range(n):
-        i = next(i for i, s in enumerate(cover) if v in s)
-        bc = [[1 if k == i else 0 for k in range(len(cover))]]
-        sc = [[1 if (u in cover[i] and u != v) else 0 for u in range(n)]]
-        decoders.append(DecoderSpec(v, bc, sc))
-    return CodeScheme(2, 1, encoder, decoders, Fraction(len(cover)), "clique-cover")
-
-
 def _equalized_cover_sets(inst: Instance, cover: FractionalCover) -> tuple[list[frozenset[int]], int]:
     """Clear denominators to unit-weight copies and shrink sets until every
     message is covered exactly q times (highest-index copies lose first)."""
@@ -268,66 +253,32 @@ def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
 
 def _invert_mod(mat: list[list[int]], p: int) -> list[list[int]]:
     k = len(mat)
-    aug = [[v % p for v in row] + [1 if i == c else 0 for c in range(k)] for i, row in enumerate(mat)]
-    for c in range(k):
-        piv = next(i for i in range(c, k) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = inv_mod(aug[c][c], p)
-        aug[c] = [v * inv % p for v in aug[c]]
-        for i in range(k):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[c])]
-    return [row[k:] for row in aug]
+    red, pivots = row_reduce([list(row) + [int(i == c) for c in range(k)]
+                              for i, row in enumerate(mat)], p)
+    if pivots != list(range(k)):
+        raise ValueError("matrix is singular mod p")
+    return [row[k:] for row in red]
 
 
-def minrk_code(g: Graph, rep: MinrkResult) -> CodeScheme:
-    """Broadcast a row basis of B x; receiver u rebuilds row u, strips its
-    neighbors' terms, and divides by the diagonal entry."""
+def minrk_code(inst: Instance | Graph, rep: MinrkResult) -> CodeScheme:
+    """Broadcast a row basis of B x; receiver j rebuilds row j, strips the
+    terms of its side information, and divides by the entry at f(j).  A
+    graph is read as its instance."""
+    if isinstance(inst, Graph):
+        inst = from_graph(inst)
     p = rep.field
-    n = g.n
     mat = [[v % p for v in row] for row in rep.matrix]
-    # Greedy row basis: keep rows that raise the rank.
-    basis_rows: list[int] = []
-    for u in range(n):
-        if rank_mod_p([mat[v] for v in basis_rows] + [mat[u]], p) > len(basis_rows):
-            basis_rows.append(u)
-    encoder = [mat[u] for u in basis_rows]
+    # The pivot columns of the reduced transpose are the first rows that
+    # raise the rank; its column j gives row j's coefficients over them.
+    red, basis = row_reduce([list(col) for col in zip(*mat)], p)
+    encoder = [mat[j] for j in basis]
     decoders = []
-    for u in range(n):
-        e = _solve_combo(encoder, mat[u], p)
-        duu = inv_mod(mat[u][u], p)
-        bc = [[c * duu % p for c in e]]
-        sc = [[(-mat[u][v] * duu) % p if v != u else 0 for v in range(n)]]
-        decoders.append(DecoderSpec(u, bc, sc))
-    return CodeScheme(p, 1, encoder, decoders, Fraction(len(basis_rows)), "minrank")
-
-
-def _solve_combo(rows: list[list[int]], target: list[int], p: int) -> list[int]:
-    """Coefficients expressing target as a combination of the given rows."""
-    k = len(rows)
-    n = len(target)
-    aug = [list(r) + [1 if i == c else 0 for c in range(k)] for i, r in enumerate(rows)]
-    vec = list(target) + [0] * k
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, k) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = inv_mod(aug[r][c], p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        if vec[c]:
-            f = vec[c]
-            vec = [(a - f * b) % p for a, b in zip(vec, aug[r])]
-        r += 1
-    if any(vec[:n]):
-        raise ValueError("target row is not in the span of the basis rows")
-    return [(-v) % p for v in vec[n:]]
+    for j, r in enumerate(inst.receivers):
+        dinv = inv_mod(mat[j][r.wants], p)
+        bc = [[row[j] * dinv % p for row in red]]
+        sc = [[(-mat[j][v] * dinv) % p if v != r.wants else 0 for v in range(inst.n)]]
+        decoders.append(DecoderSpec(j, bc, sc))
+    return CodeScheme(p, 1, encoder, decoders, Fraction(len(basis)), "minrank")
 
 
 def two_symbol_code(inst: Instance, phi: list[int], num_classes: int) -> CodeScheme:

@@ -2,7 +2,9 @@
 
 Lower side: maximum-weight expanding sequences (alpha).  Upper side: weak and
 strong fractional hyperclique covers (psi_f, chi_bar_f), integer clique
-covers, and minimum rank of fitting matrices over GF(2).
+covers, and the GF(2) minimum rank of any instance's fitting matrices.
+Exact linear algebra over F_p (ranks here, inverses and span solves in
+`codes`) runs on one routine, `row_reduce`.
 
 Hyperclique compatibility uses S(j) = N(j) | {f(j)}: two receivers are
 compatible when each one's wanted message lies in the other's S-set.  (Two
@@ -14,6 +16,7 @@ under subsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,28 +28,20 @@ from .lp import LpProblem, solve_min
 F0 = Fraction(0)
 
 
-# -- rank helpers -----------------------------------------------------------
+# -- linear algebra over F_p -------------------------------------------------
 
 
-def rank_gf2(rows: list[int]) -> int:
-    basis: dict[int, int] = {}  # leading-bit -> reduced row
-    r = 0
-    for row in rows:
-        for lead, b in basis.items():
-            if row >> lead & 1:
-                row ^= b
-        if row:
-            basis[row.bit_length() - 1] = row
-            r += 1
-    return r
-
-
-def rank_mod_p(mat: list[list[int]], p: int) -> int:
+def row_reduce(mat: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon form of `mat` over F_p, p prime: its nonzero rows
+    (each led by a 1 that is the only nonzero entry of its column) and
+    their pivot columns, in increasing order.  The one F_p elimination every
+    exact linear-algebra step builds on: the pivot columns of the reduced
+    transpose are the first rows of `mat` that raise the rank, and column j
+    of the reduced transpose expresses row j over them."""
     rows = [[v % p for v in row] for row in mat]
-    n = len(rows[0]) if rows else 0
-    r = 0
-    col = 0
-    for col in range(n):
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
@@ -57,8 +52,12 @@ def rank_mod_p(mat: list[list[int]], p: int) -> int:
             if i != r and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rank_mod_p(mat: list[list[int]], p: int) -> int:
+    return len(row_reduce(mat, p)[1])
 
 
 # -- expanding sequences and alpha ------------------------------------------
@@ -300,61 +299,67 @@ def integer_clique_cover(g: Graph) -> tuple[int, list[frozenset[int]]]:
 @dataclass
 class MinrkResult:
     value: int
-    matrix: list[list[int]]  # rows over F_p
+    matrix: list[list[int]]  # m x n over F_p, row j for receiver j
     field: int
     exact: bool  # exact minimum vs upper bound from one representation
 
 
-def fits_graph(g: Graph, mat: list[list[int]], p: int) -> list[str]:
+def fits_graph(inst: Instance, mat: list[list[int]], p: int) -> list[str]:
+    """Violations of the fitting pattern: an m x n matrix whose row j is
+    nonzero at f(j), free on N(j) and zero elsewhere."""
+    if len(mat) != inst.m or any(len(row) != inst.n for row in mat):
+        return [f"matrix is not {inst.m} x {inst.n}"]
     bad = []
-    n = g.n
-    for u in range(n):
-        if mat[u][u] % p == 0:
-            bad.append(f"zero diagonal at {u}")
-        for v in range(n):
-            if u != v and mat[u][v] % p and not g.has_edge(u, v):
-                bad.append(f"nonzero entry on non-edge ({u},{v})")
+    for j, r in enumerate(inst.receivers):
+        if mat[j][r.wants] % p == 0:
+            bad.append(f"receiver {j}: zero entry at its wanted message {r.wants}")
+        for v in range(inst.n):
+            if v != r.wants and mat[j][v] % p and v not in r.knows:
+                bad.append(f"receiver {j}: nonzero entry at message {v} outside N({j})")
     return bad
 
 
-def representation_rank(g: Graph, mat: list[list[int]], p: int = 2) -> MinrkResult:
+def representation_rank(inst: Instance, mat: list[list[int]], p: int = 2) -> MinrkResult:
     """Rank of a supplied fitting matrix: an upper bound on minrank."""
-    bad = fits_graph(g, mat, p)
+    bad = fits_graph(inst, mat, p)
     if bad:
-        raise ValueError(f"matrix does not fit the graph: {bad}")
+        raise ValueError(f"matrix does not fit the instance: {bad}")
     return MinrkResult(rank_mod_p(mat, p), [[v % p for v in r] for r in mat], p, False)
 
 
 MINRK_FREE_ENTRY_CAP = 26
 
 
-def minrk2(g: Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResult:
-    """Exact minimum GF(2) rank over all fitting matrices (diagonal 1, free
-    entries on ordered adjacent pairs).  Row-by-row search with incremental
-    elimination and rank pruning; raises CapExceeded above `cap` free entries."""
-    n = g.n
-    nbr = [to_mask(g.neighbors(u)) for u in range(n)]
-    free = sum(m.bit_count() for m in nbr)
+def minrk2(inst: Instance | Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResult:
+    """Exact minimum GF(2) rank over all fitting matrices (row j: a 1 at
+    f(j), free entries on N(j)); a graph is read as its instance.
+    Row-by-row search with incremental elimination and rank pruning; raises
+    CapExceeded above `cap` free entries."""
+    if isinstance(inst, Graph):
+        inst = from_graph(inst)
+    n, m = inst.n, inst.m
+    knows = [to_mask(r.knows) for r in inst.receivers]
+    free = sum(k.bit_count() for k in knows)
     if free > cap:
         raise CapExceeded("minrk-free-entries", free, cap)
-    # The independence number is a lower bound on minrank: stop when reached.
-    alpha_lb = int(alpha_exact(from_graph(g))[0])
-    order = sorted(range(n), key=lambda u: nbr[u].bit_count())
-    best = n + 1
+    # alpha is a lower bound on minrank: stop when it is reached.
+    alpha_lb = math.ceil(alpha_exact(inst)[0])
+    order = sorted(range(m), key=lambda j: knows[j].bit_count())
+    best = m + 1
     best_rows: list[int] | None = None
 
-    def choices(u: int):
-        mask = nbr[u]
+    def choices(j: int):
+        mask = knows[j]
         sub = mask
         out = []
         while True:
-            out.append((1 << u) | sub)
+            out.append((1 << inst.receivers[j].wants) | sub)
             if sub == 0:
                 break
             sub = (sub - 1) & mask
         return out
 
-    rows_by_u: dict[int, int] = {}
+    rows_by_j: dict[int, int] = {}
 
     def reduce(row: int, basis: dict[int, int]) -> int:
         for lead in sorted(basis, reverse=True):
@@ -366,24 +371,24 @@ def minrk2(g: Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResult:
         nonlocal best, best_rows
         if len(basis) >= best or (best_rows is not None and best == alpha_lb):
             return
-        if i == n:
+        if i == m:
             best = len(basis)
-            best_rows = [rows_by_u[u] for u in range(n)]
+            best_rows = [rows_by_j[j] for j in range(m)]
             return
-        u = order[i]
-        for row in choices(u):
+        j = order[i]
+        for row in choices(j):
             red = reduce(row, basis)
-            rows_by_u[u] = row
+            rows_by_j[j] = row
             if red:
                 nb = dict(basis)
                 nb[red.bit_length() - 1] = red
                 dfs(i + 1, nb)
             else:
                 dfs(i + 1, basis)
-        rows_by_u.pop(u, None)
+        rows_by_j.pop(j, None)
 
     dfs(0, {})
     if best_rows is None:
         raise AssertionError("minrank search found no fitting matrix")
-    mat = [[best_rows[u] >> v & 1 for v in range(n)] for u in range(n)]
+    mat = [[best_rows[j] >> v & 1 for v in range(n)] for j in range(m)]
     return MinrkResult(best, mat, 2, True)

@@ -236,7 +236,20 @@ class FamilyOutput:
     symmetry: list[list[int]] = field(default_factory=list)
 
 
+# Every family's required parameters, in the registry's order.
+FAMILY_PARAMS = {
+    "cycle": ("n",), "complement-cycle": ("n",), "circulant": ("n", "k"),
+    "cayley3": ("n",), "kneser-complement": ("n", "k"), "projective-hadamard": ("q",),
+    "oddtown": ("m",), "aac": ("n",), "tri3": (), "petersen": (), "groetzsch": (),
+    "chvatal": (),
+}
+FAMILY_NAMES = list(FAMILY_PARAMS)
+
+
 def family(name: str, **params) -> FamilyOutput:
+    missing = [k for k in FAMILY_PARAMS.get(name, ()) if k not in params]
+    if missing:
+        raise ValueError(f"family {name!r} needs parameter {', '.join(missing)}")
     if name == "cycle":
         n = params["n"]
         g = cycle(n)
@@ -292,10 +305,3 @@ def family(name: str, **params) -> FamilyOutput:
         exp = {"alpha": Fraction(4), "beta": Fraction(6), "b2": Fraction(6)}
         return FamilyOutput(name, params, from_graph(g), g, None, exp, CHVATAL_SYMMETRY)
     raise ValueError(f"unknown family {name!r}")
-
-
-FAMILY_NAMES = [
-    "cycle", "complement-cycle", "circulant", "cayley3", "kneser-complement",
-    "projective-hadamard", "oddtown", "aac", "tri3", "petersen", "groetzsch",
-    "chvatal",
-]

@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .instance import Instance, to_mask
+from .instance import CapExceeded, Instance, to_mask
 from .lp import LpProblem, check_feasible, ints, solve_min
 
 F0 = Fraction(0)
@@ -45,6 +45,9 @@ INITIALIZE, NON_NEGATIVITY, SLOPE, MONOTONICITY, DECODE = range(len(CATEGORIES))
 
 # Rows deduplicated at a time, which bounds the build's working memory.
 CHUNK_ROWS = 1 << 14
+
+# Default cap on the 2^n subsets the builder allocates arrays for.
+MAX_LP_VARS = 100_000
 
 
 # -- subset orbits under a vertex permutation group -------------------------
@@ -224,10 +227,15 @@ def build_hierarchy_lp(
     k: int,
     sym: list[list[int]] | None = None,
     reduced: bool = True,
+    max_lp_vars: int = MAX_LP_VARS,
 ) -> tuple[LpProblem, HierarchyMeta]:
+    """The level-k LP; raises CapExceeded when its 2^n subset arrays would
+    exceed `max_lp_vars` entries."""
     n = inst.n
     if not 1 <= k <= n:
         raise ValueError(f"level must be in 1..{n}")
+    if 1 << n > max_lp_vars:
+        raise CapExceeded("max-lp-vars", 1 << n, max_lp_vars)
     masks = np.arange(1 << n)
     if sym:
         bad = validate_symmetry(inst, sym)
@@ -277,8 +285,9 @@ def solve_bk(
     inst: Instance,
     k: int,
     sym: list[list[int]] | None = None,
+    max_lp_vars: int = MAX_LP_VARS,
 ) -> HierarchyBound:
-    p, meta = build_hierarchy_lp(inst, k, sym)
+    p, meta = build_hierarchy_lp(inst, k, sym, max_lp_vars=max_lp_vars)
     opt = solve_min(p)
     if opt.status != "optimal":
         raise AssertionError(f"hierarchy LP came back {opt.status}")

@@ -137,24 +137,6 @@ def closure_step(inst: Instance, a: frozenset[int]) -> frozenset[int]:
     return frozenset(a) | extra
 
 
-def closure_fixpoint(inst: Instance, a: frozenset[int]) -> frozenset[int]:
-    cur = frozenset(a)
-    while True:
-        nxt = closure_step(inst, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
-def decodes(inst: Instance, a: frozenset[int], b: frozenset[int]) -> bool:
-    """The one-step decode relation: a subset of b, and every message of
-    b - a is wanted by a receiver knowing only messages of a."""
-    a, b = frozenset(a), frozenset(b)
-    if not a <= b:
-        return False
-    return b <= closure_step(inst, a)
-
-
 def disjoint_union(a: Instance, b: Instance) -> Instance:
     recs = list(a.receivers)
     recs += [Receiver(r.wants + a.n, frozenset(v + a.n for v in r.knows)) for r in b.receivers]

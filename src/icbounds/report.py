@@ -16,8 +16,8 @@ from .combinatorial import (
     integer_clique_cover,
     minrk2,
 )
-from .hierarchy import solve_bk
-from .instance import CapExceeded, Graph, Instance
+from .hierarchy import MAX_LP_VARS, solve_bk
+from .instance import Graph, Instance
 from .numeric import format_rational
 
 
@@ -70,7 +70,7 @@ def build_report(
     with_chibar: bool = False,
     minrk_cap: int | None = None,
     with_decide2: bool = False,
-    max_lp_vars: int = 100_000,
+    max_lp_vars: int = MAX_LP_VARS,
     seed: int = 0,
 ) -> BoundReport:
     """alpha, the b_k of `levels`, chi_bar_f and its verified strong-cover
@@ -89,9 +89,7 @@ def build_report(
     lowers.append(("alpha", a))
 
     for k in levels:
-        if 1 << inst.n > max_lp_vars:
-            raise CapExceeded("max-lp-vars", 1 << inst.n, max_lp_vars)
-        b, ms = _timed(lambda k=k: solve_bk(inst, k, sym=sym))
+        b, ms = _timed(lambda k=k: solve_bk(inst, k, sym=sym, max_lp_vars=max_lp_vars))
         direction = "lower" if k <= 2 else "info"
         rep.bounds[f"b{k}"] = BoundEntry(
             b.value, direction, f"level-{k} LP, {b.variables} vars / {b.rows} rows", ms
@@ -115,9 +113,7 @@ def build_report(
         uppers.append(("chibar", Fraction(k)))
 
     if minrk_cap is not None:
-        if graph is None:
-            raise ValueError("minrk needs a graph input")
-        mr, ms = _timed(lambda: minrk2(graph, cap=minrk_cap))
+        mr, ms = _timed(lambda: minrk2(inst, cap=minrk_cap))
         rep.bounds["minrk2"] = BoundEntry(
             Fraction(mr.value), "upper", "GF(2) representation" + (" (exact)" if mr.exact else ""), ms
         )

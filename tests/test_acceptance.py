@@ -10,7 +10,7 @@ from icbounds.beta2 import decide_beta_eq_2, validate_aac
 from icbounds.combinatorial import (
     alpha_exact,
     fractional_cover,
-    rank_gf2,
+    rank_mod_p,
     representation_rank,
 )
 from icbounds.families import (
@@ -177,9 +177,9 @@ def test_c08_projective_hadamard():
         inst = from_graph(g)
         assert g.n == 9
         assert alpha_exact(inst)[0] == 3
-        rep = representation_rank(g, gram, 3)
+        rep = representation_rank(inst, gram, 3)
         assert rep.value == 3
-        scheme = codes.minrk_code(g, rep)
+        scheme = codes.minrk_code(inst, rep)
         assert scheme.rate == 3
         assert codes.verify_code(inst, scheme, mode="exhaustive").passed
         cf3 = fractional_cover(inst, "strong").total
@@ -190,7 +190,7 @@ def test_c08_projective_hadamard():
     g5, gram5 = projective_hadamard(5)
     inst5 = from_graph(g5)
     assert g5.n == 25
-    rep5 = representation_rank(g5, gram5, 5)
+    rep5 = representation_rank(inst5, gram5, 5)
     assert rep5.value == 3
     cf5 = fractional_cover(inst5, "strong").total
     assert cf5 == F(25, 7)
@@ -212,10 +212,10 @@ def test_c09_oddtown_triangle_free():
             [sum(inc[i][t] * inc[j][t] for t in range(6)) % 2 for j in range(16)]
             for i in range(16)
         ]
-        assert rank_gf2([sum(b << j for j, b in enumerate(row)) for row in inc]) <= 6
-        rep = representation_rank(g, gram, 2)
+        assert rank_mod_p(inc, 2) <= 6
+        rep = representation_rank(inst, gram, 2)
         assert rep.value <= 6 == F(3, 8) * 16
-        scheme = codes.minrk_code(g, rep)
+        scheme = codes.minrk_code(inst, rep)
         assert scheme.rate <= 6
         assert codes.verify_code(inst, scheme, mode="exhaustive").passed
 

@@ -37,6 +37,13 @@ def test_gen_bad_params(capsys, tmp_path):
     assert "error" in err
 
 
+def test_gen_missing_param(capsys, tmp_path):
+    code, _, err = run(capsys, "gen", "cycle", "-o", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "family 'cycle' needs parameter n" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_bounds_c5(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     out = run_json(capsys, "bounds", str(path), "--alpha", "--chibarf", "--chibar")
@@ -134,6 +141,34 @@ def test_report_all_minrk_cap(capsys, tmp_path):
     assert "minrk-free-entries" in err
     out = run_json(capsys, "report", str(path), "--all", "--minrk-cap", "30")
     assert out["bounds"]["minrk2"]["value"] == "5"
+
+
+def test_minrk_on_instance_file(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "tri3")  # 3 receivers, one free entry each
+    out = run_json(capsys, "bounds", str(path), "--minrk2", "exact")
+    assert out["minrk2"] == {"value": "2", "field": 2, "exact": True}
+    out = run_json(capsys, "code", str(path), "--scheme", "minrk", "--verify", "exhaustive")
+    assert out["scheme"]["rate"] == "2"
+    assert out["verification"]["mode"] == "exhaustive"
+    assert out["verification"]["passed"] is True
+    out = run_json(capsys, "report", str(path), "--all")
+    assert out["bounds"]["minrk2"]["value"] == "2"
+    assert "chibar" not in out["bounds"]  # the integer clique cover needs a graph
+    code, _, err = run(capsys, "report", str(path), "--all", "--minrk-cap", "2")
+    assert code == 3
+    assert "minrk-free-entries: needed 3, limit 2" in err
+
+
+def test_code_cliquecover(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    out = run_json(capsys, "code", str(path), "--scheme", "cliquecover",
+                   "--verify", "exhaustive")
+    assert out["scheme"]["rate"] == "3"
+    assert out["verification"]["passed"] is True
+    code, _, err = run(capsys, "code", str(gen(capsys, tmp_path, "tri3")),
+                       "--scheme", "cliquecover")
+    assert code == 2
+    assert "needs a graph input" in err
 
 
 def test_report_exact_verdict(capsys, tmp_path):

@@ -6,14 +6,18 @@ import pytest
 from icbounds.codes import (
     CodeScheme,
     DecoderSpec,
-    clique_cover_code,
     mds_weak_cover_code,
     minrk_code,
     strong_cover_code,
     two_symbol_code,
     verify_code,
 )
-from icbounds.combinatorial import fractional_cover, integer_clique_cover, minrk2
+from icbounds.combinatorial import (
+    FractionalCover,
+    fractional_cover,
+    integer_clique_cover,
+    minrk2,
+)
 from icbounds.beta2 import decide_beta_eq_2
 from icbounds.families import complement, cycle, petersen, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
@@ -22,12 +26,21 @@ from icbounds.instance import CapExceeded, Graph, from_graph
 F = Fraction
 
 
+def clique_cover_code(g, cover):
+    """The strong-cover code of an integer clique cover, weight 1 per clique."""
+    unit = FractionalCover("strong", [(c, F(1)) for c in cover], F(len(cover)))
+    return strong_cover_code(from_graph(g), unit)
+
+
 def test_clique_cover_code_c5():
     g = cycle(5)
     k, cover = integer_clique_cover(g)
     scheme = clique_cover_code(g, cover)
     assert scheme.rate == k == 3
     assert verify_code(from_graph(g), scheme, mode="exhaustive").passed
+    # a set that is not a clique is refused
+    with pytest.raises(ValueError, match="not inside S"):
+        clique_cover_code(g, [frozenset({0, 2}), frozenset({1}), frozenset({3, 4})])
 
 
 def test_strong_cover_code_c5():
@@ -57,10 +70,14 @@ def test_mds_weak_cover_code():
 
 def test_minrk_code():
     g = cycle(5)
-    rep = minrk2(g)
-    scheme = minrk_code(g, rep)
+    inst = from_graph(g)
+    rep = minrk2(inst)
+    scheme = minrk_code(inst, rep)
     assert scheme.rate == 3
-    assert verify_code(from_graph(g), scheme, mode="exhaustive").passed
+    assert verify_code(inst, scheme, mode="exhaustive").passed
+    # a graph argument is read as its instance
+    assert minrk2(g) == rep
+    assert minrk_code(g, rep) == scheme
 
 
 def test_two_symbol_code():

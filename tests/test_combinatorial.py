@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from icbounds import combinatorial
+from icbounds.codes import _invert_mod, minrk_code, verify_code
 from icbounds.combinatorial import (
     ExpandingSequence,
     alpha_exact,
@@ -16,13 +18,13 @@ from icbounds.combinatorial import (
     is_strong_hyperclique,
     is_weak_hyperclique,
     minrk2,
-    rank_gf2,
     rank_mod_p,
     representation_rank,
+    row_reduce,
     sequence_weight,
     verify_cover,
 )
-from icbounds.families import cycle, complement, petersen, random_gnp, tri3
+from icbounds.families import cycle, complement, petersen, random_gnp, random_instance, tri3
 from icbounds.hierarchy import solve_bk
 from icbounds.instance import CapExceeded, Graph, from_graph
 from icbounds.lp import LpOptimum, solve_min
@@ -30,16 +32,110 @@ from icbounds.lp import LpOptimum, solve_min
 F = Fraction
 
 
-def test_rank_gf2():
-    assert rank_gf2([0b101, 0b011, 0b110]) == 2
-    assert rank_gf2([0b1, 0b10, 0b100]) == 3
-    assert rank_gf2([0, 0]) == 0
-
-
 def test_rank_mod_p():
     assert rank_mod_p([[1, 2], [2, 4]], 5) == 1
     assert rank_mod_p([[1, 2], [2, 0]], 3) == 2
     assert rank_mod_p([[0, 0], [0, 0]], 7) == 0
+    # GF(2) rows 0b101, 0b011, 0b110 (bit v in column v) sum to zero
+    assert rank_mod_p([[1, 0, 1], [1, 1, 0], [0, 1, 1]], 2) == 2
+    assert rank_mod_p([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2) == 3
+    assert rank_mod_p([[0], [0]], 2) == 0
+
+
+def _span(rows, p, n):
+    """Every F_p combination of `rows`, by enumeration."""
+    out = {(0,) * n}
+    for row in rows:
+        out = {tuple((a + c * b) % p for a, b in zip(v, row)) for v in out for c in range(p)}
+    return out
+
+
+def _mul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_row_reduce_against_direct_checks():
+    rng = random.Random(12)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        m, n = rng.randint(1, 4 if p <= 3 else 3), rng.randint(1, 5)
+        mat = []
+        for _ in range(m):  # a third of the rows depend on earlier ones
+            if mat and rng.random() < 1 / 3:
+                cs = [rng.randrange(p) for _ in mat]
+                row = [sum(c * r[v] for c, r in zip(cs, mat)) for v in range(n)]
+            else:
+                row = [rng.randrange(-p, 2 * p) for _ in range(n)]
+            mat.append(row)
+        copy = [list(row) for row in mat]
+        red, pivots = row_reduce(mat, p)
+        assert mat == copy
+        rank = len(pivots)
+        # reduced row-echelon form with the same row space, of size p^rank
+        assert pivots == sorted(set(pivots)) and len(red) == rank
+        for row, c in zip(red, pivots):
+            assert row[c] == 1 and not any(row[:c])
+            assert all(0 <= v < p for v in row)
+            assert sum(1 for other in red if other[c]) == 1
+        span = _span(mat, p, n)
+        assert _span(red, p, n) == span and len(span) == p**rank
+        assert rank_mod_p(mat, p) == rank
+        # row basis and span solve from the reduced transpose
+        red_t, basis = row_reduce([list(col) for col in zip(*mat)], p)
+        first = [j for j in range(m)
+                 if tuple(v % p for v in mat[j]) not in _span(mat[:j], p, n)]
+        assert basis == first and len(basis) == rank
+        for j in range(m):
+            e = [row[j] for row in red_t]
+            got = [sum(c * mat[b][v] for c, b in zip(e, basis)) % p for v in range(n)]
+            assert got == [v % p for v in mat[j]]
+        # inverse: M M^-1 = M^-1 M = I, and a singular M is refused
+        k = rng.randint(1, 4)
+        sq = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+        if len(_span(sq, p, k)) < p**k:
+            with pytest.raises(ValueError, match="singular"):
+                _invert_mod(sq, p)
+        else:
+            inv = _invert_mod(sq, p)
+            eye = [[int(i == j) for j in range(k)] for i in range(k)]
+            assert _mul(sq, inv, p) == eye and _mul(inv, sq, p) == eye
+
+
+def _brute_minrk2(inst):
+    """Minimum GF(2) rank over every fitting matrix, by enumeration."""
+    slots = [(j, v) for j, r in enumerate(inst.receivers) for v in sorted(r.knows)]
+    best = inst.m
+    for bits in product((0, 1), repeat=len(slots)):
+        mat = [[int(v == r.wants) for v in range(inst.n)] for r in inst.receivers]
+        for (j, v), b in zip(slots, bits):
+            mat[j][v] = b
+        best = min(best, rank_mod_p(mat, 2))
+    return best
+
+
+def test_minrk2_on_random_instances():
+    rng = random.Random(13)
+    brute = done = 0
+    while done < 60:
+        n = rng.randint(1, 6)
+        inst = random_instance(n, rng.randint(1, 2 * n), rng)
+        free = sum(len(r.knows) for r in inst.receivers)
+        if free > combinatorial.MINRK_FREE_ENTRY_CAP:
+            continue
+        done += 1
+        mr = minrk2(inst)
+        assert mr.exact and mr.field == 2
+        assert not fits_graph(inst, mr.matrix, 2)
+        assert rank_mod_p(mr.matrix, 2) == mr.value
+        if free <= 10:
+            brute += 1
+            assert mr.value == _brute_minrk2(inst)
+        b2 = solve_bk(inst, min(2, n)).value
+        assert math.ceil(b2) <= mr.value
+        scheme = minrk_code(inst, mr)
+        assert scheme.rate == mr.value
+        assert verify_code(inst, scheme, mode="exhaustive").passed
+    assert brute >= 20
 
 
 def test_alpha_on_cycles():
@@ -134,11 +230,33 @@ def test_maximal_hypercliques():
 
 
 def test_representation_rank_identity():
-    g = Graph.from_edge_list(3, [])
-    res = representation_rank(g, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
+    inst = from_graph(Graph.from_edge_list(3, []))
+    res = representation_rank(inst, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
     assert res.value == 3
-    bad = fits_graph(g, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 2)
+    bad = fits_graph(inst, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 2)
     assert bad  # nonzero off-diagonal on a non-edge
+    assert fits_graph(inst, [[1, 0, 0], [0, 2, 0], [0, 0, 1]], 2)  # zero mod 2 at f(1)
+    assert fits_graph(inst, [[1, 0, 0], [0, 1, 0]], 2) == ["matrix is not 3 x 3"]
+    with pytest.raises(ValueError, match="does not fit"):
+        representation_rank(inst, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 2)
+
+
+def test_fitting_matrix_of_an_instance():
+    # tri3: receiver j knows message j and wants j + 1 (mod 3)
+    inst = tri3()
+    mr = minrk2(inst)
+    assert (mr.value, mr.exact) == (2, True)
+    assert not fits_graph(inst, mr.matrix, 2)
+    assert rank_mod_p(mr.matrix, 2) == 2
+    assert fits_graph(inst, [[1, 1, 1], [0, 1, 1], [1, 0, 1]], 2) == [
+        "receiver 0: nonzero entry at message 2 outside N(0)"
+    ]
+    # over F_3 each row has a 2 at f(j), which its decoder divides by
+    rep = representation_rank(inst, [[1, 2, 0], [0, 1, 2], [2, 0, 1]], 3)
+    assert rep.value == 2
+    scheme = minrk_code(inst, rep)
+    assert scheme.rate == 2
+    assert verify_code(inst, scheme, mode="exhaustive").passed
 
 
 def test_minrk2_small():

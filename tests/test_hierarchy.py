@@ -16,6 +16,7 @@ from icbounds.families import (
     tri3,
 )
 from icbounds.hierarchy import (
+    MAX_LP_VARS,
     alpha_feasible_vector,
     build_hierarchy_lp,
     componentwise_b2,
@@ -26,7 +27,7 @@ from icbounds.hierarchy import (
     validate_symmetry,
     verify_hierarchy_membership,
 )
-from icbounds.instance import Instance, disjoint_union, from_graph
+from icbounds.instance import CapExceeded, Instance, disjoint_union, from_graph
 from icbounds.lp import solve_min
 
 F = Fraction
@@ -260,3 +261,16 @@ def test_solve_bk_rejects_bad_symmetry():
     inst = from_graph(cycle(5))
     with pytest.raises(ValueError):
         build_hierarchy_lp(inst, 2, sym=[[1, 0, 2, 3, 4]])
+
+
+def test_builder_enforces_the_lp_vars_cap():
+    inst = from_graph(cycle(5))  # 2^5 = 32 subsets
+    with pytest.raises(CapExceeded, match="max-lp-vars: needed 32, limit 31"):
+        build_hierarchy_lp(inst, 2, max_lp_vars=31)
+    with pytest.raises(CapExceeded, match="max-lp-vars"):
+        solve_bk(inst, 2, max_lp_vars=4)
+    assert build_hierarchy_lp(inst, 2, max_lp_vars=32)[0].num_vars == 32
+    # the default stops before the 2^17 arrays are allocated
+    big = Instance(17, ())
+    with pytest.raises(CapExceeded, match=f"needed {1 << 17}, limit {MAX_LP_VARS}"):
+        build_hierarchy_lp(big, 1)

@@ -9,9 +9,7 @@ from icbounds.instance import (
     Instance,
     ParseError,
     Receiver,
-    closure_fixpoint,
     closure_step,
-    decodes,
     disjoint_union,
     from_graph,
     from_mask,
@@ -96,20 +94,13 @@ def test_parse_errors(tmp_path):
         read_problem(p)
 
 
-def test_closure_and_decodes():
+def test_closure_step():
     inst = from_graph(c5())
     # knowing everything but vertex 0 lets receiver 0's neighbours feed it
     a = frozenset({1, 2, 3, 4})
     assert closure_step(inst, a) == frozenset(range(5))
-    assert decodes(inst, a, frozenset(range(5)))
-    # an isolated pair can't be completed
-    assert closure_fixpoint(inst, frozenset({2})) == frozenset({2})
-    assert not decodes(inst, frozenset({2}), frozenset({2, 0}))
-
-
-def test_decodes_needs_subset():
-    inst = from_graph(c5())
-    assert not decodes(inst, frozenset({0, 1}), frozenset({1}))
+    # one vertex alone decodes nothing more
+    assert closure_step(inst, frozenset({2})) == frozenset({2})
 
 
 def test_disjoint_union():
