@@ -7,6 +7,15 @@ message rate, and per class either a cover from the expanding-or-cover
 recursion (weight at most 12 k n^{1-1/k}) or the trivial one-clique-per-vertex
 cover of weight 2|V_s|.  All arithmetic is rational; irrational thresholds
 n^{1-1/k} enter only through certified rational enclosures.
+
+The recursion is split in two.  decide_expanding_or_cover finds either the
+expanding sequence or the cover's parts (hypercliques and dense leaves);
+build_cover turns the parts into the merged cover, built by
+low_degree_cover at each leaf and verified exactly.  find_expanding_or_cover
+is the two in turn.  tau's search for k(s) runs only the decision, and a
+class's cover is built only where it sets tau's value: with k >= 2 that
+needs n >= 144, since 12 k n^{1-1/k} > 2n >= 2|V_s| for n < 144 (at
+n = 144, k = 2 and V_s = V the two terms tie and the cover is taken).
 """
 
 from __future__ import annotations
@@ -89,6 +98,13 @@ def _prefix_sets(n: int, d: int):
         yield mask, Fraction(factorial(t) * d * factorial(n + d - t - 1), denom)
 
 
+def _check_low_degree(inst: Instance, d: int) -> None:
+    """low_degree_cover's precondition: |S(j)| + d >= n for every receiver."""
+    for j, r in enumerate(inst.receivers):
+        if len(r.knows) + 1 + d < inst.n:
+            raise ValueError(f"receiver {j} has |S| + d = {len(r.knows) + 1 + d} < n")
+
+
 def low_degree_cover(
     inst: Instance, d: int, mc: bool = False, seed: int = 0
 ) -> FractionalCover:
@@ -98,9 +114,7 @@ def low_degree_cover(
     by (4d+2) times their sampling probability; the coverage of every
     receiver is verified exactly before returning."""
     n = inst.n
-    for j, r in enumerate(inst.receivers):
-        if len(r.knows) + 1 + d < n:
-            raise ValueError(f"receiver {j} has |S| + d = {len(r.knows) + 1 + d} < n")
+    _check_low_degree(inst, d)
     reps = inst.distinct_receivers()
     info = [
         (j, 1 << inst.receivers[j].wants,
@@ -165,6 +179,17 @@ def low_degree_cover(
 
 
 @dataclass
+class CoverParts:
+    """The cover side of the expanding-or-cover recursion before anything is
+    built: the hypercliques it takes at weight 1 and its dense leaves, each
+    leaf a (sub-instance, edge map, d) awaiting low_degree_cover(sub, d).
+    Hypercliques and edge maps use the input instance's receiver indices."""
+
+    cliques: list[frozenset[int]] = field(default_factory=list)
+    leaves: list[tuple[Instance, list[int], int]] = field(default_factory=list)
+
+
+@dataclass
 class ApproxOutcome:
     kind: str  # "sequence" | "cover"
     sequence: ExpandingSequence | None = None
@@ -172,9 +197,99 @@ class ApproxOutcome:
     bound: Fraction | None = None  # certified weight bound 6k * ub(n^{1-1/k})
 
 
-def _rep_key(inst: Instance, j: int):
-    r = inst.receivers[j]
-    return (r.wants, r.knows)
+def _lift(sub: Instance, emap: list[int], clique) -> frozenset[int]:
+    """A hyperclique of representatives of `sub` as the set of every
+    receiver sharing a representative's (wants, knows), in emap's indices."""
+    keys = {(sub.receivers[j].wants, sub.receivers[j].knows) for j in clique}
+    return frozenset(
+        emap[e] for e, r in enumerate(sub.receivers) if (r.wants, r.knows) in keys
+    )
+
+
+def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | CoverParts:
+    """The expanding-or-cover recursion's decision: a verified expanding
+    sequence of size k+1, or the parts of a cover that build_cover turns
+    into one of weight at most 6k * n^{1-1/k}.  Builds no low-degree cover,
+    only checks each dense leaf's precondition; the recursion never reads a
+    built cover, so the answer is the same as find_expanding_or_cover's."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    nn = inst.n
+    parts = CoverParts()
+
+    def go(sub: Instance, emap: list[int], kk: int) -> list[int] | None:
+        # An expanding sequence in original edge ids, or None once sub's
+        # cover parts are in `parts`.
+        if sub.m == 0 or sub.n == 0:
+            return None
+        reps = sub.distinct_receivers()
+        if kk == 1:
+            if is_weak_hyperclique(sub, reps):
+                parts.cliques.append(_lift(sub, emap, reps))
+                return None
+            for jp in reps:
+                sp = sub.receivers[jp].knows | {sub.receivers[jp].wants}
+                for j in reps:
+                    if j != jp and sub.receivers[j].wants not in sp:
+                        return [emap[jp], emap[j]]
+            raise AssertionError("neither hyperclique nor expanding pair")
+        cur, cur_emap = sub, emap
+        while True:
+            if cur.m == 0 or cur.n == 0:
+                return None
+            dsz = [cur.n - len(r.knows) for r in cur.receivers]  # |{f} | (V \ S)|
+            j1 = max(range(cur.m), key=lambda j: (dsz[j], -j))
+            # dense enough: (|D(j1)| - 1)^k <= n^{k-1}, exactly
+            if (dsz[j1] - 1) ** kk <= nn ** (kk - 1):
+                d = pow_frac_ceil(nn, kk)
+                _check_low_degree(cur, d)
+                parts.leaves.append((cur, cur_emap, d))
+                return None
+            r1 = cur.receivers[j1]
+            v1 = set(range(cur.n)) - r1.knows - {r1.wants}
+            v2 = r1.knows | {r1.wants}
+            sub1, _, em1 = induced_subhypergraph(cur, v1)
+            seq = go(sub1, [cur_emap[e] for e in em1], kk - 1)
+            if seq is not None:
+                return [cur_emap[j1]] + seq
+            cur, _, em2 = induced_subhypergraph(cur, v2)
+            cur_emap = [cur_emap[e] for e in em2]
+
+    seq = go(inst, list(range(inst.m)), k)
+    if seq is None:
+        return parts
+    if len(seq) != k + 1 or not is_expanding_sequence(inst, seq):
+        raise AssertionError("recursion produced a bad sequence")
+    return ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
+
+
+def build_cover(
+    inst: Instance, k: int, parts: CoverParts, mc: bool = False, seed: int = 0
+) -> ApproxOutcome:
+    """The cover from decide_expanding_or_cover(inst, k)'s parts: each
+    dense leaf's low_degree_cover lifted to inst's receivers, merged with
+    the hypercliques, verified exactly at unit rate and, unless `mc`, held
+    to the certified bound 6k * n^{1-1/k}."""
+    merged: dict[frozenset[int], Fraction] = {}
+    for item in parts.cliques:
+        merged[item] = merged.get(item, F0) + F1
+    for sub, emap, d in parts.leaves:
+        for cl, w in low_degree_cover(sub, d, mc=mc, seed=seed).items:
+            item = _lift(sub, emap, cl)
+            merged[item] = merged.get(item, F0) + w
+    cover = FractionalCover(
+        "weak", sorted(merged.items(), key=lambda kv: sorted(kv[0])),
+        sum(merged.values(), F0),
+    )
+    hi = pow_frac_enclosure(inst.n, k)[1] if inst.n else F0
+    bound = 6 * k * max(hi, F1)  # n^{1-1/k} >= 1 guard for n = 1
+    flat = Instance(inst.n, inst.receivers)  # rates ignored: unit coverage
+    bad = verify_cover(flat, cover)
+    if bad:
+        raise AssertionError(f"recursion cover failed verification: {bad}")
+    if not mc and cover.total > bound:
+        raise AssertionError(f"cover weight {cover.total} exceeds bound {bound}")
+    return ApproxOutcome("cover", cover=cover, bound=bound)
 
 
 def find_expanding_or_cover(
@@ -183,82 +298,12 @@ def find_expanding_or_cover(
     """Either an expanding sequence of size k+1 or a weak fractional cover of
     weight at most 6k * n^{1-1/k} (against the certified upper enclosure of
     the irrational threshold).  Rates are ignored; coverage is per receiver
-    at weight 1."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    n0 = inst.n
-    hi = pow_frac_enclosure(n0, k)[1] if n0 else F0
-    bound = 6 * k * max(hi, F1)  # n^{1-1/k} >= 1 guard for n = 1
-
-    def go(sub: Instance, emap: list[int], kk: int, nn: int):
-        # Returns ("seq", original edge ids) or ("cover", items in original ids).
-        if sub.m == 0 or sub.n == 0:
-            return "cover", []
-        reps = sub.distinct_receivers()
-        if kk == 1:
-            if is_weak_hyperclique(sub, reps):
-                keys = {_rep_key(sub, j) for j in reps}
-                item = frozenset(emap[e] for e in range(sub.m) if _rep_key(sub, e) in keys)
-                return "cover", [(item, F1)]
-            for jp in reps:
-                sp = sub.receivers[jp].knows | {sub.receivers[jp].wants}
-                for j in reps:
-                    if j != jp and sub.receivers[j].wants not in sp:
-                        return "seq", [emap[jp], emap[j]]
-            raise AssertionError("neither hyperclique nor expanding pair")
-        items: list[tuple[frozenset[int], Fraction]] = []
-        cur, cur_emap = sub, emap
-        while True:
-            if cur.m == 0 or cur.n == 0:
-                return "cover", items
-            dsz = []
-            for j in range(cur.m):
-                r = cur.receivers[j]
-                dsz.append(cur.n - len(r.knows))  # |{f} | (V \ S)| = n - |N|
-            j1 = max(range(cur.m), key=lambda j: (dsz[j], -j))
-            # dense enough: (|D(j1)| - 1)^k <= n^{k-1}, exactly
-            if (dsz[j1] - 1) ** kk <= nn ** (kk - 1):
-                d = pow_frac_ceil(nn, kk)
-                ld = low_degree_cover(cur, d, mc=mc, seed=seed)
-                for cl, w in ld.items:
-                    keys = {_rep_key(cur, j) for j in cl}
-                    item = frozenset(
-                        cur_emap[e] for e in range(cur.m) if _rep_key(cur, e) in keys
-                    )
-                    items.append((item, w))
-                return "cover", items
-            r1 = cur.receivers[j1]
-            v1 = set(range(cur.n)) - r1.knows - {r1.wants}
-            v2 = r1.knows | {r1.wants}
-            sub1, _, em1 = induced_subhypergraph(cur, v1)
-            res, payload = go(sub1, [cur_emap[e] for e in em1], kk - 1, nn)
-            if res == "seq":
-                return "seq", [cur_emap[j1]] + payload
-            items.extend(payload)
-            cur, _, em2 = induced_subhypergraph(cur, v2)
-            cur_emap = [cur_emap[e] for e in em2]
-
-    res, payload = go(inst, list(range(inst.m)), k, n0)
-    if res == "seq":
-        if len(payload) != k + 1 or not is_expanding_sequence(inst, payload):
-            raise AssertionError("recursion produced a bad sequence")
-        seq = ExpandingSequence(tuple(payload), sequence_weight(inst, payload))
-        return ApproxOutcome("sequence", sequence=seq)
-    # merge duplicate cliques, drop rate weighting for verification
-    merged: dict[frozenset[int], Fraction] = {}
-    for item, w in payload:
-        merged[item] = merged.get(item, F0) + w
-    cover = FractionalCover(
-        "weak", sorted(merged.items(), key=lambda kv: sorted(kv[0])),
-        sum(merged.values(), F0),
-    )
-    flat = Instance(inst.n, inst.receivers)  # unweighted view for coverage
-    bad = verify_cover(flat, cover)
-    if bad:
-        raise AssertionError(f"recursion cover failed verification: {bad}")
-    if not mc and cover.total > bound:
-        raise AssertionError(f"cover weight {cover.total} exceeds bound {bound}")
-    return ApproxOutcome("cover", cover=cover, bound=bound)
+    at weight 1.  Decides with decide_expanding_or_cover, then builds the
+    cover with build_cover."""
+    out = decide_expanding_or_cover(inst, k)
+    if isinstance(out, ExpandingSequence):
+        return ApproxOutcome("sequence", sequence=out)
+    return build_cover(inst, k, out, mc=mc, seed=seed)
 
 
 # -- weighted tau pipeline --------------------------------------------------
@@ -273,6 +318,10 @@ class TauClass:
     trivial_term: Fraction  # 2 |V_s|
     choice: str  # "cover" | "trivial"
     term: Fraction  # 2^{-s} * min(...)
+    # the verified recursion cover when choice == "cover": unit-rate weak
+    # cover of the receivers wanting into `vertices`, by receiver index of
+    # the instance; None for a trivial class (one clique per vertex)
+    cover: FractionalCover | None = None
 
 
 @dataclass
@@ -280,7 +329,9 @@ class TauCertificate:
     value: Fraction
     classes: list[TauClass] = field(default_factory=list)
     k_cap: int = 0
-    mode: str = "exact"
+    # how a class's cover is (choice == "cover") or would be built: the
+    # low-degree leaves by exact prefix-set enumeration, or sampled with seed
+    mode: str = "exact"  # "exact" | "monte-carlo"
     seed: int = 0
     fallback: str | None = None  # set when n < 4 shortcuts the pipeline
 
@@ -289,7 +340,13 @@ def tau(inst: Instance, mc: bool = False, seed: int = 0) -> TauCertificate:
     """Certified upper bound on the minimum weak-cover weight (hence on the
     broadcast rate): dyadic rate classes 2^{-s} < r <= 2^{1-s}, per class the
     cheaper of the recursion cover bound 12 k(s) n^{1-1/k(s)} and the trivial
-    2|V_s|, scaled by 2^{-s}."""
+    2|V_s|, scaled by 2^{-s}.  k(s) is the least k <= k_cap at which
+    decide_expanding_or_cover finds no expanding sequence of size k+1.
+
+    A class's cover is built (by build_cover, in `mode` with `seed`) and
+    stored on its TauClass only where it sets the value, i.e. choice ==
+    "cover".  With k >= 2 that needs n >= 144, since 12 k n^{1-1/k} > 2n
+    for n < 144; with k = 1 the cover is a single hyperclique."""
     n = inst.n
     mode = "monte-carlo" if (mc or n > EXACT_COVER_CAP) else "exact"
     if n < 4:
@@ -312,11 +369,12 @@ def tau(inst: Instance, mc: bool = False, seed: int = 0) -> TauCertificate:
     value = F0
     for s in sorted(classes):
         vs = classes[s]
-        sub, _, _ = induced_subhypergraph(Instance(inst.n, inst.receivers), vs)
-        kk = None
+        sub, _, emap = induced_subhypergraph(Instance(inst.n, inst.receivers), vs)
+        kk = parts = cover = None
         for k in range(1, k_cap + 1):
-            if find_expanding_or_cover(sub, k, mc=mc, seed=seed).kind == "cover":
-                kk = k
+            found = decide_expanding_or_cover(sub, k)
+            if isinstance(found, CoverParts):
+                kk, parts = k, found
                 break
         trivial = Fraction(2 * len(vs))
         if kk is None:
@@ -326,8 +384,14 @@ def tau(inst: Instance, mc: bool = False, seed: int = 0) -> TauCertificate:
             cover_term = 12 * kk * pow_frac_enclosure(n, kk)[1]
             choice = "cover" if cover_term <= trivial else "trivial"
             best = min(cover_term, trivial)
+        if choice == "cover":
+            built = build_cover(sub, kk, parts, mc=mode == "monte-carlo", seed=seed).cover
+            cover = FractionalCover(
+                "weak", [(frozenset(emap[e] for e in c), w) for c, w in built.items],
+                built.total,
+            )
         term = Fraction(1, 2**s) * best
-        out.append(TauClass(s, vs, kk, cover_term, trivial, choice, term))
+        out.append(TauClass(s, vs, kk, cover_term, trivial, choice, term, cover))
         value += term
     return TauCertificate(value, out, k_cap, mode, seed)
 

@@ -241,6 +241,7 @@ def cmd_approx(args) -> dict:
                 "trivial_term": _rat(c.trivial_term),
                 "choice": c.choice,
                 "term": _rat(c.term),
+                "cover_sets": len(c.cover.items) if c.cover is not None else None,
             }
             for c in cert.classes
         ],
@@ -357,7 +358,7 @@ def cmd_report(args) -> dict:
         descriptor=args.instance,
         levels=levels,
         sym=_sym_arg(args.sym, inst, data),
-        with_chibar=args.all and graph is not None,
+        with_chibar=args.all,
         minrk_cap=args.minrk_cap if args.all else None,
         with_decide2=args.all or args.decide2,
         max_lp_vars=args.max_lp_vars,

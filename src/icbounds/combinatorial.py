@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 from .instance import CapExceeded, Instance, Graph, from_graph, to_mask
 from .lp import LpProblem, solve_min
@@ -233,18 +234,22 @@ def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
     cliques = enumerate_maximal_hypercliques(inst, kind)
     if kind == "strong":
         targets = list(range(inst.n))
-        member = lambda s, v: v in s
-        thresh = [inst.rate(v) for v in targets]
+        thresh = [Fraction(inst.rate(v)) for v in targets]
     else:
         targets = list(inst.distinct_receivers())
-        member = lambda s, j: j in s
-        thresh = [inst.rate(inst.receivers[j].wants) for j in targets]
-    p = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1))
-    for t, r in zip(targets, thresh):
-        row = {j: 1 for j, s in enumerate(cliques) if member(s, t)}
-        if not row:
-            raise ValueError(f"no {kind} hyperclique covers {t}")
-        p.add(row, r)
+        thresh = [Fraction(inst.rate(inst.receivers[j].wants)) for j in targets]
+    # target x clique membership: row t sums the cliques containing t
+    row_of = {t: i for i, t in enumerate(targets)}
+    member = np.zeros((len(targets), len(cliques)), bool)
+    member[[row_of[t] for s in cliques for t in s],
+           [j for j, s in enumerate(cliques) for _ in s]] = True
+    uncovered = ~member.any(axis=1)
+    if uncovered.any():
+        raise ValueError(f"no {kind} hyperclique covers {targets[int(uncovered.argmax())]}")
+    cols = np.nonzero(member)[1]
+    indptr = np.concatenate([[0], np.cumsum(member.sum(axis=1))])
+    p = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1), indptr, cols,
+                  np.ones(len(cols), np.int64), np.ones(len(targets), np.int64), thresh)
     opt = solve_min(p)
     if opt.status != "optimal":
         raise AssertionError(f"cover LP came back {opt.status}")
@@ -333,20 +338,23 @@ MINRK_FREE_ENTRY_CAP = 26
 def minrk2(inst: Instance | Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResult:
     """Exact minimum GF(2) rank over all fitting matrices (row j: a 1 at
     f(j), free entries on N(j)); a graph is read as its instance.
-    Row-by-row search with incremental elimination and rank pruning; raises
-    CapExceeded above `cap` free entries."""
+    Row-by-row search with incremental elimination and rank pruning over the
+    distinct receivers; an identical copy (same wants and knows) gets its
+    representative's row, which leaves the rank unchanged.  Raises
+    CapExceeded above `cap` free entries of distinct receivers."""
     if isinstance(inst, Graph):
         inst = from_graph(inst)
-    n, m = inst.n, inst.m
-    knows = [to_mask(r.knows) for r in inst.receivers]
-    free = sum(k.bit_count() for k in knows)
+    n = inst.n
+    reps = inst.distinct_receivers()
+    knows = {j: to_mask(inst.receivers[j].knows) for j in reps}
+    free = sum(k.bit_count() for k in knows.values())
     if free > cap:
         raise CapExceeded("minrk-free-entries", free, cap)
     # alpha is a lower bound on minrank: stop when it is reached.
     alpha_lb = math.ceil(alpha_exact(inst)[0])
-    order = sorted(range(m), key=lambda j: knows[j].bit_count())
-    best = m + 1
-    best_rows: list[int] | None = None
+    order = sorted(reps, key=lambda j: knows[j].bit_count())
+    best = len(reps) + 1
+    best_rows: dict[int, int] | None = None
 
     def choices(j: int):
         mask = knows[j]
@@ -371,9 +379,9 @@ def minrk2(inst: Instance | Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResu
         nonlocal best, best_rows
         if len(basis) >= best or (best_rows is not None and best == alpha_lb):
             return
-        if i == m:
+        if i == len(order):
             best = len(basis)
-            best_rows = [rows_by_j[j] for j in range(m)]
+            best_rows = dict(rows_by_j)
             return
         j = order[i]
         for row in choices(j):
@@ -390,5 +398,9 @@ def minrk2(inst: Instance | Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResu
     dfs(0, {})
     if best_rows is None:
         raise AssertionError("minrank search found no fitting matrix")
-    mat = [[best_rows[j] >> v & 1 for v in range(n)] for j in range(m)]
+    rep_of = {(inst.receivers[j].wants, inst.receivers[j].knows): j for j in reps}
+    mat = [
+        [best_rows[rep_of[(r.wants, r.knows)]] >> v & 1 for v in range(n)]
+        for r in inst.receivers
+    ]
     return MinrkResult(best, mat, 2, True)

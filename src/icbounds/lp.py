@@ -5,8 +5,9 @@ with c >= 0, so the objective is bounded below and the only outcomes are an
 optimum or infeasibility.  A is stored as integer CSR: each row holds
 integer coefficients over one positive integer denominator (1 for every row
 the hierarchy and cover builders emit), and each right-hand side is a
-Fraction.  `LpProblem.add` appends a {var: coeff} row, and
-`LpProblem.constraints` shows the rows as (dict, rhs) pairs.
+Fraction.  The hierarchy and cover builders pass the CSR arrays in one
+go; `LpProblem.add` appends a {var: coeff} row (for small hand-written
+LPs), and `LpProblem.constraints` shows the rows as (dict, rhs) pairs.
 
 Floats may propose an optimum, but only exact arithmetic accepts one: every
 optimum returned comes with a primal x and a dual y >= 0 (one entry per

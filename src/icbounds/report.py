@@ -74,7 +74,8 @@ def build_report(
     seed: int = 0,
 ) -> BoundReport:
     """alpha, the b_k of `levels`, chi_bar_f and its verified strong-cover
-    code always; the integer clique cover with `with_chibar`; the exact
+    code always; the integer clique cover with `with_chibar` (a graph
+    input only: without `graph` a verdict says it was skipped); the exact
     GF(2) minrank under free-entry cap `minrk_cap` unless it is None; the
     rate-2 decision with `with_decide2`.  A cap that would be exceeded
     raises CapExceeded."""
@@ -103,9 +104,9 @@ def build_report(
     )
     uppers.append(("chibarf", strong.total))
 
-    if with_chibar:
-        if graph is None:
-            raise ValueError("integer clique cover needs a graph input")
+    if with_chibar and graph is None:
+        rep.verdicts.append("chibar skipped: the integer clique cover needs a graph input")
+    elif with_chibar:
         (k, cover), ms = _timed(lambda: integer_clique_cover(graph))
         rep.bounds["chibar"] = BoundEntry(
             Fraction(k), "upper", f"clique cover with {k} cliques", ms

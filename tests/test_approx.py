@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from approx_reference import find_expanding_or_cover_reference, tau_reference
 from icbounds.approx import (
+    CoverParts,
     alpha_greedy,
     approximate_beta,
+    decide_expanding_or_cover,
     find_expanding_or_cover,
     induced_subhypergraph,
     low_degree_cover,
@@ -14,12 +17,13 @@ from icbounds.approx import (
     tau,
 )
 from icbounds.combinatorial import (
+    FractionalCover,
     fractional_cover,
     is_expanding_sequence,
     verify_cover,
 )
-from icbounds.families import cycle, random_gnp, random_instance, tri3
-from icbounds.instance import Instance, Receiver, from_graph
+from icbounds.families import complement, cycle, random_gnp, random_instance, tri3
+from icbounds.instance import Graph, Instance, Receiver, from_graph
 from icbounds.numeric import pow_frac_enclosure
 
 F = Fraction
@@ -92,6 +96,119 @@ def test_expanding_or_cover_on_tri3():
     out = find_expanding_or_cover(tri3(), 1)
     # tri3 has an expanding pair
     assert out.kind == "sequence"
+
+
+def _corpus(rng, count):
+    """Seeded random instances (every third one weighted) and graphs, after
+    three whose rate classes take the cover: K_7, K_8, and K_3 at rate 1
+    beside K_7 at rate 1/2 (the cover in the second class)."""
+    k3_k7 = Graph.from_edge_list(
+        10, [(u, v) for u in range(10) for v in range(u) if (u < 3) == (v < 3)]
+    )
+    rates = tuple(F(1) if v < 3 else F(1, 2) for v in range(10))
+    out = [from_graph(complement(Graph(n, frozenset()))) for n in (7, 8)]
+    out.append(Instance(10, from_graph(k3_k7).receivers, rates))
+    while len(out) < count:
+        n = rng.randrange(2, 9)
+        if len(out) % 2:
+            inst = from_graph(random_gnp(n, rng.random(), rng))
+        else:
+            inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
+        if len(out) % 3 == 0:
+            rates = tuple(F(1, rng.choice((1, 2, 3, 4, 8))) for _ in range(n))
+            inst = Instance(n, inst.receivers, rates)
+        out.append(inst)
+    return out
+
+
+def _same_outcome(got, want):
+    assert got.kind == want.kind
+    if got.kind == "sequence":
+        assert got.sequence == want.sequence
+    else:
+        assert got.cover == want.cover
+        assert got.bound == want.bound
+
+
+def test_decision_matches_single_pass_recursion():
+    # the split recursion against the one-pass one, at every k up to tau's
+    # cap: the decision's kind and sequence, and the cover built from its
+    # parts, items and total
+    rng = random.Random(57)
+    for inst in _corpus(rng, 120):
+        for k in range(1, (inst.n - 1).bit_length() + 3):
+            want = find_expanding_or_cover_reference(inst, k)
+            decided = decide_expanding_or_cover(inst, k)
+            assert isinstance(decided, CoverParts) == (want.kind == "cover")
+            if want.kind == "sequence":
+                assert decided == want.sequence
+            _same_outcome(find_expanding_or_cover(inst, k), want)
+
+
+def test_decision_matches_single_pass_recursion_monte_carlo():
+    rng = random.Random(58)
+    for inst in _corpus(rng, 4):
+        for k in (1, 2):
+            want = find_expanding_or_cover_reference(inst, k, mc=True, seed=5)
+            assert isinstance(decide_expanding_or_cover(inst, k), CoverParts) == (
+                want.kind == "cover"
+            )
+            _same_outcome(find_expanding_or_cover(inst, k, mc=True, seed=5), want)
+
+
+def test_decision_checks_the_leaf_precondition(monkeypatch):
+    # a dense leaf whose d misses a receiver's blind set is refused by the
+    # decision itself, as low_degree_cover would refuse it
+    import icbounds.approx as approx
+
+    inst = from_graph(cycle(5))
+    monkeypatch.setattr(approx, "pow_frac_ceil", lambda n, k: 0)
+    with pytest.raises(ValueError, match=r"\|S\| \+ d"):
+        decide_expanding_or_cover(inst, 3)
+
+
+def test_tau_matches_single_pass_reference():
+    rng = random.Random(59)
+    cases = [(inst, False) for inst in _corpus(rng, 80)]
+    cases += [(inst, True) for inst in _corpus(rng, 4)]
+    for inst, mc in cases:
+        got = tau(inst, mc=mc, seed=3)
+        want = tau_reference(inst, mc=mc, seed=3)
+        for c in got.classes:
+            assert (c.cover is None) == (c.choice == "trivial")
+            c.cover = None
+        assert got == want
+
+
+def test_tau_cover_on_complete_graph():
+    inst = from_graph(complement(Graph(8, frozenset())))
+    cert = tau(inst)
+    (cls,) = cert.classes
+    assert cls.choice == "cover" and cls.k == 1
+    assert cls.cover_term == 12 and cls.term == 6
+    assert not verify_cover(inst, cls.cover)
+    assert cls.cover.total <= 6 * cls.k * max(pow_frac_enclosure(8, cls.k)[1], 1)
+
+
+def test_tau_class_covers():
+    # a winning class's cover covers, at unit rate, every receiver wanting
+    # into the class, by receiver index of the instance; trivial classes
+    # carry none
+    rng = random.Random(60)
+    seen = {"cover": 0, "trivial": 0}
+    for inst in _corpus(rng, 60):
+        for c in tau(inst).classes:
+            seen[c.choice] += 1
+            if c.choice == "trivial":
+                assert c.cover is None
+                continue
+            ids = sorted(j for j, r in enumerate(inst.receivers) if r.wants in c.vertices)
+            local = {j: i for i, j in enumerate(ids)}
+            sub = Instance(inst.n, tuple(inst.receivers[j] for j in ids))
+            items = [(frozenset(local[j] for j in s), w) for s, w in c.cover.items]
+            assert all(s <= set(ids) for s, _ in c.cover.items)
+            assert not verify_cover(sub, FractionalCover("weak", items, c.cover.total))
+    assert seen["cover"] and seen["trivial"]
 
 
 def test_tau_upper_bounds_weak_cover():

@@ -91,6 +91,12 @@ def test_approx(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=7")
     out = run_json(capsys, "approx", str(path), "--seed", "1")
     assert {"lower", "tau", "classes", "ratio_bound", "sequence"} <= out.keys()
+    assert [c["cover_sets"] for c in out["classes"]] == [None]  # trivial class
+    # K_8: its one class takes the recursion cover, a single hyperclique
+    k8 = tmp_path / "k8.json"
+    k8.write_text(json.dumps({"n": 8, "edges": [[u, v] for u in range(8) for v in range(u)]}))
+    (cls,) = run_json(capsys, "approx", str(k8))["classes"]
+    assert (cls["choice"], cls["k"], cls["cover_sets"], cls["term"]) == ("cover", 1, 1, "6")
 
 
 def test_decide2_both_ways(capsys, tmp_path):
@@ -154,6 +160,7 @@ def test_minrk_on_instance_file(capsys, tmp_path):
     out = run_json(capsys, "report", str(path), "--all")
     assert out["bounds"]["minrk2"]["value"] == "2"
     assert "chibar" not in out["bounds"]  # the integer clique cover needs a graph
+    assert "chibar skipped: the integer clique cover needs a graph input" in out["verdicts"]
     code, _, err = run(capsys, "report", str(path), "--all", "--minrk-cap", "2")
     assert code == 3
     assert "minrk-free-entries: needed 3, limit 2" in err

@@ -26,8 +26,8 @@ from icbounds.combinatorial import (
 )
 from icbounds.families import cycle, complement, petersen, random_gnp, random_instance, tri3
 from icbounds.hierarchy import solve_bk
-from icbounds.instance import CapExceeded, Graph, from_graph
-from icbounds.lp import LpOptimum, solve_min
+from icbounds.instance import CapExceeded, Graph, Instance, from_graph
+from icbounds.lp import LpOptimum, LpProblem, solve_min
 
 F = Fraction
 
@@ -213,6 +213,48 @@ def test_cover_rejects_non_optimal_lp(monkeypatch):
         fractional_cover(from_graph(cycle(5)), "strong")
 
 
+def test_cover_lp_arrays_match_row_by_row_build(monkeypatch):
+    # the cover LP built in one pass equals the one appended a row at a time
+    # with LpProblem.add, and so does the cover it certifies
+    built = []
+
+    def spy(p):
+        built.append(p)
+        return solve_min(p)
+
+    monkeypatch.setattr(combinatorial, "solve_min", spy)
+    rng = random.Random(17)
+    for i in range(80):
+        n = rng.randint(1, 8)
+        if i % 2:
+            inst = from_graph(random_gnp(n, rng.random(), rng))
+        else:
+            inst = random_instance(n, rng.randint(1, 2 * n), rng)
+            rates = tuple(F(1, rng.choice((1, 2, 3))) for _ in range(n))
+            inst = Instance(n, inst.receivers, rates if i % 4 == 0 else None)
+        for kind in ("weak", "strong"):
+            if not inst.m and kind == "weak":
+                continue
+            cover = fractional_cover(inst, kind)
+            cliques = enumerate_maximal_hypercliques(inst, kind)
+            if kind == "strong":
+                targets = [(v, inst.rate(v)) for v in range(inst.n)]
+            else:
+                targets = [(j, inst.rate(inst.receivers[j].wants))
+                           for j in inst.distinct_receivers()]
+            ref = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1))
+            for t, r in targets:
+                ref.add({j: 1 for j, c in enumerate(cliques) if t in c}, r)
+            got = built[-1]
+            for name in ("indptr", "indices", "coefs", "denoms"):
+                assert getattr(got, name).tolist() == getattr(ref, name).tolist(), name
+                assert getattr(got, name).dtype == getattr(ref, name).dtype, name
+            assert got.rhs == ref.rhs and got.objective == ref.objective
+            opt = solve_min(ref)
+            assert cover.total == opt.value
+            assert cover.items == [(cliques[j], x) for j, x in enumerate(opt.x) if x > 0]
+
+
 def test_integer_clique_cover():
     k, cover = integer_clique_cover(cycle(5))
     assert k == 3
@@ -270,6 +312,22 @@ def test_minrk2_small():
     # Petersen has 30 free entries, above the default cap
     with pytest.raises(CapExceeded, match="minrk-free-entries: needed 30, limit 26"):
         minrk2(petersen())
+
+
+def test_minrk2_shares_rows_between_twins():
+    # identical receivers share one row: C7 with every receiver doubled
+    # counts its 14 distinct free entries, not 28, and keeps minrank 4
+    c7 = from_graph(cycle(7))
+    doubled = Instance(7, c7.receivers + c7.receivers)
+    mr = minrk2(doubled)
+    assert mr.value == 4 == minrk2(c7).value
+    assert not fits_graph(doubled, mr.matrix, 2)
+    assert mr.matrix[:7] == mr.matrix[7:]
+    assert rank_mod_p(mr.matrix, 2) == 4
+    with pytest.raises(CapExceeded, match="needed 14, limit 13"):
+        minrk2(doubled, cap=13)
+    # a graph has no twins: its search and matrix are the graph's own
+    assert minrk2(from_graph(cycle(5))) == minrk2(cycle(5))
 
 
 def test_minrk2_bounds_b2():
