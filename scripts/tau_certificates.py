@@ -7,10 +7,11 @@ The corpus has 530 instances: random instances and random graphs (every
 third one with dyadic and non-dyadic rates), complete graphs K_4..K_16,
 whose one rate class takes the recursion cover from K_7 on, weighted
 disjoint unions of two cliques, dense graphs with 12-16 vertices like the
-benchmark's, and 30 instances run with mc=True.  Each certificate is
-written with value, k_cap, mode, seed, fallback and, per class, s,
-vertices, k, cover_term, trivial_term, choice and term; a class's cover is
-left out.  The last line printed is the sha256 of the dump, so equal
+benchmark's, and 30 more small instances (the `mc-*` entries, kept under
+their names so that dumps of older versions compare key for key).  Each
+certificate is written with value, k_cap, mode, seed, fallback and, per
+class, s, vertices, k, cover_term, trivial_term, choice and term; a class's
+cover is left out.  The last line printed is the sha256 of the dump, so equal
 digests mean equal certificates.
 """
 
@@ -46,36 +47,36 @@ def weighted(inst: Instance, rng: random.Random) -> Instance:
     return Instance(inst.n, inst.receivers, rates)
 
 
-def corpus() -> list[tuple[str, Instance, bool]]:
+def corpus() -> list[tuple[str, Instance]]:
     rng = random.Random(2010)
-    out: list[tuple[str, Instance, bool]] = []
+    out: list[tuple[str, Instance]] = []
     for i in range(300):
         n = rng.randrange(4, 10)
         inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
-        out.append((f"random_instance-{i}", weighted(inst, rng) if i % 3 == 0 else inst, False))
+        out.append((f"random_instance-{i}", weighted(inst, rng) if i % 3 == 0 else inst))
     for i in range(130):
         n = rng.randrange(4, 13)
         inst = from_graph(random_gnp(n, rng.random(), rng))
-        out.append((f"gnp-{i}", weighted(inst, rng) if i % 3 == 0 else inst, False))
+        out.append((f"gnp-{i}", weighted(inst, rng) if i % 3 == 0 else inst))
     for n in range(4, 17):
-        out.append((f"K{n}", from_graph(complete(n)), False))
+        out.append((f"K{n}", from_graph(complete(n))))
     for i in range(37):
         a, b = rng.randrange(6, 10), rng.randrange(1, 10)
         inst = from_graph(two_cliques(a, b))
         # the first clique at rate 1, the second at rate 1/2 or 1/4
         rates = tuple(Fraction(1) if v < a else Fraction(1, rng.choice((2, 4)))
                       for v in range(a + b))
-        out.append((f"two-cliques-{i}", Instance(a + b, inst.receivers, rates), False))
+        out.append((f"two-cliques-{i}", Instance(a + b, inst.receivers, rates)))
     for i in range(20):
         n = rng.randrange(12, 17)
-        out.append((f"dense-{i}", from_graph(random_gnp(n, 0.7 + 0.25 * rng.random(), rng)), False))
+        out.append((f"dense-{i}", from_graph(random_gnp(n, 0.7 + 0.25 * rng.random(), rng))))
     for i in range(30):
         n = rng.randrange(4, 9)
         if i < 6:
             inst = from_graph(complete(n + 3))
         else:
             inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
-        out.append((f"mc-{i}", inst, True))
+        out.append((f"mc-{i}", inst))
     return out
 
 
@@ -98,16 +99,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     dump = {}
     t0 = time.perf_counter()
-    for name, inst, mc in corpus():
-        dump[name] = fields(tau(inst, mc=mc, seed=7))
+    for name, inst in corpus():
+        dump[name] = fields(tau(inst, seed=7))
     secs = time.perf_counter() - t0
     text = json.dumps(dump, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     classes = [c for cert in dump.values() for c in cert["classes"]]
-    print(f"certificates {len(dump)}, mc=True {sum(k.startswith('mc-') for k in dump)}, "
-          f"classes {len(classes)}, cover-winning {sum(c['choice'] == 'cover' for c in classes)}, "
+    print(f"certificates {len(dump)}, classes {len(classes)}, "
+          f"cover-winning {sum(c['choice'] == 'cover' for c in classes)}, "
           f"tau time {secs:.2f} s", file=sys.stderr)
     print(hashlib.sha256(text.encode()).hexdigest())
     return 0

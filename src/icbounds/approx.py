@@ -74,7 +74,7 @@ def alpha_greedy(inst: Instance) -> ExpandingSequence:
         r = inst.receivers[j]
         if r.wants not in used:
             seq.append(j)
-            used |= r.knows | {r.wants}
+            used |= r.side_set()
     out = ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
     if not is_expanding_sequence(inst, out.receivers):
         raise AssertionError("greedy produced a sequence that is not expanding")
@@ -197,13 +197,10 @@ class ApproxOutcome:
     bound: Fraction | None = None  # certified weight bound 6k * ub(n^{1-1/k})
 
 
-def _lift(sub: Instance, emap: list[int], clique) -> frozenset[int]:
+def _lift(sub: Instance, emap: list[int], clique: frozenset[int]) -> frozenset[int]:
     """A hyperclique of representatives of `sub` as the set of every
-    receiver sharing a representative's (wants, knows), in emap's indices."""
-    keys = {(sub.receivers[j].wants, sub.receivers[j].knows) for j in clique}
-    return frozenset(
-        emap[e] for e, r in enumerate(sub.receivers) if (r.wants, r.knows) in keys
-    )
+    receiver they represent, in emap's indices."""
+    return frozenset(emap[e] for e, rep in enumerate(sub.representative) if rep in clique)
 
 
 def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | CoverParts:
@@ -225,10 +222,10 @@ def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | Cov
         reps = sub.distinct_receivers()
         if kk == 1:
             if is_weak_hyperclique(sub, reps):
-                parts.cliques.append(_lift(sub, emap, reps))
+                parts.cliques.append(_lift(sub, emap, frozenset(reps)))
                 return None
             for jp in reps:
-                sp = sub.receivers[jp].knows | {sub.receivers[jp].wants}
+                sp = sub.receivers[jp].side_set()
                 for j in reps:
                     if j != jp and sub.receivers[j].wants not in sp:
                         return [emap[jp], emap[j]]
@@ -247,7 +244,7 @@ def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | Cov
                 return None
             r1 = cur.receivers[j1]
             v1 = set(range(cur.n)) - r1.knows - {r1.wants}
-            v2 = r1.knows | {r1.wants}
+            v2 = r1.side_set()
             sub1, _, em1 = induced_subhypergraph(cur, v1)
             seq = go(sub1, [cur_emap[e] for e in em1], kk - 1)
             if seq is not None:
@@ -330,13 +327,14 @@ class TauCertificate:
     classes: list[TauClass] = field(default_factory=list)
     k_cap: int = 0
     # how a class's cover is (choice == "cover") or would be built: the
-    # low-degree leaves by exact prefix-set enumeration, or sampled with seed
+    # low-degree leaves by exact prefix-set enumeration up to EXACT_COVER_CAP
+    # messages, sampled with seed above it; the fields above do not depend on it
     mode: str = "exact"  # "exact" | "monte-carlo"
     seed: int = 0
     fallback: str | None = None  # set when n < 4 shortcuts the pipeline
 
 
-def tau(inst: Instance, mc: bool = False, seed: int = 0) -> TauCertificate:
+def tau(inst: Instance, seed: int = 0) -> TauCertificate:
     """Certified upper bound on the minimum weak-cover weight (hence on the
     broadcast rate): dyadic rate classes 2^{-s} < r <= 2^{1-s}, per class the
     cheaper of the recursion cover bound 12 k(s) n^{1-1/k(s)} and the trivial
@@ -346,9 +344,10 @@ def tau(inst: Instance, mc: bool = False, seed: int = 0) -> TauCertificate:
     A class's cover is built (by build_cover, in `mode` with `seed`) and
     stored on its TauClass only where it sets the value, i.e. choice ==
     "cover".  With k >= 2 that needs n >= 144, since 12 k n^{1-1/k} > 2n
-    for n < 144; with k = 1 the cover is a single hyperclique."""
+    for n < 144; with k = 1 the cover is a single hyperclique.  The mode is
+    "monte-carlo" exactly when n > EXACT_COVER_CAP."""
     n = inst.n
-    mode = "monte-carlo" if (mc or n > EXACT_COVER_CAP) else "exact"
+    mode = "monte-carlo" if n > EXACT_COVER_CAP else "exact"
     if n < 4:
         # log log n is degenerate; take the cheaper of "send everything" and
         # the exact cover LP.
@@ -416,8 +415,8 @@ def ratio_bound(n: int) -> Fraction:
     return n * (2 * ll_hi + 24) / log_lo
 
 
-def approximate_beta(inst: Instance, mc: bool = False, seed: int = 0) -> ApproxReport:
+def approximate_beta(inst: Instance, seed: int = 0) -> ApproxReport:
     seq = alpha_greedy(inst)
-    cert = tau(inst, mc=mc, seed=seed)
+    cert = tau(inst, seed=seed)
     rb = ratio_bound(inst.n) if inst.n >= 4 else None
     return ApproxReport(seq.weight, seq, cert.value, cert, rb)

@@ -1,8 +1,7 @@
 """Command-line surface: generators, bounds, the LP hierarchy, the
 approximation pipeline, the rate-2 decider, code construction, combined
 reports, and the one-shot reproduction suite.  Every command takes an
-instance or a graph file; only the integer clique cover (`--chibar`,
-`--scheme cliquecover`) needs a graph.
+instance or a graph file; a graph is read as its instance.
 
 Output formats: json (default), csv (flattened key,value rows), table
 (aligned, rationals annotated with an approximate 4-place decimal).  All
@@ -169,7 +168,7 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_bounds(args) -> dict:
-    inst, graph, data = _load(args.instance)
+    inst, _, data = _load(args.instance)
     out: dict = {"n": inst.n, "m": inst.m}
     if args.alpha:
         v, seq = alpha_exact(inst)
@@ -187,9 +186,7 @@ def cmd_bounds(args) -> dict:
             "cover": [[sorted(s), _rat(w)] for s, w in c.items],
         }
     if args.chibar:
-        if graph is None:
-            raise ParseError("chibar needs a graph input")
-        k, cover = integer_clique_cover(graph)
+        k, cover = integer_clique_cover(inst)
         out["chibar"] = {"value": str(k), "cover": [sorted(c) for c in cover]}
     if args.minrk2:
         if args.minrk2 == "exact":
@@ -221,7 +218,7 @@ def cmd_hierarchy(args) -> dict:
 
 def cmd_approx(args) -> dict:
     inst, _, _ = _load(args.instance)
-    r = approximate_beta(inst, mc=args.mc, seed=args.seed)
+    r = approximate_beta(inst, seed=args.seed)
     cert = r.certificate
     return {
         "lower": _rat(r.lower),
@@ -293,12 +290,10 @@ def _scheme_json(scheme: codes.CodeScheme) -> dict:
 
 
 def cmd_code(args) -> dict:
-    inst, graph, data = _load(args.instance)
+    inst, _, data = _load(args.instance)
     name = args.scheme
     if name == "cliquecover":
-        if graph is None:
-            raise ParseError("cliquecover needs a graph input")
-        k, cover = integer_clique_cover(graph)
+        k, cover = integer_clique_cover(inst)
         unit = FractionalCover("strong", [(c, Fraction(1)) for c in cover], Fraction(k))
         scheme = codes.strong_cover_code(inst, unit)
     elif name == "strongcover":
@@ -347,14 +342,13 @@ def cmd_code(args) -> dict:
 
 
 def cmd_report(args) -> dict:
-    inst, graph, data = _load(args.instance)
+    inst, _, data = _load(args.instance)
     if args.levels:
         levels = tuple(int(x) for x in args.levels.split(","))
     else:
         levels = (args.level,)
     rep = build_report(
         inst,
-        graph,
         descriptor=args.instance,
         levels=levels,
         sym=_sym_arg(args.sym, inst, data),
@@ -579,7 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="greedy lower bound and tau certificate")
     p.add_argument("instance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc", action="store_true")
     p.set_defaults(fn=cmd_approx)
 
     p = sub.add_parser("decide2", help="decide whether the rate equals 2")

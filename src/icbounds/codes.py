@@ -210,11 +210,6 @@ def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
     dw = len(copies)
     p = next_prime(dw)
     n = inst.n
-    reps = inst.distinct_receivers()
-    rep_of = {}
-    key = {(inst.receivers[j].wants, inst.receivers[j].knows): j for j in reps}
-    for j, r in enumerate(inst.receivers):
-        rep_of[j] = key[(r.wants, r.knows)]
     # Broadcast row per copy i with evaluation point a_i = i+1: the wanted
     # messages of the member receivers, each hit with (1, a, ..., a^{d-1}).
     encoder = [[0] * (n * d) for _ in range(dw)]
@@ -226,7 +221,7 @@ def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
                 encoder[i][x * d + t] = (encoder[i][x * d + t] + pow(a, t, p)) % p
     decoders = []
     for j, r in enumerate(inst.receivers):
-        mine = [i for i, s in enumerate(copies) if rep_of[j] in s][:d]
+        mine = [i for i, s in enumerate(copies) if inst.representative[j] in s][:d]
         if len(mine) < d:
             raise ValueError(f"receiver {j} covered fewer than {d} times")
         # Vandermonde system V y = b where b_i = broadcast_i minus known terms.

@@ -1,8 +1,9 @@
 """Combinatorial quantities flanking the broadcast rate.
 
 Lower side: maximum-weight expanding sequences (alpha).  Upper side: weak and
-strong fractional hyperclique covers (psi_f, chi_bar_f), integer clique
-covers, and the GF(2) minimum rank of any instance's fitting matrices.
+strong fractional hyperclique covers (psi_f, chi_bar_f), the least integer
+cover by strong hypercliques (chi_bar), and the GF(2) minimum rank of any
+instance's fitting matrices.
 Exact linear algebra over F_p (ranks here, inverses and span solves in
 `codes`) runs on one routine, `row_reduce`.
 
@@ -133,8 +134,7 @@ def alpha_exact(inst: Instance) -> tuple[Fraction, ExpandingSequence]:
 def is_weak_hyperclique(inst: Instance, receiver_set) -> bool:
     rs = sorted(receiver_set)
     for a in rs:
-        ra = inst.receivers[a]
-        sa = ra.knows | {ra.wants}
+        sa = inst.receivers[a].side_set()
         for b in rs:
             if a == b:
                 continue
@@ -146,7 +146,7 @@ def is_weak_hyperclique(inst: Instance, receiver_set) -> bool:
 def is_strong_hyperclique(inst: Instance, message_set) -> bool:
     t = frozenset(message_set)
     for r in inst.receivers:
-        if r.wants in t and not t <= (r.knows | {r.wants}):
+        if r.wants in t and not t <= r.side_set():
             return False
     return True
 
@@ -155,7 +155,7 @@ def _strong_compat_graph(inst: Instance) -> nx.Graph:
     full = frozenset(range(inst.n))
     allowed = {v: full for v in range(inst.n)}
     for r in inst.receivers:
-        allowed[r.wants] = allowed[r.wants] & (r.knows | {r.wants})
+        allowed[r.wants] = allowed[r.wants] & r.side_set()
     h = nx.Graph()
     h.add_nodes_from(range(inst.n))
     for u in range(inst.n):
@@ -169,7 +169,7 @@ def _weak_compat_graph(inst: Instance) -> tuple[nx.Graph, tuple[int, ...]]:
     reps = inst.distinct_receivers()
     h = nx.Graph()
     h.add_nodes_from(reps)
-    side = {j: inst.receivers[j].knows | {inst.receivers[j].wants} for j in reps}
+    side = {j: inst.receivers[j].side_set() for j in reps}
     for x, a in enumerate(reps):
         for b in reps[x + 1:]:
             if inst.receivers[b].wants in side[a] and inst.receivers[a].wants in side[b]:
@@ -217,10 +217,8 @@ def verify_cover(inst: Instance, cover: FractionalCover) -> list[str]:
             if got < inst.rate(v):
                 bad.append(f"message {v} covered {got} < {inst.rate(v)}")
     else:
-        reps = inst.distinct_receivers()
-        key = {(inst.receivers[j].wants, inst.receivers[j].knows): j for j in reps}
         for j, r in enumerate(inst.receivers):
-            rep = key[(r.wants, r.knows)]
+            rep = inst.representative[j]
             got = sum((w for s, w in cover.items if rep in s), F0)
             if got < inst.rate(r.wants):
                 bad.append(f"receiver {j} covered {got} < {inst.rate(r.wants)}")
@@ -261,14 +259,16 @@ def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
     return cover
 
 
-def integer_clique_cover(g: Graph) -> tuple[int, list[frozenset[int]]]:
-    """Exact minimum clique cover (= chromatic number of the complement),
-    branch and bound; intended for n <= ~20."""
-    n = g.n
-    comp_adj = [
-        frozenset(v for v in range(n) if v != u and not g.has_edge(u, v))
-        for u in range(n)
-    ]
+def integer_clique_cover(inst: Instance | Graph) -> tuple[int, list[frozenset[int]]]:
+    """Exact minimum cover of the messages by strong hypercliques, i.e. by
+    cliques of the pairwise compatibility graph (on a graph instance, the
+    graph itself); a graph is read as its instance.  Branch and bound on a
+    coloring of the complement; intended for n <= ~20."""
+    if isinstance(inst, Graph):
+        inst = from_graph(inst)
+    n = inst.n
+    comp = nx.complement(_strong_compat_graph(inst))
+    comp_adj = [frozenset(comp[u]) for u in range(n)]
     order = sorted(range(n), key=lambda v: -len(comp_adj[v]))
     best_k = n + 1
     best_assign: list[int] = []
@@ -398,9 +398,5 @@ def minrk2(inst: Instance | Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResu
     dfs(0, {})
     if best_rows is None:
         raise AssertionError("minrank search found no fitting matrix")
-    rep_of = {(inst.receivers[j].wants, inst.receivers[j].knows): j for j in reps}
-    mat = [
-        [best_rows[rep_of[(r.wants, r.knows)]] >> v & 1 for v in range(n)]
-        for r in inst.receivers
-    ]
+    mat = [[best_rows[rep] >> v & 1 for v in range(n)] for rep in inst.representative]
     return MinrkResult(best, mat, 2, True)

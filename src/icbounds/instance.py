@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .numeric import format_rational, parse_rational
 
@@ -21,13 +22,13 @@ class Receiver:
     wants: int
     knows: frozenset[int]
 
-    def side_set(self, n: int) -> frozenset[int]:
+    def side_set(self) -> frozenset[int]:
         """S(j) = N(j) | {f(j)}."""
         return self.knows | {self.wants}
 
     def blind_set(self, n: int) -> frozenset[int]:
         """T(j) = V \\ S(j)."""
-        return frozenset(range(n)) - self.side_set(n)
+        return frozenset(range(n)) - self.side_set()
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,18 @@ class Instance:
     def is_weighted(self) -> bool:
         return self.rates is not None and any(r != 1 for r in self.rates)
 
+    @cached_property
+    def representative(self) -> tuple[int, ...]:
+        """representative[j]: the first receiver with receiver j's (wants,
+        knows), which stands for every identical copy of it."""
+        first: dict[tuple, int] = {}
+        return tuple(
+            first.setdefault((r.wants, r.knows), j) for j, r in enumerate(self.receivers)
+        )
+
     def distinct_receivers(self) -> tuple[int, ...]:
         """Indices of one representative per distinct (wants, knows) pair."""
-        seen: dict[tuple, int] = {}
-        for j, r in enumerate(self.receivers):
-            key = (r.wants, r.knows)
-            if key not in seen:
-                seen[key] = j
-        return tuple(seen.values())
+        return tuple(j for j, rep in enumerate(self.representative) if rep == j)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ Python ints (dtype object) otherwise, through the same code.
 
 `solve_min` first hands the LP to HiGHS (scipy's linprog) as sparse
 matrices and rounds its primal and dual solutions to nearby fractions with
-small denominators (ROUNDING_BOUNDS).  If the checks accept a rounding, that
-is the answer.  Otherwise -- HiGHS reports no optimum, or no rounding passes
+denominators at most ROUNDING_BOUND.  If the checks accept the rounding, that
+is the answer.  Otherwise -- HiGHS reports no optimum, or the rounding fails
 -- one exact revised simplex over Fraction arithmetic decides.  It solves
 the dual, max b'y s.t. A'y <= c, y >= 0, whose standard form starts from the
 all-slack basis (feasible because c >= 0), so the basis has one row per
@@ -320,10 +320,9 @@ def _dual_path(p: LpProblem) -> LpOptimum:
 # -- HiGHS and rounding -----------------------------------------------------
 
 
-# Denominators tried, in order, when rounding HiGHS's solution.  Hierarchy
-# and cover LPs certify at the first; a larger one catches rarer optima
-# before the exact simplex is needed.
-ROUNDING_BOUNDS = (10**3, 10**6)
+# Largest denominator when rounding HiGHS's solution; the hierarchy and
+# cover LPs certify at it, and the exact simplex answers the rest.
+ROUNDING_BOUND = 10**3
 
 
 def _highs(p: LpProblem):
@@ -350,8 +349,8 @@ def _highs(p: LpProblem):
     return None, res.x.tolist(), (-res.ineqlin.marginals).tolist()
 
 
-def _round(values, bound: int) -> list[Fraction]:
-    return [Fraction(v).limit_denominator(bound) if v else F0 for v in values]
+def _round(values) -> list[Fraction]:
+    return [Fraction(v).limit_denominator(ROUNDING_BOUND) if v else F0 for v in values]
 
 
 def _validate(p: LpProblem) -> None:
@@ -373,11 +372,10 @@ def solve_min(p: LpProblem) -> LpOptimum:
     _validate(p)
     fallback, xf, yf = _highs(p)
     if fallback is None:
-        for bound in ROUNDING_BOUNDS:
-            x, y = _round(xf, bound), _round(yf, bound)
-            value = certified_value(p, x, y)
-            if value is not None:
-                return LpOptimum("optimal", value, x, y, "rounded")
+        x, y = _round(xf), _round(yf)
+        value = certified_value(p, x, y)
+        if value is not None:
+            return LpOptimum("optimal", value, x, y, "rounded")
         fallback = "rounding-rejected"
     opt = _dual_path(p)
     opt.method, opt.fallback = "simplex", fallback

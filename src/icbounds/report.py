@@ -17,7 +17,7 @@ from .combinatorial import (
     minrk2,
 )
 from .hierarchy import MAX_LP_VARS, solve_bk
-from .instance import Graph, Instance
+from .instance import Instance
 from .numeric import format_rational
 
 
@@ -63,7 +63,6 @@ def _timed(fn):
 
 def build_report(
     inst: Instance,
-    graph: Graph | None = None,
     descriptor: str = "instance",
     levels: tuple[int, ...] = (2,),
     sym: list[list[int]] | None = None,
@@ -74,8 +73,7 @@ def build_report(
     seed: int = 0,
 ) -> BoundReport:
     """alpha, the b_k of `levels`, chi_bar_f and its verified strong-cover
-    code always; the integer clique cover with `with_chibar` (a graph
-    input only: without `graph` a verdict says it was skipped); the exact
+    code always; the integer clique cover with `with_chibar`; the exact
     GF(2) minrank under free-entry cap `minrk_cap` unless it is None; the
     rate-2 decision with `with_decide2`.  A cap that would be exceeded
     raises CapExceeded."""
@@ -104,10 +102,8 @@ def build_report(
     )
     uppers.append(("chibarf", strong.total))
 
-    if with_chibar and graph is None:
-        rep.verdicts.append("chibar skipped: the integer clique cover needs a graph input")
-    elif with_chibar:
-        (k, cover), ms = _timed(lambda: integer_clique_cover(graph))
+    if with_chibar:
+        (k, cover), ms = _timed(lambda: integer_clique_cover(inst))
         rep.bounds["chibar"] = BoundEntry(
             Fraction(k), "upper", f"clique cover with {k} cliques", ms
         )

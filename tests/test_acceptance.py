@@ -69,7 +69,7 @@ def test_c01_c5_rate_is_5_over_2_exact():
         scheme = codes.strong_cover_code(inst, cover)
         assert scheme.rate == F(5, 2)
         assert codes.verify_code(inst, scheme, mode="exhaustive").passed
-        rep = build_report(inst, cycle(5), "C5", levels=(2,), sym=[shift_perm(5)])
+        rep = build_report(inst, "C5", levels=(2,), sym=[shift_perm(5)])
         assert any("beta = 5/2 exact" in v for v in rep.verdicts)
 
 

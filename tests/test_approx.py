@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from approx_reference import find_expanding_or_cover_reference, tau_reference
 from icbounds.approx import (
+    EXACT_COVER_CAP,
     CoverParts,
     alpha_greedy,
     approximate_beta,
@@ -168,16 +170,20 @@ def test_decision_checks_the_leaf_precondition(monkeypatch):
 
 
 def test_tau_matches_single_pass_reference():
+    # the reference run with mc=True (sampled leaves) gives the same
+    # certificate but for its mode label: the sampler never sets tau's value
+    # at these sizes
     rng = random.Random(59)
     cases = [(inst, False) for inst in _corpus(rng, 80)]
     cases += [(inst, True) for inst in _corpus(rng, 4)]
     for inst, mc in cases:
-        got = tau(inst, mc=mc, seed=3)
+        got = tau(inst, seed=3)
         want = tau_reference(inst, mc=mc, seed=3)
         for c in got.classes:
             assert (c.cover is None) == (c.choice == "trivial")
             c.cover = None
-        assert got == want
+        assert got.mode == "exact"
+        assert got == dataclasses.replace(want, mode="exact")
 
 
 def test_tau_cover_on_complete_graph():
@@ -243,11 +249,20 @@ def test_tau_weighted():
 
 
 def test_tau_monte_carlo_mode():
+    # exact prefix-set enumeration up to EXACT_COVER_CAP messages, sampling
+    # above it; the instance alone decides
     rng = random.Random(55)
-    inst = random_instance(8, 12, rng)
-    cert = tau(inst, mc=True, seed=9)
-    assert cert.mode == "monte-carlo"
-    assert cert.value >= fractional_cover(inst, "weak").total
+    for n in (8, EXACT_COVER_CAP, EXACT_COVER_CAP + 1):
+        inst = random_instance(n, 2 * n, rng)
+        cert = tau(inst, seed=9)
+        assert cert.mode == ("exact" if n <= EXACT_COVER_CAP else "monte-carlo")
+        assert cert.seed == 9
+        assert cert.value >= fractional_cover(inst, "weak").total
+    assert EXACT_COVER_CAP == 20
+    with pytest.raises(TypeError):
+        tau(inst, mc=True)
+    with pytest.raises(TypeError):
+        approximate_beta(inst, mc=True)
 
 
 def test_ratio_bound_certified():

@@ -95,8 +95,19 @@ def test_approx(capsys, tmp_path):
     # K_8: its one class takes the recursion cover, a single hyperclique
     k8 = tmp_path / "k8.json"
     k8.write_text(json.dumps({"n": 8, "edges": [[u, v] for u in range(8) for v in range(u)]}))
-    (cls,) = run_json(capsys, "approx", str(k8))["classes"]
+    out = run_json(capsys, "approx", str(k8))
+    (cls,) = out["classes"]
     assert (cls["choice"], cls["k"], cls["cover_sets"], cls["term"]) == ("cover", 1, 1, "6")
+    assert out["mode"] == "exact"  # n <= EXACT_COVER_CAP
+
+
+def test_approx_has_no_mc_flag(capsys, tmp_path):
+    # the message count alone decides tau's cover mode
+    path = gen(capsys, tmp_path, "cycle", "n=7")
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", str(path), "--mc"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mc" in capsys.readouterr().err
 
 
 def test_decide2_both_ways(capsys, tmp_path):
@@ -159,8 +170,12 @@ def test_minrk_on_instance_file(capsys, tmp_path):
     assert out["verification"]["passed"] is True
     out = run_json(capsys, "report", str(path), "--all")
     assert out["bounds"]["minrk2"]["value"] == "2"
-    assert "chibar" not in out["bounds"]  # the integer clique cover needs a graph
-    assert "chibar skipped: the integer clique cover needs a graph input" in out["verdicts"]
+    # no two of tri3's messages form a strong hyperclique
+    chibar = out["bounds"]["chibar"]
+    assert (chibar["value"], chibar["direction"]) == ("3", "upper")
+    assert not any("skipped" in v for v in out["verdicts"])
+    out = run_json(capsys, "bounds", str(path), "--chibar")
+    assert out["chibar"] == {"value": "3", "cover": [[0], [1], [2]]}
     code, _, err = run(capsys, "report", str(path), "--all", "--minrk-cap", "2")
     assert code == 3
     assert "minrk-free-entries: needed 3, limit 2" in err
@@ -172,10 +187,11 @@ def test_code_cliquecover(capsys, tmp_path):
                    "--verify", "exhaustive")
     assert out["scheme"]["rate"] == "3"
     assert out["verification"]["passed"] is True
-    code, _, err = run(capsys, "code", str(gen(capsys, tmp_path, "tri3")),
-                       "--scheme", "cliquecover")
-    assert code == 2
-    assert "needs a graph input" in err
+    # an instance file: the cover is by strong hypercliques
+    out = run_json(capsys, "code", str(gen(capsys, tmp_path, "tri3")),
+                   "--scheme", "cliquecover", "--verify", "exhaustive")
+    assert out["scheme"]["rate"] == "3"
+    assert out["verification"]["passed"] is True
 
 
 def test_report_exact_verdict(capsys, tmp_path):

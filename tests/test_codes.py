@@ -21,7 +21,7 @@ from icbounds.combinatorial import (
 from icbounds.beta2 import decide_beta_eq_2
 from icbounds.families import complement, cycle, petersen, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
-from icbounds.instance import CapExceeded, Graph, from_graph
+from icbounds.instance import CapExceeded, Graph, Instance, from_graph
 
 F = Fraction
 
@@ -66,6 +66,13 @@ def test_mds_weak_cover_code():
     scheme = mds_weak_cover_code(inst, cover)
     assert scheme.rate == cover.total
     assert verify_code(inst, scheme, mode="random", trials=20_000, seed=1).passed
+    # every receiver doubled: a copy decodes from its representative's sets
+    twins = Instance(5, inst.receivers * 2)
+    cover = fractional_cover(twins, "weak")
+    assert all(j < 5 for s, _ in cover.items for j in s)
+    scheme = mds_weak_cover_code(twins, cover)
+    assert len(scheme.decoders) == 10 and scheme.rate == F(5, 2)
+    assert verify_code(twins, scheme, mode="random", trials=20_000, seed=1).passed
 
 
 def test_minrk_code():

@@ -6,9 +6,10 @@ from itertools import combinations, product
 import pytest
 
 from icbounds import combinatorial
-from icbounds.codes import _invert_mod, minrk_code, verify_code
+from icbounds.codes import _invert_mod, minrk_code, strong_cover_code, verify_code
 from icbounds.combinatorial import (
     ExpandingSequence,
+    FractionalCover,
     alpha_exact,
     enumerate_maximal_hypercliques,
     fits_graph,
@@ -262,6 +263,39 @@ def test_integer_clique_cover():
     assert covered == set(range(5))
     k7, _ = integer_clique_cover(complement(cycle(7)))
     assert k7 == 3
+
+
+def _min_strong_partition(inst: Instance) -> int:
+    """Fewest strong hypercliques partitioning the messages, by dynamic
+    programming over message subsets (the family is closed under subsets,
+    so a least cover is a partition)."""
+    strong = [t for t in range(1, 1 << inst.n)
+              if is_strong_hyperclique(inst, {v for v in range(inst.n) if t >> v & 1})]
+    best = [0] + [inst.n + 1] * ((1 << inst.n) - 1)
+    for mask in range(1, 1 << inst.n):
+        low = mask & -mask
+        best[mask] = 1 + min(best[mask ^ t] for t in strong if t & low and not t & ~mask)
+    return best[-1]
+
+
+def test_integer_clique_cover_on_instances():
+    # on any instance the cover is a least cover by strong hypercliques, and
+    # its unit-weight strong-cover code decodes at rate k
+    rng = random.Random(23)
+    for i in range(150):
+        n = rng.randint(1, 7)
+        inst = random_instance(n, rng.randint(1, 2 * n), rng)
+        if i % 4 == 0:  # identical receivers
+            inst = Instance(n, inst.receivers + inst.receivers[: rng.randint(1, inst.m)])
+        k, cover = integer_clique_cover(inst)
+        assert k == len(cover) == _min_strong_partition(inst)
+        assert all(is_strong_hyperclique(inst, c) for c in cover)
+        assert sorted(v for c in cover for v in c) == list(range(n))
+        unit = FractionalCover("strong", [(c, F(1)) for c in cover], F(k))
+        assert not verify_cover(inst, unit)
+        scheme = strong_cover_code(inst, unit)
+        assert scheme.rate == k
+        assert verify_code(inst, scheme, mode="exhaustive").passed
 
 
 def test_maximal_hypercliques():

@@ -33,7 +33,7 @@ def test_from_graph_receivers():
     assert inst.n == 5 and inst.m == 5
     r = inst.receivers[0]
     assert r.wants == 0 and r.knows == frozenset({1, 4})
-    assert r.side_set(5) == frozenset({0, 1, 4})
+    assert r.side_set() == frozenset({0, 1, 4})
     assert r.blind_set(5) == frozenset({2, 3})
 
 
@@ -132,5 +132,7 @@ def test_distinct_receivers_dedup():
         Receiver(0, frozenset({1})),
         Receiver(0, frozenset({1})),
         Receiver(1, frozenset({2})),
+        Receiver(0, frozenset({1})),
     ))
+    assert inst.representative == (0, 0, 2, 0)
     assert inst.distinct_receivers() == (0, 2)

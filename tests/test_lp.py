@@ -62,8 +62,9 @@ def test_rejects_negative_cost_and_unknown_variable():
 
 def test_degenerate_cycling_guard(monkeypatch):
     # the covering LP whose dual is Beale's example: Dantzig's rule cycles on
-    # it, so the exact simplex ends only through the switch to Bland's rule
-    monkeypatch.setattr(lpmod, "ROUNDING_BOUNDS", ())
+    # it, so the exact simplex ends only through the switch to Bland's rule.
+    # The optimum is 1/20 = x_2, so no rounding to integers can certify it.
+    monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
     p = LpProblem(3, {2: F(1)})
     p.add({0: F(1, 4), 1: F(1, 2)}, F(3, 4))
     p.add({0: F(-60), 1: F(-90)}, -150)
@@ -183,9 +184,9 @@ def test_dual_path_certificate():
 
 
 def test_rounding_rejected_falls_back_to_exact_simplex():
-    # the optimum's denominator exceeds every rounding bound: rounding to 10**6
-    # gives the feasible x = 10**-6, and the reduced-cost check rejects it
-    assert 1_000_003 > max(lpmod.ROUNDING_BOUNDS)
+    # the optimum's denominator exceeds the rounding bound: the rounded x is
+    # 0, and the feasibility check rejects it
+    assert 1_000_003 > lpmod.ROUNDING_BOUND
     p = LpProblem(1, {0: F(1)})
     p.add({0: F(1_000_003)}, 1)
     opt = solve_min(p)
