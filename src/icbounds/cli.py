@@ -118,6 +118,10 @@ def _load(path: str):
     return inst, graph, data
 
 
+def _levels(spec: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in spec.split(","))
+
+
 def _sym_arg(spec: str | None, inst: Instance, data: dict):
     if spec == "auto":
         return data.get("symmetry")  # generators stored by `gen`
@@ -343,14 +347,10 @@ def cmd_code(args) -> dict:
 
 def cmd_report(args) -> dict:
     inst, _, data = _load(args.instance)
-    if args.levels:
-        levels = tuple(int(x) for x in args.levels.split(","))
-    else:
-        levels = (args.level,)
     rep = build_report(
         inst,
         descriptor=args.instance,
-        levels=levels,
+        levels=args.level,
         sym=_sym_arg(args.sym, inst, data),
         with_chibar=args.all,
         minrk_cap=args.minrk_cap if args.all else None,
@@ -590,8 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="paired lower/upper bound report")
     p.add_argument("instance")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--level", type=int, default=2)
-    p.add_argument("--levels", default=None, help="comma-separated levels")
+    p.add_argument("--level", type=_levels, default=(2,), help="a level or a comma list, e.g. 2,3")
     p.add_argument("--sym", default="auto")
     p.add_argument("--decide2", action="store_true")
     p.add_argument("--seed", type=int, default=0)

@@ -10,7 +10,9 @@ trials) and reports counterexamples.
 Constructions: the strong-cover code (an integer clique cover is the strong
 cover with weight 1 per clique), the MDS weak-cover code, the minrank code
 of any instance's fitting matrix, and the two-symbol code of a rate-2
-instance.  Their inverses and span solves run on `combinatorial.row_reduce`.
+instance.  Each builds only its encoder; every decoder is solved from the
+encoder by one `combinatorial.row_reduce` per receiver, which also refuses
+an encoder some receiver cannot decode.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .combinatorial import FractionalCover, MinrkResult, row_reduce
 from .instance import CapExceeded, Graph, Instance, from_graph
-from .numeric import inv_mod, next_prime
+from .numeric import next_prime
 
 EXHAUSTIVE_CAP = 1 << 24
 RANDOM_TRIALS = 100_000
@@ -159,6 +161,36 @@ def _equalized_cover_sets(inst: Instance, cover: FractionalCover) -> tuple[list[
     return [frozenset(s) for s in sets], q
 
 
+def _decoders(inst: Instance, p: int, d: int, encoder: list[list[int]]) -> list[DecoderSpec]:
+    """Every receiver's decoder, solved from the encoder over F_p.  Receiver
+    j needs bcast_coef @ E to equal the selector of f(j) on the columns U of
+    the messages outside N(j); row-reducing [E_U^T | Sel_U^T] either puts a
+    pivot in the selector block (no decoder exists) or gives bcast_coef from
+    the reduced rows.  side_coef then cancels bcast_coef @ E on N(j)."""
+    rows, cols = len(encoder), inst.n * d
+    columns = [[row[c] for row in encoder] for c in range(cols)]
+    decoders = []
+    for j, r in enumerate(inst.receivers):
+        want = range(r.wants * d, (r.wants + 1) * d)
+        red, pivots = row_reduce([columns[c] + [int(c == s) for s in want] for c in range(cols)
+                                  if c // d not in r.knows], p)
+        if pivots and pivots[-1] >= rows:
+            raise ValueError(f"receiver {j} cannot decode message {r.wants}")
+        bc = [[0] * rows for _ in range(d)]
+        for row, i in zip(red, pivots):
+            for t in range(d):
+                bc[t][i] = row[rows + t]
+        sc = []
+        for coef in bc:
+            acc = [0] * cols
+            for b, enc in zip(coef, encoder):
+                if b:
+                    acc = [a + b * e for a, e in zip(acc, enc)]
+            sc.append([-a % p if c // d in r.knows else 0 for c, a in enumerate(acc)])
+        decoders.append(DecoderSpec(j, bc, sc))
+    return decoders
+
+
 def strong_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
     """q bits per message, one broadcast bit per unit-weight set copy: bit k
     of message x rides in the k-th set containing x."""
@@ -167,32 +199,13 @@ def strong_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
     if inst.is_weighted():
         raise ValueError("unit rates only")
     sets, q = _equalized_cover_sets(inst, cover)
-    p_rows = len(sets)
     n = inst.n
-    owner: dict[tuple[int, int], int] = {}  # (message, bit k) -> broadcast row
+    encoder = [[0] * (n * q) for _ in sets]
     for v in range(n):
         for k, i in enumerate(i for i, s in enumerate(sets) if v in s):
-            owner[(v, k)] = i
-    encoder = [[0] * (n * q) for _ in range(p_rows)]
-    for (v, k), i in owner.items():
-        encoder[i][v * q + k] = 1
-    decoders = []
-    for j, r in enumerate(inst.receivers):
-        x = r.wants
-        bc = [[0] * p_rows for _ in range(q)]
-        sc = [[0] * (n * q) for _ in range(q)]
-        for k in range(q):
-            i = owner[(x, k)]
-            bc[k][i] = 1
-            for z in sets[i]:
-                if z == x:
-                    continue
-                if z not in r.knows:
-                    raise ValueError(f"set {sorted(sets[i])} not inside S({j})")
-                kz = next(kk for kk in range(q) if owner[(z, kk)] == i)
-                sc[k][z * q + kz] = 1
-        decoders.append(DecoderSpec(j, bc, sc))
-    return CodeScheme(2, q, encoder, decoders, Fraction(p_rows, q), "strong-cover")
+            encoder[i][v * q + k] = 1
+    return CodeScheme(2, q, encoder, _decoders(inst, 2, q, encoder),
+                      Fraction(len(sets), q), "strong-cover")
 
 
 def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
@@ -219,83 +232,31 @@ def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
         for x in msgs:
             for t in range(d):
                 encoder[i][x * d + t] = (encoder[i][x * d + t] + pow(a, t, p)) % p
-    decoders = []
-    for j, r in enumerate(inst.receivers):
-        mine = [i for i, s in enumerate(copies) if inst.representative[j] in s][:d]
-        if len(mine) < d:
-            raise ValueError(f"receiver {j} covered fewer than {d} times")
-        # Vandermonde system V y = b where b_i = broadcast_i minus known terms.
-        vm = [[pow(i + 1, t, p) for t in range(d)] for i in mine]
-        vinv = _invert_mod(vm, p)
-        bc = [[0] * dw for _ in range(d)]
-        sc = [[0] * (n * d) for _ in range(d)]
-        for t in range(d):
-            for c, i in enumerate(mine):
-                bc[t][i] = vinv[t][c]
-                msgs = {inst.receivers[jj].wants for jj in copies[i]}
-                for x in msgs:
-                    if x == r.wants:
-                        continue
-                    if x not in r.knows:
-                        raise ValueError(f"copy {i}: message {x} outside S({j})")
-                    for u in range(d):
-                        sc[t][x * d + u] = (
-                            sc[t][x * d + u] - vinv[t][c] * pow(i + 1, u, p)
-                        ) % p
-        decoders.append(DecoderSpec(j, bc, sc))
-    return CodeScheme(p, d, encoder, decoders, Fraction(dw, d), "mds-weak-cover")
-
-
-def _invert_mod(mat: list[list[int]], p: int) -> list[list[int]]:
-    k = len(mat)
-    red, pivots = row_reduce([list(row) + [int(i == c) for c in range(k)]
-                              for i, row in enumerate(mat)], p)
-    if pivots != list(range(k)):
-        raise ValueError("matrix is singular mod p")
-    return [row[k:] for row in red]
+    return CodeScheme(p, d, encoder, _decoders(inst, p, d, encoder),
+                      Fraction(dw, d), "mds-weak-cover")
 
 
 def minrk_code(inst: Instance | Graph, rep: MinrkResult) -> CodeScheme:
-    """Broadcast a row basis of B x; receiver j rebuilds row j, strips the
-    terms of its side information, and divides by the entry at f(j).  A
-    graph is read as its instance."""
+    """Broadcast a row basis of B x, B the fitting matrix of `rep`: row j of
+    B lies in its span, so every receiver has a decoder.  A graph is read as
+    its instance."""
     if isinstance(inst, Graph):
         inst = from_graph(inst)
     p = rep.field
     mat = [[v % p for v in row] for row in rep.matrix]
-    # The pivot columns of the reduced transpose are the first rows that
-    # raise the rank; its column j gives row j's coefficients over them.
-    red, basis = row_reduce([list(col) for col in zip(*mat)], p)
+    # The pivot columns of the reduced transpose are the first rows of B
+    # that raise the rank.
+    basis = row_reduce([list(col) for col in zip(*mat)], p)[1]
     encoder = [mat[j] for j in basis]
-    decoders = []
-    for j, r in enumerate(inst.receivers):
-        dinv = inv_mod(mat[j][r.wants], p)
-        bc = [[row[j] * dinv % p for row in red]]
-        sc = [[(-mat[j][v] * dinv) % p if v != r.wants else 0 for v in range(inst.n)]]
-        decoders.append(DecoderSpec(j, bc, sc))
-    return CodeScheme(p, 1, encoder, decoders, Fraction(len(basis)), "minrank")
+    return CodeScheme(p, 1, encoder, _decoders(inst, p, 1, encoder),
+                      Fraction(len(basis)), "minrank")
 
 
 def two_symbol_code(inst: Instance, phi: list[int], num_classes: int) -> CodeScheme:
     """Broadcast the plain sum and the phi-weighted sum of all messages over
-    F_p, p the smallest prime above the class count."""
+    F_p, p the smallest prime above the class count.  Receiver j decodes iff
+    phi is constant on T(j) and phi(f(j)) differs from that constant."""
     p = next_prime(num_classes)
     n = inst.n
     encoder = [[1] * n, [phi[v] % p for v in range(n)]]
-    decoders = []
-    for j, r in enumerate(inst.receivers):
-        blind = [v for v in range(n) if v != r.wants and v not in r.knows]
-        if blind:
-            c = phi[blind[0]] % p
-            if any(phi[v] % p != c for v in blind):
-                raise ValueError(f"labeling not constant on T({j})")
-        else:
-            c = (phi[r.wants] + 1) % p
-        coef = (c - phi[r.wants]) % p
-        if coef == 0:
-            raise ValueError(f"labeling not separating on edge {j}")
-        inv = inv_mod(coef, p)
-        bc = [[c * inv % p, (-inv) % p]]
-        sc = [[(-(c - phi[v]) * inv) % p if v in r.knows else 0 for v in range(n)]]
-        decoders.append(DecoderSpec(j, bc, sc))
-    return CodeScheme(p, 1, encoder, decoders, Fraction(2), "two-symbol")
+    return CodeScheme(p, 1, encoder, _decoders(inst, p, 1, encoder), Fraction(2), "two-symbol")

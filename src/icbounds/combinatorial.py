@@ -4,7 +4,7 @@ Lower side: maximum-weight expanding sequences (alpha).  Upper side: weak and
 strong fractional hyperclique covers (psi_f, chi_bar_f), the least integer
 cover by strong hypercliques (chi_bar), and the GF(2) minimum rank of any
 instance's fitting matrices.
-Exact linear algebra over F_p (ranks here, inverses and span solves in
+Exact linear algebra over F_p (ranks here, row bases and decoder solves in
 `codes`) runs on one routine, `row_reduce`.
 
 Hyperclique compatibility uses S(j) = N(j) | {f(j)}: two receivers are
@@ -44,6 +44,8 @@ def row_reduce(mat: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue

@@ -101,7 +101,3 @@ def next_prime(p: int) -> int:
     while not is_prime(q):
         q += 1
     return q
-
-
-def inv_mod(a: int, p: int) -> int:
-    return pow(a % p, p - 2, p)

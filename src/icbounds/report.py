@@ -72,11 +72,12 @@ def build_report(
     max_lp_vars: int = MAX_LP_VARS,
     seed: int = 0,
 ) -> BoundReport:
-    """alpha, the b_k of `levels`, chi_bar_f and its verified strong-cover
-    code always; the integer clique cover with `with_chibar`; the exact
-    GF(2) minrank under free-entry cap `minrk_cap` unless it is None; the
-    rate-2 decision with `with_decide2`.  A cap that would be exceeded
-    raises CapExceeded."""
+    """alpha, the b_k of `levels` and chi_bar_f always, and chi_bar_f's
+    verified strong-cover code on unit rates (else a verdict says it was
+    left out); the integer clique cover with `with_chibar`; the exact GF(2)
+    minrank under free-entry cap `minrk_cap` unless it is None; the rate-2
+    decision with `with_decide2`.  A cap that would be exceeded raises
+    CapExceeded."""
     rep = BoundReport(descriptor, inst.n, inst.m)
     lowers: list[tuple[str, Fraction]] = []
     uppers: list[tuple[str, Fraction]] = []
@@ -116,7 +117,9 @@ def build_report(
         )
         uppers.append(("minrk2", Fraction(mr.value)))
 
-    if inst.m:
+    if inst.is_weighted():
+        rep.verdicts.append("scheme left out: the strong-cover code needs unit rates")
+    elif inst.m:
         def run():
             scheme = codes.strong_cover_code(inst, strong)
             ver = codes.verify_code(inst, scheme, seed=seed)

@@ -200,6 +200,30 @@ def test_report_exact_verdict(capsys, tmp_path):
     assert any("beta = 5/2 exact" in v for v in out["verdicts"])
 
 
+def test_report_weighted_instance(capsys, tmp_path):
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "receivers": [{"wants": 0, "knows": [1]}, {"wants": 1, "knows": [2]},
+                      {"wants": 2, "knows": [0]}],
+        "rates": ["1", "1/2", "1"],
+    }))
+    out = run_json(capsys, "report", str(path))
+    assert out["bounds"]["alpha"]["value"] == "2"
+    assert out["bounds"]["chibarf"]["value"] == "5/2"
+    # the strong-cover code needs unit rates, so the scheme is left out with a note
+    assert "scheme" not in out["bounds"]
+    assert "scheme left out: the strong-cover code needs unit rates" in out["verdicts"]
+
+
+def test_report_levels(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "tri3")
+    out = run_json(capsys, "report", str(path), "--level", "2,3", "--decide2")
+    assert out["bounds"]["b2"]["value"] == "2"
+    assert out["bounds"]["b3"]["value"] == "3"
+    assert "b3 = 3 exceeds a valid rate" in out["verdicts"]
+
+
 def test_report_table_format(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     code, text, err = run(capsys, "--format", "table", "report", str(path),

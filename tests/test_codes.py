@@ -39,7 +39,7 @@ def test_clique_cover_code_c5():
     assert scheme.rate == k == 3
     assert verify_code(from_graph(g), scheme, mode="exhaustive").passed
     # a set that is not a clique is refused
-    with pytest.raises(ValueError, match="not inside S"):
+    with pytest.raises(ValueError, match="receiver 0 cannot decode message 0"):
         clique_cover_code(g, [frozenset({0, 2}), frozenset({1}), frozenset({3, 4})])
 
 
@@ -94,6 +94,12 @@ def test_two_symbol_code():
     scheme = two_symbol_code(inst, cert.labeling, cert.num_classes)
     assert scheme.rate == 2
     assert verify_code(inst, scheme, mode="exhaustive").passed
+    # a labeling that is not separating: phi(f(0)) equals phi on T(0) = {2}
+    with pytest.raises(ValueError, match="receiver 0 cannot decode message 1"):
+        two_symbol_code(inst, [0, 0, 0], 1)
+    # a labeling that is not constant on T(0) = {2, 3} of C5
+    with pytest.raises(ValueError, match="receiver 0 cannot decode message 0"):
+        two_symbol_code(from_graph(cycle(5)), [0, 1, 2, 3, 4], 5)
 
 
 def _tri3_scheme(r0_side):

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from icbounds import combinatorial
-from icbounds.codes import _invert_mod, minrk_code, strong_cover_code, verify_code
+from icbounds.codes import _decoders, minrk_code, strong_cover_code, verify_code
 from icbounds.combinatorial import (
     ExpandingSequence,
     FractionalCover,
@@ -57,6 +57,7 @@ def _mul(a, b, p):
 
 def test_row_reduce_against_direct_checks():
     rng = random.Random(12)
+    solved = {True: 0, False: 0}
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7])
         m, n = rng.randint(1, 4 if p <= 3 else 3), rng.randint(1, 5)
@@ -90,16 +91,37 @@ def test_row_reduce_against_direct_checks():
             e = [row[j] for row in red_t]
             got = [sum(c * mat[b][v] for c, b in zip(e, basis)) % p for v in range(n)]
             assert got == [v % p for v in mat[j]]
-        # inverse: M M^-1 = M^-1 M = I, and a singular M is refused
-        k = rng.randint(1, 4)
-        sq = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
-        if len(_span(sq, p, k)) < p**k:
-            with pytest.raises(ValueError, match="singular"):
-                _invert_mod(sq, p)
-        else:
-            inv = _invert_mod(sq, p)
-            eye = [[int(i == j) for j in range(k)] for i in range(k)]
-            assert _mul(sq, inv, p) == eye and _mul(inv, sq, p) == eye
+        # decoder solve: a random encoder for d symbols per message either
+        # gets decoders meeting bc E + sc = Sel_f(j), sc zero outside N(j),
+        # or is refused exactly when some selector is outside E_U's span
+        d, k = rng.randint(1, 2), rng.randint(1, 3)
+        inst = random_instance(k, rng.randint(1, 2 * k), rng)
+        enc = [[rng.randrange(p) for _ in range(k * d)]
+               for _ in range(rng.randint(1, 4 if p <= 3 else 3))]
+        blocked = None
+        for j, r in enumerate(inst.receivers):
+            cols = [c for c in range(k * d) if c // d not in r.knows]
+            span = _span([[row[c] for c in cols] for row in enc], p, len(cols))
+            if any(tuple(int(c == r.wants * d + t) for c in cols) not in span
+                   for t in range(d)):
+                blocked = (j, r.wants)
+                break
+        if blocked is not None:
+            solved[False] += 1
+            with pytest.raises(ValueError, match=f"receiver {blocked[0]} cannot decode "
+                                                 f"message {blocked[1]}$"):
+                _decoders(inst, p, d, enc)
+            continue
+        solved[True] += 1
+        decs = _decoders(inst, p, d, enc)
+        assert [dec.receiver for dec in decs] == list(range(inst.m))
+        for dec, r in zip(decs, inst.receivers):
+            sel = [[int(c == r.wants * d + t) for c in range(k * d)] for t in range(d)]
+            bce = _mul(dec.bcast_coef, enc, p)
+            assert [[(a + b) % p for a, b in zip(x, y)] for x, y in zip(bce, dec.side_coef)] == sel
+            assert all(row[c] == 0 for row in dec.side_coef
+                       for c in range(k * d) if c // d not in r.knows)
+    assert min(solved.values()) >= 50
 
 
 def _brute_minrk2(inst):

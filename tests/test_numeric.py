@@ -4,7 +4,6 @@ from fractions import Fraction
 from icbounds.numeric import (
     ceil_root,
     format_rational,
-    inv_mod,
     iroot,
     is_prime,
     log2_enclosure,
@@ -65,9 +64,3 @@ def test_primes():
         assert not is_prime(c)
     assert next_prime(14) == 17
     assert next_prime(2) == 3
-
-
-def test_inv_mod():
-    for p in (3, 7, 101):
-        for a in range(1, p):
-            assert a * inv_mod(a, p) % p == 1
