@@ -7,8 +7,9 @@ Output formats: json (default), csv (flattened key,value rows), table
 (aligned, rationals annotated with an approximate 4-place decimal).  All
 rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
 3 resource cap exceeded.  The library raises CapExceeded where the resource
-is spent (minrk2 for --minrk-cap, verify_code for exhaustive checks, the
-hierarchy LP builder for --max-lp-vars); the CLI passes its flags through
+is spent (minrk2 for --minrk-cap, verify_code for exhaustive checks and
+for fields beyond exact float64 decoding, the hierarchy LP builder for
+--max-lp-vars); the CLI passes its flags through
 and maps that to exit code 3.
 """
 

@@ -4,8 +4,13 @@ A CodeScheme is uniform: every message is d symbols over a prime field, the
 broadcast is the encoder matrix applied to the concatenated message symbols,
 and each receiver has a linear decoder (a combination of broadcast symbols
 and its own side-information symbols).  verify_code simulates decoding over
-all message vectors (exhaustively up to a cap, else with seeded random
-trials) and reports counterexamples.
+all message vectors (exhaustively up to EXHAUSTIVE_CAP, else with seeded
+random trials) and reports the first counterexamples in vector order.  The
+field picks the kernel: over GF(2) each uint64 word carries 64 vectors, one
+bit plane per message symbol, and decoding is XORs of planes; over an odd p
+the decoders are stacked into one float64 product per chunk of vectors,
+exact below 2^53, and a field too large for that is refused with
+CapExceeded rather than decided on rounded arithmetic.
 
 Constructions: the strong-cover code (an integer clique cover is the strong
 cover with weight 1 per clique), the MDS weak-cover code, the minrank code
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -87,55 +94,173 @@ def verify_code(
     trials: int = RANDOM_TRIALS,
     seed: int = 0,
 ) -> VerificationReport:
+    """Broadcast message vectors through the encoder and decode each at every
+    receiver.  "exhaustive" takes all p^(n*d) vectors (refused with
+    CapExceeded above EXHAUSTIVE_CAP); "random" takes `trials` rows of the
+    seeded draw rng.integers(0, p, (trials, n*d)); "auto" is exhaustive up
+    to the cap, random beyond.  Failures are the first MAX_FAILURES wrong
+    decodings, in the order of the vectors (index order, column 0 most
+    significant, or draw order), then of scheme.decoders.
+
+    Over GF(2) the vectors are bit-sliced, 64 to a uint64 word, and each
+    broadcast and decoded plane is an XOR of planes.  Over an odd p the
+    decoders are stacked into one matrix applied to [broadcast | message]
+    in float64, exact while (rows + n*d)(p-1)^2 < 2^53; a larger field is
+    refused with CapExceeded("verify-field") rather than decided on rounded
+    arithmetic."""
+    if mode not in ("auto", "exhaustive", "random"):
+        raise ValueError(f"unknown verification mode {mode!r}")
+    if trials < 1:
+        raise ValueError(f"need at least 1 random trial, got {trials}")
     _check_decoder_locality(inst, scheme)
     if {d.receiver for d in scheme.decoders} != set(range(inst.m)):
         raise ValueError("scheme lacks a decoder for some receiver")
     p = scheme.field
     d = scheme.msg_symbols
-    cols = inst.n * d
+    rows, cols = scheme.broadcast_symbols, inst.n * d
     total = p**cols
     if mode == "auto":
         mode = "exhaustive" if total <= EXHAUSTIVE_CAP else "random"
     elif mode == "exhaustive" and total > EXHAUSTIVE_CAP:
         raise CapExceeded("exhaustive-verify", total, EXHAUSTIVE_CAP)
-    enc = np.array(scheme.encoder, dtype=np.int64) % p
-    decs = [
-        (
-            dec.receiver,
-            np.array(dec.bcast_coef, dtype=np.int64) % p,
-            np.array(dec.side_coef, dtype=np.int64) % p,
-        )
-        for dec in scheme.decoders
-    ]
-    failures: list[tuple[tuple[int, ...], int]] = []
-
-    def run_batch(xs: np.ndarray) -> None:
-        bcast = xs @ enc.T % p
-        for j, bc, sc in decs:
-            want = inst.receivers[j].wants
-            got = (bcast @ bc.T + xs @ sc.T) % p
-            target = xs[:, want * d : (want + 1) * d]
-            bad = np.nonzero((got != target).any(axis=1))[0]
-            for i in bad[: MAX_FAILURES - len(failures)]:
-                failures.append((tuple(int(v) for v in xs[i]), j))
-
+    if p > 2 and (rows + cols) * (p - 1) ** 2 >= FLOAT_EXACT:
+        raise CapExceeded("verify-field", (rows + cols) * (p - 1) ** 2, FLOAT_EXACT)
+    enc = np.array([[v % p for v in row] for row in scheme.encoder], dtype=np.int64).reshape(rows, cols)
+    # Row k*d + t of check maps [broadcast | message] to what decoder k's
+    # symbol t decodes minus the symbol it wants, mod p: [bcast_coef |
+    # side_coef] less 1 at the wanted column.  A vector decodes wrong at k
+    # iff one of k's d rows is nonzero on it.
+    check = np.array([[v % p for v in [*bc, *sc]] for dec in scheme.decoders
+                      for bc, sc in zip(dec.bcast_coef, dec.side_coef)], dtype=np.int64)
+    check = check.reshape(len(scheme.decoders) * d, rows + cols)
+    for k, dec in enumerate(scheme.decoders):
+        for t in range(d):
+            c = rows + inst.receivers[dec.receiver].wants * d + t
+            check[k * d + t, c] = (check[k * d + t, c] - 1) % p
     if mode == "exhaustive":
-        chunk = 1 << 14
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            xs = np.empty((len(idx), cols), dtype=np.int64)
-            rem = idx.copy()
-            for c in range(cols - 1, -1, -1):
-                xs[:, c] = rem % p
-                rem //= p
-            run_batch(xs)
-            if len(failures) >= MAX_FAILURES:
-                break
-        return VerificationReport("exhaustive", total, None, failures)
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, p, size=(trials, cols), dtype=np.int64)
-    run_batch(xs)
-    return VerificationReport("random", trials, seed, failures)
+        chunks = _gf2_exhaustive(cols, total) if p == 2 else _fp_exhaustive(p, cols)
+    else:
+        xs = np.random.default_rng(seed).integers(0, p, size=(trials, cols), dtype=np.int64)
+        chunks = _gf2_random(xs) if p == 2 else _fp_random(xs)
+
+    def vector(s: int) -> tuple[int, ...]:
+        if mode == "random":
+            return tuple(int(v) for v in xs[s])
+        return tuple(s // p ** (cols - 1 - c) % p for c in range(cols))
+
+    find = _gf2_failures if p == 2 else partial(_fp_failures, p)
+    failures: list[tuple[tuple[int, ...], int]] = []
+    for start, *chunk in chunks:
+        for s, k in find(*chunk, enc, check, d, MAX_FAILURES - len(failures)):
+            failures.append((vector(start + s), scheme.decoders[k].receiver))
+        if len(failures) >= MAX_FAILURES:
+            break
+    if mode == "exhaustive":
+        return VerificationReport(mode, total, None, failures)
+    return VerificationReport(mode, trials, seed, failures)
+
+
+# -- verification kernels ---------------------------------------------------
+#
+# Each chunk generator yields (index of its first vector, *chunk), and the
+# matching `*_failures` returns the (index within the chunk, decoder) pairs
+# of the chunk's first `limit` wrong decodings, in vector then decoder order.
+
+_WORDS = 1 << 14  # uint64 words (64 vectors each) per GF(2) chunk
+_ROWS = 1 << 14  # vectors per F_p product
+FLOAT_EXACT = 1 << 53  # float64 holds every integer below this
+_ONES = np.uint64(2**64 - 1)
+# Bit b of _LOW_PLANES[k] is bit k of b: the plane of state-index bit k < 6.
+_LOW_PLANES = np.array([0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+                        0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000], dtype=np.uint64)
+
+
+def _gf2_exhaustive(cols: int, total: int):
+    """Bit planes of every state index: column c reads index bit cols-1-c,
+    a fixed word pattern for the 6 low bits and a bit of the word index
+    above them.  Yields (start, planes, number of vectors)."""
+    words = max(1, total >> 6)
+    for w0 in range(0, words, _WORDS):
+        w = np.arange(w0, min(w0 + _WORDS, words), dtype=np.uint64)
+        planes = np.empty((cols, len(w)), np.uint64)
+        for c in range(cols):
+            k = cols - 1 - c
+            planes[c] = _LOW_PLANES[k] if k < 6 else (w >> np.uint64(k - 6) & np.uint64(1)) * _ONES
+        yield 64 * w0, planes, min(total - 64 * w0, 64 * len(w))
+
+
+def _gf2_random(xs: np.ndarray):
+    """The drawn 0/1 rows as bit planes, trial i at bit i % 64 of word i // 64."""
+    trials, cols = xs.shape
+    packed = np.zeros((cols, -(-trials // 64) * 8), np.uint8)
+    packed[:, : -(-trials // 8)] = np.packbits(xs.T, axis=1, bitorder="little")
+    yield 0, packed.view("<u8"), trials
+
+
+def _gf2_failures(planes, count, enc, check, d, limit):
+    """Each broadcast plane is the XOR of its encoder columns' planes, each
+    residual plane the XOR of its check row's planes of [broadcast |
+    message]; a set bit is a wrong decoding."""
+    rows, width = len(enc), planes.shape[1]
+    z = np.empty((rows + len(planes), width), np.uint64)
+    z[rows:] = planes
+    for i, row in enumerate(enc):
+        z[i] = np.bitwise_xor.reduce(planes[row == 1], axis=0)
+    res = np.array([np.bitwise_xor.reduce(z[row == 1], axis=0) for row in check], np.uint64)
+    bad = np.bitwise_or.reduce(res.reshape(-1, d, width), axis=1)  # per decoder
+    if count % 64:  # bits past the last vector are padding
+        bad[:, -1] &= np.uint64((1 << count % 64) - 1)
+    words = np.flatnonzero(bad.any(axis=0))[:limit]
+    if not len(words):
+        return []
+    bits = np.unpackbits(np.ascontiguousarray(bad[:, words], "<u8").view(np.uint8), axis=1, bitorder="little")
+    pos, k = np.nonzero(bits.T)
+    return list(zip((words[pos >> 6] * 64 + (pos & 63)).tolist(), k.tolist()))[:limit]
+
+
+def _fp_exhaustive(p: int, cols: int):
+    """Every vector in index order, one per column of a float64 (cols, N)
+    block: a table of the low digits (at most _ROWS vectors) tiled under
+    each prefix of high digits, so no digit is cut out of the index by
+    div/mod.  Yields (start, block)."""
+    low = 0
+    while low < cols and p ** (low + 1) <= _ROWS:
+        low += 1
+    if low == 0:  # no column, or p > _ROWS and one column (more fail the cap)
+        for a in range(0, p**cols, _ROWS):
+            yield a, np.arange(a, min(a + _ROWS, p**cols), dtype=float)[None][:cols]
+        return
+    table = np.indices((p,) * low, dtype=float).reshape(low, -1)
+    for start, prefix in enumerate(product(range(p), repeat=cols - low)):
+        xs = np.empty((cols, table.shape[1]))
+        xs[: cols - low] = np.array(prefix, dtype=float)[:, None]
+        xs[cols - low :] = table
+        yield start * table.shape[1], xs
+
+
+def _fp_random(xs: np.ndarray):
+    for a in range(0, len(xs), _ROWS):
+        yield a, np.ascontiguousarray(xs[a : a + _ROWS].T, dtype=float)
+
+
+def _fp_failures(p, xs, enc, check, d, limit):
+    """One product for the broadcast and one for every decoder at once, in
+    float64 with one vector per column: each entry is an integer below
+    (rows + cols)(p-1)^2 < 2^53, so v / p is within half an ulp of the true
+    quotient, less than 1/p, and floor(v / p) is exact."""
+    rows = len(enc)
+    z = np.empty((rows + len(xs), xs.shape[1]))  # [broadcast; message]
+    z[rows:] = xs
+    v = z[:rows]
+    np.matmul(enc.astype(float), xs, out=v)
+    v -= p * np.floor(v / p)
+    v = check.astype(float) @ z
+    v /= p  # an integer exactly when the residual is 0 mod p
+    bad = v != np.floor(v)
+    if not bad.any():
+        return []
+    bad = bad.reshape(-1, d, bad.shape[1]).any(axis=1)  # per decoder
+    return [tuple(pair) for pair in np.argwhere(bad.T)[:limit].tolist()]
 
 
 # -- constructions ----------------------------------------------------------

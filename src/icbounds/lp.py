@@ -18,8 +18,10 @@ segment sums, in int64 when a magnitude bound rules out overflow and in
 Python ints (dtype object) otherwise, through the same code.
 
 `solve_min` first hands the LP to HiGHS (scipy's linprog) as sparse
-matrices and rounds its primal and dual solutions to nearby fractions with
-denominators at most ROUNDING_BOUND.  If the checks accept the rounding, that
+matrices, each row with a coefficient beyond SCALE_ABOVE divided by its
+largest one, and rounds its primal and dual solutions to nearby fractions
+with denominators at most ROUNDING_BOUND (a scaled row's dual is rounded,
+then scaled back exactly).  If the checks accept the rounding, that
 is the answer.  Otherwise -- HiGHS reports no optimum, or the rounding fails
 -- one exact revised simplex over Fraction arithmetic decides.  It solves
 the dual, max b'y s.t. A'y <= c, y >= 0, whose standard form starts from the
@@ -324,33 +326,49 @@ def _dual_path(p: LpProblem) -> LpOptimum:
 # cover LPs certify at it, and the exact simplex answers the rest.
 ROUNDING_BOUND = 10**3
 
+# HiGHS reads coefficients near 1e15 as infinite, so a row whose largest
+# coefficient exceeds this is divided by that coefficient before HiGHS sees
+# it.  Rows below it, every hierarchy and cover row among them, go unchanged.
+SCALE_ABOVE = 2**20
+
 
 def _highs(p: LpProblem):
-    """HiGHS's float solve of p: (None, x, row duals >= 0) at an optimum,
-    else (the fallback reason, None, None)."""
+    """HiGHS's float solve of p, rounded: (None, x, row duals >= 0) at an
+    optimum, else (the fallback reason, None, None).  A row divided by g
+    for HiGHS has its dual rounded on the scaled row, then divided by g as
+    a Fraction, so certified_value checks the duals of p itself."""
     # Imported here: scipy.optimize costs more to import than the package.
     from scipy import sparse
     from scipy.optimize import linprog
 
     n, m = p.num_vars, len(p.rhs)
     if n == 0:  # linprog rejects an empty c; x = [], y = 0 is the only candidate
-        return None, [], [0.0] * m
+        return None, [], [F0] * m
     try:
         c = np.array([float(p.objective.get(j, 0)) for j in range(n)])
         val = p.coefs.astype(float) / np.repeat(p.denoms.astype(float), np.diff(p.indptr))
         b = np.array([float(r) for r in p.rhs])
     except OverflowError:
         return "float-overflow", None, None
+    scale = {}
+    for i in np.unique(np.repeat(np.arange(m), np.diff(p.indptr))[np.abs(val) > SCALE_ABOVE]).tolist():
+        lo, hi = p.indptr[i], p.indptr[i + 1]
+        scale[i] = Fraction(max(abs(int(v)) for v in p.coefs[lo:hi]), int(p.denoms[i]))
+        val[lo:hi] /= float(scale[i])
+        b[i] /= float(scale[i])
     a = sparse.csr_array((val, p.indices, p.indptr), shape=(m, n))
     # A x >= b enters as -A x <= -b; its duals come back negated too.
     res = linprog(c, A_ub=-a, b_ub=-b, bounds=(0, None), method="highs")
     if res.status != 0:
         return f"highs-status-{res.status}", None, None
-    return None, res.x.tolist(), (-res.ineqlin.marginals).tolist()
+    y = _round(-res.ineqlin.marginals)
+    for i, g in scale.items():
+        y[i] /= g
+    return None, _round(res.x), y
 
 
 def _round(values) -> list[Fraction]:
-    return [Fraction(v).limit_denominator(ROUNDING_BOUND) if v else F0 for v in values]
+    return [Fraction(v).limit_denominator(ROUNDING_BOUND) if v else F0 for v in values.tolist()]
 
 
 def _validate(p: LpProblem) -> None:
@@ -370,9 +388,8 @@ def solve_min(p: LpProblem) -> LpOptimum:
     """Exact optimum of the covering-form problem.  An optimum is returned
     only with an x and a dual that pass certified_value."""
     _validate(p)
-    fallback, xf, yf = _highs(p)
+    fallback, x, y = _highs(p)
     if fallback is None:
-        x, y = _round(xf), _round(yf)
         value = certified_value(p, x, y)
         if value is not None:
             return LpOptimum("optimal", value, x, y, "rounded")

@@ -140,6 +140,14 @@ def test_code_exhaustive_cap(capsys, tmp_path):
     assert out["verification"]["passed"] is True
 
 
+def test_code_verify_needs_a_trial(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    code, out, err = run(capsys, "code", str(path), "--scheme", "strongcover",
+                         "--verify", "random:0")
+    assert code == 2 and not out
+    assert "at least 1 random trial" in err
+
+
 def test_minrk_cap_reaches_minrk2(capsys, tmp_path):
     path = gen(capsys, tmp_path, "petersen")  # 30 free minrank entries
     out = run_json(capsys, "bounds", str(path), "--minrk2", "exact", "--minrk-cap", "30")

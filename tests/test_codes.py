@@ -1,14 +1,19 @@
+import copy
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from codes_reference import verify_code_reference
 
 from icbounds.codes import (
+    MAX_FAILURES,
     CodeScheme,
     DecoderSpec,
     mds_weak_cover_code,
     minrk_code,
     strong_cover_code,
+    _decoders,
     two_symbol_code,
     verify_code,
 )
@@ -22,6 +27,7 @@ from icbounds.beta2 import decide_beta_eq_2
 from icbounds.families import complement, cycle, petersen, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
 from icbounds.instance import CapExceeded, Graph, Instance, from_graph
+from icbounds.numeric import next_prime
 
 F = Fraction
 
@@ -169,3 +175,164 @@ def test_every_verified_rate_at_least_b2():
         scheme2 = clique_cover_code(g, cc)
         assert verify_code(inst, scheme2, trials=2_000, seed=5).passed
         assert scheme2.rate >= b2
+
+
+# -- the verifier against the int64 reference --------------------------------
+
+
+def _genuine(inst, scheme, x, j):
+    """True when receiver j decodes message vector x wrongly, in Python ints."""
+    p, d = scheme.field, scheme.msg_symbols
+    bcast = [sum(e * v for e, v in zip(row, x)) % p for row in scheme.encoder]
+    dec = next(dec for dec in scheme.decoders if dec.receiver == j)
+    want = inst.receivers[j].wants
+    return any((sum(b * y for b, y in zip(bc, bcast)) + sum(s * v for s, v in zip(sc, x))
+                - x[want * d + t]) % p
+               for t, (bc, sc) in enumerate(zip(dec.bcast_coef, dec.side_coef)))
+
+
+def _flipped(inst, scheme, rng):
+    """A copy of scheme with one encoder, broadcast or local side coefficient
+    moved to another value mod p."""
+    s = copy.deepcopy(scheme)
+    p, d = s.field, s.msg_symbols
+    dec = rng.choice(s.decoders)
+    local = [c for c in range(inst.n * d) if c // d in inst.receivers[dec.receiver].knows]
+    where = rng.choice(["encoder", "bcast"] + ["side"] * bool(local))
+    if where == "encoder":
+        row, c = rng.choice(s.encoder), rng.randrange(inst.n * d)
+    elif where == "bcast":
+        row, c = rng.choice(dec.bcast_coef), rng.randrange(s.broadcast_symbols)
+    else:
+        row, c = rng.choice(dec.side_coef), rng.choice(local)
+    row[c] = (row[c] + rng.randrange(1, p)) % p
+    return s
+
+
+def _corpus():
+    """(instance, code) for every construction on small instances."""
+    out = []
+    graphs = [cycle(5), cycle(7), complement(cycle(6)), Graph.from_edge_list(5, [(0, 1), (2, 3), (3, 4)])]
+    rng = random.Random(11)
+    graphs += [random_gnp(rng.randrange(4, 7), 0.5, rng) for _ in range(3)]
+    for g in graphs:
+        inst = from_graph(g)
+        out.append((inst, strong_cover_code(inst, fractional_cover(inst, "strong"))))
+        out.append((inst, clique_cover_code(g, integer_clique_cover(g)[1])))
+        out.append((inst, minrk_code(inst, minrk2(inst))))
+        out.append((inst, mds_weak_cover_code(inst, fractional_cover(inst, "weak"))))
+        cert = decide_beta_eq_2(inst)
+        if cert.is_two:
+            out.append((inst, two_symbol_code(inst, cert.labeling, cert.num_classes)))
+    out.append((tri3(), _tri3_scheme([1, 0, 0])))
+    return out
+
+
+def _outcome(verify, inst, scheme, **kw):
+    try:
+        rep = verify(inst, scheme, **kw)
+    except CapExceeded as e:
+        return ("cap", e.cap), None
+    return (rep.mode, rep.trials, rep.seed, rep.passed), rep
+
+
+def test_verify_matches_int64_reference():
+    rng = random.Random(5)
+    fields, failing = set(), 0
+    for inst, scheme in _corpus():
+        fields.add(scheme.field)
+        for s in (scheme, _flipped(inst, scheme, rng), _flipped(inst, scheme, rng)):
+            for kw in ({"mode": "auto", "trials": 1_000, "seed": rng.randrange(99)},
+                       {"mode": "exhaustive"},
+                       {"mode": "random", "trials": 777, "seed": rng.randrange(99)}):
+                want, ref = _outcome(verify_code_reference, inst, s, **kw)
+                got, rep = _outcome(verify_code, inst, s, **kw)
+                assert got == want, (s, kw)
+                if rep is None:
+                    continue
+                failing += not rep.passed
+                assert len(rep.failures) <= MAX_FAILURES
+                assert all(_genuine(inst, s, x, j) for x, j in rep.failures)
+                if len(ref.failures) < MAX_FAILURES:  # both hold every failure
+                    assert sorted(rep.failures) == sorted(ref.failures)
+                if rep.mode == "exhaustive":  # in index order
+                    assert [x for x, _ in rep.failures] == sorted(x for x, _ in rep.failures)
+    assert {2, 3, 5} <= fields and failing > 20
+
+
+def test_gf2_random_path_catches_a_flipped_bit():
+    inst = from_graph(cycle(13))
+    scheme = strong_cover_code(inst, fractional_cover(inst, "strong"))
+    assert 2 ** (inst.n * scheme.msg_symbols) == 1 << 26  # above EXHAUSTIVE_CAP
+    rep = verify_code(inst, scheme, trials=3_000, seed=2)
+    assert rep.mode == "random" and rep.trials == 3_000 and rep.passed
+    scheme.decoders[6].bcast_coef[1][4] ^= 1
+    rep = verify_code(inst, scheme, trials=3_000, seed=2)
+    assert not rep.passed and all(j == 6 and _genuine(inst, scheme, x, j) for x, j in rep.failures)
+    assert not verify_code_reference(inst, scheme, trials=3_000, seed=2).passed
+
+
+def test_fewer_states_than_a_word_reports_no_padding():
+    # receiver 0 takes a + b for b without cancelling its side information
+    # a: wrong exactly when a = 1, on 4 of the 2^3 states; the other 56 bits
+    # of the word must stay silent
+    inst, scheme = tri3(), _tri3_scheme([0, 0, 0])
+    rep = verify_code(inst, scheme, mode="exhaustive")
+    assert rep.trials == 8
+    assert rep.failures == [((1, 0, 0), 0), ((1, 0, 1), 0), ((1, 1, 0), 0), ((1, 1, 1), 0)]
+    rep = verify_code(inst, scheme, mode="random", trials=9, seed=4)
+    draw = np.random.default_rng(4).integers(0, 2, size=(9, 3))
+    assert rep.failures == [(tuple(map(int, x)), 0) for x in draw if x[0]][:MAX_FAILURES]
+
+
+def test_odd_field_exhaustive_crosses_chunks():
+    # F_3 identity code on K10: broadcast every message.  Receiver 9 also
+    # adds message 0 from its side information, so it fails exactly when
+    # x_0 != 0, first at state 3^9, many chunks into the enumeration.
+    n, p = 10, 3
+    inst = from_graph(Graph.from_edge_list(n, [(u, v) for u in range(n) for v in range(u)]))
+    eye = [[int(i == c) for c in range(n)] for i in range(n)]
+    scheme = CodeScheme(p, 1, eye, [DecoderSpec(j, [eye[j]], [[0] * n]) for j in range(n)], F(n))
+    rep = verify_code(inst, scheme)
+    assert rep.mode == "exhaustive" and rep.trials == p**n > 1 << 14 and rep.passed
+    scheme.decoders[9].side_coef[0][0] = 1
+    rep = verify_code(inst, scheme)
+    tails = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    assert rep.failures == [((1,) + (0,) * 7 + t, 9) for t in tails]
+    assert not verify_code_reference(inst, scheme).passed
+
+
+def _c5_code(p):
+    """A 3-row code of C5 over F_p: large combinations of the clique rows
+    x0 + x1, x2 + x3 and x4."""
+    mix = [[p - 2, p // 2 + 7, p - 9], [p // 2 - 5, p - 3, p // 4 + 1], [p - 6, 3, p - 1]]
+    cliques = [[1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]]
+    encoder = [[sum(m * r[c] for m, r in zip(row, cliques)) % p for c in range(5)] for row in mix]
+    return CodeScheme(p, 1, encoder, _decoders(from_graph(cycle(5)), p, 1, encoder), F(3))
+
+
+def test_field_beyond_float_range_is_refused():
+    # over F_(2^31 - 1) int64 products overflow, and the reference reports
+    # "failures" that decode correctly in exact integers
+    inst, scheme = from_graph(cycle(5)), _c5_code(2**31 - 1)
+    ref = verify_code_reference(inst, scheme, trials=200, seed=1)
+    assert not ref.passed
+    assert not any(_genuine(inst, scheme, x, j) for x, j in ref.failures)
+    with pytest.raises(CapExceeded, match="verify-field"):
+        verify_code(inst, scheme, trials=200, seed=1)
+    # the largest prime that keeps (3 + 5)(p - 1)^2 under 2^53: exact
+    p = 33_554_393
+    assert 8 * (p - 1) ** 2 < 1 << 53 <= 8 * (next_prime(p + 1) - 1) ** 2
+    scheme = _c5_code(p)
+    assert verify_code(inst, scheme, trials=2_000, seed=1).passed
+    scheme.decoders[2].bcast_coef[0][1] += 1
+    rep = verify_code(inst, scheme, trials=2_000, seed=1)
+    assert len(rep.failures) == MAX_FAILURES and all(_genuine(inst, scheme, x, j) for x, j in rep.failures)
+
+
+def test_bad_mode_and_trials_are_refused():
+    inst, scheme = tri3(), _tri3_scheme([1, 0, 0])
+    with pytest.raises(ValueError, match="unknown verification mode 'exhuastive'"):
+        verify_code(inst, scheme, mode="exhuastive")
+    with pytest.raises(ValueError, match="at least 1 random trial"):
+        verify_code(inst, scheme, mode="random", trials=0)

@@ -306,13 +306,38 @@ def test_check_flags_a_row_missed_by_one_over_the_denominator(monkeypatch):
 
 
 def test_coefficients_beyond_int64():
-    # HiGHS finds no optimum here; the exact simplex takes the Python ints
+    # the row is scaled for HiGHS, and the exact checks take the Python ints
     p = LpProblem(1, {0: F(1)})
     p.add({0: 10**20}, 3 * 10**20)
     assert p.coefs.dtype == object
     opt = solve_min(p)
     assert opt.value == 3
     _assert_certificate(p, opt)
+
+
+def test_huge_rows_are_scaled_for_highs(monkeypatch):
+    # unscaled, HiGHS reads 10^15 as infinite and reports the LP infeasible
+    # (highs-status-2); divided by 10^15 the row rounds, and its dual is
+    # scaled back exactly
+    import scipy.optimize
+
+    seen = []
+    linprog = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda c, A_ub, b_ub, **kw: seen.append((A_ub.toarray(), b_ub)) or linprog(c, A_ub, b_ub, **kw))
+    p = LpProblem(2, {0: F(1), 1: F(1)})
+    p.add({0: 10**15}, 3 * 10**15)
+    p.add({0: F(1, 2), 1: 1}, 4)
+    opt = solve_min(p)
+    assert (opt.method, opt.fallback) == ("rounded", None)
+    assert opt.value == F(11, 2) and opt.dual == [F(1, 2 * 10**15), F(1)]
+    _assert_certificate(p, opt)
+    assert seen[0][0].tolist() == [[-1, 0], [-0.5, -1]] and seen[0][1].tolist() == [-3, -4]
+    # a row at SCALE_ABOVE reaches HiGHS as it is
+    p = LpProblem(1, {0: F(1)})
+    p.add({0: lpmod.SCALE_ABOVE}, 1)
+    assert solve_min(p).value == F(1, lpmod.SCALE_ABOVE)
+    assert seen[1][0].tolist() == [[-lpmod.SCALE_ABOVE]]
 
 
 def test_checks_scale_past_int64_with_zero_rhs_and_costs():
