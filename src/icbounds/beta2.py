@@ -24,17 +24,6 @@ from .combinatorial import is_weak_hyperclique
 from .instance import Instance
 
 
-def sharp_relation(inst: Instance) -> dict[frozenset[int], int]:
-    """Unordered related pairs, each with one witnessing receiver index."""
-    pairs: dict[frozenset[int], int] = {}
-    for j in range(inst.m):
-        t = sorted(inst.receivers[j].blind_set(inst.n))
-        for a in range(len(t)):
-            for b in range(a + 1, len(t)):
-                pairs.setdefault(frozenset((t[a], t[b])), j)
-    return pairs
-
-
 @dataclass
 class AacWitness:
     """Vertices v_{-n}..v_n and receivers j_0..j_n of an almost alternating
@@ -81,9 +70,10 @@ class Beta2Certificate:
     bound: Fraction | None = None  # lower bound on beta when is_two is False
 
 
-def _classes(inst: Instance) -> tuple[list[int], int, dict[frozenset[int], int]]:
-    pairs = sharp_relation(inst)
-    parent = list(range(inst.n))
+def _classes(blind: list[frozenset[int]], n: int) -> tuple[list[int], int]:
+    """Classes of the transitive closure of #: every blind set lies in one
+    class, so each is unioned into its first vertex."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -91,44 +81,49 @@ def _classes(inst: Instance) -> tuple[list[int], int, dict[frozenset[int], int]]
             x = parent[x]
         return x
 
-    for pr in pairs:
-        a, b = sorted(pr)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+    for t in blind:
+        root = find(min(t, default=0))
+        for v in t:
+            parent[find(v)] = root
     ids: dict[int, int] = {}
     lab = []
-    for vtx in range(inst.n):
+    for vtx in range(n):
         r = find(vtx)
         ids.setdefault(r, len(ids))
         lab.append(ids[r])
-    return lab, len(ids), pairs
+    return lab, len(ids)
 
 
-def _extract_aac(inst: Instance, j_star: int, pairs: dict[frozenset[int], int]) -> AacWitness:
+def _extract_aac(inst: Instance, j_star: int, blind: list[frozenset[int]]) -> AacWitness:
     """BFS in the #-graph from f(j*) to the blind set of j*; unroll the
-    shortest path into an almost-alternating-cycle witness."""
+    shortest path into an almost-alternating-cycle witness.  One hop from v
+    is any blind set containing v, and each blind set is expanded once, the
+    first time the search reaches it, which keeps every distance shortest."""
     src = inst.receivers[j_star].wants
-    goal = inst.receivers[j_star].blind_set(inst.n)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for pr, j in pairs.items():
-        a, b = sorted(pr)
-        adj.setdefault(a, []).append((b, j))
-        adj.setdefault(b, []).append((a, j))
+    goal = blind[j_star]
+    holders: list[list[int]] = [[] for _ in range(inst.n)]
+    for j, t in enumerate(blind):
+        for v in t:
+            holders[v].append(j)
+    expanded = [False] * inst.m
     prev: dict[int, tuple[int, int]] = {}
     seen = {src}
     q = deque([src])
     end = None
     while q:
         cur = q.popleft()
-        if cur in goal and cur != src:
+        if cur in goal:
             end = cur
             break
-        for nxt, j in adj.get(cur, []):
-            if nxt not in seen:
-                seen.add(nxt)
-                prev[nxt] = (cur, j)
-                q.append(nxt)
+        for j in holders[cur]:
+            if expanded[j]:
+                continue
+            expanded[j] = True
+            for nxt in blind[j]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    prev[nxt] = (cur, j)
+                    q.append(nxt)
     if end is None:
         raise AssertionError("no #-path despite a shared class")
     path_v = [end]
@@ -151,14 +146,14 @@ def decide_beta_eq_2(inst: Instance) -> Beta2Certificate:
     reps = inst.distinct_receivers()
     if is_weak_hyperclique(inst, reps):
         return Beta2Certificate(False, reason="beta_below_2")
-    lab, num, pairs = _classes(inst)
-    for j in range(inst.m):
-        t = inst.receivers[j].blind_set(inst.n)
+    blind = [r.blind_set(inst.n) for r in inst.receivers]
+    lab, num = _classes(blind, inst.n)
+    for j, t in enumerate(blind):
         if not t:
             continue
         c = lab[next(iter(t))]
         if lab[inst.receivers[j].wants] == c:
-            w = _extract_aac(inst, j, pairs)
+            w = _extract_aac(inst, j, blind)
             bad = validate_aac(inst, w)
             if bad:
                 raise AssertionError(f"extracted witness failed validation: {bad}")

@@ -132,8 +132,12 @@ def validate_graph(g: Graph) -> ValidationReport:
 
 def from_graph(g: Graph) -> Instance:
     """One receiver per vertex, knowing exactly its neighbors."""
-    recs = tuple(Receiver(v, g.neighbors(v)) for v in range(g.n))
-    return Instance(g.n, recs)
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for e in g.edges:
+        for v in e:
+            if 0 <= v < g.n:  # an out-of-range end is left for validate() to report
+                adj[v] |= e - {v}
+    return Instance(g.n, tuple(Receiver(v, frozenset(adj[v])) for v in range(g.n)))
 
 
 def closure_step(inst: Instance, a: frozenset[int]) -> frozenset[int]:

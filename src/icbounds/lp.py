@@ -17,14 +17,16 @@ integers by their common denominators and form A x and A'y as integer
 segment sums, in int64 when a magnitude bound rules out overflow and in
 Python ints (dtype object) otherwise, through the same code.
 
-`solve_min` first hands the LP to HiGHS (scipy's linprog) as sparse
-matrices, each row with a coefficient beyond SCALE_ABOVE divided by its
-largest one, and rounds its primal and dual solutions to nearby fractions
-with denominators at most ROUNDING_BOUND (a scaled row's dual is rounded,
-then scaled back exactly).  If the checks accept the rounding, that
-is the answer.  Otherwise -- HiGHS reports no optimum, or the rounding fails
--- one exact revised simplex over Fraction arithmetic decides.  It solves
-the dual, max b'y s.t. A'y <= c, y >= 0, whose standard form starts from the
+`solve_min` first hands the LP to HiGHS in one direct call into the
+binding scipy ships (scipy.optimize._highspy._core): the CSR arrays go in
+row-wise as they are, as rows b <= A x and columns x >= 0, each row with a
+coefficient beyond SCALE_ABOVE divided by its largest one.  It rounds
+HiGHS's primal values and row duals to nearby fractions with denominators
+at most ROUNDING_BOUND (a scaled row's dual is rounded, then scaled back
+exactly).  If the checks accept the rounding, that is the answer.
+Otherwise -- HiGHS reports no optimum, or the rounding fails -- one exact
+revised simplex over Fraction arithmetic decides.  It solves the dual,
+max b'y s.t. A'y <= c, y >= 0, whose standard form starts from the
 all-slack basis (feasible because c >= 0), so the basis has one row per
 primal variable; the simplex multipliers recover the primal optimum, and an
 unbounded dual means an infeasible primal.  `LpOptimum.method` and
@@ -132,9 +134,10 @@ class LpOptimum:
     x: list[Fraction] | None = None
     dual: list[Fraction] | None = None  # per row, >= 0
     method: str | None = None  # "rounded" | "simplex"
-    # None when the rounding answered, else "highs-status-<n>" (HiGHS found
-    # no optimum), "rounding-rejected" (no rounding passed the checks) or
-    # "float-overflow" (a coefficient is beyond the float range)
+    # None when the rounding answered, else "highs-<model status>" (HiGHS
+    # found no optimum, e.g. "highs-infeasible"), "highs-model-error" (HiGHS
+    # refused the model), "rounding-rejected" (no rounding passed the
+    # checks) or "float-overflow" (a coefficient is beyond the float range)
     fallback: str | None = None
 
 
@@ -182,7 +185,7 @@ def certified_value(p: LpProblem, x, y) -> Fraction | None:
     col_len = int(np.bincount(p.indices, minlength=1).max())
     # c_j - (A'y)_j >= 0  iff  cn_j e >= (coefs' W)_j cd_j
     bound = max(_max_abs(p.coefs) * col_len * max(map(abs, ws), default=0) * max(cd, default=1),
-                max(1, *map(abs, cn)) * e)
+                max([1, *map(abs, cn)]) * e)
     rows = np.repeat(np.arange(len(ws)), np.diff(p.indptr))
     terms = ints(p.coefs, bound) * ints(ws, bound)[rows]
     order = np.argsort(p.indices, kind="stable")
@@ -332,18 +335,23 @@ ROUNDING_BOUND = 10**3
 SCALE_ABOVE = 2**20
 
 
+# The settings scipy's method="highs" solves with, which pick the vertex
+# HiGHS returns: presolve on, the dual simplex (strategy 1), no output.
+HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "output_flag": False, "log_to_console": False}
+
+
 def _highs(p: LpProblem):
     """HiGHS's float solve of p, rounded: (None, x, row duals >= 0) at an
     optimum, else (the fallback reason, None, None).  A row divided by g
     for HiGHS has its dual rounded on the scaled row, then divided by g as
     a Fraction, so certified_value checks the duals of p itself."""
     # Imported here: scipy.optimize costs more to import than the package.
-    from scipy import sparse
-    from scipy.optimize import linprog
+    try:
+        from scipy.optimize._highspy import _core as highspy
+    except ImportError as e:
+        raise ImportError("icbounds needs scipy >= 1.17, whose scipy.optimize._highspy._core binds HiGHS") from e
 
     n, m = p.num_vars, len(p.rhs)
-    if n == 0:  # linprog rejects an empty c; x = [], y = 0 is the only candidate
-        return None, [], [F0] * m
     try:
         c = np.array([float(p.objective.get(j, 0)) for j in range(n)])
         val = p.coefs.astype(float) / np.repeat(p.denoms.astype(float), np.diff(p.indptr))
@@ -356,15 +364,28 @@ def _highs(p: LpProblem):
         scale[i] = Fraction(max(abs(int(v)) for v in p.coefs[lo:hi]), int(p.denoms[i]))
         val[lo:hi] /= float(scale[i])
         b[i] /= float(scale[i])
-    a = sparse.csr_array((val, p.indices, p.indptr), shape=(m, n))
-    # A x >= b enters as -A x <= -b; its duals come back negated too.
-    res = linprog(c, A_ub=-a, b_ub=-b, bounds=(0, None), method="highs")
-    if res.status != 0:
-        return f"highs-status-{res.status}", None, None
-    y = _round(-res.ineqlin.marginals)
+    # A x >= b goes in as it is: rows [b, inf), columns [0, inf).
+    lp = highspy.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(n), np.full(n, highspy.kHighsInf)
+    lp.row_lower_, lp.row_upper_ = b, np.full(m, highspy.kHighsInf)
+    a = lp.a_matrix_
+    a.format_, a.num_col_, a.num_row_ = highspy.MatrixFormat.kRowwise, n, m
+    a.start_, a.index_, a.value_ = p.indptr, p.indices, val
+    highs = highspy._Highs()
+    for option, value in HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, value)
+    if highs.passModel(lp) == highspy.HighsStatus.kError:
+        return "highs-model-error", None, None
+    highs.run()
+    status = highs.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
+        return "highs-" + highs.modelStatusToString(status).lower().replace(" ", "-"), None, None
+    sol = highs.getSolution()
+    y = _round(np.asarray(sol.row_dual))
     for i, g in scale.items():
         y[i] /= g
-    return None, _round(res.x), y
+    return None, _round(np.asarray(sol.col_value)), y
 
 
 def _round(values) -> list[Fraction]:

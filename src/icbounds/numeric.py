@@ -56,28 +56,45 @@ def pow_frac_enclosure(n: int, k: int, denom: int = 10**6) -> tuple[Fraction, Fr
 
 
 def log2_enclosure(x: Fraction, denom: int = 2**16) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of log2(x) for rational x > 0, width 1/denom."""
+    """Rational enclosure [m/denom, (m+1)/denom] of log2(x) for rational
+    x > 0, with m = floor(denom * log2(x)) exact; denom is a power of two."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log2 of non-positive value")
+    k = denom.bit_length() - 1
+    if denom != 1 << k:
+        raise ValueError("log2 enclosure needs a power-of-two denominator")
     p, q = x.numerator, x.denominator
-    # m = floor(denom * log2(x)) via exact comparison 2**m * q**denom <= p**denom.
-    import math
-
-    guess = int(math.floor(denom * math.log2(p) - denom * math.log2(q)))
-    pd, qd = p**denom, q**denom
-
-    def le(m):  # 2**m <= x**denom
-        if m >= 0:
-            return (qd << m) <= pd
-        return qd <= (pd << (-m))
-
-    m = guess
-    while not le(m):
-        m -= 1
-    while le(m + 1):
-        m += 1
+    # x = 2**e * P/Q with 1 <= P/Q < 2, so m = e * denom + floor(denom * log2(P/Q)).
+    e = p.bit_length() - q.bit_length()
+    if p << max(-e, 0) < q << max(e, 0):
+        e -= 1
+    num, den = p << max(-e, 0), q << max(e, 0)
+    # Each squaring doubles the relative rounding error, so 80 bits keep
+    # about 64 through 2**16's 16 digits; the two passes then disagree only
+    # that close to a digit boundary, and a wider pass settles it.
+    width = 80
+    while (digits := _log2_bits(num, den, k, width, up=False)) != _log2_bits(num, den, k, width, up=True):
+        width *= 2
+    m = (e << k) + digits
     return Fraction(m, denom), Fraction(m + 1, denom)
+
+
+def _log2_bits(p: int, q: int, k: int, width: int, up: bool) -> int:
+    """The first k binary digits of log2(p/q) for 1 <= p/q < 2, i.e.
+    floor(2**k * log2(p/q)), by repeated squaring in fixed point with
+    `width` fractional bits.  Rounding every step down gives a lower bound
+    on the exact digits, rounding up an upper one; equal bounds are exact."""
+    two = 2 << width
+    y = -((-p << width) // q) if up else (p << width) // q
+    bits = 0
+    for _ in range(k):
+        y = -(-y * y >> width) if up else y * y >> width
+        bits <<= 1
+        if y >= two:
+            bits |= 1
+            y = -(-y >> 1) if up else y >> 1
+    return bits
 
 
 def is_prime(p: int) -> bool:

@@ -1,16 +1,13 @@
 import random
 from fractions import Fraction
 
-from icbounds.beta2 import (
-    decide_beta_eq_2,
-    sharp_relation,
-    undirected_beta2,
-    validate_aac,
-)
+from beta2_reference import decide_reference, sharp_relation
+
+from icbounds.beta2 import decide_beta_eq_2, undirected_beta2, validate_aac
 from icbounds.codes import verify_code
 from icbounds.families import aac_instance, complement, cycle, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
-from icbounds.instance import Graph, from_graph
+from icbounds.instance import Graph, Instance, Receiver, from_graph
 
 
 def bipartite_complement(rng, n):
@@ -107,3 +104,31 @@ def test_witness_path_minimality():
     assert not cert.is_two
     assert validate_aac(inst, cert.aac) == []
     assert cert.bound > 2
+
+
+def _random_instance(rng):
+    n = rng.randint(2, 9)
+    recs = [Receiver(rng.randrange(n), frozenset()) for _ in range(rng.randint(1, 2 * n))]
+    recs = [Receiver(r.wants, frozenset(v for v in range(n) if v != r.wants and rng.random() < 0.5))
+            for r in recs]
+    return Instance(n, tuple(recs))
+
+
+def test_decider_matches_the_pair_reference():
+    # seeded graphs (sparse to dense, and complements of bipartite graphs)
+    # and directed instances with repeated wants
+    rng = random.Random(41)
+    insts = [from_graph(random_gnp(rng.randint(3, 12), rng.random(), rng)) for _ in range(150)]
+    insts += [from_graph(bipartite_complement(rng, rng.randint(3, 12))) for _ in range(50)]
+    insts += [_random_instance(rng) for _ in range(200)]
+    insts += [aac_instance(n) for n in (1, 2, 3)] + [from_graph(cycle(n)) for n in (5, 7, 9, 11)]
+    verdicts = set()
+    for inst in insts:
+        cert = decide_beta_eq_2(inst)
+        is_two, reason, lab, num, w = decide_reference(inst)
+        assert (cert.is_two, cert.reason, cert.labeling, cert.num_classes) == (is_two, reason, lab, num)
+        if w is not None:
+            assert validate_aac(inst, w) == validate_aac(inst, cert.aac) == []
+            assert cert.aac.n == w.n and cert.aac.edges[-1] == w.edges[-1]
+        verdicts.add(reason)
+    assert verdicts == {"", "aac", "beta_below_2"}

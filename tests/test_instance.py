@@ -37,6 +37,18 @@ def test_from_graph_receivers():
     assert r.blind_set(5) == frozenset({2, 3})
 
 
+def test_from_graph_matches_per_vertex_neighbors():
+    # one pass over the edges gives each vertex Graph.neighbors(v), also on
+    # a self-loop and out-of-range ends, which validate() reports later
+    rng = random.Random(17)
+    graphs = [Graph.from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+              for n, p in ((rng.randint(1, 30), rng.random()) for _ in range(60))]
+    graphs.append(Graph.from_edge_list(5, [(0, 9), (1, 1), (-1, 2), (3, 4)]))
+    for g in graphs:
+        assert from_graph(g) == Instance(g.n, tuple(Receiver(v, g.neighbors(v)) for v in range(g.n)))
+    assert not validate(from_graph(graphs[-1])).ok
+
+
 def test_validate_catches_bad_receivers():
     bad = Instance(3, (Receiver(3, frozenset()),))
     assert not validate(bad).ok

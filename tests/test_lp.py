@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from icbounds import combinatorial, families
 from icbounds import lp as lpmod
+from icbounds.hierarchy import build_hierarchy_lp
+from icbounds.instance import from_graph
 from icbounds.lp import LpProblem, certified_value, check_feasible, objective_value, solve_min
 
 F = Fraction
@@ -42,7 +46,7 @@ def test_infeasible_falls_back_to_exact_simplex():
     p = LpProblem(1, {0: F(1)})
     p.add({0: F(-1)}, 1)
     opt = solve_min(p)
-    assert (opt.status, opt.method, opt.fallback) == ("infeasible", "simplex", "highs-status-2")
+    assert (opt.status, opt.method, opt.fallback) == ("infeasible", "simplex", "highs-infeasible")
 
 
 def test_rejects_negative_cost_and_unknown_variable():
@@ -167,6 +171,32 @@ def test_rounded_path_matches_exact_simplex():
             _assert_certificate(p, opt)
         outcomes[opt.method] += 1
     assert outcomes["rounded"] > 50 and outcomes["simplex"] > 10
+
+
+def test_cover_and_b2_lps_round_to_the_exact_optimum(monkeypatch):
+    # 150 cover LPs (strong and weak, on seeded dense graphs) and 50 b2 LPs
+    # (seeded 4-vertex graphs, and named families reduced by their
+    # symmetry): HiGHS's rounding certifies every one, at the exact simplex's
+    # value
+    lps = []
+    monkeypatch.setattr(combinatorial, "solve_min", lambda p: lps.append(p) or solve_min(p))
+    rng = random.Random(11)
+    for _ in range(75):
+        g = families.complement(families.random_gnp(rng.randint(8, 14), rng.uniform(0.1, 0.5), rng))
+        for kind in ("strong", "weak"):
+            combinatorial.fractional_cover(from_graph(g), kind)
+    for _ in range(40):
+        lps.append(build_hierarchy_lp(from_graph(families.random_gnp(4, rng.random(), rng)), 2)[0])
+    for name, params in [("cycle", {"n": 5}), ("cycle", {"n": 6}), ("cycle", {"n": 7}),
+                         ("complement-cycle", {"n": 5}), ("complement-cycle", {"n": 6}),
+                         ("complement-cycle", {"n": 7}), ("circulant", {"n": 6, "k": 2}),
+                         ("circulant", {"n": 7, "k": 2}), ("cayley3", {"n": 6}), ("petersen", {})]:
+        f = families.family(name, **params)
+        lps.append(build_hierarchy_lp(f.instance, 2, f.symmetry)[0])
+    assert len(lps) == 200
+    for p in lps:
+        opt = solve_min(p)
+        assert (opt.method, opt.value) == ("rounded", lpmod._dual_path(p).value)
 
 
 def test_dual_path_certificate():
@@ -315,16 +345,32 @@ def test_coefficients_beyond_int64():
     _assert_certificate(p, opt)
 
 
-def test_huge_rows_are_scaled_for_highs(monkeypatch):
-    # unscaled, HiGHS reads 10^15 as infinite and reports the LP infeasible
-    # (highs-status-2); divided by 10^15 the row rounds, and its dual is
-    # scaled back exactly
-    import scipy.optimize
+def _record_models(monkeypatch):
+    """(dense A, row lower bounds) of every model passed to HiGHS."""
+    from scipy.optimize._highspy import _core
 
     seen = []
-    linprog = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda c, A_ub, b_ub, **kw: seen.append((A_ub.toarray(), b_ub)) or linprog(c, A_ub, b_ub, **kw))
+
+    class Highs(_core._Highs):
+        def passModel(self, lp):
+            a = lp.a_matrix_
+            assert a.format_ == _core.MatrixFormat.kRowwise
+            assert np.all(np.asarray(lp.row_upper_) == _core.kHighsInf)
+            dense = np.zeros((lp.num_row_, lp.num_col_))
+            for i in range(lp.num_row_):
+                lo, hi = a.start_[i], a.start_[i + 1]
+                dense[i, a.index_[lo:hi]] = a.value_[lo:hi]
+            seen.append((dense, np.asarray(lp.row_lower_)))
+            return super().passModel(lp)
+
+    monkeypatch.setattr(_core, "_Highs", Highs)
+    return seen
+
+
+def test_huge_rows_are_scaled_for_highs(monkeypatch):
+    # unscaled, HiGHS refuses a coefficient of 10^15 (highs-model-error);
+    # divided by 10^15 the row rounds, and its dual is scaled back exactly
+    seen = _record_models(monkeypatch)
     p = LpProblem(2, {0: F(1), 1: F(1)})
     p.add({0: 10**15}, 3 * 10**15)
     p.add({0: F(1, 2), 1: 1}, 4)
@@ -332,12 +378,37 @@ def test_huge_rows_are_scaled_for_highs(monkeypatch):
     assert (opt.method, opt.fallback) == ("rounded", None)
     assert opt.value == F(11, 2) and opt.dual == [F(1, 2 * 10**15), F(1)]
     _assert_certificate(p, opt)
-    assert seen[0][0].tolist() == [[-1, 0], [-0.5, -1]] and seen[0][1].tolist() == [-3, -4]
+    assert seen[0][0].tolist() == [[1, 0], [0.5, 1]] and seen[0][1].tolist() == [3, 4]
     # a row at SCALE_ABOVE reaches HiGHS as it is
     p = LpProblem(1, {0: F(1)})
     p.add({0: lpmod.SCALE_ABOVE}, 1)
     assert solve_min(p).value == F(1, lpmod.SCALE_ABOVE)
-    assert seen[1][0].tolist() == [[-lpmod.SCALE_ABOVE]]
+    assert seen[1][0].tolist() == [[lpmod.SCALE_ABOVE]]
+    # with no scaling the model is refused, and the exact simplex answers
+    monkeypatch.setattr(lpmod, "SCALE_ABOVE", 10**30)
+    p = LpProblem(1, {0: F(1)})
+    p.add({0: 10**15}, 3 * 10**15)
+    opt = solve_min(p)
+    assert (opt.value, opt.method, opt.fallback) == (3, "simplex", "highs-model-error")
+
+
+def test_lp_without_variables():
+    # HiGHS reports an empty model, and the exact simplex decides
+    p = LpProblem(0, {})
+    p.add({}, 0)
+    opt = solve_min(p)
+    assert (opt.status, opt.value, opt.method, opt.fallback) == ("optimal", 0, "simplex", "highs-empty")
+    p.add({}, 1)
+    assert solve_min(p).status == "infeasible"
+
+
+def test_missing_binding_names_the_scipy_needed(monkeypatch):
+    import scipy.optimize._highspy
+
+    monkeypatch.delattr(scipy.optimize._highspy, "_core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    with pytest.raises(ImportError, match=r"scipy >= 1\.17"):
+        solve_min(small_lp())
 
 
 def test_checks_scale_past_int64_with_zero_rhs_and_costs():
