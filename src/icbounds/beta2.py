@@ -164,15 +164,28 @@ def decide_beta_eq_2(inst: Instance) -> Beta2Certificate:
 
 def undirected_beta2(g) -> bool:
     """A graph has rate exactly 2 iff its complement is bipartite (and has
-    at least one edge)."""
-    import networkx as nx
-
+    at least one edge).  Bipartiteness by a BFS 2-colouring, independent of
+    decide_beta_eq_2."""
     from .families import complement
 
     cg = complement(g)
     if not cg.edges:
         raise ValueError("complete graph: complement has no edges (rate <= 1)")
-    h = nx.Graph()
-    h.add_nodes_from(range(cg.n))
-    h.add_edges_from(cg.edge_list())
-    return nx.is_bipartite(h)
+    adj: list[list[int]] = [[] for _ in range(cg.n)]
+    for u, v in cg.edge_list():
+        adj[u].append(v)
+        adj[v].append(u)
+    colour = [-1] * cg.n
+    for start in range(cg.n):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        queue = [start]
+        for u in queue:
+            for v in adj[u]:
+                if colour[v] < 0:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return False
+    return True

@@ -12,7 +12,11 @@ compatible when each one's wanted message lies in the other's S-set.  (Two
 receivers wanting the same message are compatible: the sum code still serves
 both.)  Strong hypercliques are message sets T with T <= S(j) for every
 receiver wanting into T; singletons always qualify and the family is closed
-under subsets.
+under subsets.  Both compatibility relations are bitmask adjacency lists
+built from `Instance.side_masks`; the maximal hypercliques are the maximal
+cliques of one of them, found by a bitset Bron-Kerbosch with Tomita's
+pivot, and the cover LP, its verification and the integer cover's
+complement all read the same masks.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
 import numpy as np
 
 from .instance import CapExceeded, Instance, Graph, from_graph, to_mask
-from .lp import LpProblem, solve_min
+from .lp import LpProblem, ints, solve_min
 
 F0 = Fraction(0)
 
@@ -153,44 +156,99 @@ def is_strong_hyperclique(inst: Instance, message_set) -> bool:
     return True
 
 
-def _strong_compat_graph(inst: Instance) -> nx.Graph:
-    full = frozenset(range(inst.n))
-    allowed = {v: full for v in range(inst.n)}
-    for r in inst.receivers:
-        allowed[r.wants] = allowed[r.wants] & r.side_set()
-    h = nx.Graph()
-    h.add_nodes_from(range(inst.n))
-    for u in range(inst.n):
-        for v in range(u + 1, inst.n):
-            if u in allowed[v] and v in allowed[u]:
-                h.add_edge(u, v)
-    return h
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _weak_compat_graph(inst: Instance) -> tuple[nx.Graph, tuple[int, ...]]:
-    reps = inst.distinct_receivers()
-    h = nx.Graph()
-    h.add_nodes_from(reps)
-    side = {j: inst.receivers[j].side_set() for j in reps}
-    for x, a in enumerate(reps):
-        for b in reps[x + 1:]:
-            if inst.receivers[b].wants in side[a] and inst.receivers[a].wants in side[b]:
-                h.add_edge(a, b)
-    return h, reps
+def _allowed(inst: Instance) -> list[int]:
+    """allowed[v]: the messages in the S-set of every receiver wanting v (a
+    mask; all messages when no receiver wants v).  A message set T is a
+    strong hyperclique iff T <= allowed[v] for every v in T."""
+    allowed = [(1 << inst.n) - 1] * inst.n
+    for r, side in zip(inst.receivers, inst.side_masks):
+        allowed[r.wants] &= side
+    return allowed
+
+
+def _compat(inst: Instance, kind: str) -> tuple[list[int], tuple[int, ...]]:
+    """(adj, targets): the compatibility graph as bitmask adjacency over the
+    positions in targets, the messages (strong) or one representative per
+    distinct receiver (weak)."""
+    if kind == "strong":
+        targets = tuple(range(inst.n))
+        near = _allowed(inst)
+    elif kind == "weak":
+        targets = inst.distinct_receivers()
+        wanting = [0] * inst.n
+        for y, j in enumerate(targets):
+            wanting[inst.receivers[j].wants] |= 1 << y
+        # near[x]: the targets whose wanted message lies in S(targets[x])
+        near = []
+        for j in targets:
+            near.append(0)
+            for v in _bits(inst.side_masks[j]):
+                near[-1] |= wanting[v]
+    else:
+        raise ValueError("kind must be 'weak' or 'strong'")
+    # compatible: each lies near the other
+    back = [0] * len(targets)
+    for x, m in enumerate(near):
+        for y in _bits(m):
+            back[y] |= 1 << x
+    return [m & back[x] & ~(1 << x) for x, m in enumerate(near)], targets
+
+
+def _maximal_cliques(adj: list[int]) -> list[int]:
+    """Every maximal clique of the graph with bitmask adjacency adj, as a
+    mask: Bron-Kerbosch with Tomita's pivot, the vertex of P | X with the
+    most neighbours in P (Tomita, Tanaka and Takahashi, TCS 363, 2006)."""
+    out = []
+    nbrs = {1 << v: a for v, a in enumerate(adj)}  # a vertex's bit -> its neighbours
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                out.append(r)
+            return
+        most, pivot, rest = -1, 0, p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = (p & nbrs[low]).bit_count()
+            if k > most:
+                most, pivot = k, nbrs[low]
+        cand = p & ~pivot
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            expand(r | low, p & nbrs[low], x & nbrs[low])
+            p ^= low
+            x |= low
+
+    if adj:
+        expand(0, (1 << len(adj)) - 1, 0)
+    return out
+
+
+def _hypercliques(inst: Instance, kind: str) -> tuple[list[list[int]], tuple[int, ...]]:
+    """(cliques, targets): every maximal hyperclique as the increasing
+    positions of its members in targets, in canonical sorted order."""
+    adj, targets = _compat(inst, kind)
+    return sorted(map(_bits, _maximal_cliques(adj))), targets
 
 
 def enumerate_maximal_hypercliques(inst: Instance, kind: str) -> list[frozenset[int]]:
     """All inclusion-maximal strong hypercliques (message sets) or weak
     hypercliques (receiver-index sets, one representative per distinct
     receiver), in canonical sorted order."""
-    if kind == "strong":
-        h = _strong_compat_graph(inst)
-    elif kind == "weak":
-        h, _ = _weak_compat_graph(inst)
-    else:
-        raise ValueError("kind must be 'weak' or 'strong'")
-    cliques = [frozenset(c) for c in nx.find_cliques(h)] if h.number_of_nodes() else []
-    return sorted(cliques, key=lambda s: sorted(s))
+    cliques, targets = _hypercliques(inst, kind)
+    return [frozenset(targets[i] for i in c) for c in cliques]
 
 
 # -- fractional covers ------------------------------------------------------
@@ -205,55 +263,75 @@ class FractionalCover:
 
 def verify_cover(inst: Instance, cover: FractionalCover) -> list[str]:
     bad = []
+    strong = cover.kind == "strong"
+    allowed = _allowed(inst) if strong else None
+    masks = []
     for s, w in cover.items:
         if w < 0:
             bad.append(f"negative weight on {sorted(s)}")
-        pred = is_strong_hyperclique if cover.kind == "strong" else is_weak_hyperclique
-        if not pred(inst, s):
+        mask = to_mask(s)
+        # a hyperclique's members all lie in the intersection of the sets
+        # each member allows: allowed[v] (strong), S(j) (weak)
+        need, have = (mask if strong else 0), -1
+        for t in _bits(mask):
+            if strong:
+                have &= allowed[t]
+            else:
+                need |= 1 << inst.receivers[t].wants
+                have &= inst.side_masks[t]
+        if need & ~have:
             bad.append(f"{sorted(s)} is not a {cover.kind} hyperclique")
-    if sum((w for _, w in cover.items), F0) != cover.total:
+        masks.append(mask)
+    weights = [w for _, w in cover.items]
+    if sum(weights, F0) != cover.total:
         bad.append("total weight mismatch")
-    if cover.kind == "strong":
+    # Coverage in integers: weights and rates over their common denominator.
+    rates = inst.rates or (1,) * inst.n
+    d = math.lcm(*(w.denominator for w in weights), *(r.denominator for r in rates))
+    got = [0] * (inst.n if strong else inst.m)
+    for mask, w in zip(masks, weights):
+        for t in _bits(mask):
+            got[t] += w.numerator * (d // w.denominator)
+    if strong:
         for v in range(inst.n):
-            got = sum((w for s, w in cover.items if v in s), F0)
-            if got < inst.rate(v):
-                bad.append(f"message {v} covered {got} < {inst.rate(v)}")
+            if got[v] * rates[v].denominator < rates[v].numerator * d:
+                bad.append(f"message {v} covered {Fraction(got[v], d)} < {rates[v]}")
     else:
         for j, r in enumerate(inst.receivers):
-            rep = inst.representative[j]
-            got = sum((w for s, w in cover.items if rep in s), F0)
-            if got < inst.rate(r.wants):
-                bad.append(f"receiver {j} covered {got} < {inst.rate(r.wants)}")
+            g = got[inst.representative[j]]
+            if g * rates[r.wants].denominator < rates[r.wants].numerator * d:
+                bad.append(f"receiver {j} covered {Fraction(g, d)} < {rates[r.wants]}")
     return bad
+
+
+def _rate_arrays(inst: Instance, messages) -> tuple[np.ndarray, np.ndarray]:
+    """The rates of messages as numerator and denominator arrays."""
+    rates = [inst.rates[v] for v in messages] if inst.rates else [1] * len(messages)
+    nums, dens = [r.numerator for r in rates], [r.denominator for r in rates]
+    bound = max(nums + dens, default=1)
+    return ints(nums, bound), ints(dens, bound)
 
 
 def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
     """Minimum-total-weight fractional cover by maximal hypercliques (exact
     LP).  Strong covers every message at its rate; weak covers every
     receiver at the rate of its wanted message."""
-    cliques = enumerate_maximal_hypercliques(inst, kind)
-    if kind == "strong":
-        targets = list(range(inst.n))
-        thresh = [Fraction(inst.rate(v)) for v in targets]
-    else:
-        targets = list(inst.distinct_receivers())
-        thresh = [Fraction(inst.rate(inst.receivers[j].wants)) for j in targets]
+    cliques, targets = _hypercliques(inst, kind)
+    wanted = targets if kind == "strong" else [inst.receivers[j].wants for j in targets]
     # target x clique membership: row t sums the cliques containing t
-    row_of = {t: i for i, t in enumerate(targets)}
     member = np.zeros((len(targets), len(cliques)), bool)
-    member[[row_of[t] for s in cliques for t in s],
-           [j for j, s in enumerate(cliques) for _ in s]] = True
+    member[[t for c in cliques for t in c], [j for j, c in enumerate(cliques) for _ in c]] = True
     uncovered = ~member.any(axis=1)
     if uncovered.any():
         raise ValueError(f"no {kind} hyperclique covers {targets[int(uncovered.argmax())]}")
     cols = np.nonzero(member)[1]
     indptr = np.concatenate([[0], np.cumsum(member.sum(axis=1))])
     p = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1), indptr, cols,
-                  np.ones(len(cols), np.int64), np.ones(len(targets), np.int64), thresh)
+                  np.ones(len(cols), np.int64), np.ones(len(targets), np.int64), *_rate_arrays(inst, wanted))
     opt = solve_min(p)
     if opt.status != "optimal":
         raise AssertionError(f"cover LP came back {opt.status}")
-    items = [(cliques[j], opt.x[j]) for j in range(len(cliques)) if opt.x[j] > 0]
+    items = [(frozenset(targets[i] for i in cliques[j]), v) for j, v in enumerate(opt.x) if v]
     cover = FractionalCover(kind, items, opt.value)
     bad = verify_cover(inst, cover)
     if bad:
@@ -269,8 +347,8 @@ def integer_clique_cover(inst: Instance | Graph) -> tuple[int, list[frozenset[in
     if isinstance(inst, Graph):
         inst = from_graph(inst)
     n = inst.n
-    comp = nx.complement(_strong_compat_graph(inst))
-    comp_adj = [frozenset(comp[u]) for u in range(n)]
+    adj, _ = _compat(inst, "strong")
+    comp_adj = [_bits((1 << n) - 1 & ~a & ~(1 << u)) for u, a in enumerate(adj)]
     order = sorted(range(n), key=lambda v: -len(comp_adj[v]))
     best_k = n + 1
     best_assign: list[int] = []

@@ -131,16 +131,19 @@ def _closure_masks(inst: Instance, masks: np.ndarray) -> np.ndarray:
     return plus
 
 
-def _rhs_ids(inst: Instance, masks: np.ndarray) -> tuple[np.ndarray, list[Fraction]]:
-    """(ids, values): values[ids[mask]] = -(rate sum of mask), and the last
-    value is the total rate, the initialize row's right-hand side."""
+def _rhs_ids(inst: Instance, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, nums, dens): nums[ids[mask]] / dens[ids[mask]] = -(rate sum of
+    mask) in lowest terms, and the last value is the total rate, the
+    initialize row's right-hand side."""
     n = inst.n
     d = math.lcm(*(inst.rate(v).denominator for v in range(n)))
     nums = [inst.rate(v).numerator * (d // inst.rate(v).denominator) for v in range(n)]
-    bound = sum(map(abs, nums))
+    bound = sum(map(abs, nums)) + d
     sums = ints(masks[:, None] >> np.arange(n) & 1, bound) @ ints(nums, bound)
     distinct, ids = np.unique(sums, return_inverse=True)
-    return ids, [-Fraction(int(s), d) for s in distinct] + [inst.total_rate()]
+    values = np.append(-distinct, distinct[-1:])  # rates are positive: the full set's sum is largest
+    g = np.gcd(values, d)
+    return ids, values // g, ints([d], bound) // g
 
 
 def _first_rows(keys: np.ndarray) -> np.ndarray:
@@ -245,13 +248,13 @@ def build_hierarchy_lp(
         var_of_mask = (np.cumsum(rep == masks) - 1)[rep]
     else:
         var_of_mask = masks
-    ids, rhs_values = _rhs_ids(inst, masks)
+    ids, rhs_nums, rhs_dens = _rhs_ids(inst, masks)
     # Rows are keyed by (columns, coefficients, rhs id) and deduplicated
     # CHUNK_ROWS at a time against every row kept so far, the earlier kept.
     width = max(2, 1 << k)
     keys = np.zeros((0, 2 * width + 1), np.int64)
     cats = np.zeros(0, np.int64)
-    for row_masks, coefs, rhs, cat in _row_blocks(inst, k, reduced, ids, len(rhs_values) - 1):
+    for row_masks, coefs, rhs, cat in _row_blocks(inst, k, reduced, ids, len(rhs_nums) - 1):
         for lo in range(0, len(row_masks), CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
             cols, vals = _canonical(var_of_mask[row_masks[lo:hi]], coefs, width)
@@ -263,9 +266,9 @@ def build_hierarchy_lp(
     cols, vals = keys[:, :width], keys[:, width:-1]
     live = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(live.sum(1))])
-    rhs = [rhs_values[i] for i in keys[:, -1].tolist()]
+    rhs = keys[:, -1]
     p = LpProblem(int(var_of_mask.max()) + 1, {0: 1}, indptr, cols[live], vals[live],
-                  np.ones(len(rhs), np.int64), rhs)
+                  np.ones(len(rhs), np.int64), rhs_nums[rhs], rhs_dens[rhs])
     names = CATEGORIES + [f"submodularity-{order}" for order in range(2, k + 1)]
     counts = {name: int(c) for name, c in zip(names, np.bincount(cats, minlength=len(names))) if c}
     return p, HierarchyMeta(k, var_of_mask, counts)

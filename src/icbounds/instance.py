@@ -61,6 +61,11 @@ class Instance:
             first.setdefault((r.wants, r.knows), j) for j, r in enumerate(self.receivers)
         )
 
+    @cached_property
+    def side_masks(self) -> tuple[int, ...]:
+        """side_masks[j]: S(j) = N(j) | {f(j)} as a bitmask over the messages."""
+        return tuple(to_mask(r.knows) | 1 << r.wants for r in self.receivers)
+
     def distinct_receivers(self) -> tuple[int, ...]:
         """Indices of one representative per distinct (wants, knows) pair."""
         return tuple(j for j, rep in enumerate(self.representative) if rep == j)

@@ -2,31 +2,39 @@
 
 Every LP here has one shape: minimize c'x subject to A x >= b and x >= 0,
 with c >= 0, so the objective is bounded below and the only outcomes are an
-optimum or infeasibility.  A is stored as integer CSR: each row holds
-integer coefficients over one positive integer denominator (1 for every row
-the hierarchy and cover builders emit), and each right-hand side is a
-Fraction.  The hierarchy and cover builders pass the CSR arrays in one
-go; `LpProblem.add` appends a {var: coeff} row (for small hand-written
-LPs), and `LpProblem.constraints` shows the rows as (dict, rhs) pairs.
+optimum or infeasibility.  An LP is integer arrays end to end: A is CSR,
+each row integer coefficients over one positive integer denominator (1 for
+every row the hierarchy and cover builders emit), and b is one array of
+numerators and one of positive denominators.  The hierarchy and cover
+builders pass the arrays in one go; `LpProblem.add` appends a
+{var: coeff} row (for small hand-written LPs), and `LpProblem.rhs` and
+`LpProblem.constraints` show b and the rows as Fractions.
 
 Floats may propose an optimum, but only exact arithmetic accepts one: every
 optimum returned comes with a primal x and a dual y >= 0 (one entry per
 row) that pass four exact checks -- x >= 0 satisfies every row, y >= 0, the
-reduced costs c - A'y are >= 0, and c'x = b'y.  The checks scale x and y to
-integers by their common denominators and form A x and A'y as integer
-segment sums, in int64 when a magnitude bound rules out overflow and in
-Python ints (dtype object) otherwise, through the same code.
+reduced costs c - A'y are >= 0, and c'x = b'y.  The checks read only the
+nonzero entries of x and y, scaled to integers by their common
+denominators: A x is an integer segment sum over the rows, A'y one over
+the entries of the rows whose dual is nonzero, in int64 when a magnitude
+bound rules out overflow and in Python ints (dtype object) otherwise,
+through the same code; c'x and b'y are sums of Python ints over the nonzero
+entries.  No Fraction is built per row or per column.
 
 `solve_min` first hands the LP to HiGHS in one direct call into the
-binding scipy ships (scipy.optimize._highspy._core): the CSR arrays go in
-row-wise as they are, as rows b <= A x and columns x >= 0, each row with a
-coefficient beyond SCALE_ABOVE divided by its largest one.  It rounds
-HiGHS's primal values and row duals to nearby fractions with denominators
-at most ROUNDING_BOUND (a scaled row's dual is rounded, then scaled back
-exactly).  If the checks accept the rounding, that is the answer.
-Otherwise -- HiGHS reports no optimum, or the rounding fails -- one exact
-revised simplex over Fraction arithmetic decides.  It solves the dual,
-max b'y s.t. A'y <= c, y >= 0, whose standard form starts from the
+binding scipy ships (scipy.optimize._highspy._core), on one HiGHS instance
+per thread whose options are set once and whose model is cleared before
+each solve.  The arrays go in row-wise as they are, converted to floats in
+one vectorized step, as rows b <= A x and columns x >= 0, each row with a
+coefficient beyond SCALE_ABOVE divided by its largest one; an LP with a
+right-hand side at or beyond HIGHS_INFINITE_BOUND, which HiGHS would read
+as infinite, goes straight to the exact simplex.  It rounds HiGHS's primal
+values and row duals to nearby fractions with denominators at most
+ROUNDING_BOUND, once per distinct value (a scaled row's dual is rounded,
+then scaled back exactly).  If the checks accept the rounding, that is the
+answer.  Otherwise -- HiGHS reports no optimum, or the rounding fails --
+one exact revised simplex over Fraction arithmetic decides.  It solves the
+dual, max b'y s.t. A'y <= c, y >= 0, whose standard form starts from the
 all-slack basis (feasible because c >= 0), so the basis has one row per
 primal variable; the simplex multipliers recover the primal optimum, and an
 unbounded dual means an infeasible primal.  `LpOptimum.method` and
@@ -39,6 +47,7 @@ Bland's rule after a run of degenerate pivots, so termination is guaranteed.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,14 +68,27 @@ def ints(values, bound: int) -> np.ndarray:
     return np.asarray(values, dtype=np.int64 if bound < INT64_LIMIT else object)
 
 
-def _max_abs(a) -> int:
-    return int(np.abs(a).max()) if len(a) else 0
+def _mag(values) -> int:
+    """The largest magnitude among values (an array or a list), at least 1:
+    a factor of a bound."""
+    if isinstance(values, np.ndarray):
+        return max(1, int(np.abs(values).max())) if len(values) else 1
+    return max(1, max(map(abs, values), default=0))
 
 
-def _scaled(values) -> tuple[list[int], int]:
-    """(v * d for each value, d), d the common denominator of the rationals."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+def _scaled(values) -> tuple[list[int], list[int], int]:
+    """(positions, v * d at each, d): the nonzero values among `values` (ints
+    or Fractions), scaled by d, the common denominator of those values."""
+    pos = [i for i, v in enumerate(values) if v]
+    d = math.lcm(*(values[i].denominator for i in pos))
+    return pos, [values[i].numerator * (d // values[i].denominator) for i in pos], d
+
+
+def _dense(size: int, pos, nums, bound: int) -> np.ndarray:
+    """A length-`size` integer array (dtype by `bound`), nums at pos, 0 elsewhere."""
+    out = np.zeros(size, ints([], bound).dtype)
+    out[pos] = nums
+    return out
 
 
 def _segment_sums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -81,7 +103,8 @@ def _segment_sums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
 class LpProblem:
     """min c'x  s.t.  A x >= b, x >= 0.  Row i of A has the coefficients
     coefs[indptr[i]:indptr[i+1]] / denoms[i] on the variables
-    indices[indptr[i]:indptr[i+1]]; rhs[i] is its right-hand side."""
+    indices[indptr[i]:indptr[i+1]]; its right-hand side is
+    rhs_nums[i] / rhs_dens[i], rhs_dens[i] > 0."""
 
     num_vars: int
     objective: dict[int, int | Fraction]  # var -> cost >= 0
@@ -89,7 +112,8 @@ class LpProblem:
     indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     coefs: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     denoms: np.ndarray = field(default_factory=lambda: np.ones(0, np.int64))
-    rhs: list[Fraction] = field(default_factory=list)
+    rhs_nums: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    rhs_dens: np.ndarray = field(default_factory=lambda: np.ones(0, np.int64))
 
     def add(self, row: dict, rhs) -> None:
         """Append row . x >= rhs; row maps variables to ints or Fractions."""
@@ -100,7 +124,18 @@ class LpProblem:
         self.indices = np.append(self.indices, np.array(list(row), np.int64))
         self.coefs = np.concatenate([self.coefs, ints(nums, max(map(abs, nums), default=0))])
         self.denoms = np.concatenate([self.denoms, ints([den], den)])
-        self.rhs.append(Fraction(rhs))
+        b = Fraction(rhs)
+        self.rhs_nums = np.concatenate([self.rhs_nums, ints([b.numerator], abs(b.numerator))])
+        self.rhs_dens = np.concatenate([self.rhs_dens, ints([b.denominator], b.denominator)])
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.rhs_nums)
+
+    @property
+    def rhs(self) -> list[Fraction]:
+        """The right-hand sides as Fractions (a copy)."""
+        return [Fraction(r, q) for r, q in zip(self.rhs_nums.tolist(), self.rhs_dens.tolist())]
 
     @property
     def constraints(self) -> Sequence[tuple[dict, Fraction]]:
@@ -115,7 +150,7 @@ class _Rows(Sequence):
         self._p = p
 
     def __len__(self) -> int:
-        return len(self._p.rhs)
+        return self._p.num_rows
 
     def __getitem__(self, i: int) -> tuple[dict, Fraction]:
         p = self._p
@@ -124,7 +159,7 @@ class _Rows(Sequence):
         den = int(p.denoms[i])
         nums = p.coefs[lo:hi].tolist()
         row = dict(zip(p.indices[lo:hi].tolist(), nums if den == 1 else (Fraction(c, den) for c in nums)))
-        return row, p.rhs[i]
+        return row, Fraction(int(p.rhs_nums[i]), int(p.rhs_dens[i]))
 
 
 @dataclass
@@ -136,66 +171,75 @@ class LpOptimum:
     method: str | None = None  # "rounded" | "simplex"
     # None when the rounding answered, else "highs-<model status>" (HiGHS
     # found no optimum, e.g. "highs-infeasible"), "highs-model-error" (HiGHS
-    # refused the model), "rounding-rejected" (no rounding passed the
+    # refused the model), "highs-rhs-range" (a right-hand side at or beyond
+    # HIGHS_INFINITE_BOUND), "rounding-rejected" (no rounding passed the
     # checks) or "float-overflow" (a coefficient is beyond the float range)
     fallback: str | None = None
 
 
-def check_feasible(p: LpProblem, x) -> list[int]:
-    """Indices of violated constraints; index -1 flags a negative variable."""
-    bad = [-1] if any(v < 0 for v in x) else []
-    if not p.rhs:
+def _violations(p: LpProblem, pos, xs, d) -> list[int]:
+    """check_feasible of the x whose nonzero entries are xs / d at pos."""
+    bad = [-1] if min(xs, default=0) < 0 else []
+    if not p.num_rows:
         return bad
-    xs, d = _scaled(x)
-    # With X = d x and rhs_i = r_i / q_i, row i holds iff
-    # (coefs_i . X) q_i >= r_i denoms_i d, a comparison of integers.
-    r = [b.numerator for b in p.rhs]
-    q = [b.denominator for b in p.rhs]
-    row_len = int(np.diff(p.indptr).max())
-    bound = max(_max_abs(p.coefs) * row_len * max(map(abs, xs), default=0) * max(q),
-                max(1, *map(abs, r)) * _max_abs(p.denoms) * d)
-    terms = ints(p.coefs, bound) * ints(xs, bound)[p.indices]
-    lhs = _segment_sums(terms, p.indptr[:-1]) * ints(q, bound)
-    need = ints(r, bound) * ints(p.denoms, bound) * d
+    # With X = d x, row i holds iff (coefs_i . X) rhs_dens_i >= rhs_nums_i
+    # denoms_i d, a comparison of integers.
+    row_len = _mag(np.diff(p.indptr))
+    bound = max(_mag(p.coefs) * row_len * _mag(xs) * _mag(p.rhs_dens), _mag(p.rhs_nums) * _mag(p.denoms) * d)
+    terms = ints(p.coefs, bound) * _dense(p.num_vars, pos, xs, bound)[p.indices]
+    lhs = _segment_sums(terms, p.indptr[:-1]) * ints(p.rhs_dens, bound)
+    need = ints(p.rhs_nums, bound) * ints(p.denoms, bound) * d
     return bad + np.flatnonzero(lhs < need).tolist()
 
 
-def objective_value(p: LpProblem, x) -> Fraction:
-    return sum((c * x[j] for j, c in p.objective.items()), F0)
+def check_feasible(p: LpProblem, x) -> list[int]:
+    """Indices of violated constraints; index -1 flags a negative variable."""
+    return _violations(p, *_scaled(x))
 
 
 def certified_value(p: LpProblem, x, y) -> Fraction | None:
     """c'x when x and the row duals y prove each other optimal: x >= 0
     satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
-    c'x = b'y.  None otherwise."""
-    if len(y) != len(p.rhs):
+    c'x = b'y.  None otherwise.  Only the nonzero entries of x and y are
+    read, as integers over their common denominators."""
+    if len(y) != p.num_rows:
         raise ValueError("certified_value needs one dual value per row")
-    if check_feasible(p, x) or any(v < 0 for v in y):
+    pos, xs, d = _scaled(x)
+    if _violations(p, pos, xs, d):
         return None
-    n = p.num_vars
-    # A'y = (coefs' W) / e with W_i = y_i e / denoms_i, all integers for the
-    # common denominator e of the y_i / denoms_i.
-    ydens = [v.denominator * den for v, den in zip(y, p.denoms.tolist())]
+    rows = [i for i, v in enumerate(y) if v]
+    if any(y[i].numerator < 0 for i in rows):
+        return None
+    # Over the rows R with y_i != 0: A'y = (coefs' W) / e with
+    # W_i = y_i e / denoms_i, all integers for the common denominator e of
+    # the y_i / denoms_i.
+    r = np.asarray(rows, np.int64)
+    den = p.denoms[r].tolist()
+    ydens = [y[i].denominator * g for i, g in zip(rows, den)]
     e = math.lcm(*ydens)
-    ws = [v.numerator * (e // dv) for v, dv in zip(y, ydens)]
-    cn = [0] * n
-    cd = [1] * n
-    for j, c in p.objective.items():
-        cn[j], cd[j] = c.numerator, c.denominator
-    col_len = int(np.bincount(p.indices, minlength=1).max())
-    # c_j - (A'y)_j >= 0  iff  cn_j e >= (coefs' W)_j cd_j
-    bound = max(_max_abs(p.coefs) * col_len * max(map(abs, ws), default=0) * max(cd, default=1),
-                max([1, *map(abs, cn)]) * e)
-    rows = np.repeat(np.arange(len(ws)), np.diff(p.indptr))
-    terms = ints(p.coefs, bound) * ints(ws, bound)[rows]
-    order = np.argsort(p.indices, kind="stable")
-    starts = np.searchsorted(p.indices[order], np.arange(n))
-    aty = _segment_sums(terms[order], starts) * ints(cd, bound)
-    if np.any(ints(cn, bound) * e < aty):
+    ws = [y[i].numerator * (e // dv) for i, dv in zip(rows, ydens)]
+    # the costs c_j = cs_j / dc
+    keys = list(p.objective)
+    opos, cs, dc = _scaled(list(p.objective.values()))
+    cols_c = [keys[k] for k in opos]
+    lo = p.indptr[r]
+    lens = p.indptr[r + 1] - lo
+    entries = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    cols = p.indices[entries]
+    # c_j - (A'y)_j >= 0  iff  cs_j e >= (coefs' W)_j dc
+    bound = max(_mag(p.coefs) * _mag(np.bincount(cols)) * _mag(ws) * dc, _mag(cs) * e)
+    aty = _dense(p.num_vars, [], [], bound)
+    np.add.at(aty, cols, ints(p.coefs[entries], bound) * np.repeat(ints(ws, bound), lens))
+    if np.any(_dense(p.num_vars, cols_c, cs, bound) * e < aty * dc):
         return None
-    value = objective_value(p, x)
-    dual_value = sum((v * b for v, b in zip(y, p.rhs) if v), F0)
-    return value if value == dual_value else None
+    # c'x = sum(cs X) / (dc d) and b'y = sum(W denoms rhs_nums (L / rhs_dens)) / (e L),
+    # L the common denominator of the right-hand sides of R: sums of Python ints.
+    cost = dict(zip(cols_c, cs))
+    primal = sum(cost.get(j, 0) * v for j, v in zip(pos, xs))
+    rd = p.rhs_dens[r].tolist()
+    lq = math.lcm(*rd)
+    dual = sum(w * g * b * (lq // q) for w, g, b, q in zip(ws, den, p.rhs_nums[r].tolist(), rd))
+    return Fraction(primal, dc * d) if primal * e * lq == dual * dc * d else None
 
 
 # -- exact simplex ----------------------------------------------------------
@@ -299,7 +343,7 @@ class _Core:
 def _dual_path(p: LpProblem) -> LpOptimum:
     """The exact optimum or infeasibility of p, by the simplex on its dual."""
     n = p.num_vars
-    m = len(p.rhs)
+    m = p.num_rows
     # Dual in standard form: min -b'y  s.t.  A'y + s = c,  y, s >= 0.  Its
     # columns are the rows of A, rational where a row has a denominator.
     ptr, idx, nums, dens = (a.tolist() for a in (p.indptr, p.indices, p.coefs, p.denoms))
@@ -340,68 +384,92 @@ SCALE_ABOVE = 2**20
 HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "output_flag": False, "log_to_console": False}
 
 
-def _highs(p: LpProblem):
-    """HiGHS's float solve of p, rounded: (None, x, row duals >= 0) at an
-    optimum, else (the fallback reason, None, None).  A row divided by g
-    for HiGHS has its dual rounded on the scaled row, then divided by g as
-    a Fraction, so certified_value checks the duals of p itself."""
+# HiGHS reads a bound at or beyond this (its option infinite_bound) as
+# infinite, so an LP with such a right-hand side never reaches it.
+HIGHS_INFINITE_BOUND = 1e20
+
+# One HiGHS instance per thread, its options set once; each solve clears
+# the model it passes.
+_local = threading.local()
+
+
+def _handle():
+    """(the binding, this thread's HiGHS instance)."""
     # Imported here: scipy.optimize costs more to import than the package.
     try:
         from scipy.optimize._highspy import _core as highspy
     except ImportError as e:
         raise ImportError("icbounds needs scipy >= 1.17, whose scipy.optimize._highspy._core binds HiGHS") from e
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highs = _local.highs = highspy._Highs()
+        for option, value in HIGHS_OPTIONS.items():
+            highs.setOptionValue(option, value)
+    return highspy, highs
 
-    n, m = p.num_vars, len(p.rhs)
+
+def _highs(p: LpProblem):
+    """HiGHS's float solve of p, rounded: (None, x, row duals >= 0) at an
+    optimum, else (the fallback reason, None, None).  A row divided by g
+    for HiGHS has its dual rounded on the scaled row, then divided by g as
+    a Fraction, so certified_value checks the duals of p itself."""
+    highspy, highs = _handle()
+    n, m = p.num_vars, p.num_rows
     try:
-        c = np.array([float(p.objective.get(j, 0)) for j in range(n)])
+        c = np.zeros(n)
+        c[list(p.objective)] = [float(v) for v in p.objective.values()]
         val = p.coefs.astype(float) / np.repeat(p.denoms.astype(float), np.diff(p.indptr))
-        b = np.array([float(r) for r in p.rhs])
+        b = np.asarray(p.rhs_nums / p.rhs_dens, dtype=float)
     except OverflowError:
         return "float-overflow", None, None
     scale = {}
-    for i in np.unique(np.repeat(np.arange(m), np.diff(p.indptr))[np.abs(val) > SCALE_ABOVE]).tolist():
+    big = np.repeat(np.arange(m), np.diff(p.indptr))[np.abs(val) > SCALE_ABOVE]
+    for i in dict.fromkeys(big.tolist()):  # rows in order, each once
         lo, hi = p.indptr[i], p.indptr[i + 1]
         scale[i] = Fraction(max(abs(int(v)) for v in p.coefs[lo:hi]), int(p.denoms[i]))
         val[lo:hi] /= float(scale[i])
         b[i] /= float(scale[i])
-    # A x >= b goes in as it is: rows [b, inf), columns [0, inf).
-    lp = highspy.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(n), np.full(n, highspy.kHighsInf)
-    lp.row_lower_, lp.row_upper_ = b, np.full(m, highspy.kHighsInf)
-    a = lp.a_matrix_
-    a.format_, a.num_col_, a.num_row_ = highspy.MatrixFormat.kRowwise, n, m
-    a.start_, a.index_, a.value_ = p.indptr, p.indices, val
-    highs = highspy._Highs()
-    for option, value in HIGHS_OPTIONS.items():
-        highs.setOptionValue(option, value)
-    if highs.passModel(lp) == highspy.HighsStatus.kError:
+    if np.any(np.abs(b) >= HIGHS_INFINITE_BOUND):
+        return "highs-rhs-range", None, None
+    # A x >= b goes in as it is, row-wise: rows [b, inf), columns [0, inf),
+    # every column continuous.
+    highs.clearModel()
+    inf = highspy.kHighsInf
+    status = highs.passModel(n, m, len(val), highspy.MatrixFormat.kRowwise, highspy.ObjSense.kMinimize, 0.0,
+                             c, np.zeros(n), np.full(n, inf), b, np.full(m, inf),
+                             p.indptr, p.indices, val, np.zeros(n, np.int32))
+    if status == highspy.HighsStatus.kError:
         return "highs-model-error", None, None
     highs.run()
     status = highs.getModelStatus()
     if status != highspy.HighsModelStatus.kOptimal:
         return "highs-" + highs.modelStatusToString(status).lower().replace(" ", "-"), None, None
     sol = highs.getSolution()
-    y = _round(np.asarray(sol.row_dual))
+    y = _round(sol.row_dual)
     for i, g in scale.items():
         y[i] /= g
-    return None, _round(np.asarray(sol.col_value)), y
+    return None, _round(sol.col_value), y
 
 
 def _round(values) -> list[Fraction]:
-    return [Fraction(v).limit_denominator(ROUNDING_BOUND) if v else F0 for v in values.tolist()]
+    """Each value as the nearest fraction with denominator at most
+    ROUNDING_BOUND, found once per distinct nonzero value."""
+    values = list(values)
+    near = {v: Fraction(v).limit_denominator(ROUNDING_BOUND) if v else F0 for v in set(values)}
+    return [near[v] for v in values]
 
 
 def _validate(p: LpProblem) -> None:
-    m = len(p.rhs)
-    if len(p.indptr) != m + 1 or len(p.denoms) != m or not len(p.indices) == len(p.coefs) == p.indptr[-1]:
+    m = p.num_rows
+    if (len(p.indptr) != m + 1 or len(p.denoms) != m or len(p.rhs_dens) != m
+            or not len(p.indices) == len(p.coefs) == p.indptr[-1]):
         raise ValueError("constraint arrays disagree on the number of rows or entries")
-    if p.indptr[0] != 0 or np.any(np.diff(p.indptr) < 0) or np.any(p.denoms <= 0):
+    if p.indptr[0] != 0 or np.any(np.diff(p.indptr) < 0) or np.any(p.denoms <= 0) or np.any(p.rhs_dens <= 0):
         raise ValueError("row pointers must not decrease and denominators must be positive")
-    cols = list(p.objective) + ([int(p.indices.min()), int(p.indices.max())] if len(p.indices) else [])
-    if any(not 0 <= j < p.num_vars for j in cols):
+    cols = [*p.objective, *((int(p.indices.min()), int(p.indices.max())) if len(p.indices) else ())]
+    if cols and not 0 <= min(cols) <= max(cols) < p.num_vars:
         raise ValueError("objective or constraint references an unknown variable")
-    if any(c < 0 for c in p.objective.values()):
+    if p.objective and min(p.objective.values()) < 0:
         raise ValueError("objective has a negative coefficient")
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
+import pytest
 from beta2_reference import decide_reference, sharp_relation
 
 from icbounds.beta2 import decide_beta_eq_2, undirected_beta2, validate_aac
@@ -95,6 +97,28 @@ def test_undirected_decider_matches_general():
             continue  # complete graphs sit below rate 2 and are rejected
         cert = decide_beta_eq_2(from_graph(g))
         assert undirected_beta2(g) == cert.is_two
+
+
+def test_undirected_beta2_matches_networkx_bipartiteness():
+    # BFS 2-colouring of the complement against nx.is_bipartite
+    rng = random.Random(57)
+    graphs = [random_gnp(rng.randint(2, 14), rng.random(), rng) for _ in range(270)]
+    graphs += [bipartite_complement(rng, rng.randint(2, 14)) for _ in range(50)]
+    graphs += [cycle(n) for n in (4, 5, 6, 7)] + [Graph.from_edge_list(3, [])]
+    verdicts = []
+    for g in graphs:
+        cg = complement(g)
+        if not cg.edges:
+            continue
+        h = nx.Graph()
+        h.add_nodes_from(range(cg.n))
+        h.add_edges_from(cg.edge_list())
+        verdicts.append(undirected_beta2(g))
+        assert verdicts[-1] == nx.is_bipartite(h)
+    assert len(verdicts) >= 300 and set(verdicts) == {True, False}
+    k4 = complement(Graph.from_edge_list(4, []))
+    with pytest.raises(ValueError, match="complete graph"):
+        undirected_beta2(k4)
 
 
 def test_witness_path_minimality():

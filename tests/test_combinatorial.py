@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from combinatorial_reference import enumerate_maximal_hypercliques as reference_hypercliques
 
 from icbounds import combinatorial
 from icbounds.codes import _decoders, minrk_code, strong_cover_code, verify_code
@@ -269,7 +270,7 @@ def test_cover_lp_arrays_match_row_by_row_build(monkeypatch):
             for t, r in targets:
                 ref.add({j: 1 for j, c in enumerate(cliques) if t in c}, r)
             got = built[-1]
-            for name in ("indptr", "indices", "coefs", "denoms"):
+            for name in ("indptr", "indices", "coefs", "denoms", "rhs_nums", "rhs_dens"):
                 assert getattr(got, name).tolist() == getattr(ref, name).tolist(), name
                 assert getattr(got, name).dtype == getattr(ref, name).dtype, name
             assert got.rhs == ref.rhs and got.objective == ref.objective
@@ -325,6 +326,33 @@ def test_maximal_hypercliques():
     strong = enumerate_maximal_hypercliques(inst, "strong")
     # maximal strong hypercliques of a graph instance = maximal cliques
     assert sorted(sorted(s) for s in strong) == [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]] or len(strong) == 5
+
+
+def test_maximal_hypercliques_match_the_networkx_reference():
+    # seeded graphs from empty to complete, random instances with identical
+    # receivers and weighted ones, and n = 0, 1: the bitset enumeration
+    # returns the reference's list, order included
+    rng = random.Random(29)
+    insts = [from_graph(random_gnp(rng.randint(1, 14), rng.random(), rng)) for _ in range(200)]
+    insts += [from_graph(complement(random_gnp(rng.randint(8, 16), rng.uniform(0.05, 0.3), rng)))
+              for _ in range(50)]
+    for i in range(200):
+        n = rng.randint(1, 9)
+        inst = random_instance(n, rng.randint(1, 2 * n), rng)
+        if i % 3 == 0:  # identical receivers
+            inst = Instance(n, inst.receivers + inst.receivers[: rng.randint(1, inst.m)])
+        insts.append(inst)
+    insts += [Instance(1, ()), from_graph(Graph.from_edge_list(1, [])), Instance(0, ()),
+              random_instance(1, 3, rng), tri3(), from_graph(petersen())]
+    sizes = set()
+    for inst in insts:
+        for kind in ("weak", "strong"):
+            got = enumerate_maximal_hypercliques(inst, kind)
+            assert got == reference_hypercliques(inst, kind)
+            sizes.update(len(c) for c in got)
+    assert len(insts) >= 400 and {1, 2, 3, 4} <= sizes
+    with pytest.raises(ValueError, match="kind"):
+        enumerate_maximal_hypercliques(tri3(), "medium")
 
 
 def test_representation_rank_identity():

@@ -11,9 +11,14 @@ from icbounds import combinatorial, families
 from icbounds import lp as lpmod
 from icbounds.hierarchy import build_hierarchy_lp
 from icbounds.instance import from_graph
-from icbounds.lp import LpProblem, certified_value, check_feasible, objective_value, solve_min
+from icbounds.lp import LpProblem, certified_value, check_feasible, solve_min
 
 F = Fraction
+
+
+def objective_value(p, x):
+    """c'x by plain Fraction arithmetic."""
+    return sum((c * x[j] for j, c in p.objective.items()), F(0))
 
 
 def small_lp():
@@ -304,7 +309,8 @@ def test_checks_agree_with_fractions_in_both_dtypes(monkeypatch, denominator):
     # int64, so it runs on Python ints; a small one keeps it in int64
     seen = _record_dtypes(monkeypatch)
     rng = random.Random(denominator % 1000)
-    accepted = 0
+    accepted = sparse_accepted = 0
+    outcomes = Counter()
     for p in _random_lps(31, count=60):
         p.add({j: F(rng.randint(-9, 9), rng.randint(1, 4)) for j in range(p.num_vars)}, F(rng.randint(-9, 9), 7))
         x = [F(rng.randint(0, 3 * denominator), denominator) for _ in range(p.num_vars)]
@@ -313,10 +319,24 @@ def test_checks_agree_with_fractions_in_both_dtypes(monkeypatch, denominator):
         if opt.status != "optimal":
             continue
         scaled = [v * denominator for v in opt.dual]
-        for y in (opt.dual, [v + F(1, denominator) for v in opt.dual], [v / denominator for v in scaled]):
+        # sparse duals: all but one row zeroed, one entry negative, and a
+        # nonzero dual on a row the optimum does not use
+        keep = rng.randrange(len(opt.dual))
+        sparse = [v if i == keep else F(0) for i, v in enumerate(opt.dual)]
+        negative = list(opt.dual)
+        negative[keep] = -F(1, denominator)
+        unrelated = list(opt.dual)
+        idle = [i for i, v in enumerate(opt.dual) if not v]
+        if idle:
+            unrelated[rng.choice(idle)] = F(rng.randint(1, 5), denominator)
+        for y in (opt.dual, [v + F(1, denominator) for v in opt.dual], [v / denominator for v in scaled],
+                  sparse, negative, unrelated):
             assert certified_value(p, opt.x, y) == _fraction_certifies(p, opt.x, y)
-        accepted += certified_value(p, opt.x, opt.dual) is not None
-    assert accepted > 10
+            outcomes[certified_value(p, opt.x, y) is not None] += 1
+        if certified_value(p, opt.x, opt.dual) is not None:
+            accepted += 1
+            sparse_accepted += not all(opt.dual)
+    assert accepted > 10 and sparse_accepted > 5 and outcomes[False] > 40
     assert (np.dtype(object) in seen) == (denominator > 10**12)
 
 
@@ -346,24 +366,33 @@ def test_coefficients_beyond_int64():
 
 
 def _record_models(monkeypatch):
-    """(dense A, row lower bounds) of every model passed to HiGHS."""
+    """(dense A, row lower bounds) of every model passed to this thread's
+    HiGHS instance."""
     from scipy.optimize._highspy import _core
 
     seen = []
 
-    class Highs(_core._Highs):
-        def passModel(self, lp):
-            a = lp.a_matrix_
-            assert a.format_ == _core.MatrixFormat.kRowwise
-            assert np.all(np.asarray(lp.row_upper_) == _core.kHighsInf)
-            dense = np.zeros((lp.num_row_, lp.num_col_))
-            for i in range(lp.num_row_):
-                lo, hi = a.start_[i], a.start_[i + 1]
-                dense[i, a.index_[lo:hi]] = a.value_[lo:hi]
-            seen.append((dense, np.asarray(lp.row_lower_)))
-            return super().passModel(lp)
+    class Recording:
+        def __init__(self, highs):
+            self._highs = highs
 
-    monkeypatch.setattr(_core, "_Highs", Highs)
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def passModel(self, *model):
+            (num_col, num_row, _, fmt, sense, _, _, col_lower, col_upper, row_lower, row_upper,
+             start, index, value, integrality) = model
+            assert fmt == _core.MatrixFormat.kRowwise and sense == _core.ObjSense.kMinimize
+            assert np.all(col_lower == 0) and np.all(col_upper == _core.kHighsInf) and not np.any(integrality)
+            assert np.all(row_upper == _core.kHighsInf)
+            dense = np.zeros((num_row, num_col))
+            for i in range(num_row):
+                dense[i, index[start[i]:start[i + 1]]] = value[start[i]:start[i + 1]]
+            seen.append((dense, np.asarray(row_lower)))
+            return self._highs.passModel(*model)
+
+    _, highs = lpmod._handle()
+    monkeypatch.setattr(lpmod._local, "highs", Recording(highs))
     return seen
 
 
@@ -390,6 +419,52 @@ def test_huge_rows_are_scaled_for_highs(monkeypatch):
     p.add({0: 10**15}, 3 * 10**15)
     opt = solve_min(p)
     assert (opt.value, opt.method, opt.fallback) == (3, "simplex", "highs-model-error")
+
+
+def test_rhs_beyond_highs_infinite_bound_falls_back():
+    # HiGHS reads a bound of 10^20 or more as infinite, so such an LP never
+    # reaches it and the exact simplex answers; 10^19 still rounds
+    p = LpProblem(1, {0: F(1)})
+    p.add({0: 1}, 10**25)
+    opt = solve_min(p)
+    assert (opt.value, opt.method, opt.fallback) == (10**25, "simplex", "highs-rhs-range")
+    p = LpProblem(1, {0: F(1)})
+    p.add({0: 1}, 10**19)
+    opt = solve_min(p)
+    assert (opt.value, opt.method, opt.fallback) == (10**19, "rounded", None)
+    _assert_certificate(p, opt)
+
+
+def test_threads_solve_on_their_own_handles():
+    # each thread passes its models to its own HiGHS instance: concurrent
+    # solves give the serial answers, and no two threads share an instance
+    import threading
+
+    lps = _random_lps(43, count=40)
+    want = [(o.status, o.value, o.x, o.dual, o.method, o.fallback) for o in map(solve_min, lps)]
+    got, handles = {}, {}
+    together = threading.Barrier(4, timeout=60)  # all four instances alive at once
+
+    def work(k):
+        handles[k] = id(lpmod._handle()[1])
+        together.wait()
+        for i in range(k, len(lps), 4):
+            o = solve_min(lps[i])
+            got[i] = (o.status, o.value, o.x, o.dual, o.method, o.fallback)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[i] for i in range(len(lps))] == want
+    assert len(set(handles.values())) == 4 and id(lpmod._handle()[1]) not in handles.values()
 
 
 def test_lp_without_variables():
