@@ -10,12 +10,17 @@ n^{1-1/k} enter only through certified rational enclosures.
 
 The recursion is split in two.  decide_expanding_or_cover finds either the
 expanding sequence or the cover's parts (hypercliques and dense leaves);
-build_cover turns the parts into the merged cover, built by
+build_cover turns the parts into the merged cover, sampled by
 low_degree_cover at each leaf and verified exactly.  find_expanding_or_cover
 is the two in turn.  tau's search for k(s) runs only the decision, and a
 class's cover is built only where it sets tau's value: with k >= 2 that
 needs n >= 144, since 12 k n^{1-1/k} > 2n >= 2|V_s| for n < 144 (at
 n = 144, k = 2 and V_s = V the two terms tie and the cover is taken).
+
+A leaf's cover is sampled: its weights are MC_INFLATION times the sampled
+frequencies, so a built cover weighs at most MC_INFLATION times the
+recursion's bound.  The exact prefix-set enumeration the bound is proved
+for lives in tests/approx_reference.py, which checks the bound on it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .combinatorial import (
     ExpandingSequence,
@@ -40,7 +44,6 @@ from .numeric import log2_enclosure, pow_frac_ceil, pow_frac_enclosure
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-EXACT_COVER_CAP = 20  # exact prefix-set enumeration up to this many messages
 MC_BASE_SAMPLES = 50_000
 MC_INFLATION = Fraction(11, 10)
 
@@ -84,20 +87,6 @@ def alpha_greedy(inst: Instance) -> ExpandingSequence:
 # -- low-degree cover -------------------------------------------------------
 
 
-def _prefix_sets(n: int, d: int):
-    """Exact distribution of the random prefix set T: a uniformly random
-    permutation of [n+d] is cut just before its first element >= n.  Yields
-    (mask, probability); any T of size t has probability
-    t! * d * (n+d-t-1)! / (n+d)!."""
-    if d == 0:
-        yield (1 << n) - 1, F1
-        return
-    denom = factorial(n + d)
-    for mask in range(1 << n):
-        t = mask.bit_count()
-        yield mask, Fraction(factorial(t) * d * factorial(n + d - t - 1), denom)
-
-
 def _check_low_degree(inst: Instance, d: int) -> None:
     """low_degree_cover's precondition: |S(j)| + d >= n for every receiver."""
     for j, r in enumerate(inst.receivers):
@@ -105,14 +94,14 @@ def _check_low_degree(inst: Instance, d: int) -> None:
             raise ValueError(f"receiver {j} has |S| + d = {len(r.knows) + 1 + d} < n")
 
 
-def low_degree_cover(
-    inst: Instance, d: int, mc: bool = False, seed: int = 0
-) -> FractionalCover:
-    """Weak fractional cover of total weight <= 4d+2 for dense side
-    information (every receiver with |S(j)| + d >= n).  Hypercliques are
-    sampled as {j : f(j) in T <= S(j)} for a random prefix set T and weighted
-    by (4d+2) times their sampling probability; the coverage of every
-    receiver is verified exactly before returning."""
+def low_degree_cover(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
+    """Weak fractional cover of total weight <= MC_INFLATION * (4d+2) for
+    dense side information (every receiver with |S(j)| + d >= n).
+    Hypercliques are {j : f(j) in T <= S(j)} for a random prefix set T (a
+    uniformly random permutation of [n+d] cut just before its first element
+    >= n), each weighted by (4d+2) * MC_INFLATION times its sampled
+    frequency; the sample count doubles until the coverage of every receiver
+    verifies exactly."""
     n = inst.n
     _check_low_degree(inst, d)
     reps = inst.distinct_receivers()
@@ -125,54 +114,31 @@ def low_degree_cover(
     def clique_of(tmask: int) -> frozenset[int]:
         return frozenset(j for j, fb, sm in info if fb & tmask and not tmask & ~sm)
 
-    weights: dict[frozenset[int], Fraction] = {}
-    if not mc and n <= EXACT_COVER_CAP:
-        mode = "exact"
-        scale = Fraction(4 * d + 2)
-        for tmask, p in _prefix_sets(n, d):
-            if p == 0:
-                continue
+    rng = random.Random(seed)
+    samples = MC_BASE_SAMPLES
+    while True:
+        counts: dict[frozenset[int], int] = {}
+        for _ in range(samples):
+            perm = rng.sample(range(n + d), n + d)
+            tmask = 0
+            for x in perm:
+                if x >= n:
+                    break
+                tmask |= 1 << x
             cl = clique_of(tmask)
             if cl:
-                weights[cl] = weights.get(cl, F0) + scale * p
-    else:
-        mode = "monte-carlo"
-        rng = random.Random(seed)
-        samples = MC_BASE_SAMPLES
-        while True:
-            counts: dict[frozenset[int], int] = {}
-            for _ in range(samples):
-                perm = rng.sample(range(n + d), n + d)
-                tmask = 0
-                for x in perm:
-                    if x >= n:
-                        break
-                    tmask |= 1 << x
-                cl = clique_of(tmask)
-                if cl:
-                    counts[cl] = counts.get(cl, 0) + 1
-            weights = {
-                cl: Fraction(4 * d + 2) * MC_INFLATION * Fraction(c, samples)
-                for cl, c in counts.items()
-            }
-            cover = FractionalCover(
-                "weak", sorted(weights.items(), key=lambda kv: sorted(kv[0])),
-                sum(weights.values(), F0),
-            )
-            if not verify_cover(inst, cover):
-                return cover
-            samples *= 2  # under-covered: resample at higher resolution
-
-    cover = FractionalCover(
-        "weak", sorted(weights.items(), key=lambda kv: sorted(kv[0])),
-        sum(weights.values(), F0),
-    )
-    bad = verify_cover(inst, cover)
-    if bad:
-        raise AssertionError(f"low-degree cover failed verification: {bad}")
-    if mode == "exact" and cover.total > 4 * d + 2:
-        raise AssertionError("cover weight exceeds 4d+2")
-    return cover
+                counts[cl] = counts.get(cl, 0) + 1
+        weights = {
+            cl: Fraction(4 * d + 2) * MC_INFLATION * Fraction(c, samples)
+            for cl, c in counts.items()
+        }
+        cover = FractionalCover(
+            "weak", sorted(weights.items(), key=lambda kv: sorted(kv[0])),
+            sum(weights.values(), F0),
+        )
+        if not verify_cover(inst, cover):
+            return cover
+        samples *= 2  # under-covered: resample at higher resolution
 
 
 # -- expanding sequence or cover --------------------------------------------
@@ -194,7 +160,9 @@ class ApproxOutcome:
     kind: str  # "sequence" | "cover"
     sequence: ExpandingSequence | None = None
     cover: FractionalCover | None = None
-    bound: Fraction | None = None  # certified weight bound 6k * ub(n^{1-1/k})
+    # the recursion's certified bound 6k * ub(n^{1-1/k}); sampled leaves let
+    # the built cover weigh up to MC_INFLATION times it
+    bound: Fraction | None = None
 
 
 def _lift(sub: Instance, emap: list[int], clique: frozenset[int]) -> frozenset[int]:
@@ -205,10 +173,11 @@ def _lift(sub: Instance, emap: list[int], clique: frozenset[int]) -> frozenset[i
 
 def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | CoverParts:
     """The expanding-or-cover recursion's decision: a verified expanding
-    sequence of size k+1, or the parts of a cover that build_cover turns
-    into one of weight at most 6k * n^{1-1/k}.  Builds no low-degree cover,
-    only checks each dense leaf's precondition; the recursion never reads a
-    built cover, so the answer is the same as find_expanding_or_cover's."""
+    sequence of size k+1, or the parts of a cover of nominal weight (1 per
+    hyperclique, 4d+2 per leaf) at most 6k * n^{1-1/k}.  Builds no
+    low-degree cover, only checks each dense leaf's precondition; the
+    recursion never reads a built cover, so the answer is the same as
+    find_expanding_or_cover's."""
     if k < 1:
         raise ValueError("need k >= 1")
     nn = inst.n
@@ -260,18 +229,18 @@ def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | Cov
     return ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
 
 
-def build_cover(
-    inst: Instance, k: int, parts: CoverParts, mc: bool = False, seed: int = 0
-) -> ApproxOutcome:
+def build_cover(inst: Instance, k: int, parts: CoverParts, seed: int = 0) -> ApproxOutcome:
     """The cover from decide_expanding_or_cover(inst, k)'s parts: each
     dense leaf's low_degree_cover lifted to inst's receivers, merged with
-    the hypercliques, verified exactly at unit rate and, unless `mc`, held
-    to the certified bound 6k * n^{1-1/k}."""
+    the hypercliques, verified exactly at unit rate and held to
+    MC_INFLATION * 6k * n^{1-1/k}.  Sampling raises only the leaf weights,
+    each to at most MC_INFLATION * (4d+2), so the parts' nominal weight
+    bound carries over inflated."""
     merged: dict[frozenset[int], Fraction] = {}
     for item in parts.cliques:
         merged[item] = merged.get(item, F0) + F1
     for sub, emap, d in parts.leaves:
-        for cl, w in low_degree_cover(sub, d, mc=mc, seed=seed).items:
+        for cl, w in low_degree_cover(sub, d, seed=seed).items:
             item = _lift(sub, emap, cl)
             merged[item] = merged.get(item, F0) + w
     cover = FractionalCover(
@@ -284,23 +253,21 @@ def build_cover(
     bad = verify_cover(flat, cover)
     if bad:
         raise AssertionError(f"recursion cover failed verification: {bad}")
-    if not mc and cover.total > bound:
-        raise AssertionError(f"cover weight {cover.total} exceeds bound {bound}")
+    if cover.total > MC_INFLATION * bound:
+        raise AssertionError(f"cover weight {cover.total} exceeds {MC_INFLATION} * {bound}")
     return ApproxOutcome("cover", cover=cover, bound=bound)
 
 
-def find_expanding_or_cover(
-    inst: Instance, k: int, mc: bool = False, seed: int = 0
-) -> ApproxOutcome:
+def find_expanding_or_cover(inst: Instance, k: int, seed: int = 0) -> ApproxOutcome:
     """Either an expanding sequence of size k+1 or a weak fractional cover of
-    weight at most 6k * n^{1-1/k} (against the certified upper enclosure of
-    the irrational threshold).  Rates are ignored; coverage is per receiver
-    at weight 1.  Decides with decide_expanding_or_cover, then builds the
-    cover with build_cover."""
+    weight at most MC_INFLATION * 6k * n^{1-1/k} (against the certified
+    upper enclosure of the irrational threshold).  Rates are ignored;
+    coverage is per receiver at weight 1.  Decides with
+    decide_expanding_or_cover, then builds the cover with build_cover."""
     out = decide_expanding_or_cover(inst, k)
     if isinstance(out, ExpandingSequence):
         return ApproxOutcome("sequence", sequence=out)
-    return build_cover(inst, k, out, mc=mc, seed=seed)
+    return build_cover(inst, k, out, seed=seed)
 
 
 # -- weighted tau pipeline --------------------------------------------------
@@ -317,7 +284,9 @@ class TauClass:
     term: Fraction  # 2^{-s} * min(...)
     # the verified recursion cover when choice == "cover": unit-rate weak
     # cover of the receivers wanting into `vertices`, by receiver index of
-    # the instance; None for a trivial class (one clique per vertex)
+    # the instance; None for a trivial class (one clique per vertex).  term
+    # uses cover_term, which the recursion's bound proves; the built cover,
+    # sampled leaves and all, weighs at most MC_INFLATION * cover_term / 2
     cover: FractionalCover | None = None
 
 
@@ -326,9 +295,9 @@ class TauCertificate:
     value: Fraction
     classes: list[TauClass] = field(default_factory=list)
     k_cap: int = 0
-    # how a class's cover is (choice == "cover") or would be built: the
-    # low-degree leaves by exact prefix-set enumeration up to EXACT_COVER_CAP
-    # messages, sampled with seed above it; the fields above do not depend on it
+    # "monte-carlo" when a built class cover (choice == "cover") sampled a
+    # low-degree leaf with seed, else "exact"; the fields above do not
+    # depend on it
     mode: str = "exact"  # "exact" | "monte-carlo"
     seed: int = 0
     fallback: str | None = None  # set when n < 4 shortcuts the pipeline
@@ -341,13 +310,13 @@ def tau(inst: Instance, seed: int = 0) -> TauCertificate:
     2|V_s|, scaled by 2^{-s}.  k(s) is the least k <= k_cap at which
     decide_expanding_or_cover finds no expanding sequence of size k+1.
 
-    A class's cover is built (by build_cover, in `mode` with `seed`) and
-    stored on its TauClass only where it sets the value, i.e. choice ==
-    "cover".  With k >= 2 that needs n >= 144, since 12 k n^{1-1/k} > 2n
-    for n < 144; with k = 1 the cover is a single hyperclique.  The mode is
-    "monte-carlo" exactly when n > EXACT_COVER_CAP."""
+    A class's cover is built (by build_cover, with `seed`) and stored on
+    its TauClass only where it sets the value, i.e. choice == "cover".
+    With k >= 2 that needs n >= 144, since 12 k n^{1-1/k} > 2n for
+    n < 144; with k = 1 the cover is a single hyperclique.  The mode is
+    "monte-carlo" exactly when such a cover has a dense leaf to sample."""
     n = inst.n
-    mode = "monte-carlo" if n > EXACT_COVER_CAP else "exact"
+    mode = "exact"
     if n < 4:
         # log log n is degenerate; take the cheaper of "send everything" and
         # the exact cover LP.
@@ -384,7 +353,9 @@ def tau(inst: Instance, seed: int = 0) -> TauCertificate:
             choice = "cover" if cover_term <= trivial else "trivial"
             best = min(cover_term, trivial)
         if choice == "cover":
-            built = build_cover(sub, kk, parts, mc=mode == "monte-carlo", seed=seed).cover
+            built = build_cover(sub, kk, parts, seed=seed).cover
+            if parts.leaves:
+                mode = "monte-carlo"
             cover = FractionalCover(
                 "weak", [(frozenset(emap[e] for e in c), w) for c, w in built.items],
                 built.total,

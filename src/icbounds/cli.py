@@ -6,11 +6,11 @@ instance or a graph file; a graph is read as its instance.
 Output formats: json (default), csv (flattened key,value rows), table
 (aligned, rationals annotated with an approximate 4-place decimal).  All
 rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
-3 resource cap exceeded.  The library raises CapExceeded where the resource
-is spent (minrk2 for --minrk-cap, verify_code for exhaustive checks and
-for fields beyond exact float64 decoding, the hierarchy LP builder for
---max-lp-vars); the CLI passes its flags through
-and maps that to exit code 3.
+3 resource cap exceeded or memory exhausted.  The library raises CapExceeded
+where the resource is spent (minrk2 for --minrk-cap, verify_code for
+exhaustive checks and for fields beyond exact float64 decoding, the
+hierarchy LP builder for --max-lp-vars); the CLI passes its flags through
+and maps that, and a MemoryError from anywhere, to exit code 3.
 """
 
 from __future__ import annotations
@@ -612,6 +612,9 @@ def main(argv=None) -> int:
         out = args.fn(args)
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,12 +6,13 @@ all signed inclusion-exclusion ("submodularity") rows of orders 2..k.
 b_1 equals the expanding-sequence bound, b_2 <= beta <= b_n, and b_n equals
 the strong fractional hyperclique-cover value.
 
-Constraint reduction (the default) emits slope and monotonicity only for
-single-element increments and decode only against the one-step closure;
-chaining recovers the general forms, which is property-tested against the
-unreduced emission at small n.  Orbit reduction under a supplied vertex
-symmetry group replaces X(S) by its orbit representative; generators are
-validated as instance automorphisms.
+The LP is built in reduced form: slope and monotonicity only for
+single-element increments, decode only against the one-step closure.
+Every general slope, monotonicity and decode row is a sum of these, so the
+feasible set is the unreduced system's; tests/hierarchy_reference.py emits
+the unreduced rows, and the property tests compare the two at small n.
+Orbit reduction under a supplied vertex symmetry group replaces X(S) by its
+orbit representative; generators are validated as instance automorphisms.
 
 The LP is built from numpy index arrays over all 2^n masks at once.  Orbit
 labels come from vectorized bit permutations and min-label propagation, and
@@ -157,7 +158,7 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[starts])
 
 
-def _row_blocks(inst: Instance, k: int, reduced: bool, ids: np.ndarray, total: int):
+def _row_blocks(inst: Instance, k: int, ids: np.ndarray, total: int):
     """The rows over masks, category by category in emission order, as
     blocks (masks, coefficients, right-hand side ids, categories), the
     coefficients shared by every row of a block."""
@@ -168,26 +169,17 @@ def _row_blocks(inst: Instance, k: int, reduced: bool, ids: np.ndarray, total: i
     yield np.array([[full]]), [1], [total], [INITIALIZE]
     yield np.array([[0]]), [1], [zero], [NON_NEGATIVITY]
 
-    # Pairs S < T: one-element steps when reduced, every superset otherwise.
-    if reduced:
-        s, v = np.nonzero((masks[:, None] >> np.arange(n) & 1) == 0)
-        t = s | 1 << v
-    else:
-        s, sub = _submasks(full & ~masks, n)
-        s, t = s[sub != 0], (s | sub)[sub != 0]
+    # Pairs S < T = S + v, one-element steps.
+    s, v = np.nonzero((masks[:, None] >> np.arange(n) & 1) == 0)
+    t = s | 1 << v
     # slope X(S) - X(T) >= -rate(T \ S), then monotonicity X(T) - X(S) >= 0
     rhs = np.stack([ids[t & ~s], np.full_like(s, zero)], 1).ravel()
     yield np.stack([s, t, t, s], 1).reshape(-1, 2), [1, -1], rhs, np.tile([SLOPE, MONOTONICITY], len(s))
 
-    # decode X(S) - X(T) >= 0 for T the closure step of S (when unreduced,
-    # S plus any part of what the step adds)
+    # decode X(S) - X(T) >= 0 for T the closure step of S
     plus = _closure_masks(inst, masks)
-    if reduced:
-        s = np.flatnonzero(plus != masks)
-        t = plus[s]
-    else:
-        s, sub = _submasks(plus & ~masks, n)
-        s, t = s[sub != 0], (s | sub)[sub != 0]
+    s = np.flatnonzero(plus != masks)
+    t = plus[s]
     yield np.stack([s, t], 1), [1, -1], np.full_like(s, zero), np.full_like(s, DECODE)
 
     # submodularity-r, for each r-set R and each Z disjoint from it: the sum
@@ -229,7 +221,6 @@ def build_hierarchy_lp(
     inst: Instance,
     k: int,
     sym: list[list[int]] | None = None,
-    reduced: bool = True,
     max_lp_vars: int = MAX_LP_VARS,
 ) -> tuple[LpProblem, HierarchyMeta]:
     """The level-k LP; raises CapExceeded when its 2^n subset arrays would
@@ -254,7 +245,7 @@ def build_hierarchy_lp(
     width = max(2, 1 << k)
     keys = np.zeros((0, 2 * width + 1), np.int64)
     cats = np.zeros(0, np.int64)
-    for row_masks, coefs, rhs, cat in _row_blocks(inst, k, reduced, ids, len(rhs_nums) - 1):
+    for row_masks, coefs, rhs, cat in _row_blocks(inst, k, ids, len(rhs_nums) - 1):
         for lo in range(0, len(row_masks), CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
             cols, vals = _canonical(var_of_mask[row_masks[lo:hi]], coefs, width)
@@ -295,12 +286,13 @@ def solve_bk(
     if opt.status != "optimal":
         raise AssertionError(f"hierarchy LP came back {opt.status}")
     vec = {m: opt.x[j] for m, j in enumerate(meta.var_of_mask.tolist())}
-    return HierarchyBound(k, opt.value, vec, meta.counts, p.num_vars, len(p.constraints))
+    return HierarchyBound(k, opt.value, vec, meta.counts, p.num_vars, p.num_rows)
 
 
 def verify_hierarchy_membership(x: dict[int, Fraction], inst: Instance, k: int) -> bool:
-    """Feasibility of a full vector against the unreduced level-k system."""
-    p, _ = build_hierarchy_lp(inst, k, reduced=False)
+    """Feasibility of a full vector against the level-k system, checked on
+    its reduced rows, which have the unreduced system's feasible set."""
+    p, _ = build_hierarchy_lp(inst, k)
     return not check_feasible(p, [x[m] for m in range(1 << inst.n)])
 
 

@@ -1,17 +1,31 @@
-"""Reference for tests: the expanding-or-cover recursion in one pass, as it
-was before the decision and the build were split, and tau's k search on
-top of it.  It builds every leaf's low-degree cover as it goes, so it is
-slow; `icbounds.approx` must give the same outcomes and certificates."""
+"""References for tests.
 
+low_degree_cover_reference is the low-degree cover by exact enumeration of
+the prefix-set distribution, the construction whose weight 4d+2 the
+recursion's bound is proved for; `icbounds.approx.low_degree_cover` samples
+it.  exact_leaves() patches it into `icbounds.approx` for a block.
+
+find_expanding_or_cover_reference is the expanding-or-cover recursion in one
+pass, as it was before the decision and the build were split, and
+tau_reference is tau's k search on top of it.  They build every leaf's cover
+as they go, by `icbounds.approx.low_degree_cover` looked up at call time (so
+exact_leaves() reaches them too), and are slow; `icbounds.approx` must give
+the same outcomes and certificates."""
+
+from contextlib import contextmanager
 from fractions import Fraction
+from math import factorial
 
+import pytest
+
+from icbounds import approx
 from icbounds.approx import (
-    EXACT_COVER_CAP,
+    MC_INFLATION,
     ApproxOutcome,
     TauCertificate,
     TauClass,
+    _check_low_degree,
     induced_subhypergraph,
-    low_degree_cover,
 )
 from icbounds.combinatorial import (
     ExpandingSequence,
@@ -29,19 +43,70 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def _prefix_sets(n: int, d: int):
+    """Exact distribution of the random prefix set T: a uniformly random
+    permutation of [n+d] is cut just before its first element >= n.  Yields
+    (mask, probability); any T of size t has probability
+    t! * d * (n+d-t-1)! / (n+d)!."""
+    if d == 0:
+        yield (1 << n) - 1, F1
+        return
+    denom = factorial(n + d)
+    for mask in range(1 << n):
+        t = mask.bit_count()
+        yield mask, Fraction(factorial(t) * d * factorial(n + d - t - 1), denom)
+
+
+def low_degree_cover_reference(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
+    """The low-degree cover with every prefix set weighted by (4d+2) times
+    its exact probability: total weight at most 4d+2, verified.  `seed` is
+    ignored, so this stands in for the sampler."""
+    _check_low_degree(inst, d)
+    info = [
+        (j, 1 << inst.receivers[j].wants,
+         sum(1 << v for v in inst.receivers[j].knows) | 1 << inst.receivers[j].wants)
+        for j in inst.distinct_receivers()
+    ]
+    weights: dict[frozenset[int], Fraction] = {}
+    for tmask, p in _prefix_sets(inst.n, d):
+        cl = frozenset(j for j, fb, sm in info if fb & tmask and not tmask & ~sm)
+        if cl:
+            weights[cl] = weights.get(cl, F0) + (4 * d + 2) * p
+    cover = FractionalCover(
+        "weak", sorted(weights.items(), key=lambda kv: sorted(kv[0])), sum(weights.values(), F0)
+    )
+    bad = verify_cover(inst, cover)
+    if bad:
+        raise AssertionError(f"low-degree cover failed verification: {bad}")
+    if cover.total > 4 * d + 2:
+        raise AssertionError("cover weight exceeds 4d+2")
+    return cover
+
+
+@contextmanager
+def exact_leaves():
+    """Within the block, icbounds.approx covers its dense leaves exactly."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approx, "low_degree_cover", low_degree_cover_reference)
+        yield
+
+
 def _rep_key(inst, j):
     r = inst.receivers[j]
     return (r.wants, r.knows)
 
 
-def find_expanding_or_cover_reference(inst, k, mc=False, seed=0) -> ApproxOutcome:
+def _recursion(inst, k, seed):
+    """(outcome, number of dense leaves covered)."""
     if k < 1:
         raise ValueError("need k >= 1")
     n0 = inst.n
     hi = pow_frac_enclosure(n0, k)[1] if n0 else F0
     bound = 6 * k * max(hi, F1)
+    leaves = 0
 
     def go(sub, emap, kk, nn):
+        nonlocal leaves
         if sub.m == 0 or sub.n == 0:
             return "cover", []
         reps = sub.distinct_receivers()
@@ -65,7 +130,8 @@ def find_expanding_or_cover_reference(inst, k, mc=False, seed=0) -> ApproxOutcom
             j1 = max(range(cur.m), key=lambda j: (dsz[j], -j))
             if (dsz[j1] - 1) ** kk <= nn ** (kk - 1):
                 d = pow_frac_ceil(nn, kk)
-                ld = low_degree_cover(cur, d, mc=mc, seed=seed)
+                leaves += 1
+                ld = approx.low_degree_cover(cur, d, seed=seed)
                 for cl, w in ld.items:
                     keys = {_rep_key(cur, j) for j in cl}
                     item = frozenset(
@@ -89,7 +155,7 @@ def find_expanding_or_cover_reference(inst, k, mc=False, seed=0) -> ApproxOutcom
         if len(payload) != k + 1 or not is_expanding_sequence(inst, payload):
             raise AssertionError("recursion produced a bad sequence")
         seq = ExpandingSequence(tuple(payload), sequence_weight(inst, payload))
-        return ApproxOutcome("sequence", sequence=seq)
+        return ApproxOutcome("sequence", sequence=seq), 0
     merged = {}
     for item, w in payload:
         merged[item] = merged.get(item, F0) + w
@@ -98,16 +164,20 @@ def find_expanding_or_cover_reference(inst, k, mc=False, seed=0) -> ApproxOutcom
     )
     if verify_cover(Instance(inst.n, inst.receivers), cover):
         raise AssertionError("recursion cover failed verification")
-    if not mc and cover.total > bound:
-        raise AssertionError("cover weight exceeds bound")
-    return ApproxOutcome("cover", cover=cover, bound=bound)
+    if cover.total > MC_INFLATION * bound:
+        raise AssertionError("cover weight exceeds the inflated bound")
+    return ApproxOutcome("cover", cover=cover, bound=bound), leaves
 
 
-def tau_reference(inst, mc=False, seed=0) -> TauCertificate:
+def find_expanding_or_cover_reference(inst, k, seed=0) -> ApproxOutcome:
+    return _recursion(inst, k, seed)[0]
+
+
+def tau_reference(inst, seed=0) -> TauCertificate:
     """tau with the k search on the one-pass recursion (every cover built);
     classes carry no cover."""
     n = inst.n
-    mode = "monte-carlo" if (mc or n > EXACT_COVER_CAP) else "exact"
+    mode = "exact"
     if n < 4:
         total = sum((inst.rate(v) for v in range(n)), F0)
         psi = fractional_cover(inst, "weak").total if inst.m else F0
@@ -127,7 +197,8 @@ def tau_reference(inst, mc=False, seed=0) -> TauCertificate:
         sub, _, _ = induced_subhypergraph(Instance(inst.n, inst.receivers), vs)
         kk = None
         for k in range(1, k_cap + 1):
-            if find_expanding_or_cover_reference(sub, k, mc=mc, seed=seed).kind == "cover":
+            found, leaves = _recursion(sub, k, seed)
+            if found.kind == "cover":
                 kk = k
                 break
         trivial = Fraction(2 * len(vs))
@@ -138,6 +209,8 @@ def tau_reference(inst, mc=False, seed=0) -> TauCertificate:
             cover_term = 12 * kk * pow_frac_enclosure(n, kk)[1]
             choice = "cover" if cover_term <= trivial else "trivial"
             best = min(cover_term, trivial)
+            if choice == "cover" and leaves:
+                mode = "monte-carlo"
         term = Fraction(1, 2**s) * best
         out.append(TauClass(s, vs, kk, cover_term, trivial, choice, term))
         value += term

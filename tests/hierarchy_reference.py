@@ -1,6 +1,9 @@
 """Reference builder for the level-k hierarchy LP: the plain loop version,
 one dict row at a time, kept as the oracle that the array build in
-icbounds.hierarchy must reproduce row for row."""
+icbounds.hierarchy must reproduce row for row.  With reduced=False it emits
+the unreduced system (slope and monotonicity for every pair S < T, decode
+for every part of the closure step), whose feasible set the reduced LP
+must have."""
 
 from __future__ import annotations
 

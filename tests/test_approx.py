@@ -1,13 +1,17 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from approx_reference import find_expanding_or_cover_reference, tau_reference
+from approx_reference import (
+    exact_leaves,
+    find_expanding_or_cover_reference,
+    low_degree_cover_reference,
+    tau_reference,
+)
 from icbounds.approx import (
-    EXACT_COVER_CAP,
+    MC_INFLATION,
     CoverParts,
     alpha_greedy,
     approximate_beta,
@@ -48,12 +52,25 @@ def test_alpha_greedy_valid():
 
 
 def test_low_degree_cover_small():
-    # triangle, degree parameter 0: one full set, weight 2
-    g = cycle(3)
-    inst = from_graph(g)
-    cover = low_degree_cover(inst, 0)
+    # triangle, degree parameter 0: one full set, weight 2 exactly and
+    # MC_INFLATION * 2 sampled
+    inst = from_graph(cycle(3))
+    cover = low_degree_cover_reference(inst, 0)
     assert not verify_cover(inst, cover)
     assert cover.total <= 2
+    assert low_degree_cover(inst, 0) == FractionalCover(
+        "weak", [(frozenset(range(inst.m)), 2 * MC_INFLATION)], 2 * MC_INFLATION
+    )
+
+
+def test_low_degree_cover_samples_within_the_inflated_cap():
+    # the sampler covers, weighs at most MC_INFLATION * (4d+2) and repeats
+    # under its seed
+    inst = from_graph(complement(cycle(6)))  # blind sets of size 2
+    cover = low_degree_cover(inst, 2, seed=4)
+    assert not verify_cover(inst, cover)
+    assert cover.total <= MC_INFLATION * 10
+    assert low_degree_cover(inst, 2, seed=4) == cover
 
 
 def test_low_degree_cover_weight_cap():
@@ -66,32 +83,43 @@ def test_low_degree_cover_weight_cap():
         if any(len(r.blind_set(n)) > d for r in inst.receivers):
             continue  # precondition: blind sets at most d
         done += 1
-        cover = low_degree_cover(inst, d)
+        cover = low_degree_cover_reference(inst, d)
         assert not verify_cover(inst, cover)
         assert cover.total <= 4 * d + 2
 
 
 def test_low_degree_cover_rejects_high_degree():
     inst = from_graph(cycle(5))  # blind sets have size 2
-    with pytest.raises(ValueError):
-        low_degree_cover(inst, 1)
+    for cover in (low_degree_cover, low_degree_cover_reference):
+        with pytest.raises(ValueError):
+            cover(inst, 1)
 
 
 def test_expanding_or_cover_certificates():
+    # with exact leaves the cover meets the bound 6k n^{1-1/k}; so does the
+    # parts' nominal weight (1 per hyperclique, 4d+2 per leaf), which is
+    # what bounds a sampled cover by MC_INFLATION times it
     rng = random.Random(53)
-    for _ in range(200):
-        n = rng.randrange(2, 9)
-        inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
-        k = rng.randrange(1, 4)
-        out = find_expanding_or_cover(inst, k)
-        if out.kind == "sequence":
-            assert len(out.sequence.receivers) == k + 1
-            assert is_expanding_sequence(inst, out.sequence.receivers)
-        else:
-            assert not verify_cover(inst, out.cover)
-            hi = pow_frac_enclosure(n, k)[1]
-            assert out.bound == 6 * k * max(hi, 1)
-            assert out.cover.total <= out.bound
+    leaves = 0
+    with exact_leaves():
+        for _ in range(200):
+            n = rng.randrange(2, 9)
+            inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
+            k = rng.randrange(1, 4)
+            out = find_expanding_or_cover(inst, k)
+            if out.kind == "sequence":
+                assert len(out.sequence.receivers) == k + 1
+                assert is_expanding_sequence(inst, out.sequence.receivers)
+            else:
+                assert not verify_cover(inst, out.cover)
+                hi = pow_frac_enclosure(n, k)[1]
+                assert out.bound == 6 * k * max(hi, 1)
+                assert out.cover.total <= out.bound
+                parts = decide_expanding_or_cover(inst, k)
+                leaves += len(parts.leaves)
+                nominal = len(parts.cliques) + sum(4 * d + 2 for _, _, d in parts.leaves)
+                assert out.cover.total <= nominal <= out.bound
+    assert leaves
 
 
 def test_expanding_or_cover_on_tri3():
@@ -137,25 +165,26 @@ def test_decision_matches_single_pass_recursion():
     # cap: the decision's kind and sequence, and the cover built from its
     # parts, items and total
     rng = random.Random(57)
-    for inst in _corpus(rng, 120):
-        for k in range(1, (inst.n - 1).bit_length() + 3):
-            want = find_expanding_or_cover_reference(inst, k)
-            decided = decide_expanding_or_cover(inst, k)
-            assert isinstance(decided, CoverParts) == (want.kind == "cover")
-            if want.kind == "sequence":
-                assert decided == want.sequence
-            _same_outcome(find_expanding_or_cover(inst, k), want)
+    with exact_leaves():
+        for inst in _corpus(rng, 120):
+            for k in range(1, (inst.n - 1).bit_length() + 3):
+                want = find_expanding_or_cover_reference(inst, k)
+                decided = decide_expanding_or_cover(inst, k)
+                assert isinstance(decided, CoverParts) == (want.kind == "cover")
+                if want.kind == "sequence":
+                    assert decided == want.sequence
+                _same_outcome(find_expanding_or_cover(inst, k), want)
 
 
 def test_decision_matches_single_pass_recursion_monte_carlo():
     rng = random.Random(58)
     for inst in _corpus(rng, 4):
         for k in (1, 2):
-            want = find_expanding_or_cover_reference(inst, k, mc=True, seed=5)
+            want = find_expanding_or_cover_reference(inst, k, seed=5)
             assert isinstance(decide_expanding_or_cover(inst, k), CoverParts) == (
                 want.kind == "cover"
             )
-            _same_outcome(find_expanding_or_cover(inst, k, mc=True, seed=5), want)
+            _same_outcome(find_expanding_or_cover(inst, k, seed=5), want)
 
 
 def test_decision_checks_the_leaf_precondition(monkeypatch):
@@ -170,20 +199,26 @@ def test_decision_checks_the_leaf_precondition(monkeypatch):
 
 
 def test_tau_matches_single_pass_reference():
-    # the reference run with mc=True (sampled leaves) gives the same
-    # certificate but for its mode label: the sampler never sets tau's value
-    # at these sizes
+    # the same certificate with exact leaves and, on the last four
+    # instances, with sampled ones: no leaf is sampled for tau's value at
+    # these sizes
     rng = random.Random(59)
-    cases = [(inst, False) for inst in _corpus(rng, 80)]
-    cases += [(inst, True) for inst in _corpus(rng, 4)]
-    for inst, mc in cases:
+    exact, sampled = _corpus(rng, 80), _corpus(rng, 4)
+
+    def check(inst):
         got = tau(inst, seed=3)
-        want = tau_reference(inst, mc=mc, seed=3)
+        want = tau_reference(inst, seed=3)
         for c in got.classes:
             assert (c.cover is None) == (c.choice == "trivial")
             c.cover = None
         assert got.mode == "exact"
-        assert got == dataclasses.replace(want, mode="exact")
+        assert got == want
+
+    with exact_leaves():
+        for inst in exact:
+            check(inst)
+    for inst in sampled:
+        check(inst)
 
 
 def test_tau_cover_on_complete_graph():
@@ -194,12 +229,22 @@ def test_tau_cover_on_complete_graph():
     assert cls.cover_term == 12 and cls.term == 6
     assert not verify_cover(inst, cls.cover)
     assert cls.cover.total <= 6 * cls.k * max(pow_frac_enclosure(8, cls.k)[1], 1)
+    assert cert.mode == "exact"  # one hyperclique, no leaf sampled
+
+
+def _assert_class_cover(inst, c):
+    # c's cover covers, at unit rate, every receiver wanting into the
+    # class, by receiver index of the instance
+    ids = sorted(j for j, r in enumerate(inst.receivers) if r.wants in c.vertices)
+    local = {j: i for i, j in enumerate(ids)}
+    sub = Instance(inst.n, tuple(inst.receivers[j] for j in ids))
+    items = [(frozenset(local[j] for j in s), w) for s, w in c.cover.items]
+    assert all(s <= set(ids) for s, _ in c.cover.items)
+    assert not verify_cover(sub, FractionalCover("weak", items, c.cover.total))
 
 
 def test_tau_class_covers():
-    # a winning class's cover covers, at unit rate, every receiver wanting
-    # into the class, by receiver index of the instance; trivial classes
-    # carry none
+    # a winning class carries its cover; trivial classes carry none
     rng = random.Random(60)
     seen = {"cover": 0, "trivial": 0}
     for inst in _corpus(rng, 60):
@@ -207,14 +252,23 @@ def test_tau_class_covers():
             seen[c.choice] += 1
             if c.choice == "trivial":
                 assert c.cover is None
-                continue
-            ids = sorted(j for j, r in enumerate(inst.receivers) if r.wants in c.vertices)
-            local = {j: i for i, j in enumerate(ids)}
-            sub = Instance(inst.n, tuple(inst.receivers[j] for j in ids))
-            items = [(frozenset(local[j] for j in s), w) for s, w in c.cover.items]
-            assert all(s <= set(ids) for s, _ in c.cover.items)
-            assert not verify_cover(sub, FractionalCover("weak", items, c.cover.total))
+            else:
+                _assert_class_cover(inst, c)
     assert seen["cover"] and seen["trivial"]
+
+
+def test_tau_samples_the_leaves_of_a_winning_cover():
+    # the complement of a perfect matching on 144 vertices: k = 2, and the
+    # cover term 12 * 2 * 12 ties the trivial 2n, so the cover is built and
+    # its dense leaves are sampled
+    n = 144
+    inst = from_graph(complement(Graph.from_edge_list(n, [(v, v + 1) for v in range(0, n, 2)])))
+    cert = tau(inst, seed=1)
+    (c,) = cert.classes
+    assert (c.k, c.cover_term, c.trivial_term, c.choice) == (2, 288, 288, "cover")
+    assert cert.mode == "monte-carlo" and cert.value == 144
+    _assert_class_cover(inst, c)
+    assert c.cover.total <= MC_INFLATION * c.cover_term / 2 <= c.cover_term
 
 
 def test_tau_upper_bounds_weak_cover():
@@ -249,16 +303,15 @@ def test_tau_weighted():
 
 
 def test_tau_monte_carlo_mode():
-    # exact prefix-set enumeration up to EXACT_COVER_CAP messages, sampling
-    # above it; the instance alone decides
+    # the mode says whether a winning cover sampled a leaf, which needs
+    # n >= 144, not how many messages there are; the instance alone decides
     rng = random.Random(55)
-    for n in (8, EXACT_COVER_CAP, EXACT_COVER_CAP + 1):
+    for n in (8, 20, 21):
         inst = random_instance(n, 2 * n, rng)
         cert = tau(inst, seed=9)
-        assert cert.mode == ("exact" if n <= EXACT_COVER_CAP else "monte-carlo")
+        assert cert.mode == "exact"
         assert cert.seed == 9
         assert cert.value >= fractional_cover(inst, "weak").total
-    assert EXACT_COVER_CAP == 20
     with pytest.raises(TypeError):
         tau(inst, mc=True)
     with pytest.raises(TypeError):

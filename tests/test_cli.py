@@ -87,6 +87,19 @@ def test_hierarchy_lp_cap(capsys, tmp_path):
     assert "max-lp-vars" in err
 
 
+def test_out_of_memory_exits_as_a_cap(capsys, tmp_path, monkeypatch):
+    # a solver running out of memory ends the command with exit code 3 and a
+    # one-line message, not a traceback
+    import icbounds.hierarchy as hierarchy
+
+    def exhausted(p):
+        raise MemoryError
+
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    monkeypatch.setattr(hierarchy, "solve_min", exhausted)
+    assert run(capsys, "hierarchy", str(path), "--level", "2") == (3, "", "error: out of memory\n")
+
+
 def test_approx(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=7")
     out = run_json(capsys, "approx", str(path), "--seed", "1")
@@ -98,7 +111,7 @@ def test_approx(capsys, tmp_path):
     out = run_json(capsys, "approx", str(k8))
     (cls,) = out["classes"]
     assert (cls["choice"], cls["k"], cls["cover_sets"], cls["term"]) == ("cover", 1, 1, "6")
-    assert out["mode"] == "exact"  # n <= EXACT_COVER_CAP
+    assert out["mode"] == "exact"  # the cover has no dense leaf to sample
 
 
 def test_approx_has_no_mc_flag(capsys, tmp_path):

@@ -28,7 +28,7 @@ from icbounds.hierarchy import (
     verify_hierarchy_membership,
 )
 from icbounds.instance import CapExceeded, Instance, disjoint_union, from_graph
-from icbounds.lp import solve_min
+from icbounds.lp import LpProblem, solve_min
 
 F = Fraction
 
@@ -108,20 +108,32 @@ def test_monotone_chain():
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
 
+def _unreduced_lp(inst, k):
+    """The unreduced level-k LP, row by row from the reference."""
+    rows, objective, num_vars, _, _ = reference_lp(inst, k, reduced=False)
+    p = LpProblem(num_vars, objective)
+    for row, rhs in rows:
+        p.add(row, rhs)
+    return p
+
+
 def test_reduced_equals_unreduced():
     rng = random.Random(14)
-    for _ in range(200):
+    for i in range(200):
         n = rng.randrange(2, 5)
         inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
+        if i % 2:
+            den = rng.randrange(1, 13)
+            rates = tuple(F(rng.randint(1, den), den) for _ in range(n))
+            inst = Instance(n, inst.receivers, rates)
         k = rng.randrange(1, n + 1)
         p_red, _ = build_hierarchy_lp(inst, k)
-        p_full, _ = build_hierarchy_lp(inst, k, reduced=False)
-        assert solve_min(p_red).value == solve_min(p_full).value
+        assert solve_min(p_red).value == solve_min(_unreduced_lp(inst, k)).value
 
 
-def _assert_same_lp(inst, k, sym=None, reduced=True):
-    rows, objective, num_vars, counts, var_of_mask = reference_lp(inst, k, sym, reduced)
-    p, meta = build_hierarchy_lp(inst, k, sym, reduced)
+def _assert_same_lp(inst, k, sym=None):
+    rows, objective, num_vars, counts, var_of_mask = reference_lp(inst, k, sym)
+    p, meta = build_hierarchy_lp(inst, k, sym)
     assert list(p.constraints) == rows
     assert p.objective == objective and p.num_vars == num_vars
     assert list(meta.counts.items()) == list(counts.items())
@@ -139,8 +151,7 @@ def test_build_matches_reference_on_random_instances():
             rates = tuple(F(rng.randint(1, den), den) for _ in range(n))
             inst = Instance(n, inst.receivers, rates)
         k = rng.randrange(1, n + 1)
-        _assert_same_lp(inst, k, reduced=True)
-        _assert_same_lp(inst, k, reduced=False)
+        _assert_same_lp(inst, k)
 
 
 def test_build_matches_reference_with_symmetry():
@@ -244,6 +255,54 @@ def test_alpha_vector_feasible():
         assert verify_hierarchy_membership(x, inst, 1)
         a, _ = alpha_exact(inst)
         assert x[0] == a
+
+
+def _slacks(x, rows):
+    return [sum(c * x[m] for m, c in row.items()) - rhs for row, rhs in rows]
+
+
+def test_membership_matches_the_unreduced_rows():
+    # verify_hierarchy_membership checks the reduced rows; its verdict is
+    # that of every unreduced row, on random rational vectors, on the alpha
+    # vector and on a copy of it in which exactly one unreduced row breaks
+    rng = random.Random(18)
+    verdicts = {True: 0, False: 0}
+    one_row_breaks = 0
+    for i in range(60):
+        n = rng.randrange(1, 6)
+        if i % 2:
+            inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
+        else:
+            inst = from_graph(random_gnp(n, rng.random(), rng))
+        k = rng.randrange(1, n + 1)
+        rows = reference_lp(inst, k, reduced=False)[0]
+        alpha = alpha_feasible_vector(inst)
+        vectors = [alpha, {m: F(rng.randrange(0, 4 * n + 1), rng.randrange(1, 4))
+                           for m in range(1 << n)}]
+        # rows by mask, to count the broken rows after changing one X(S)
+        slack = _slacks(alpha, rows)
+        broken = sum(v < 0 for v in slack)
+        touching = {m: [] for m in range(1 << n)}
+        for r, (row, _) in enumerate(rows):
+            for m, c in row.items():
+                touching[m].append((r, c))
+
+        def broken_after(m, delta):
+            return broken + sum((slack[r] + c * delta < 0) - (slack[r] < 0) for r, c in touching[m])
+
+        masks = list(range(1 << n))
+        rng.shuffle(masks)
+        deltas = (F(-1, 3), F(1, 3), F(-1), F(1))
+        y = next(({**alpha, m: alpha[m] + d} for m in masks for d in deltas
+                  if broken_after(m, d) == 1), None)
+        if y is not None:
+            vectors.append(y)
+            one_row_breaks += 1
+        for x in vectors:
+            ok = verify_hierarchy_membership(x, inst, k)
+            assert ok == all(v >= 0 for v in _slacks(x, rows))
+            verdicts[ok] += 1
+    assert verdicts[True] and verdicts[False] and one_row_breaks
 
 
 def test_disjoint_union_additive():
