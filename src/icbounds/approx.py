@@ -99,9 +99,9 @@ def low_degree_cover(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
     dense side information (every receiver with |S(j)| + d >= n).
     Hypercliques are {j : f(j) in T <= S(j)} for a random prefix set T (a
     uniformly random permutation of [n+d] cut just before its first element
-    >= n), each weighted by (4d+2) * MC_INFLATION times its sampled
-    frequency; the sample count doubles until the coverage of every receiver
-    verifies exactly."""
+    >= n, drawn one point at a time up to that element), each weighted by
+    (4d+2) * MC_INFLATION times its sampled frequency; the sample count
+    doubles until the coverage of every receiver verifies exactly."""
     n = inst.n
     _check_low_degree(inst, d)
     reps = inst.distinct_receivers()
@@ -115,15 +115,21 @@ def low_degree_cover(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
         return frozenset(j for j, fb, sm in info if fb & tmask and not tmask & ~sm)
 
     rng = random.Random(seed)
+    points = list(range(n + d))
     samples = MC_BASE_SAMPLES
     while True:
         counts: dict[frozenset[int], int] = {}
         for _ in range(samples):
-            perm = rng.sample(range(n + d), n + d)
+            # a partial Fisher-Yates shuffle, stopped at the first point >= n:
+            # its prefix is that of a uniformly random permutation, whatever
+            # order the previous sample left the points in
             tmask = 0
-            for x in perm:
+            for i in range(n + d):
+                k = rng.randrange(i, n + d)
+                x = points[k]
                 if x >= n:
                     break
+                points[k], points[i] = points[i], x
                 tmask |= 1 << x
             cl = clique_of(tmask)
             if cl:

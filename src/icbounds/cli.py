@@ -9,8 +9,9 @@ rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
 3 resource cap exceeded or memory exhausted.  The library raises CapExceeded
 where the resource is spent (minrk2 for --minrk-cap, verify_code for
 exhaustive checks and for fields beyond exact float64 decoding, the
-hierarchy LP builder for --max-lp-vars); the CLI passes its flags through
-and maps that, and a MemoryError from anywhere, to exit code 3.
+hierarchy LP builder for --max-lp-vars, the exact simplex past its fixed
+variable cap); the CLI passes its flags through and maps that, and a
+MemoryError from anywhere, to exit code 3.
 """
 
 from __future__ import annotations
@@ -160,8 +161,7 @@ def cmd_gen(args) -> dict:
     data["family"] = {"name": out.name, "params": params}
     if out.matrix is not None:
         data["matrix"] = out.matrix
-        if out.name == "projective-hadamard":
-            data["matrix_field"] = params.get("q", 3)
+        data["matrix_field"] = out.matrix_field
     if args.with_expected:
         data["expected"] = {k: _rat(v) for k, v in out.expected.items()}
     if out.symmetry:
@@ -437,7 +437,7 @@ def _suite_hadamard():
     f = families.family("projective-hadamard", q=3)
     inst = f.instance
     a = alpha_exact(inst)[0]
-    rep = representation_rank(inst, f.matrix, 3)
+    rep = representation_rank(inst, f.matrix, f.matrix_field)
     scheme = codes.minrk_code(inst, rep)
     ver = codes.verify_code(inst, scheme, mode="exhaustive")
     cf = fractional_cover(inst, "strong").total
@@ -447,17 +447,13 @@ def _suite_hadamard():
 
 def _suite_oddtown():
     f = families.family("oddtown", m=6)
-    g, inc, inst = f.graph, f.matrix, f.instance
+    g, inst = f.graph, f.instance
     tri_free = all(
         not (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c))
         for a in range(g.n) for b in range(a + 1, g.n) for c in range(b + 1, g.n)
     )
     cf = fractional_cover(inst, "strong").total
-    gram = [
-        [sum(inc[i][t] * inc[j][t] for t in range(len(inc[0]))) % 2 for j in range(g.n)]
-        for i in range(g.n)
-    ]
-    rep = representation_rank(inst, gram, 2)
+    rep = representation_rank(inst, f.matrix, f.matrix_field)
     scheme = codes.minrk_code(inst, rep)
     ver = codes.verify_code(inst, scheme, mode="exhaustive")
     ok = g.n == 16 and tri_free and cf >= 8 and rep.value <= 6 and ver.passed

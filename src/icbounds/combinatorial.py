@@ -327,7 +327,7 @@ def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
     cols = np.nonzero(member)[1]
     indptr = np.concatenate([[0], np.cumsum(member.sum(axis=1))])
     p = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1), indptr, cols,
-                  np.ones(len(cols), np.int64), np.ones(len(targets), np.int64), *_rate_arrays(inst, wanted))
+                  np.ones(len(cols), np.int64), *_rate_arrays(inst, wanted))
     opt = solve_min(p)
     if opt.status != "optimal":
         raise AssertionError(f"cover LP came back {opt.status}")

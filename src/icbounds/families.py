@@ -231,9 +231,10 @@ class FamilyOutput:
     params: dict
     instance: Instance
     graph: Graph | None = None
-    matrix: list[list[int]] | None = None  # Gram / incidence where applicable
+    matrix: list[list[int]] | None = None  # a Gram matrix that fits the graph
     expected: dict[str, Fraction] = field(default_factory=dict)
     symmetry: list[list[int]] = field(default_factory=list)
+    matrix_field: int | None = None  # the prime field of matrix
 
 
 # Every family's required parameters, in the registry's order.
@@ -279,11 +280,13 @@ def family(name: str, **params) -> FamilyOutput:
         q = params["q"]
         g, gram = projective_hadamard(q)
         exp = {"beta": Fraction(3)} if q == 3 else {}
-        return FamilyOutput(name, params, from_graph(g), g, gram, exp, [])
+        return FamilyOutput(name, params, from_graph(g), g, gram, exp, [], q)
     if name == "oddtown":
         m = params["m"]
         g, inc = oddtown_trianglefree(m)
-        return FamilyOutput(name, params, from_graph(g), g, inc, {}, [])
+        # intersection sizes mod 2: odd on the diagonal and exactly on edges
+        gram = [[sum(a & b for a, b in zip(u, v)) % 2 for v in inc] for u in inc]
+        return FamilyOutput(name, params, from_graph(g), g, gram, {}, [], 2)
     if name == "aac":
         inst = aac_instance(params["n"])
         exp = {"b2": Fraction(2) + Fraction(1, params["n"]),

@@ -259,7 +259,7 @@ def build_hierarchy_lp(
     indptr = np.concatenate([[0], np.cumsum(live.sum(1))])
     rhs = keys[:, -1]
     p = LpProblem(int(var_of_mask.max()) + 1, {0: 1}, indptr, cols[live], vals[live],
-                  np.ones(len(rhs), np.int64), rhs_nums[rhs], rhs_dens[rhs])
+                  rhs_nums[rhs], rhs_dens[rhs])
     names = CATEGORIES + [f"submodularity-{order}" for order in range(2, k + 1)]
     counts = {name: int(c) for name, c in zip(names, np.bincount(cats, minlength=len(names))) if c}
     return p, HierarchyMeta(k, var_of_mask, counts)

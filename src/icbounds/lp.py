@@ -2,13 +2,13 @@
 
 Every LP here has one shape: minimize c'x subject to A x >= b and x >= 0,
 with c >= 0, so the objective is bounded below and the only outcomes are an
-optimum or infeasibility.  An LP is integer arrays end to end: A is CSR,
-each row integer coefficients over one positive integer denominator (1 for
-every row the hierarchy and cover builders emit), and b is one array of
-numerators and one of positive denominators.  The hierarchy and cover
-builders pass the arrays in one go; `LpProblem.add` appends a
-{var: coeff} row (for small hand-written LPs), and `LpProblem.rhs` and
-`LpProblem.constraints` show b and the rows as Fractions.
+optimum or infeasibility.  An LP is integer arrays end to end: A is CSR
+with integer coefficients, and b is one array of numerators and one of
+positive denominators.  The hierarchy and cover builders pass the arrays
+in one go; `LpProblem.add` appends a {var: coeff} row (for small
+hand-written LPs), stored times the common denominator of its
+coefficients, and `LpProblem.rhs` and `LpProblem.constraints` show b and
+the stored rows.
 
 Floats may propose an optimum, but only exact arithmetic accepts one: every
 optimum returned comes with a primal x and a dual y >= 0 (one entry per
@@ -25,23 +25,26 @@ entries.  No Fraction is built per row or per column.
 binding scipy ships (scipy.optimize._highspy._core), on one HiGHS instance
 per thread whose options are set once and whose model is cleared before
 each solve.  The arrays go in row-wise as they are, converted to floats in
-one vectorized step, as rows b <= A x and columns x >= 0, each row with a
-coefficient beyond SCALE_ABOVE divided by its largest one; an LP with a
+one vectorized step, as rows b <= A x and columns x >= 0.  An LP with a
 right-hand side at or beyond HIGHS_INFINITE_BOUND, which HiGHS would read
-as infinite, goes straight to the exact simplex.  It rounds HiGHS's primal
-values and row duals to nearby fractions with denominators at most
-ROUNDING_BOUND, once per distinct value (a scaled row's dual is rounded,
-then scaled back exactly).  If the checks accept the rounding, that is the
-answer.  Otherwise -- HiGHS reports no optimum, or the rounding fails --
-one exact revised simplex over Fraction arithmetic decides.  It solves the
-dual, max b'y s.t. A'y <= c, y >= 0, whose standard form starts from the
-all-slack basis (feasible because c >= 0), so the basis has one row per
-primal variable; the simplex multipliers recover the primal optimum, and an
-unbounded dual means an infeasible primal.  `LpOptimum.method` and
-`LpOptimum.fallback` record which path answered and why the rounding did not.
+as infinite, goes straight to the exact simplex, and a model HiGHS refuses
+(say, for a coefficient it reads as infinite) falls back to it.  It rounds
+HiGHS's primal values and row duals to nearby fractions with denominators
+at most ROUNDING_BOUND, once per distinct value.  If the checks accept the
+rounding, that is the answer.  Otherwise -- HiGHS reports no optimum, or
+the rounding fails -- one exact revised simplex over Fraction arithmetic
+decides.  It solves the dual, max b'y s.t. A'y <= c, y >= 0, whose
+standard form starts from the all-slack basis (feasible because c >= 0),
+so the basis has one row per primal variable; the simplex multipliers
+recover the primal optimum, and an unbounded dual means an infeasible
+primal.  Its dense basis inverse has num_vars^2 entries, so an LP with more
+than SIMPLEX_CAP variables raises CapExceeded("lp-simplex") instead.
+`LpOptimum.method` and `LpOptimum.fallback` record which path answered and
+why the rounding did not.
 
-Pivot rule: Dantzig with lowest-index tie-breaks, switching permanently to
-Bland's rule after a run of degenerate pivots, so termination is guaranteed.
+Pivot rule: Bland's (the lowest-index improving column enters; ties in the
+ratio test leave by lowest index) from the first pivot, so the simplex
+cannot cycle.
 """
 
 from __future__ import annotations
@@ -54,10 +57,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .instance import CapExceeded
+
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-STALL_LIMIT = 50  # degenerate pivots before switching to Bland's rule
 
 INT64_LIMIT = 2**63  # magnitudes below this fit int64
 
@@ -101,8 +104,8 @@ def _segment_sums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class LpProblem:
-    """min c'x  s.t.  A x >= b, x >= 0.  Row i of A has the coefficients
-    coefs[indptr[i]:indptr[i+1]] / denoms[i] on the variables
+    """min c'x  s.t.  A x >= b, x >= 0.  Row i of A has the integer
+    coefficients coefs[indptr[i]:indptr[i+1]] on the variables
     indices[indptr[i]:indptr[i+1]]; its right-hand side is
     rhs_nums[i] / rhs_dens[i], rhs_dens[i] > 0."""
 
@@ -111,20 +114,22 @@ class LpProblem:
     indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
     indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     coefs: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    denoms: np.ndarray = field(default_factory=lambda: np.ones(0, np.int64))
     rhs_nums: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     rhs_dens: np.ndarray = field(default_factory=lambda: np.ones(0, np.int64))
 
     def add(self, row: dict, rhs) -> None:
-        """Append row . x >= rhs; row maps variables to ints or Fractions."""
+        """Append row . x >= rhs; row maps variables to ints or Fractions.
+        A row with rational coefficients is stored times their common
+        denominator, and so is its right-hand side: the feasible set is the
+        same, but `constraints` shows the stored integer row, and a solve's
+        dual for it is that row's dual."""
         row = {j: c for j, c in row.items() if c}
         den = math.lcm(*(c.denominator for c in row.values()))
         nums = [c.numerator * (den // c.denominator) for c in row.values()]
         self.indptr = np.append(self.indptr, self.indptr[-1] + len(row))
         self.indices = np.append(self.indices, np.array(list(row), np.int64))
         self.coefs = np.concatenate([self.coefs, ints(nums, max(map(abs, nums), default=0))])
-        self.denoms = np.concatenate([self.denoms, ints([den], den)])
-        b = Fraction(rhs)
+        b = Fraction(rhs) * den
         self.rhs_nums = np.concatenate([self.rhs_nums, ints([b.numerator], abs(b.numerator))])
         self.rhs_dens = np.concatenate([self.rhs_dens, ints([b.denominator], b.denominator)])
 
@@ -144,7 +149,7 @@ class LpProblem:
 
 class _Rows(Sequence):
     """The constraints of an LpProblem as (row, rhs) pairs, row a
-    {var: coeff} dict, each meaning row . x >= rhs."""
+    {var: integer coeff} dict, each meaning row . x >= rhs."""
 
     def __init__(self, p: LpProblem):
         self._p = p
@@ -156,9 +161,7 @@ class _Rows(Sequence):
         p = self._p
         i = range(len(self))[i]
         lo, hi = p.indptr[i], p.indptr[i + 1]
-        den = int(p.denoms[i])
-        nums = p.coefs[lo:hi].tolist()
-        row = dict(zip(p.indices[lo:hi].tolist(), nums if den == 1 else (Fraction(c, den) for c in nums)))
+        row = dict(zip(p.indices[lo:hi].tolist(), p.coefs[lo:hi].tolist()))
         return row, Fraction(int(p.rhs_nums[i]), int(p.rhs_dens[i]))
 
 
@@ -182,14 +185,13 @@ def _violations(p: LpProblem, pos, xs, d) -> list[int]:
     bad = [-1] if min(xs, default=0) < 0 else []
     if not p.num_rows:
         return bad
-    # With X = d x, row i holds iff (coefs_i . X) rhs_dens_i >= rhs_nums_i
-    # denoms_i d, a comparison of integers.
+    # With X = d x, row i holds iff (coefs_i . X) rhs_dens_i >= rhs_nums_i d,
+    # a comparison of integers.
     row_len = _mag(np.diff(p.indptr))
-    bound = max(_mag(p.coefs) * row_len * _mag(xs) * _mag(p.rhs_dens), _mag(p.rhs_nums) * _mag(p.denoms) * d)
+    bound = max(_mag(p.coefs) * row_len * _mag(xs) * _mag(p.rhs_dens), _mag(p.rhs_nums) * d)
     terms = ints(p.coefs, bound) * _dense(p.num_vars, pos, xs, bound)[p.indices]
     lhs = _segment_sums(terms, p.indptr[:-1]) * ints(p.rhs_dens, bound)
-    need = ints(p.rhs_nums, bound) * ints(p.denoms, bound) * d
-    return bad + np.flatnonzero(lhs < need).tolist()
+    return bad + np.flatnonzero(lhs < ints(p.rhs_nums, bound) * d).tolist()
 
 
 def check_feasible(p: LpProblem, x) -> list[int]:
@@ -207,21 +209,16 @@ def certified_value(p: LpProblem, x, y) -> Fraction | None:
     pos, xs, d = _scaled(x)
     if _violations(p, pos, xs, d):
         return None
-    rows = [i for i, v in enumerate(y) if v]
-    if any(y[i].numerator < 0 for i in rows):
+    # Over the rows R with y_i != 0: A'y = (coefs' W) / e with W_i = y_i e,
+    # e the common denominator of the y_i.
+    rows, ws, e = _scaled(y)
+    if min(ws, default=0) < 0:
         return None
-    # Over the rows R with y_i != 0: A'y = (coefs' W) / e with
-    # W_i = y_i e / denoms_i, all integers for the common denominator e of
-    # the y_i / denoms_i.
-    r = np.asarray(rows, np.int64)
-    den = p.denoms[r].tolist()
-    ydens = [y[i].denominator * g for i, g in zip(rows, den)]
-    e = math.lcm(*ydens)
-    ws = [y[i].numerator * (e // dv) for i, dv in zip(rows, ydens)]
     # the costs c_j = cs_j / dc
     keys = list(p.objective)
     opos, cs, dc = _scaled(list(p.objective.values()))
     cols_c = [keys[k] for k in opos]
+    r = np.asarray(rows, np.int64)
     lo = p.indptr[r]
     lens = p.indptr[r + 1] - lo
     entries = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
@@ -232,13 +229,13 @@ def certified_value(p: LpProblem, x, y) -> Fraction | None:
     np.add.at(aty, cols, ints(p.coefs[entries], bound) * np.repeat(ints(ws, bound), lens))
     if np.any(_dense(p.num_vars, cols_c, cs, bound) * e < aty * dc):
         return None
-    # c'x = sum(cs X) / (dc d) and b'y = sum(W denoms rhs_nums (L / rhs_dens)) / (e L),
+    # c'x = sum(cs X) / (dc d) and b'y = sum(W rhs_nums (L / rhs_dens)) / (e L),
     # L the common denominator of the right-hand sides of R: sums of Python ints.
     cost = dict(zip(cols_c, cs))
     primal = sum(cost.get(j, 0) * v for j, v in zip(pos, xs))
     rd = p.rhs_dens[r].tolist()
     lq = math.lcm(*rd)
-    dual = sum(w * g * b * (lq // q) for w, g, b, q in zip(ws, den, p.rhs_nums[r].tolist(), rd))
+    dual = sum(w * b * (lq // q) for w, b, q in zip(ws, p.rhs_nums[r].tolist(), rd))
     return Fraction(primal, dc * d) if primal * e * lq == dual * dc * d else None
 
 
@@ -276,25 +273,12 @@ class _Core:
         return sum((vec[i] * v for i, v in self.cols[j]), F0)
 
     def solve(self, cost):
-        """Run to optimality.  Raises _Unbounded.  Returns objective value."""
-        bland = False
-        stall = 0
-        last_z = None
+        """Run to optimality by Bland's rule.  Raises _Unbounded.  Returns
+        the objective value."""
         while True:
             pi = self.multipliers(cost)
-            enter = -1
-            best = F0
-            for j in range(len(self.cols)):
-                if self.in_basis[j]:
-                    continue
-                d = cost[j] - self._col_times(pi, j)
-                if d < 0:
-                    if bland:
-                        enter = j
-                        break
-                    if d < best or (d == best and enter == -1):
-                        best = d
-                        enter = j
+            enter = next((j for j in range(len(self.cols))
+                          if not self.in_basis[j] and cost[j] < self._col_times(pi, j)), -1)
             if enter == -1:
                 return sum((cost[self.basis[i]] * self.xb[i] for i in range(self.m)), F0)
             u = [self._col_times(self.binv[i], enter) for i in range(self.m)]
@@ -309,12 +293,6 @@ class _Core:
             if leave == -1:
                 raise _Unbounded
             self._pivot(enter, leave, u, theta)
-            z = sum((cost[self.basis[i]] * self.xb[i] for i in range(self.m)), F0)
-            if not bland:
-                stall = stall + 1 if z == last_z else 0
-                if stall >= STALL_LIMIT:
-                    bland = True  # permanent: guarantees termination
-            last_z = z
 
     def _pivot(self, enter, leave, u, theta):
         binv = self.binv
@@ -340,17 +318,22 @@ class _Core:
         return x
 
 
+# Most primal variables the exact simplex takes: its dense basis inverse
+# holds num_vars^2 Fractions.  512 (C9's unreduced b2 LP) finishes; past it,
+# CapExceeded("lp-simplex") is raised before anything is allocated.
+SIMPLEX_CAP = 512
+
+
 def _dual_path(p: LpProblem) -> LpOptimum:
     """The exact optimum or infeasibility of p, by the simplex on its dual."""
     n = p.num_vars
     m = p.num_rows
+    if n > SIMPLEX_CAP:
+        raise CapExceeded("lp-simplex", n, SIMPLEX_CAP)
     # Dual in standard form: min -b'y  s.t.  A'y + s = c,  y, s >= 0.  Its
-    # columns are the rows of A, rational where a row has a denominator.
-    ptr, idx, nums, dens = (a.tolist() for a in (p.indptr, p.indices, p.coefs, p.denoms))
-    cols: list[list[tuple[int, Fraction]]] = [
-        [(idx[k], nums[k] if dens[i] == 1 else Fraction(nums[k], dens[i])) for k in range(ptr[i], ptr[i + 1])]
-        for i in range(m)
-    ]
+    # columns are the rows of A.
+    ptr, idx, nums = (a.tolist() for a in (p.indptr, p.indices, p.coefs))
+    cols = [list(zip(idx[ptr[i]:ptr[i + 1]], nums[ptr[i]:ptr[i + 1]])) for i in range(m)]
     for j in range(n):
         cols.append([(j, F1)])  # slack for dual row j
     rhs = [Fraction(p.objective.get(j, 0)) for j in range(n)]
@@ -372,12 +355,6 @@ def _dual_path(p: LpProblem) -> LpOptimum:
 # Largest denominator when rounding HiGHS's solution; the hierarchy and
 # cover LPs certify at it, and the exact simplex answers the rest.
 ROUNDING_BOUND = 10**3
-
-# HiGHS reads coefficients near 1e15 as infinite, so a row whose largest
-# coefficient exceeds this is divided by that coefficient before HiGHS sees
-# it.  Rows below it, every hierarchy and cover row among them, go unchanged.
-SCALE_ABOVE = 2**20
-
 
 # The settings scipy's method="highs" solves with, which pick the vertex
 # HiGHS returns: presolve on, the dual simplex (strategy 1), no output.
@@ -410,25 +387,16 @@ def _handle():
 
 def _highs(p: LpProblem):
     """HiGHS's float solve of p, rounded: (None, x, row duals >= 0) at an
-    optimum, else (the fallback reason, None, None).  A row divided by g
-    for HiGHS has its dual rounded on the scaled row, then divided by g as
-    a Fraction, so certified_value checks the duals of p itself."""
+    optimum, else (the fallback reason, None, None)."""
     highspy, highs = _handle()
     n, m = p.num_vars, p.num_rows
     try:
         c = np.zeros(n)
         c[list(p.objective)] = [float(v) for v in p.objective.values()]
-        val = p.coefs.astype(float) / np.repeat(p.denoms.astype(float), np.diff(p.indptr))
+        val = p.coefs.astype(float)
         b = np.asarray(p.rhs_nums / p.rhs_dens, dtype=float)
     except OverflowError:
         return "float-overflow", None, None
-    scale = {}
-    big = np.repeat(np.arange(m), np.diff(p.indptr))[np.abs(val) > SCALE_ABOVE]
-    for i in dict.fromkeys(big.tolist()):  # rows in order, each once
-        lo, hi = p.indptr[i], p.indptr[i + 1]
-        scale[i] = Fraction(max(abs(int(v)) for v in p.coefs[lo:hi]), int(p.denoms[i]))
-        val[lo:hi] /= float(scale[i])
-        b[i] /= float(scale[i])
     if np.any(np.abs(b) >= HIGHS_INFINITE_BOUND):
         return "highs-rhs-range", None, None
     # A x >= b goes in as it is, row-wise: rows [b, inf), columns [0, inf),
@@ -445,10 +413,7 @@ def _highs(p: LpProblem):
     if status != highspy.HighsModelStatus.kOptimal:
         return "highs-" + highs.modelStatusToString(status).lower().replace(" ", "-"), None, None
     sol = highs.getSolution()
-    y = _round(sol.row_dual)
-    for i, g in scale.items():
-        y[i] /= g
-    return None, _round(sol.col_value), y
+    return None, _round(sol.col_value), _round(sol.row_dual)
 
 
 def _round(values) -> list[Fraction]:
@@ -461,10 +426,9 @@ def _round(values) -> list[Fraction]:
 
 def _validate(p: LpProblem) -> None:
     m = p.num_rows
-    if (len(p.indptr) != m + 1 or len(p.denoms) != m or len(p.rhs_dens) != m
-            or not len(p.indices) == len(p.coefs) == p.indptr[-1]):
+    if len(p.indptr) != m + 1 or len(p.rhs_dens) != m or not len(p.indices) == len(p.coefs) == p.indptr[-1]:
         raise ValueError("constraint arrays disagree on the number of rows or entries")
-    if p.indptr[0] != 0 or np.any(np.diff(p.indptr) < 0) or np.any(p.denoms <= 0) or np.any(p.rhs_dens <= 0):
+    if p.indptr[0] != 0 or np.any(np.diff(p.indptr) < 0) or np.any(p.rhs_dens <= 0):
         raise ValueError("row pointers must not decrease and denominators must be positive")
     cols = [*p.objective, *((int(p.indices.min()), int(p.indices.max())) if len(p.indices) else ())]
     if cols and not 0 <= min(cols) <= max(cols) < p.num_vars:

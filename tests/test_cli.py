@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,34 @@ def test_bounds_minrk_gram_needs_matrix(capsys, tmp_path):
     code, _, err = run(capsys, "bounds", str(path), "--minrk2", "gram")
     assert code == 2
     assert "matrix" in err
+
+
+def test_gen_oddtown_feeds_the_minrank_commands(capsys, tmp_path):
+    # the file carries the GF(2) Gram matrix of the 16 sets, which fits the
+    # graph: intersections are odd exactly on edges and on the diagonal
+    path = gen(capsys, tmp_path, "oddtown", "m=6")
+    data = json.loads(path.read_text())
+    assert len(data["matrix"]) == 16 and data["matrix_field"] == 2
+    out = run_json(capsys, "code", str(path), "--scheme", "minrk")
+    assert Fraction(out["scheme"]["rate"]) <= 6 and out["verification"]["passed"] is True
+    out = run_json(capsys, "bounds", str(path), "--minrk2", "gram")
+    assert int(out["minrk2"]["value"]) <= 6 and out["minrk2"]["field"] == 2
+
+
+def test_simplex_cap_exits_as_a_cap(capsys, tmp_path, monkeypatch):
+    # chibar_f of C5 joined to the complement of a perfect matching on 14
+    # vertices is 5/2, which no rounding to integers certifies; its LP has
+    # 5 * 2^7 = 640 maximal cliques, past the exact simplex's cap
+    import icbounds.lp as lpmod
+
+    monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
+    edges = [[i, (i + 1) % 5] for i in range(5)]
+    edges += [[a, b] for a in range(5, 19) for b in range(a + 1, 19) if (a - 5) // 2 != (b - 5) // 2]
+    edges += [[i, a] for i in range(5) for a in range(5, 19)]
+    path = tmp_path / "join.json"
+    path.write_text(json.dumps({"n": 19, "edges": edges}))
+    assert run(capsys, "bounds", str(path), "--chibarf") == (
+        3, "", f"error: cap lp-simplex: needed 640, limit {lpmod.SIMPLEX_CAP}\n")
 
 
 def test_hierarchy_c5(capsys, tmp_path):

@@ -270,7 +270,7 @@ def test_cover_lp_arrays_match_row_by_row_build(monkeypatch):
             for t, r in targets:
                 ref.add({j: 1 for j, c in enumerate(cliques) if t in c}, r)
             got = built[-1]
-            for name in ("indptr", "indices", "coefs", "denoms", "rhs_nums", "rhs_dens"):
+            for name in ("indptr", "indices", "coefs", "rhs_nums", "rhs_dens"):
                 assert getattr(got, name).tolist() == getattr(ref, name).tolist(), name
                 assert getattr(got, name).dtype == getattr(ref, name).dtype, name
             assert got.rhs == ref.rhs and got.objective == ref.objective

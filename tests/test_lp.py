@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from collections import Counter
@@ -10,7 +11,7 @@ from scipy.optimize import linprog
 from icbounds import combinatorial, families
 from icbounds import lp as lpmod
 from icbounds.hierarchy import build_hierarchy_lp
-from icbounds.instance import from_graph
+from icbounds.instance import CapExceeded, from_graph
 from icbounds.lp import LpProblem, certified_value, check_feasible, solve_min
 
 F = Fraction
@@ -70,17 +71,15 @@ def test_rejects_negative_cost_and_unknown_variable():
 
 
 def test_degenerate_cycling_guard(monkeypatch):
-    # the covering LP whose dual is Beale's example: Dantzig's rule cycles on
-    # it, so the exact simplex ends only through the switch to Bland's rule.
-    # The optimum is 1/20 = x_2, so no rounding to integers can certify it.
+    # the covering LP whose dual is Beale's example, on which Dantzig's rule
+    # cycles; Bland's rule ends.  The optimum is 1/20 = x_2, so no rounding
+    # to integers can certify it.
     monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
     p = LpProblem(3, {2: F(1)})
     p.add({0: F(1, 4), 1: F(1, 2)}, F(3, 4))
     p.add({0: F(-60), 1: F(-90)}, -150)
     p.add({0: F(-1, 25), 1: F(-1, 50), 2: F(1)}, F(1, 50))
     p.add({0: F(9), 1: F(3)}, -6)
-    # the rows stay rational: scaled to integers, Dantzig's rule would not cycle
-    assert p.constraints[2] == ({0: F(-1, 25), 1: F(-1, 50), 2: F(1)}, F(1, 50))
     opt = solve_min(p)
     assert (opt.status, opt.method, opt.fallback) == ("optimal", "simplex", "rounding-rejected")
     assert opt.value == F(1, 20)
@@ -218,6 +217,21 @@ def test_dual_path_certificate():
         _assert_certificate(p, opt)
 
 
+def test_simplex_cap(monkeypatch):
+    # with no rounding that certifies, the exact simplex answers an LP of
+    # SIMPLEX_CAP variables and refuses one more before it allocates
+    monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
+    for n in (lpmod.SIMPLEX_CAP, lpmod.SIMPLEX_CAP + 1):
+        p = LpProblem(n, dict.fromkeys(range(n), 1))
+        p.add({0: 2}, 1)
+        if n <= lpmod.SIMPLEX_CAP:
+            opt = solve_min(p)
+            assert (opt.value, opt.method, opt.fallback) == (F(1, 2), "simplex", "rounding-rejected")
+            continue
+        with pytest.raises(CapExceeded, match=f"lp-simplex: needed {n}, limit {lpmod.SIMPLEX_CAP}"):
+            solve_min(p)
+
+
 def test_rounding_rejected_falls_back_to_exact_simplex():
     # the optimum's denominator exceeds the rounding bound: the rounded x is
     # 0, and the feasibility check rejects it
@@ -239,15 +253,17 @@ def test_coefficients_beyond_float_range_fall_back():
 
 
 def test_constraints_view():
+    # a rational row is stored times the common denominator of its
+    # coefficients, and so is its right-hand side
     p = LpProblem(3, {0: F(1)})
     p.add({0: 2, 2: F(0), 1: -1}, F(1, 3))
-    p.add({1: F(1, 6), 2: F(1, 4)}, 0)
+    p.add({1: F(1, 6), 2: F(1, 4)}, F(1, 2))
     p.add({}, -1)
     rows = p.constraints
     assert len(rows) == 3
     assert rows[0] == ({0: 2, 1: -1}, F(1, 3))  # the zero coefficient is dropped
-    assert rows[-2] == ({1: F(1, 6), 2: F(1, 4)}, 0)
-    assert p.coefs.tolist()[2:] == [2, 3] and p.denoms.tolist() == [1, 12, 1]
+    assert rows[-2] == ({1: 2, 2: 3}, 6)
+    assert p.coefs.tolist() == [2, -1, 2, 3] and p.rhs == [F(1, 3), 6, -1]
     assert list(rows) == [rows[0], rows[1], ({}, -1)]
     with pytest.raises(IndexError):
         rows[3]
@@ -255,7 +271,7 @@ def test_constraints_view():
 
 def test_rejects_malformed_rows():
     p = small_lp()
-    p.denoms = p.denoms * 0
+    p.rhs_dens = p.rhs_dens * 0
     with pytest.raises(ValueError, match="denominators"):
         solve_min(p)
     p = small_lp()
@@ -270,24 +286,56 @@ def test_ints_dtype_follows_the_bound():
     assert big.dtype == object and type(big[0]) is int
 
 
-def _fraction_violations(p, x):
-    """check_feasible by plain Fraction arithmetic over the rows."""
+def _fraction_violations(p, x, rows=None):
+    """check_feasible by plain Fraction arithmetic over the rows (p's stored
+    rows unless others are given)."""
+    rows = p.constraints if rows is None else rows
     bad = [-1] if any(v < 0 for v in x) else []
-    return bad + [i for i, (row, rhs) in enumerate(p.constraints)
+    return bad + [i for i, (row, rhs) in enumerate(rows)
                   if sum((F(c) * x[j] for j, c in row.items()), F(0)) < rhs]
 
 
-def _fraction_certifies(p, x, y):
+def _fraction_certifies(p, x, y, rows=None):
     """certified_value by plain Fraction arithmetic: the value, or None."""
-    if _fraction_violations(p, x) or any(v < 0 for v in y):
+    rows = p.constraints if rows is None else rows
+    if _fraction_violations(p, x, rows) or any(v < 0 for v in y):
         return None
     reduced = [F(p.objective.get(j, 0)) for j in range(p.num_vars)]
-    for (row, _), yi in zip(p.constraints, y):
+    for (row, _), yi in zip(rows, y):
         for j, c in row.items():
             reduced[j] -= yi * c
     value = objective_value(p, x)
-    ok = all(v >= 0 for v in reduced) and value == sum(yi * rhs for yi, (_, rhs) in zip(y, p.constraints))
+    ok = all(v >= 0 for v in reduced) and value == sum(yi * rhs for yi, (_, rhs) in zip(y, rows))
     return value if ok else None
+
+
+def test_add_stores_rational_rows_as_integer_rows():
+    # each row is stored times the common denominator s of its coefficients:
+    # the same verdict on every x as the row as given, and the optimum
+    # certifies the rows as given with the dual s y
+    rng = random.Random(17)
+    outcomes = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        given = [({j: F(rng.randint(-6, 6), rng.randint(1, 6)) for j in rng.sample(range(n), rng.randint(0, n))},
+                  F(rng.randint(-8, 8), rng.randint(1, 6))) for _ in range(rng.randint(1, 6))]
+        p = LpProblem(n, {j: F(rng.randint(0, 4), rng.randint(1, 3)) for j in range(n)})
+        for row, rhs in given:
+            p.add(row, rhs)
+        scales = [math.lcm(*(c.denominator for c in row.values())) for row, _ in given]
+        for (row, rhs), s, (stored, stored_rhs) in zip(given, scales, p.constraints):
+            assert stored == {j: int(c * s) for j, c in row.items() if c} and stored_rhs == rhs * s
+        for _ in range(20):
+            x = [F(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(n)]
+            verdict = check_feasible(p, x)
+            assert verdict == _fraction_violations(p, x, given)
+            outcomes["feasible" if not verdict else "violated"] += 1
+        opt = solve_min(p)
+        if opt.status == "optimal":
+            assert opt.value == _fraction_certifies(p, opt.x, [s * y for s, y in zip(scales, opt.dual)], given)
+        outcomes[opt.status, opt.method] += 1
+    assert outcomes["feasible"] > 100 and outcomes["violated"] > 100
+    assert outcomes["optimal", "rounded"] > 30 and outcomes["infeasible", "simplex"] > 10
 
 
 def _record_dtypes(monkeypatch):
@@ -356,7 +404,8 @@ def test_check_flags_a_row_missed_by_one_over_the_denominator(monkeypatch):
 
 
 def test_coefficients_beyond_int64():
-    # the row is scaled for HiGHS, and the exact checks take the Python ints
+    # the right-hand side is beyond HiGHS's range, and the exact simplex and
+    # checks take the Python ints
     p = LpProblem(1, {0: F(1)})
     p.add({0: 10**20}, 3 * 10**20)
     assert p.coefs.dtype == object
@@ -396,29 +445,22 @@ def _record_models(monkeypatch):
     return seen
 
 
-def test_huge_rows_are_scaled_for_highs(monkeypatch):
-    # unscaled, HiGHS refuses a coefficient of 10^15 (highs-model-error);
-    # divided by 10^15 the row rounds, and its dual is scaled back exactly
+def test_huge_rows_fall_back_unscaled(monkeypatch):
+    # HiGHS refuses a coefficient of 10^15 (highs-model-error), and the exact
+    # simplex answers the LP as it is, with a certificate
     seen = _record_models(monkeypatch)
     p = LpProblem(2, {0: F(1), 1: F(1)})
     p.add({0: 10**15}, 3 * 10**15)
     p.add({0: F(1, 2), 1: 1}, 4)
     opt = solve_min(p)
-    assert (opt.method, opt.fallback) == ("rounded", None)
-    assert opt.value == F(11, 2) and opt.dual == [F(1, 2 * 10**15), F(1)]
+    assert (opt.value, opt.method, opt.fallback) == (F(11, 2), "simplex", "highs-model-error")
     _assert_certificate(p, opt)
-    assert seen[0][0].tolist() == [[1, 0], [0.5, 1]] and seen[0][1].tolist() == [3, 4]
-    # a row at SCALE_ABOVE reaches HiGHS as it is
+    assert seen[0][0].tolist() == [[10**15, 0], [1, 2]] and seen[0][1].tolist() == [3 * 10**15, 8]
+    # a row of 2^20 reaches HiGHS as it is
     p = LpProblem(1, {0: F(1)})
-    p.add({0: lpmod.SCALE_ABOVE}, 1)
-    assert solve_min(p).value == F(1, lpmod.SCALE_ABOVE)
-    assert seen[1][0].tolist() == [[lpmod.SCALE_ABOVE]]
-    # with no scaling the model is refused, and the exact simplex answers
-    monkeypatch.setattr(lpmod, "SCALE_ABOVE", 10**30)
-    p = LpProblem(1, {0: F(1)})
-    p.add({0: 10**15}, 3 * 10**15)
-    opt = solve_min(p)
-    assert (opt.value, opt.method, opt.fallback) == (3, "simplex", "highs-model-error")
+    p.add({0: 2**20}, 1)
+    assert solve_min(p).value == F(1, 2**20)
+    assert seen[1][0].tolist() == [[2**20]]
 
 
 def test_rhs_beyond_highs_infinite_bound_falls_back():
