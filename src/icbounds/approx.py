@@ -171,10 +171,14 @@ class ApproxOutcome:
     bound: Fraction | None = None
 
 
-def _lift(sub: Instance, emap: list[int], clique: frozenset[int]) -> frozenset[int]:
-    """A hyperclique of representatives of `sub` as the set of every
-    receiver they represent, in emap's indices."""
-    return frozenset(emap[e] for e, rep in enumerate(sub.representative) if rep in clique)
+def _members(sub: Instance, emap: list[int]) -> dict[int, list[int]]:
+    """members[rep]: every receiver of `sub` that rep represents, in emap's
+    indices; a hyperclique of representatives lifts to the union of its
+    members' lists."""
+    members: dict[int, list[int]] = {}
+    for e, rep in enumerate(sub.representative):
+        members.setdefault(rep, []).append(emap[e])
+    return members
 
 
 def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | CoverParts:
@@ -197,7 +201,7 @@ def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | Cov
         reps = sub.distinct_receivers()
         if kk == 1:
             if is_weak_hyperclique(sub, reps):
-                parts.cliques.append(_lift(sub, emap, frozenset(reps)))
+                parts.cliques.append(frozenset(emap))  # every receiver of sub
                 return None
             for jp in reps:
                 sp = sub.receivers[jp].side_set()
@@ -246,8 +250,9 @@ def build_cover(inst: Instance, k: int, parts: CoverParts, seed: int = 0) -> App
     for item in parts.cliques:
         merged[item] = merged.get(item, F0) + F1
     for sub, emap, d in parts.leaves:
+        members = _members(sub, emap)
         for cl, w in low_degree_cover(sub, d, seed=seed).items:
-            item = _lift(sub, emap, cl)
+            item = frozenset(e for rep in cl for e in members[rep])
             merged[item] = merged.get(item, F0) + w
     cover = FractionalCover(
         "weak", sorted(merged.items(), key=lambda kv: sorted(kv[0])),

@@ -312,10 +312,49 @@ def _rate_arrays(inst: Instance, messages) -> tuple[np.ndarray, np.ndarray]:
     return ints(nums, bound), ints(dens, bound)
 
 
+def _owner(inst: Instance) -> list[int] | None:
+    """owner[v]: the representative receiver wanting message v, when inst is
+    unicast (its distinct receivers want pairwise different messages and
+    every message is wanted, so owner is a bijection); None otherwise."""
+    reps = inst.distinct_receivers()
+    owner = {inst.receivers[j].wants: j for j in reps}
+    return [owner[v] for v in range(inst.n)] if len(owner) == len(reps) == inst.n else None
+
+
 def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
     """Minimum-total-weight fractional cover by maximal hypercliques (exact
     LP).  Strong covers every message at its rate; weak covers every
-    receiver at the rate of its wanted message."""
+    receiver at the rate of its wanted message, its items sets of
+    representative receiver indices.
+
+    On a unicast instance (owner[v], the representative wanting v, a
+    bijection) the weak hypercliques are the strong ones relabelled by
+    owner, and both LPs have the same rows (allowed[v] = S(owner[v]), the
+    same rates), so the weak cover is the strong one relabelled: one LP
+    serves psi_f and chi_bar_f.  The solved strong cover is kept on inst;
+    every call returns a fresh, verified FractionalCover."""
+    owner = _owner(inst) if kind == "weak" else None
+    if kind != "strong" and owner is None:  # non-unicast weak, or an unknown kind (refused there)
+        return _solve_cover(inst, kind)
+    strong = inst._covers.get("strong")
+    if strong is None:
+        strong = inst._covers["strong"] = _solve_cover(inst, "strong")
+    if owner is None:
+        return FractionalCover("strong", list(strong.items), strong.total)
+    items = [(frozenset(owner[v] for v in s), w) for s, w in strong.items]
+    return _verified(inst, FractionalCover("weak", items, strong.total))
+
+
+def _verified(inst: Instance, cover: FractionalCover) -> FractionalCover:
+    bad = verify_cover(inst, cover)
+    if bad:
+        raise AssertionError(f"cover failed verification: {bad}")
+    return cover
+
+
+def _solve_cover(inst: Instance, kind: str) -> FractionalCover:
+    """The cover LP of one kind, built as a target x clique membership
+    matrix, solved and verified."""
     cliques, targets = _hypercliques(inst, kind)
     wanted = targets if kind == "strong" else [inst.receivers[j].wants for j in targets]
     # target x clique membership: row t sums the cliques containing t
@@ -332,11 +371,7 @@ def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
     if opt.status != "optimal":
         raise AssertionError(f"cover LP came back {opt.status}")
     items = [(frozenset(targets[i] for i in cliques[j]), v) for j, v in enumerate(opt.x) if v]
-    cover = FractionalCover(kind, items, opt.value)
-    bad = verify_cover(inst, cover)
-    if bad:
-        raise AssertionError(f"cover failed verification: {bad}")
-    return cover
+    return _verified(inst, FractionalCover(kind, items, opt.value))
 
 
 def integer_clique_cover(inst: Instance | Graph) -> tuple[int, list[frozenset[int]]]:

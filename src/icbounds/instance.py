@@ -66,6 +66,12 @@ class Instance:
         """side_masks[j]: S(j) = N(j) | {f(j)} as a bitmask over the messages."""
         return tuple(to_mask(r.knows) | 1 << r.wants for r in self.receivers)
 
+    @cached_property
+    def _covers(self) -> dict:
+        """{"strong": the solved strong fractional cover}, kept by
+        `combinatorial.fractional_cover` for later calls."""
+        return {}
+
     def distinct_receivers(self) -> tuple[int, ...]:
         """Indices of one representative per distinct (wants, knows) pair."""
         return tuple(j for j, rep in enumerate(self.representative) if rep == j)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from icbounds import combinatorial
 from icbounds.cli import main
 
 
@@ -169,6 +170,34 @@ def test_code_strongcover(capsys, tmp_path):
     out = run_json(capsys, "code", str(path), "--scheme", "strongcover",
                    "--verify", "exhaustive")
     assert out["scheme"]["rate"] == "5/2"
+    assert out["verification"]["passed"] is True
+
+
+def test_bounds_psif_chibarf_share_one_lp_on_a_graph(capsys, tmp_path, monkeypatch):
+    calls = []
+    solve = combinatorial.solve_min
+    monkeypatch.setattr(combinatorial, "solve_min", lambda p: calls.append(p) or solve(p))
+    path = gen(capsys, tmp_path, "complement-cycle", "n=7")
+    out = run_json(capsys, "bounds", str(path), "--psif", "--chibarf")
+    assert out["psif"]["value"] == out["chibarf"]["value"] == "7/3"
+    assert len(calls) == 1
+    # two receivers want message 0 with different side information
+    path = tmp_path / "multicast.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "receivers": [{"wants": 0, "knows": [1]}, {"wants": 0, "knows": [2]},
+                      {"wants": 1, "knows": [0]}, {"wants": 2, "knows": [0]}],
+    }))
+    calls.clear()
+    out = run_json(capsys, "bounds", str(path), "--psif", "--chibarf")
+    assert (out["psif"]["value"], out["chibarf"]["value"]) == ("2", "3")
+    assert len(calls) == 2
+
+
+def test_code_mds_from_the_shared_cover(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "complement-cycle", "n=7")
+    out = run_json(capsys, "code", str(path), "--scheme", "mds", "--verify", "random:2000:1")
+    assert out["scheme"]["rate"] == "7/3"
     assert out["verification"]["passed"] is True
 
 

@@ -28,7 +28,7 @@ from icbounds.combinatorial import (
 )
 from icbounds.families import cycle, complement, petersen, random_gnp, random_instance, tri3
 from icbounds.hierarchy import solve_bk
-from icbounds.instance import CapExceeded, Graph, Instance, from_graph
+from icbounds.instance import CapExceeded, Graph, Instance, Receiver, from_graph
 from icbounds.lp import LpOptimum, LpProblem, solve_min
 
 F = Fraction
@@ -237,9 +237,34 @@ def test_cover_rejects_non_optimal_lp(monkeypatch):
         fractional_cover(from_graph(cycle(5)), "strong")
 
 
+def _wanted_by(inst):
+    """owner[v]: the one distinct receiver wanting message v, on a unicast
+    instance (distinct receivers want pairwise different messages and every
+    message is wanted); None otherwise."""
+    reps = inst.distinct_receivers()
+    owner = {inst.receivers[j].wants: j for j in reps}
+    return [owner[v] for v in range(inst.n)] if len(owner) == len(reps) == inst.n else None
+
+
+def _row_by_row_lp(inst, kind):
+    """(cliques, LP): the cover LP appended a row at a time with
+    LpProblem.add from enumerate_maximal_hypercliques."""
+    cliques = enumerate_maximal_hypercliques(inst, kind)
+    if kind == "strong":
+        targets = [(v, inst.rate(v)) for v in range(inst.n)]
+    else:
+        targets = [(j, inst.rate(inst.receivers[j].wants)) for j in inst.distinct_receivers()]
+    ref = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1))
+    for t, r in targets:
+        ref.add({j: 1 for j, c in enumerate(cliques) if t in c}, r)
+    return cliques, ref
+
+
 def test_cover_lp_arrays_match_row_by_row_build(monkeypatch):
     # the cover LP built in one pass equals the one appended a row at a time
-    # with LpProblem.add, and so does the cover it certifies
+    # with LpProblem.add, and so does the cover it certifies; on a unicast
+    # instance the weak cover comes from the strong LP, which must equal the
+    # reference weak LP relabelled by owner (receiver owner[v] -> message v)
     built = []
 
     def spy(p):
@@ -248,6 +273,7 @@ def test_cover_lp_arrays_match_row_by_row_build(monkeypatch):
 
     monkeypatch.setattr(combinatorial, "solve_min", spy)
     rng = random.Random(17)
+    unicast_weak = 0
     for i in range(80):
         n = rng.randint(1, 8)
         if i % 2:
@@ -256,19 +282,20 @@ def test_cover_lp_arrays_match_row_by_row_build(monkeypatch):
             inst = random_instance(n, rng.randint(1, 2 * n), rng)
             rates = tuple(F(1, rng.choice((1, 2, 3))) for _ in range(n))
             inst = Instance(n, inst.receivers, rates if i % 4 == 0 else None)
+        owner = _wanted_by(inst)
         for kind in ("weak", "strong"):
             if not inst.m and kind == "weak":
                 continue
             cover = fractional_cover(inst, kind)
-            cliques = enumerate_maximal_hypercliques(inst, kind)
-            if kind == "strong":
-                targets = [(v, inst.rate(v)) for v in range(inst.n)]
-            else:
-                targets = [(j, inst.rate(inst.receivers[j].wants))
-                           for j in inst.distinct_receivers()]
-            ref = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1))
-            for t, r in targets:
-                ref.add({j: 1 for j, c in enumerate(cliques) if t in c}, r)
+            cliques, ref = _row_by_row_lp(inst, kind)
+            relabel = kind == "weak" and owner is not None
+            if relabel:
+                unicast_weak += 1
+                wants = [inst.receivers[j].wants for j in range(inst.m)]
+                cliques = sorted((frozenset(wants[j] for j in c) for c in cliques), key=sorted)
+                ref = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1))
+                for v in range(inst.n):
+                    ref.add({j: 1 for j, c in enumerate(cliques) if v in c}, inst.rate(v))
             got = built[-1]
             for name in ("indptr", "indices", "coefs", "rhs_nums", "rhs_dens"):
                 assert getattr(got, name).tolist() == getattr(ref, name).tolist(), name
@@ -276,7 +303,93 @@ def test_cover_lp_arrays_match_row_by_row_build(monkeypatch):
             assert got.rhs == ref.rhs and got.objective == ref.objective
             opt = solve_min(ref)
             assert cover.total == opt.value
-            assert cover.items == [(cliques[j], x) for j, x in enumerate(opt.x) if x > 0]
+            expect = [(cliques[j], x) for j, x in enumerate(opt.x) if x > 0]
+            if relabel:
+                expect = [(frozenset(owner[v] for v in c), x) for c, x in expect]
+            assert cover.items == expect
+    assert 20 < unicast_weak < 60  # both paths are exercised
+
+
+def _shared_cover_cases(rng):
+    """Seeded instances of every shape the shared cover meets: graphs,
+    directed unicast instances with permuted wants, unicast instances with
+    identical twin receivers, weighted rates, and non-unicast ones."""
+    for i in range(300):
+        n = rng.randint(1, 9)
+        shape = i % 5
+        if shape == 0:
+            inst = from_graph(random_gnp(n, rng.random(), rng))
+        elif shape in (1, 2, 3):
+            wants = rng.sample(range(n), n)
+            recs = []
+            for w in wants:
+                rest = [v for v in range(n) if v != w]
+                recs.append(Receiver(w, frozenset(rng.sample(rest, rng.randint(0, len(rest))))))
+            if shape == 2:  # identical twins, shuffled in
+                recs += [recs[j] for j in rng.choices(range(n), k=rng.randint(1, n))]
+                rng.shuffle(recs)
+            inst = Instance(n, tuple(recs))
+        else:
+            inst = random_instance(n, rng.randint(1, 2 * n), rng)
+        if i % 3 == 0:
+            inst = Instance(n, inst.receivers, tuple(F(1, rng.choice((1, 2, 3, 5))) for _ in range(n)))
+        yield inst
+
+
+def test_shared_cover_matches_the_weak_lp():
+    rng = random.Random(1515)
+    shapes = {True: 0, False: 0}
+    for i, inst in enumerate(_shared_cover_cases(rng)):
+        shapes[_wanted_by(inst) is not None] += 1
+        kinds = ("weak", "strong") if i % 2 else ("strong", "weak")
+        covers = {kind: fractional_cover(inst, kind) for kind in kinds}
+        _, ref = _row_by_row_lp(inst, "weak")
+        assert covers["weak"].total == solve_min(ref).value
+        for kind, cover in covers.items():
+            assert cover.kind == kind
+            assert verify_cover(inst, cover) == []
+        if _wanted_by(inst) is not None:
+            assert covers["weak"].total == covers["strong"].total
+    assert min(shapes.values()) > 50
+
+
+def test_unicast_instances_solve_one_cover_lp(monkeypatch):
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return solve_min(p)
+
+    monkeypatch.setattr(combinatorial, "solve_min", spy)
+    doubled = lambda: Instance(7, from_graph(cycle(7)).receivers * 2)  # unicast, with twins
+    for make in (lambda: from_graph(complement(cycle(7))), doubled, tri3):
+        for kinds in (("weak", "strong"), ("strong", "weak")):
+            inst = make()  # a new instance: nothing kept from an earlier call
+            calls.clear()
+            for kind in kinds + kinds:
+                fractional_cover(inst, kind)
+            assert len(calls) == 1, (inst, kinds)
+    # two receivers want message 0 with different side information
+    inst = Instance(3, (Receiver(0, frozenset({1})), Receiver(0, frozenset({2})),
+                        Receiver(1, frozenset({0})), Receiver(2, frozenset({0}))))
+    calls.clear()
+    assert fractional_cover(inst, "weak").total == 2
+    assert fractional_cover(inst, "strong").total == 3
+    assert len(calls) == 2
+
+
+def test_editing_a_returned_cover_leaves_the_kept_one_alone():
+    for inst in (from_graph(complement(cycle(7))), from_graph(cycle(5))):
+        first = {kind: fractional_cover(inst, kind) for kind in ("weak", "strong")}
+        want = {kind: (list(c.items), c.total) for kind, c in first.items()}
+        for c in first.values():
+            c.items[0] = (frozenset(), F(99))
+            c.items.append((frozenset({0}), F(5)))
+            c.total = F(0)
+        for kind in ("strong", "weak"):
+            again = fractional_cover(inst, kind)
+            assert (again.items, again.total) == want[kind]
+            assert verify_cover(inst, again) == []
 
 
 def test_integer_clique_cover():
