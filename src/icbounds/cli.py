@@ -6,12 +6,12 @@ instance or a graph file; a graph is read as its instance.
 Output formats: json (default), csv (flattened key,value rows), table
 (aligned, rationals annotated with an approximate 4-place decimal).  All
 rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
-3 resource cap exceeded or memory exhausted.  The library raises CapExceeded
-where the resource is spent (minrk2 for --minrk-cap, verify_code for
-exhaustive checks and for fields beyond exact float64 decoding, the
-hierarchy LP builder for --max-lp-vars, the exact simplex past its fixed
-variable cap); the CLI passes its flags through and maps that, and a
-MemoryError from anywhere, to exit code 3.
+3 resource cap exceeded, memory exhausted or an LP certificate failed.  The
+library raises CapExceeded where the resource is spent (minrk2 for
+--minrk-cap, verify_code for exhaustive checks and for fields beyond exact
+float64 decoding, the hierarchy LP builder for --max-lp-vars, solve_min for
+an LP HiGHS cannot take and a basis past its fixed cap) and lp.Uncertified
+for a failed certificate; the CLI maps these, and a MemoryError, to 3.
 """
 
 from __future__ import annotations
@@ -38,16 +38,8 @@ from .combinatorial import (
     representation_rank,
 )
 from .hierarchy import MAX_LP_VARS, solve_bk
-from .instance import (
-    CapExceeded,
-    Instance,
-    ParseError,
-    from_graph,
-    problem_from_dict,
-    read_json,
-    validate,
-    validate_graph,
-)
+from .instance import CapExceeded, Graph, Instance, ParseError, from_graph, read_problem
+from .lp import Uncertified
 from .numeric import format_rational
 from .report import build_report
 
@@ -108,18 +100,6 @@ def _rat(x) -> str:
 # -- input plumbing ----------------------------------------------------------
 
 
-def _load(path: str):
-    """Returns (instance, graph-or-None, metadata dict)."""
-    data = read_json(path)
-    inst, graph = problem_from_dict(data, path)
-    violations = validate(inst).violations
-    if graph is not None:
-        violations += validate_graph(graph).violations
-    if violations:
-        raise ParseError(f"invalid instance: {violations}")
-    return inst, graph, data
-
-
 def _levels(spec: str) -> tuple[int, ...]:
     return tuple(int(x) for x in spec.split(","))
 
@@ -173,7 +153,7 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_bounds(args) -> dict:
-    inst, _, data = _load(args.instance)
+    inst, data = read_problem(args.instance)
     out: dict = {"n": inst.n, "m": inst.m}
     if args.alpha:
         v, seq = alpha_exact(inst)
@@ -205,7 +185,7 @@ def cmd_bounds(args) -> dict:
 
 
 def cmd_hierarchy(args) -> dict:
-    inst, _, data = _load(args.instance)
+    inst, data = read_problem(args.instance)
     t0 = time.perf_counter()
     b = solve_bk(inst, args.level, sym=_sym_arg(args.sym, inst, data),
                  max_lp_vars=args.max_lp_vars)
@@ -222,7 +202,7 @@ def cmd_hierarchy(args) -> dict:
 
 
 def cmd_approx(args) -> dict:
-    inst, _, _ = _load(args.instance)
+    inst, _ = read_problem(args.instance)
     r = approximate_beta(inst, seed=args.seed)
     cert = r.certificate
     return {
@@ -251,7 +231,7 @@ def cmd_approx(args) -> dict:
 
 
 def cmd_decide2(args) -> dict:
-    inst, graph, _ = _load(args.instance)
+    inst, data = read_problem(args.instance)
     cert = decide_beta_eq_2(inst)
     out: dict = {"verdict": cert.is_two}
     if cert.is_two:
@@ -271,8 +251,10 @@ def cmd_decide2(args) -> dict:
         out["bound"] = _rat(cert.bound)
     else:
         out["reason"] = cert.reason
-    if graph is not None and graph.edges:
-        out["undirected_check"] = undirected_beta2(graph)
+    if "edges" in data:  # a graph file: its graph, read back off the instance
+        graph = Graph.from_edge_list(inst.n, [(r.wants, v) for r in inst.receivers for v in r.knows])
+        if graph.edges:
+            out["undirected_check"] = undirected_beta2(graph)
     return out
 
 
@@ -295,7 +277,7 @@ def _scheme_json(scheme: codes.CodeScheme) -> dict:
 
 
 def cmd_code(args) -> dict:
-    inst, _, data = _load(args.instance)
+    inst, data = read_problem(args.instance)
     name = args.scheme
     if name == "cliquecover":
         k, cover = integer_clique_cover(inst)
@@ -347,7 +329,7 @@ def cmd_code(args) -> dict:
 
 
 def cmd_report(args) -> dict:
-    inst, _, data = _load(args.instance)
+    inst, data = read_problem(args.instance)
     rep = build_report(
         inst,
         descriptor=args.instance,
@@ -606,7 +588,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         out = args.fn(args)
-    except CapExceeded as e:
+    except (CapExceeded, Uncertified) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except MemoryError:

@@ -113,10 +113,12 @@ def validate(inst: Instance) -> ValidationReport:
     rep = ValidationReport()
     if inst.n < 1:
         rep.violations.append("instance has no messages")
+    known = frozenset().union(*(r.knows for r in inst.receivers))
+    known_in_range = not known or 0 <= min(known) and max(known) < inst.n  # checked in bulk
     for j, r in enumerate(inst.receivers):
         if not 0 <= r.wants < inst.n:
             rep.violations.append(f"receiver {j}: wanted message {r.wants} out of range")
-        if any(not 0 <= v < inst.n for v in r.knows):
+        if not known_in_range and any(not 0 <= v < inst.n for v in r.knows):
             rep.violations.append(f"receiver {j}: side information out of range")
         if r.wants in r.knows:
             rep.violations.append(f"receiver {j}: receiver knows own message")
@@ -133,6 +135,9 @@ def validate(inst: Instance) -> ValidationReport:
 
 def validate_graph(g: Graph) -> ValidationReport:
     rep = ValidationReport()
+    ends = frozenset().union(*g.edges)
+    if set(map(len, g.edges)) <= {2} and (not ends or 0 <= min(ends) and max(ends) < g.n):
+        return rep  # every edge well formed, checked in bulk
     for e in g.edges:
         if len(e) != 2:
             rep.violations.append(f"self-loop or malformed edge {sorted(e)}")
@@ -224,19 +229,16 @@ def _graph_from_dict(data: dict) -> Graph:
         raise ParseError(f"malformed graph file: {exc}") from exc
 
 
-def problem_from_dict(data: dict, source) -> tuple[Instance, Graph | None]:
-    """The instance a parsed JSON file describes, and its graph if the file
-    holds a graph (converted to an instance via from_graph)."""
-    if "receivers" in data:
-        return _instance_from_dict(data), None
-    if "edges" in data:
-        g = _graph_from_dict(data)
-        return from_graph(g), g
-    raise ParseError(f"{source}: neither an instance nor a graph file")
+def _valid(inst: Instance, g: Graph | None = None) -> Instance:
+    """inst, unless validate (or validate_graph on g) reports: ParseError."""
+    violations = validate(inst).violations + (validate_graph(g).violations if g is not None else [])
+    if violations:
+        raise ParseError(f"invalid instance: {violations}")
+    return inst
 
 
 def read_instance(path) -> Instance:
-    return _instance_from_dict(read_json(path))
+    return _valid(_instance_from_dict(read_json(path)))
 
 
 def write_instance(inst: Instance, path) -> None:
@@ -254,7 +256,9 @@ def write_instance(inst: Instance, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    return _graph_from_dict(read_json(path))
+    g = _graph_from_dict(read_json(path))
+    _valid(from_graph(g), g)
+    return g
 
 
 def write_graph(g: Graph, path) -> None:
@@ -265,9 +269,15 @@ def write_graph(g: Graph, path) -> None:
 
 def read_problem(path):
     """Read a JSON file holding either an instance or a graph; graphs are
-    converted via from_graph.  Returns (instance, data_dict)."""
+    converted via from_graph.  Returns (instance, data_dict); every reader
+    raises ParseError for a file that fails validation."""
     data = read_json(path)
-    return problem_from_dict(data, path)[0], data
+    if "receivers" in data:
+        return _valid(_instance_from_dict(data)), data
+    if "edges" in data:
+        g = _graph_from_dict(data)
+        return _valid(from_graph(g), g), data
+    raise ParseError(f"{path}: neither an instance nor a graph file")
 
 
 # -- bitmask helpers shared by the LP modules -------------------------------

@@ -7,44 +7,35 @@ with integer coefficients, and b is one array of numerators and one of
 positive denominators.  The hierarchy and cover builders pass the arrays
 in one go; `LpProblem.add` appends a {var: coeff} row (for small
 hand-written LPs), stored times the common denominator of its
-coefficients, and `LpProblem.rhs` and `LpProblem.constraints` show b and
-the stored rows.
+coefficients, and `LpProblem.constraints` shows the stored rows.
 
-Floats may propose an optimum, but only exact arithmetic accepts one: every
-optimum returned comes with a primal x and a dual y >= 0 (one entry per
-row) that pass four exact checks -- x >= 0 satisfies every row, y >= 0, the
-reduced costs c - A'y are >= 0, and c'x = b'y.  The checks read only the
-nonzero entries of x and y, scaled to integers by their common
-denominators: A x is an integer segment sum over the rows, A'y one over
-the entries of the rows whose dual is nonzero, in int64 when a magnitude
-bound rules out overflow and in Python ints (dtype object) otherwise,
-through the same code; c'x and b'y are sums of Python ints over the nonzero
-entries.  No Fraction is built per row or per column.
+Floats may propose an answer, but only exact arithmetic accepts one.  An
+optimum comes with a primal x and a dual y, one entry per row, that pass
+`certified_value`: x >= 0 satisfies every row, y >= 0, the reduced costs
+c - A'y are >= 0, and c'x = b'y.  An infeasible LP comes with a Farkas ray
+y, held in `dual`, that passes `certified_infeasible`: y >= 0, A'y <= 0
+and b'y > 0.  The checks read only the nonzero entries of x and y, as
+integers over their common denominators, in int64 when a magnitude bound
+rules out overflow and in Python ints otherwise; no Fraction is built per
+row or per column.
 
-`solve_min` first hands the LP to HiGHS in one direct call into the
-binding scipy ships (scipy.optimize._highspy._core), on one HiGHS instance
-per thread whose options are set once and whose model is cleared before
-each solve.  The arrays go in row-wise as they are, converted to floats in
-one vectorized step, as rows b <= A x and columns x >= 0.  An LP with a
-right-hand side at or beyond HIGHS_INFINITE_BOUND, which HiGHS would read
-as infinite, goes straight to the exact simplex, and a model HiGHS refuses
-(say, for a coefficient it reads as infinite) falls back to it.  It rounds
-HiGHS's primal values and row duals to nearby fractions with denominators
-at most ROUNDING_BOUND, once per distinct value.  If the checks accept the
-rounding, that is the answer.  Otherwise -- HiGHS reports no optimum, or
-the rounding fails -- one exact revised simplex over Fraction arithmetic
-decides.  It solves the dual, max b'y s.t. A'y <= c, y >= 0, whose
-standard form starts from the all-slack basis (feasible because c >= 0),
-so the basis has one row per primal variable; the simplex multipliers
-recover the primal optimum, and an unbounded dual means an infeasible
-primal.  Its dense basis inverse has num_vars^2 entries, so an LP with more
-than SIMPLEX_CAP variables raises CapExceeded("lp-simplex") instead.
-`LpOptimum.method` and `LpOptimum.fallback` record which path answered and
-why the rounding did not.
-
-Pivot rule: Bland's (the lowest-index improving column enters; ties in the
-ratio test leave by lowest index) from the first pivot, so the simplex
-cannot cycle.
+`solve_min` hands the LP as it is to HiGHS, through the binding scipy ships
+(scipy.optimize._highspy._core), on one HiGHS instance per thread.  An LP
+HiGHS cannot take -- a value beyond the float range, a right-hand side at
+or beyond HIGHS_INFINITE_BOUND, which HiGHS reads as infinite, or a model
+HiGHS refuses -- raises CapExceeded("highs-model").  At an optimum, HiGHS's
+primal values and row duals are rounded to fractions with denominators at
+most ROUNDING_BOUND.  If the check rejects them, HiGHS's optimal basis is
+solved exactly, as in Applegate, Cook, Dash and Espinoza, "Exact solutions
+to linear programming problems" (Oper. Res. Lett. 35, 2007): the tight rows
+and the basic columns form a square system whose solution is x on the
+basic columns and whose transpose gives y on the tight rows.  A basis of
+more than BASIS_CAP columns raises CapExceeded("lp-basis").  When HiGHS
+reports the LP infeasible, a row with no entries and b_i > 0 is its own ray
+e_i (this settles an LP with no variables); otherwise HiGHS's dual ray is
+rounded in the same way.  A certificate that fails its check raises
+Uncertified: nothing unchecked is returned.  `LpOptimum.method` records
+which path answered.
 """
 
 from __future__ import annotations
@@ -60,7 +51,6 @@ import numpy as np
 from .instance import CapExceeded
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 INT64_LIMIT = 2**63  # magnitudes below this fit int64
 
@@ -138,11 +128,6 @@ class LpProblem:
         return len(self.rhs_nums)
 
     @property
-    def rhs(self) -> list[Fraction]:
-        """The right-hand sides as Fractions (a copy)."""
-        return [Fraction(r, q) for r, q in zip(self.rhs_nums.tolist(), self.rhs_dens.tolist())]
-
-    @property
     def constraints(self) -> Sequence[tuple[dict, Fraction]]:
         return _Rows(self)
 
@@ -165,18 +150,22 @@ class _Rows(Sequence):
         return row, Fraction(int(p.rhs_nums[i]), int(p.rhs_dens[i]))
 
 
+class Uncertified(RuntimeError):
+    """HiGHS's answer to an LP failed its exact check; raised instead of
+    returning an answer without a certificate."""
+
+
 @dataclass
 class LpOptimum:
     status: str  # "optimal" | "infeasible"
     value: Fraction | None = None
     x: list[Fraction] | None = None
-    dual: list[Fraction] | None = None  # per row, >= 0
-    method: str | None = None  # "rounded" | "simplex"
-    # None when the rounding answered, else "highs-<model status>" (HiGHS
-    # found no optimum, e.g. "highs-infeasible"), "highs-model-error" (HiGHS
-    # refused the model), "highs-rhs-range" (a right-hand side at or beyond
-    # HIGHS_INFINITE_BOUND), "rounding-rejected" (no rounding passed the
-    # checks) or "float-overflow" (a coefficient is beyond the float range)
+    # per row, >= 0: the optimum's dual, or the Farkas ray of an infeasible LP
+    dual: list[Fraction] | None = None
+    # "rounded" (HiGHS's optimum, rounded), "basis" (the exact solution of
+    # HiGHS's optimal basis) or "ray" (infeasible: the ray in `dual`)
+    method: str | None = None
+    # "rounding-rejected" when the basis answered, else None
     fallback: str | None = None
 
 
@@ -199,174 +188,172 @@ def check_feasible(p: LpProblem, x) -> list[int]:
     return _violations(p, *_scaled(x))
 
 
-def certified_value(p: LpProblem, x, y) -> Fraction | None:
-    """c'x when x and the row duals y prove each other optimal: x >= 0
-    satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
-    c'x = b'y.  None otherwise.  Only the nonzero entries of x and y are
-    read, as integers over their common denominators."""
+def _entries(p: LpProblem, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions in indices and coefs of the entries of the rows, in row
+    order; the length of each row)."""
+    lo = p.indptr[rows]
+    lens = p.indptr[rows + 1] - lo
+    return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum()), lens
+
+
+def _dual_value(p: LpProblem, y, costs: dict) -> Fraction | None:
+    """b'y when y >= 0 and A'y <= costs (a {var: cost} dict; an absent var
+    costs 0), else None.  Only the nonzero entries of y are read, as
+    integers over their common denominator."""
     if len(y) != p.num_rows:
-        raise ValueError("certified_value needs one dual value per row")
-    pos, xs, d = _scaled(x)
-    if _violations(p, pos, xs, d):
-        return None
+        raise ValueError("a dual needs one value per row")
     # Over the rows R with y_i != 0: A'y = (coefs' W) / e with W_i = y_i e,
     # e the common denominator of the y_i.
     rows, ws, e = _scaled(y)
     if min(ws, default=0) < 0:
         return None
     # the costs c_j = cs_j / dc
-    keys = list(p.objective)
-    opos, cs, dc = _scaled(list(p.objective.values()))
-    cols_c = [keys[k] for k in opos]
+    keys = list(costs)
+    opos, cs, dc = _scaled(list(costs.values()))
     r = np.asarray(rows, np.int64)
-    lo = p.indptr[r]
-    lens = p.indptr[r + 1] - lo
-    entries = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    entries, lens = _entries(p, r)
     cols = p.indices[entries]
-    # c_j - (A'y)_j >= 0  iff  cs_j e >= (coefs' W)_j dc
+    # (A'y)_j <= c_j  iff  (coefs' W)_j dc <= cs_j e
     bound = max(_mag(p.coefs) * _mag(np.bincount(cols)) * _mag(ws) * dc, _mag(cs) * e)
     aty = _dense(p.num_vars, [], [], bound)
     np.add.at(aty, cols, ints(p.coefs[entries], bound) * np.repeat(ints(ws, bound), lens))
-    if np.any(_dense(p.num_vars, cols_c, cs, bound) * e < aty * dc):
+    if np.any(_dense(p.num_vars, [keys[k] for k in opos], cs, bound) * e < aty * dc):
         return None
-    # c'x = sum(cs X) / (dc d) and b'y = sum(W rhs_nums (L / rhs_dens)) / (e L),
-    # L the common denominator of the right-hand sides of R: sums of Python ints.
-    cost = dict(zip(cols_c, cs))
-    primal = sum(cost.get(j, 0) * v for j, v in zip(pos, xs))
+    # b'y = sum(W rhs_nums (L / rhs_dens)) / (e L), L the common denominator
+    # of the right-hand sides of R: a sum of Python ints.
     rd = p.rhs_dens[r].tolist()
     lq = math.lcm(*rd)
-    dual = sum(w * b * (lq // q) for w, b, q in zip(ws, p.rhs_nums[r].tolist(), rd))
-    return Fraction(primal, dc * d) if primal * e * lq == dual * dc * d else None
+    return Fraction(sum(w * b * (lq // q) for w, b, q in zip(ws, p.rhs_nums[r].tolist(), rd)), e * lq)
 
 
-# -- exact simplex ----------------------------------------------------------
+def certified_value(p: LpProblem, x, y) -> Fraction | None:
+    """c'x when x and the row duals y prove each other optimal: x >= 0
+    satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
+    c'x = b'y.  None otherwise.  Only the nonzero entries of x and y are
+    read, as integers over their common denominators."""
+    value = _dual_value(p, y, p.objective)
+    pos, xs, d = _scaled(x)
+    if value is None or _violations(p, pos, xs, d):
+        return None
+    # c'x = sum(cs X) / (dc d) over the nonzero X = x d, c_j = cs_j / dc
+    cpos, cs, dc = _scaled([p.objective.get(j, 0) for j in pos])
+    primal = sum(c * xs[k] for k, c in zip(cpos, cs))
+    return value if primal * value.denominator == value.numerator * dc * d else None
 
 
-class _Unbounded(Exception):
-    pass
+def certified_infeasible(p: LpProblem, y) -> bool:
+    """Whether y is a Farkas ray proving A x >= b, x >= 0 infeasible: y >= 0,
+    A'y <= 0 and b'y > 0.  Only the nonzero entries of y are read."""
+    value = _dual_value(p, y, {})
+    return value is not None and value > 0
 
 
-class _Core:
-    """min cost'x  s.t.  A x = b, x >= 0, starting from a feasible basis of
-    unit columns (basis[i] is the column e_i, so B^-1 starts as I).
-
-    Columns are sparse [(row, coeff), ...]; the basis inverse is dense.
-    """
-
-    def __init__(self, cols, b, basis):
-        self.cols = cols
-        self.m = len(b)
-        self.basis = list(basis)
-        self.in_basis = [False] * len(cols)
-        for j in self.basis:
-            self.in_basis[j] = True
-        self.binv = [[F1 if i == k else F0 for k in range(self.m)] for i in range(self.m)]
-        self.xb = list(b)
-
-    def multipliers(self, cost):
-        m = self.m
-        binv = self.binv
-        cb = [cost[j] for j in self.basis]
-        return [sum((cb[i] * binv[i][k] for i in range(m) if cb[i]), F0) for k in range(m)]
-
-    def _col_times(self, vec, j):
-        return sum((vec[i] * v for i, v in self.cols[j]), F0)
-
-    def solve(self, cost):
-        """Run to optimality by Bland's rule.  Raises _Unbounded.  Returns
-        the objective value."""
-        while True:
-            pi = self.multipliers(cost)
-            enter = next((j for j in range(len(self.cols))
-                          if not self.in_basis[j] and cost[j] < self._col_times(pi, j)), -1)
-            if enter == -1:
-                return sum((cost[self.basis[i]] * self.xb[i] for i in range(self.m)), F0)
-            u = [self._col_times(self.binv[i], enter) for i in range(self.m)]
-            leave = -1
-            theta = None
-            for i in range(self.m):
-                if u[i] > 0:
-                    r = self.xb[i] / u[i]
-                    if theta is None or r < theta or (r == theta and self.basis[i] < self.basis[leave]):
-                        theta = r
-                        leave = i
-            if leave == -1:
-                raise _Unbounded
-            self._pivot(enter, leave, u, theta)
-
-    def _pivot(self, enter, leave, u, theta):
-        binv = self.binv
-        d = u[leave]
-        if d != 1:
-            binv[leave] = [v / d for v in binv[leave]]
-        self.xb[leave] = theta
-        prow = binv[leave]
-        for i in range(self.m):
-            if i != leave and u[i] != 0:
-                f = u[i]
-                binv[i] = [a - f * c for a, c in zip(binv[i], prow)]
-                self.xb[i] -= f * theta
-        self.in_basis[self.basis[leave]] = False
-        self.in_basis[enter] = True
-        self.basis[leave] = enter
-
-    def primal_values(self, nvars):
-        x = [F0] * nvars
-        for i, j in enumerate(self.basis):
-            if j < nvars:
-                x[j] = self.xb[i]
-        return x
+# -- exact basis solve --------------------------------------------------------
 
 
-# Most primal variables the exact simplex takes: its dense basis inverse
-# holds num_vars^2 Fractions.  512 (C9's unreduced b2 LP) finishes; past it,
-# CapExceeded("lp-simplex") is raised before anything is allocated.
-SIMPLEX_CAP = 512
+# Most columns in a basis that the exact solve takes; past it,
+# CapExceeded("lp-basis") is raised before the elimination starts.  The
+# time depends on the fill-in: unreduced C9's b2 basis, 512 sparse columns,
+# solves in 0.1 s, and a random dense 0/1 basis of 512 columns in about
+# 2 minutes (256: 7 s), its entries growing to 1 400 bits.
+BASIS_CAP = 512
 
 
-def _dual_path(p: LpProblem) -> LpOptimum:
-    """The exact optimum or infeasibility of p, by the simplex on its dual."""
-    n = p.num_vars
-    m = p.num_rows
-    if n > SIMPLEX_CAP:
-        raise CapExceeded("lp-simplex", n, SIMPLEX_CAP)
-    # Dual in standard form: min -b'y  s.t.  A'y + s = c,  y, s >= 0.  Its
-    # columns are the rows of A.
-    ptr, idx, nums = (a.tolist() for a in (p.indptr, p.indices, p.coefs))
-    cols = [list(zip(idx[ptr[i]:ptr[i + 1]], nums[ptr[i]:ptr[i + 1]])) for i in range(m)]
-    for j in range(n):
-        cols.append([(j, F1)])  # slack for dual row j
-    rhs = [Fraction(p.objective.get(j, 0)) for j in range(n)]
-    cost = [-r for r in p.rhs] + [F0] * n
-    core = _Core(cols, rhs, range(m, m + n))  # all-slack start, feasible since c >= 0
-    try:
-        zd = core.solve(cost)
-    except _Unbounded:
-        return LpOptimum("infeasible")  # dual unbounded => primal infeasible
-    # Simplex multipliers of the dual solve carry the primal optimum: the
-    # slack column j prices to -pi_j >= 0, so x_j = -pi_j.
-    x = [-v for v in core.multipliers(cost)]
-    return LpOptimum("optimal", -zd, x, core.primal_values(m))
+def _solve_square(rows: list[dict], rhs: list[int]) -> list[Fraction]:
+    """z with rows . z = rhs, a square integer system (row i maps columns
+    0..k-1 to coefficients; the rows are changed).  Sparse elimination: each
+    step pivots on the live column in the fewest live rows, in the shortest
+    of those, and keeps rows integer, divided by their gcd; z is then read
+    off the pivot rows.  Raises Uncertified when the system is singular."""
+    holding = [set() for _ in rows]  # column -> the live rows with an entry in it
+    for i, row in enumerate(rows):
+        for c in row:
+            holding[c].add(i)
+    live, pivots = set(range(len(rows))), []
+    while live:
+        c = min(live, key=lambda c: len(holding[c]))
+        if not holding[c]:
+            raise Uncertified("HiGHS's basis is singular in exact arithmetic")
+        r = min(holding[c], key=lambda i: len(rows[i]))
+        live.discard(c)
+        prow, pb = rows[r], rhs[r]
+        for j in prow:
+            holding[j].discard(r)
+        pivots.append((r, c))
+        for i in list(holding[c]):
+            row = rows[i]
+            g = math.gcd(prow[c], row[c])
+            a, f = prow[c] // g, row[c] // g
+            new = {j: a * v for j, v in row.items()}  # a row - f prow
+            for j, v in prow.items():
+                new[j] = new.get(j, 0) - f * v
+                if new[j]:
+                    holding[j].add(i)
+                else:
+                    holding[j].discard(i)
+            b = a * rhs[i] - f * pb
+            g = math.gcd(b, *new.values()) or 1
+            rows[i], rhs[i] = {j: v // g for j, v in new.items() if v}, b // g
+    z = [F0] * len(rows)
+    for r, c in reversed(pivots):
+        row = rows[r]
+        z[c] = (rhs[r] - sum(v * z[j] for j, v in row.items() if j != c)) / Fraction(row[c])
+    return z
+
+
+def _basis(p: LpProblem, highspy, highs) -> LpOptimum:
+    """The optimum HiGHS's optimal basis gives in exact arithmetic: with T
+    the tight (nonbasic) rows and B the basic columns, x_B solves
+    A_TB x_B = b_T and y_T solves A_TB' y_T = c_B; every other entry is 0.
+    Accepted only by certified_value."""
+    basis = highs.getBasis()
+    basic = highspy.HighsBasisStatus.kBasic
+    cols = [j for j, s in enumerate(basis.col_status) if s == basic]
+    tight = [i for i, s in enumerate(basis.row_status) if s != basic]
+    if not basis.valid or len(cols) != len(tight):
+        raise Uncertified("HiGHS gives no square optimal basis")
+    k = len(cols)
+    if k > BASIS_CAP:
+        raise CapExceeded("lp-basis", k, BASIS_CAP)
+    at = np.full(p.num_vars, -1)
+    at[cols] = np.arange(k)
+    entries, lens = _entries(p, np.asarray(tight, np.int64))
+    pos = at[p.indices[entries]]
+    # A_TB x_B = b_T, each row times its right-hand side's denominator, and
+    # A_TB' y_T = c_B, each row times its cost's denominator
+    costs = [Fraction(p.objective.get(j, 0)) for j in cols]
+    dens = p.rhs_dens[tight].tolist()
+    primal, dual = [{} for _ in range(k)], [{} for _ in range(k)]
+    for t, j, v in zip(np.repeat(np.arange(k), lens)[pos >= 0].tolist(), pos[pos >= 0].tolist(),
+                       p.coefs[entries][pos >= 0].tolist()):
+        primal[t][j] = v * dens[t]
+        dual[j][t] = v * costs[j].denominator
+    xb = dict(zip(cols, _solve_square(primal, p.rhs_nums[tight].tolist())))
+    yt = dict(zip(tight, _solve_square(dual, [c.numerator for c in costs])))
+    x, y = [xb.get(j, F0) for j in range(p.num_vars)], [yt.get(i, F0) for i in range(p.num_rows)]
+    value = certified_value(p, x, y)
+    if value is None:
+        raise Uncertified("the exact solution of HiGHS's optimal basis fails its certificate")
+    return LpOptimum("optimal", value, x, y, "basis", "rounding-rejected")
 
 
 # -- HiGHS and rounding -----------------------------------------------------
 
 
-# Largest denominator when rounding HiGHS's solution; the hierarchy and
-# cover LPs certify at it, and the exact simplex answers the rest.
+# Largest denominator when rounding HiGHS's solution or ray; the hierarchy
+# and cover LPs certify at it, and the exact basis solve answers the rest.
 ROUNDING_BOUND = 10**3
 
 # The settings scipy's method="highs" solves with, which pick the vertex
 # HiGHS returns: presolve on, the dual simplex (strategy 1), no output.
-# Presolve off would cut a tiny cover LP's `_highs` from 0.52-0.83 to
-# 0.18-0.39 ms, but unreduced C9's 512 x 9 572 b2 LP then takes 616 ms in
-# HiGHS instead of 105 and its rounding fails (the exact simplex answers),
-# so presolve stays on at every size.
+# Presolve off would cut a tiny cover LP's solve from 0.52-0.83 to
+# 0.18-0.39 ms, but unreduced C9's b2 LP would take 616 ms instead of 105
+# and fail to round, so presolve stays on at every size.
 HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "output_flag": False, "log_to_console": False}
 
 
 # HiGHS reads a bound at or beyond this (its option infinite_bound) as
-# infinite, so an LP with such a right-hand side never reaches it.
+# infinite, so an LP with such a right-hand side is refused before it.
 HIGHS_INFINITE_BOUND = 1e20
 
 # One HiGHS instance per thread, its options set once; each solve clears
@@ -390,8 +377,8 @@ def _handle():
 
 
 def _highs(p: LpProblem):
-    """HiGHS's float solve of p, rounded: (None, x, row duals >= 0) at an
-    optimum, else (the fallback reason, None, None)."""
+    """(the binding, this thread's HiGHS instance) once HiGHS has run on p.
+    Raises CapExceeded("highs-model") for an LP HiGHS cannot take."""
     highspy, highs = _handle()
     n, m = p.num_vars, p.num_rows
     try:
@@ -400,9 +387,9 @@ def _highs(p: LpProblem):
         val = p.coefs.astype(float)
         b = np.asarray(p.rhs_nums / p.rhs_dens, dtype=float)
     except OverflowError:
-        return "float-overflow", None, None
+        raise CapExceeded("highs-model", "a value beyond the float range", "HiGHS's input range") from None
     if np.any(np.abs(b) >= HIGHS_INFINITE_BOUND):
-        return "highs-rhs-range", None, None
+        raise CapExceeded("highs-model", f"a right-hand side of {np.abs(b).max():.3g}", "HiGHS's input range")
     # A x >= b goes in as it is, row-wise: rows [b, inf), columns [0, inf),
     # every column continuous.
     highs.clearModel()
@@ -411,13 +398,9 @@ def _highs(p: LpProblem):
                              c, np.zeros(n), np.full(n, inf), b, np.full(m, inf),
                              p.indptr, p.indices, val, np.zeros(n, np.int32))
     if status == highspy.HighsStatus.kError:
-        return "highs-model-error", None, None
+        raise CapExceeded("highs-model", "a model HiGHS refuses", "HiGHS's input range")
     highs.run()
-    status = highs.getModelStatus()
-    if status != highspy.HighsModelStatus.kOptimal:
-        return "highs-" + highs.modelStatusToString(status).lower().replace(" ", "-"), None, None
-    sol = highs.getSolution()
-    return None, _round(sol.col_value), _round(sol.row_dual)
+    return highspy, highs
 
 
 def _round(values) -> list[Fraction]:
@@ -426,6 +409,29 @@ def _round(values) -> list[Fraction]:
     values = list(values)
     near = {v: Fraction(v).limit_denominator(ROUNDING_BOUND) if v else F0 for v in set(values)}
     return [near[v] for v in values]
+
+
+def _rounded(p: LpProblem, highs) -> LpOptimum | None:
+    """HiGHS's optimum, its primal values and row duals rounded, if
+    certified_value accepts it; else None."""
+    sol = highs.getSolution()
+    x, y = _round(sol.col_value), _round(sol.row_dual)
+    value = certified_value(p, x, y)
+    return None if value is None else LpOptimum("optimal", value, x, y, "rounded")
+
+
+def _empty_row(p: LpProblem) -> list[Fraction] | None:
+    """e_i for the first row with no entries and b_i > 0, which is a Farkas
+    ray on its own; None when there is no such row."""
+    empty = np.flatnonzero((np.diff(p.indptr) == 0) & (p.rhs_nums > 0))
+    return [Fraction(int(i == empty[0])) for i in range(p.num_rows)] if len(empty) else None
+
+
+def _infeasible(p: LpProblem, ray: list[Fraction]) -> LpOptimum:
+    """Infeasibility, with a ray that certified_infeasible accepts."""
+    if not certified_infeasible(p, ray):
+        raise Uncertified("HiGHS reports the LP infeasible, but its dual ray fails the Farkas check")
+    return LpOptimum("infeasible", dual=ray, method="ray")
 
 
 def _validate(p: LpProblem) -> None:
@@ -442,17 +448,27 @@ def _validate(p: LpProblem) -> None:
 
 
 def solve_min(p: LpProblem) -> LpOptimum:
-    """Exact optimum of the covering-form problem.  An optimum is returned
-    only with an x and a dual that pass certified_value."""
+    """Exact optimum or infeasibility of the covering-form problem, returned
+    only with a certificate that passed its exact check: an optimum's x and
+    dual pass certified_value, an infeasible LP's ray (in `dual`) passes
+    certified_infeasible.  Raises CapExceeded for an LP HiGHS cannot take
+    or a basis past BASIS_CAP, and Uncertified when a check fails."""
     _validate(p)
-    fallback, x, y = _highs(p)
-    if fallback is None:
-        value = certified_value(p, x, y)
-        if value is not None:
-            return LpOptimum("optimal", value, x, y, "rounded")
-        fallback = "rounding-rejected"
-    opt = _dual_path(p)
-    opt.method, opt.fallback = "simplex", fallback
-    if opt.status == "optimal" and certified_value(p, opt.x, opt.dual) != opt.value:
-        raise AssertionError("exact simplex returned an optimum that fails its certificate")
+    highspy, highs = _highs(p)
+    status = highs.getModelStatus()
+    done = highspy.HighsModelStatus
+    if status in (done.kInfeasible, done.kUnboundedOrInfeasible):  # c >= 0: never unbounded
+        # an empty row's ray, else HiGHS's dual ray scaled to largest entry 1
+        # and rounded (all zeros, which no check accepts, if HiGHS has none)
+        ray = highs.getDualRay()[2]
+        return _infeasible(p, _empty_row(p) or _round(ray / (np.abs(ray).max(initial=0.0) or 1.0)))
+    if status not in (done.kOptimal, done.kModelEmpty):  # empty: no variables
+        raise Uncertified(f"HiGHS ends with model status {highs.modelStatusToString(status)!r}")
+    # HiGHS may call an LP optimal that is infeasible within its tolerance,
+    # as with an empty row whose b_i > 0 is tiny, or every LP without
+    # variables (an "empty" model).
+    opt = _rounded(p, highs)
+    if opt is None:
+        ray = _empty_row(p)
+        opt = _infeasible(p, ray) if ray else _basis(p, highspy, highs)
     return opt

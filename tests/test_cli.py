@@ -5,6 +5,7 @@ import pytest
 
 from icbounds import combinatorial
 from icbounds.cli import main
+from icbounds.lp import Uncertified, solve_min
 
 
 def run(capsys, *argv):
@@ -85,20 +86,29 @@ def test_gen_oddtown_feeds_the_minrank_commands(capsys, tmp_path):
     assert int(out["minrk2"]["value"]) <= 6 and out["minrk2"]["field"] == 2
 
 
-def test_simplex_cap_exits_as_a_cap(capsys, tmp_path, monkeypatch):
-    # chibar_f of C5 joined to the complement of a perfect matching on 14
-    # vertices is 5/2, which no rounding to integers certifies; its LP has
-    # 5 * 2^7 = 640 maximal cliques, past the exact simplex's cap
-    import icbounds.lp as lpmod
+def test_chibarf_of_projective_hadamard_q7(capsys, tmp_path, monkeypatch):
+    # the strong cover LP of PH_7 is 49 x 92 114; rounding HiGHS's x at 10^3
+    # leaves rows infeasible, and the exact solution of its 49-column
+    # optimal basis certifies chi_bar_f = 49/13
+    seen = []
+    monkeypatch.setattr(combinatorial, "solve_min", lambda p: seen.append(solve_min(p)) or seen[-1])
+    path = gen(capsys, tmp_path, "projective-hadamard", "q=7")
+    out = run_json(capsys, "bounds", str(path), "--chibarf")
+    assert out["chibarf"]["value"] == "49/13"
+    assert [(len(o.x), o.method, o.fallback) for o in seen] == [(92114, "basis", "rounding-rejected")]
 
-    monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
-    edges = [[i, (i + 1) % 5] for i in range(5)]
-    edges += [[a, b] for a in range(5, 19) for b in range(a + 1, 19) if (a - 5) // 2 != (b - 5) // 2]
-    edges += [[i, a] for i in range(5) for a in range(5, 19)]
-    path = tmp_path / "join.json"
-    path.write_text(json.dumps({"n": 19, "edges": edges}))
-    assert run(capsys, "bounds", str(path), "--chibarf") == (
-        3, "", f"error: cap lp-simplex: needed 640, limit {lpmod.SIMPLEX_CAP}\n")
+
+def test_uncertified_lp_exits_as_a_cap(capsys, tmp_path, monkeypatch):
+    # an LP answer whose certificate fails ends the command with exit code 3
+    import icbounds.hierarchy as hierarchy
+
+    def uncertified(p):
+        raise Uncertified("HiGHS's basis is singular in exact arithmetic")
+
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    monkeypatch.setattr(hierarchy, "solve_min", uncertified)
+    assert run(capsys, "hierarchy", str(path), "--level", "2") == (
+        3, "", "error: HiGHS's basis is singular in exact arithmetic\n")
 
 
 def test_hierarchy_c5(capsys, tmp_path):

@@ -300,7 +300,7 @@ def test_cover_lp_arrays_match_row_by_row_build(monkeypatch):
             for name in ("indptr", "indices", "coefs", "rhs_nums", "rhs_dens"):
                 assert getattr(got, name).tolist() == getattr(ref, name).tolist(), name
                 assert getattr(got, name).dtype == getattr(ref, name).dtype, name
-            assert got.rhs == ref.rhs and got.objective == ref.objective
+            assert got.objective == ref.objective
             opt = solve_min(ref)
             assert cover.total == opt.value
             expect = [(cliques[j], x) for j, x in enumerate(opt.x) if x > 0]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hierarchy_reference import reference_lp
+from hierarchy_reference import alpha_feasible_vector, reference_lp
 from hierarchy_reference import subset_orbits as reference_orbits
 
 from icbounds.combinatorial import alpha_exact, fractional_cover
@@ -17,7 +17,6 @@ from icbounds.families import (
 )
 from icbounds.hierarchy import (
     MAX_LP_VARS,
-    alpha_feasible_vector,
     build_hierarchy_lp,
     componentwise_b2,
     compose_coverage,
@@ -27,7 +26,7 @@ from icbounds.hierarchy import (
     validate_symmetry,
     verify_hierarchy_membership,
 )
-from icbounds.instance import CapExceeded, Instance, disjoint_union, from_graph
+from icbounds.instance import CapExceeded, Graph, Instance, disjoint_union, from_graph
 from icbounds.lp import LpProblem, solve_min
 
 F = Fraction
@@ -187,6 +186,18 @@ def test_family_b2_lps_certify_by_rounding(name, params, with_symmetry):
     opt = solve_min(p)
     assert opt.value == f.expected["b2"]
     assert (opt.method, opt.fallback) == ("rounded", None)
+
+
+def test_b2_of_c5_lex_k2_without_symmetry():
+    # C5[K2], the lexicographic product (vertex 2i + a, adjacent when the
+    # C5 vertices are, or within one K2 block): its unreduced b2 LP is
+    # 1 024 x 21 902, and HiGHS's rounded optimum certifies b2 = 5/2
+    edges = [(2 * i + a, 2 * j + b) for i in range(5) for j in range(5) for a in range(2) for b in range(2)
+             if (j - i) % 5 in (0, 1) and 2 * i + a != 2 * j + b]
+    p, _ = build_hierarchy_lp(from_graph(Graph.from_edge_list(10, edges)), 2)
+    assert (p.num_vars, p.num_rows) == (1024, 21902)
+    opt = solve_min(p)
+    assert (opt.value, opt.method) == (F(5, 2), "rounded")
 
 
 @pytest.mark.parametrize("name, params, with_symmetry", HIERARCHY_B2_LPS)

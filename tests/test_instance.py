@@ -99,11 +99,52 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         read_instance(p)
     p.write_text(json.dumps({"n": 3, "edges": [[0, 7]]}))
-    # out-of-range endpoints are a validation failure, not a parse failure
-    assert not validate_graph(read_graph(p)).ok
+    # the readers validate: an out-of-range endpoint is refused
+    with pytest.raises(ParseError, match="edge \\[0, 7\\] out of range"):
+        read_graph(p)
     p.write_text(json.dumps({"n": 3}))
     with pytest.raises(ParseError):
         read_problem(p)
+
+
+def test_read_problem_validates(tmp_path):
+    # a wanted message out of range would otherwise read fine (and
+    # alpha_exact would answer on it)
+    p = tmp_path / "i.json"
+    recs = [{"wants": 7, "knows": [0]}, {"wants": 1, "knows": [2]}, {"wants": 2, "knows": []}]
+    p.write_text(json.dumps({"n": 3, "receivers": recs}))
+    with pytest.raises(ParseError, match="receiver 0: wanted message 7 out of range"):
+        read_problem(p)
+    recs[0]["wants"] = 1
+    p.write_text(json.dumps({"n": 3, "receivers": recs}))
+    assert read_problem(p)[0].receivers[0] == Receiver(1, frozenset({0}))
+
+
+def test_read_instance_validates(tmp_path):
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps({"n": 3, "receivers": [{"wants": 0, "knows": [1, 5]}]}))
+    with pytest.raises(ParseError, match="receiver 0: side information out of range"):
+        read_instance(p)
+    p.write_text(json.dumps({"n": 3, "receivers": [{"wants": 1, "knows": [1]}]}))
+    with pytest.raises(ParseError, match="receiver 0: receiver knows own message"):
+        read_instance(p)
+
+
+def test_read_graph_validates(tmp_path):
+    # an edge [0, 9] on n = 3 would give receiver 0 the side information {9}
+    p = tmp_path / "g.json"
+    for edges, message in [([[0, 1], [0, 9]], "edge \\[0, 9\\] out of range"),
+                           ([[1, 1]], "self-loop or malformed edge \\[1\\]")]:
+        p.write_text(json.dumps({"n": 3, "edges": edges}))
+        with pytest.raises(ParseError, match=message):
+            read_graph(p)
+        with pytest.raises(ParseError, match=message):
+            read_problem(p)
+    p.write_text(json.dumps({"n": 0, "edges": []}))
+    with pytest.raises(ParseError, match="no messages"):
+        read_graph(p)
+    p.write_text(json.dumps({"n": 3, "edges": [[0, 1], [2, 1]]}))
+    assert read_graph(p).edge_list() == [(0, 1), (1, 2)]
 
 
 def test_closure_step():

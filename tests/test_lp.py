@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from lp_reference import dual_simplex
 from scipy.optimize import linprog
 
 from icbounds import combinatorial, families
 from icbounds import lp as lpmod
 from icbounds.hierarchy import build_hierarchy_lp
 from icbounds.instance import CapExceeded, from_graph
-from icbounds.lp import LpProblem, certified_value, check_feasible, solve_min
+from icbounds.lp import LpProblem, Uncertified, certified_infeasible, certified_value, check_feasible, solve_min
 
 F = Fraction
 
@@ -47,12 +48,14 @@ def test_dual_certificate():
     assert all(y >= 0 for y in opt.dual)
 
 
-def test_infeasible_falls_back_to_exact_simplex():
-    # HiGHS finds no optimum, so the exact simplex decides the status
+def test_infeasible_lp_is_certified_by_a_ray():
+    # HiGHS reports the LP infeasible, and its rounded dual ray passes the
+    # Farkas check
     p = LpProblem(1, {0: F(1)})
     p.add({0: F(-1)}, 1)
     opt = solve_min(p)
-    assert (opt.status, opt.method, opt.fallback) == ("infeasible", "simplex", "highs-infeasible")
+    assert (opt.status, opt.value, opt.x, opt.method, opt.fallback) == ("infeasible", None, None, "ray", None)
+    assert opt.dual == [1] and certified_infeasible(p, opt.dual)
 
 
 def test_rejects_negative_cost_and_unknown_variable():
@@ -72,8 +75,9 @@ def test_rejects_negative_cost_and_unknown_variable():
 
 def test_degenerate_cycling_guard(monkeypatch):
     # the covering LP whose dual is Beale's example, on which Dantzig's rule
-    # cycles; Bland's rule ends.  The optimum is 1/20 = x_2, so no rounding
-    # to integers can certify it.
+    # cycles; the reference simplex's Bland rule ends.  The optimum is
+    # 1/20 = x_2, so no rounding to integers can certify it, and the exact
+    # solution of HiGHS's basis answers at the reference's value.
     monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
     p = LpProblem(3, {2: F(1)})
     p.add({0: F(1, 4), 1: F(1, 2)}, F(3, 4))
@@ -81,8 +85,8 @@ def test_degenerate_cycling_guard(monkeypatch):
     p.add({0: F(-1, 25), 1: F(-1, 50), 2: F(1)}, F(1, 50))
     p.add({0: F(9), 1: F(3)}, -6)
     opt = solve_min(p)
-    assert (opt.status, opt.method, opt.fallback) == ("optimal", "simplex", "rounding-rejected")
-    assert opt.value == F(1, 20)
+    assert (opt.status, opt.method, opt.fallback) == ("optimal", "basis", "rounding-rejected")
+    assert opt.value == F(1, 20) == dual_simplex(p).value
     _assert_certificate(p, opt)
 
 
@@ -163,25 +167,38 @@ def _assert_certificate(p, opt):
     assert opt.value == objective_value(p, x) == sum(yi * rhs for yi, (_, rhs) in zip(y, p.constraints))
 
 
-def test_rounded_path_matches_exact_simplex():
+def _without_rounding(monkeypatch):
+    """Reject every rounded optimum, so that the exact basis answers."""
+    monkeypatch.setattr(lpmod, "_rounded", lambda p, highs: None)
+
+
+def test_rounded_path_matches_exact_simplex(monkeypatch):
+    # the rounding, and then the basis with rounding forced off, against the
+    # reference simplex; an infeasible LP is certified by its ray
+    lps = _random_lps(21)
+    refs = [dual_simplex(p) for p in lps]
     outcomes = Counter()
-    for p in _random_lps(21):
-        opt = solve_min(p)
-        ref = lpmod._dual_path(p)
-        assert ref.status == opt.status
-        if opt.status == "optimal":
-            assert ref.value == opt.value
-            _assert_certificate(p, ref)
-            _assert_certificate(p, opt)
-        outcomes[opt.method] += 1
-    assert outcomes["rounded"] > 50 and outcomes["simplex"] > 10
+    for forced in (False, True):
+        if forced:
+            _without_rounding(monkeypatch)
+        for p, ref in zip(lps, refs):
+            opt = solve_min(p)
+            assert ref.status == opt.status
+            if opt.status == "optimal":
+                assert ref.value == opt.value
+                _assert_certificate(p, ref)
+                _assert_certificate(p, opt)
+            else:
+                assert certified_infeasible(p, opt.dual)
+            outcomes[opt.method] += 1
+    assert outcomes["rounded"] > 50 and outcomes["basis"] > 50 and outcomes["ray"] > 20
 
 
 def test_cover_and_b2_lps_round_to_the_exact_optimum(monkeypatch):
     # 150 cover LPs (strong and weak, on seeded dense graphs) and 50 b2 LPs
     # (seeded 4-vertex graphs, and named families reduced by their
-    # symmetry): HiGHS's rounding certifies every one, at the exact simplex's
-    # value
+    # symmetry): HiGHS's rounding certifies every one, at the reference
+    # simplex's value, and so does the exact basis with rounding forced off
     lps = []
     monkeypatch.setattr(combinatorial, "solve_min", lambda p: lps.append(p) or solve_min(p))
     rng = random.Random(11)
@@ -198,13 +215,16 @@ def test_cover_and_b2_lps_round_to_the_exact_optimum(monkeypatch):
         f = families.family(name, **params)
         lps.append(build_hierarchy_lp(f.instance, 2, f.symmetry)[0])
     assert len(lps) == 200
-    for p in lps:
-        opt = solve_min(p)
-        assert (opt.method, opt.value) == ("rounded", lpmod._dual_path(p).value)
+    refs = [dual_simplex(p).value for p in lps]
+    assert [(o.method, o.value) for o in map(solve_min, lps)] == [("rounded", v) for v in refs]
+    _without_rounding(monkeypatch)
+    assert [(o.method, o.value) for o in map(solve_min, lps)] == [("basis", v) for v in refs]
 
 
-def test_dual_path_certificate():
-    # covering LPs with nonnegative rows, more rows than variables
+def test_dual_path_certificate(monkeypatch):
+    # covering LPs with nonnegative rows, more rows than variables: the
+    # reference simplex and the basis give certified optima of one value
+    _without_rounding(monkeypatch)
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(2, 4)
@@ -212,27 +232,29 @@ def test_dual_path_certificate():
         for _ in range(2 * n + rng.randint(0, 3)):
             p.add({j: F(rng.randint(1, 3)) for j in rng.sample(range(n), rng.randint(1, n))},
                   rng.randint(0, 5))
-        opt = lpmod._dual_path(p)
-        assert opt.status == "optimal" and opt.value == solve_min(p).value
+        ref, opt = dual_simplex(p), solve_min(p)
+        assert ref.status == "optimal" and (opt.method, opt.value) == ("basis", ref.value)
+        _assert_certificate(p, ref)
         _assert_certificate(p, opt)
 
 
-def test_simplex_cap(monkeypatch):
-    # with no rounding that certifies, the exact simplex answers an LP of
-    # SIMPLEX_CAP variables and refuses one more before it allocates
+def test_basis_cap(monkeypatch):
+    # with no rounding that certifies, the exact basis solve answers a basis
+    # of BASIS_CAP columns and refuses one more before it eliminates
     monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
-    for n in (lpmod.SIMPLEX_CAP, lpmod.SIMPLEX_CAP + 1):
+    for n in (lpmod.BASIS_CAP, lpmod.BASIS_CAP + 1):
         p = LpProblem(n, dict.fromkeys(range(n), 1))
-        p.add({0: 2}, 1)
-        if n <= lpmod.SIMPLEX_CAP:
+        for j in range(n):
+            p.add({j: 2}, 1)
+        if n <= lpmod.BASIS_CAP:
             opt = solve_min(p)
-            assert (opt.value, opt.method, opt.fallback) == (F(1, 2), "simplex", "rounding-rejected")
+            assert (opt.value, opt.method, opt.fallback) == (F(n, 2), "basis", "rounding-rejected")
             continue
-        with pytest.raises(CapExceeded, match=f"lp-simplex: needed {n}, limit {lpmod.SIMPLEX_CAP}"):
+        with pytest.raises(CapExceeded, match=f"lp-basis: needed {n}, limit {lpmod.BASIS_CAP}"):
             solve_min(p)
 
 
-def test_rounding_rejected_falls_back_to_exact_simplex():
+def test_rounding_rejected_falls_back_to_the_basis():
     # the optimum's denominator exceeds the rounding bound: the rounded x is
     # 0, and the feasibility check rejects it
     assert 1_000_003 > lpmod.ROUNDING_BOUND
@@ -240,16 +262,17 @@ def test_rounding_rejected_falls_back_to_exact_simplex():
     p.add({0: F(1_000_003)}, 1)
     opt = solve_min(p)
     assert opt.value == F(1, 1_000_003)
-    assert (opt.method, opt.fallback) == ("simplex", "rounding-rejected")
+    assert (opt.method, opt.fallback) == ("basis", "rounding-rejected")
     _assert_certificate(p, opt)
 
 
 def test_coefficients_beyond_float_range_fall_back():
+    # HiGHS cannot take a value beyond the float range: a named cap
     p = LpProblem(1, {0: F(1)})
     p.add({0: F(1)}, 10**400)
-    opt = solve_min(p)
-    assert opt.value == 10**400
-    assert (opt.method, opt.fallback) == ("simplex", "float-overflow")
+    with pytest.raises(CapExceeded, match="highs-model: needed a value beyond the float range"):
+        solve_min(p)
+    assert certified_value(p, [F(10**400)], [F(1)]) == 10**400
 
 
 def test_constraints_view():
@@ -263,7 +286,7 @@ def test_constraints_view():
     assert len(rows) == 3
     assert rows[0] == ({0: 2, 1: -1}, F(1, 3))  # the zero coefficient is dropped
     assert rows[-2] == ({1: 2, 2: 3}, 6)
-    assert p.coefs.tolist() == [2, -1, 2, 3] and p.rhs == [F(1, 3), 6, -1]
+    assert p.coefs.tolist() == [2, -1, 2, 3] and [rhs for _, rhs in rows] == [F(1, 3), 6, -1]
     assert list(rows) == [rows[0], rows[1], ({}, -1)]
     with pytest.raises(IndexError):
         rows[3]
@@ -335,7 +358,7 @@ def test_add_stores_rational_rows_as_integer_rows():
             assert opt.value == _fraction_certifies(p, opt.x, [s * y for s, y in zip(scales, opt.dual)], given)
         outcomes[opt.status, opt.method] += 1
     assert outcomes["feasible"] > 100 and outcomes["violated"] > 100
-    assert outcomes["optimal", "rounded"] > 30 and outcomes["infeasible", "simplex"] > 10
+    assert outcomes["optimal", "rounded"] > 30 and outcomes["infeasible", "ray"] > 10
 
 
 def _record_dtypes(monkeypatch):
@@ -404,14 +427,15 @@ def test_check_flags_a_row_missed_by_one_over_the_denominator(monkeypatch):
 
 
 def test_coefficients_beyond_int64():
-    # the right-hand side is beyond HiGHS's range, and the exact simplex and
-    # checks take the Python ints
+    # the right-hand side is beyond HiGHS's range, a named cap; the checks
+    # take the Python ints
     p = LpProblem(1, {0: F(1)})
     p.add({0: 10**20}, 3 * 10**20)
     assert p.coefs.dtype == object
-    opt = solve_min(p)
-    assert opt.value == 3
-    _assert_certificate(p, opt)
+    with pytest.raises(CapExceeded, match="highs-model: needed a right-hand side of 3e"):
+        solve_min(p)
+    assert certified_value(p, [F(3)], [F(1, 10**20)]) == 3
+    assert certified_value(p, [F(3)], [F(1, 10**20) + F(1, 10**40)]) is None  # reduced cost below 0
 
 
 def _record_models(monkeypatch):
@@ -446,15 +470,15 @@ def _record_models(monkeypatch):
 
 
 def test_huge_rows_fall_back_unscaled(monkeypatch):
-    # HiGHS refuses a coefficient of 10^15 (highs-model-error), and the exact
-    # simplex answers the LP as it is, with a certificate
+    # HiGHS refuses a coefficient of 10^15, passed unscaled: a named cap.
+    # The optimum the exact checks accept is (3, 5/2).
     seen = _record_models(monkeypatch)
     p = LpProblem(2, {0: F(1), 1: F(1)})
     p.add({0: 10**15}, 3 * 10**15)
     p.add({0: F(1, 2), 1: 1}, 4)
-    opt = solve_min(p)
-    assert (opt.value, opt.method, opt.fallback) == (F(11, 2), "simplex", "highs-model-error")
-    _assert_certificate(p, opt)
+    with pytest.raises(CapExceeded, match="highs-model: needed a model HiGHS refuses"):
+        solve_min(p)
+    assert certified_value(p, [F(3), F(5, 2)], [F(1, 2 * 10**15), F(1, 2)]) == F(11, 2)
     assert seen[0][0].tolist() == [[10**15, 0], [1, 2]] and seen[0][1].tolist() == [3 * 10**15, 8]
     # a row of 2^20 reaches HiGHS as it is
     p = LpProblem(1, {0: F(1)})
@@ -465,11 +489,11 @@ def test_huge_rows_fall_back_unscaled(monkeypatch):
 
 def test_rhs_beyond_highs_infinite_bound_falls_back():
     # HiGHS reads a bound of 10^20 or more as infinite, so such an LP never
-    # reaches it and the exact simplex answers; 10^19 still rounds
+    # reaches it and a named cap is raised; 10^19 still rounds
     p = LpProblem(1, {0: F(1)})
     p.add({0: 1}, 10**25)
-    opt = solve_min(p)
-    assert (opt.value, opt.method, opt.fallback) == (10**25, "simplex", "highs-rhs-range")
+    with pytest.raises(CapExceeded, match="highs-model: needed a right-hand side of 1e"):
+        solve_min(p)
     p = LpProblem(1, {0: F(1)})
     p.add({0: 1}, 10**19)
     opt = solve_min(p)
@@ -510,13 +534,39 @@ def test_threads_solve_on_their_own_handles():
 
 
 def test_lp_without_variables():
-    # HiGHS reports an empty model, and the exact simplex decides
+    # HiGHS reports an empty model: every row reads 0 >= b_i, so the LP is
+    # optimal at 0 or has an empty row with b_i > 0, its own ray
     p = LpProblem(0, {})
     p.add({}, 0)
     opt = solve_min(p)
-    assert (opt.status, opt.value, opt.method, opt.fallback) == ("optimal", 0, "simplex", "highs-empty")
+    assert (opt.status, opt.value, opt.method, opt.fallback) == ("optimal", 0, "rounded", None)
     p.add({}, 1)
-    assert solve_min(p).status == "infeasible"
+    opt = solve_min(p)
+    assert (opt.status, opt.dual, opt.method) == ("infeasible", [0, 1], "ray")
+
+
+def test_an_empty_row_is_its_own_ray():
+    # with variables too: the first row with no entries and b_i > 0, also
+    # when b_i is below HiGHS's tolerance and HiGHS reports an optimum
+    for b in (F(1, 2), F(1, 10**30)):
+        p = LpProblem(2, {0: 1})
+        p.add({0: 1, 1: 1}, 1)
+        p.add({}, b)
+        p.add({}, 3)
+        opt = solve_min(p)
+        assert (opt.status, opt.dual, opt.method) == ("infeasible", [0, 1, 0], "ray")
+
+
+def test_infeasibility_within_highs_tolerance_is_refused():
+    # x >= 1 and x <= 1 - 10^-12: HiGHS reports an optimum within its
+    # tolerance, no exact check accepts its basis, and the LP is refused
+    # rather than answered; the reference simplex finds it infeasible
+    p = LpProblem(1, {0: 1})
+    p.add({0: 1}, 1)
+    p.add({0: -1}, F(1, 10**12) - 1)
+    assert dual_simplex(p).status == "infeasible"
+    with pytest.raises(Uncertified, match="basis fails its certificate"):
+        solve_min(p)
 
 
 def test_missing_binding_names_the_scipy_needed(monkeypatch):
@@ -536,3 +586,99 @@ def test_checks_scale_past_int64_with_zero_rhs_and_costs():
     assert check_feasible(p, [F(1, d), F(2, d)]) == [0]
     assert certified_value(p, [F(2, d), F(1, d)], [F(0)]) == 0
     assert certified_value(p, [F(2, d), F(1, d)], [F(1, d)]) is None  # reduced cost -1/d
+
+
+def test_farkas_check_rejects_each_failed_condition():
+    # x0 - x1 >= 4 and x1 - x0 >= 6 sum to 0 >= 10: the ray (1, 1)
+    p = LpProblem(2, {0: F(1), 1: F(1)})
+    p.add({0: 1, 1: -1}, 4)
+    p.add({0: -1, 1: 1}, 6)
+    assert certified_infeasible(p, [F(1), F(1)]) and certified_infeasible(p, [F(1, 3), F(1, 3)])
+    assert not certified_infeasible(p, [F(0), F(0)])  # b'y = 0
+    assert not certified_infeasible(p, [F(2), F(-1)])  # y < 0 on a row
+    assert not certified_infeasible(p, [F(1), F(2)])  # (A'y)_1 = 1 > 0
+    q = LpProblem(1, {0: F(1)})
+    q.add({0: 1}, -1)
+    assert not certified_infeasible(q, [F(1)])  # A'y = 1 > 0 and b'y < 0
+    with pytest.raises(ValueError, match="one value per row"):
+        certified_infeasible(p, [F(1)])
+
+
+class _Tampered:
+    """This thread's HiGHS instance with some answers replaced."""
+
+    def __init__(self, highs, **answers):
+        self._highs, self._answers = highs, answers
+
+    def __getattr__(self, name):
+        if name in self._answers:
+            return lambda *args: self._answers[name](self._highs)
+        return getattr(self._highs, name)
+
+
+def _tamper(monkeypatch, **answers):
+    _, highs = lpmod._handle()
+    monkeypatch.setattr(lpmod._local, "highs", _Tampered(highs, **answers))
+
+
+def _swapped_basis(highs):
+    # x1 leaves the basis and the first row's slack enters: x = (2, 0),
+    # which violates x0 + 2 x1 >= 4
+    from scipy.optimize._highspy._core import HighsBasisStatus
+
+    basis = highs.getBasis()
+    basis.col_status = [HighsBasisStatus.kBasic, HighsBasisStatus.kLower]
+    basis.row_status = [HighsBasisStatus.kBasic, HighsBasisStatus.kLower]
+    return basis
+
+
+def _uneven_basis(highs):
+    from scipy.optimize._highspy._core import HighsBasisStatus
+
+    basis = highs.getBasis()
+    basis.row_status = [HighsBasisStatus.kBasic, HighsBasisStatus.kBasic]
+    return basis
+
+
+@pytest.mark.parametrize("basis, message", [(_swapped_basis, "fails its certificate"),
+                                            (_uneven_basis, "no square optimal basis")])
+def test_tampered_basis_is_rejected(monkeypatch, basis, message):
+    _without_rounding(monkeypatch)
+    assert solve_min(small_lp()).method == "basis"
+    _tamper(monkeypatch, getBasis=basis)
+    with pytest.raises(Uncertified, match=message):
+        solve_min(small_lp())
+
+
+def _infeasible_lp():
+    p = LpProblem(2, {0: F(1), 1: F(1)})
+    p.add({0: 1, 1: -1}, 4)
+    p.add({0: -1, 1: 1}, 6)
+    return p
+
+
+@pytest.mark.parametrize("ray", [lambda r: -r, lambda r: r * [1, 0], lambda r: r * 0])
+def test_tampered_ray_is_rejected(monkeypatch, ray):
+    assert solve_min(_infeasible_lp()).dual == [1, 1]
+
+    def tampered(highs):
+        status, found, values = highs.getDualRay()
+        return status, found, ray(values)
+
+    _tamper(monkeypatch, getDualRay=tampered)
+    with pytest.raises(Uncertified, match="fails the Farkas check"):
+        solve_min(_infeasible_lp())
+
+
+def test_unknown_highs_status_is_rejected(monkeypatch):
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    _tamper(monkeypatch, getModelStatus=lambda highs: HighsModelStatus.kTimeLimit)
+    with pytest.raises(Uncertified, match="model status 'Time limit reached'"):
+        solve_min(small_lp())
+
+
+def test_singular_system_is_rejected():
+    assert lpmod._solve_square([{0: 1, 1: 2}, {0: 3, 1: 4}], [5, 6]) == [-4, F(9, 2)]
+    with pytest.raises(Uncertified, match="singular"):
+        lpmod._solve_square([{0: 1, 1: 2}, {0: 2, 1: 4}], [1, 2])
