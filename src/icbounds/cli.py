@@ -11,7 +11,8 @@ library raises CapExceeded where the resource is spent (minrk2 for
 --minrk-cap, verify_code for exhaustive checks and for fields beyond exact
 float64 decoding, the hierarchy LP builder for --max-lp-vars, solve_min for
 an LP HiGHS cannot take and a basis past its fixed cap) and lp.Uncertified
-for a failed certificate; the CLI maps these, and a MemoryError, to 3.
+for an LP no checked certificate settles; the CLI maps these, and a
+MemoryError, to 3.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .combinatorial import (
     representation_rank,
 )
 from .hierarchy import MAX_LP_VARS, solve_bk
-from .instance import CapExceeded, Graph, Instance, ParseError, from_graph, read_problem
+from .instance import CapExceeded, Instance, ParseError, _graph_from_dict, from_graph, read_problem
 from .lp import Uncertified
 from .numeric import format_rational
 from .report import build_report
@@ -251,10 +252,9 @@ def cmd_decide2(args) -> dict:
         out["bound"] = _rat(cert.bound)
     else:
         out["reason"] = cert.reason
-    if "edges" in data:  # a graph file: its graph, read back off the instance
-        graph = Graph.from_edge_list(inst.n, [(r.wants, v) for r in inst.receivers for v in r.knows])
-        if graph.edges:
-            out["undirected_check"] = undirected_beta2(graph)
+    graph = _graph_from_dict(data) if "receivers" not in data and "edges" in data else None
+    if graph is not None and graph.edges:  # a graph file, as read_problem reads it
+        out["undirected_check"] = undirected_beta2(graph)
     return out
 
 

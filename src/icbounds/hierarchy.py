@@ -296,6 +296,23 @@ def verify_hierarchy_membership(x: dict[int, Fraction], inst: Instance, k: int) 
     return not check_feasible(p, [x[m] for m in range(1 << inst.n)])
 
 
+def alpha_feasible_vector(inst: Instance) -> dict[int, Fraction]:
+    """X(S) = |S| + (max independent set disjoint from S), the canonical
+    level-1 feasible point of value alpha; graphs only."""
+    n = inst.n
+    closed = [0] * n
+    for r in inst.receivers:
+        closed[r.wants] |= (1 << r.wants) | to_mask(r.knows)
+    maxind = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        skip = maxind[mask & ~(1 << v)]
+        take = 1 + maxind[mask & ~closed[v]]
+        maxind[mask] = max(skip, take)
+    full = (1 << n) - 1
+    return {s: Fraction(s.bit_count() + maxind[full & ~s]) for s in range(1 << n)}
+
+
 # -- coverage-function decomposition ----------------------------------------
 
 

@@ -23,19 +23,25 @@ row or per column.
 (scipy.optimize._highspy._core), on one HiGHS instance per thread.  An LP
 HiGHS cannot take -- a value beyond the float range, a right-hand side at
 or beyond HIGHS_INFINITE_BOUND, which HiGHS reads as infinite, or a model
-HiGHS refuses -- raises CapExceeded("highs-model").  At an optimum, HiGHS's
-primal values and row duals are rounded to fractions with denominators at
-most ROUNDING_BOUND.  If the check rejects them, HiGHS's optimal basis is
-solved exactly, as in Applegate, Cook, Dash and Espinoza, "Exact solutions
-to linear programming problems" (Oper. Res. Lett. 35, 2007): the tight rows
-and the basic columns form a square system whose solution is x on the
-basic columns and whose transpose gives y on the tight rows.  A basis of
-more than BASIS_CAP columns raises CapExceeded("lp-basis").  When HiGHS
-reports the LP infeasible, a row with no entries and b_i > 0 is its own ray
-e_i (this settles an LP with no variables); otherwise HiGHS's dual ray is
-rounded in the same way.  A certificate that fails its check raises
-Uncertified: nothing unchecked is returned.  `LpOptimum.method` records
-which path answered.
+HiGHS refuses -- raises CapExceeded("highs-model").  A row with no entries
+and b_i > 0 is its own ray e_i (this settles an LP with no variables), and
+needs no solve.  At an optimum, HiGHS's primal values and row duals are
+rounded to fractions with denominators at most ROUNDING_BOUND; at
+infeasibility, its dual ray is.  If the check rejects them, HiGHS's basis
+is solved exactly, as in Applegate, Cook, Dash and Espinoza, "Exact
+solutions to linear programming problems" (Oper. Res. Lett. 35, 2007): the
+tight rows and the basic columns form a square system whose solution is x
+on the basic columns and whose transpose gives y on the tight rows.  A
+basis of more than BASIS_CAP columns raises CapExceeded("lp-basis").  When
+that x violates a row (or a bound) that no pivot can repair, the basis
+also gives that row's ray.  When neither passes, HiGHS solves a refined
+model, the LP shifted so that the failed x and y sit at the origin and
+scaled so that their violations are no longer below its tolerances
+(iterative refinement, as in Gleixner, Steffy and Wolter, "Iterative
+refinement for linear programming", INFORMS J. Comput. 28, 2016), and its
+basis is tried in the same way, at most REFINE_ROUNDS times.  Then
+Uncertified is raised: nothing unchecked is returned.  `LpOptimum.method`
+records which path answered.
 """
 
 from __future__ import annotations
@@ -151,8 +157,8 @@ class _Rows(Sequence):
 
 
 class Uncertified(RuntimeError):
-    """HiGHS's answer to an LP failed its exact check; raised instead of
-    returning an answer without a certificate."""
+    """No answer HiGHS proposed for an LP, refined or not, passed its exact
+    check; raised instead of returning an answer without a certificate."""
 
 
 @dataclass
@@ -163,10 +169,8 @@ class LpOptimum:
     # per row, >= 0: the optimum's dual, or the Farkas ray of an infeasible LP
     dual: list[Fraction] | None = None
     # "rounded" (HiGHS's optimum, rounded), "basis" (the exact solution of
-    # HiGHS's optimal basis) or "ray" (infeasible: the ray in `dual`)
+    # a basis HiGHS gives) or "ray" (infeasible: the ray in `dual`)
     method: str | None = None
-    # "rounding-rejected" when the basis answered, else None
-    fallback: str | None = None
 
 
 def _violations(p: LpProblem, pos, xs, d) -> list[int]:
@@ -301,43 +305,87 @@ def _solve_square(rows: list[dict], rhs: list[int]) -> list[Fraction]:
     return z
 
 
-def _basis(p: LpProblem, highspy, highs) -> LpOptimum:
-    """The optimum HiGHS's optimal basis gives in exact arithmetic: with T
-    the tight (nonbasic) rows and B the basic columns, x_B solves
-    A_TB x_B = b_T and y_T solves A_TB' y_T = c_B; every other entry is 0.
-    Accepted only by certified_value."""
+def _basis(p: LpProblem, highspy, highs) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """(B, T, A_TB) for HiGHS's basis: B the basic columns, T the tight rows
+    (those whose slack is nonbasic), and A_TB's nonzero entries as (position
+    in T, position in B, coefficient).  Column n + i of a refined model (see
+    _refined) is row i's slack."""
+    n, m = p.num_vars, p.num_rows
     basis = highs.getBasis()
     basic = highspy.HighsBasisStatus.kBasic
-    cols = [j for j, s in enumerate(basis.col_status) if s == basic]
-    tight = [i for i, s in enumerate(basis.row_status) if s != basic]
+    col, row = basis.col_status, basis.row_status
+    cols = [j for j in range(n) if col[j] == basic]
+    tight = [i for i in range(m) if row[i] != basic and col[n + i:n + i + 1] != [basic]]
     if not basis.valid or len(cols) != len(tight):
         raise Uncertified("HiGHS gives no square optimal basis")
-    k = len(cols)
-    if k > BASIS_CAP:
-        raise CapExceeded("lp-basis", k, BASIS_CAP)
-    at = np.full(p.num_vars, -1)
-    at[cols] = np.arange(k)
+    if len(cols) > BASIS_CAP:
+        raise CapExceeded("lp-basis", len(cols), BASIS_CAP)
+    at = np.full(n, -1)
+    at[cols] = np.arange(len(cols))
     entries, lens = _entries(p, np.asarray(tight, np.int64))
-    pos = at[p.indices[entries]]
-    # A_TB x_B = b_T, each row times its right-hand side's denominator, and
-    # A_TB' y_T = c_B, each row times its cost's denominator
-    costs = [Fraction(p.objective.get(j, 0)) for j in cols]
-    dens = p.rhs_dens[tight].tolist()
-    primal, dual = [{} for _ in range(k)], [{} for _ in range(k)]
-    for t, j, v in zip(np.repeat(np.arange(k), lens)[pos >= 0].tolist(), pos[pos >= 0].tolist(),
-                       p.coefs[entries][pos >= 0].tolist()):
-        primal[t][j] = v * dens[t]
-        dual[j][t] = v * costs[j].denominator
-    xb = dict(zip(cols, _solve_square(primal, p.rhs_nums[tight].tolist())))
-    yt = dict(zip(tight, _solve_square(dual, [c.numerator for c in costs])))
-    x, y = [xb.get(j, F0) for j in range(p.num_vars)], [yt.get(i, F0) for i in range(p.num_rows)]
-    value = certified_value(p, x, y)
-    if value is None:
-        raise Uncertified("the exact solution of HiGHS's optimal basis fails its certificate")
-    return LpOptimum("optimal", value, x, y, "basis", "rounding-rejected")
+    pos, coefs = at[p.indices[entries]], p.coefs[entries]
+    keep = (pos >= 0) & (coefs != 0)
+    return cols, tight, list(zip(np.repeat(np.arange(len(cols)), lens)[keep].tolist(), pos[keep].tolist(),
+                                 coefs[keep].tolist()))
 
 
-# -- HiGHS and rounding -----------------------------------------------------
+def _transposed(a: list[tuple[int, int, int]], rhs: list[Fraction]) -> list[Fraction]:
+    """u with A_TB' u = rhs (one value per basic column), each row of the
+    system times its value's denominator."""
+    rows = [{} for _ in rhs]
+    for t, j, v in a:
+        rows[j][t] = v * rhs[j].denominator
+    return _solve_square(rows, [r.numerator for r in rhs])
+
+
+def _vertex(p: LpProblem, cols, tight, a) -> tuple[list[Fraction], list[Fraction]]:
+    """(x, y) of the basis in exact arithmetic: x_B solves A_TB x_B = b_T
+    and y_T solves A_TB' y_T = c_B; every other entry is 0."""
+    rows, dens = [{} for _ in cols], p.rhs_dens[tight].tolist()
+    for t, j, v in a:
+        rows[t][j] = v * dens[t]
+    xb = dict(zip(cols, _solve_square(rows, p.rhs_nums[tight].tolist())))
+    yt = dict(zip(tight, _transposed(a, [Fraction(p.objective.get(j, 0)) for j in cols])))
+    return [xb.get(j, F0) for j in range(p.num_vars)], [yt.get(i, F0) for i in range(p.num_rows)]
+
+
+def _ray(p: LpProblem, cols, tight, a, x, s) -> list[Fraction] | None:
+    """The ray that proves the LP infeasible when no pivot can repair the
+    basis solution's worst violation, as the dual simplex's ratio test
+    finds it: for a row r with slack s_r < 0, y = e_r - u on T with
+    A_TB' u = a_rB; for x_j < 0, y = -u with A_TB' u = e_j.  None when x
+    violates nothing."""
+    xf = np.array(x, float)
+    row, col = s.min(initial=0), xf.min(initial=0)
+    if min(row, col) >= 0:
+        return None
+    at = {j: q for q, j in enumerate(cols)}
+    rhs, y = [F0] * len(cols), [F0] * p.num_rows
+    if row <= col:
+        r = int(np.argmin(s))
+        y[r] = Fraction(1)
+        lo, hi = p.indptr[r], p.indptr[r + 1]
+        for j, v in zip(p.indices[lo:hi].tolist(), p.coefs[lo:hi].tolist()):
+            if j in at:
+                rhs[at[j]] += v
+    else:
+        rhs[at[int(np.argmin(xf))]] = Fraction(1)
+    for i, u in zip(tight, _transposed(a, rhs)):
+        y[i] -= u
+    return y
+
+
+def _residuals(p: LpProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(A x - b, c - A'y) in floats: they only shape a refined model."""
+    val, xf, yf = p.coefs.astype(float), np.array(x, float), np.array(y, float)
+    c = np.zeros(p.num_vars)
+    c[list(p.objective)] = [float(v) for v in p.objective.values()]
+    ax = _segment_sums(val * xf[p.indices], p.indptr[:-1])
+    aty = np.bincount(p.indices, val * np.repeat(yf, np.diff(p.indptr)), p.num_vars)
+    return ax - p.rhs_nums / p.rhs_dens, c - aty
+
+
+# -- HiGHS, rounding and refinement -----------------------------------------
 
 
 # Largest denominator when rounding HiGHS's solution or ray; the hierarchy
@@ -351,10 +399,17 @@ ROUNDING_BOUND = 10**3
 # and fail to round, so presolve stays on at every size.
 HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "output_flag": False, "log_to_console": False}
 
-
 # HiGHS reads a bound at or beyond this (its option infinite_bound) as
 # infinite, so an LP with such a right-hand side is refused before it.
 HIGHS_INFINITE_BOUND = 1e20
+
+# Refined models solved after a basis fails, and the largest factor one
+# magnifies violations by.  With rounding off, on 513 LPs whose data are
+# 10^-6 .. 10^-14 from ties (tests/test_lp.py's near-degenerate corpus,
+# seeds 5-7), the first basis and its ray left 32 unanswered; 1, 2, 3 and 5
+# rounds left 9, 4, 3 and 3 at 1e9, and 3 rounds left 8 at 1e6 and 6 at 1e12.
+REFINE_ROUNDS = 3
+REFINE_SCALE = 1e9
 
 # One HiGHS instance per thread, its options set once; each solve clears
 # the model it passes.
@@ -376,10 +431,10 @@ def _handle():
     return highspy, highs
 
 
-def _highs(p: LpProblem):
-    """(the binding, this thread's HiGHS instance) once HiGHS has run on p.
-    Raises CapExceeded("highs-model") for an LP HiGHS cannot take."""
-    highspy, highs = _handle()
+def _model(p: LpProblem) -> tuple:
+    """p as HiGHS's model: costs, column lower bounds, row lower and upper
+    bounds, and the rows as CSR.  Raises CapExceeded("highs-model") for a
+    value HiGHS cannot take."""
     n, m = p.num_vars, p.num_rows
     try:
         c = np.zeros(n)
@@ -390,17 +445,50 @@ def _highs(p: LpProblem):
         raise CapExceeded("highs-model", "a value beyond the float range", "HiGHS's input range") from None
     if np.any(np.abs(b) >= HIGHS_INFINITE_BOUND):
         raise CapExceeded("highs-model", f"a right-hand side of {np.abs(b).max():.3g}", "HiGHS's input range")
-    # A x >= b goes in as it is, row-wise: rows [b, inf), columns [0, inf),
-    # every column continuous.
+    return c, np.zeros(n), b, np.full(m, np.inf), p.indptr, p.indices, val
+
+
+def _scale(*parts) -> float:
+    """The factor, at most REFINE_SCALE, that makes the most negative entry
+    among parts read -1, or, with none negative, the largest read 1."""
+    v = np.concatenate(parts)
+    worst = -v.min(initial=0) or np.abs(v).max(initial=0)
+    return min(REFINE_SCALE, 1 / worst) if worst else 1.0
+
+
+def _refined(p: LpProblem, x, y, s, d) -> tuple:
+    """The model of p in x' = sp (x - x*) and s' = sp (A x - b - s*), s the
+    row slacks, with costs sd (c - A'y*) on x' and sd y* on s': the same LP
+    with (x*, y*) at the origin, so the optimal bases are the same, but
+    with the violations of x* and y* magnified by sp and sd.  Rows are
+    A x' - s' = 0."""
+    n, m = p.num_vars, p.num_rows
+    xf, yf = np.array(x, float), np.array(y, float)
+    sp, sd = _scale(xf, s), _scale(d, yf)
+    # [A -I] row-wise: row i's entries, then -1 on column n + i
+    at = np.arange(len(p.indices)) + np.repeat(np.arange(m), np.diff(p.indptr))
+    slack = p.indptr[1:] + np.arange(m)
+    indices, val = np.empty(len(at) + m, np.int64), np.empty(len(at) + m)
+    indices[at], indices[slack] = p.indices, n + np.arange(m)
+    val[at], val[slack] = p.coefs.astype(float), -1.0
+    zero = np.zeros(m)
+    return (sd * np.concatenate([d, yf]), -sp * np.concatenate([xf, s]), zero, zero,
+            p.indptr + np.arange(m + 1), indices, val)
+
+
+def _run(highspy, highs, c, lower, row_lower, row_upper, indptr, indices, val):
+    """HiGHS's model status once it minimizes c'x over x >= lower and
+    row_lower <= A x <= row_upper, A the CSR rows (indptr, indices, val).
+    Raises CapExceeded("highs-model") for a model HiGHS refuses."""
+    n, m = len(c), len(row_lower)
     highs.clearModel()
-    inf = highspy.kHighsInf
     status = highs.passModel(n, m, len(val), highspy.MatrixFormat.kRowwise, highspy.ObjSense.kMinimize, 0.0,
-                             c, np.zeros(n), np.full(n, inf), b, np.full(m, inf),
-                             p.indptr, p.indices, val, np.zeros(n, np.int32))
+                             c, lower, np.full(n, np.inf), row_lower, row_upper,
+                             indptr, indices, val, np.zeros(n, np.int32))
     if status == highspy.HighsStatus.kError:
         raise CapExceeded("highs-model", "a model HiGHS refuses", "HiGHS's input range")
     highs.run()
-    return highspy, highs
+    return highs.getModelStatus()
 
 
 def _round(values) -> list[Fraction]:
@@ -427,13 +515,6 @@ def _empty_row(p: LpProblem) -> list[Fraction] | None:
     return [Fraction(int(i == empty[0])) for i in range(p.num_rows)] if len(empty) else None
 
 
-def _infeasible(p: LpProblem, ray: list[Fraction]) -> LpOptimum:
-    """Infeasibility, with a ray that certified_infeasible accepts."""
-    if not certified_infeasible(p, ray):
-        raise Uncertified("HiGHS reports the LP infeasible, but its dual ray fails the Farkas check")
-    return LpOptimum("infeasible", dual=ray, method="ray")
-
-
 def _validate(p: LpProblem) -> None:
     m = p.num_rows
     if len(p.indptr) != m + 1 or len(p.rhs_dens) != m or not len(p.indices) == len(p.coefs) == p.indptr[-1]:
@@ -452,23 +533,36 @@ def solve_min(p: LpProblem) -> LpOptimum:
     only with a certificate that passed its exact check: an optimum's x and
     dual pass certified_value, an infeasible LP's ray (in `dual`) passes
     certified_infeasible.  Raises CapExceeded for an LP HiGHS cannot take
-    or a basis past BASIS_CAP, and Uncertified when a check fails."""
+    or a basis past BASIS_CAP, and Uncertified when no certificate passes."""
     _validate(p)
-    highspy, highs = _highs(p)
-    status = highs.getModelStatus()
+    ray = _empty_row(p)
+    if ray and certified_infeasible(p, ray):
+        return LpOptimum("infeasible", dual=ray, method="ray")
+    highspy, highs = _handle()
     done = highspy.HighsModelStatus
-    if status in (done.kInfeasible, done.kUnboundedOrInfeasible):  # c >= 0: never unbounded
-        # an empty row's ray, else HiGHS's dual ray scaled to largest entry 1
-        # and rounded (all zeros, which no check accepts, if HiGHS has none)
-        ray = highs.getDualRay()[2]
-        return _infeasible(p, _empty_row(p) or _round(ray / (np.abs(ray).max(initial=0.0) or 1.0)))
-    if status not in (done.kOptimal, done.kModelEmpty):  # empty: no variables
-        raise Uncertified(f"HiGHS ends with model status {highs.modelStatusToString(status)!r}")
-    # HiGHS may call an LP optimal that is infeasible within its tolerance,
-    # as with an empty row whose b_i > 0 is tiny, or every LP without
-    # variables (an "empty" model).
-    opt = _rounded(p, highs)
-    if opt is None:
-        ray = _empty_row(p)
-        opt = _infeasible(p, ray) if ray else _basis(p, highspy, highs)
-    return opt
+    model = _model(p)
+    for refinement in range(REFINE_ROUNDS + 1):
+        status = _run(highspy, highs, *model)
+        if status in (done.kInfeasible, done.kUnboundedOrInfeasible):  # c >= 0: never unbounded
+            # HiGHS's dual ray, scaled to largest entry 1 and rounded (all
+            # zeros, which no check accepts, if HiGHS has none); a refined
+            # model has p's rows, and its rays are p's
+            ray = highs.getDualRay()[2][:p.num_rows]
+            ray = _round(ray / (np.abs(ray).max(initial=0.0) or 1.0))
+            if certified_infeasible(p, ray):
+                return LpOptimum("infeasible", dual=ray, method="ray")
+        elif status not in (done.kOptimal, done.kModelEmpty):  # empty: no variables
+            raise Uncertified(f"HiGHS ends with model status {highs.modelStatusToString(status)!r}")
+        elif not refinement and (opt := _rounded(p, highs)):
+            return opt
+        cols, tight, a = _basis(p, highspy, highs)
+        x, y = _vertex(p, cols, tight, a)
+        value = certified_value(p, x, y)
+        if value is not None:
+            return LpOptimum("optimal", value, x, y, "basis")
+        s, d = _residuals(p, x, y)
+        ray = _ray(p, cols, tight, a, x, s)
+        if ray and certified_infeasible(p, ray):
+            return LpOptimum("infeasible", dual=ray, method="ray")
+        model = _refined(p, x, y, s, d)
+    raise Uncertified(f"no answer of HiGHS passes its exact check after {REFINE_ROUNDS} refinements")

@@ -3,8 +3,7 @@ one dict row at a time, kept as the oracle that the array build in
 icbounds.hierarchy must reproduce row for row.  With reduced=False it emits
 the unreduced system (slope and monotonicity for every pair S < T, decode
 for every part of the closure step), whose feasible set the reduced LP
-must have.  alpha_feasible_vector is the canonical level-1 feasible point
-the membership tests start from."""
+must have."""
 
 from __future__ import annotations
 
@@ -142,20 +141,3 @@ def reference_lp(inst: Instance, k: int, sym: list[list[int]] | None = None, red
     objective = {var_of[rep[0]]: F1}
     var_of_mask = [var_of[rep[m]] for m in range(1 << n)]
     return rows, objective, len(reps), counts, var_of_mask
-
-
-def alpha_feasible_vector(inst: Instance) -> dict[int, Fraction]:
-    """X(S) = |S| + (max independent set disjoint from S), the canonical
-    level-1 feasible point of value alpha; graphs only."""
-    n = inst.n
-    closed = [0] * n
-    for r in inst.receivers:
-        closed[r.wants] |= (1 << r.wants) | to_mask(r.knows)
-    maxind = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        skip = maxind[mask & ~(1 << v)]
-        take = 1 + maxind[mask & ~closed[v]]
-        maxind[mask] = max(skip, take)
-    full = (1 << n) - 1
-    return {s: Fraction(s.bit_count() + maxind[full & ~s]) for s in range(1 << n)}

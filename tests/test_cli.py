@@ -95,7 +95,7 @@ def test_chibarf_of_projective_hadamard_q7(capsys, tmp_path, monkeypatch):
     path = gen(capsys, tmp_path, "projective-hadamard", "q=7")
     out = run_json(capsys, "bounds", str(path), "--chibarf")
     assert out["chibarf"]["value"] == "49/13"
-    assert [(len(o.x), o.method, o.fallback) for o in seen] == [(92114, "basis", "rounding-rejected")]
+    assert [(len(o.x), o.method) for o in seen] == [(92114, "basis")]
 
 
 def test_uncertified_lp_exits_as_a_cap(capsys, tmp_path, monkeypatch):
@@ -173,6 +173,17 @@ def test_decide2_both_ways(capsys, tmp_path):
     out2 = run_json(capsys, "decide2", str(path2))
     assert out2["verdict"] is True
     assert out2["scheme"]["rate"] == "2"
+
+
+def test_decide2_reads_a_file_with_receivers_as_an_instance(capsys, tmp_path):
+    # a file with both keys is an instance, which may be directed: no
+    # undirected check of its edges, or of its receivers made symmetric
+    data = json.loads(gen(capsys, tmp_path, "cycle", "n=5").read_text())
+    data["receivers"] = [{"wants": v, "knows": [(v + 1) % 5]} for v in range(5)]
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(data))
+    out = run_json(capsys, "decide2", str(path))
+    assert "undirected_check" not in out
 
 
 def test_code_strongcover(capsys, tmp_path):

@@ -227,7 +227,7 @@ def test_cover_lp_is_certified_by_rounding(monkeypatch):
 
     monkeypatch.setattr(combinatorial, "solve_min", spy)
     assert fractional_cover(from_graph(complement(cycle(7))), "strong").total == F(7, 3)
-    assert [(o.method, o.fallback) for o in seen] == [("rounded", None)]
+    assert [o.method for o in seen] == ["rounded"]
 
 
 def test_cover_rejects_non_optimal_lp(monkeypatch):
