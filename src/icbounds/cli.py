@@ -24,7 +24,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 from . import codes, families
 from .approx import approximate_beta
@@ -38,8 +38,8 @@ from .combinatorial import (
     minrk2,
     representation_rank,
 )
-from .hierarchy import MAX_LP_VARS, solve_bk
-from .instance import CapExceeded, Instance, ParseError, _graph_from_dict, from_graph, read_problem
+from .hierarchy import MAX_LP_VARS, componentwise_b2, solve_bk
+from .instance import CapExceeded, Instance, ParseError, _graph_from_dict, disjoint_union, from_graph, read_problem
 from .lp import Uncertified
 from .numeric import format_rational
 from .report import build_report
@@ -105,17 +105,17 @@ def _levels(spec: str) -> tuple[int, ...]:
     return tuple(int(x) for x in spec.split(","))
 
 
-def _sym_arg(spec: str | None, inst: Instance, data: dict):
+def _sym_arg(spec: str, inst: Instance, data: dict):
     if spec == "auto":
         return data.get("symmetry")  # generators stored by `gen`
-    if not spec or spec == "none":
+    if spec == "none":
         return None
     if spec == "cyclic":
         return [families.shift_perm(inst.n)]
     if spec.startswith("file:"):
         with open(spec[5:]) as fh:
             return json.load(fh)
-    raise ParseError(f"unknown symmetry spec {spec!r} (use cyclic, none, file:PATH)")
+    raise ParseError(f"unknown symmetry spec {spec!r} (use auto, cyclic, none, file:PATH)")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -347,44 +347,24 @@ def cmd_report(args) -> dict:
 # -- reproduction suite ------------------------------------------------------
 
 
-def _verified_cover_rate(f: families.FamilyOutput) -> Fraction:
-    """The rate of the family's strong-cover code, an upper bound on beta
-    once exhaustive verification has passed."""
-    scheme = codes.strong_cover_code(f.instance, fractional_cover(f.instance, "strong"))
-    if not codes.verify_code(f.instance, scheme, mode="exhaustive").passed:
-        raise ValueError(f"{f.name}: strong-cover code failed verification")
-    return scheme.rate
-
-
-_MEASURES = {
-    "alpha": lambda f: alpha_exact(f.instance)[0],
-    "b2": lambda f: solve_bk(f.instance, 2, sym=f.symmetry).value,
-    "chi_bar_f": lambda f: fractional_cover(f.instance, "strong").total,
-    "beta": _verified_cover_rate,
-}
-
-
-def _family_claim(keys: tuple[str, ...], *cases: tuple[str, dict]):
-    """Measure `keys` on each (family name, params) case and compare every
-    value with the family's expected one.  Returns (ok, detail)."""
+def _family_claim(*cases: tuple[str, dict]):
+    """Run `report` on each (family name, params) case, at the level of each
+    b<k> the family expects and with the rate-2 decision.  A case holds when
+    every expected value equals the report's bound of that name and an
+    expected beta is the report's exact verdict.  Returns (ok, detail)."""
     ok, details = True, []
     for name, params in cases:
         f = families.family(name, **params)
-        got = {k: _MEASURES[k](f) for k in keys}
-        ok = ok and all(v == f.expected[k] for k, v in got.items())
         label = name + "".join(f" {k}={v}" for k, v in params.items())
-        details.append(f"{label}: " + " ".join(f"{k}={_rat(v)}" for k, v in got.items()))
+        levels = tuple(sorted(int(k[1:]) for k in f.expected if k[0] == "b" and k[1:].isdigit()))
+        rep = build_report(f.instance, label, levels, sym=f.symmetry, with_decide2=True)
+        got = {k: e.value for k, e in rep.bounds.items()}
+        exact = {v.split(" exact")[0] for v in rep.verdicts if " exact" in v}
+        ok = ok and all(f"beta = {_rat(v)}" in exact if k == "beta" else got.get(k) == v
+                        for k, v in f.expected.items())
+        details.append(f"{label}: " + " ".join(f"{k}={_rat(v)}" for k, v in got.items())
+                       + " [" + "; ".join(rep.verdicts) + "]")
     return ok, "; ".join(details)
-
-
-def _suite_tri3():
-    inst = families.tri3()
-    b2 = solve_bk(inst, 2).value
-    b3 = solve_bk(inst, 3).value
-    cert = decide_beta_eq_2(inst)
-    ver = codes.verify_code(inst, cert.scheme, mode="exhaustive") if cert.is_two else None
-    ok = b2 == 2 and b3 == 3 and cert.is_two and ver.passed
-    return ok, f"b2={b2} b3={b3} rate-2 scheme verified={bool(ver and ver.passed)}"
 
 
 def _suite_decide2():
@@ -403,16 +383,8 @@ def _suite_decide2():
         if not codes.verify_code(inst, cert.scheme, mode="exhaustive").passed:
             return False, "two-symbol scheme failed verification"
         done += 1
-    c5 = from_graph(families.cycle(5))
-    if decide_beta_eq_2(c5).is_two:
-        return False, "decider true on C5"
-    for k in (1, 2, 3):
-        inst = families.aac_instance(k)
-        cert = decide_beta_eq_2(inst)
-        b2 = solve_bk(inst, 2).value
-        if cert.is_two or cert.bound != 2 + Fraction(1, k) or b2 != cert.bound:
-            return False, f"aac({k}): verdict {cert.is_two} bound {cert.bound} b2 {b2}"
-    return True, "10 bipartite-complement schemes verified; AAC obstructions tight"
+    ok, detail = _family_claim(*(("aac", {"n": k}) for k in (1, 2, 3)))
+    return ok, "10 bipartite-complement schemes verified; " + detail
 
 
 def _suite_hadamard():
@@ -443,46 +415,32 @@ def _suite_oddtown():
 
 
 def _suite_union():
-    from .hierarchy import componentwise_b2
-    from .instance import graph_disjoint_union
-
+    c5 = from_graph(families.cycle(5))
     for k in (2, 3):
-        g = families.cycle(5)
-        big = g
-        for _ in range(k - 1):
-            big = graph_disjoint_union(big, g)
-        inst = from_graph(big)
-        parts = [from_graph(g)] * k
-        syms = [[families.shift_perm(5)]] * k
-        v = componentwise_b2(parts, syms)
-        a = alpha_exact(inst)[0]
+        v = componentwise_b2([c5] * k, [[families.shift_perm(5)]] * k)
+        a = alpha_exact(reduce(disjoint_union, [c5] * k))[0]
         if v != Fraction(5 * k, 2) or a != 2 * k:
             return False, f"{k}C5: b2={v} alpha={a}"
     return True, "k*C5 additivity holds for k=2,3"
 
 
 QUICK_SUITE = [
-    ("beta(C5) = 5/2 with verified scheme",
-     partial(_family_claim, ("b2", "beta"), ("cycle", {"n": 5}))),
-    ("odd cycles C7, C9",
-     partial(_family_claim, ("b2",), ("cycle", {"n": 7}), ("cycle", {"n": 9}))),
+    ("beta(C5) = 5/2 with verified scheme", partial(_family_claim, ("cycle", {"n": 5}))),
+    ("odd cycles C7, C9", partial(_family_claim, ("cycle", {"n": 7}), ("cycle", {"n": 9}))),
     ("complements of C5, C7",
-     partial(_family_claim, ("b2", "chi_bar_f"),
-             ("complement-cycle", {"n": 5}), ("complement-cycle", {"n": 7}))),
-    ("tri3: b3 overshoots a rate-2 scheme", _suite_tri3),
+     partial(_family_claim, ("complement-cycle", {"n": 5}), ("complement-cycle", {"n": 7}))),
+    ("tri3: b3 overshoots a rate-2 scheme", partial(_family_claim, ("tri3", {}))),
     ("rate-2 decider with certificates", _suite_decide2),
     ("circulant(7,2) and cayley3(8)",
-     partial(_family_claim, ("b2", "chi_bar_f", "beta"),
-             ("circulant", {"n": 7, "k": 2}), ("cayley3", {"n": 8}))),
+     partial(_family_claim, ("circulant", {"n": 7, "k": 2}), ("cayley3", {"n": 8}))),
     ("projective-hadamard q=3", _suite_hadamard),
     ("triangle-free oddtown m=6", _suite_oddtown),
     ("disjoint-union additivity k*C5", _suite_union),
 ]
 FULL_SUITE = QUICK_SUITE + [
-    ("petersen full tier",
-     partial(_family_claim, ("alpha", "b2", "chi_bar_f"), ("petersen", {}))),
-    ("groetzsch full tier", partial(_family_claim, ("alpha", "b2"), ("groetzsch", {}))),
-    ("chvatal full tier", partial(_family_claim, ("alpha", "b2"), ("chvatal", {}))),
+    ("petersen full tier", partial(_family_claim, ("petersen", {}))),
+    ("groetzsch full tier", partial(_family_claim, ("groetzsch", {}))),
+    ("chvatal full tier", partial(_family_claim, ("chvatal", {}))),
 ]
 
 
@@ -543,8 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hierarchy", help="solve one LP hierarchy level")
     p.add_argument("instance")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--sym", default=None,
-                   help="cyclic | none | file:PATH | auto (from input metadata)")
+    p.add_argument("--sym", default="auto",
+                   help="auto (the file's generators) | cyclic | none | file:PATH")
     p.add_argument("--dump-lp", action="store_true")
     p.add_argument("--max-lp-vars", type=int, default=MAX_LP_VARS)
     p.set_defaults(fn=cmd_hierarchy)

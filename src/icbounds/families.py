@@ -4,6 +4,9 @@ Each generator returns its natural object (Graph or Instance, sometimes with
 an auxiliary matrix); `family(name, **params)` wraps any of them into a
 FamilyOutput carrying expected bounds and, for vertex-transitive families, a
 generating permutation of a cyclic symmetry usable for LP orbit reduction.
+An expected key is the name of the bound `report.build_report` gives
+(alpha, b<k>, chibarf, rate2-obstruction, ...) or beta, which the report's
+exact verdict must pin; `paper-suite` compares them.
 """
 
 from __future__ import annotations
@@ -259,22 +262,22 @@ def family(name: str, **params) -> FamilyOutput:
     if name == "complement-cycle":
         n = params["n"]
         g = complement(cycle(n))
-        exp = dict.fromkeys(("beta", "b2", "chi_bar_f"), Fraction(n, n // 2))
+        exp = dict.fromkeys(("beta", "b2", "chibarf"), Fraction(n, n // 2))
         return FamilyOutput(name, params, from_graph(g), g, None, exp, [shift_perm(n)])
     if name == "circulant":
         n, k = params["n"], params["k"]
         g = circulant(n, k)
-        exp = dict.fromkeys(("beta", "b2", "chi_bar_f"), Fraction(n, k + 1))
+        exp = dict.fromkeys(("beta", "b2", "chibarf"), Fraction(n, k + 1))
         return FamilyOutput(name, params, from_graph(g), g, None, exp, [shift_perm(n)])
     if name == "cayley3":
         n = params["n"]
         g = cayley_3regular(n)
-        exp = dict.fromkeys(("beta", "b2", "chi_bar_f"), Fraction(n, 2))
+        exp = dict.fromkeys(("beta", "b2", "chibarf"), Fraction(n, 2))
         return FamilyOutput(name, params, from_graph(g), g, None, exp, [shift_perm(n)])
     if name == "kneser-complement":
         n, k = params["n"], params["k"]
         g = kneser_complement(n, k)
-        exp = {"chi_bar_f": Fraction(n, k)}
+        exp = {"chibarf": Fraction(n, k)}
         return FamilyOutput(name, params, from_graph(g), g, None, exp, [_kneser_shift_perm(n, k)])
     if name == "projective-hadamard":
         q = params["q"]
@@ -289,15 +292,14 @@ def family(name: str, **params) -> FamilyOutput:
         return FamilyOutput(name, params, from_graph(g), g, gram, {}, [], 2)
     if name == "aac":
         inst = aac_instance(params["n"])
-        exp = {"b2": Fraction(2) + Fraction(1, params["n"]),
-               "b2_lower": Fraction(2) + Fraction(1, params["n"])}
+        exp = dict.fromkeys(("b2", "rate2-obstruction"), Fraction(2) + Fraction(1, params["n"]))
         return FamilyOutput(name, params, inst, None, None, exp, [])
     if name == "tri3":
-        exp = {"b2": Fraction(2), "b3": Fraction(3), "beta_upper": Fraction(2)}
+        exp = {"b2": Fraction(2), "b3": Fraction(3), "beta": Fraction(2)}
         return FamilyOutput(name, params, tri3(), None, None, exp, [])
     if name == "petersen":
         g = petersen()
-        exp = {"alpha": Fraction(4), "beta": Fraction(5), "b2": Fraction(5), "chi_bar_f": Fraction(5)}
+        exp = {"alpha": Fraction(4), "beta": Fraction(5), "b2": Fraction(5), "chibarf": Fraction(5)}
         return FamilyOutput(name, params, from_graph(g), g, None, exp, PETERSEN_SYMMETRY)
     if name == "groetzsch":
         g = groetzsch()

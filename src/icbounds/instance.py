@@ -132,7 +132,10 @@ def validate(inst: Instance) -> ValidationReport:
 
 
 def validate_graph(g: Graph) -> ValidationReport:
+    """Every fault of g: validate finds no other in from_graph(g)."""
     rep = ValidationReport()
+    if g.n < 1:
+        rep.violations.append("graph has no vertices, so the instance has no messages")
     for e in g.edges:
         if len(e) != 2:
             rep.violations.append(f"self-loop or malformed edge {sorted(e)}")
@@ -164,11 +167,6 @@ def disjoint_union(a: Instance, b: Instance) -> Instance:
     if a.rates is not None or b.rates is not None:
         rates = tuple(a.rate(v) for v in range(a.n)) + tuple(b.rate(v) for v in range(b.n))
     return Instance(a.n + b.n, tuple(recs), rates)
-
-
-def graph_disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = list(a.edge_list()) + [(u + a.n, v + a.n) for u, v in b.edge_list()]
-    return Graph.from_edge_list(a.n + b.n, edges)
 
 
 class ParseError(ValueError):
@@ -224,12 +222,13 @@ def _graph_from_dict(data: dict) -> Graph:
         raise ParseError(f"malformed graph file: {exc}") from exc
 
 
-def _valid(inst: Instance, g: Graph | None = None) -> Instance:
-    """inst, unless validate (or validate_graph on g) reports: ParseError."""
-    violations = validate(inst).violations + (validate_graph(g).violations if g is not None else [])
-    if violations:
-        raise ParseError(f"invalid instance: {violations}")
-    return inst
+def _valid(obj):
+    """obj, an Instance or a Graph, unless validate or validate_graph
+    reports: ParseError."""
+    rep = validate_graph(obj) if isinstance(obj, Graph) else validate(obj)
+    if rep.violations:
+        raise ParseError(f"invalid instance: {rep.violations}")
+    return obj
 
 
 def read_instance(path) -> Instance:
@@ -251,9 +250,7 @@ def write_instance(inst: Instance, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    g = _graph_from_dict(read_json(path))
-    _valid(from_graph(g), g)
-    return g
+    return _valid(_graph_from_dict(read_json(path)))
 
 
 def write_graph(g: Graph, path) -> None:
@@ -270,8 +267,7 @@ def read_problem(path):
     if "receivers" in data:
         return _valid(_instance_from_dict(data)), data
     if "edges" in data:
-        g = _graph_from_dict(data)
-        return _valid(from_graph(g), g), data
+        return from_graph(_valid(_graph_from_dict(data))), data
     raise ParseError(f"{path}: neither an instance nor a graph file")
 
 

@@ -524,6 +524,9 @@ def _validate(p: LpProblem) -> None:
     cols = [*p.objective, *((int(p.indices.min()), int(p.indices.max())) if len(p.indices) else ())]
     if cols and not 0 <= min(cols) <= max(cols) < p.num_vars:
         raise ValueError("objective or constraint references an unknown variable")
+    keys = np.sort(np.repeat(np.arange(m), np.diff(p.indptr)) * p.num_vars + p.indices)
+    if len(twice := keys[:-1][keys[1:] == keys[:-1]]):
+        raise ValueError(f"row {twice[0] // p.num_vars} names variable {twice[0] % p.num_vars} twice")
     if p.objective and min(p.objective.values()) < 0:
         raise ValueError("objective has a negative coefficient")
 

@@ -29,7 +29,7 @@ from icbounds.families import (
     tri3,
 )
 from icbounds.hierarchy import componentwise_b2, solve_bk
-from icbounds.instance import from_graph, graph_disjoint_union
+from icbounds.instance import disjoint_union, from_graph
 from icbounds.report import build_report
 
 F = Fraction
@@ -220,32 +220,12 @@ def test_c09_oddtown_triangle_free():
         assert codes.verify_code(inst, scheme, mode="exhaustive").passed
 
 
-def test_c10_property_suites():
-    with budget(1200):
-        import test_approx as ta
-        import test_codes as tc
-        import test_combinatorial as tb
-        import test_hierarchy as th
-
-        th.test_b1_equals_alpha_random()                 # (a)
-        th.test_bn_equals_strong_cover_random()          # (b)
-        th.test_monotone_chain()                         # (c)
-        th.test_coverage_roundtrip_and_both_directions() # (d)
-        th.test_reduced_equals_unreduced()               # (e)
-        th.test_symmetry_reduction_matches_full_on_circulants()  # (f)
-        ta.test_expanding_or_cover_certificates()        # (g)
-        ta.test_low_degree_cover_weight_cap()            # (h)
-        tc.test_every_verified_rate_at_least_b2()        # (i)
-        tb.test_minrk2_bounds_b2()                       # (j)
-
-
 def test_c11_disjoint_union_bookkeeping():
     with budget(60):
         for k in (2, 3):
-            big = cycle(5)
+            inst = from_graph(cycle(5))
             for _ in range(k - 1):
-                big = graph_disjoint_union(big, cycle(5))
-            inst = from_graph(big)
+                inst = disjoint_union(inst, from_graph(cycle(5)))
             parts = [from_graph(cycle(5))] * k
             syms = [[shift_perm(5)]] * k
             assert componentwise_b2(parts, syms) == F(5 * k, 2)
@@ -255,5 +235,5 @@ def test_c11_disjoint_union_bookkeeping():
         # direct union solve agrees at k=2
         from icbounds.families import block_shift_perm
 
-        two = from_graph(graph_disjoint_union(cycle(5), cycle(5)))
+        two = disjoint_union(from_graph(cycle(5)), from_graph(cycle(5)))
         assert solve_bk(two, 2, sym=[block_shift_perm(10, 5)]).value == 5

@@ -113,7 +113,7 @@ def test_uncertified_lp_exits_as_a_cap(capsys, tmp_path, monkeypatch):
 
 def test_hierarchy_c5(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
-    out = run_json(capsys, "hierarchy", str(path), "--level", "2")
+    out = run_json(capsys, "hierarchy", str(path), "--level", "2", "--sym", "none")
     assert out["value"] == "5/2"
     sym = run_json(capsys, "hierarchy", str(path), "--level", "2", "--sym", "cyclic")
     assert sym["value"] == "5/2"
@@ -361,17 +361,53 @@ def test_corrupt_file(capsys, tmp_path):
         assert "error" in err
 
 
+QUICK_CLAIMS = [
+    "beta(C5) = 5/2 with verified scheme",
+    "odd cycles C7, C9",
+    "complements of C5, C7",
+    "tri3: b3 overshoots a rate-2 scheme",
+    "rate-2 decider with certificates",
+    "circulant(7,2) and cayley3(8)",
+    "projective-hadamard q=3",
+    "triangle-free oddtown m=6",
+    "disjoint-union additivity k*C5",
+]
+
+
 def test_paper_suite_quick(capsys):
     out = run_json(capsys, "paper-suite", "quick")
-    assert [c["claim"] for c in out["claims"]] == [
-        "beta(C5) = 5/2 with verified scheme",
-        "odd cycles C7, C9",
-        "complements of C5, C7",
-        "tri3: b3 overshoots a rate-2 scheme",
-        "rate-2 decider with certificates",
-        "circulant(7,2) and cayley3(8)",
-        "projective-hadamard q=3",
-        "triangle-free oddtown m=6",
-        "disjoint-union additivity k*C5",
-    ]
+    assert [c["claim"] for c in out["claims"]] == QUICK_CLAIMS
     assert all(c["pass"] for c in out["claims"]), out["claims"]
+
+
+def test_paper_suite_full(capsys):
+    # beta(Groetzsch) = 11/2 and beta(Chvatal) = 6 are the report's exact verdicts
+    out = run_json(capsys, "paper-suite", "full")
+    assert [c["claim"] for c in out["claims"]] == QUICK_CLAIMS + [
+        "petersen full tier", "groetzsch full tier", "chvatal full tier"]
+    assert all(c["pass"] for c in out["claims"]), out["claims"]
+    details = {c["claim"]: c["detail"] for c in out["claims"]}
+    assert "[beta = 11/2 exact (b2 meets chibarf)]" in details["groetzsch full tier"]
+    assert "[beta = 6 exact (b2 meets chibarf)]" in details["chvatal full tier"]
+
+
+@pytest.mark.parametrize("family, key, value, claim", [
+    ("tri3", "b3", Fraction(5, 2), "tri3: b3 overshoots a rate-2 scheme"),  # a bound the report gives otherwise
+    ("cycle", "beta", Fraction(3), "odd cycles C7, C9"),  # a beta its verdict does not pin
+    ("cycle", "chi_bar_f", Fraction(5, 2), "beta(C5) = 5/2 with verified scheme"),  # no such bound
+    ("aac", "rate2-obstruction", Fraction(2), "rate-2 decider with certificates"),
+])
+def test_a_wrong_expected_value_fails_its_claim(monkeypatch, family, key, value, claim):
+    from icbounds import cli, families
+
+    real = families.family
+
+    def wrong(name, **params):
+        f = real(name, **params)
+        if name == family:
+            f.expected[key] = value
+        return f
+
+    monkeypatch.setattr(families, "family", wrong)
+    ok, detail = dict(cli.QUICK_SUITE)[claim]()
+    assert not ok, detail

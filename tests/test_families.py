@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from icbounds.families import (
 )
 from icbounds.hierarchy import validate_symmetry
 from icbounds.instance import from_graph, validate
+from icbounds.report import build_report
 
 
 def is_graph_automorphism(g, perm):
@@ -128,17 +130,20 @@ def test_symmetry_constants_are_automorphisms():
         assert not validate_symmetry(from_graph(g), perms)
 
 
+CASES = [
+    ("complement-cycle", {"n": 7}), ("circulant", {"n": 7, "k": 2}),
+    ("cayley3", {"n": 8}), ("kneser-complement", {"n": 5, "k": 2}),
+    ("projective-hadamard", {"q": 3}), ("oddtown", {"m": 6}),
+    ("aac", {"n": 2}), ("tri3", {}), ("petersen", {}),
+    ("groetzsch", {}), ("chvatal", {}),
+]
+
+
 def test_family_registry():
     out = family("cycle", n=5)
     assert out.expected["b2"] == Fraction(5, 2)
     assert out.symmetry == [shift_perm(5)]
-    for name, params in [
-        ("complement-cycle", {"n": 7}), ("circulant", {"n": 7, "k": 2}),
-        ("cayley3", {"n": 8}), ("kneser-complement", {"n": 5, "k": 2}),
-        ("projective-hadamard", {"q": 3}), ("oddtown", {"m": 6}),
-        ("aac", {"n": 2}), ("tri3", {}), ("petersen", {}),
-        ("groetzsch", {}), ("chvatal", {}),
-    ]:
+    for name, params in CASES:
         out = family(name, **params)
         assert validate(out.instance).ok
         if out.symmetry:
@@ -155,3 +160,13 @@ def test_random_generators():
         assert g.n == 6
         inst = random_instance(5, 7, rng)
         assert validate(inst).ok
+
+
+@pytest.mark.parametrize("name, params", [("cycle", {"n": 5})] + CASES)
+def test_expected_keys_are_report_bound_names(name, params):
+    # paper-suite compares each expected value with the report's bound of
+    # that name, and an expected beta with the report's exact verdict
+    f = family(name, **params)
+    levels = tuple(int(k[1:]) for k in f.expected if re.fullmatch(r"b\d+", k))
+    rep = build_report(f.instance, name, levels, sym=f.symmetry, with_decide2=True)
+    assert set(f.expected) <= {"beta", *rep.bounds}

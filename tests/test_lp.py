@@ -301,6 +301,11 @@ def test_rejects_malformed_rows():
     p.indptr = p.indptr[:-1]
     with pytest.raises(ValueError, match="number of rows"):
         solve_min(p)
+    # a row naming a column twice, which HiGHS would refuse as a model
+    p = LpProblem(2, {0: 1, 1: 1}, indptr=np.array([0, 2, 5]), indices=np.array([0, 1, 0, 0, 1]),
+                  coefs=np.array([1, 1, 1, 2, 1]), rhs_nums=np.array([1, 2]), rhs_dens=np.array([1, 1]))
+    with pytest.raises(ValueError, match="row 1 names variable 0 twice"):
+        solve_min(p)
 
 
 def test_ints_dtype_follows_the_bound():
