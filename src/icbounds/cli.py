@@ -348,22 +348,28 @@ def cmd_report(args) -> dict:
 
 
 def _family_claim(*cases: tuple[str, dict]):
-    """Run `report` on each (family name, params) case, at the level of each
-    b<k> the family expects and with the rate-2 decision.  A case holds when
-    every expected value equals the report's bound of that name and an
-    expected beta is the report's exact verdict.  Returns (ok, detail)."""
+    """Run `report` on each (family name, params) case, at the family's levels
+    and with the rate-2 decision.  A case holds when every code in the report
+    passed its check, every expected value equals the report's bound of that
+    name, and an expected beta is where the largest lower bound meets the
+    smallest upper bound, which an exhaustively verified code attains.
+    Returns (ok, detail)."""
     ok, details = True, []
     for name, params in cases:
         f = families.family(name, **params)
         label = name + "".join(f" {k}={v}" for k, v in params.items())
-        levels = tuple(sorted(int(k[1:]) for k in f.expected if k[0] == "b" and k[1:].isdigit()))
-        rep = build_report(f.instance, label, levels, sym=f.symmetry, with_decide2=True)
+        rep = build_report(f.instance, label, f.levels, sym=f.symmetry, with_decide2=True)
         got = {k: e.value for k, e in rep.bounds.items()}
-        exact = {v.split(" exact")[0] for v in rep.verdicts if " exact" in v}
-        ok = ok and all(f"beta = {_rat(v)}" in exact if k == "beta" else got.get(k) == v
-                        for k, v in f.expected.items())
-        details.append(f"{label}: " + " ".join(f"{k}={_rat(v)}" for k, v in got.items())
-                       + " [" + "; ".join(rep.verdicts) + "]")
+        checks = [e for e in rep.bounds.values() if e.check]
+        lower = max((e.value for e in rep.bounds.values() if e.direction == "lower"), default=None)
+        upper = min((e.value for e in rep.bounds.values() if e.direction == "upper"), default=None)
+        proved = {e.value for e in checks if e.check.passed and e.check.mode == "exhaustive"}
+        ok = ok and all(e.check.passed for e in checks) and all(
+            lower == upper == v and v in proved if k == "beta" else got.get(k) == v
+            for k, v in f.expected.items())
+        details.append(f"{label}: " + " ".join(
+            f"{k}={_rat(e.value)}" + (f" ({e.witness})" if e.check else "")
+            for k, e in rep.bounds.items()) + " [" + "; ".join(rep.verdicts) + "]")
     return ok, "; ".join(details)
 
 

@@ -6,7 +6,8 @@ FamilyOutput carrying expected bounds and, for vertex-transitive families, a
 generating permutation of a cyclic symmetry usable for LP orbit reduction.
 An expected key is the name of the bound `report.build_report` gives
 (alpha, b<k>, chibarf, rate2-obstruction, ...) or beta, which the report's
-exact verdict must pin; `paper-suite` compares them.
+lower and upper bounds must meet at, with an exhaustively verified code of
+that rate; `paper-suite` compares them.
 """
 
 from __future__ import annotations
@@ -238,6 +239,11 @@ class FamilyOutput:
     expected: dict[str, Fraction] = field(default_factory=dict)
     symmetry: list[list[int]] = field(default_factory=list)
     matrix_field: int | None = None  # the prime field of matrix
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        """The k of each b<k> in expected, ascending: the levels `report` solves."""
+        return tuple(sorted(int(k[1:]) for k in self.expected if k[0] == "b" and k[1:].isdigit()))
 
 
 # Every family's required parameters, in the registry's order.

@@ -1,6 +1,7 @@
 """Bound bookkeeping: run the lower/upper-bound machinery on one instance and
-pair certificates into verdicts ("beta determined exactly" fires only when a
-machine-verified scheme rate meets a matching lower bound)."""
+pair certificates into verdicts ("beta = ... exact" fires when the largest
+lower bound meets the smallest upper bound; a code is an upper bound only
+once its verification passed)."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ class BoundEntry:
     direction: str  # "lower" | "upper" | "info"
     witness: str
     runtime_ms: int
+    check: codes.VerificationReport | None = None  # a code's verification
 
 
 @dataclass
@@ -61,6 +63,14 @@ def _timed(fn):
     return out, int((time.perf_counter() - t0) * 1000)
 
 
+def _code_entry(rate: Fraction, kind: str, ver: codes.VerificationReport, ms: int) -> BoundEntry:
+    """A code's rate is an upper bound once its check passed; a failed code
+    stays in the report as info."""
+    tag = "verified" if ver.passed else "FAILED"
+    direction = "upper" if ver.passed else "info"
+    return BoundEntry(rate, direction, f"{kind}, {ver.mode} check {tag}", ms, ver)
+
+
 def build_report(
     inst: Instance,
     descriptor: str = "instance",
@@ -79,14 +89,11 @@ def build_report(
     decision with `with_decide2`.  A cap that would be exceeded raises
     CapExceeded."""
     rep = BoundReport(descriptor, inst.n, inst.m)
-    lowers: list[tuple[str, Fraction]] = []
-    uppers: list[tuple[str, Fraction]] = []
 
     (a, seq), ms = _timed(lambda: alpha_exact(inst))
     rep.bounds["alpha"] = BoundEntry(
         a, "lower", f"expanding sequence {list(seq.receivers)}", ms
     )
-    lowers.append(("alpha", a))
 
     for k in levels:
         b, ms = _timed(lambda k=k: solve_bk(inst, k, sym=sym, max_lp_vars=max_lp_vars))
@@ -94,28 +101,23 @@ def build_report(
         rep.bounds[f"b{k}"] = BoundEntry(
             b.value, direction, f"level-{k} LP, {b.variables} vars / {b.rows} rows", ms
         )
-        if k <= 2:
-            lowers.append((f"b{k}", b.value))
 
     strong, ms = _timed(lambda: fractional_cover(inst, "strong"))
     rep.bounds["chibarf"] = BoundEntry(
         strong.total, "upper", f"strong fractional cover, {len(strong.items)} sets", ms
     )
-    uppers.append(("chibarf", strong.total))
 
     if with_chibar:
         (k, cover), ms = _timed(lambda: integer_clique_cover(inst))
         rep.bounds["chibar"] = BoundEntry(
             Fraction(k), "upper", f"clique cover with {k} cliques", ms
         )
-        uppers.append(("chibar", Fraction(k)))
 
     if minrk_cap is not None:
         mr, ms = _timed(lambda: minrk2(inst, cap=minrk_cap))
         rep.bounds["minrk2"] = BoundEntry(
             Fraction(mr.value), "upper", "GF(2) representation" + (" (exact)" if mr.exact else ""), ms
         )
-        uppers.append(("minrk2", Fraction(mr.value)))
 
     if inst.is_weighted():
         rep.verdicts.append("scheme left out: the strong-cover code needs unit rates")
@@ -126,29 +128,20 @@ def build_report(
             return scheme, ver
 
         (scheme, ver), ms = _timed(run)
-        tag = "verified" if ver.passed else "FAILED"
-        rep.bounds["scheme"] = BoundEntry(
-            scheme.rate, "upper", f"strong-cover code, {ver.mode} check {tag}", ms
-        )
-        if ver.passed:
-            uppers.append(("scheme", scheme.rate))
+        rep.bounds["scheme"] = _code_entry(scheme.rate, "strong-cover code", ver, ms)
 
     if with_decide2:
         cert, ms = _timed(lambda: decide_beta_eq_2(inst))
         if cert.is_two and cert.scheme is not None:
             ver = codes.verify_code(inst, cert.scheme, seed=seed)
-            tag = "verified" if ver.passed else "FAILED"
-            rep.bounds["two-symbol"] = BoundEntry(
-                Fraction(2), "upper", f"two-symbol scheme, {tag}", ms
-            )
-            if ver.passed:
-                uppers.append(("two-symbol", Fraction(2)))
+            rep.bounds["two-symbol"] = _code_entry(Fraction(2), "two-symbol scheme", ver, ms)
         elif cert.bound is not None:
             rep.bounds["rate2-obstruction"] = BoundEntry(
                 cert.bound, "lower", "alternating-cycle witness", ms
             )
-            lowers.append(("rate2-obstruction", cert.bound))
 
+    lowers = [(k, e.value) for k, e in rep.bounds.items() if e.direction == "lower"]
+    uppers = [(k, e.value) for k, e in rep.bounds.items() if e.direction == "upper"]
     if lowers and uppers:
         lo_name, lo = max(lowers, key=lambda t: t[1])
         up_name, up = min(uppers, key=lambda t: t[1])

@@ -387,8 +387,9 @@ def test_paper_suite_full(capsys):
         "petersen full tier", "groetzsch full tier", "chvatal full tier"]
     assert all(c["pass"] for c in out["claims"]), out["claims"]
     details = {c["claim"]: c["detail"] for c in out["claims"]}
-    assert "[beta = 11/2 exact (b2 meets chibarf)]" in details["groetzsch full tier"]
-    assert "[beta = 6 exact (b2 meets chibarf)]" in details["chvatal full tier"]
+    for claim, beta in (("groetzsch full tier", "11/2"), ("chvatal full tier", "6")):
+        assert f"scheme={beta} (strong-cover code, exhaustive check verified)" in details[claim]
+        assert f"[beta = {beta} exact (b2 meets chibarf)]" in details[claim]
 
 
 @pytest.mark.parametrize("family, key, value, claim", [
@@ -411,3 +412,40 @@ def test_a_wrong_expected_value_fails_its_claim(monkeypatch, family, key, value,
     monkeypatch.setattr(families, "family", wrong)
     ok, detail = dict(cli.QUICK_SUITE)[claim]()
     assert not ok, detail
+
+
+def test_a_failed_code_fails_its_claim(monkeypatch):
+    # beta is pinned only by a code that passed its exhaustive check
+    from icbounds import cli, codes
+
+    failed = codes.VerificationReport("exhaustive", 1, 0, [((0,), 0)])
+    monkeypatch.setattr(codes, "verify_code", lambda *a, **k: failed)
+    for claim in ("beta(C5) = 5/2 with verified scheme", "tri3: b3 overshoots a rate-2 scheme"):
+        ok, detail = dict(cli.QUICK_SUITE)[claim]()
+        assert not ok and "check FAILED" in detail, detail
+
+
+def test_a_sampled_code_does_not_pin_beta(monkeypatch):
+    from icbounds import cli, codes
+
+    real = codes.verify_code
+    monkeypatch.setattr(codes, "verify_code",
+                        lambda inst, scheme, mode="auto", **k: real(inst, scheme, mode="random", **k))
+    ok, detail = cli.QUICK_SUITE[0][1]()
+    assert not ok and "random check verified" in detail, detail
+
+
+def test_a_wrong_rate2_decision_fails_its_claim(monkeypatch):
+    # the decider says yes on C5 with a two-symbol scheme that fails its check
+    from dataclasses import replace
+
+    from icbounds import cli, codes, report
+    from icbounds.beta2 import Beta2Certificate
+    from icbounds.families import family
+
+    inst = family("cycle", n=5).instance
+    good = codes.strong_cover_code(inst, combinatorial.fractional_cover(inst, "strong"))
+    bad = replace(good, encoder=[[0] * len(r) for r in good.encoder], rate=Fraction(2))
+    monkeypatch.setattr(report, "decide_beta_eq_2", lambda inst: Beta2Certificate(True, scheme=bad))
+    ok, detail = cli.QUICK_SUITE[0][1]()
+    assert not ok and "two-symbol=2 (two-symbol scheme, exhaustive check FAILED)" in detail, detail
