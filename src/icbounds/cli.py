@@ -363,7 +363,7 @@ def _family_claim(*cases: tuple[str, dict]):
         checks = [e for e in rep.bounds.values() if e.check]
         lower = max((e.value for e in rep.bounds.values() if e.direction == "lower"), default=None)
         upper = min((e.value for e in rep.bounds.values() if e.direction == "upper"), default=None)
-        proved = {e.value for e in checks if e.check.passed and e.check.mode == "exhaustive"}
+        proved = {e.value for e in checks if e.direction == "upper"}
         ok = ok and all(e.check.passed for e in checks) and all(
             lower == upper == v and v in proved if k == "beta" else got.get(k) == v
             for k, v in f.expected.items())

@@ -3,14 +3,17 @@
 A CodeScheme is uniform: every message is d symbols over a prime field, the
 broadcast is the encoder matrix applied to the concatenated message symbols,
 and each receiver has a linear decoder (a combination of broadcast symbols
-and its own side-information symbols).  verify_code simulates decoding over
+and its own side-information symbols).  verify_code checks decoding over
 all message vectors (exhaustively up to EXHAUSTIVE_CAP, else with seeded
-random trials) and reports the first counterexamples in vector order.  The
-field picks the kernel: over GF(2) each uint64 word carries 64 vectors, one
-bit plane per message symbol, and decoding is XORs of planes; over an odd p
-the decoders are stacked into one float64 product per chunk of vectors,
-exact below 2^53, and a field too large for that is refused with
-CapExceeded rather than decided on rounded arithmetic.
+random trials) and reports the first counterexamples in vector order.  It
+folds the code into one residual map M = (C_b E + C_s) mod p, whose row
+k*d + t gives decoder k's symbol t minus the symbol it wants, so a vector
+decodes wrong iff one of its decoder's rows of M x is nonzero.  Exhaustive
+mode splits the digits of x in two and tabulates M x by digits, once per
+half, in small unsigned integers (GF(2) packed 64 vectors to a uint64
+word), then compares the two tables vector by vector; random mode applies
+M in float64, exact below 2^53, and a field too large for that is refused
+with CapExceeded rather than decided on rounded arithmetic.
 
 Constructions: the strong-cover code (an integer clique cover is the strong
 cover with weight 1 per clique), the MDS weak-cover code, the minrank code
@@ -24,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import product
+from itertools import islice
 from math import lcm
 
 import numpy as np
@@ -87,6 +89,37 @@ def _check_decoder_locality(inst: Instance, scheme: CodeScheme) -> None:
                     )
 
 
+def _check_shapes(inst: Instance, scheme: CodeScheme) -> None:
+    """Every encoder row has n*d entries, and every decoder d rows of
+    broadcast_symbols and of n*d coefficients."""
+    d, rows, cols = scheme.msg_symbols, scheme.broadcast_symbols, inst.n * scheme.msg_symbols
+    if any(len(row) != cols for row in scheme.encoder):
+        raise ValueError(f"encoder rows must have n*d = {cols} entries")
+    for dec in scheme.decoders:
+        if len(dec.bcast_coef) != d or len(dec.side_coef) != d:
+            raise ValueError(f"decoder {dec.receiver} must have d = {d} rows")
+        if any(len(row) != rows for row in dec.bcast_coef) or any(len(row) != cols for row in dec.side_coef):
+            raise ValueError(f"decoder {dec.receiver} rows must have {rows} broadcast and {cols} side entries")
+
+
+def _residual_map(inst: Instance, scheme: CodeScheme) -> np.ndarray:
+    """M = (C_b E + C_s) mod p, one row per decoder symbol: row k*d + t maps a
+    message vector to what decoder k's symbol t decodes minus the symbol it
+    wants.  C_b is the decoders' bcast_coef rows, E the encoder and C_s the
+    side_coef rows less 1 at the wanted column.  Exact in int64: verify_code
+    admits only rows * (p-1)^2 < 2^53 for p > 2."""
+    p, d = scheme.field, scheme.msg_symbols
+    rows, cols, checks = scheme.broadcast_symbols, inst.n * d, len(scheme.decoders) * d
+    enc = np.array([v % p for row in scheme.encoder for v in row], np.int64).reshape(rows, cols)
+    bc = np.array([v % p for dec in scheme.decoders for row in dec.bcast_coef for v in row],
+                  np.int64).reshape(checks, rows)
+    sc = np.array([v % p for dec in scheme.decoders for row in dec.side_coef for v in row],
+                  np.int64).reshape(checks, cols)
+    wanted = [inst.receivers[dec.receiver].wants * d + t for dec in scheme.decoders for t in range(d)]
+    sc[np.arange(checks), wanted] -= 1
+    return (bc @ enc + sc) % p
+
+
 def verify_code(
     inst: Instance,
     scheme: CodeScheme,
@@ -102,16 +135,19 @@ def verify_code(
     decodings, in the order of the vectors (index order, column 0 most
     significant, or draw order), then of scheme.decoders.
 
-    Over GF(2) the vectors are bit-sliced, 64 to a uint64 word, and each
-    broadcast and decoded plane is an XOR of planes.  Over an odd p the
-    decoders are stacked into one matrix applied to [broadcast | message]
-    in float64, exact while (rows + n*d)(p-1)^2 < 2^53; a larger field is
-    refused with CapExceeded("verify-field") rather than decided on rounded
-    arithmetic."""
+    Each code is folded into one residual map M (see _residual_map): x
+    decodes wrong at decoder k iff one of k's d rows of M x is nonzero mod
+    p.  Exhaustive mode tabulates M x by digits (see _exhaustive_failures),
+    so every vector's residual is compared without a product per vector;
+    random mode applies M in float64, exact while (rows + n*d)(p-1)^2 <
+    2^53.  A larger odd field is refused with CapExceeded("verify-field")
+    rather than decided on rounded arithmetic.  Misshaped encoder or
+    decoder rows raise ValueError."""
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
         raise ValueError(f"need at least 1 random trial, got {trials}")
+    _check_shapes(inst, scheme)
     _check_decoder_locality(inst, scheme)
     if {d.receiver for d in scheme.decoders} != set(range(inst.m)):
         raise ValueError("scheme lacks a decoder for some receiver")
@@ -125,36 +161,20 @@ def verify_code(
         raise CapExceeded("exhaustive-verify", total, EXHAUSTIVE_CAP)
     if p > 2 and (rows + cols) * (p - 1) ** 2 >= FLOAT_EXACT:
         raise CapExceeded("verify-field", (rows + cols) * (p - 1) ** 2, FLOAT_EXACT)
-    enc = np.array([[v % p for v in row] for row in scheme.encoder], dtype=np.int64).reshape(rows, cols)
-    # Row k*d + t of check maps [broadcast | message] to what decoder k's
-    # symbol t decodes minus the symbol it wants, mod p: [bcast_coef |
-    # side_coef] less 1 at the wanted column.  A vector decodes wrong at k
-    # iff one of k's d rows is nonzero on it.
-    check = np.array([[v % p for v in [*bc, *sc]] for dec in scheme.decoders
-                      for bc, sc in zip(dec.bcast_coef, dec.side_coef)], dtype=np.int64)
-    check = check.reshape(len(scheme.decoders) * d, rows + cols)
-    for k, dec in enumerate(scheme.decoders):
-        for t in range(d):
-            c = rows + inst.receivers[dec.receiver].wants * d + t
-            check[k * d + t, c] = (check[k * d + t, c] - 1) % p
+    res = _residual_map(inst, scheme)
+    decs = len(scheme.decoders)
     if mode == "exhaustive":
-        chunks = _gf2_exhaustive(cols, total) if p == 2 else _fp_exhaustive(p, cols)
+        hits = _exhaustive_failures(res, p, decs, d)
     else:
         xs = np.random.default_rng(seed).integers(0, p, size=(trials, cols), dtype=np.int64)
-        chunks = _gf2_random(xs) if p == 2 else _fp_random(xs)
+        hits = _random_failures(res, p, decs, d, xs)
 
     def vector(s: int) -> tuple[int, ...]:
         if mode == "random":
             return tuple(int(v) for v in xs[s])
         return tuple(s // p ** (cols - 1 - c) % p for c in range(cols))
 
-    find = _gf2_failures if p == 2 else partial(_fp_failures, p)
-    failures: list[tuple[tuple[int, ...], int]] = []
-    for start, *chunk in chunks:
-        for s, k in find(*chunk, enc, check, d, MAX_FAILURES - len(failures)):
-            failures.append((vector(start + s), scheme.decoders[k].receiver))
-        if len(failures) >= MAX_FAILURES:
-            break
+    failures = [(vector(s), scheme.decoders[k].receiver) for s, k in islice(hits, MAX_FAILURES)]
     if mode == "exhaustive":
         return VerificationReport(mode, total, None, failures)
     return VerificationReport(mode, trials, seed, failures)
@@ -162,105 +182,92 @@ def verify_code(
 
 # -- verification kernels ---------------------------------------------------
 #
-# Each chunk generator yields (index of its first vector, *chunk), and the
-# matching `*_failures` returns the (index within the chunk, decoder) pairs
-# of the chunk's first `limit` wrong decodings, in vector then decoder order.
+# Each kernel takes the residual map M, (decoders * d) x (n*d) over F_p, and
+# yields the (vector index, decoder) pairs of the wrong decodings, in vector
+# then decoder order; verify_code stops reading after MAX_FAILURES.
 
-_WORDS = 1 << 14  # uint64 words (64 vectors each) per GF(2) chunk
-_ROWS = 1 << 14  # vectors per F_p product
+_BLOCK = 1 << 19  # bytes of table compared per step
+_ROWS = 1 << 12  # vectors per random-mode product
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this
-_ONES = np.uint64(2**64 - 1)
-# Bit b of _LOW_PLANES[k] is bit k of b: the plane of state-index bit k < 6.
-_LOW_PLANES = np.array([0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-                        0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000], dtype=np.uint64)
 
 
-def _gf2_exhaustive(cols: int, total: int):
-    """Bit planes of every state index: column c reads index bit cols-1-c,
-    a fixed word pattern for the 6 low bits and a bit of the word index
-    above them.  Yields (start, planes, number of vectors)."""
-    words = max(1, total >> 6)
-    for w0 in range(0, words, _WORDS):
-        w = np.arange(w0, min(w0 + _WORDS, words), dtype=np.uint64)
-        planes = np.empty((cols, len(w)), np.uint64)
-        for c in range(cols):
-            k = cols - 1 - c
-            planes[c] = _LOW_PLANES[k] if k < 6 else (w >> np.uint64(k - 6) & np.uint64(1)) * _ONES
-        yield 64 * w0, planes, min(total - 64 * w0, 64 * len(w))
+def _tabulate(part: np.ndarray, p: int) -> np.ndarray:
+    """part @ x mod p for every digit vector x, one column per x in index
+    order (column 0 most significant), in the smallest unsigned dtype that
+    holds 2(p-1).  Built by prepending one digit at a time: the table grows
+    p-fold, copy v being the last plus v times the digit's column: an XOR
+    over GF(2), else an add reduced by min(s, s - p), which the unsigned
+    wrap makes s mod p."""
+    rows, dtype = len(part), np.min_scalar_type(2 * p - 2)
+    steps = (part[:, ::-1, None] * np.arange(p) % p).astype(dtype)  # multiples, last column first
+    table = np.zeros((rows, 1), dtype)
+    for k in range(part.shape[1]):
+        if p == 2:
+            s = steps[:, k, :, None] ^ table[:, None, :]
+        else:
+            s = steps[:, k, :, None] + table[:, None, :]
+            np.minimum(s, s - p, out=s)
+        table = s.reshape(rows, p * table.shape[1])
+    return table
 
 
-def _gf2_random(xs: np.ndarray):
-    """The drawn 0/1 rows as bit planes, trial i at bit i % 64 of word i // 64."""
-    trials, cols = xs.shape
-    packed = np.zeros((cols, -(-trials // 64) * 8), np.uint8)
-    packed[:, : -(-trials // 8)] = np.packbits(xs.T, axis=1, bitorder="little")
-    yield 0, packed.view("<u8"), trials
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 as uint64 words: bit b of word w is column 64w + b."""
+    packed = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
 
 
-def _gf2_failures(planes, count, enc, check, d, limit):
-    """Each broadcast plane is the XOR of its encoder columns' planes, each
-    residual plane the XOR of its check row's planes of [broadcast |
-    message]; a set bit is a wrong decoding."""
-    rows, width = len(enc), planes.shape[1]
-    z = np.empty((rows + len(planes), width), np.uint64)
-    z[rows:] = planes
-    for i, row in enumerate(enc):
-        z[i] = np.bitwise_xor.reduce(planes[row == 1], axis=0)
-    res = np.array([np.bitwise_xor.reduce(z[row == 1], axis=0) for row in check], np.uint64)
-    bad = np.bitwise_or.reduce(res.reshape(-1, d, width), axis=1)  # per decoder
-    if count % 64:  # bits past the last vector are padding
-        bad[:, -1] &= np.uint64((1 << count % 64) - 1)
-    words = np.flatnonzero(bad.any(axis=0))[:limit]
-    if not len(words):
-        return []
-    bits = np.unpackbits(np.ascontiguousarray(bad[:, words], "<u8").view(np.uint8), axis=1, bitorder="little")
-    pos, k = np.nonzero(bits.T)
-    return list(zip((words[pos >> 6] * 64 + (pos & 63)).tolist(), k.tolist()))[:limit]
+def _exhaustive_failures(res: np.ndarray, p: int, decs: int, d: int):
+    """Split the digits of x into a high prefix h and low digits l.  With
+    R = M_low l and H = -M_high h mod p, tabulated once each, x = (h, l)
+    decodes wrong at decoder k iff R[i, l] != H[i, h] for one of k's rows i.
+    Over GF(2) R is packed 64 vectors to a word and each prefix XORs in an
+    all-zero or all-ones word (ones on real vectors only, so padding stays
+    0); over an odd p the uint8/16/32 tables are compared.  Prefixes go
+    _BLOCK bytes of table at a time, and only a step holding a difference is
+    taken apart into failures."""
+    cols = res.shape[1]
+    if p == 2:  # a full word, and about as many words as prefixes
+        low = min(cols, max(6, (cols + 7) // 2))
+    else:  # half the digits, and at least 2^12 vectors a prefix
+        low = (cols + 1) // 2
+        while low < cols and p**low < 1 << 12:
+            low += 1
+    width = p**low  # vectors per prefix
+    table = _tabulate(res[:, cols - low :], p)
+    prefix = _tabulate(-res[:, : cols - low] % p, p).T
+    if p == 2:
+        table = _pack(table)
+        prefix = prefix.astype(np.uint64) * np.uint64((1 << min(width, 64)) - 1)
+    step = max(1, _BLOCK // max(1, table.nbytes))
+    for h0 in range(0, len(prefix), step):
+        h = prefix[h0 : h0 + step, :, None]
+        diff = table ^ h if p == 2 else table != h
+        if not diff.any():
+            continue
+        bad = np.bitwise_or.reduce(diff.reshape(len(diff), decs, d, -1), axis=2)
+        for i in np.flatnonzero(bad.any(axis=(1, 2))):
+            row = bad[i]
+            if p == 2:
+                row = np.unpackbits(np.ascontiguousarray(row, "<u8").view(np.uint8), axis=1,
+                                    bitorder="little")[:, :width]
+            s, k = np.nonzero(row.T)
+            yield from zip(((h0 + i) * width + s).tolist(), k.tolist())
 
 
-def _fp_exhaustive(p: int, cols: int):
-    """Every vector in index order, one per column of a float64 (cols, N)
-    block: a table of the low digits (at most _ROWS vectors) tiled under
-    each prefix of high digits, so no digit is cut out of the index by
-    div/mod.  Yields (start, block)."""
-    low = 0
-    while low < cols and p ** (low + 1) <= _ROWS:
-        low += 1
-    if low == 0:  # no column, or p > _ROWS and one column (more fail the cap)
-        for a in range(0, p**cols, _ROWS):
-            yield a, np.arange(a, min(a + _ROWS, p**cols), dtype=float)[None][:cols]
-        return
-    table = np.indices((p,) * low, dtype=float).reshape(low, -1)
-    for start, prefix in enumerate(product(range(p), repeat=cols - low)):
-        xs = np.empty((cols, table.shape[1]))
-        xs[: cols - low] = np.array(prefix, dtype=float)[:, None]
-        xs[cols - low :] = table
-        yield start * table.shape[1], xs
-
-
-def _fp_random(xs: np.ndarray):
+def _random_failures(res: np.ndarray, p: int, decs: int, d: int, xs: np.ndarray):
+    """One float64 product x M^T per chunk of drawn vectors: each entry is an
+    integer at most (n*d)(p-1)^2 < 2^53, so v / p is within half an ulp of
+    the true quotient, less than 1/p, and floor(v / p) is exact."""
+    mt = res.T.astype(float)
     for a in range(0, len(xs), _ROWS):
-        yield a, np.ascontiguousarray(xs[a : a + _ROWS].T, dtype=float)
-
-
-def _fp_failures(p, xs, enc, check, d, limit):
-    """One product for the broadcast and one for every decoder at once, in
-    float64 with one vector per column: each entry is an integer below
-    (rows + cols)(p-1)^2 < 2^53, so v / p is within half an ulp of the true
-    quotient, less than 1/p, and floor(v / p) is exact."""
-    rows = len(enc)
-    z = np.empty((rows + len(xs), xs.shape[1]))  # [broadcast; message]
-    z[rows:] = xs
-    v = z[:rows]
-    np.matmul(enc.astype(float), xs, out=v)
-    v -= p * np.floor(v / p)
-    v = check.astype(float) @ z
-    v /= p  # an integer exactly when the residual is 0 mod p
-    bad = v != np.floor(v)
-    if not bad.any():
-        return []
-    bad = bad.reshape(-1, d, bad.shape[1]).any(axis=1)  # per decoder
-    return [tuple(pair) for pair in np.argwhere(bad.T)[:limit].tolist()]
+        v = xs[a : a + _ROWS].astype(float) @ mt
+        v /= p  # an integer exactly when the residual is 0 mod p
+        bad = v != np.floor(v)
+        if bad.any():
+            s, k = np.nonzero(bad.reshape(len(v), decs, d).any(axis=2))
+            yield from zip((a + s).tolist(), k.tolist())
 
 
 # -- constructions ----------------------------------------------------------

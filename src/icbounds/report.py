@@ -1,7 +1,7 @@
 """Bound bookkeeping: run the lower/upper-bound machinery on one instance and
 pair certificates into verdicts ("beta = ... exact" fires when the largest
 lower bound meets the smallest upper bound; a code is an upper bound only
-once its verification passed)."""
+once its exhaustive verification passed)."""
 
 from __future__ import annotations
 
@@ -64,10 +64,11 @@ def _timed(fn):
 
 
 def _code_entry(rate: Fraction, kind: str, ver: codes.VerificationReport, ms: int) -> BoundEntry:
-    """A code's rate is an upper bound once its check passed; a failed code
-    stays in the report as info."""
+    """A code's rate is an upper bound once its exhaustive check passed; a
+    failed code, or one that passed only on sampled vectors, stays in the
+    report as info."""
     tag = "verified" if ver.passed else "FAILED"
-    direction = "upper" if ver.passed else "info"
+    direction = "upper" if ver.passed and ver.mode == "exhaustive" else "info"
     return BoundEntry(rate, direction, f"{kind}, {ver.mode} check {tag}", ms, ver)
 
 

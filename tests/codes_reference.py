@@ -1,7 +1,9 @@
 """Reference verifier for tests: the int64 decoding simulation, one receiver
-at a time, as `icbounds.codes.verify_code` ran it before the bit-sliced
-GF(2) and stacked F_p kernels.  The new verifier must agree with it on
-mode, trials, seed and verdict wherever its arithmetic is exact, which is
+at a time, which broadcasts every vector through the encoder and decodes it
+at each receiver.  `icbounds.codes.verify_code` instead folds the code into
+one residual map and compares digit tables of it (exhaustive) or applies it
+in float64 (random); it must agree with this reference on mode, trials,
+seed and verdict wherever the reference's arithmetic is exact, which is
 while every product stays below 2^63."""
 
 from __future__ import annotations

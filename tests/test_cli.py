@@ -435,6 +435,22 @@ def test_a_sampled_code_does_not_pin_beta(monkeypatch):
     assert not ok and "random check verified" in detail, detail
 
 
+def test_a_sampled_code_is_not_an_upper_bound(monkeypatch):
+    # C5's strong-cover code has 2^10 message vectors; below that cap the
+    # report's auto check samples, and the code stays info while chibarf,
+    # an upper bound by theorem, still pins beta
+    from icbounds import codes
+    from icbounds.families import family
+    from icbounds.report import build_report
+
+    monkeypatch.setattr(codes, "EXHAUSTIVE_CAP", 1 << 9)
+    rep = build_report(family("cycle", n=5).instance, "C5")
+    scheme = rep.bounds["scheme"]
+    assert scheme.check.mode == "random" and scheme.check.passed
+    assert scheme.direction == "info" and scheme.witness == "strong-cover code, random check verified"
+    assert rep.verdicts == ["beta = 5/2 exact (b2 meets chibarf)"]
+
+
 def test_a_wrong_rate2_decision_fails_its_claim(monkeypatch):
     # the decider says yes on C5 with a two-symbol scheme that fails its check
     from dataclasses import replace

@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from icbounds.combinatorial import (
 from icbounds.beta2 import decide_beta_eq_2
 from icbounds.families import complement, cycle, petersen, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
-from icbounds.instance import CapExceeded, Graph, Instance, from_graph
+from icbounds.instance import CapExceeded, Graph, Instance, Receiver, from_graph
 from icbounds.numeric import next_prime
 
 F = Fraction
@@ -137,6 +138,28 @@ def test_verifier_catches_wrong_decoder():
     rep = verify_code(tri3(), _tri3_scheme([0, 0, 0]), mode="exhaustive")
     assert not rep.passed
     assert rep.failures
+
+
+def test_misshaped_decoders_are_refused():
+    # receiver 0 wants 0 and knows {1}; receiver 1 wants 1 and knows nothing.
+    # Decoder 0 carries two rows at d = 1 and decoder 1 none: read as one
+    # stacked matrix, decoder 0's second row would decode for receiver 1 and
+    # the rate-1 scheme of an instance with beta = 2 would pass.
+    inst = Instance(2, (Receiver(0, frozenset({1})), Receiver(1, frozenset())))
+    scheme = CodeScheme(2, 1, [[1, 1]], [DecoderSpec(0, [[1], [0]], [[0, 1], [0, 1]]),
+                                         DecoderSpec(1, [], [])], F(1))
+    with pytest.raises(ValueError, match="decoder 0 must have d = 1 rows"):
+        verify_code(inst, scheme, mode="exhaustive")
+    good = [DecoderSpec(0, [[1]], [[0, 1]]), DecoderSpec(1, [[1]], [[0, 0]])]
+    with pytest.raises(ValueError, match="decoder 1 rows must have 1 broadcast"):
+        verify_code(inst, CodeScheme(2, 1, [[1, 1]], [good[0], DecoderSpec(1, [[1, 0]], [[0, 0]])], F(1)))
+    with pytest.raises(ValueError, match="decoder 0 rows must have 1 broadcast and 2 side"):
+        verify_code(inst, CodeScheme(2, 1, [[1, 1]], [DecoderSpec(0, [[1]], [[0, 1, 0]]), good[1]], F(1)))
+    with pytest.raises(ValueError, match="encoder rows must have n\\*d = 2 entries"):
+        verify_code(inst, CodeScheme(2, 1, [[1, 1, 0]], good, F(1)))
+    # well shaped, the rate-1 scheme is checked and fails at receiver 1
+    rep = verify_code(inst, CodeScheme(2, 1, [[1, 1]], good, F(1)), mode="exhaustive")
+    assert rep.failures == [((1, 0), 1), ((1, 1), 1)]
 
 
 def test_verifier_requires_every_receiver():
@@ -336,3 +359,92 @@ def test_bad_mode_and_trials_are_refused():
         verify_code(inst, scheme, mode="exhuastive")
     with pytest.raises(ValueError, match="at least 1 random trial"):
         verify_code(inst, scheme, mode="random", trials=0)
+
+
+# -- failure order across the digit split -------------------------------------
+
+
+def _brute_failures(inst, scheme, vectors=None):
+    """The first MAX_FAILURES wrong decodings in (vector, decoder) order:
+    each vector, in index order unless `vectors` gives them, decoded at
+    every decoder in Python ints."""
+    p, d = scheme.field, scheme.msg_symbols
+
+    def terms(row):
+        return [(c, v) for c, v in enumerate(row) if v % p]
+
+    enc = [terms(row) for row in scheme.encoder]
+    decs = [(dec.receiver, [(inst.receivers[dec.receiver].wants * d + t, terms(bc), terms(sc))
+                            for t, (bc, sc) in enumerate(zip(dec.bcast_coef, dec.side_coef))])
+            for dec in scheme.decoders]
+    out = []
+    for x in vectors or product(range(p), repeat=inst.n * d):
+        bcast = [sum(v * x[c] for c, v in row) % p for row in enc]
+        for j, symbols in decs:
+            if any((sum(v * bcast[c] for c, v in bc) + sum(v * x[c] for c, v in sc) - x[want]) % p
+                   for want, bc, sc in symbols):
+                out.append((x, j))
+        if len(out) >= MAX_FAILURES:
+            return out[:MAX_FAILURES]
+    return out
+
+
+def _spoiled(scheme, cols, decoders):
+    """A copy where each listed decoder's first symbol also adds the
+    broadcast symbols `cols`, which the identity code sends as those
+    message symbols: the decoders fail exactly where their sum is nonzero."""
+    s = copy.deepcopy(scheme)
+    for k in decoders:
+        row = s.decoders[k].bcast_coef[0]
+        for c in cols:
+            row[c] = (row[c] + 1) % s.field
+    return s
+
+
+# n*d below, at and above the digit split: the low table takes at least 6
+# digits over GF(2) (one uint64 word), 8 over F_3, 6 over F_5 and 5 over F_7
+@pytest.mark.parametrize("p, n, d", [
+    (2, 3, 1), (2, 3, 2), (2, 4, 2), (2, 11, 1),  # 8 of 64 bits, one word, 2 and 4 prefixes
+    (3, 4, 1), (3, 8, 1), (3, 9, 1), (3, 5, 2),  # one prefix, one, 3 and 9
+    (5, 3, 1), (5, 6, 1), (5, 7, 1),  # one, one, 5
+    (7, 2, 1), (7, 5, 1), (7, 6, 1),  # one, one, 7
+])
+def test_failures_in_exact_order_across_the_split(p, n, d):
+    # the identity code of n messages with no side information, each
+    # receiver j wanting message j
+    inst = Instance(n, tuple(Receiver(j, frozenset()) for j in range(n)))
+    cols = n * d
+    eye = [[int(i == c) for c in range(cols)] for i in range(cols)]
+    scheme = CodeScheme(p, d, eye, _decoders(inst, p, d, eye), F(n))
+    rng = random.Random(p * 100 + cols)
+    variants = [
+        _spoiled(scheme, [0], [n - 1, 0]),  # first failure at e_0, high digits only
+        _spoiled(scheme, [cols - 1], [0, n - 1]),  # at e_(n*d-1), low digits only
+        _spoiled(scheme, [cols - 2, cols - 1], [0]),  # passes where the two digits sum to 0
+        _flipped(inst, scheme, rng),
+        _flipped(inst, _flipped(inst, scheme, rng), rng),
+    ]
+    reversed_decoders = copy.deepcopy(variants[1])
+    reversed_decoders.decoders.reverse()  # decoder order is the list's
+    assert verify_code(inst, scheme, mode="exhaustive").passed
+    draw = [tuple(map(int, x)) for x in np.random.default_rng(p).integers(0, p, size=(200, cols))]
+    for s in [*variants, reversed_decoders]:
+        rep = verify_code(inst, s, mode="exhaustive")
+        assert rep.trials == p**cols
+        assert rep.failures == _brute_failures(inst, s), (p, n, d, s)
+        rep = verify_code(inst, s, mode="random", trials=200, seed=p)
+        assert rep.failures == _brute_failures(inst, s, draw), (p, n, d, s)
+    e_first, e_last = (1,) + (0,) * (cols - 1), (0,) * (cols - 1) + (1,)
+    for s, e in ((variants[0], e_first), (variants[1], e_last)):
+        assert verify_code(inst, s, mode="exhaustive").failures[:2] == [(e, 0), (e, n - 1)]
+    assert verify_code(inst, reversed_decoders, mode="exhaustive").failures[:2] == [(e_last, n - 1), (e_last, 0)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_an_instance_with_no_receivers_passes_every_vector(p):
+    inst = Instance(4, ())
+    scheme = CodeScheme(p, 2, [[1] * 8], [], F(1))
+    rep = verify_code(inst, scheme, mode="exhaustive")
+    assert rep.passed and rep.trials == p**8 and _brute_failures(inst, scheme) == []
+    rep = verify_code(inst, scheme, mode="random", trials=50, seed=1)
+    assert rep.passed and rep.trials == 50
