@@ -8,11 +8,10 @@ Output formats: json (default), csv (flattened key,value rows), table
 rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
 3 resource cap exceeded, memory exhausted or an LP certificate failed.  The
 library raises CapExceeded where the resource is spent (minrk2 for
---minrk-cap, verify_code for exhaustive checks and for fields beyond exact
-float64 decoding, the hierarchy LP builder for --max-lp-vars, solve_min for
-an LP HiGHS cannot take and a basis past its fixed cap) and lp.Uncertified
-for an LP no checked certificate settles; the CLI maps these, and a
-MemoryError, to 3.
+--minrk-cap, verify_code for fields beyond exact float64 decoding, the
+hierarchy LP builder for --max-lp-vars, solve_min for an LP HiGHS cannot
+take and a basis past its fixed cap) and lp.Uncertified for an LP no
+checked certificate settles; the CLI maps these, and a MemoryError, to 3.
 """
 
 from __future__ import annotations
@@ -339,7 +338,6 @@ def cmd_report(args) -> dict:
         minrk_cap=args.minrk_cap if args.all else None,
         with_decide2=args.all or args.decide2,
         max_lp_vars=args.max_lp_vars,
-        seed=args.seed,
     )
     return rep.as_dict()
 
@@ -393,16 +391,19 @@ def _suite_decide2():
     return ok, "10 bipartite-complement schemes verified; " + detail
 
 
-def _suite_hadamard():
-    f = families.family("projective-hadamard", q=3)
+def _suite_hadamard(q: int, chibarf: Fraction):
+    """The q^2 non-isotropic points of the projective plane over F_q: alpha
+    and the F_q Gram rank are both 3, so beta = 3, proved by the rank code
+    on all q^(q^2) message vectors, while chi_bar_f is `chibarf`."""
+    f = families.family("projective-hadamard", q=q)
     inst = f.instance
     a = alpha_exact(inst)[0]
     rep = representation_rank(inst, f.matrix, f.matrix_field)
-    scheme = codes.minrk_code(inst, rep)
-    ver = codes.verify_code(inst, scheme, mode="exhaustive")
+    ver = codes.verify_code(inst, codes.minrk_code(inst, rep), mode="exhaustive")
     cf = fractional_cover(inst, "strong").total
-    ok = inst.n == 9 and a == 3 and rep.value == 3 and ver.passed and cf >= 3
-    return ok, f"n={inst.n} alpha={a} gram rank={rep.value} chibarf={cf} (>= n/alpha = 3)"
+    ok = inst.n == q * q and a == rep.value == 3 and ver.passed and cf == chibarf
+    return ok, (f"n={inst.n} alpha={a} gram rank={rep.value} code on {q}^{inst.n} vectors "
+                f"{'verified' if ver.passed else 'FAILED'} chibarf={_rat(cf)}")
 
 
 def _suite_oddtown():
@@ -439,7 +440,7 @@ QUICK_SUITE = [
     ("rate-2 decider with certificates", _suite_decide2),
     ("circulant(7,2) and cayley3(8)",
      partial(_family_claim, ("circulant", {"n": 7, "k": 2}), ("cayley3", {"n": 8}))),
-    ("projective-hadamard q=3", _suite_hadamard),
+    ("projective-hadamard q=3", partial(_suite_hadamard, 3, Fraction(3))),
     ("triangle-free oddtown m=6", _suite_oddtown),
     ("disjoint-union additivity k*C5", _suite_union),
 ]
@@ -447,6 +448,7 @@ FULL_SUITE = QUICK_SUITE + [
     ("petersen full tier", partial(_family_claim, ("petersen", {}))),
     ("groetzsch full tier", partial(_family_claim, ("groetzsch", {}))),
     ("chvatal full tier", partial(_family_claim, ("chvatal", {}))),
+    ("projective-hadamard q=5", partial(_suite_hadamard, 5, Fraction(25, 7))),
 ]
 
 
@@ -536,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_levels, default=(2,), help="a level or a comma list, e.g. 2,3")
     p.add_argument("--sym", default="auto")
     p.add_argument("--decide2", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-lp-vars", type=int, default=MAX_LP_VARS)
     p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
     p.set_defaults(fn=cmd_report)

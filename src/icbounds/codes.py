@@ -1,19 +1,18 @@
-"""Executable linear index codes and a decodability simulator.
+"""Executable linear index codes and a decodability check.
 
 A CodeScheme is uniform: every message is d symbols over a prime field, the
 broadcast is the encoder matrix applied to the concatenated message symbols,
 and each receiver has a linear decoder (a combination of broadcast symbols
-and its own side-information symbols).  verify_code checks decoding over
-all message vectors (exhaustively up to EXHAUSTIVE_CAP, else with seeded
-random trials) and reports the first counterexamples in vector order.  It
-folds the code into one residual map M = (C_b E + C_s) mod p, whose row
-k*d + t gives decoder k's symbol t minus the symbol it wants, so a vector
-decodes wrong iff one of its decoder's rows of M x is nonzero.  Exhaustive
-mode splits the digits of x in two and tabulates M x by digits, once per
-half, in small unsigned integers (GF(2) packed 64 vectors to a uint64
-word), then compares the two tables vector by vector; random mode applies
-M in float64, exact below 2^53, and a field too large for that is refused
-with CapExceeded rather than decided on rounded arithmetic.
+and its own side-information symbols).  verify_code folds the code into one
+residual map M = (C_b E + C_s) mod p, whose row k*d + t gives decoder k's
+symbol t minus the symbol it wants, so a vector x decodes wrong iff one of
+its decoder's rows of M x is nonzero.  The code therefore decodes all
+p^(n*d) message vectors iff M is zero: exhaustive mode proves that by
+looking at M, and when M is not zero it walks the failing vectors in index
+order to report the first counterexamples.  Random mode, a simulation kept
+as a cross-check, applies M to seeded random vectors in float64, exact below
+2^53; a field too large for exact arithmetic is refused with CapExceeded
+rather than decided on rounded arithmetic.
 
 Constructions: the strong-cover code (an integer clique cover is the strong
 cover with weight 1 per clique), the MDS weak-cover code, the minrank code
@@ -36,7 +35,6 @@ from .combinatorial import FractionalCover, MinrkResult, row_reduce
 from .instance import CapExceeded, Graph, Instance, from_graph
 from .numeric import next_prime
 
-EXHAUSTIVE_CAP = 1 << 24
 RANDOM_TRIALS = 100_000
 MAX_FAILURES = 5  # counterexamples kept per report
 
@@ -127,22 +125,21 @@ def verify_code(
     trials: int = RANDOM_TRIALS,
     seed: int = 0,
 ) -> VerificationReport:
-    """Broadcast message vectors through the encoder and decode each at every
-    receiver.  "exhaustive" takes all p^(n*d) vectors (refused with
-    CapExceeded above EXHAUSTIVE_CAP); "random" takes `trials` rows of the
-    seeded draw rng.integers(0, p, (trials, n*d)); "auto" is exhaustive up
-    to the cap, random beyond.  Failures are the first MAX_FAILURES wrong
-    decodings, in the order of the vectors (index order, column 0 most
-    significant, or draw order), then of scheme.decoders.
+    """Check that every receiver decodes every message vector.  "exhaustive"
+    (and "auto", which is the same) covers all p^(n*d) vectors; "random"
+    takes `trials` rows of the seeded draw rng.integers(0, p, (trials,
+    n*d)).  Failures are the first MAX_FAILURES wrong decodings, in the
+    order of the vectors (index order, column 0 most significant, or draw
+    order), then of scheme.decoders.
 
     Each code is folded into one residual map M (see _residual_map): x
     decodes wrong at decoder k iff one of k's d rows of M x is nonzero mod
-    p.  Exhaustive mode tabulates M x by digits (see _exhaustive_failures),
-    so every vector's residual is compared without a product per vector;
-    random mode applies M in float64, exact while (rows + n*d)(p-1)^2 <
-    2^53.  A larger odd field is refused with CapExceeded("verify-field")
-    rather than decided on rounded arithmetic.  Misshaped encoder or
-    decoder rows raise ValueError."""
+    p, so an all-zero M proves the code, and a nonzero M has its failing
+    vectors walked (see _exhaustive_failures).  Random mode applies M in
+    float64, exact while (rows + n*d)(p-1)^2 < 2^53.  A larger odd field is
+    refused with CapExceeded("verify-field") in either mode, which also
+    keeps M's int64 arithmetic exact.  Misshaped encoder or decoder rows
+    raise ValueError."""
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
@@ -154,106 +151,63 @@ def verify_code(
     p = scheme.field
     d = scheme.msg_symbols
     rows, cols = scheme.broadcast_symbols, inst.n * d
-    total = p**cols
-    if mode == "auto":
-        mode = "exhaustive" if total <= EXHAUSTIVE_CAP else "random"
-    elif mode == "exhaustive" and total > EXHAUSTIVE_CAP:
-        raise CapExceeded("exhaustive-verify", total, EXHAUSTIVE_CAP)
     if p > 2 and (rows + cols) * (p - 1) ** 2 >= FLOAT_EXACT:
         raise CapExceeded("verify-field", (rows + cols) * (p - 1) ** 2, FLOAT_EXACT)
     res = _residual_map(inst, scheme)
     decs = len(scheme.decoders)
-    if mode == "exhaustive":
-        hits = _exhaustive_failures(res, p, decs, d)
-    else:
+    if mode == "random":
         xs = np.random.default_rng(seed).integers(0, p, size=(trials, cols), dtype=np.int64)
         hits = _random_failures(res, p, decs, d, xs)
-
-    def vector(s: int) -> tuple[int, ...]:
-        if mode == "random":
-            return tuple(int(v) for v in xs[s])
-        return tuple(s // p ** (cols - 1 - c) % p for c in range(cols))
-
-    failures = [(vector(s), scheme.decoders[k].receiver) for s, k in islice(hits, MAX_FAILURES)]
-    if mode == "exhaustive":
-        return VerificationReport(mode, total, None, failures)
-    return VerificationReport(mode, trials, seed, failures)
+    else:
+        hits = _exhaustive_failures(res, p, decs, d)
+    failures = [(x, scheme.decoders[k].receiver) for x, k in islice(hits, MAX_FAILURES)]
+    if mode == "random":
+        return VerificationReport(mode, trials, seed, failures)
+    return VerificationReport("exhaustive", p**cols, None, failures)
 
 
 # -- verification kernels ---------------------------------------------------
 #
 # Each kernel takes the residual map M, (decoders * d) x (n*d) over F_p, and
-# yields the (vector index, decoder) pairs of the wrong decodings, in vector
+# yields the (vector, decoder index) pairs of the wrong decodings, in vector
 # then decoder order; verify_code stops reading after MAX_FAILURES.
 
-_BLOCK = 1 << 19  # bytes of table compared per step
 _ROWS = 1 << 12  # vectors per random-mode product
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this
 
 
-def _tabulate(part: np.ndarray, p: int) -> np.ndarray:
-    """part @ x mod p for every digit vector x, one column per x in index
-    order (column 0 most significant), in the smallest unsigned dtype that
-    holds 2(p-1).  Built by prepending one digit at a time: the table grows
-    p-fold, copy v being the last plus v times the digit's column: an XOR
-    over GF(2), else an add reduced by min(s, s - p), which the unsigned
-    wrap makes s mod p."""
-    rows, dtype = len(part), np.min_scalar_type(2 * p - 2)
-    steps = (part[:, ::-1, None] * np.arange(p) % p).astype(dtype)  # multiples, last column first
-    table = np.zeros((rows, 1), dtype)
-    for k in range(part.shape[1]):
-        if p == 2:
-            s = steps[:, k, :, None] ^ table[:, None, :]
-        else:
-            s = steps[:, k, :, None] + table[:, None, :]
-            np.minimum(s, s - p, out=s)
-        table = s.reshape(rows, p * table.shape[1])
-    return table
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Rows of 0/1 as uint64 words: bit b of word w is column 64w + b."""
-    packed = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), np.uint8)
-    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
 def _exhaustive_failures(res: np.ndarray, p: int, decs: int, d: int):
-    """Split the digits of x into a high prefix h and low digits l.  With
-    R = M_low l and H = -M_high h mod p, tabulated once each, x = (h, l)
-    decodes wrong at decoder k iff R[i, l] != H[i, h] for one of k's rows i.
-    Over GF(2) R is packed 64 vectors to a word and each prefix XORs in an
-    all-zero or all-ones word (ones on real vectors only, so padding stays
-    0); over an odd p the uint8/16/32 tables are compared.  Prefixes go
-    _BLOCK bytes of table at a time, and only a step holding a difference is
-    taken apart into failures."""
+    """Walk the failing vectors in index order, one digit per column.  A
+    prefix of digits has a failing completion iff its partial sum M x is
+    already nonzero or M has a nonzero entry in a later column (varying
+    that column's digit then changes M x), so the walk enters no subtree
+    without a failure and skips at most one digit value per column.  An
+    all-zero M yields nothing at once.  A loop over columns, not recursion,
+    since n*d can pass the recursion limit."""
     cols = res.shape[1]
-    if p == 2:  # a full word, and about as many words as prefixes
-        low = min(cols, max(6, (cols + 7) // 2))
-    else:  # half the digits, and at least 2^12 vectors a prefix
-        low = (cols + 1) // 2
-        while low < cols and p**low < 1 << 12:
-            low += 1
-    width = p**low  # vectors per prefix
-    table = _tabulate(res[:, cols - low :], p)
-    prefix = _tabulate(-res[:, : cols - low] % p, p).T
-    if p == 2:
-        table = _pack(table)
-        prefix = prefix.astype(np.uint64) * np.uint64((1 << min(width, 64)) - 1)
-    step = max(1, _BLOCK // max(1, table.nbytes))
-    for h0 in range(0, len(prefix), step):
-        h = prefix[h0 : h0 + step, :, None]
-        diff = table ^ h if p == 2 else table != h
-        if not diff.any():
+    # live[c]: some column at or after c is nonzero
+    live = np.append(np.logical_or.accumulate(res.any(axis=0)[::-1])[::-1], False)
+    if not live[0]:
+        return
+    digits, sums, v = [], [np.zeros(len(res), np.int64)], 0
+    while True:
+        c = len(digits)
+        if c == cols:  # a failing vector: report each decoder with a nonzero row
+            for k in np.flatnonzero(sums[c].reshape(decs, d).any(axis=1)).tolist():
+                yield tuple(digits), k
+        elif v < p:
+            s = (sums[c] + v * res[:, c]) % p
+            if live[c + 1] or s.any():
+                digits.append(v)
+                sums.append(s)
+                v = 0
+            else:
+                v += 1
             continue
-        bad = np.bitwise_or.reduce(diff.reshape(len(diff), decs, d, -1), axis=2)
-        for i in np.flatnonzero(bad.any(axis=(1, 2))):
-            row = bad[i]
-            if p == 2:
-                row = np.unpackbits(np.ascontiguousarray(row, "<u8").view(np.uint8), axis=1,
-                                    bitorder="little")[:, :width]
-            s, k = np.nonzero(row.T)
-            yield from zip(((h0 + i) * width + s).tolist(), k.tolist())
+        if not digits:
+            return
+        v = digits.pop() + 1
+        sums.pop()
 
 
 def _random_failures(res: np.ndarray, p: int, decs: int, d: int, xs: np.ndarray):
@@ -267,7 +221,8 @@ def _random_failures(res: np.ndarray, p: int, decs: int, d: int, xs: np.ndarray)
         bad = v != np.floor(v)
         if bad.any():
             s, k = np.nonzero(bad.reshape(len(v), decs, d).any(axis=2))
-            yield from zip((a + s).tolist(), k.tolist())
+            for i, j in zip((a + s).tolist(), k.tolist()):
+                yield tuple(int(u) for u in xs[i]), j
 
 
 # -- constructions ----------------------------------------------------------

@@ -64,8 +64,9 @@ def _timed(fn):
 
 
 def _code_entry(rate: Fraction, kind: str, ver: codes.VerificationReport, ms: int) -> BoundEntry:
-    """A code's rate is an upper bound once its exhaustive check passed; a
-    failed code, or one that passed only on sampled vectors, stays in the
+    """A code's rate is an upper bound once its exhaustive check passed,
+    which proves decoding on every message vector at any size; a failed
+    code, or one that passed only the random simulation, stays in the
     report as info."""
     tag = "verified" if ver.passed else "FAILED"
     direction = "upper" if ver.passed and ver.mode == "exhaustive" else "info"
@@ -81,7 +82,6 @@ def build_report(
     minrk_cap: int | None = None,
     with_decide2: bool = False,
     max_lp_vars: int = MAX_LP_VARS,
-    seed: int = 0,
 ) -> BoundReport:
     """alpha, the b_k of `levels` and chi_bar_f always, and chi_bar_f's
     verified strong-cover code on unit rates (else a verdict says it was
@@ -125,7 +125,7 @@ def build_report(
     elif inst.m:
         def run():
             scheme = codes.strong_cover_code(inst, strong)
-            ver = codes.verify_code(inst, scheme, seed=seed)
+            ver = codes.verify_code(inst, scheme)
             return scheme, ver
 
         (scheme, ver), ms = _timed(run)
@@ -134,7 +134,7 @@ def build_report(
     if with_decide2:
         cert, ms = _timed(lambda: decide_beta_eq_2(inst))
         if cert.is_two and cert.scheme is not None:
-            ver = codes.verify_code(inst, cert.scheme, seed=seed)
+            ver = codes.verify_code(inst, cert.scheme)
             rep.bounds["two-symbol"] = _code_entry(Fraction(2), "two-symbol scheme", ver, ms)
         elif cert.bound is not None:
             rep.bounds["rate2-obstruction"] = BoundEntry(

@@ -1,17 +1,20 @@
 """Reference verifier for tests: the int64 decoding simulation, one receiver
 at a time, which broadcasts every vector through the encoder and decodes it
-at each receiver.  `icbounds.codes.verify_code` instead folds the code into
-one residual map and compares digit tables of it (exhaustive) or applies it
-in float64 (random); it must agree with this reference on mode, trials,
-seed and verdict wherever the reference's arithmetic is exact, which is
-while every product stays below 2^63."""
+at each receiver.  It enumerates every vector up to ENUMERATION_CAP and
+samples beyond it.  `icbounds.codes.verify_code` instead folds the code into
+one residual map M and tests M for zero (exhaustive, at any size) or applies
+it in float64 (random).  It must agree with this reference on mode, trials,
+seed and verdict wherever the reference enumerates, and in random mode,
+while the reference's arithmetic is exact (every product below 2^63).
+Past the cap, `reference_failures` on the n*d unit vectors decides the
+verdict: M e_c is column c of M, so a linear code fails on some vector iff
+it fails on a unit vector."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from icbounds.codes import (
-    EXHAUSTIVE_CAP,
     MAX_FAILURES,
     RANDOM_TRIALS,
     CodeScheme,
@@ -19,6 +22,8 @@ from icbounds.codes import (
     _check_decoder_locality,
 )
 from icbounds.instance import CapExceeded, Instance
+
+ENUMERATION_CAP = 1 << 24
 
 
 def verify_code_reference(
@@ -36,9 +41,35 @@ def verify_code_reference(
     cols = inst.n * d
     total = p**cols
     if mode == "auto":
-        mode = "exhaustive" if total <= EXHAUSTIVE_CAP else "random"
-    elif mode == "exhaustive" and total > EXHAUSTIVE_CAP:
-        raise CapExceeded("exhaustive-verify", total, EXHAUSTIVE_CAP)
+        mode = "exhaustive" if total <= ENUMERATION_CAP else "random"
+    elif mode == "exhaustive" and total > ENUMERATION_CAP:
+        raise CapExceeded("exhaustive-verify", total, ENUMERATION_CAP)
+    if mode == "exhaustive":
+        failures: list[tuple[tuple[int, ...], int]] = []
+        chunk = 1 << 14
+        for start in range(0, total, chunk):
+            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            xs = np.empty((len(idx), cols), dtype=np.int64)
+            rem = idx.copy()
+            for c in range(cols - 1, -1, -1):
+                xs[:, c] = rem % p
+                rem //= p
+            failures += reference_failures(inst, scheme, xs, MAX_FAILURES - len(failures))
+            if len(failures) >= MAX_FAILURES:
+                break
+        return VerificationReport("exhaustive", total, None, failures)
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, p, size=(trials, cols), dtype=np.int64)
+    return VerificationReport("random", trials, seed, reference_failures(inst, scheme, xs))
+
+
+def reference_failures(
+    inst: Instance, scheme: CodeScheme, xs: np.ndarray, limit: int = MAX_FAILURES
+) -> list[tuple[tuple[int, ...], int]]:
+    """The first `limit` wrong decodings of the rows of xs, in receiver-major
+    order within the batch, decoded one receiver at a time in int64."""
+    p = scheme.field
+    d = scheme.msg_symbols
     enc = np.array(scheme.encoder, dtype=np.int64) % p
     decs = [
         (
@@ -49,31 +80,12 @@ def verify_code_reference(
         for dec in scheme.decoders
     ]
     failures: list[tuple[tuple[int, ...], int]] = []
-
-    def run_batch(xs: np.ndarray) -> None:
-        bcast = xs @ enc.T % p
-        for j, bc, sc in decs:
-            want = inst.receivers[j].wants
-            got = (bcast @ bc.T + xs @ sc.T) % p
-            target = xs[:, want * d : (want + 1) * d]
-            bad = np.nonzero((got != target).any(axis=1))[0]
-            for i in bad[: MAX_FAILURES - len(failures)]:
-                failures.append((tuple(int(v) for v in xs[i]), j))
-
-    if mode == "exhaustive":
-        chunk = 1 << 14
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            xs = np.empty((len(idx), cols), dtype=np.int64)
-            rem = idx.copy()
-            for c in range(cols - 1, -1, -1):
-                xs[:, c] = rem % p
-                rem //= p
-            run_batch(xs)
-            if len(failures) >= MAX_FAILURES:
-                break
-        return VerificationReport("exhaustive", total, None, failures)
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, p, size=(trials, cols), dtype=np.int64)
-    run_batch(xs)
-    return VerificationReport("random", trials, seed, failures)
+    bcast = xs @ enc.T % p
+    for j, bc, sc in decs:
+        want = inst.receivers[j].wants
+        got = (bcast @ bc.T + xs @ sc.T) % p
+        target = xs[:, want * d : (want + 1) * d]
+        bad = np.nonzero((got != target).any(axis=1))[0]
+        for i in bad[: limit - len(failures)]:
+            failures.append((tuple(int(v) for v in xs[i]), j))
+    return failures

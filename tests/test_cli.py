@@ -222,11 +222,13 @@ def test_code_mds_from_the_shared_cover(capsys, tmp_path):
     assert out["verification"]["passed"] is True
 
 
-def test_code_exhaustive_cap(capsys, tmp_path):
+def test_code_exhaustive_proves_mds_c5(capsys, tmp_path):
+    # 7^10 message vectors, past the 2^24 that were once enumerated
     path = gen(capsys, tmp_path, "cycle", "n=5")
-    code, _, err = run(capsys, "code", str(path), "--scheme", "mds",
-                       "--verify", "exhaustive")
-    assert code == 3
+    out = run_json(capsys, "code", str(path), "--scheme", "mds", "--verify", "exhaustive")
+    assert out["verification"]["mode"] == "exhaustive"
+    assert out["verification"]["trials"] == 7**10
+    assert out["verification"]["passed"] is True
     out = run_json(capsys, "code", str(path), "--scheme", "mds",
                    "--verify", "random:20000:1")
     assert out["verification"]["passed"] is True
@@ -384,12 +386,15 @@ def test_paper_suite_full(capsys):
     # beta(Groetzsch) = 11/2 and beta(Chvatal) = 6 are the report's exact verdicts
     out = run_json(capsys, "paper-suite", "full")
     assert [c["claim"] for c in out["claims"]] == QUICK_CLAIMS + [
-        "petersen full tier", "groetzsch full tier", "chvatal full tier"]
+        "petersen full tier", "groetzsch full tier", "chvatal full tier", "projective-hadamard q=5"]
     assert all(c["pass"] for c in out["claims"]), out["claims"]
     details = {c["claim"]: c["detail"] for c in out["claims"]}
     for claim, beta in (("groetzsch full tier", "11/2"), ("chvatal full tier", "6")):
         assert f"scheme={beta} (strong-cover code, exhaustive check verified)" in details[claim]
         assert f"[beta = {beta} exact (b2 meets chibarf)]" in details[claim]
+    # beta = 3 < chibarf = 25/7, the rate-3 code proved on every vector
+    assert details["projective-hadamard q=5"] == (
+        "n=25 alpha=3 gram rank=3 code on 5^25 vectors verified chibarf=25/7")
 
 
 @pytest.mark.parametrize("family, key, value, claim", [
@@ -436,14 +441,15 @@ def test_a_sampled_code_does_not_pin_beta(monkeypatch):
 
 
 def test_a_sampled_code_is_not_an_upper_bound(monkeypatch):
-    # C5's strong-cover code has 2^10 message vectors; below that cap the
-    # report's auto check samples, and the code stays info while chibarf,
-    # an upper bound by theorem, still pins beta
+    # with the report's check forced to sample, C5's strong-cover code stays
+    # info while chibarf, an upper bound by theorem, still pins beta
     from icbounds import codes
     from icbounds.families import family
     from icbounds.report import build_report
 
-    monkeypatch.setattr(codes, "EXHAUSTIVE_CAP", 1 << 9)
+    real = codes.verify_code
+    monkeypatch.setattr(codes, "verify_code",
+                        lambda inst, scheme, mode="auto", **k: real(inst, scheme, mode="random", **k))
     rep = build_report(family("cycle", n=5).instance, "C5")
     scheme = rep.bounds["scheme"]
     assert scheme.check.mode == "random" and scheme.check.passed

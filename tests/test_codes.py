@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from codes_reference import verify_code_reference
+from codes_reference import ENUMERATION_CAP, reference_failures, verify_code_reference
 
 from icbounds.codes import (
     MAX_FAILURES,
@@ -172,15 +172,20 @@ def test_verifier_requires_every_receiver():
         verify_code(inst, partial)
 
 
-def test_random_mode_kicks_in_past_cap():
+def test_auto_proves_mds_c5_past_the_old_cap():
     inst = from_graph(cycle(5))
     scheme = mds_weak_cover_code(inst, fractional_cover(inst, "weak"))
-    # the prime-field message space blows past the exhaustive cap
-    assert scheme.field ** (inst.n * scheme.msg_symbols) > 1 << 24
-    rep = verify_code(inst, scheme, mode="auto", trials=5_000, seed=3)
-    assert rep.mode == "random" and rep.passed
-    with pytest.raises(CapExceeded, match="exhaustive-verify"):
-        verify_code(inst, scheme, mode="exhaustive")
+    # 7^10 message vectors, past the 2^24 that were once enumerated
+    total = scheme.field ** (inst.n * scheme.msg_symbols)
+    assert total > 1 << 24
+    for mode in ("auto", "exhaustive"):
+        rep = verify_code(inst, scheme, mode=mode, trials=5_000, seed=3)
+        assert (rep.mode, rep.trials, rep.seed, rep.passed) == ("exhaustive", total, None, True)
+    bad = _flipped(inst, scheme, random.Random(3))
+    rep = verify_code(inst, bad)
+    assert rep.mode == "exhaustive" and len(rep.failures) == MAX_FAILURES
+    assert all(_genuine(inst, bad, x, j) for x, j in rep.failures)
+    assert [x for x, _ in rep.failures] == sorted(x for x, _ in rep.failures)
 
 
 def test_every_verified_rate_at_least_b2():
@@ -261,44 +266,50 @@ def _outcome(verify, inst, scheme, **kw):
 
 def test_verify_matches_int64_reference():
     rng = random.Random(5)
-    fields, failing = set(), 0
+    fields, failing, past_cap = set(), 0, 0
     for inst, scheme in _corpus():
         fields.add(scheme.field)
+        cols = inst.n * scheme.msg_symbols
         for s in (scheme, _flipped(inst, scheme, rng), _flipped(inst, scheme, rng)):
             for kw in ({"mode": "auto", "trials": 1_000, "seed": rng.randrange(99)},
                        {"mode": "exhaustive"},
                        {"mode": "random", "trials": 777, "seed": rng.randrange(99)}):
-                want, ref = _outcome(verify_code_reference, inst, s, **kw)
+                if kw["mode"] == "random" or s.field**cols <= ENUMERATION_CAP:
+                    want, ref = _outcome(verify_code_reference, inst, s, **kw)
+                else:  # past the reference's enumeration: every unit vector and a draw
+                    draw = np.random.default_rng(kw.get("seed", 0)).integers(0, s.field, (1_000, cols))
+                    xs = np.vstack([np.eye(cols, dtype=np.int64), draw])
+                    want, ref = ("exhaustive", s.field**cols, None, not reference_failures(inst, s, xs)), None
+                    past_cap += 1
                 got, rep = _outcome(verify_code, inst, s, **kw)
                 assert got == want, (s, kw)
-                if rep is None:
-                    continue
                 failing += not rep.passed
                 assert len(rep.failures) <= MAX_FAILURES
                 assert all(_genuine(inst, s, x, j) for x, j in rep.failures)
-                if len(ref.failures) < MAX_FAILURES:  # both hold every failure
+                if ref is not None and len(ref.failures) < MAX_FAILURES:  # both hold every failure
                     assert sorted(rep.failures) == sorted(ref.failures)
                 if rep.mode == "exhaustive":  # in index order
                     assert [x for x, _ in rep.failures] == sorted(x for x, _ in rep.failures)
-    assert {2, 3, 5} <= fields and failing > 20
+    assert {2, 3, 5} <= fields and failing > 20 and past_cap > 10
 
 
 def test_gf2_random_path_catches_a_flipped_bit():
     inst = from_graph(cycle(13))
     scheme = strong_cover_code(inst, fractional_cover(inst, "strong"))
-    assert 2 ** (inst.n * scheme.msg_symbols) == 1 << 26  # above EXHAUSTIVE_CAP
-    rep = verify_code(inst, scheme, trials=3_000, seed=2)
+    assert 2 ** (inst.n * scheme.msg_symbols) == 1 << 26  # past the old 2^24 enumeration
+    rep = verify_code(inst, scheme)
+    assert rep.mode == "exhaustive" and rep.trials == 1 << 26 and rep.passed
+    rep = verify_code(inst, scheme, mode="random", trials=3_000, seed=2)
     assert rep.mode == "random" and rep.trials == 3_000 and rep.passed
     scheme.decoders[6].bcast_coef[1][4] ^= 1
-    rep = verify_code(inst, scheme, trials=3_000, seed=2)
+    rep = verify_code(inst, scheme, mode="random", trials=3_000, seed=2)
     assert not rep.passed and all(j == 6 and _genuine(inst, scheme, x, j) for x, j in rep.failures)
     assert not verify_code_reference(inst, scheme, trials=3_000, seed=2).passed
 
 
 def test_fewer_states_than_a_word_reports_no_padding():
     # receiver 0 takes a + b for b without cancelling its side information
-    # a: wrong exactly when a = 1, on 4 of the 2^3 states; the other 56 bits
-    # of the word must stay silent
+    # a: wrong exactly when a = 1, on 4 of the 2^3 states, and no others
     inst, scheme = tri3(), _tri3_scheme([0, 0, 0])
     rep = verify_code(inst, scheme, mode="exhaustive")
     assert rep.trials == 8
@@ -311,7 +322,7 @@ def test_fewer_states_than_a_word_reports_no_padding():
 def test_odd_field_exhaustive_crosses_chunks():
     # F_3 identity code on K10: broadcast every message.  Receiver 9 also
     # adds message 0 from its side information, so it fails exactly when
-    # x_0 != 0, first at state 3^9, many chunks into the enumeration.
+    # x_0 != 0, first at state 3^9: the walk skips x_0 = 0's whole subtree.
     n, p = 10, 3
     inst = from_graph(Graph.from_edge_list(n, [(u, v) for u in range(n) for v in range(u)]))
     eye = [[int(i == c) for c in range(n)] for i in range(n)]
@@ -361,7 +372,7 @@ def test_bad_mode_and_trials_are_refused():
         verify_code(inst, scheme, mode="random", trials=0)
 
 
-# -- failure order across the digit split -------------------------------------
+# -- failure order of the walk over the digits --------------------------------
 
 
 def _brute_failures(inst, scheme, vectors=None):
@@ -401,13 +412,12 @@ def _spoiled(scheme, cols, decoders):
     return s
 
 
-# n*d below, at and above the digit split: the low table takes at least 6
-# digits over GF(2) (one uint64 word), 8 over F_3, 6 over F_5 and 5 over F_7
+# short and long walks (n*d from 2 to 11 digits) over each small field
 @pytest.mark.parametrize("p, n, d", [
-    (2, 3, 1), (2, 3, 2), (2, 4, 2), (2, 11, 1),  # 8 of 64 bits, one word, 2 and 4 prefixes
-    (3, 4, 1), (3, 8, 1), (3, 9, 1), (3, 5, 2),  # one prefix, one, 3 and 9
-    (5, 3, 1), (5, 6, 1), (5, 7, 1),  # one, one, 5
-    (7, 2, 1), (7, 5, 1), (7, 6, 1),  # one, one, 7
+    (2, 3, 1), (2, 3, 2), (2, 4, 2), (2, 11, 1),
+    (3, 4, 1), (3, 8, 1), (3, 9, 1), (3, 5, 2),
+    (5, 3, 1), (5, 6, 1), (5, 7, 1),
+    (7, 2, 1), (7, 5, 1), (7, 6, 1),
 ])
 def test_failures_in_exact_order_across_the_split(p, n, d):
     # the identity code of n messages with no side information, each
@@ -418,8 +428,8 @@ def test_failures_in_exact_order_across_the_split(p, n, d):
     scheme = CodeScheme(p, d, eye, _decoders(inst, p, d, eye), F(n))
     rng = random.Random(p * 100 + cols)
     variants = [
-        _spoiled(scheme, [0], [n - 1, 0]),  # first failure at e_0, high digits only
-        _spoiled(scheme, [cols - 1], [0, n - 1]),  # at e_(n*d-1), low digits only
+        _spoiled(scheme, [0], [n - 1, 0]),  # first failure at e_0, M nonzero in column 0 only
+        _spoiled(scheme, [cols - 1], [0, n - 1]),  # at e_(n*d-1), in the last column only
         _spoiled(scheme, [cols - 2, cols - 1], [0]),  # passes where the two digits sum to 0
         _flipped(inst, scheme, rng),
         _flipped(inst, _flipped(inst, scheme, rng), rng),
@@ -448,3 +458,15 @@ def test_an_instance_with_no_receivers_passes_every_vector(p):
     assert rep.passed and rep.trials == p**8 and _brute_failures(inst, scheme) == []
     rep = verify_code(inst, scheme, mode="random", trials=50, seed=1)
     assert rep.passed and rep.trials == 50
+
+
+def test_a_one_digit_code_over_a_large_field_walks_no_table():
+    # the 1-message identity code over the largest prime below 2^24: the
+    # failing vectors of a spoiled decoder are read off one digit at a time
+    p = 16_777_213
+    inst = Instance(1, (Receiver(0, frozenset()),))
+    scheme = CodeScheme(p, 1, [[1]], _decoders(inst, p, 1, [[1]]), F(1))
+    rep = verify_code(inst, scheme, mode="exhaustive")
+    assert (rep.mode, rep.trials, rep.passed) == ("exhaustive", p, True)
+    rep = verify_code(inst, _spoiled(scheme, [0], [0]))  # decodes 2x
+    assert rep.failures == [((v,), 0) for v in range(1, MAX_FAILURES + 1)]
