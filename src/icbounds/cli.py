@@ -9,8 +9,9 @@ rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
 3 resource cap exceeded, memory exhausted or an LP certificate failed.  The
 library raises CapExceeded where the resource is spent (minrk2 for
 --minrk-cap, verify_code for fields beyond exact float64 decoding, the
-hierarchy LP builder for --max-lp-vars, solve_min for an LP HiGHS cannot
-take and a basis past its fixed cap) and lp.Uncertified for an LP no
+cover codes past their fixed encoder size, the hierarchy LP builder for
+--max-lp-vars, solve_min for an LP HiGHS cannot take and a basis past its
+fixed cap) and lp.Uncertified for an LP no
 checked certificate settles; the CLI maps these, and a MemoryError, to 3.
 """
 
@@ -101,7 +102,7 @@ def _rat(x) -> str:
 
 
 def _levels(spec: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in spec.split(","))
+    return () if spec == "none" else tuple(int(x) for x in spec.split(","))
 
 
 def _sym_arg(spec: str, inst: Instance, data: dict):
@@ -301,19 +302,16 @@ def cmd_code(args) -> dict:
     else:
         raise ParseError(f"unknown scheme {name!r}")
 
-    mode, trials, seed = "auto", codes.RANDOM_TRIALS, 0
-    if args.verify:
-        if args.verify == "exhaustive":
-            mode = "exhaustive"
-        elif args.verify.startswith("random"):
-            parts = args.verify.split(":")
-            mode = "random"
-            if len(parts) > 1:
-                trials = int(parts[1])
-            if len(parts) > 2:
-                seed = int(parts[2])
-        else:
-            raise ParseError(f"bad --verify spec {args.verify!r}")
+    mode, trials, seed = "exhaustive", codes.RANDOM_TRIALS, 0
+    if args.verify.startswith("random"):
+        parts = args.verify.split(":")
+        mode = "random"
+        if len(parts) > 1:
+            trials = int(parts[1])
+        if len(parts) > 2:
+            seed = int(parts[2])
+    elif args.verify != "exhaustive":
+        raise ParseError(f"bad --verify spec {args.verify!r}")
     ver = codes.verify_code(inst, scheme, mode=mode, trials=trials, seed=seed)
     return {
         "scheme": _scheme_json(scheme),
@@ -338,6 +336,8 @@ def cmd_report(args) -> dict:
         minrk_cap=args.minrk_cap if args.all else None,
         with_decide2=args.all or args.decide2,
         max_lp_vars=args.max_lp_vars,
+        matrix=data.get("matrix"),
+        matrix_field=data.get("matrix_field", 2),
     )
     return rep.as_dict()
 
@@ -346,17 +346,19 @@ def cmd_report(args) -> dict:
 
 
 def _family_claim(*cases: tuple[str, dict]):
-    """Run `report` on each (family name, params) case, at the family's levels
-    and with the rate-2 decision.  A case holds when every code in the report
-    passed its check, every expected value equals the report's bound of that
-    name, and an expected beta is where the largest lower bound meets the
-    smallest upper bound, which an exhaustively verified code attains.
+    """Run `report` on each (family name, params) case, at the family's
+    levels, with its fitting matrix and the rate-2 decision.  A case holds
+    when every code in the report passed its check, every expected value
+    equals the report's bound of that name, and an expected beta is where
+    the largest lower bound meets the smallest upper bound, which an
+    exhaustively verified code attains.
     Returns (ok, detail)."""
     ok, details = True, []
     for name, params in cases:
         f = families.family(name, **params)
         label = name + "".join(f" {k}={v}" for k, v in params.items())
-        rep = build_report(f.instance, label, f.levels, sym=f.symmetry, with_decide2=True)
+        rep = build_report(f.instance, label, f.levels, sym=f.symmetry, with_decide2=True,
+                           matrix=f.matrix, matrix_field=f.matrix_field)
         got = {k: e.value for k, e in rep.bounds.items()}
         checks = [e for e in rep.bounds.values() if e.check]
         lower = max((e.value for e in rep.bounds.values() if e.direction == "lower"), default=None)
@@ -384,41 +386,11 @@ def _suite_decide2():
         cert = decide_beta_eq_2(inst)
         if not cert.is_two:
             return False, f"decider false on complement-bipartite graph {g.edge_list()}"
-        if not codes.verify_code(inst, cert.scheme, mode="exhaustive").passed:
+        if not codes.verify_code(inst, cert.scheme).passed:
             return False, "two-symbol scheme failed verification"
         done += 1
     ok, detail = _family_claim(*(("aac", {"n": k}) for k in (1, 2, 3)))
     return ok, "10 bipartite-complement schemes verified; " + detail
-
-
-def _suite_hadamard(q: int, chibarf: Fraction):
-    """The q^2 non-isotropic points of the projective plane over F_q: alpha
-    and the F_q Gram rank are both 3, so beta = 3, proved by the rank code
-    on all q^(q^2) message vectors, while chi_bar_f is `chibarf`."""
-    f = families.family("projective-hadamard", q=q)
-    inst = f.instance
-    a = alpha_exact(inst)[0]
-    rep = representation_rank(inst, f.matrix, f.matrix_field)
-    ver = codes.verify_code(inst, codes.minrk_code(inst, rep), mode="exhaustive")
-    cf = fractional_cover(inst, "strong").total
-    ok = inst.n == q * q and a == rep.value == 3 and ver.passed and cf == chibarf
-    return ok, (f"n={inst.n} alpha={a} gram rank={rep.value} code on {q}^{inst.n} vectors "
-                f"{'verified' if ver.passed else 'FAILED'} chibarf={_rat(cf)}")
-
-
-def _suite_oddtown():
-    f = families.family("oddtown", m=6)
-    g, inst = f.graph, f.instance
-    tri_free = all(
-        not (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c))
-        for a in range(g.n) for b in range(a + 1, g.n) for c in range(b + 1, g.n)
-    )
-    cf = fractional_cover(inst, "strong").total
-    rep = representation_rank(inst, f.matrix, f.matrix_field)
-    scheme = codes.minrk_code(inst, rep)
-    ver = codes.verify_code(inst, scheme, mode="exhaustive")
-    ok = g.n == 16 and tri_free and cf >= 8 and rep.value <= 6 and ver.passed
-    return ok, f"n={g.n} triangle-free={tri_free} chibarf={cf} rank={rep.value}"
 
 
 def _suite_union():
@@ -440,15 +412,16 @@ QUICK_SUITE = [
     ("rate-2 decider with certificates", _suite_decide2),
     ("circulant(7,2) and cayley3(8)",
      partial(_family_claim, ("circulant", {"n": 7, "k": 2}), ("cayley3", {"n": 8}))),
-    ("projective-hadamard q=3", partial(_suite_hadamard, 3, Fraction(3))),
-    ("triangle-free oddtown m=6", _suite_oddtown),
+    ("projective-hadamard q=3", partial(_family_claim, ("projective-hadamard", {"q": 3}))),
+    ("triangle-free oddtown m=6", partial(_family_claim, ("oddtown", {"m": 6}))),
     ("disjoint-union additivity k*C5", _suite_union),
 ]
 FULL_SUITE = QUICK_SUITE + [
     ("petersen full tier", partial(_family_claim, ("petersen", {}))),
     ("groetzsch full tier", partial(_family_claim, ("groetzsch", {}))),
     ("chvatal full tier", partial(_family_claim, ("chvatal", {}))),
-    ("projective-hadamard q=5", partial(_suite_hadamard, 5, Fraction(25, 7))),
+    ("projective-hadamard q=5", partial(_family_claim, ("projective-hadamard", {"q": 5}))),
+    ("projective-hadamard q=7", partial(_family_claim, ("projective-hadamard", {"q": 7}))),
 ]
 
 
@@ -528,14 +501,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--scheme", required=True,
                    choices=["cliquecover", "strongcover", "mds", "minrk", "twosymbol"])
-    p.add_argument("--verify", default=None, help="exhaustive | random[:N[:seed]]")
+    p.add_argument("--verify", default="exhaustive", help="exhaustive | random[:N[:seed]]")
     p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("report", help="paired lower/upper bound report")
     p.add_argument("instance")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--level", type=_levels, default=(2,), help="a level or a comma list, e.g. 2,3")
+    p.add_argument("--level", type=_levels, default=(2,), help="a level, a comma list (e.g. 2,3) or none")
     p.add_argument("--sym", default="auto")
     p.add_argument("--decide2", action="store_true")
     p.add_argument("--max-lp-vars", type=int, default=MAX_LP_VARS)

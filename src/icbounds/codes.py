@@ -37,6 +37,9 @@ from .numeric import next_prime
 
 RANDOM_TRIALS = 100_000
 MAX_FAILURES = 5  # counterexamples kept per report
+# Encoder entries a cover code may have.  The largest code any caller builds,
+# projective-Hadamard q = 5's strong cover (1 000 x 7 000), has 7 * 10^6.
+CODE_SIZE_CAP = 10**7
 
 
 @dataclass
@@ -121,16 +124,15 @@ def _residual_map(inst: Instance, scheme: CodeScheme) -> np.ndarray:
 def verify_code(
     inst: Instance,
     scheme: CodeScheme,
-    mode: str = "auto",
+    mode: str = "exhaustive",
     trials: int = RANDOM_TRIALS,
     seed: int = 0,
 ) -> VerificationReport:
     """Check that every receiver decodes every message vector.  "exhaustive"
-    (and "auto", which is the same) covers all p^(n*d) vectors; "random"
-    takes `trials` rows of the seeded draw rng.integers(0, p, (trials,
-    n*d)).  Failures are the first MAX_FAILURES wrong decodings, in the
-    order of the vectors (index order, column 0 most significant, or draw
-    order), then of scheme.decoders.
+    covers all p^(n*d) vectors; "random" takes `trials` rows of the seeded
+    draw rng.integers(0, p, (trials, n*d)).  Failures are the first
+    MAX_FAILURES wrong decodings, in the order of the vectors (index order,
+    column 0 most significant, or draw order), then of scheme.decoders.
 
     Each code is folded into one residual map M (see _residual_map): x
     decodes wrong at decoder k iff one of k's d rows of M x is nonzero mod
@@ -140,7 +142,7 @@ def verify_code(
     refused with CapExceeded("verify-field") in either mode, which also
     keeps M's int64 arithmetic exact.  Misshaped encoder or decoder rows
     raise ValueError."""
-    if mode not in ("auto", "exhaustive", "random"):
+    if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
         raise ValueError(f"need at least 1 random trial, got {trials}")
@@ -163,7 +165,7 @@ def verify_code(
     failures = [(x, scheme.decoders[k].receiver) for x, k in islice(hits, MAX_FAILURES)]
     if mode == "random":
         return VerificationReport(mode, trials, seed, failures)
-    return VerificationReport("exhaustive", p**cols, None, failures)
+    return VerificationReport(mode, p**cols, None, failures)
 
 
 # -- verification kernels ---------------------------------------------------
@@ -228,13 +230,25 @@ def _random_failures(res: np.ndarray, p: int, decs: int, d: int, xs: np.ndarray)
 # -- constructions ----------------------------------------------------------
 
 
-def _equalized_cover_sets(inst: Instance, cover: FractionalCover) -> tuple[list[frozenset[int]], int]:
-    """Clear denominators to unit-weight copies and shrink sets until every
-    message is covered exactly q times (highest-index copies lose first)."""
+def _unit_copies(inst: Instance, cover: FractionalCover) -> tuple[list[int], int]:
+    """The number of unit-weight copies of each cover set once the weights'
+    common denominator q is cleared, and q.  A code with one broadcast row
+    per copy and n*q columns past CODE_SIZE_CAP entries is refused with
+    CapExceeded before any copy is made."""
     q = lcm(*[w.denominator for _, w in cover.items])
-    sets: list[set[int]] = []
-    for s, w in cover.items:
-        sets += [set(s)] * int(w * q)
+    counts = [int(w * q) for _, w in cover.items]
+    size = sum(counts) * inst.n * q
+    if size > CODE_SIZE_CAP:
+        raise CapExceeded("code-size", size, CODE_SIZE_CAP)
+    return counts, q
+
+
+def _equalized_cover_sets(inst: Instance, cover: FractionalCover) -> tuple[list[frozenset[int]], int]:
+    """Clear denominators to unit-weight copies, one set object each, and
+    shrink sets until every message is covered exactly q times
+    (highest-index copies lose first)."""
+    counts, q = _unit_copies(inst, cover)
+    sets = [set(s) for (s, _), c in zip(cover.items, counts) for _ in range(c)]
     count = [sum(1 for s in sets if v in s) for v in range(inst.n)]
     for v in range(inst.n):
         for i in range(len(sets) - 1, -1, -1):
@@ -303,10 +317,8 @@ def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
         raise ValueError("needs a weak cover")
     if inst.is_weighted():
         raise ValueError("unit rates only")
-    d = lcm(*[w.denominator for _, w in cover.items])
-    copies: list[frozenset[int]] = []
-    for s, w in cover.items:
-        copies += [s] * int(w * d)
+    counts, d = _unit_copies(inst, cover)
+    copies = [s for (s, _), c in zip(cover.items, counts) for _ in range(c)]
     dw = len(copies)
     p = next_prime(dw)
     n = inst.n

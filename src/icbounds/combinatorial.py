@@ -427,6 +427,9 @@ class MinrkResult:
 def fits_graph(inst: Instance, mat: list[list[int]], p: int) -> list[str]:
     """Violations of the fitting pattern: an m x n matrix whose row j is
     nonzero at f(j), free on N(j) and zero elsewhere."""
+    if not (isinstance(mat, list) and all(
+            isinstance(row, list) and all(isinstance(v, int) for v in row) for row in mat)):
+        return ["matrix is not a list of rows of integers"]
     if len(mat) != inst.m or any(len(row) != inst.n for row in mat):
         return [f"matrix is not {inst.m} x {inst.n}"]
     bad = []
@@ -441,6 +444,8 @@ def fits_graph(inst: Instance, mat: list[list[int]], p: int) -> list[str]:
 
 def representation_rank(inst: Instance, mat: list[list[int]], p: int = 2) -> MinrkResult:
     """Rank of a supplied fitting matrix: an upper bound on minrank."""
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"matrix field {p!r} is not an integer of at least 2")
     bad = fits_graph(inst, mat, p)
     if bad:
         raise ValueError(f"matrix does not fit the instance: {bad}")

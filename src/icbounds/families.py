@@ -228,6 +228,9 @@ CHVATAL_SYMMETRY = [
     [1, 0, 6, 11, 5, 4, 2, 9, 10, 7, 8, 3],
 ]
 
+# chi_bar_f of projective-Hadamard q, computed: it grows with q while beta = 3
+PH_CHIBARF = {3: Fraction(3), 5: Fraction(25, 7), 7: Fraction(49, 13)}
+
 
 @dataclass
 class FamilyOutput:
@@ -288,14 +291,19 @@ def family(name: str, **params) -> FamilyOutput:
     if name == "projective-hadamard":
         q = params["q"]
         g, gram = projective_hadamard(q)
-        exp = {"beta": Fraction(3)} if q == 3 else {}
+        # at most 3 pairwise orthogonal points, and a Gram matrix of rank 3
+        exp = dict.fromkeys(("alpha", "gram", "beta"), Fraction(3))
+        if q in PH_CHIBARF:
+            exp["chibarf"] = PH_CHIBARF[q]
         return FamilyOutput(name, params, from_graph(g), g, gram, exp, [], q)
     if name == "oddtown":
         m = params["m"]
         g, inc = oddtown_trianglefree(m)
         # intersection sizes mod 2: odd on the diagonal and exactly on edges
         gram = [[sum(a & b for a, b in zip(u, v)) % 2 for v in inc] for u in inc]
-        return FamilyOutput(name, params, from_graph(g), g, gram, {}, [], 2)
+        # m/6 disjoint blocks, each with alpha 5, chibarf 8 and Gram rank 6
+        exp = {"alpha": Fraction(5 * m // 6), "chibarf": Fraction(8 * m // 6), "gram": Fraction(m)}
+        return FamilyOutput(name, params, from_graph(g), g, gram, exp, [], 2)
     if name == "aac":
         inst = aac_instance(params["n"])
         exp = dict.fromkeys(("b2", "rate2-obstruction"), Fraction(2) + Fraction(1, params["n"]))

@@ -36,8 +36,6 @@ class Instance:
     n: int
     receivers: tuple[Receiver, ...]
     rates: tuple[Fraction, ...] | None = None
-    # Factor the on-file rates were divided by so that max(rate) == 1.
-    rate_scale: Fraction = Fraction(1)
 
     @property
     def m(self) -> int:
@@ -202,7 +200,6 @@ def _instance_from_dict(data: dict) -> Instance:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed instance file: {exc}") from exc
     rates = None
-    scale = Fraction(1)
     if data.get("rates") is not None:
         try:
             raw = [parse_rational(s) for s in data["rates"]]
@@ -212,7 +209,7 @@ def _instance_from_dict(data: dict) -> Instance:
             raise ParseError("rates must be positive")
         scale = max(raw)
         rates = tuple(r / scale for r in raw)
-    return Instance(n, recs, rates, scale)
+    return Instance(n, recs, rates)
 
 
 def _graph_from_dict(data: dict) -> Graph:

@@ -16,6 +16,7 @@ from .combinatorial import (
     fractional_cover,
     integer_clique_cover,
     minrk2,
+    representation_rank,
 )
 from .hierarchy import MAX_LP_VARS, solve_bk
 from .instance import Instance
@@ -82,13 +83,18 @@ def build_report(
     minrk_cap: int | None = None,
     with_decide2: bool = False,
     max_lp_vars: int = MAX_LP_VARS,
+    matrix: list[list[int]] | None = None,
+    matrix_field: int = 2,
 ) -> BoundReport:
-    """alpha, the b_k of `levels` and chi_bar_f always, and chi_bar_f's
-    verified strong-cover code on unit rates (else a verdict says it was
-    left out); the integer clique cover with `with_chibar`; the exact GF(2)
-    minrank under free-entry cap `minrk_cap` unless it is None; the rate-2
-    decision with `with_decide2`.  A cap that would be exceeded raises
-    CapExceeded."""
+    """alpha, the b_k of `levels` and chi_bar_f always; the integer clique
+    cover with `with_chibar`; the exact GF(2) minrank under free-entry cap
+    `minrk_cap` unless it is None; the verified rank code of `matrix`, a
+    fitting matrix over F_`matrix_field`, as `gram`; the rate-2 decision
+    with `with_decide2`.  Last, chi_bar_f's verified strong-cover code, the
+    `scheme`, on unit rates and only when no upper bound so far is below
+    chi_bar_f, the one case where its rate could set the verdict (else a
+    verdict says why it was left out).  A cap that would be exceeded
+    raises CapExceeded; a matrix that does not fit raises ValueError."""
     rep = BoundReport(descriptor, inst.n, inst.m)
 
     (a, seq), ms = _timed(lambda: alpha_exact(inst))
@@ -120,16 +126,13 @@ def build_report(
             Fraction(mr.value), "upper", "GF(2) representation" + (" (exact)" if mr.exact else ""), ms
         )
 
-    if inst.is_weighted():
-        rep.verdicts.append("scheme left out: the strong-cover code needs unit rates")
-    elif inst.m:
-        def run():
-            scheme = codes.strong_cover_code(inst, strong)
-            ver = codes.verify_code(inst, scheme)
-            return scheme, ver
+    if matrix is not None:
+        def run_gram():
+            scheme = codes.minrk_code(inst, representation_rank(inst, matrix, matrix_field))
+            return scheme, codes.verify_code(inst, scheme)
 
-        (scheme, ver), ms = _timed(run)
-        rep.bounds["scheme"] = _code_entry(scheme.rate, "strong-cover code", ver, ms)
+        (scheme, ver), ms = _timed(run_gram)
+        rep.bounds["gram"] = _code_entry(scheme.rate, f"F_{matrix_field} Gram-rank code", ver, ms)
 
     if with_decide2:
         cert, ms = _timed(lambda: decide_beta_eq_2(inst))
@@ -140,6 +143,21 @@ def build_report(
             rep.bounds["rate2-obstruction"] = BoundEntry(
                 cert.bound, "lower", "alternating-cycle witness", ms
             )
+
+    below = min(((e.value, k) for k, e in rep.bounds.items()
+                 if e.direction == "upper" and e.value < strong.total), default=None)
+    if inst.is_weighted():
+        rep.verdicts.append("scheme left out: the strong-cover code needs unit rates")
+    elif below is not None:
+        rep.verdicts.append(f"scheme left out: {below[1]} = {format_rational(below[0])} "
+                            f"is below chibarf = {format_rational(strong.total)}")
+    elif inst.m:
+        def run_scheme():
+            scheme = codes.strong_cover_code(inst, strong)
+            return scheme, codes.verify_code(inst, scheme)
+
+        (scheme, ver), ms = _timed(run_scheme)
+        rep.bounds["scheme"] = _code_entry(scheme.rate, "strong-cover code", ver, ms)
 
     lowers = [(k, e.value) for k, e in rep.bounds.items() if e.direction == "lower"]
     uppers = [(k, e.value) for k, e in rep.bounds.items() if e.direction == "upper"]

@@ -74,6 +74,21 @@ def test_bounds_minrk_gram_needs_matrix(capsys, tmp_path):
     assert "matrix" in err
 
 
+def test_report_refuses_a_malformed_file_matrix(capsys, tmp_path):
+    # report reads a file's matrix, so a bad one is a validation error
+    path = gen(capsys, tmp_path, "projective-hadamard", "q=3")
+    good = json.loads(path.read_text())
+    for change, message in (
+        ({"matrix_field": 0}, "matrix field 0 is not an integer of at least 2"),
+        ({"matrix_field": "3"}, "matrix field '3' is not an integer of at least 2"),
+        ({"matrix": good["matrix"][:-1] + [["1"] * 9]}, "matrix is not a list of rows of integers"),
+        ({"matrix": good["matrix"][:-1]}, "matrix is not 9 x 9"),
+    ):
+        path.write_text(json.dumps({**good, **change}))
+        code, _, err = run(capsys, "report", str(path), "--level", "none")
+        assert code == 2 and message in err, err
+
+
 def test_gen_oddtown_feeds_the_minrank_commands(capsys, tmp_path):
     # the file carries the GF(2) Gram matrix of the 16 sets, which fits the
     # graph: intersections are odd exactly on edges and on the diagonal
@@ -253,6 +268,21 @@ def test_minrk_cap_reaches_minrk2(capsys, tmp_path):
     assert out["verification"]["passed"] is True
 
 
+def test_a_code_past_the_size_cap_exits_3(capsys, tmp_path, monkeypatch):
+    # a cover of the triangle over q = 2003 would need a 2003 x 6009
+    # encoder, whose decoders would take minutes to solve
+    from icbounds import cli, codes
+
+    q, whole = 2003, frozenset({0, 1, 2})
+    big = combinatorial.FractionalCover(
+        "strong", [(whole, Fraction(q - 1, q)), (whole, Fraction(1, q))], Fraction(1))
+    monkeypatch.setattr(cli, "fractional_cover", lambda inst, kind: big)
+    monkeypatch.setattr(codes, "_decoders", lambda *a: pytest.fail("the code was built"))
+    path = gen(capsys, tmp_path, "cycle", "n=3")
+    code, _, err = run(capsys, "code", str(path), "--scheme", "strongcover")
+    assert (code, err) == (3, f"error: cap code-size: needed {q * 3 * q}, limit 10000000\n")
+
+
 def test_report_all_minrk_cap(capsys, tmp_path):
     path = gen(capsys, tmp_path, "petersen")
     code, _, err = run(capsys, "report", str(path), "--all")
@@ -324,6 +354,23 @@ def test_report_levels(capsys, tmp_path):
     assert out["bounds"]["b2"]["value"] == "2"
     assert out["bounds"]["b3"]["value"] == "3"
     assert "b3 = 3 exceeds a valid rate" in out["verdicts"]
+    # the two-symbol code is below chibarf, so chibarf's code is not built
+    assert "scheme" not in out["bounds"]
+    assert "scheme left out: two-symbol = 2 is below chibarf = 3" in out["verdicts"]
+
+
+def test_report_proves_beta_of_projective_hadamard_q5_by_its_gram_matrix(capsys, tmp_path):
+    # the file's F_5 Gram matrix gives a rate-3 code that meets alpha; no
+    # level LP (b2 would need 2^25 variables) and no strong-cover code
+    path = gen(capsys, tmp_path, "projective-hadamard", "q=5")
+    out = run_json(capsys, "report", str(path), "--level", "none")
+    gram = out["bounds"]["gram"]
+    assert (gram["value"], gram["direction"]) == ("3", "upper")
+    assert gram["witness"] == "F_5 Gram-rank code, exhaustive check verified"
+    assert out["bounds"]["chibarf"]["value"] == "25/7"
+    assert "scheme" not in out["bounds"] and "b2" not in out["bounds"]
+    assert out["verdicts"] == ["scheme left out: gram = 3 is below chibarf = 25/7",
+                               "beta = 3 exact (alpha meets gram)"]
 
 
 def test_report_table_format(capsys, tmp_path):
@@ -386,15 +433,21 @@ def test_paper_suite_full(capsys):
     # beta(Groetzsch) = 11/2 and beta(Chvatal) = 6 are the report's exact verdicts
     out = run_json(capsys, "paper-suite", "full")
     assert [c["claim"] for c in out["claims"]] == QUICK_CLAIMS + [
-        "petersen full tier", "groetzsch full tier", "chvatal full tier", "projective-hadamard q=5"]
+        "petersen full tier", "groetzsch full tier", "chvatal full tier",
+        "projective-hadamard q=5", "projective-hadamard q=7"]
     assert all(c["pass"] for c in out["claims"]), out["claims"]
     details = {c["claim"]: c["detail"] for c in out["claims"]}
     for claim, beta in (("groetzsch full tier", "11/2"), ("chvatal full tier", "6")):
         assert f"scheme={beta} (strong-cover code, exhaustive check verified)" in details[claim]
         assert f"[beta = {beta} exact (b2 meets chibarf)]" in details[claim]
-    # beta = 3 < chibarf = 25/7, the rate-3 code proved on every vector
-    assert details["projective-hadamard q=5"] == (
-        "n=25 alpha=3 gram rank=3 code on 5^25 vectors verified chibarf=25/7")
+    # beta = 3 < chibarf: alpha meets the Gram-rank code, proved on every
+    # vector, and chibarf's strong-cover code is not built
+    for q, chibarf in ((5, "25/7"), (7, "49/13")):
+        detail = details[f"projective-hadamard q={q}"]
+        assert f"chibarf={chibarf} gram=3 (F_{q} Gram-rank code, exhaustive check verified)" in detail
+        assert detail.endswith(f"[scheme left out: gram = 3 is below chibarf = {chibarf}; "
+                               "beta = 3 exact (alpha meets gram)]")
+        assert "strong-cover" not in detail
 
 
 @pytest.mark.parametrize("family, key, value, claim", [
@@ -435,7 +488,7 @@ def test_a_sampled_code_does_not_pin_beta(monkeypatch):
 
     real = codes.verify_code
     monkeypatch.setattr(codes, "verify_code",
-                        lambda inst, scheme, mode="auto", **k: real(inst, scheme, mode="random", **k))
+                        lambda inst, scheme, mode="exhaustive", **k: real(inst, scheme, mode="random", **k))
     ok, detail = cli.QUICK_SUITE[0][1]()
     assert not ok and "random check verified" in detail, detail
 
@@ -449,7 +502,7 @@ def test_a_sampled_code_is_not_an_upper_bound(monkeypatch):
 
     real = codes.verify_code
     monkeypatch.setattr(codes, "verify_code",
-                        lambda inst, scheme, mode="auto", **k: real(inst, scheme, mode="random", **k))
+                        lambda inst, scheme, mode="exhaustive", **k: real(inst, scheme, mode="random", **k))
     rep = build_report(family("cycle", n=5).instance, "C5")
     scheme = rep.bounds["scheme"]
     assert scheme.check.mode == "random" and scheme.check.passed

@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from codes_reference import ENUMERATION_CAP, reference_failures, verify_code_reference
 
+from icbounds import codes
 from icbounds.codes import (
+    CODE_SIZE_CAP,
     MAX_FAILURES,
     CodeScheme,
     DecoderSpec,
@@ -23,6 +26,7 @@ from icbounds.combinatorial import (
     fractional_cover,
     integer_clique_cover,
     minrk2,
+    verify_cover,
 )
 from icbounds.beta2 import decide_beta_eq_2
 from icbounds.families import complement, cycle, petersen, random_gnp, tri3
@@ -162,6 +166,37 @@ def test_misshaped_decoders_are_refused():
     assert rep.failures == [((1, 0), 1), ((1, 1), 1)]
 
 
+def test_each_cover_copy_shrinks_on_its_own():
+    # q = 1, so message 0 (in all three copies) and messages 1 and 2 (in
+    # two) each lose copies; a copy shared between the two {0, 1, 2} sets
+    # would be emptied at once and leave message 0 undecodable
+    inst = from_graph(cycle(3))
+    cover = FractionalCover("strong", [(frozenset({0, 1, 2}), F(2)), (frozenset({0}), F(1))], F(3))
+    assert not verify_cover(inst, cover)
+    scheme = strong_cover_code(inst, cover)
+    assert scheme.rate == 3 and verify_code(inst, scheme).passed
+
+
+@pytest.mark.parametrize("build, kind", [(strong_cover_code, "strong"), (mds_weak_cover_code, "weak")])
+def test_a_large_denominator_cover_is_refused_before_any_copy(monkeypatch, build, kind):
+    # weights over q = 2003 on the triangle: one row per copy, 2003 x 6009
+    # entries, past CODE_SIZE_CAP; no copy or encoder row may be made, and
+    # no decoder solved (which at this size would run for minutes)
+    inst = from_graph(cycle(3))
+    q = 2003
+    whole = frozenset({0, 1, 2})
+    cover = FractionalCover(kind, [(whole, F(q - 1, q)), (whole, F(1, q))], F(1))
+    monkeypatch.setattr(codes, "_decoders", lambda *a: pytest.fail("the code was built"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"code-size: needed {q * 3 * q}, limit {CODE_SIZE_CAP}"):
+            build(inst, cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q * 3 * q > CODE_SIZE_CAP and peak < 1 << 16
+
+
 def test_verifier_requires_every_receiver():
     inst = tri3()
     good = decide_beta_eq_2(inst).scheme
@@ -172,14 +207,14 @@ def test_verifier_requires_every_receiver():
         verify_code(inst, partial)
 
 
-def test_auto_proves_mds_c5_past_the_old_cap():
+def test_exhaustive_proves_mds_c5_past_the_old_cap():
     inst = from_graph(cycle(5))
     scheme = mds_weak_cover_code(inst, fractional_cover(inst, "weak"))
     # 7^10 message vectors, past the 2^24 that were once enumerated
     total = scheme.field ** (inst.n * scheme.msg_symbols)
     assert total > 1 << 24
-    for mode in ("auto", "exhaustive"):
-        rep = verify_code(inst, scheme, mode=mode, trials=5_000, seed=3)
+    for kw in ({}, {"mode": "exhaustive"}):  # exhaustive is the default
+        rep = verify_code(inst, scheme, trials=5_000, seed=3, **kw)
         assert (rep.mode, rep.trials, rep.seed, rep.passed) == ("exhaustive", total, None, True)
     bad = _flipped(inst, scheme, random.Random(3))
     rep = verify_code(inst, bad)
@@ -271,10 +306,10 @@ def test_verify_matches_int64_reference():
         fields.add(scheme.field)
         cols = inst.n * scheme.msg_symbols
         for s in (scheme, _flipped(inst, scheme, rng), _flipped(inst, scheme, rng)):
-            for kw in ({"mode": "auto", "trials": 1_000, "seed": rng.randrange(99)},
+            for kw in ({"trials": 1_000, "seed": rng.randrange(99)},
                        {"mode": "exhaustive"},
                        {"mode": "random", "trials": 777, "seed": rng.randrange(99)}):
-                if kw["mode"] == "random" or s.field**cols <= ENUMERATION_CAP:
+                if kw.get("mode") == "random" or s.field**cols <= ENUMERATION_CAP:
                     want, ref = _outcome(verify_code_reference, inst, s, **kw)
                 else:  # past the reference's enumeration: every unit vector and a draw
                     draw = np.random.default_rng(kw.get("seed", 0)).integers(0, s.field, (1_000, cols))

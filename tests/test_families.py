@@ -167,5 +167,6 @@ def test_expected_keys_are_report_bound_names(name, params):
     # paper-suite compares each expected value with the report's bound of
     # that name, and an expected beta with where the report's bounds meet
     f = family(name, **params)
-    rep = build_report(f.instance, name, f.levels, sym=f.symmetry, with_decide2=True)
+    rep = build_report(f.instance, name, f.levels, sym=f.symmetry, with_decide2=True,
+                       matrix=f.matrix, matrix_field=f.matrix_field)
     assert set(f.expected) <= {"beta", *rep.bounds}

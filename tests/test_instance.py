@@ -81,7 +81,7 @@ def test_instance_roundtrip(tmp_path):
 
 
 def test_rate_normalization(tmp_path):
-    # on-file rates get scaled so the max is 1; the scale is kept
+    # on-file rates get scaled so the max is 1
     p = tmp_path / "w.json"
     p.write_text(json.dumps({
         "type": "instance", "n": 2,
@@ -90,7 +90,6 @@ def test_rate_normalization(tmp_path):
     }))
     inst = read_instance(p)
     assert inst.rate(0) == 1 and inst.rate(1) == Fraction(1, 2)
-    assert inst.rate_scale == 3
 
 
 def test_parse_errors(tmp_path):
