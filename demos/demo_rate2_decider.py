@@ -6,7 +6,7 @@ sum), or an almost alternating cycle is found, which forces the rate to at
 least 2 + 1/n.  Both answers come with checkable evidence.
 """
 
-from icbounds import decide_beta_eq_2, from_graph, verify_code
+from icbounds import decide_beta_eq_2, from_graph, two_symbol_code, verify_code
 from icbounds.beta2 import validate_aac
 from icbounds.families import aac_instance, complement, cycle
 from icbounds.instance import Graph
@@ -15,9 +15,10 @@ from icbounds.instance import Graph
 def show(inst, label):
     cert = decide_beta_eq_2(inst)
     if cert.is_two:
-        ver = verify_code(inst, cert.scheme)
+        scheme = two_symbol_code(inst, cert.labeling, cert.num_classes)
+        ver = verify_code(inst, scheme)
         print(f"{label}: rate 2 achievable; {cert.num_classes}-class labeling "
-              f"{cert.labeling}; scheme over F_{cert.scheme.field} "
+              f"{cert.labeling}; scheme over F_{scheme.field} "
               f"{'verified' if ver.passed else 'FAILED'}")
     else:
         bad = validate_aac(inst, cert.aac) if cert.aac else ["no witness"]

@@ -10,17 +10,17 @@ The pieces:
   covers, the GF(2) minimum rank of any instance (`combinatorial`);
 * the polynomial-time approximation pipeline (`approx`);
 * the rate-equals-2 decision procedure with certificates both ways (`beta2`);
-* code constructions and a decodability simulator (`codes`);
+* code constructions and a decodability check (`codes`);
 * named families with expected values (`families`) and report plumbing
   (`report`, `cli`).
 """
 
 from .approx import (
-    ApproxOutcome,
     TauCertificate,
     alpha_greedy,
     approximate_beta,
-    find_expanding_or_cover,
+    build_cover,
+    decide_expanding_or_cover,
     low_degree_cover,
     tau,
 )
@@ -77,14 +77,14 @@ from .report import BoundReport, build_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "AacWitness", "ApproxOutcome", "Beta2Certificate", "BoundReport",
+    "AacWitness", "Beta2Certificate", "BoundReport",
     "CodeScheme", "ExpandingSequence", "FAMILY_NAMES", "FamilyOutput",
     "FractionalCover", "Graph", "HierarchyBound", "Instance", "LpOptimum",
     "LpProblem", "MinrkResult", "Receiver", "TauCertificate",
     "VerificationReport", "alpha_exact", "alpha_greedy", "approximate_beta",
-    "build_hierarchy_lp", "build_report", "compose_coverage",
-    "decide_beta_eq_2", "decompose_coverage", "disjoint_union",
-    "enumerate_maximal_hypercliques", "family", "find_expanding_or_cover",
+    "build_cover", "build_hierarchy_lp", "build_report", "compose_coverage",
+    "decide_beta_eq_2", "decide_expanding_or_cover", "decompose_coverage",
+    "disjoint_union", "enumerate_maximal_hypercliques", "family",
     "fractional_cover", "from_graph", "integer_clique_cover",
     "is_expanding_sequence", "is_strong_hyperclique", "is_weak_hyperclique",
     "low_degree_cover", "mds_weak_cover_code", "minrk2", "minrk_code",

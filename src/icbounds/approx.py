@@ -9,13 +9,13 @@ cover of weight 2|V_s|.  All arithmetic is rational; irrational thresholds
 n^{1-1/k} enter only through certified rational enclosures.
 
 The recursion is split in two.  decide_expanding_or_cover finds either the
-expanding sequence or the cover's parts (hypercliques and dense leaves);
-build_cover turns the parts into the merged cover, sampled by
-low_degree_cover at each leaf and verified exactly.  find_expanding_or_cover
-is the two in turn.  tau's search for k(s) runs only the decision, and a
-class's cover is built only where it sets tau's value: with k >= 2 that
-needs n >= 144, since 12 k n^{1-1/k} > 2n >= 2|V_s| for n < 144 (at
-n = 144, k = 2 and V_s = V the two terms tie and the cover is taken).
+expanding sequence or the cover's parts (hypercliques and dense leaves),
+recursing on message sets held as masks; build_cover turns the parts into
+the merged cover, sampled by low_degree_cover at each leaf and verified
+exactly.  tau's search for k(s) runs only the decision, and a class's cover
+is built only where it sets tau's value: with k >= 2 that needs n >= 144,
+since 12 k n^{1-1/k} > 2n >= 2|V_s| for n < 144 (at n = 144, k = 2 and
+V_s = V the two terms tie and the cover is taken).
 
 A leaf's cover is sampled: its weights are MC_INFLATION times the sampled
 frequencies, so a built cover weighs at most MC_INFLATION times the
@@ -32,13 +32,13 @@ from fractions import Fraction
 from .combinatorial import (
     ExpandingSequence,
     FractionalCover,
+    expanding_pair,
     fractional_cover,
     is_expanding_sequence,
-    is_weak_hyperclique,
     sequence_weight,
     verify_cover,
 )
-from .instance import Instance, Receiver
+from .instance import Instance, Receiver, from_mask
 from .numeric import log2_enclosure, pow_frac_ceil, pow_frac_enclosure
 
 F0 = Fraction(0)
@@ -153,22 +153,12 @@ def low_degree_cover(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
 @dataclass
 class CoverParts:
     """The cover side of the expanding-or-cover recursion before anything is
-    built: the hypercliques it takes at weight 1 and its dense leaves, each
-    leaf a (sub-instance, edge map, d) awaiting low_degree_cover(sub, d).
-    Hypercliques and edge maps use the input instance's receiver indices."""
+    built: the hypercliques it takes at weight 1, as receiver-index sets,
+    and its dense leaves, each a message set V (a mask) with its d, awaiting
+    low_degree_cover on V's induced sub-instance."""
 
     cliques: list[frozenset[int]] = field(default_factory=list)
-    leaves: list[tuple[Instance, list[int], int]] = field(default_factory=list)
-
-
-@dataclass
-class ApproxOutcome:
-    kind: str  # "sequence" | "cover"
-    sequence: ExpandingSequence | None = None
-    cover: FractionalCover | None = None
-    # the recursion's certified bound 6k * ub(n^{1-1/k}); sampled leaves let
-    # the built cover weigh up to MC_INFLATION times it
-    bound: Fraction | None = None
+    leaves: list[tuple[int, int]] = field(default_factory=list)
 
 
 def _members(sub: Instance, emap: list[int]) -> dict[int, list[int]]:
@@ -184,54 +174,50 @@ def _members(sub: Instance, emap: list[int]) -> dict[int, list[int]]:
 def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | CoverParts:
     """The expanding-or-cover recursion's decision: a verified expanding
     sequence of size k+1, or the parts of a cover of nominal weight (1 per
-    hyperclique, 4d+2 per leaf) at most 6k * n^{1-1/k}.  Builds no
-    low-degree cover, only checks each dense leaf's precondition; the
-    recursion never reads a built cover, so the answer is the same as
-    find_expanding_or_cover's."""
+    hyperclique, 4d+2 per leaf) at most 6k * n^{1-1/k}.
+
+    Each step holds a message set V as a mask and its receivers, those
+    wanting into V, in increasing order; within V a receiver knows
+    S(j) & V, so V's induced sub-instance is never built.  The decision
+    builds no low-degree cover either, only checks each dense leaf's
+    precondition, |V - S(j)| <= d for every receiver of V."""
     if k < 1:
         raise ValueError("need k >= 1")
     nn = inst.n
+    wants = [r.wants for r in inst.receivers]
+    side = inst.side_masks
     parts = CoverParts()
 
-    def go(sub: Instance, emap: list[int], kk: int) -> list[int] | None:
-        # An expanding sequence in original edge ids, or None once sub's
-        # cover parts are in `parts`.
-        if sub.m == 0 or sub.n == 0:
-            return None
-        reps = sub.distinct_receivers()
+    def go(vmask: int, recs: list[int], kk: int) -> list[int] | None:
+        # An expanding sequence, or None once V's cover parts are in `parts`.
         if kk == 1:
-            if is_weak_hyperclique(sub, reps):
-                parts.cliques.append(frozenset(emap))  # every receiver of sub
+            pair = expanding_pair(inst, recs)
+            if pair is None:
+                if recs:
+                    parts.cliques.append(frozenset(recs))
                 return None
-            for jp in reps:
-                sp = sub.receivers[jp].side_set()
-                for j in reps:
-                    if j != jp and sub.receivers[j].wants not in sp:
-                        return [emap[jp], emap[j]]
-            raise AssertionError("neither hyperclique nor expanding pair")
-        cur, cur_emap = sub, emap
-        while True:
-            if cur.m == 0 or cur.n == 0:
-                return None
-            dsz = [cur.n - len(r.knows) for r in cur.receivers]  # |{f} | (V \ S)|
-            j1 = max(range(cur.m), key=lambda j: (dsz[j], -j))
-            # dense enough: (|D(j1)| - 1)^k <= n^{k-1}, exactly
-            if (dsz[j1] - 1) ** kk <= nn ** (kk - 1):
+            return list(pair)
+        while recs:
+            blind = [(vmask & ~side[j]).bit_count() for j in recs]  # |V - S(j)|
+            i1 = max(range(len(recs)), key=lambda i: (blind[i], -i))
+            j1 = recs[i1]
+            # dense enough: |V - S(j1)|^k <= n^{k-1}, exactly
+            if blind[i1] ** kk <= nn ** (kk - 1):
                 d = pow_frac_ceil(nn, kk)
-                _check_low_degree(cur, d)
-                parts.leaves.append((cur, cur_emap, d))
+                if blind[i1] > d:
+                    raise ValueError(f"receiver {j1} has |S| + d = "
+                                     f"{vmask.bit_count() - blind[i1] + d} < n")
+                parts.leaves.append((vmask, d))
                 return None
-            r1 = cur.receivers[j1]
-            v1 = set(range(cur.n)) - r1.knows - {r1.wants}
-            v2 = r1.side_set()
-            sub1, _, em1 = induced_subhypergraph(cur, v1)
-            seq = go(sub1, [cur_emap[e] for e in em1], kk - 1)
+            v1 = vmask & ~side[j1]
+            seq = go(v1, [j for j in recs if v1 >> wants[j] & 1], kk - 1)
             if seq is not None:
-                return [cur_emap[j1]] + seq
-            cur, _, em2 = induced_subhypergraph(cur, v2)
-            cur_emap = [cur_emap[e] for e in em2]
+                return [j1] + seq
+            vmask &= side[j1]
+            recs = [j for j in recs if vmask >> wants[j] & 1]
+        return None
 
-    seq = go(inst, list(range(inst.m)), k)
+    seq = go((1 << nn) - 1, list(range(inst.m)), k)
     if seq is None:
         return parts
     if len(seq) != k + 1 or not is_expanding_sequence(inst, seq):
@@ -239,17 +225,18 @@ def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | Cov
     return ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
 
 
-def build_cover(inst: Instance, k: int, parts: CoverParts, seed: int = 0) -> ApproxOutcome:
+def build_cover(inst: Instance, k: int, parts: CoverParts, seed: int = 0) -> FractionalCover:
     """The cover from decide_expanding_or_cover(inst, k)'s parts: each
-    dense leaf's low_degree_cover lifted to inst's receivers, merged with
-    the hypercliques, verified exactly at unit rate and held to
-    MC_INFLATION * 6k * n^{1-1/k}.  Sampling raises only the leaf weights,
-    each to at most MC_INFLATION * (4d+2), so the parts' nominal weight
-    bound carries over inflated."""
+    dense leaf's low_degree_cover on its induced sub-instance, lifted to
+    inst's receivers, merged with the hypercliques, verified exactly at
+    unit rate and held to MC_INFLATION * 6k * n^{1-1/k}.  Sampling raises
+    only the leaf weights, each to at most MC_INFLATION * (4d+2), so the
+    parts' nominal weight bound carries over inflated."""
     merged: dict[frozenset[int], Fraction] = {}
     for item in parts.cliques:
         merged[item] = merged.get(item, F0) + F1
-    for sub, emap, d in parts.leaves:
+    for vmask, d in parts.leaves:
+        sub, _, emap = induced_subhypergraph(inst, from_mask(vmask))
         members = _members(sub, emap)
         for cl, w in low_degree_cover(sub, d, seed=seed).items:
             item = frozenset(e for rep in cl for e in members[rep])
@@ -266,19 +253,7 @@ def build_cover(inst: Instance, k: int, parts: CoverParts, seed: int = 0) -> App
         raise AssertionError(f"recursion cover failed verification: {bad}")
     if cover.total > MC_INFLATION * bound:
         raise AssertionError(f"cover weight {cover.total} exceeds {MC_INFLATION} * {bound}")
-    return ApproxOutcome("cover", cover=cover, bound=bound)
-
-
-def find_expanding_or_cover(inst: Instance, k: int, seed: int = 0) -> ApproxOutcome:
-    """Either an expanding sequence of size k+1 or a weak fractional cover of
-    weight at most MC_INFLATION * 6k * n^{1-1/k} (against the certified
-    upper enclosure of the irrational threshold).  Rates are ignored;
-    coverage is per receiver at weight 1.  Decides with
-    decide_expanding_or_cover, then builds the cover with build_cover."""
-    out = decide_expanding_or_cover(inst, k)
-    if isinstance(out, ExpandingSequence):
-        return ApproxOutcome("sequence", sequence=out)
-    return build_cover(inst, k, out, seed=seed)
+    return cover
 
 
 # -- weighted tau pipeline --------------------------------------------------
@@ -364,7 +339,7 @@ def tau(inst: Instance, seed: int = 0) -> TauCertificate:
             choice = "cover" if cover_term <= trivial else "trivial"
             best = min(cover_term, trivial)
         if choice == "cover":
-            built = build_cover(sub, kk, parts, seed=seed).cover
+            built = build_cover(sub, kk, parts, seed=seed)
             if parts.leaves:
                 mode = "monte-carlo"
             cover = FractionalCover(

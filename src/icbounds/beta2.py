@@ -4,9 +4,11 @@ Vertices v, w are related (v # w) when some receiver is blind on both, i.e.
 {v, w} <= T(j) = V \\ (N(j) | {f(j)}).  Classes of the transitive closure
 give a candidate labeling; the instance admits a rate-2 scheme iff for every
 receiver the class of its blind set differs from the class of its wanted
-message.  On success the labeling yields the two-symbol sum / weighted-sum
-code; on failure a shortest path in the #-graph from f(j) into T(j) unrolls
-into an almost-alternating-cycle witness certifying a bound of 2 + 1/n.
+message.  On success the labeling is the certificate: it yields the
+two-symbol sum / weighted-sum code, `codes.two_symbol_code(inst, labeling,
+num_classes)`, which the decision does not build.  On failure a shortest
+path in the #-graph from f(j) into T(j) unrolls into an
+almost-alternating-cycle witness certifying a bound of 2 + 1/n.
 
 Receivers that are blind on nothing impose no relation and are always
 servable; instances whose receivers form one weak hyperclique are fenced off
@@ -19,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import CodeScheme, two_symbol_code
 from .combinatorial import is_weak_hyperclique
 from .instance import Instance
 
@@ -65,7 +66,6 @@ class Beta2Certificate:
     reason: str = ""
     labeling: list[int] | None = None  # vertex -> class id
     num_classes: int = 0
-    scheme: CodeScheme | None = None
     aac: AacWitness | None = None
     bound: Fraction | None = None  # lower bound on beta when is_two is False
 
@@ -158,8 +158,7 @@ def decide_beta_eq_2(inst: Instance) -> Beta2Certificate:
             if bad:
                 raise AssertionError(f"extracted witness failed validation: {bad}")
             return Beta2Certificate(False, reason="aac", aac=w, bound=w.bound)
-    scheme = two_symbol_code(inst, lab, num)
-    return Beta2Certificate(True, labeling=lab, num_classes=num, scheme=scheme)
+    return Beta2Certificate(True, labeling=lab, num_classes=num)
 
 
 def undirected_beta2(g) -> bool:

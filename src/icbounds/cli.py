@@ -38,7 +38,7 @@ from .combinatorial import (
     minrk2,
     representation_rank,
 )
-from .hierarchy import MAX_LP_VARS, componentwise_b2, solve_bk
+from .hierarchy import MAX_LP_VARS, solve_bk
 from .instance import CapExceeded, Instance, ParseError, _graph_from_dict, disjoint_union, from_graph, read_problem
 from .lp import Uncertified
 from .numeric import format_rational
@@ -236,12 +236,13 @@ def cmd_decide2(args) -> dict:
     cert = decide_beta_eq_2(inst)
     out: dict = {"verdict": cert.is_two}
     if cert.is_two:
+        scheme = codes.two_symbol_code(inst, cert.labeling, cert.num_classes)
         out["labeling"] = cert.labeling
         out["classes"] = cert.num_classes
         out["scheme"] = {
-            "field": cert.scheme.field,
-            "broadcast_symbols": cert.scheme.broadcast_symbols,
-            "rate": _rat(cert.scheme.rate),
+            "field": scheme.field,
+            "broadcast_symbols": scheme.broadcast_symbols,
+            "rate": _rat(scheme.rate),
         }
     elif cert.aac is not None:
         out["aac_witness"] = {
@@ -298,7 +299,7 @@ def cmd_code(args) -> dict:
         if not cert.is_two:
             raise ParseError("two-symbol scheme needs a rate-2 instance "
                              f"(decider says no: {cert.reason or 'obstruction found'})")
-        scheme = cert.scheme
+        scheme = codes.two_symbol_code(inst, cert.labeling, cert.num_classes)
     else:
         raise ParseError(f"unknown scheme {name!r}")
 
@@ -386,7 +387,8 @@ def _suite_decide2():
         cert = decide_beta_eq_2(inst)
         if not cert.is_two:
             return False, f"decider false on complement-bipartite graph {g.edge_list()}"
-        if not codes.verify_code(inst, cert.scheme).passed:
+        scheme = codes.two_symbol_code(inst, cert.labeling, cert.num_classes)
+        if not codes.verify_code(inst, scheme).passed:
             return False, "two-symbol scheme failed verification"
         done += 1
     ok, detail = _family_claim(*(("aac", {"n": k}) for k in (1, 2, 3)))
@@ -394,13 +396,17 @@ def _suite_decide2():
 
 
 def _suite_union():
+    """b2 of 2*C5 on the union's own LP, under the shift of each block, is
+    twice b2(C5) = 5/2; alpha(k*C5) = 2k for k = 2, 3."""
     c5 = from_graph(families.cycle(5))
+    b2 = solve_bk(disjoint_union(c5, c5), 2, sym=[families.block_shift_perm(10, 5)]).value
+    if b2 != 5:
+        return False, f"2C5: b2={b2}"
     for k in (2, 3):
-        v = componentwise_b2([c5] * k, [[families.shift_perm(5)]] * k)
         a = alpha_exact(reduce(disjoint_union, [c5] * k))[0]
-        if v != Fraction(5 * k, 2) or a != 2 * k:
-            return False, f"{k}C5: b2={v} alpha={a}"
-    return True, "k*C5 additivity holds for k=2,3"
+        if a != 2 * k:
+            return False, f"{k}C5: alpha={a}"
+    return True, "b2(2C5) = 5 on its own LP; alpha(kC5) = 2k for k=2,3"
 
 
 QUICK_SUITE = [

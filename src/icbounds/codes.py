@@ -107,8 +107,10 @@ def _residual_map(inst: Instance, scheme: CodeScheme) -> np.ndarray:
     """M = (C_b E + C_s) mod p, one row per decoder symbol: row k*d + t maps a
     message vector to what decoder k's symbol t decodes minus the symbol it
     wants.  C_b is the decoders' bcast_coef rows, E the encoder and C_s the
-    side_coef rows less 1 at the wanted column.  Exact in int64: verify_code
-    admits only rows * (p-1)^2 < 2^53 for p > 2."""
+    side_coef rows less 1 at the wanted column.  C_b E is a float64 product
+    (numpy runs it on BLAS, an int64 one without), exact since every partial
+    sum is an integer of at most rows * (p-1)^2 < 2^53: verify_code admits
+    no larger odd p."""
     p, d = scheme.field, scheme.msg_symbols
     rows, cols, checks = scheme.broadcast_symbols, inst.n * d, len(scheme.decoders) * d
     enc = np.array([v % p for row in scheme.encoder for v in row], np.int64).reshape(rows, cols)
@@ -118,7 +120,7 @@ def _residual_map(inst: Instance, scheme: CodeScheme) -> np.ndarray:
                   np.int64).reshape(checks, cols)
     wanted = [inst.receivers[dec.receiver].wants * d + t for dec in scheme.decoders for t in range(d)]
     sc[np.arange(checks), wanted] -= 1
-    return (bc @ enc + sc) % p
+    return ((bc.astype(float) @ enc.astype(float)).astype(np.int64) + sc) % p
 
 
 def verify_code(
@@ -140,8 +142,8 @@ def verify_code(
     vectors walked (see _exhaustive_failures).  Random mode applies M in
     float64, exact while (rows + n*d)(p-1)^2 < 2^53.  A larger odd field is
     refused with CapExceeded("verify-field") in either mode, which also
-    keeps M's int64 arithmetic exact.  Misshaped encoder or decoder rows
-    raise ValueError."""
+    keeps the float64 product forming M exact.  Misshaped encoder or
+    decoder rows raise ValueError."""
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
@@ -324,13 +326,15 @@ def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
     n = inst.n
     # Broadcast row per copy i with evaluation point a_i = i+1: the wanted
     # messages of the member receivers, each hit with (1, a, ..., a^{d-1}).
-    encoder = [[0] * (n * d) for _ in range(dw)]
+    # Powers stay below p^2, and p < 2 * CODE_SIZE_CAP, so int64 is exact.
+    powers = np.ones((dw, d), np.int64)
+    a = np.arange(1, dw + 1, dtype=np.int64) % p
+    for t in range(1, d):
+        powers[:, t] = powers[:, t - 1] * a % p
+    enc = np.zeros((dw, n, d), np.int64)
     for i, s in enumerate(copies):
-        a = i + 1
-        msgs = {inst.receivers[j].wants for j in s}
-        for x in msgs:
-            for t in range(d):
-                encoder[i][x * d + t] = (encoder[i][x * d + t] + pow(a, t, p)) % p
+        enc[i, [inst.receivers[j].wants for j in s]] = powers[i]
+    encoder = enc.reshape(dw, n * d).tolist()
     return CodeScheme(p, d, encoder, _decoders(inst, p, d, encoder),
                       Fraction(dw, d), "mds-weak-cover")
 

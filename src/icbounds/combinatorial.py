@@ -136,16 +136,24 @@ def alpha_exact(inst: Instance) -> tuple[Fraction, ExpandingSequence]:
 # -- hypercliques -----------------------------------------------------------
 
 
-def is_weak_hyperclique(inst: Instance, receiver_set) -> bool:
+def expanding_pair(inst: Instance, receiver_set) -> tuple[int, int] | None:
+    """The first pair (a, b) of the receivers, in increasing order, with
+    f(b) outside S(a), which makes (a, b) an expanding sequence; None when
+    there is none, i.e. the receivers form a weak hyperclique.  One pass:
+    a is the first receiver whose S-set misses a wanted message."""
     rs = sorted(receiver_set)
+    wanted = 0
+    for b in rs:
+        wanted |= 1 << inst.receivers[b].wants
     for a in rs:
-        sa = inst.receivers[a].side_set()
-        for b in rs:
-            if a == b:
-                continue
-            if inst.receivers[b].wants not in sa:
-                return False
-    return True
+        side = inst.side_masks[a]
+        if wanted & ~side:
+            return a, next(b for b in rs if not side >> inst.receivers[b].wants & 1)
+    return None
+
+
+def is_weak_hyperclique(inst: Instance, receiver_set) -> bool:
+    return expanding_pair(inst, receiver_set) is None
 
 
 def is_strong_hyperclique(inst: Instance, message_set) -> bool:

@@ -348,11 +348,3 @@ def compose_coverage(w: dict[int, Fraction], n: int) -> dict[int, Fraction]:
                 sub[m] += sub[m ^ bit]
     total = sub[size - 1]
     return {s: s.bit_count() + total - sub[s] for s in range(size)}
-
-
-def componentwise_b2(insts: list[Instance], syms=None) -> Fraction:
-    """b_2 of a disjoint union via per-component additivity of the LP
-    certificate."""
-    if syms is None:
-        syms = [None] * len(insts)
-    return sum((solve_bk(i, 2, s).value for i, s in zip(insts, syms)), F0)

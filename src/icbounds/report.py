@@ -136,9 +136,10 @@ def build_report(
 
     if with_decide2:
         cert, ms = _timed(lambda: decide_beta_eq_2(inst))
-        if cert.is_two and cert.scheme is not None:
-            ver = codes.verify_code(inst, cert.scheme)
-            rep.bounds["two-symbol"] = _code_entry(Fraction(2), "two-symbol scheme", ver, ms)
+        if cert.is_two:
+            scheme = codes.two_symbol_code(inst, cert.labeling, cert.num_classes)
+            ver = codes.verify_code(inst, scheme)
+            rep.bounds["two-symbol"] = _code_entry(scheme.rate, "two-symbol scheme", ver, ms)
         elif cert.bound is not None:
             rep.bounds["rate2-obstruction"] = BoundEntry(
                 cert.bound, "lower", "alternating-cycle witness", ms

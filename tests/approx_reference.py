@@ -5,12 +5,13 @@ the prefix-set distribution, the construction whose weight 4d+2 the
 recursion's bound is proved for; `icbounds.approx.low_degree_cover` samples
 it.  exact_leaves() patches it into `icbounds.approx` for a block.
 
-find_expanding_or_cover_reference is the expanding-or-cover recursion in one
-pass, as it was before the decision and the build were split, and
-tau_reference is tau's k search on top of it.  They build every leaf's cover
-as they go, by `icbounds.approx.low_degree_cover` looked up at call time (so
-exact_leaves() reaches them too), and are slow; `icbounds.approx` must give
-the same outcomes and certificates."""
+expanding_or_cover_reference is the expanding-or-cover recursion in one
+pass, on induced sub-instances, as it was before the decision and the build
+were split, and tau_reference is tau's k search on top of it.  They build
+every leaf's cover as they go, by `icbounds.approx.low_degree_cover` looked
+up at call time (so exact_leaves() reaches them too), and are slow;
+`icbounds.approx`'s decision followed by its build must give the same
+sequences, covers and certificates."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -21,7 +22,6 @@ import pytest
 from icbounds import approx
 from icbounds.approx import (
     MC_INFLATION,
-    ApproxOutcome,
     TauCertificate,
     TauClass,
     _check_low_degree,
@@ -97,7 +97,8 @@ def _rep_key(inst, j):
 
 
 def _recursion(inst, k, seed):
-    """(outcome, number of dense leaves covered)."""
+    """(the expanding sequence or the verified cover, number of dense
+    leaves covered)."""
     if k < 1:
         raise ValueError("need k >= 1")
     n0 = inst.n
@@ -154,8 +155,7 @@ def _recursion(inst, k, seed):
     if res == "seq":
         if len(payload) != k + 1 or not is_expanding_sequence(inst, payload):
             raise AssertionError("recursion produced a bad sequence")
-        seq = ExpandingSequence(tuple(payload), sequence_weight(inst, payload))
-        return ApproxOutcome("sequence", sequence=seq), 0
+        return ExpandingSequence(tuple(payload), sequence_weight(inst, payload)), 0
     merged = {}
     for item, w in payload:
         merged[item] = merged.get(item, F0) + w
@@ -166,10 +166,10 @@ def _recursion(inst, k, seed):
         raise AssertionError("recursion cover failed verification")
     if cover.total > MC_INFLATION * bound:
         raise AssertionError("cover weight exceeds the inflated bound")
-    return ApproxOutcome("cover", cover=cover, bound=bound), leaves
+    return cover, leaves
 
 
-def find_expanding_or_cover_reference(inst, k, seed=0) -> ApproxOutcome:
+def expanding_or_cover_reference(inst, k, seed=0) -> ExpandingSequence | FractionalCover:
     return _recursion(inst, k, seed)[0]
 
 
@@ -198,7 +198,7 @@ def tau_reference(inst, seed=0) -> TauCertificate:
         kk = None
         for k in range(1, k_cap + 1):
             found, leaves = _recursion(sub, k, seed)
-            if found.kind == "cover":
+            if isinstance(found, FractionalCover):
                 kk = k
                 break
         trivial = Fraction(2 * len(vs))

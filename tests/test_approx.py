@@ -6,23 +6,25 @@ import pytest
 
 from approx_reference import (
     exact_leaves,
-    find_expanding_or_cover_reference,
+    expanding_or_cover_reference,
     low_degree_cover_reference,
     tau_reference,
 )
+from icbounds import approx
 from icbounds.approx import (
     MC_INFLATION,
     CoverParts,
     alpha_greedy,
     approximate_beta,
+    build_cover,
     decide_expanding_or_cover,
-    find_expanding_or_cover,
     induced_subhypergraph,
     low_degree_cover,
     ratio_bound,
     tau,
 )
 from icbounds.combinatorial import (
+    ExpandingSequence,
     FractionalCover,
     fractional_cover,
     is_expanding_sequence,
@@ -106,26 +108,24 @@ def test_expanding_or_cover_certificates():
             n = rng.randrange(2, 9)
             inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
             k = rng.randrange(1, 4)
-            out = find_expanding_or_cover(inst, k)
-            if out.kind == "sequence":
-                assert len(out.sequence.receivers) == k + 1
-                assert is_expanding_sequence(inst, out.sequence.receivers)
+            out = decide_expanding_or_cover(inst, k)
+            if isinstance(out, ExpandingSequence):
+                assert len(out.receivers) == k + 1
+                assert is_expanding_sequence(inst, out.receivers)
             else:
-                assert not verify_cover(inst, out.cover)
-                hi = pow_frac_enclosure(n, k)[1]
-                assert out.bound == 6 * k * max(hi, 1)
-                assert out.cover.total <= out.bound
-                parts = decide_expanding_or_cover(inst, k)
-                leaves += len(parts.leaves)
-                nominal = len(parts.cliques) + sum(4 * d + 2 for _, _, d in parts.leaves)
-                assert out.cover.total <= nominal <= out.bound
+                cover = build_cover(inst, k, out)
+                assert not verify_cover(inst, cover)
+                bound = 6 * k * max(pow_frac_enclosure(n, k)[1], 1)
+                leaves += len(out.leaves)
+                nominal = len(out.cliques) + sum(4 * d + 2 for _, d in out.leaves)
+                assert cover.total <= nominal <= bound
     assert leaves
 
 
 def test_expanding_or_cover_on_tri3():
-    out = find_expanding_or_cover(tri3(), 1)
+    out = decide_expanding_or_cover(tri3(), 1)
     # tri3 has an expanding pair
-    assert out.kind == "sequence"
+    assert isinstance(out, ExpandingSequence)
 
 
 def _corpus(rng, count):
@@ -151,47 +151,46 @@ def _corpus(rng, count):
     return out
 
 
-def _same_outcome(got, want):
-    assert got.kind == want.kind
-    if got.kind == "sequence":
-        assert got.sequence == want.sequence
+def _same_outcome(inst, k, decided, want, seed=0):
+    # the decision's sequence, or the cover built from its parts, items
+    # and total, equals the one-pass recursion's
+    if isinstance(want, ExpandingSequence):
+        assert decided == want
     else:
-        assert got.cover == want.cover
-        assert got.bound == want.bound
+        assert isinstance(decided, CoverParts)
+        assert build_cover(inst, k, decided, seed=seed) == want
 
 
-def test_decision_matches_single_pass_recursion():
+def _refuse(*args, **kwargs):
+    raise AssertionError("the decision built an instance")
+
+
+def test_decision_matches_single_pass_recursion(monkeypatch):
     # the split recursion against the one-pass one, at every k up to tau's
-    # cap: the decision's kind and sequence, and the cover built from its
-    # parts, items and total
+    # cap; the decision recurses on masks and builds no sub-instance
     rng = random.Random(57)
     with exact_leaves():
         for inst in _corpus(rng, 120):
             for k in range(1, (inst.n - 1).bit_length() + 3):
-                want = find_expanding_or_cover_reference(inst, k)
-                decided = decide_expanding_or_cover(inst, k)
-                assert isinstance(decided, CoverParts) == (want.kind == "cover")
-                if want.kind == "sequence":
-                    assert decided == want.sequence
-                _same_outcome(find_expanding_or_cover(inst, k), want)
+                want = expanding_or_cover_reference(inst, k)
+                with monkeypatch.context() as mp:
+                    mp.setattr(approx, "induced_subhypergraph", _refuse)
+                    mp.setattr(approx, "Instance", _refuse)
+                    decided = decide_expanding_or_cover(inst, k)
+                _same_outcome(inst, k, decided, want)
 
 
 def test_decision_matches_single_pass_recursion_monte_carlo():
     rng = random.Random(58)
     for inst in _corpus(rng, 4):
         for k in (1, 2):
-            want = find_expanding_or_cover_reference(inst, k, seed=5)
-            assert isinstance(decide_expanding_or_cover(inst, k), CoverParts) == (
-                want.kind == "cover"
-            )
-            _same_outcome(find_expanding_or_cover(inst, k, seed=5), want)
+            want = expanding_or_cover_reference(inst, k, seed=5)
+            _same_outcome(inst, k, decide_expanding_or_cover(inst, k), want, seed=5)
 
 
 def test_decision_checks_the_leaf_precondition(monkeypatch):
     # a dense leaf whose d misses a receiver's blind set is refused by the
     # decision itself, as low_degree_cover would refuse it
-    import icbounds.approx as approx
-
     inst = from_graph(cycle(5))
     monkeypatch.setattr(approx, "pow_frac_ceil", lambda n, k: 0)
     with pytest.raises(ValueError, match=r"\|S\| \+ d"):

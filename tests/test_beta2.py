@@ -6,7 +6,7 @@ import pytest
 from beta2_reference import decide_reference, sharp_relation
 
 from icbounds.beta2 import decide_beta_eq_2, undirected_beta2, validate_aac
-from icbounds.codes import verify_code
+from icbounds.codes import two_symbol_code, verify_code
 from icbounds.families import aac_instance, complement, cycle, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
 from icbounds.instance import Graph, Instance, Receiver, from_graph
@@ -38,9 +38,9 @@ def test_decide_true_on_complement_bipartite():
         inst = from_graph(g)
         cert = decide_beta_eq_2(inst)
         assert cert.is_two
-        assert cert.scheme is not None
-        assert verify_code(inst, cert.scheme).passed
-        assert cert.scheme.rate == 2
+        scheme = two_symbol_code(inst, cert.labeling, cert.num_classes)
+        assert verify_code(inst, scheme).passed
+        assert scheme.rate == 2
 
 
 def test_decide_false_on_c5():
@@ -71,7 +71,7 @@ def test_decide_false_on_tri3_is_not_triggered():
     # tri3 has b2 = 2, so the decider must find a labeling
     cert = decide_beta_eq_2(tri3())
     assert cert.is_two
-    assert verify_code(tri3(), cert.scheme).passed
+    assert verify_code(tri3(), two_symbol_code(tri3(), cert.labeling, cert.num_classes)).passed
 
 
 def test_labeling_properties():

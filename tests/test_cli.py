@@ -511,16 +511,14 @@ def test_a_sampled_code_is_not_an_upper_bound(monkeypatch):
 
 
 def test_a_wrong_rate2_decision_fails_its_claim(monkeypatch):
-    # the decider says yes on C5 with a two-symbol scheme that fails its check
-    from dataclasses import replace
-
-    from icbounds import cli, codes, report
+    # the decider says yes on C5 with a labeling that is not constant on the
+    # blind sets: its two-symbol code is refused when built, and the claim fails
+    from icbounds import cli, report
     from icbounds.beta2 import Beta2Certificate
-    from icbounds.families import family
 
-    inst = family("cycle", n=5).instance
-    good = codes.strong_cover_code(inst, combinatorial.fractional_cover(inst, "strong"))
-    bad = replace(good, encoder=[[0] * len(r) for r in good.encoder], rate=Fraction(2))
-    monkeypatch.setattr(report, "decide_beta_eq_2", lambda inst: Beta2Certificate(True, scheme=bad))
-    ok, detail = cli.QUICK_SUITE[0][1]()
-    assert not ok and "two-symbol=2 (two-symbol scheme, exhaustive check FAILED)" in detail, detail
+    wrong = Beta2Certificate(True, labeling=[0, 1, 2, 3, 4], num_classes=5)
+    monkeypatch.setattr(report, "decide_beta_eq_2", lambda inst: wrong)
+    got = cli._run_suite_item(*cli.QUICK_SUITE[0])
+    assert got["claim"] == "beta(C5) = 5/2 with verified scheme"
+    assert not got["pass"]
+    assert got["detail"] == "error: receiver 0 cannot decode message 0", got

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -32,7 +33,7 @@ from icbounds.beta2 import decide_beta_eq_2
 from icbounds.families import complement, cycle, petersen, random_gnp, tri3
 from icbounds.hierarchy import solve_bk
 from icbounds.instance import CapExceeded, Graph, Instance, Receiver, from_graph
-from icbounds.numeric import next_prime
+from icbounds.numeric import is_prime, next_prime
 
 F = Fraction
 
@@ -199,7 +200,8 @@ def test_a_large_denominator_cover_is_refused_before_any_copy(monkeypatch, build
 
 def test_verifier_requires_every_receiver():
     inst = tri3()
-    good = decide_beta_eq_2(inst).scheme
+    cert = decide_beta_eq_2(inst)
+    good = two_symbol_code(inst, cert.labeling, cert.num_classes)
     partial = CodeScheme(
         good.field, good.msg_symbols, good.encoder, good.decoders[:-1], good.rate
     )
@@ -397,6 +399,29 @@ def test_field_beyond_float_range_is_refused():
     scheme.decoders[2].bcast_coef[0][1] += 1
     rep = verify_code(inst, scheme, trials=2_000, seed=1)
     assert len(rep.failures) == MAX_FAILURES and all(_genuine(inst, scheme, x, j) for x, j in rep.failures)
+
+
+def test_residual_map_is_exact_at_the_largest_admitted_field():
+    # C_b E is a float64 product: at the largest prime verify_code admits for
+    # the shape, M equals the residual map in Python integers, entries at
+    # p - 1 included
+    rng = random.Random(23)
+    n, d, rows = 4, 3, 20
+    inst = Instance(n, tuple(Receiver(v, frozenset({(v + 1) % n})) for v in range(n)))
+    top = math.isqrt(((1 << 53) - 1) // (rows + n * d)) + 1  # largest q with (q - 1)^2 in range
+    p = next(q for q in range(top, 2, -1) if is_prime(q))
+    assert (rows + n * d) * (p - 1) ** 2 < 1 << 53 <= (rows + n * d) * (next_prime(p) - 1) ** 2
+
+    def draw(r, c):
+        return [[p - 1 if i % 3 == 0 else rng.randrange(p) for _ in range(c)] for i in range(r)]
+
+    enc = draw(rows, n * d)
+    decs = [DecoderSpec(j, draw(d, rows), draw(d, n * d)) for j in range(n)]
+    scheme = CodeScheme(p, d, enc, decs, F(rows, d))
+    want = [[(sum(b * enc[r][c] for r, b in enumerate(dec.bcast_coef[t])) + dec.side_coef[t][c]
+              - (c == inst.receivers[dec.receiver].wants * d + t)) % p for c in range(n * d)]
+            for dec in decs for t in range(d)]
+    assert codes._residual_map(inst, scheme).tolist() == want
 
 
 def test_bad_mode_and_trials_are_refused():
