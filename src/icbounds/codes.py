@@ -10,9 +10,12 @@ its decoder's rows of M x is nonzero.  The code therefore decodes all
 p^(n*d) message vectors iff M is zero: exhaustive mode proves that by
 looking at M, and when M is not zero it walks the failing vectors in index
 order to report the first counterexamples.  Random mode, a simulation kept
-as a cross-check, applies M to seeded random vectors in float64, exact below
-2^53; a field too large for exact arithmetic is refused with CapExceeded
-rather than decided on rounded arithmetic.
+as a cross-check, is answered by M as well when M is zero (every vector
+decodes, so no draw can fail, and none is made); otherwise it applies M to
+seeded random vectors in float64, exact below 2^53.  A field too large for
+exact arithmetic is refused with CapExceeded rather than decided on rounded
+arithmetic.  The code's coefficients are read into int64 arrays once, and
+the locality of every decoder is one mask test on them.
 
 Constructions: the strong-cover code (an integer clique cover is the strong
 cover with weight 1 per clique), the MDS weak-cover code, the minrank code
@@ -78,16 +81,18 @@ class VerificationReport:
         return not self.failures
 
 
-def _check_decoder_locality(inst: Instance, scheme: CodeScheme) -> None:
-    d = scheme.msg_symbols
-    for dec in scheme.decoders:
-        r = inst.receivers[dec.receiver]
-        for row in dec.side_coef:
-            for col, c in enumerate(row):
-                if c % scheme.field and col // d not in r.knows:
-                    raise ValueError(
-                        f"decoder {dec.receiver} reads message {col // d} outside N(j)"
-                    )
+def _check_decoder_locality(inst: Instance, scheme: CodeScheme, sc: np.ndarray) -> None:
+    """Refuse a decoder whose side_coef rows (sc, reduced mod p) read a
+    message outside its N(j), naming the first offender in decoder, row
+    and column order."""
+    d, decs = scheme.msg_symbols, len(scheme.decoders)
+    local = np.zeros((decs, inst.n), bool)
+    for k, dec in enumerate(scheme.decoders):
+        local[k, list(inst.receivers[dec.receiver].knows)] = True
+    bad = sc.reshape(decs, d, inst.n, d).astype(bool) & ~local[:, None, :, None]
+    if bad.any():
+        k, _, v, _ = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"decoder {scheme.decoders[k].receiver} reads message {v} outside N(j)")
 
 
 def _check_shapes(inst: Instance, scheme: CodeScheme) -> None:
@@ -103,24 +108,38 @@ def _check_shapes(inst: Instance, scheme: CodeScheme) -> None:
             raise ValueError(f"decoder {dec.receiver} rows must have {rows} broadcast and {cols} side entries")
 
 
-def _residual_map(inst: Instance, scheme: CodeScheme) -> np.ndarray:
-    """M = (C_b E + C_s) mod p, one row per decoder symbol: row k*d + t maps a
-    message vector to what decoder k's symbol t decodes minus the symbol it
-    wants.  C_b is the decoders' bcast_coef rows, E the encoder and C_s the
-    side_coef rows less 1 at the wanted column.  C_b E is a float64 product
-    (numpy runs it on BLAS, an int64 one without), exact since every partial
-    sum is an integer of at most rows * (p-1)^2 < 2^53: verify_code admits
-    no larger odd p."""
+def _coefficients(inst: Instance, scheme: CodeScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E (the encoder), C_b (the decoders' bcast_coef rows) and C_s (their
+    side_coef rows) as int64 arrays reduced mod p, one row per decoder
+    symbol in C_b and C_s.  An entry that does not fit int64 raises
+    ValueError."""
     p, d = scheme.field, scheme.msg_symbols
     rows, cols, checks = scheme.broadcast_symbols, inst.n * d, len(scheme.decoders) * d
-    enc = np.array([v % p for row in scheme.encoder for v in row], np.int64).reshape(rows, cols)
-    bc = np.array([v % p for dec in scheme.decoders for row in dec.bcast_coef for v in row],
-                  np.int64).reshape(checks, rows)
-    sc = np.array([v % p for dec in scheme.decoders for row in dec.side_coef for v in row],
-                  np.int64).reshape(checks, cols)
+    try:
+        enc = np.array(scheme.encoder, np.int64).reshape(rows, cols)
+        bc = np.array([dec.bcast_coef for dec in scheme.decoders], np.int64).reshape(checks, rows)
+        sc = np.array([dec.side_coef for dec in scheme.decoders], np.int64).reshape(checks, cols)
+    except OverflowError as e:
+        raise ValueError(f"code entries must fit in int64: {e}") from None
+    for a in (enc, bc, sc):
+        np.remainder(a, p, out=a)
+    return enc, bc, sc
+
+
+def _residual_map(inst: Instance, scheme: CodeScheme, enc: np.ndarray, bc: np.ndarray,
+                  sc: np.ndarray) -> np.ndarray:
+    """M = (C_b E + C_s - W) mod p from _coefficients' arrays, one row per
+    decoder symbol: row k*d + t maps a message vector to what decoder k's
+    symbol t decodes minus the symbol it wants, W selecting that symbol.
+    C_b E is a float64 product (numpy runs it on BLAS, an int64 one
+    without), exact since every partial sum is an integer of at most
+    rows * (p-1)^2 < 2^53: verify_code admits no larger odd p.  M is
+    formed in place of sc."""
+    p, d = scheme.field, scheme.msg_symbols
     wanted = [inst.receivers[dec.receiver].wants * d + t for dec in scheme.decoders for t in range(d)]
-    sc[np.arange(checks), wanted] -= 1
-    return ((bc.astype(float) @ enc.astype(float)).astype(np.int64) + sc) % p
+    sc[np.arange(len(wanted)), wanted] -= 1
+    np.add(sc, bc.astype(float) @ enc.astype(float), out=sc, casting="unsafe")
+    return np.remainder(sc, p, out=sc)
 
 
 def verify_code(
@@ -139,31 +158,37 @@ def verify_code(
     Each code is folded into one residual map M (see _residual_map): x
     decodes wrong at decoder k iff one of k's d rows of M x is nonzero mod
     p, so an all-zero M proves the code, and a nonzero M has its failing
-    vectors walked (see _exhaustive_failures).  Random mode applies M in
-    float64, exact while (rows + n*d)(p-1)^2 < 2^53.  A larger odd field is
-    refused with CapExceeded("verify-field") in either mode, which also
-    keeps the float64 product forming M exact.  Misshaped encoder or
-    decoder rows raise ValueError."""
+    vectors walked (see _exhaustive_failures).  Random mode returns at once
+    with no failure when M is zero, which is exact, and draws nothing;
+    otherwise it makes the draw and applies M in float64, exact while
+    (rows + n*d)(p-1)^2 < 2^53.  A larger odd field is refused with
+    CapExceeded("verify-field") in either mode, before any array is built,
+    which also keeps the float64 product forming M exact.  Misshaped encoder or decoder rows, a
+    decoder reading outside its N(j) and an entry that does not fit int64
+    raise ValueError."""
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
         raise ValueError(f"need at least 1 random trial, got {trials}")
     _check_shapes(inst, scheme)
-    _check_decoder_locality(inst, scheme)
-    if {d.receiver for d in scheme.decoders} != set(range(inst.m)):
-        raise ValueError("scheme lacks a decoder for some receiver")
     p = scheme.field
     d = scheme.msg_symbols
     rows, cols = scheme.broadcast_symbols, inst.n * d
     if p > 2 and (rows + cols) * (p - 1) ** 2 >= FLOAT_EXACT:
         raise CapExceeded("verify-field", (rows + cols) * (p - 1) ** 2, FLOAT_EXACT)
-    res = _residual_map(inst, scheme)
+    enc, bc, sc = _coefficients(inst, scheme)
+    _check_decoder_locality(inst, scheme, sc)
+    if {d.receiver for d in scheme.decoders} != set(range(inst.m)):
+        raise ValueError("scheme lacks a decoder for some receiver")
+    res = _residual_map(inst, scheme, enc, bc, sc)
     decs = len(scheme.decoders)
-    if mode == "random":
+    if mode == "exhaustive":
+        hits = _exhaustive_failures(res, p, decs, d)
+    elif res.any():
         xs = np.random.default_rng(seed).integers(0, p, size=(trials, cols), dtype=np.int64)
         hits = _random_failures(res, p, decs, d, xs)
-    else:
-        hits = _exhaustive_failures(res, p, decs, d)
+    else:  # M = 0: every vector decodes, so no draw can fail
+        hits = iter(())
     failures = [(x, scheme.decoders[k].receiver) for x, k in islice(hits, MAX_FAILURES)]
     if mode == "random":
         return VerificationReport(mode, trials, seed, failures)

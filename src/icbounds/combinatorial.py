@@ -22,6 +22,7 @@ complement all read the same masks.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,28 +95,30 @@ def sequence_weight(inst: Instance, seq) -> Fraction:
 
 def alpha_exact(inst: Instance) -> tuple[Fraction, ExpandingSequence]:
     """Maximum-weight expanding sequence by depth-first search with state
-    memoization and a remaining-weight bound."""
-    reps = inst.distinct_receivers()
+    memoization and a remaining-weight bound.  Weights are carried as
+    integers over the rates' common denominator, which keeps every
+    comparison and tie; the Fraction is built at the return."""
+    den = math.lcm(*(inst.rate(v).denominator for v in range(inst.n)))
     info = []
-    for j in reps:
-        r = inst.receivers[j]
-        info.append((j, r.wants, to_mask(r.knows) | (1 << r.wants), inst.rate(r.wants)))
-    memo: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+    for j in inst.distinct_receivers():
+        w = inst.receivers[j].wants
+        info.append((j, w, inst.side_masks[j], int(inst.rate(w) * den)))
+    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
-    def remaining(used: int) -> Fraction:
+    def remaining(used: int) -> int:
         seen = 0
-        tot = F0
+        tot = 0
         for _, w, _, rw in info:
             if not used >> w & 1 and not seen >> w & 1:
                 tot += rw
                 seen |= 1 << w
         return tot
 
-    def go(used: int) -> tuple[Fraction, tuple[int, ...]]:
+    def go(used: int) -> tuple[int, tuple[int, ...]]:
         hit = memo.get(used)
         if hit is not None:
             return hit
-        best = (F0, ())
+        best = (0, ())
         cap = remaining(used)
         for j, w, smask, rw in info:
             if used >> w & 1:
@@ -130,7 +133,8 @@ def alpha_exact(inst: Instance) -> tuple[Fraction, ExpandingSequence]:
         return best
 
     w, seq = go(0)
-    return w, ExpandingSequence(seq, w)
+    weight = Fraction(w, den)
+    return weight, ExpandingSequence(seq, weight)
 
 
 # -- hypercliques -----------------------------------------------------------
@@ -497,13 +501,15 @@ def minrk2(inst: Instance | Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResu
 
     rows_by_j: dict[int, int] = {}
 
-    def reduce(row: int, basis: dict[int, int]) -> int:
-        for lead in sorted(basis, reverse=True):
-            if row >> lead & 1:
-                row ^= basis[lead]
+    # basis: (lead bit, row) pairs in increasing lead order, each lead the
+    # row's highest bit; reduce clears them from the highest down
+    def reduce(row: int, basis: list[tuple[int, int]]) -> int:
+        for lead, b in reversed(basis):
+            if row & lead:
+                row ^= b
         return row
 
-    def dfs(i: int, basis: dict[int, int]) -> None:
+    def dfs(i: int, basis: list[tuple[int, int]]) -> None:
         nonlocal best, best_rows
         if len(basis) >= best or (best_rows is not None and best == alpha_lb):
             return
@@ -516,14 +522,14 @@ def minrk2(inst: Instance | Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResu
             red = reduce(row, basis)
             rows_by_j[j] = row
             if red:
-                nb = dict(basis)
-                nb[red.bit_length() - 1] = red
+                nb = basis.copy()
+                insort(nb, (1 << (red.bit_length() - 1), red))
                 dfs(i + 1, nb)
             else:
                 dfs(i + 1, basis)
         rows_by_j.pop(j, None)
 
-    dfs(0, {})
+    dfs(0, [])
     if best_rows is None:
         raise AssertionError("minrank search found no fitting matrix")
     mat = [[best_rows[rep] >> v & 1 for v in range(n)] for rep in inst.representative]

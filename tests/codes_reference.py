@@ -2,8 +2,10 @@
 at a time, which broadcasts every vector through the encoder and decodes it
 at each receiver.  It enumerates every vector up to ENUMERATION_CAP and
 samples beyond it.  `icbounds.codes.verify_code` instead folds the code into
-one residual map M and tests M for zero (exhaustive, at any size) or applies
-it in float64 (random).  It must agree with this reference on mode, trials,
+one residual map M and tests M for zero (exhaustive, at any size; random
+when M is zero) or applies it in float64 (random, when M is not zero).  Its
+locality check is the per-entry loop `verify_code` ran before it tested
+the side coefficients as one array.  It must agree with this reference on mode, trials,
 seed and verdict wherever the reference enumerates, and in random mode,
 while the reference's arithmetic is exact (every product below 2^63).
 Past the cap, `reference_failures` on the n*d unit vectors decides the
@@ -19,11 +21,24 @@ from icbounds.codes import (
     RANDOM_TRIALS,
     CodeScheme,
     VerificationReport,
-    _check_decoder_locality,
 )
 from icbounds.instance import CapExceeded, Instance
 
 ENUMERATION_CAP = 1 << 24
+
+
+def check_decoder_locality_reference(inst: Instance, scheme: CodeScheme) -> None:
+    """The per-entry locality check: the first side_coef entry nonzero mod p
+    outside its decoder's N(j), in decoder, row and column order."""
+    d = scheme.msg_symbols
+    for dec in scheme.decoders:
+        r = inst.receivers[dec.receiver]
+        for row in dec.side_coef:
+            for col, c in enumerate(row):
+                if c % scheme.field and col // d not in r.knows:
+                    raise ValueError(
+                        f"decoder {dec.receiver} reads message {col // d} outside N(j)"
+                    )
 
 
 def verify_code_reference(
@@ -33,7 +48,7 @@ def verify_code_reference(
     trials: int = RANDOM_TRIALS,
     seed: int = 0,
 ) -> VerificationReport:
-    _check_decoder_locality(inst, scheme)
+    check_decoder_locality_reference(inst, scheme)
     if {d.receiver for d in scheme.decoders} != set(range(inst.m)):
         raise ValueError("scheme lacks a decoder for some receiver")
     p = scheme.field

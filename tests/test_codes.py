@@ -7,14 +7,21 @@ from itertools import product
 
 import numpy as np
 import pytest
-from codes_reference import ENUMERATION_CAP, reference_failures, verify_code_reference
+from codes_reference import (
+    ENUMERATION_CAP,
+    check_decoder_locality_reference,
+    reference_failures,
+    verify_code_reference,
+)
 
 from icbounds import codes
 from icbounds.codes import (
     CODE_SIZE_CAP,
     MAX_FAILURES,
+    RANDOM_TRIALS,
     CodeScheme,
     DecoderSpec,
+    VerificationReport,
     mds_weak_cover_code,
     minrk_code,
     strong_cover_code,
@@ -421,7 +428,69 @@ def test_residual_map_is_exact_at_the_largest_admitted_field():
     want = [[(sum(b * enc[r][c] for r, b in enumerate(dec.bcast_coef[t])) + dec.side_coef[t][c]
               - (c == inst.receivers[dec.receiver].wants * d + t)) % p for c in range(n * d)]
             for dec in decs for t in range(d)]
-    assert codes._residual_map(inst, scheme).tolist() == want
+    assert codes._residual_map(inst, scheme, *codes._coefficients(inst, scheme)).tolist() == want
+
+
+def test_random_mode_draws_only_when_the_residual_map_is_nonzero(monkeypatch):
+    # M = 0 proves every vector decodes, so random mode answers a proved
+    # code with no draw; a failing code still reports the draw's failures
+    inst = from_graph(complement(cycle(7)))
+    scheme = mds_weak_cover_code(inst, fractional_cover(inst, "weak"))
+    bad = _flipped(inst, scheme, random.Random(4))
+    cols = inst.n * scheme.msg_symbols
+    draw = [tuple(map(int, x)) for x in np.random.default_rng(9).integers(0, bad.field, (2_000, cols))]
+    want = _brute_failures(inst, bad, draw)
+    assert want and verify_code_reference(inst, bad, mode="random", trials=2_000, seed=9).failures
+    with monkeypatch.context() as m:
+        m.setattr(codes.np.random, "default_rng", lambda *a: pytest.fail("drew vectors for a proved code"))
+        for kw in ({}, {"trials": 2_000, "seed": 9}):
+            rep = verify_code(inst, scheme, mode="random", **kw)
+            assert rep == VerificationReport("random", kw.get("trials", RANDOM_TRIALS), kw.get("seed", 0), [])
+    assert verify_code(inst, bad, mode="random", trials=2_000, seed=9).failures == want
+
+
+def test_locality_offender_is_named_as_by_the_entry_loop():
+    # C5's strong-cover code has d = 2.  Decoder 3 gets an offender in its
+    # second row at message b and one in its first row at a later message
+    # c, decoder 4 one more; an entry that is 0 mod p is no offence.  The
+    # first offender in decoder, row and column order is (3, row 0, c).
+    inst = from_graph(cycle(5))
+    scheme = strong_cover_code(inst, fractional_cover(inst, "strong"))
+    d = scheme.msg_symbols
+    assert d == 2
+    dec = scheme.decoders[3]
+    outside = sorted({c // d for c in range(inst.n * d)} - inst.receivers[dec.receiver].knows)
+    b, c = outside[0], outside[-1]
+    assert b < c
+    dec.side_coef[0][b * d] = 2 * scheme.field
+    dec.side_coef[1][b * d + 1] = 1
+    dec.side_coef[0][c * d + 1] = 3
+    scheme.decoders[4].side_coef[0][0] = 1
+    with pytest.raises(ValueError) as want:
+        check_decoder_locality_reference(inst, scheme)
+    assert str(want.value) == f"decoder {dec.receiver} reads message {c} outside N(j)"
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(ValueError) as got:
+            verify_code(inst, scheme, mode=mode)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("where", ["encoder", "bcast", "side"])
+def test_an_entry_past_int64_is_refused(where):
+    # coefficients are read into int64 arrays: an entry that does not fit
+    # is a ValueError, not a silent wrap
+    inst, scheme = tri3(), _tri3_scheme([1, 0, 0])
+    assert verify_code(inst, scheme).passed
+    row = {"encoder": scheme.encoder[0], "bcast": scheme.decoders[1].bcast_coef[0],
+           "side": scheme.decoders[0].side_coef[0]}[where]
+    row[0] += 1 << 64  # the same residue mod 2
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(ValueError, match="code entries must fit in int64"):
+            verify_code(inst, scheme, mode=mode)
+    # a field past int64 meets the verify-field cap before any array is built
+    scheme.field = (1 << 64) + 13
+    with pytest.raises(CapExceeded, match="verify-field"):
+        verify_code(inst, scheme)
 
 
 def test_bad_mode_and_trials_are_refused():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from combinatorial_reference import alpha_exact as reference_alpha
 from combinatorial_reference import enumerate_maximal_hypercliques as reference_hypercliques
 
 from icbounds import combinatorial
@@ -168,6 +169,29 @@ def test_alpha_on_cycles():
     a, seq = alpha_exact(from_graph(petersen()))
     assert a == 4
     assert is_expanding_sequence(from_graph(petersen()), seq.receivers)
+
+
+def test_integer_alpha_search_matches_the_fraction_search():
+    # scaling every weight by the rates' common denominator keeps every
+    # comparison and tie, so value and sequence are the Fraction search's
+    rng = random.Random(26)
+    weighted = fractional = 0
+    for i in range(540):
+        n = rng.randrange(2, 10)
+        if i % 3 == 2:
+            inst = from_graph(random_gnp(n, rng.random(), rng))
+        else:
+            inst = random_instance(n, rng.randrange(1, 2 * n + 2), rng)
+        if i % 3 == 0:  # rates over mixed denominators, some repeated
+            dens = [rng.choice((1, 2, 3, 4, 5, 6, 7, 9, 12, 35)) for _ in range(n)]
+            inst = Instance(n, inst.receivers, tuple(F(rng.randrange(1, q + 1), q) for q in dens))
+            weighted += inst.is_weighted()
+        a, seq = alpha_exact(inst)
+        want_a, want_seq = reference_alpha(inst)
+        assert (a, seq) == (want_a, ExpandingSequence(want_seq, want_a)), i
+        assert type(a) is Fraction and is_expanding_sequence(inst, seq.receivers)
+        fractional += a.denominator > 1
+    assert weighted >= 170 and fractional >= 100
 
 
 def test_expanding_sequence_validation():
