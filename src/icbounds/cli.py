@@ -8,10 +8,10 @@ Output formats: json (default), csv (flattened key,value rows), table
 rationals are printed as "p/q".  Exit codes: 0 success, 2 validation error,
 3 resource cap exceeded, memory exhausted or an LP certificate failed.  The
 library raises CapExceeded where the resource is spent (minrk2 for
---minrk-cap, verify_code for fields beyond exact float64 decoding, the
-cover codes past their fixed encoder size, the hierarchy LP builder for
---max-lp-vars, solve_min for an LP HiGHS cannot take and a basis past its
-fixed cap) and lp.Uncertified for an LP no
+--minrk-cap, verify_code and the code constructions for fields beyond
+exact float64 decoding, the cover codes past their fixed encoder size, the
+hierarchy LP builder for --max-lp-vars, solve_min for an LP HiGHS cannot
+take and a basis past its fixed cap) and lp.Uncertified for an LP no
 checked certificate settles; the CLI maps these, and a MemoryError, to 3.
 """
 
@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -260,24 +261,30 @@ def cmd_decide2(args) -> dict:
 
 
 def _scheme_json(scheme: codes.CodeScheme) -> dict:
+    d = scheme.msg_symbols
     return {
         "kind": scheme.kind,
         "field": scheme.field,
-        "msg_symbols": scheme.msg_symbols,
+        "msg_symbols": d,
         "rate": _rat(scheme.rate),
-        "encoder": scheme.encoder,
+        "encoder": scheme.encoder.tolist(),
         "decoders": [
             {
-                "receiver": d.receiver,
-                "bcast_coef": d.bcast_coef,
-                "side_coef": d.side_coef,
+                "receiver": j,
+                "bcast_coef": scheme.bcast[j * d : (j + 1) * d].tolist(),
+                "side_coef": scheme.side[j * d : (j + 1) * d].tolist(),
             }
-            for d in scheme.decoders
+            for j in range(len(scheme.bcast) // d)
         ],
     }
 
 
 def cmd_code(args) -> dict:
+    spec = re.fullmatch(r"exhaustive|random(?::([0-9]+)(?::([0-9]+))?)?", args.verify)
+    if spec is None:
+        raise ParseError(f"bad --verify spec {args.verify!r}")
+    mode = args.verify.partition(":")[0]
+    trials, seed = int(spec[1] or codes.RANDOM_TRIALS), int(spec[2] or 0)
     inst, data = read_problem(args.instance)
     name = args.scheme
     if name == "cliquecover":
@@ -303,16 +310,6 @@ def cmd_code(args) -> dict:
     else:
         raise ParseError(f"unknown scheme {name!r}")
 
-    mode, trials, seed = "exhaustive", codes.RANDOM_TRIALS, 0
-    if args.verify.startswith("random"):
-        parts = args.verify.split(":")
-        mode = "random"
-        if len(parts) > 1:
-            trials = int(parts[1])
-        if len(parts) > 2:
-            seed = int(parts[2])
-    elif args.verify != "exhaustive":
-        raise ParseError(f"bad --verify spec {args.verify!r}")
     ver = codes.verify_code(inst, scheme, mode=mode, trials=trials, seed=seed)
     return {
         "scheme": _scheme_json(scheme),

@@ -1,21 +1,19 @@
 """Executable linear index codes and a decodability check.
 
-A CodeScheme is uniform: every message is d symbols over a prime field, the
-broadcast is the encoder matrix applied to the concatenated message symbols,
-and each receiver has a linear decoder (a combination of broadcast symbols
-and its own side-information symbols).  verify_code folds the code into one
-residual map M = (C_b E + C_s) mod p, whose row k*d + t gives decoder k's
-symbol t minus the symbol it wants, so a vector x decodes wrong iff one of
-its decoder's rows of M x is nonzero.  The code therefore decodes all
-p^(n*d) message vectors iff M is zero: exhaustive mode proves that by
-looking at M, and when M is not zero it walks the failing vectors in index
-order to report the first counterexamples.  Random mode, a simulation kept
-as a cross-check, is answered by M as well when M is zero (every vector
-decodes, so no draw can fail, and none is made); otherwise it applies M to
-seeded random vectors in float64, exact below 2^53.  A field too large for
-exact arithmetic is refused with CapExceeded rather than decided on rounded
-arithmetic.  The code's coefficients are read into int64 arrays once, and
-the locality of every decoder is one mask test on them.
+A CodeScheme is uniform: every message is d symbols over a prime field, and
+the code is three int64 arrays reduced mod p.  The encoder E (rows x n*d)
+maps the message symbols to the broadcast; receiver j decodes its d wanted
+symbols from rows j*d .. j*d+d-1 of bcast (m*d x rows), applied to the
+broadcast, and of side (m*d x n*d), applied to the message symbols it knows.
+verify_code folds the code into one residual map M = (C_b E + C_s) mod p,
+C_b = bcast and C_s = side less the wanted symbols, so the code decodes all
+p^(n*d) message vectors iff M is zero.  Exhaustive mode proves that by
+looking at M and otherwise walks the failing vectors in index order;
+random mode, a simulation kept as a cross-check, draws nothing when M is
+zero and otherwise applies M to a seeded draw in float64.  A field too
+large for exact float64 products is refused with CapExceeded("verify-field")
+by verify_code and, with the same numbers, by a construction before it
+makes an array.
 
 Constructions: the strong-cover code (an integer clique cover is the strong
 cover with weight 1 per clique), the MDS weak-cover code, the minrank code
@@ -27,7 +25,7 @@ an encoder some receiver cannot decode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -40,27 +38,27 @@ from .numeric import next_prime
 
 RANDOM_TRIALS = 100_000
 MAX_FAILURES = 5  # counterexamples kept per report
-# Encoder entries a cover code may have.  The largest code any caller builds,
-# projective-Hadamard q = 5's strong cover (1 000 x 7 000), has 7 * 10^6.
+# Encoder entries (rows x n*d) a cover code may have.  The largest code any
+# caller builds, projective-Hadamard q = 5's strong cover (1 000 x 7 000), has
+# 7 * 10^6; its side array, (m*d) x (n*d), has 4.9 * 10^7.
 CODE_SIZE_CAP = 10**7
+FLOAT_EXACT = 1 << 53  # float64 holds every integer below this
+_ROWS = 1 << 12  # vectors per random-mode product
+_BLOCK = 1 << 22  # entries per block of a float64 product forming bcast E
 
 
-@dataclass
-class DecoderSpec:
-    """x_f(j) = bcast_coef @ broadcast + side_coef @ message_symbols, mod p.
-    side_coef may only touch columns of messages in N(j)."""
-
-    receiver: int
-    bcast_coef: list[list[int]]  # d x (#broadcast rows)
-    side_coef: list[list[int]]  # d x (n*d)
-
-
-@dataclass
+@dataclass(eq=False)
 class CodeScheme:
+    """A linear code over F_`field` as int64 arrays reduced mod p (compare
+    two schemes array by array): rows j*d .. j*d+d-1 of bcast and side are
+    receiver j's decoder, x_f(j) = bcast_j @ broadcast + side_j @ x, and
+    side_j may only touch columns of messages in N(j)."""
+
     field: int
     msg_symbols: int  # d: symbols per message
-    encoder: list[list[int]]  # (#broadcast rows) x (n*d)
-    decoders: list[DecoderSpec]
+    encoder: np.ndarray  # (#broadcast rows) x (n*d)
+    bcast: np.ndarray  # (m*d) x (#broadcast rows)
+    side: np.ndarray  # (m*d) x (n*d)
     rate: Fraction
     kind: str = ""
 
@@ -81,65 +79,58 @@ class VerificationReport:
         return not self.failures
 
 
-def _check_decoder_locality(inst: Instance, scheme: CodeScheme, sc: np.ndarray) -> None:
-    """Refuse a decoder whose side_coef rows (sc, reduced mod p) read a
-    message outside its N(j), naming the first offender in decoder, row
-    and column order."""
-    d, decs = scheme.msg_symbols, len(scheme.decoders)
-    local = np.zeros((decs, inst.n), bool)
-    for k, dec in enumerate(scheme.decoders):
-        local[k, list(inst.receivers[dec.receiver].knows)] = True
-    bad = sc.reshape(decs, d, inst.n, d).astype(bool) & ~local[:, None, :, None]
+def _check_field(p: int, rows: int, cols: int) -> None:
+    """The verify-field cap: every float64 product of a code with `rows`
+    broadcast and `cols` = n*d message symbols stays exact while
+    (rows + cols)(p-1)^2 < 2^53 (C_b E sums `rows` products of entries
+    below p, random mode's x M^T sums `cols`).  A larger odd field raises
+    CapExceeded, from verify_code and from a construction alike."""
+    if p > 2 and (rows + cols) * (p - 1) ** 2 >= FLOAT_EXACT:
+        raise CapExceeded("verify-field", (rows + cols) * (p - 1) ** 2, FLOAT_EXACT)
+
+
+def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out += a @ b, for int64 arrays a and b with entries in [0, p) and out
+    with entries in [-1, p), as one float64 product (numpy runs it on BLAS,
+    an int64 one without) per block of rows of about _BLOCK entries of out.
+    Exact, since every partial sum is an integer of at most
+    len(b) * (p-1)^2 + p < 2^53, which _check_field keeps."""
+    bf = b.astype(float)
+    step = max(1, _BLOCK // max(1, out.shape[1]))
+    for i in range(0, len(a), step):
+        block = out[i : i + step]
+        np.add(block, a[i : i + step].astype(float) @ bf, out=block, casting="unsafe")
+
+
+def _knows(inst: Instance) -> np.ndarray:
+    """The m x n mask of the messages each receiver knows."""
+    mask = np.zeros((inst.m, inst.n), bool)
+    for j, r in enumerate(inst.receivers):
+        mask[j, list(r.knows)] = True
+    return mask
+
+
+def _check_decoder_locality(side: np.ndarray, knows: np.ndarray, d: int) -> None:
+    """Refuse a decoder whose side rows (reduced mod p) read a message
+    outside its N(j), naming the first offender in receiver, row and column
+    order."""
+    m, n = knows.shape
+    bad = side.reshape(m, d, n, d).astype(bool) & ~knows[:, None, :, None]
     if bad.any():
-        k, _, v, _ = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"decoder {scheme.decoders[k].receiver} reads message {v} outside N(j)")
+        j, _, v, _ = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"decoder {j} reads message {v} outside N(j)")
 
 
-def _check_shapes(inst: Instance, scheme: CodeScheme) -> None:
-    """Every encoder row has n*d entries, and every decoder d rows of
-    broadcast_symbols and of n*d coefficients."""
-    d, rows, cols = scheme.msg_symbols, scheme.broadcast_symbols, inst.n * scheme.msg_symbols
-    if any(len(row) != cols for row in scheme.encoder):
-        raise ValueError(f"encoder rows must have n*d = {cols} entries")
-    for dec in scheme.decoders:
-        if len(dec.bcast_coef) != d or len(dec.side_coef) != d:
-            raise ValueError(f"decoder {dec.receiver} must have d = {d} rows")
-        if any(len(row) != rows for row in dec.bcast_coef) or any(len(row) != cols for row in dec.side_coef):
-            raise ValueError(f"decoder {dec.receiver} rows must have {rows} broadcast and {cols} side entries")
-
-
-def _coefficients(inst: Instance, scheme: CodeScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E (the encoder), C_b (the decoders' bcast_coef rows) and C_s (their
-    side_coef rows) as int64 arrays reduced mod p, one row per decoder
-    symbol in C_b and C_s.  An entry that does not fit int64 raises
-    ValueError."""
+def _residual_map(inst: Instance, scheme: CodeScheme, side: np.ndarray) -> np.ndarray:
+    """M = (C_b E + C_s - W) mod p, formed in place of `side` (scheme.side
+    reduced mod p), one row per decoder symbol: row j*d + t maps a message
+    vector to what decoder j's symbol t decodes minus the symbol it wants,
+    W selecting that symbol."""
     p, d = scheme.field, scheme.msg_symbols
-    rows, cols, checks = scheme.broadcast_symbols, inst.n * d, len(scheme.decoders) * d
-    try:
-        enc = np.array(scheme.encoder, np.int64).reshape(rows, cols)
-        bc = np.array([dec.bcast_coef for dec in scheme.decoders], np.int64).reshape(checks, rows)
-        sc = np.array([dec.side_coef for dec in scheme.decoders], np.int64).reshape(checks, cols)
-    except OverflowError as e:
-        raise ValueError(f"code entries must fit in int64: {e}") from None
-    for a in (enc, bc, sc):
-        np.remainder(a, p, out=a)
-    return enc, bc, sc
-
-
-def _residual_map(inst: Instance, scheme: CodeScheme, enc: np.ndarray, bc: np.ndarray,
-                  sc: np.ndarray) -> np.ndarray:
-    """M = (C_b E + C_s - W) mod p from _coefficients' arrays, one row per
-    decoder symbol: row k*d + t maps a message vector to what decoder k's
-    symbol t decodes minus the symbol it wants, W selecting that symbol.
-    C_b E is a float64 product (numpy runs it on BLAS, an int64 one
-    without), exact since every partial sum is an integer of at most
-    rows * (p-1)^2 < 2^53: verify_code admits no larger odd p.  M is
-    formed in place of sc."""
-    p, d = scheme.field, scheme.msg_symbols
-    wanted = [inst.receivers[dec.receiver].wants * d + t for dec in scheme.decoders for t in range(d)]
-    sc[np.arange(len(wanted)), wanted] -= 1
-    np.add(sc, bc.astype(float) @ enc.astype(float), out=sc, casting="unsafe")
-    return np.remainder(sc, p, out=sc)
+    wanted = np.array([r.wants * d for r in inst.receivers], np.int64)[:, None] + np.arange(d)
+    side[np.arange(len(side)), wanted.ravel()] -= 1
+    _add_product(side, np.remainder(scheme.bcast, p), np.remainder(scheme.encoder, p))
+    return np.remainder(side, p, out=side)
 
 
 def verify_code(
@@ -153,43 +144,43 @@ def verify_code(
     covers all p^(n*d) vectors; "random" takes `trials` rows of the seeded
     draw rng.integers(0, p, (trials, n*d)).  Failures are the first
     MAX_FAILURES wrong decodings, in the order of the vectors (index order,
-    column 0 most significant, or draw order), then of scheme.decoders.
+    column 0 most significant, or draw order), then of the receivers.
 
     Each code is folded into one residual map M (see _residual_map): x
-    decodes wrong at decoder k iff one of k's d rows of M x is nonzero mod
+    decodes wrong at receiver j iff one of j's d rows of M x is nonzero mod
     p, so an all-zero M proves the code, and a nonzero M has its failing
     vectors walked (see _exhaustive_failures).  Random mode returns at once
     with no failure when M is zero, which is exact, and draws nothing;
-    otherwise it makes the draw and applies M in float64, exact while
-    (rows + n*d)(p-1)^2 < 2^53.  A larger odd field is refused with
-    CapExceeded("verify-field") in either mode, before any array is built,
-    which also keeps the float64 product forming M exact.  Misshaped encoder or decoder rows, a
-    decoder reading outside its N(j) and an entry that does not fit int64
-    raise ValueError."""
+    otherwise it makes the draw and applies M in float64.  A field past
+    _check_field's cap is refused with CapExceeded("verify-field") in either
+    mode, before any product is formed.  Arrays not of the shapes rows x n*d,
+    m*d x rows and m*d x n*d, a decoder reading outside its N(j), a negative
+    seed, too few trials and an unknown mode raise ValueError."""
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
         raise ValueError(f"need at least 1 random trial, got {trials}")
-    _check_shapes(inst, scheme)
-    p = scheme.field
-    d = scheme.msg_symbols
-    rows, cols = scheme.broadcast_symbols, inst.n * d
-    if p > 2 and (rows + cols) * (p - 1) ** 2 >= FLOAT_EXACT:
-        raise CapExceeded("verify-field", (rows + cols) * (p - 1) ** 2, FLOAT_EXACT)
-    enc, bc, sc = _coefficients(inst, scheme)
-    _check_decoder_locality(inst, scheme, sc)
-    if {d.receiver for d in scheme.decoders} != set(range(inst.m)):
-        raise ValueError("scheme lacks a decoder for some receiver")
-    res = _residual_map(inst, scheme, enc, bc, sc)
-    decs = len(scheme.decoders)
+    if seed < 0:
+        raise ValueError(f"the random seed must not be negative, got {seed}")
+    p, d = scheme.field, scheme.msg_symbols
+    rows, cols, checks = scheme.broadcast_symbols, inst.n * d, inst.m * d
+    for name, shape, want in (("encoder", scheme.encoder.shape, (rows, cols)),
+                              ("bcast", scheme.bcast.shape, (checks, rows)),
+                              ("side", scheme.side.shape, (checks, cols))):
+        if shape != want:
+            raise ValueError(f"{name} must be {want[0]} x {want[1]}, not {' x '.join(map(str, shape))}")
+    _check_field(p, rows, cols)
+    side = np.remainder(scheme.side, p)
+    _check_decoder_locality(side, _knows(inst), d)
+    res = _residual_map(inst, scheme, side)
     if mode == "exhaustive":
-        hits = _exhaustive_failures(res, p, decs, d)
+        hits = _exhaustive_failures(res, p, inst.m, d)
     elif res.any():
         xs = np.random.default_rng(seed).integers(0, p, size=(trials, cols), dtype=np.int64)
-        hits = _random_failures(res, p, decs, d, xs)
+        hits = _random_failures(res, p, inst.m, d, xs)
     else:  # M = 0: every vector decodes, so no draw can fail
         hits = iter(())
-    failures = [(x, scheme.decoders[k].receiver) for x, k in islice(hits, MAX_FAILURES)]
+    failures = list(islice(hits, MAX_FAILURES))
     if mode == "random":
         return VerificationReport(mode, trials, seed, failures)
     return VerificationReport(mode, p**cols, None, failures)
@@ -197,15 +188,12 @@ def verify_code(
 
 # -- verification kernels ---------------------------------------------------
 #
-# Each kernel takes the residual map M, (decoders * d) x (n*d) over F_p, and
-# yields the (vector, decoder index) pairs of the wrong decodings, in vector
-# then decoder order; verify_code stops reading after MAX_FAILURES.
-
-_ROWS = 1 << 12  # vectors per random-mode product
-FLOAT_EXACT = 1 << 53  # float64 holds every integer below this
+# Each kernel takes the residual map M, (m*d) x (n*d) over F_p, and yields
+# the (vector, receiver) pairs of the wrong decodings, in vector then
+# receiver order; verify_code stops reading after MAX_FAILURES.
 
 
-def _exhaustive_failures(res: np.ndarray, p: int, decs: int, d: int):
+def _exhaustive_failures(res: np.ndarray, p: int, m: int, d: int):
     """Walk the failing vectors in index order, one digit per column.  A
     prefix of digits has a failing completion iff its partial sum M x is
     already nonzero or M has a nonzero entry in a later column (varying
@@ -221,9 +209,9 @@ def _exhaustive_failures(res: np.ndarray, p: int, decs: int, d: int):
     digits, sums, v = [], [np.zeros(len(res), np.int64)], 0
     while True:
         c = len(digits)
-        if c == cols:  # a failing vector: report each decoder with a nonzero row
-            for k in np.flatnonzero(sums[c].reshape(decs, d).any(axis=1)).tolist():
-                yield tuple(digits), k
+        if c == cols:  # a failing vector: report each receiver with a nonzero row
+            for j in np.flatnonzero(sums[c].reshape(m, d).any(axis=1)):
+                yield tuple(digits), int(j)
         elif v < p:
             s = (sums[c] + v * res[:, c]) % p
             if live[c + 1] or s.any():
@@ -239,7 +227,7 @@ def _exhaustive_failures(res: np.ndarray, p: int, decs: int, d: int):
         sums.pop()
 
 
-def _random_failures(res: np.ndarray, p: int, decs: int, d: int, xs: np.ndarray):
+def _random_failures(res: np.ndarray, p: int, m: int, d: int, xs: np.ndarray):
     """One float64 product x M^T per chunk of drawn vectors: each entry is an
     integer at most (n*d)(p-1)^2 < 2^53, so v / p is within half an ulp of
     the true quotient, less than 1/p, and floor(v / p) is exact."""
@@ -249,9 +237,9 @@ def _random_failures(res: np.ndarray, p: int, decs: int, d: int, xs: np.ndarray)
         v /= p  # an integer exactly when the residual is 0 mod p
         bad = v != np.floor(v)
         if bad.any():
-            s, k = np.nonzero(bad.reshape(len(v), decs, d).any(axis=2))
-            for i, j in zip((a + s).tolist(), k.tolist()):
-                yield tuple(int(u) for u in xs[i]), j
+            s, k = np.nonzero(bad.reshape(len(v), m, d).any(axis=2))
+            for i, j in zip(a + s, k):
+                yield tuple(int(u) for u in xs[i]), int(j)
 
 
 # -- constructions ----------------------------------------------------------
@@ -289,34 +277,39 @@ def _equalized_cover_sets(inst: Instance, cover: FractionalCover) -> tuple[list[
     return [frozenset(s) for s in sets], q
 
 
-def _decoders(inst: Instance, p: int, d: int, encoder: list[list[int]]) -> list[DecoderSpec]:
-    """Every receiver's decoder, solved from the encoder over F_p.  Receiver
-    j needs bcast_coef @ E to equal the selector of f(j) on the columns U of
-    the messages outside N(j); row-reducing [E_U^T | Sel_U^T] either puts a
-    pivot in the selector block (no decoder exists) or gives bcast_coef from
-    the reduced rows.  side_coef then cancels bcast_coef @ E on N(j)."""
-    rows, cols = len(encoder), inst.n * d
-    columns = [[row[c] for row in encoder] for c in range(cols)]
-    decoders = []
+def _decoders(inst: Instance, p: int, d: int, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every receiver's decoder, solved from the encoder E over F_p: the
+    bcast and side arrays.  Receiver j needs bcast_j E to equal the selector
+    of f(j) on the columns U of the messages outside N(j); row-reducing the
+    slice [E_U^T | Sel_U^T] either puts a pivot in the selector block (no
+    decoder exists) or gives bcast_j from the reduced rows.  side then
+    cancels bcast E on N(j), every row at once."""
+    rows = len(enc)
+    knows = _knows(inst)
+    bcast = np.zeros((inst.m * d, rows), np.int64)
     for j, r in enumerate(inst.receivers):
-        want = range(r.wants * d, (r.wants + 1) * d)
-        red, pivots = row_reduce([columns[c] + [int(c == s) for s in want] for c in range(cols)
-                                  if c // d not in r.knows], p)
+        u = np.flatnonzero(~knows[j].repeat(d))
+        red, pivots = row_reduce(np.hstack([enc[:, u].T, u[:, None] == r.wants * d + np.arange(d)]), p)
         if pivots and pivots[-1] >= rows:
             raise ValueError(f"receiver {j} cannot decode message {r.wants}")
-        bc = [[0] * rows for _ in range(d)]
-        for row, i in zip(red, pivots):
-            for t in range(d):
-                bc[t][i] = row[rows + t]
-        sc = []
-        for coef in bc:
-            acc = [0] * cols
-            for b, enc in zip(coef, encoder):
-                if b:
-                    acc = [a + b * e for a, e in zip(acc, enc)]
-            sc.append([-a % p if c // d in r.knows else 0 for c, a in enumerate(acc)])
-        decoders.append(DecoderSpec(j, bc, sc))
-    return decoders
+        bcast[j * d : (j + 1) * d, pivots] = np.array([row[rows:] for row in red]).T
+    side = np.zeros((inst.m * d, inst.n * d), np.int64)
+    _add_product(side, bcast, enc)
+    np.negative(side, out=side)
+    np.remainder(side, p, out=side)
+    side4 = side.reshape(inst.m, d, inst.n, d)
+    np.multiply(side4, knows[:, None, :, None], out=side4)
+    return bcast, side
+
+
+def _code(inst: Instance, p: int, d: int, encoder, rate: Fraction, kind: str) -> CodeScheme:
+    """The code of `encoder` (rows x n*d over F_p, entries in [0, p)) with
+    every receiver's decoder solved by _decoders.  The verify-field cap
+    fires here, before any array is made, with verify_code's numbers."""
+    rows, cols = len(encoder), inst.n * d
+    _check_field(p, rows, cols)
+    enc = np.asarray(encoder, np.int64).reshape(rows, cols)
+    return CodeScheme(p, d, enc, *_decoders(inst, p, d, enc), rate, kind)
 
 
 def strong_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
@@ -328,12 +321,10 @@ def strong_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
         raise ValueError("unit rates only")
     sets, q = _equalized_cover_sets(inst, cover)
     n = inst.n
-    encoder = [[0] * (n * q) for _ in sets]
-    for v in range(n):
-        for k, i in enumerate(i for i, s in enumerate(sets) if v in s):
-            encoder[i][v * q + k] = 1
-    return CodeScheme(2, q, encoder, _decoders(inst, 2, q, encoder),
-                      Fraction(len(sets), q), "strong-cover")
+    encoder = np.zeros((len(sets), n, q), np.int64)
+    for v in range(n):  # every message lies in exactly q sets
+        encoder[[i for i, s in enumerate(sets) if v in s], v, range(q)] = 1
+    return _code(inst, 2, q, encoder, Fraction(len(sets), q), "strong-cover")
 
 
 def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
@@ -356,12 +347,10 @@ def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
     a = np.arange(1, dw + 1, dtype=np.int64) % p
     for t in range(1, d):
         powers[:, t] = powers[:, t - 1] * a % p
-    enc = np.zeros((dw, n, d), np.int64)
+    encoder = np.zeros((dw, n, d), np.int64)
     for i, s in enumerate(copies):
-        enc[i, [inst.receivers[j].wants for j in s]] = powers[i]
-    encoder = enc.reshape(dw, n * d).tolist()
-    return CodeScheme(p, d, encoder, _decoders(inst, p, d, encoder),
-                      Fraction(dw, d), "mds-weak-cover")
+        encoder[i, [inst.receivers[j].wants for j in s]] = powers[i]
+    return _code(inst, p, d, encoder, Fraction(dw, d), "mds-weak-cover")
 
 
 def minrk_code(inst: Instance | Graph, rep: MinrkResult) -> CodeScheme:
@@ -375,9 +364,7 @@ def minrk_code(inst: Instance | Graph, rep: MinrkResult) -> CodeScheme:
     # The pivot columns of the reduced transpose are the first rows of B
     # that raise the rank.
     basis = row_reduce([list(col) for col in zip(*mat)], p)[1]
-    encoder = [mat[j] for j in basis]
-    return CodeScheme(p, 1, encoder, _decoders(inst, p, 1, encoder),
-                      Fraction(len(basis)), "minrank")
+    return _code(inst, p, 1, [mat[j] for j in basis], Fraction(len(basis)), "minrank")
 
 
 def two_symbol_code(inst: Instance, phi: list[int], num_classes: int) -> CodeScheme:
@@ -385,6 +372,4 @@ def two_symbol_code(inst: Instance, phi: list[int], num_classes: int) -> CodeSch
     F_p, p the smallest prime above the class count.  Receiver j decodes iff
     phi is constant on T(j) and phi(f(j)) differs from that constant."""
     p = next_prime(num_classes)
-    n = inst.n
-    encoder = [[1] * n, [phi[v] % p for v in range(n)]]
-    return CodeScheme(p, 1, encoder, _decoders(inst, p, 1, encoder), Fraction(2), "two-symbol")
+    return _code(inst, p, 1, [[1] * inst.n, [phi[v] % p for v in range(inst.n)]], Fraction(2), "two-symbol")

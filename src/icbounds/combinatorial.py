@@ -30,6 +30,7 @@ import numpy as np
 
 from .instance import CapExceeded, Instance, Graph, from_graph, to_mask
 from .lp import LpProblem, ints, solve_min
+from .numeric import is_prime
 
 F0 = Fraction(0)
 
@@ -37,14 +38,18 @@ F0 = Fraction(0)
 # -- linear algebra over F_p -------------------------------------------------
 
 
-def row_reduce(mat: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+def row_reduce(mat: list[list[int]] | np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row-echelon form of `mat` over F_p, p prime: its nonzero rows
     (each led by a 1 that is the only nonzero entry of its column) and
     their pivot columns, in increasing order.  The one F_p elimination every
     exact linear-algebra step builds on: the pivot columns of the reduced
     transpose are the first rows of `mat` that raise the rank, and column j
-    of the reduced transpose expresses row j over them."""
-    rows = [[v % p for v in row] for row in mat]
+    of the reduced transpose expresses row j over them.  An int64 array is
+    reduced mod p and read as lists once; the elimination runs on lists."""
+    if isinstance(mat, np.ndarray):
+        rows = np.remainder(mat, p).tolist()
+    else:
+        rows = [[v % p for v in row] for row in mat]
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -455,9 +460,13 @@ def fits_graph(inst: Instance, mat: list[list[int]], p: int) -> list[str]:
 
 
 def representation_rank(inst: Instance, mat: list[list[int]], p: int = 2) -> MinrkResult:
-    """Rank of a supplied fitting matrix: an upper bound on minrank."""
+    """Rank of a supplied fitting matrix over F_p: an upper bound on minrank.
+    A field that is not a prime (over Z/4, say, the rank of a ring) raises
+    ValueError."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"matrix field {p!r} is not an integer of at least 2")
+    if not is_prime(p):
+        raise ValueError(f"matrix field {p} is not a prime")
     bad = fits_graph(inst, mat, p)
     if bad:
         raise ValueError(f"matrix does not fit the instance: {bad}")

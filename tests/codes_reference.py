@@ -10,7 +10,12 @@ seed and verdict wherever the reference enumerates, and in random mode,
 while the reference's arithmetic is exact (every product below 2^63).
 Past the cap, `reference_failures` on the n*d unit vectors decides the
 verdict: M e_c is column c of M, so a linear code fails on some vector iff
-it fails on a unit vector."""
+it fails on a unit vector.
+
+`decoders_reference` is the decoder solve as it ran on Python lists, one
+`row_reduce` per receiver on columns copied out of the encoder's rows and a
+side row summed entry by entry, before the code became three int64 arrays;
+`icbounds.codes._decoders` must give the same arrays entry for entry."""
 
 from __future__ import annotations
 
@@ -22,23 +27,54 @@ from icbounds.codes import (
     CodeScheme,
     VerificationReport,
 )
+from icbounds.combinatorial import row_reduce
 from icbounds.instance import CapExceeded, Instance
 
 ENUMERATION_CAP = 1 << 24
 
 
+def decoders_reference(
+    inst: Instance, p: int, d: int, encoder: list[list[int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Every receiver's decoder from the encoder rows over F_p, as the
+    stacked bcast and side rows (receiver j's d symbols at rows j*d ..
+    j*d+d-1).  Receiver j needs bcast_coef @ E to equal the selector of f(j)
+    on the columns U of the messages outside N(j); row-reducing
+    [E_U^T | Sel_U^T] either puts a pivot in the selector block (no decoder
+    exists) or gives bcast_coef from the reduced rows.  side_coef then
+    cancels bcast_coef @ E on N(j)."""
+    rows, cols = len(encoder), inst.n * d
+    columns = [[row[c] for row in encoder] for c in range(cols)]
+    bcast, side = [], []
+    for j, r in enumerate(inst.receivers):
+        want = range(r.wants * d, (r.wants + 1) * d)
+        red, pivots = row_reduce([columns[c] + [int(c == s) for s in want] for c in range(cols)
+                                  if c // d not in r.knows], p)
+        if pivots and pivots[-1] >= rows:
+            raise ValueError(f"receiver {j} cannot decode message {r.wants}")
+        bc = [[0] * rows for _ in range(d)]
+        for row, i in zip(red, pivots):
+            for t in range(d):
+                bc[t][i] = row[rows + t]
+        for coef in bc:
+            acc = [0] * cols
+            for b, enc in zip(coef, encoder):
+                if b:
+                    acc = [a + b * e for a, e in zip(acc, enc)]
+            side.append([-a % p if c // d in r.knows else 0 for c, a in enumerate(acc)])
+        bcast += bc
+    return bcast, side
+
+
 def check_decoder_locality_reference(inst: Instance, scheme: CodeScheme) -> None:
-    """The per-entry locality check: the first side_coef entry nonzero mod p
-    outside its decoder's N(j), in decoder, row and column order."""
+    """The per-entry locality check: the first side entry nonzero mod p
+    outside its receiver's N(j), in receiver, row and column order."""
     d = scheme.msg_symbols
-    for dec in scheme.decoders:
-        r = inst.receivers[dec.receiver]
-        for row in dec.side_coef:
-            for col, c in enumerate(row):
-                if c % scheme.field and col // d not in r.knows:
-                    raise ValueError(
-                        f"decoder {dec.receiver} reads message {col // d} outside N(j)"
-                    )
+    for k, row in enumerate(scheme.side.tolist()):
+        j = k // d
+        for col, c in enumerate(row):
+            if c % scheme.field and col // d not in inst.receivers[j].knows:
+                raise ValueError(f"decoder {j} reads message {col // d} outside N(j)")
 
 
 def verify_code_reference(
@@ -49,8 +85,6 @@ def verify_code_reference(
     seed: int = 0,
 ) -> VerificationReport:
     check_decoder_locality_reference(inst, scheme)
-    if {d.receiver for d in scheme.decoders} != set(range(inst.m)):
-        raise ValueError("scheme lacks a decoder for some receiver")
     p = scheme.field
     d = scheme.msg_symbols
     cols = inst.n * d
@@ -85,14 +119,10 @@ def reference_failures(
     order within the batch, decoded one receiver at a time in int64."""
     p = scheme.field
     d = scheme.msg_symbols
-    enc = np.array(scheme.encoder, dtype=np.int64) % p
+    enc = scheme.encoder % p
     decs = [
-        (
-            dec.receiver,
-            np.array(dec.bcast_coef, dtype=np.int64) % p,
-            np.array(dec.side_coef, dtype=np.int64) % p,
-        )
-        for dec in scheme.decoders
+        (j, scheme.bcast[j * d : (j + 1) * d] % p, scheme.side[j * d : (j + 1) * d] % p)
+        for j in range(inst.m)
     ]
     failures: list[tuple[tuple[int, ...], int]] = []
     bcast = xs @ enc.T % p

@@ -81,6 +81,7 @@ def test_report_refuses_a_malformed_file_matrix(capsys, tmp_path):
     for change, message in (
         ({"matrix_field": 0}, "matrix field 0 is not an integer of at least 2"),
         ({"matrix_field": "3"}, "matrix field '3' is not an integer of at least 2"),
+        ({"matrix_field": 4}, "matrix field 4 is not a prime"),
         ({"matrix": good["matrix"][:-1] + [["1"] * 9]}, "matrix is not a list of rows of integers"),
         ({"matrix": good["matrix"][:-1]}, "matrix is not 9 x 9"),
     ):
@@ -255,6 +256,18 @@ def test_code_verify_needs_a_trial(capsys, tmp_path):
                          "--verify", "random:0")
     assert code == 2 and not out
     assert "at least 1 random trial" in err
+
+
+def test_code_verify_refuses_a_spec_it_does_not_parse(capsys, tmp_path):
+    # only exhaustive, random, random:N and random:N:SEED are specs; a word
+    # that starts like one, a part too many and a negative seed are not
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    for spec in ("randomly", "random:5:1:2", "random:5:-1"):
+        code, out, err = run(capsys, "code", str(path), "--scheme", "strongcover", "--verify", spec)
+        assert code == 2 and not out
+        assert f"bad --verify spec {spec!r}" in err
+    out = run_json(capsys, "code", str(path), "--scheme", "strongcover", "--verify", "random:5:1")
+    assert (out["verification"]["trials"], out["verification"]["seed"]) == (5, 1)
 
 
 def test_minrk_cap_reaches_minrk2(capsys, tmp_path):
@@ -522,3 +535,30 @@ def test_a_wrong_rate2_decision_fails_its_claim(monkeypatch):
     assert got["claim"] == "beta(C5) = 5/2 with verified scheme"
     assert not got["pass"]
     assert got["detail"] == "error: receiver 0 cannot decode message 0", got
+
+
+# The sha256 of every `code` output below (exit status, stdout and stderr,
+# one case after another), recorded before the code model became arrays:
+# a change to how codes are held must not move a byte of what `code` prints.
+# The twosymbol runs on these graphs are refusals (none has rate 2), and
+# minrk on C7-bar stops at the default minrk cap, so complement-cycle n=6 adds
+# one two-symbol code that is built.
+CODE_OUTPUT_DIGEST = "7224120aba813d88b9f2880c17d7d485fe1d0678baa52482f80778706fbd008f"
+
+
+def test_code_output_is_the_recorded_bytes(capsys, tmp_path):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for family, n in (("cycle", 5), ("cycle", 7), ("complement-cycle", 7), ("cycle", 9),
+                      ("complement-cycle", 6)):
+        path = gen(capsys, tmp_path, family, f"n={n}")
+        runs = [("--scheme", s) for s in ("cliquecover", "strongcover", "mds", "minrk", "twosymbol")]
+        if (family, n) == ("complement-cycle", 7):
+            runs.append(("--scheme", "mds", "--verify", "random"))
+        if (family, n) == ("complement-cycle", 6):
+            runs = [("--scheme", "twosymbol")]
+        for argv in runs:
+            code, out, err = run(capsys, "code", str(path), *argv)
+            digest.update(f"{family} n={n} {' '.join(argv)}\n{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == CODE_OUTPUT_DIGEST

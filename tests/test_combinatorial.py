@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from combinatorial_reference import alpha_exact as reference_alpha
 from combinatorial_reference import enumerate_maximal_hypercliques as reference_hypercliques
+from codes_reference import decoders_reference
 
 from icbounds import combinatorial
 from icbounds.codes import _decoders, minrk_code, strong_cover_code, verify_code
@@ -74,6 +76,7 @@ def test_row_reduce_against_direct_checks():
         copy = [list(row) for row in mat]
         red, pivots = row_reduce(mat, p)
         assert mat == copy
+        assert row_reduce(np.array(mat), p) == (red, pivots)  # an int64 array reads the same
         rank = len(pivots)
         # reduced row-echelon form with the same row space, of size p^rank
         assert pivots == sorted(set(pivots)) and len(red) == rank
@@ -95,7 +98,8 @@ def test_row_reduce_against_direct_checks():
             assert got == [v % p for v in mat[j]]
         # decoder solve: a random encoder for d symbols per message either
         # gets decoders meeting bc E + sc = Sel_f(j), sc zero outside N(j),
-        # or is refused exactly when some selector is outside E_U's span
+        # equal entry for entry to the list solve's, or is refused, as by the
+        # list solve, exactly when some selector is outside E_U's span
         d, k = rng.randint(1, 2), rng.randint(1, 3)
         inst = random_instance(k, rng.randint(1, 2 * k), rng)
         enc = [[rng.randrange(p) for _ in range(k * d)]
@@ -110,19 +114,20 @@ def test_row_reduce_against_direct_checks():
                 break
         if blocked is not None:
             solved[False] += 1
-            with pytest.raises(ValueError, match=f"receiver {blocked[0]} cannot decode "
-                                                 f"message {blocked[1]}$"):
-                _decoders(inst, p, d, enc)
+            for solve, e in ((_decoders, np.array(enc)), (decoders_reference, enc)):
+                with pytest.raises(ValueError, match=f"receiver {blocked[0]} cannot decode "
+                                                     f"message {blocked[1]}$"):
+                    solve(inst, p, d, e)
             continue
         solved[True] += 1
-        decs = _decoders(inst, p, d, enc)
-        assert [dec.receiver for dec in decs] == list(range(inst.m))
-        for dec, r in zip(decs, inst.receivers):
+        bcast, side = (a.tolist() for a in _decoders(inst, p, d, np.array(enc)))
+        assert (bcast, side) == decoders_reference(inst, p, d, enc)
+        for j, r in enumerate(inst.receivers):
             sel = [[int(c == r.wants * d + t) for c in range(k * d)] for t in range(d)]
-            bce = _mul(dec.bcast_coef, enc, p)
-            assert [[(a + b) % p for a, b in zip(x, y)] for x, y in zip(bce, dec.side_coef)] == sel
-            assert all(row[c] == 0 for row in dec.side_coef
-                       for c in range(k * d) if c // d not in r.knows)
+            bc, sc = bcast[j * d : (j + 1) * d], side[j * d : (j + 1) * d]
+            bce = _mul(bc, enc, p)
+            assert [[(a + b) % p for a, b in zip(x, y)] for x, y in zip(bce, sc)] == sel
+            assert all(row[c] == 0 for row in sc for c in range(k * d) if c // d not in r.knows)
     assert min(solved.values()) >= 50
 
 
@@ -502,6 +507,16 @@ def test_representation_rank_identity():
     assert fits_graph(inst, [[1, 0, 0], [0, 1, 0]], 2) == ["matrix is not 3 x 3"]
     with pytest.raises(ValueError, match="does not fit"):
         representation_rank(inst, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 2)
+
+
+def test_representation_rank_refuses_a_field_that_is_not_prime():
+    # over Z/4 the elimination would take 2 as a pivot: the rank of a ring,
+    # not a minrank
+    inst = from_graph(Graph.from_edge_list(2, [(0, 1)]))
+    for p in (4, 6, 9):
+        with pytest.raises(ValueError, match=f"^matrix field {p} is not a prime$"):
+            representation_rank(inst, [[1, 2], [2, 1]], p)
+    assert representation_rank(inst, [[1, 2], [2, 1]], 5).value == 2
 
 
 def test_fitting_matrix_of_an_instance():
