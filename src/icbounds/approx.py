@@ -12,10 +12,13 @@ The recursion is split in two.  decide_expanding_or_cover finds either the
 expanding sequence or the cover's parts (hypercliques and dense leaves),
 recursing on message sets held as masks; build_cover turns the parts into
 the merged cover, sampled by low_degree_cover at each leaf and verified
-exactly.  tau's search for k(s) runs only the decision, and a class's cover
-is built only where it sets tau's value: with k >= 2 that needs n >= 144,
-since 12 k n^{1-1/k} > 2n >= 2|V_s| for n < 144 (at n = 144, k = 2 and
-V_s = V the two terms tie and the cover is taken).
+exactly.  tau's rate classes come from the rates' integer numerators and
+denominators, and its search for k(s) runs only the decision, on the
+class's message mask, so a class whose cover is not taken builds no
+sub-instance.  A class's cover is built only where it sets tau's value:
+with k >= 2 that needs n >= 144, since 12 k n^{1-1/k} > 2n >= 2|V_s| for
+n < 144 (at n = 144, k = 2 and V_s = V the two terms tie and the cover is
+taken).
 
 A leaf's cover is sampled: its weights are MC_INFLATION times the sampled
 frequencies, so a built cover weighs at most MC_INFLATION times the
@@ -38,7 +41,7 @@ from .combinatorial import (
     sequence_weight,
     verify_cover,
 )
-from .instance import Instance, Receiver, from_mask
+from .instance import Instance, Receiver, from_mask, to_mask
 from .numeric import log2_enclosure, pow_frac_ceil, pow_frac_enclosure
 
 F0 = Fraction(0)
@@ -70,14 +73,15 @@ def induced_subhypergraph(inst: Instance, verts) -> tuple[Instance, list[int], l
 def alpha_greedy(inst: Instance) -> ExpandingSequence:
     """Greedy expanding sequence: scan receivers by wanted rate (desc, then
     index), adding any whose wanted message avoids every earlier S(j)."""
-    order = sorted(range(inst.m), key=lambda j: (-inst.rate(inst.receivers[j].wants), j))
-    used: set[int] = set()
+    rates = inst.rates or (F1,) * inst.n
+    # by wanted rate, descending; the sort is stable, so ties keep index order
+    order = sorted(range(inst.m), key=lambda j: rates[inst.receivers[j].wants], reverse=True)
+    used = 0  # the union of the chosen S(j), a mask
     seq = []
     for j in order:
-        r = inst.receivers[j]
-        if r.wants not in used:
+        if not used >> inst.receivers[j].wants & 1:
             seq.append(j)
-            used |= r.side_set()
+            used |= inst.side_masks[j]
     out = ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
     if not is_expanding_sequence(inst, out.receivers):
         raise AssertionError("greedy produced a sequence that is not expanding")
@@ -105,11 +109,7 @@ def low_degree_cover(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
     n = inst.n
     _check_low_degree(inst, d)
     reps = inst.distinct_receivers()
-    info = [
-        (j, 1 << inst.receivers[j].wants,
-         sum(1 << v for v in inst.receivers[j].knows) | 1 << inst.receivers[j].wants)
-        for j in reps
-    ]
+    info = [(j, 1 << inst.receivers[j].wants, inst.side_masks[j]) for j in reps]
 
     def clique_of(tmask: int) -> frozenset[int]:
         return frozenset(j for j, fb, sm in info if fb & tmask and not tmask & ~sm)
@@ -181,9 +181,15 @@ def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | Cov
     S(j) & V, so V's induced sub-instance is never built.  The decision
     builds no low-degree cover either, only checks each dense leaf's
     precondition, |V - S(j)| <= d for every receiver of V."""
+    return _decide(inst, k, (1 << inst.n) - 1)
+
+
+def _decide(inst: Instance, k: int, top: int) -> ExpandingSequence | CoverParts:
+    """decide_expanding_or_cover on the sub-instance induced by the message
+    mask `top`, |top| messages, in inst's receiver indices and messages."""
     if k < 1:
         raise ValueError("need k >= 1")
-    nn = inst.n
+    nn = top.bit_count()
     wants = [r.wants for r in inst.receivers]
     side = inst.side_masks
     parts = CoverParts()
@@ -217,7 +223,7 @@ def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | Cov
             recs = [j for j in recs if vmask >> wants[j] & 1]
         return None
 
-    seq = go((1 << nn) - 1, list(range(inst.m)), k)
+    seq = go(top, [j for j in range(inst.m) if top >> wants[j] & 1], k)
     if seq is None:
         return parts
     if len(seq) != k + 1 or not is_expanding_sequence(inst, seq):
@@ -310,25 +316,22 @@ def tau(inst: Instance, seed: int = 0) -> TauCertificate:
         psi = fractional_cover(inst, "weak").total if inst.m else F0
         return TauCertificate(min(total, psi), [], 0, mode, seed, "small-n exact value")
     classes: dict[int, list[int]] = {}
-    for v in range(n):
-        r = inst.rate(v)
-        if not 0 < r <= 1:
+    for v, r in enumerate(inst.rates or (F1,) * n):
+        num, den = r.numerator, r.denominator
+        if not 0 < num <= den:
             raise ValueError(f"rate of message {v} must lie in (0, 1]")
-        s = 1
-        while r <= Fraction(1, 2**s):
-            s += 1
-        classes.setdefault(s, []).append(v)
+        # the least s >= 1 with num * 2^s > den
+        classes.setdefault(max(1, (den // num).bit_length()), []).append(v)
     k_cap = (n - 1).bit_length() + 2  # ceil(log2 n) + 2
     out: list[TauClass] = []
     value = F0
     for s in sorted(classes):
         vs = classes[s]
-        sub, _, emap = induced_subhypergraph(Instance(inst.n, inst.receivers), vs)
-        kk = parts = cover = None
+        vmask = to_mask(vs)
+        kk = cover = None
         for k in range(1, k_cap + 1):
-            found = decide_expanding_or_cover(sub, k)
-            if isinstance(found, CoverParts):
-                kk, parts = k, found
+            if isinstance(_decide(inst, k, vmask), CoverParts):
+                kk = k
                 break
         trivial = Fraction(2 * len(vs))
         if kk is None:
@@ -339,6 +342,10 @@ def tau(inst: Instance, seed: int = 0) -> TauCertificate:
             choice = "cover" if cover_term <= trivial else "trivial"
             best = min(cover_term, trivial)
         if choice == "cover":
+            # build_cover reads the parts in the indices of the instance it
+            # covers, so they are decided again on the class's sub-instance
+            sub, _, emap = induced_subhypergraph(Instance(inst.n, inst.receivers), vs)
+            parts = decide_expanding_or_cover(sub, kk)
             built = build_cover(sub, kk, parts, seed=seed)
             if parts.leaves:
                 mode = "monte-carlo"

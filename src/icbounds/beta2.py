@@ -1,13 +1,15 @@
 """Polynomial-time decision of "broadcast rate exactly 2".
 
 Vertices v, w are related (v # w) when some receiver is blind on both, i.e.
-{v, w} <= T(j) = V \\ (N(j) | {f(j)}).  Classes of the transitive closure
-give a candidate labeling; the instance admits a rate-2 scheme iff for every
-receiver the class of its blind set differs from the class of its wanted
-message.  On success the labeling is the certificate: it yields the
-two-symbol sum / weighted-sum code, `codes.two_symbol_code(inst, labeling,
-num_classes)`, which the decision does not build.  On failure a shortest
-path in the #-graph from f(j) into T(j) unrolls into an
+{v, w} <= T(j) = V \\ (N(j) | {f(j)}).  Each T(j) is held as the mask
+V & ~side_masks[j]; classes of the transitive closure, the unions of blind
+sets that meet, give a candidate labeling; the instance admits a rate-2
+scheme iff for every receiver the class of its blind set differs from the
+class of its wanted message.  On success the labeling is the certificate:
+it yields the two-symbol sum / weighted-sum code,
+`codes.two_symbol_code(inst, labeling, num_classes)`, which the decision
+does not build.  On failure a shortest path in the #-graph from f(j) into
+T(j), a breadth-first search over the blind masks, unrolls into an
 almost-alternating-cycle witness certifying a bound of 2 + 1/n.
 
 Receivers that are blind on nothing impose no relation and are always
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorial import is_weak_hyperclique
-from .instance import Instance
+from .instance import Instance, bits
 
 
 @dataclass
@@ -49,13 +51,15 @@ def validate_aac(inst: Instance, w: AacWitness) -> list[str]:
     def v(i: int) -> int:
         return w.vertices[i + n]
 
+    def blind(j: int, x: int) -> bool:  # x in T(j), the complement of S(j)
+        return 0 <= x < inst.n and not inst.side_masks[j] >> x & 1
+
     for i, j in enumerate(w.edges):
-        t = inst.receivers[j].blind_set(inst.n)
         if inst.receivers[j].wants != v(i - n):
             bad.append(f"edge {i}: wanted message is not v_{i - n}")
-        if v(i) not in t:
+        if not blind(j, v(i)):
             bad.append(f"edge {i}: v_{i} not in the blind set")
-        if i < n and v(i + 1) not in t:
+        if i < n and not blind(j, v(i + 1)):
             bad.append(f"edge {i}: v_{i + 1} not in the blind set")
     return bad
 
@@ -70,60 +74,64 @@ class Beta2Certificate:
     bound: Fraction | None = None  # lower bound on beta when is_two is False
 
 
-def _classes(blind: list[frozenset[int]], n: int) -> tuple[list[int], int]:
-    """Classes of the transitive closure of #: every blind set lies in one
-    class, so each is unioned into its first vertex."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _labeling(blind: list[int], n: int) -> tuple[list[int], int]:
+    """Classes of the transitive closure of #, blind sets given as masks:
+    blind sets that meet are merged, and a vertex in no blind set is a
+    class of its own.  Classes are numbered in order of their least
+    vertex.  Returns (vertex -> class, class count)."""
+    merged: list[int] = []  # disjoint unions of blind sets
+    covered = 0
     for t in blind:
-        root = find(min(t, default=0))
-        for v in t:
-            parent[find(v)] = root
-    ids: dict[int, int] = {}
-    lab = []
-    for vtx in range(n):
-        r = find(vtx)
-        ids.setdefault(r, len(ids))
-        lab.append(ids[r])
-    return lab, len(ids)
+        if t:
+            covered |= t
+            rest = []
+            for c in merged:
+                if c & t:
+                    t |= c
+                else:
+                    rest.append(c)
+            rest.append(t)
+            merged = rest
+    classes = merged + [1 << v for v in bits(((1 << n) - 1) & ~covered)]
+    classes.sort(key=lambda c: c & -c)
+    lab = [0] * n
+    for i, c in enumerate(classes):
+        for v in bits(c):
+            lab[v] = i
+    return lab, len(classes)
 
 
-def _extract_aac(inst: Instance, j_star: int, blind: list[frozenset[int]]) -> AacWitness:
+def _extract_aac(inst: Instance, j_star: int, blind: list[int]) -> AacWitness:
     """BFS in the #-graph from f(j*) to the blind set of j*; unroll the
     shortest path into an almost-alternating-cycle witness.  One hop from v
     is any blind set containing v, and each blind set is expanded once, the
-    first time the search reaches it, which keeps every distance shortest."""
+    first time the search reaches it, which keeps every distance shortest.
+    Blind sets are masks; an expanded one enqueues its new vertices in the
+    iteration order of T(j) = blind_set(n), which picks the witness among
+    the shortest ones."""
     src = inst.receivers[j_star].wants
     goal = blind[j_star]
-    holders: list[list[int]] = [[] for _ in range(inst.n)]
-    for j, t in enumerate(blind):
-        for v in t:
-            holders[v].append(j)
-    expanded = [False] * inst.m
+    pending = [j for j, t in enumerate(blind) if t]  # not yet expanded
     prev: dict[int, tuple[int, int]] = {}
-    seen = {src}
+    seen = 1 << src
     q = deque([src])
     end = None
     while q:
         cur = q.popleft()
-        if cur in goal:
+        if goal >> cur & 1:
             end = cur
             break
-        for j in holders[cur]:
-            if expanded[j]:
-                continue
-            expanded[j] = True
-            for nxt in blind[j]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    prev[nxt] = (cur, j)
-                    q.append(nxt)
+        rest = []
+        for j in pending:
+            if not blind[j] >> cur & 1:
+                rest.append(j)
+            elif blind[j] & ~seen:
+                for nxt in inst.receivers[j].blind_set(inst.n):
+                    if not seen >> nxt & 1:
+                        seen |= 1 << nxt
+                        prev[nxt] = (cur, j)
+                        q.append(nxt)
+        pending = rest
     if end is None:
         raise AssertionError("no #-path despite a shared class")
     path_v = [end]
@@ -146,13 +154,11 @@ def decide_beta_eq_2(inst: Instance) -> Beta2Certificate:
     reps = inst.distinct_receivers()
     if is_weak_hyperclique(inst, reps):
         return Beta2Certificate(False, reason="beta_below_2")
-    blind = [r.blind_set(inst.n) for r in inst.receivers]
-    lab, num = _classes(blind, inst.n)
+    full = (1 << inst.n) - 1
+    blind = [full & ~side for side in inst.side_masks]
+    lab, num = _labeling(blind, inst.n)
     for j, t in enumerate(blind):
-        if not t:
-            continue
-        c = lab[next(iter(t))]
-        if lab[inst.receivers[j].wants] == c:
+        if t and lab[inst.receivers[j].wants] == lab[(t & -t).bit_length() - 1]:
             w = _extract_aac(inst, j, blind)
             bad = validate_aac(inst, w)
             if bad:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .instance import CapExceeded, Instance, Graph, from_graph, to_mask
+from .instance import CapExceeded, Instance, Graph, bits, from_graph, to_mask
 from .lp import LpProblem, ints, solve_min
 from .numeric import is_prime
 
@@ -86,11 +86,9 @@ def is_expanding_sequence(inst: Instance, seq) -> bool:
     """Each receiver's wanted message avoids every earlier S(i)."""
     used = 0
     for j in seq:
-        r = inst.receivers[j]
-        smask = to_mask(r.knows) | (1 << r.wants)
-        if used >> r.wants & 1:
+        if used >> inst.receivers[j].wants & 1:
             return False
-        used |= smask
+        used |= inst.side_masks[j]
     return True
 
 
@@ -166,21 +164,11 @@ def is_weak_hyperclique(inst: Instance, receiver_set) -> bool:
 
 
 def is_strong_hyperclique(inst: Instance, message_set) -> bool:
-    t = frozenset(message_set)
-    for r in inst.receivers:
-        if r.wants in t and not t <= r.side_set():
+    t = to_mask(message_set)
+    for r, side in zip(inst.receivers, inst.side_masks):
+        if t >> r.wants & 1 and t & ~side:
             return False
     return True
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _allowed(inst: Instance) -> list[int]:
@@ -209,14 +197,14 @@ def _compat(inst: Instance, kind: str) -> tuple[list[int], tuple[int, ...]]:
         near = []
         for j in targets:
             near.append(0)
-            for v in _bits(inst.side_masks[j]):
+            for v in bits(inst.side_masks[j]):
                 near[-1] |= wanting[v]
     else:
         raise ValueError("kind must be 'weak' or 'strong'")
     # compatible: each lies near the other
     back = [0] * len(targets)
     for x, m in enumerate(near):
-        for y in _bits(m):
+        for y in bits(m):
             back[y] |= 1 << x
     return [m & back[x] & ~(1 << x) for x, m in enumerate(near)], targets
 
@@ -257,7 +245,7 @@ def _hypercliques(inst: Instance, kind: str) -> tuple[list[list[int]], tuple[int
     """(cliques, targets): every maximal hyperclique as the increasing
     positions of its members in targets, in canonical sorted order."""
     adj, targets = _compat(inst, kind)
-    return sorted(map(_bits, _maximal_cliques(adj))), targets
+    return sorted(map(bits, _maximal_cliques(adj))), targets
 
 
 def enumerate_maximal_hypercliques(inst: Instance, kind: str) -> list[frozenset[int]]:
@@ -290,7 +278,7 @@ def verify_cover(inst: Instance, cover: FractionalCover) -> list[str]:
         # a hyperclique's members all lie in the intersection of the sets
         # each member allows: allowed[v] (strong), S(j) (weak)
         need, have = (mask if strong else 0), -1
-        for t in _bits(mask):
+        for t in bits(mask):
             if strong:
                 have &= allowed[t]
             else:
@@ -307,7 +295,7 @@ def verify_cover(inst: Instance, cover: FractionalCover) -> list[str]:
     d = math.lcm(*(w.denominator for w in weights), *(r.denominator for r in rates))
     got = [0] * (inst.n if strong else inst.m)
     for mask, w in zip(masks, weights):
-        for t in _bits(mask):
+        for t in bits(mask):
             got[t] += w.numerator * (d // w.denominator)
     if strong:
         for v in range(inst.n):
@@ -400,7 +388,7 @@ def integer_clique_cover(inst: Instance | Graph) -> tuple[int, list[frozenset[in
         inst = from_graph(inst)
     n = inst.n
     adj, _ = _compat(inst, "strong")
-    comp_adj = [_bits((1 << n) - 1 & ~a & ~(1 << u)) for u, a in enumerate(adj)]
+    comp_adj = [bits((1 << n) - 1 & ~a & ~(1 << u)) for u, a in enumerate(adj)]
     order = sorted(range(n), key=lambda v: -len(comp_adj[v]))
     best_k = n + 1
     best_assign: list[int] = []
@@ -487,7 +475,7 @@ def minrk2(inst: Instance | Graph, cap: int = MINRK_FREE_ENTRY_CAP) -> MinrkResu
         inst = from_graph(inst)
     n = inst.n
     reps = inst.distinct_receivers()
-    knows = {j: to_mask(inst.receivers[j].knows) for j in reps}
+    knows = {j: inst.side_masks[j] & ~(1 << inst.receivers[j].wants) for j in reps}
     free = sum(k.bit_count() for k in knows.values())
     if free > cap:
         raise CapExceeded("minrk-free-entries", free, cap)

@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .instance import CapExceeded, Instance, to_mask
+from .instance import CapExceeded, Instance
 from .lp import LpProblem, check_feasible, ints, solve_min
 
 F0 = Fraction(0)
@@ -126,8 +126,8 @@ def _submasks(gain: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _closure_masks(inst: Instance, masks: np.ndarray) -> np.ndarray:
     """closure_step of every mask at once."""
     plus = masks.copy()
-    for r in inst.receivers:
-        knows = to_mask(r.knows)
+    for r, side in zip(inst.receivers, inst.side_masks):
+        knows = side & ~(1 << r.wants)
         plus[masks & knows == knows] |= 1 << r.wants
     return plus
 
@@ -301,8 +301,8 @@ def alpha_feasible_vector(inst: Instance) -> dict[int, Fraction]:
     level-1 feasible point of value alpha; graphs only."""
     n = inst.n
     closed = [0] * n
-    for r in inst.receivers:
-        closed[r.wants] |= (1 << r.wants) | to_mask(r.knows)
+    for r, side in zip(inst.receivers, inst.side_masks):
+        closed[r.wants] |= side
     maxind = [0] * (1 << n)
     for mask in range(1, 1 << n):
         v = (mask & -mask).bit_length() - 1

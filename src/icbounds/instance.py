@@ -5,6 +5,12 @@ wants message f(j) and knows the side-information set N(j).  Undirected
 graphs are the special case with one receiver per vertex knowing its
 neighbors.  Message rates are exact rationals in (0, 1] (all 1 unless
 the instance is weighted).
+
+The bitmask algorithms (hypercliques, covers, greedy and tau, the rate-2
+decision, the hierarchy's closure) read each receiver's S(j) as one
+integer mask, `Instance.side_masks`, worked out once per instance.  A
+graph file's instance is built in one pass over its validated edge pairs;
+a `Graph` is made only to word the faults of a file that is refused.
 """
 
 from __future__ import annotations
@@ -144,12 +150,20 @@ def validate_graph(g: Graph) -> ValidationReport:
 
 def from_graph(g: Graph) -> Instance:
     """One receiver per vertex, knowing exactly its neighbors."""
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for e in g.edges:
-        for v in e:
-            if 0 <= v < g.n:  # an out-of-range end is left for validate() to report
-                adj[v] |= e - {v}
-    return Instance(g.n, tuple(Receiver(v, frozenset(adj[v])) for v in range(g.n)))
+    return _neighbour_receivers(g.n, (tuple(e) for e in g.edges if len(e) == 2))
+
+
+def _neighbour_receivers(n: int, pairs) -> Instance:
+    """One receiver per vertex, knowing exactly its neighbors, from the
+    edge pairs (u, v), u != v, in one pass; an out-of-range end gets no
+    receiver and is left for validate() to report."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        if 0 <= u < n:
+            adj[u].append(v)
+        if 0 <= v < n:
+            adj[v].append(u)
+    return Instance(n, tuple(Receiver(v, frozenset(a)) for v, a in enumerate(adj)))
 
 
 def closure_step(inst: Instance, a: frozenset[int]) -> frozenset[int]:
@@ -212,11 +226,26 @@ def _instance_from_dict(data: dict) -> Instance:
     return Instance(n, recs, rates)
 
 
-def _graph_from_dict(data: dict) -> Graph:
+def _graph_pairs(data: dict) -> tuple[int, list[tuple[int, int]]]:
+    """A graph file's n and its edges as integer pairs, in file order."""
     try:
-        return Graph.from_edge_list(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+        return int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph file: {exc}") from exc
+
+
+def _graph_from_dict(data: dict) -> Graph:
+    return Graph.from_edge_list(*_graph_pairs(data))
+
+
+def _graph_instance(data: dict) -> Instance:
+    """A graph file's instance, built from its validated edge pairs without
+    a Graph; a file validate_graph faults (no vertices, a self-loop, an end
+    out of range) is refused with validate_graph's words."""
+    n, pairs = _graph_pairs(data)
+    if n < 1 or not all(u != v and 0 <= u < n and 0 <= v < n for u, v in pairs):
+        _valid(Graph.from_edge_list(n, pairs))
+    return _neighbour_receivers(n, pairs)
 
 
 def _valid(obj):
@@ -257,14 +286,15 @@ def write_graph(g: Graph, path) -> None:
 
 
 def read_problem(path):
-    """Read a JSON file holding either an instance or a graph; graphs are
-    converted via from_graph.  Returns (instance, data_dict); every reader
-    raises ParseError for a file that fails validation."""
+    """Read a JSON file holding either an instance or a graph; a graph's
+    instance is from_graph's, built straight from its edge pairs.  Returns
+    (instance, data_dict); every reader raises ParseError for a file that
+    fails validation."""
     data = read_json(path)
     if "receivers" in data:
         return _valid(_instance_from_dict(data)), data
     if "edges" in data:
-        return from_graph(_valid(_graph_from_dict(data))), data
+        return _graph_instance(data), data
     raise ParseError(f"{path}: neither an instance nor a graph file")
 
 
@@ -286,3 +316,13 @@ def from_mask(mask: int) -> frozenset[int]:
         mask >>= 1
         v += 1
     return frozenset(out)
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

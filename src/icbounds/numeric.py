@@ -1,4 +1,4 @@
-"""Exact-arithmetic helpers: rational parsing, integer roots, log enclosures, small primes."""
+"""Exact-arithmetic helpers: rational parsing, integer roots, log enclosures, primality."""
 
 from __future__ import annotations
 
@@ -97,18 +97,36 @@ def _log2_bits(p: int, q: int, k: int, width: int, up: bool) -> int:
     return bits
 
 
+# Miller-Rabin over the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# 2015); the bound itself is a strong pseudoprime to all of them.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin over PRIME_BASES, exact for every p below
+    PRIME_TEST_BOUND (about 3.3 * 10^24); a larger p raises ValueError."""
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"is_prime is exact only below {PRIME_TEST_BOUND}, not for {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
+    for b in PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # b witnesses that p is composite
     return True
 
 

@@ -11,7 +11,11 @@ were split, and tau_reference is tau's k search on top of it.  They build
 every leaf's cover as they go, by `icbounds.approx.low_degree_cover` looked
 up at call time (so exact_leaves() reaches them too), and are slow;
 `icbounds.approx`'s decision followed by its build must give the same
-sequences, covers and certificates."""
+sequences, covers and certificates.
+
+alpha_greedy_reference is the greedy expanding sequence on Python sets,
+ordered by the key (-rate, index), as `icbounds.approx.alpha_greedy` ran
+before it read the side-information masks."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -41,6 +45,18 @@ from icbounds.numeric import pow_frac_ceil, pow_frac_enclosure
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def alpha_greedy_reference(inst: Instance) -> ExpandingSequence:
+    order = sorted(range(inst.m), key=lambda j: (-inst.rate(inst.receivers[j].wants), j))
+    used: set[int] = set()
+    seq = []
+    for j in order:
+        r = inst.receivers[j]
+        if r.wants not in used:
+            seq.append(j)
+            used |= r.side_set()
+    return ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
 
 
 def _prefix_sets(n: int, d: int):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from approx_reference import (
+    alpha_greedy_reference,
     exact_leaves,
     expanding_or_cover_reference,
     low_degree_cover_reference,
@@ -51,6 +52,14 @@ def test_alpha_greedy_valid():
         inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
         seq = alpha_greedy(inst)
         assert is_expanding_sequence(inst, seq.receivers)
+
+
+def test_alpha_greedy_matches_the_set_greedy():
+    # the mask greedy picks the receivers the set greedy picks, in the
+    # same order, on weighted and unweighted instances
+    rng = random.Random(52)
+    for inst in _corpus(rng, 300):
+        assert alpha_greedy(inst) == alpha_greedy_reference(inst)
 
 
 def test_low_degree_cover_small():
@@ -178,6 +187,26 @@ def test_decision_matches_single_pass_recursion(monkeypatch):
                     mp.setattr(approx, "Instance", _refuse)
                     decided = decide_expanding_or_cover(inst, k)
                 _same_outcome(inst, k, decided, want)
+
+
+def test_tau_builds_no_class_sub_instance(monkeypatch):
+    # tau decides each rate class on its message mask: a tau whose classes
+    # all take the trivial choice never induces a sub-instance, weighted
+    # instances with several classes and a 160-vertex graph included
+    rng = random.Random(61)
+    insts = _corpus(rng, 90)
+    insts.append(from_graph(random_gnp(160, 0.5, rng)))
+    checked = several = 0
+    for inst in insts:
+        want = tau(inst, seed=2)
+        if want.fallback or any(c.choice == "cover" for c in want.classes):
+            continue
+        with monkeypatch.context() as mp:
+            mp.setattr(approx, "induced_subhypergraph", _refuse)
+            assert tau(inst, seed=2) == want
+        checked += 1
+        several += inst.is_weighted() and len(want.classes) > 1
+    assert checked > 40 and several > 5
 
 
 def test_decision_matches_single_pass_recursion_monte_carlo():

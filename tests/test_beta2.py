@@ -52,6 +52,19 @@ def test_decide_false_on_c5():
     assert cert.bound is not None and cert.bound > 2
 
 
+def test_validate_aac_refuses_a_vertex_out_of_range():
+    # a vertex outside 0..n-1 lies in no blind set
+    inst = from_graph(cycle(5))
+    w = decide_beta_eq_2(inst).aac
+    assert validate_aac(inst, w) == []
+    for bad in (5, -1):
+        vertices = list(w.vertices)
+        vertices[-1] = bad
+        wrong = type(w)(w.n, vertices, w.edges)
+        assert validate_aac(inst, wrong) == [f"edge {w.n - 1}: v_{w.n} not in the blind set",
+                                             f"edge {w.n}: v_{w.n} not in the blind set"]
+
+
 def test_decide_false_on_aac_instances():
     for n in (1, 2, 3):
         inst = aac_instance(n)

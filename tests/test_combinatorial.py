@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -517,6 +518,21 @@ def test_representation_rank_refuses_a_field_that_is_not_prime():
         with pytest.raises(ValueError, match=f"^matrix field {p} is not a prime$"):
             representation_rank(inst, [[1, 2], [2, 1]], p)
     assert representation_rank(inst, [[1, 2], [2, 1]], 5).value == 2
+
+
+def test_representation_rank_over_a_61_bit_field_answers_at_once():
+    # the field's primality test is Miller-Rabin: trial division up to
+    # sqrt(2^61 - 1) would take minutes
+    inst = from_graph(cycle(5))
+    p = 2**61 - 1
+    gram = [[1 if u == v else (p - 1 if (u - v) % 5 in (1, 4) else 0) for v in range(5)]
+            for u in range(5)]
+    t0 = time.perf_counter()
+    res = representation_rank(inst, gram, p)
+    assert time.perf_counter() - t0 < 1
+    assert res.field == p and res.value == 5
+    with pytest.raises(ValueError, match="exact only below"):
+        representation_rank(inst, gram, 2**127 - 1)
 
 
 def test_fitting_matrix_of_an_instance():

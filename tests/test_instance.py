@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from instance_reference import from_graph_reference, read_graph_problem_reference
 
 from icbounds.instance import (
     Graph,
@@ -47,6 +48,51 @@ def test_from_graph_matches_per_vertex_neighbors():
     for g in graphs:
         assert from_graph(g) == Instance(g.n, tuple(Receiver(v, g.neighbors(v)) for v in range(g.n)))
     assert not validate(from_graph(graphs[-1])).ok
+
+
+def _graph_file(rng, n):
+    """Seeded edges of a graph on n vertices, some listed twice or reversed,
+    in shuffled order; vertices with no edge are common at small p."""
+    p = rng.random() ** 2
+    edges = [[u, v] for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges += [e[::-1] if rng.random() < 0.5 else list(e) for e in edges if rng.random() < 0.3]
+    edges = [e[::-1] if rng.random() < 0.3 else e for e in edges]
+    rng.shuffle(edges)
+    return {"n": n, "edges": edges}
+
+
+def test_read_problem_matches_the_graph_path(tmp_path):
+    # the one-pass parse gives the instance of the Graph-based path, and
+    # from_graph gives it too
+    rng = random.Random(23)
+    p = tmp_path / "g.json"
+    for i in range(120):
+        data = _graph_file(rng, rng.randint(1, 45) if i else 160)
+        p.write_text(json.dumps(data))
+        inst, back = read_problem(p)
+        assert back == data
+        assert inst == read_graph_problem_reference(p)
+        g = read_graph(p)
+        assert from_graph(g) == from_graph_reference(g) == inst
+
+
+def test_read_problem_refuses_what_the_graph_path_refuses(tmp_path):
+    # every faulty file, however many faults, gets validate_graph's message
+    rng = random.Random(29)
+    p = tmp_path / "g.json"
+    for _ in range(150):
+        n = rng.randint(3, 12)
+        data = _graph_file(rng, n)
+        faults = [[0, 0], [2, 2], [0, n], [n, 0], [-1, 2], [3, n + 5], [n + 5, 3], [1, -5]]
+        for _ in range(rng.randint(1, 4)):
+            data["edges"].insert(rng.randrange(len(data["edges"]) + 1), rng.choice(faults))
+        data["n"] = rng.choice([n, n, 0, -2])
+        p.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as want:
+            read_graph_problem_reference(p)
+        with pytest.raises(ParseError) as got:
+            read_problem(p)
+        assert str(got.value) == str(want.value)
 
 
 def test_validate_catches_bad_receivers():

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from numeric_reference import log2_enclosure_reference
+from numeric_reference import is_prime_reference, log2_enclosure_reference, lucas_lehmer
 
 from icbounds import numeric
 from icbounds.numeric import (
+    PRIME_TEST_BOUND,
     ceil_root,
     format_rational,
     iroot,
@@ -108,3 +109,52 @@ def test_primes():
         assert not is_prime(c)
     assert next_prime(14) == 17
     assert next_prime(2) == 3
+
+
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+              52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
+              252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041, 449065]
+
+
+def test_miller_rabin_matches_trial_division():
+    for n in range(-3, 10**5):
+        assert is_prime(n) == is_prime_reference(n), n
+    # Carmichael numbers, and strong pseudoprimes to the bases 2 (2047,
+    # 3277), 2..7 (3215031751) and 2..23 (3825123056546413051), all
+    # composite with a factor small enough for trial division
+    for n in CARMICHAEL + [2047, 3277, 3215031751, 3825123056546413051]:
+        assert not is_prime(n) and not is_prime_reference(n), n
+    # every n next to the primes 2^40 + 15 and 2^46 - 57 and 2^46 + 15
+    for n in [*range(2**40 - 30, 2**40 + 30), *range(2**46 - 58, 2**46 - 54),
+              *range(2**46 + 14, 2**46 + 17)]:
+        assert is_prime(n) == is_prime_reference(n), n
+    assert is_prime(2**40 + 15) and is_prime(2**46 - 57) and is_prime(2**46 + 15)
+
+
+def test_miller_rabin_near_two_to_the_61():
+    # 2^61 - 1 is prime by the Lucas-Lehmer test, 2^67 - 1 is not; the
+    # semiprimes p * q of primes just above 2^30.5 are composite by
+    # construction
+    assert lucas_lehmer(61) and is_prime(2**61 - 1)
+    assert not lucas_lehmer(67) and not is_prime(2**67 - 1)
+    primes = [p for p in range(1_518_500_250, 1_518_500_500) if is_prime_reference(p)]
+    assert all(is_prime(p) for p in primes) and len(primes) > 5
+    for p, q in zip(primes, primes[1:]):
+        assert not is_prime(p * q)
+        assert not is_prime(p * p)
+    for n in range(2**61 - 9, 2**61 + 10, 2):
+        if any(n % d == 0 for d in range(3, 100_000, 2)):
+            assert not is_prime(n), n
+
+
+def test_miller_rabin_needs_every_base_and_stops_at_its_bound():
+    # a strong pseudoprime to every prime base up to 37, which base 41
+    # exposes; the bound itself fools all thirteen bases, so it is refused
+    n = 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert PRIME_TEST_BOUND == 1287836182261 * 2575672364521
+    assert not is_prime(PRIME_TEST_BOUND - 1)  # just below the bound: an answer
+    with pytest.raises(ValueError, match=str(PRIME_TEST_BOUND)):
+        is_prime(PRIME_TEST_BOUND)
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(2**127 - 1)
