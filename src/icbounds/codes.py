@@ -19,8 +19,11 @@ Constructions: the strong-cover code (an integer clique cover is the strong
 cover with weight 1 per clique), the MDS weak-cover code, the minrank code
 of any instance's fitting matrix, and the two-symbol code of a rate-2
 instance.  Each builds only its encoder; every decoder is solved from the
-encoder by one `combinatorial.row_reduce` per receiver, which also refuses
-an encoder some receiver cannot decode.
+encoder.  A receiver whose wanted columns each have a local pivot row (a
+first nonzero row with no other nonzero outside N(j), as in every valid
+cover code) reads its decoder off those rows, all such receivers at once;
+each other receiver takes one `combinatorial.row_reduce`, which also
+refuses an encoder that receiver cannot decode.
 """
 
 from __future__ import annotations
@@ -280,24 +283,49 @@ def _equalized_cover_sets(inst: Instance, cover: FractionalCover) -> tuple[list[
 def _decoders(inst: Instance, p: int, d: int, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every receiver's decoder, solved from the encoder E over F_p: the
     bcast and side arrays.  Receiver j needs bcast_j E to equal the selector
-    of f(j) on the columns U of the messages outside N(j); row-reducing the
-    slice [E_U^T | Sel_U^T] either puts a pivot in the selector block (no
-    decoder exists) or gives bcast_j from the reduced rows.  side then
-    cancels bcast E on N(j), every row at once."""
-    rows = len(enc)
+    of f(j) on the columns U of the messages outside N(j); its bcast_j is
+    what row-reducing the slice [E_U^T | Sel_U^T] gives, and a pivot in the
+    selector block means no decoder exists.  side then cancels bcast E on
+    N(j), every row at once.
+
+    The elimination's answer is read off without it where it can be.  Let r
+    be the first row of E with a nonzero in wanted column c = f(j)*d + t,
+    and call r local when it has no other nonzero on U.  No earlier row
+    touches c, so r is a pivot of j's system, and the reduced system's
+    answer for symbol t is E[r, c]^-1 on row r and 0 elsewhere.  Every
+    receiver whose d wanted columns all have a local first row is answered
+    so, all at once (in a valid cover code, every receiver: bit t of f(j)
+    rides in one set, whose other members j knows); each other receiver
+    takes one `row_reduce`, in receiver order, which refuses the first that
+    cannot decode."""
+    rows, m = len(enc), inst.m
     knows = _knows(inst)
-    bcast = np.zeros((inst.m * d, rows), np.int64)
-    for j, r in enumerate(inst.receivers):
+    bcast = np.zeros((m * d, rows), np.int64)
+    f = np.array([r.wants for r in inst.receivers], np.int64)
+    wanted = f[:, None] * d + np.arange(d)
+    fast = np.zeros(m, bool)
+    if rows:  # an encoder of no rows has no pivot row
+        nonzero = enc != 0
+        first = nonzero.argmax(axis=0)[wanted]  # row 0 for a column E leaves zero
+        # on_unknown[r, j]: row r's nonzeros on the columns U of receiver j
+        on_unknown = nonzero.reshape(rows, inst.n, d).sum(axis=2) @ ~knows.T
+        local = (enc[first, wanted] != 0) & (on_unknown[first, np.arange(m)[:, None]] == 1)
+        fast = local.all(axis=1) & ~knows[np.arange(m), f]  # f(j) outside N(j), so c is in U
+        pivot = enc[first[fast], wanted[fast]].ravel().tolist()
+        inverse = {v: pow(v, p - 2, p) for v in set(pivot)}
+        symbol = np.arange(m * d).reshape(m, d)  # bcast row j*d + t
+        bcast[symbol[fast].ravel(), first[fast].ravel()] = [inverse[v] for v in pivot]
+    for j in np.flatnonzero(~fast).tolist():
         u = np.flatnonzero(~knows[j].repeat(d))
-        red, pivots = row_reduce(np.hstack([enc[:, u].T, u[:, None] == r.wants * d + np.arange(d)]), p)
+        red, pivots = row_reduce(np.hstack([enc[:, u].T, u[:, None] == wanted[j]]), p)
         if pivots and pivots[-1] >= rows:
-            raise ValueError(f"receiver {j} cannot decode message {r.wants}")
+            raise ValueError(f"receiver {j} cannot decode message {f[j]}")
         bcast[j * d : (j + 1) * d, pivots] = np.array([row[rows:] for row in red]).T
-    side = np.zeros((inst.m * d, inst.n * d), np.int64)
+    side = np.zeros((m * d, inst.n * d), np.int64)
     _add_product(side, bcast, enc)
     np.negative(side, out=side)
     np.remainder(side, p, out=side)
-    side4 = side.reshape(inst.m, d, inst.n, d)
+    side4 = side.reshape(m, d, inst.n, d)
     np.multiply(side4, knows[:, None, :, None], out=side4)
     return bcast, side
 

@@ -70,6 +70,43 @@ def test_clique_cover_code_c5():
         clique_cover_code(g, [frozenset({0, 2}), frozenset({1}), frozenset({3, 4})])
 
 
+def _no_elimination(*args):
+    raise AssertionError("row_reduce called")
+
+
+def test_cover_codes_read_their_decoders_off_the_pivot_rows(monkeypatch):
+    # every receiver of a valid strong or clique cover has a local first row
+    # in each wanted column, so no receiver reaches the elimination: a q = 2
+    # strong cover, the same with every receiver doubled, and a clique cover
+    monkeypatch.setattr(codes, "row_reduce", _no_elimination)
+    c5, c7 = from_graph(cycle(5)), from_graph(cycle(7))
+    twins = Instance(5, c5.receivers * 2)
+    schemes = [(c5, strong_cover_code(c5, fractional_cover(c5, "strong"))),
+               (twins, strong_cover_code(twins, fractional_cover(twins, "strong"))),
+               (c7, clique_cover_code(cycle(7), integer_clique_cover(cycle(7))[1]))]
+    assert [(s.msg_symbols, len(s.bcast)) for _, s in schemes] == [(2, 10), (2, 20), (1, 7)]
+    for inst, scheme in schemes:
+        bcast, side = decoders_reference(inst, 2, scheme.msg_symbols, scheme.encoder.tolist())
+        assert (scheme.bcast.tolist(), scheme.side.tolist()) == (bcast, side)
+    # a cover set that is not a clique leaves receiver 0 to the elimination,
+    # which refuses it
+    bad = [frozenset({0, 2}), frozenset({1}), frozenset({3, 4})]
+    with pytest.raises(AssertionError, match="row_reduce called"):
+        clique_cover_code(cycle(5), bad)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="receiver 0 cannot decode message 0"):
+        clique_cover_code(cycle(5), bad)
+
+
+def test_a_receiver_knowing_its_wanted_message_is_not_read_off_a_pivot_row():
+    # `validate` refuses such a receiver; its wanted column is outside U, so
+    # row 0 (local on U = {1}) is no pivot for it, and it gets the list
+    # solve's zero decoder
+    inst = Instance(2, (Receiver(0, frozenset({0})),))
+    bcast, side = codes._decoders(inst, 2, 1, np.array([[1, 1]]))
+    assert (bcast.tolist(), side.tolist()) == decoders_reference(inst, 2, 1, [[1, 1]]) == ([[0]], [[0, 0]])
+
+
 def test_strong_cover_code_c5():
     inst = from_graph(cycle(5))
     cover = fractional_cover(inst, "strong")
@@ -295,6 +332,12 @@ def _corpus():
         cert = decide_beta_eq_2(inst)
         if cert.is_two:
             out.append((inst, two_symbol_code(inst, cert.labeling, cert.num_classes)))
+    # every receiver doubled, so twins share their pivot rows (rate 5/2: no
+    # two-symbol code)
+    twins = Instance(5, from_graph(cycle(5)).receivers * 2)
+    assert not decide_beta_eq_2(twins).is_two
+    out.append((twins, strong_cover_code(twins, fractional_cover(twins, "strong"))))
+    out.append((twins, mds_weak_cover_code(twins, fractional_cover(twins, "weak"))))
     out.append((tri3(), _tri3_scheme([1, 0, 0])))
     return out
 
@@ -606,6 +649,9 @@ def test_an_instance_with_no_receivers_passes_every_vector(p):
     assert rep.passed and rep.trials == p**8 and _brute_failures(inst, scheme) == []
     rep = verify_code(inst, scheme, mode="random", trials=50, seed=1)
     assert rep.passed and rep.trials == 50
+    # its minrank code broadcasts nothing, and has no decoder to solve
+    empty = minrk_code(inst, minrk2(inst))
+    assert empty.encoder.shape == (0, 4) and verify_code(inst, empty).passed
 
 
 def test_a_one_digit_code_over_a_large_field_walks_no_table():

@@ -10,7 +10,7 @@ from combinatorial_reference import alpha_exact as reference_alpha
 from combinatorial_reference import enumerate_maximal_hypercliques as reference_hypercliques
 from codes_reference import decoders_reference
 
-from icbounds import combinatorial
+from icbounds import codes, combinatorial
 from icbounds.codes import _decoders, minrk_code, strong_cover_code, verify_code
 from icbounds.combinatorial import (
     ExpandingSequence,
@@ -60,9 +60,17 @@ def _mul(a, b, p):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
-def test_row_reduce_against_direct_checks():
+def test_row_reduce_against_direct_checks(monkeypatch):
     rng = random.Random(12)
     solved = {True: 0, False: 0}
+    eliminated = []  # the systems _decoders hands to row_reduce
+
+    def counted(mat, p):
+        eliminated.append(mat)
+        return row_reduce(mat, p)
+
+    monkeypatch.setattr(codes, "row_reduce", counted)
+    answered = {"shortcut": 0, "elimination": 0}  # receivers of the solved encoders
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7])
         m, n = rng.randint(1, 4 if p <= 3 else 3), rng.randint(1, 5)
@@ -100,7 +108,9 @@ def test_row_reduce_against_direct_checks():
         # decoder solve: a random encoder for d symbols per message either
         # gets decoders meeting bc E + sc = Sel_f(j), sc zero outside N(j),
         # equal entry for entry to the list solve's, or is refused, as by the
-        # list solve, exactly when some selector is outside E_U's span
+        # list solve, exactly when some selector is outside E_U's span; the
+        # solved receivers are counted by how _decoders answered them, read
+        # off a local pivot row or through row_reduce, and both must be many
         d, k = rng.randint(1, 2), rng.randint(1, 3)
         inst = random_instance(k, rng.randint(1, 2 * k), rng)
         enc = [[rng.randrange(p) for _ in range(k * d)]
@@ -121,8 +131,11 @@ def test_row_reduce_against_direct_checks():
                     solve(inst, p, d, e)
             continue
         solved[True] += 1
+        eliminated.clear()
         bcast, side = (a.tolist() for a in _decoders(inst, p, d, np.array(enc)))
         assert (bcast, side) == decoders_reference(inst, p, d, enc)
+        answered["elimination"] += len(eliminated)
+        answered["shortcut"] += inst.m - len(eliminated)
         for j, r in enumerate(inst.receivers):
             sel = [[int(c == r.wants * d + t) for c in range(k * d)] for t in range(d)]
             bc, sc = bcast[j * d : (j + 1) * d], side[j * d : (j + 1) * d]
@@ -130,6 +143,7 @@ def test_row_reduce_against_direct_checks():
             assert [[(a + b) % p for a, b in zip(x, y)] for x, y in zip(bce, sc)] == sel
             assert all(row[c] == 0 for row in sc for c in range(k * d) if c // d not in r.knows)
     assert min(solved.values()) >= 50
+    assert min(answered.values()) >= 50
 
 
 def _brute_minrk2(inst):
