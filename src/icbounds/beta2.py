@@ -106,9 +106,9 @@ def _extract_aac(inst: Instance, j_star: int, blind: list[int]) -> AacWitness:
     shortest path into an almost-alternating-cycle witness.  One hop from v
     is any blind set containing v, and each blind set is expanded once, the
     first time the search reaches it, which keeps every distance shortest.
-    Blind sets are masks; an expanded one enqueues its new vertices in the
-    iteration order of T(j) = blind_set(n), which picks the witness among
-    the shortest ones."""
+    Blind sets are masks; an expanded one enqueues its new vertices in
+    increasing order, which picks the witness among the shortest ones as a
+    function of the instance alone."""
     src = inst.receivers[j_star].wants
     goal = blind[j_star]
     pending = [j for j, t in enumerate(blind) if t]  # not yet expanded
@@ -125,12 +125,12 @@ def _extract_aac(inst: Instance, j_star: int, blind: list[int]) -> AacWitness:
         for j in pending:
             if not blind[j] >> cur & 1:
                 rest.append(j)
-            elif blind[j] & ~seen:
-                for nxt in inst.receivers[j].blind_set(inst.n):
-                    if not seen >> nxt & 1:
-                        seen |= 1 << nxt
-                        prev[nxt] = (cur, j)
-                        q.append(nxt)
+            else:
+                new = blind[j] & ~seen
+                seen |= new
+                for nxt in bits(new):
+                    prev[nxt] = (cur, j)
+                    q.append(nxt)
         pending = rest
     if end is None:
         raise AssertionError("no #-path despite a shared class")

@@ -1,7 +1,8 @@
 """Command-line surface: generators, bounds, the LP hierarchy, the
-approximation pipeline, the rate-2 decider, code construction, combined
-reports, and the one-shot reproduction suite.  Every command takes an
-instance or a graph file; a graph is read as its instance.
+approximation pipeline, the rate-2 decider, code construction (a code's
+two arrays, encoder and bcast, printed with the side rows they imply),
+combined reports, and the one-shot reproduction suite.  Every command takes
+an instance or a graph file; a graph is read as its instance.
 
 Output formats: json (default), csv (flattened key,value rows), table
 (aligned, rationals annotated with an approximate 4-place decimal).  All
@@ -260,8 +261,11 @@ def cmd_decide2(args) -> dict:
     return out
 
 
-def _scheme_json(scheme: codes.CodeScheme) -> dict:
+def _scheme_json(inst: Instance, scheme: codes.CodeScheme) -> dict:
+    """A code's two arrays as lists, with each decoder's side_coef: the side
+    rows its bcast_coef implies, which the code does not store."""
     d = scheme.msg_symbols
+    side = codes.side_rows(inst, scheme)
     return {
         "kind": scheme.kind,
         "field": scheme.field,
@@ -272,7 +276,7 @@ def _scheme_json(scheme: codes.CodeScheme) -> dict:
             {
                 "receiver": j,
                 "bcast_coef": scheme.bcast[j * d : (j + 1) * d].tolist(),
-                "side_coef": scheme.side[j * d : (j + 1) * d].tolist(),
+                "side_coef": side[j * d : (j + 1) * d].tolist(),
             }
             for j in range(len(scheme.bcast) // d)
         ],
@@ -312,7 +316,7 @@ def cmd_code(args) -> dict:
 
     ver = codes.verify_code(inst, scheme, mode=mode, trials=trials, seed=seed)
     return {
-        "scheme": _scheme_json(scheme),
+        "scheme": _scheme_json(inst, scheme),
         "verification": {
             "mode": ver.mode,
             "trials": ver.trials,

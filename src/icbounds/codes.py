@@ -1,13 +1,16 @@
 """Executable linear index codes and a decodability check.
 
 A CodeScheme is uniform: every message is d symbols over a prime field, and
-the code is three int64 arrays reduced mod p.  The encoder E (rows x n*d)
+the code is two int64 arrays reduced mod p.  The encoder E (rows x n*d)
 maps the message symbols to the broadcast; receiver j decodes its d wanted
 symbols from rows j*d .. j*d+d-1 of bcast (m*d x rows), applied to the
-broadcast, and of side (m*d x n*d), applied to the message symbols it knows.
-verify_code folds the code into one residual map M = (C_b E + C_s) mod p,
-C_b = bcast and C_s = side less the wanted symbols, so the code decodes all
-p^(n*d) message vectors iff M is zero.  Exhaustive mode proves that by
+broadcast, less what they carry of the messages it knows: once bcast_j is
+fixed, the only side rows that decode are -(bcast_j E) mod p on N(j)'s
+columns (the linear model of Bar-Yossef, Birk, Jayram and Kol), so they are
+not stored; `side_rows` forms them for output.  verify_code folds the code
+into one residual map M = (C_b E - W) mod p with each receiver's N(j)
+columns zeroed, C_b = bcast and W the wanted symbols, so the code decodes
+all p^(n*d) message vectors iff M is zero.  Exhaustive mode proves that by
 looking at M and otherwise walks the failing vectors in index order;
 random mode, a simulation kept as a cross-check, draws nothing when M is
 zero and otherwise applies M to a seeded draw in float64.  A field too
@@ -43,25 +46,25 @@ RANDOM_TRIALS = 100_000
 MAX_FAILURES = 5  # counterexamples kept per report
 # Encoder entries (rows x n*d) a cover code may have.  The largest code any
 # caller builds, projective-Hadamard q = 5's strong cover (1 000 x 7 000), has
-# 7 * 10^6; its side array, (m*d) x (n*d), has 4.9 * 10^7.
+# 7 * 10^6; its residual map, (m*d) x (n*d), has 4.9 * 10^7.
 CODE_SIZE_CAP = 10**7
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this
 _ROWS = 1 << 12  # vectors per random-mode product
-_BLOCK = 1 << 22  # entries per block of a float64 product forming bcast E
+_BLOCK = 1 << 22  # entries per block of a float64 product forming C_b E
 
 
 @dataclass(eq=False)
 class CodeScheme:
-    """A linear code over F_`field` as int64 arrays reduced mod p (compare
-    two schemes array by array): rows j*d .. j*d+d-1 of bcast and side are
-    receiver j's decoder, x_f(j) = bcast_j @ broadcast + side_j @ x, and
-    side_j may only touch columns of messages in N(j)."""
+    """A linear code over F_`field` as two int64 arrays reduced mod p
+    (compare two schemes array by array): rows j*d .. j*d+d-1 of bcast are
+    receiver j's decoder, x_f(j) = bcast_j @ broadcast + side_j @ x, where
+    side_j = -(bcast_j @ encoder) mod p on the columns of messages in N(j)
+    and 0 elsewhere (see side_rows)."""
 
     field: int
     msg_symbols: int  # d: symbols per message
     encoder: np.ndarray  # (#broadcast rows) x (n*d)
     bcast: np.ndarray  # (m*d) x (#broadcast rows)
-    side: np.ndarray  # (m*d) x (n*d)
     rate: Fraction
     kind: str = ""
 
@@ -92,17 +95,18 @@ def _check_field(p: int, rows: int, cols: int) -> None:
         raise CapExceeded("verify-field", (rows + cols) * (p - 1) ** 2, FLOAT_EXACT)
 
 
-def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """out += a @ b, for int64 arrays a and b with entries in [0, p) and out
-    with entries in [-1, p), as one float64 product (numpy runs it on BLAS,
-    an int64 one without) per block of rows of about _BLOCK entries of out.
-    Exact, since every partial sum is an integer of at most
-    len(b) * (p-1)^2 + p < 2^53, which _check_field keeps."""
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as int64, for int64 arrays a and b with entries in [0, p), as
+    one float64 product (numpy runs it on BLAS, an int64 one without) per
+    block of rows of about _BLOCK entries of the result.  Exact, since
+    every partial sum is an integer of at most len(b) * (p-1)^2 < 2^53,
+    which _check_field keeps."""
+    out = np.empty((len(a), b.shape[1]), np.int64)
     bf = b.astype(float)
-    step = max(1, _BLOCK // max(1, out.shape[1]))
+    step = max(1, _BLOCK // max(1, b.shape[1]))
     for i in range(0, len(a), step):
-        block = out[i : i + step]
-        np.add(block, a[i : i + step].astype(float) @ bf, out=block, casting="unsafe")
+        out[i : i + step] = a[i : i + step].astype(float) @ bf
+    return out
 
 
 def _knows(inst: Instance) -> np.ndarray:
@@ -113,27 +117,36 @@ def _knows(inst: Instance) -> np.ndarray:
     return mask
 
 
-def _check_decoder_locality(side: np.ndarray, knows: np.ndarray, d: int) -> None:
-    """Refuse a decoder whose side rows (reduced mod p) read a message
-    outside its N(j), naming the first offender in receiver, row and column
-    order."""
-    m, n = knows.shape
-    bad = side.reshape(m, d, n, d).astype(bool) & ~knows[:, None, :, None]
-    if bad.any():
-        j, _, v, _ = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"decoder {j} reads message {v} outside N(j)")
-
-
-def _residual_map(inst: Instance, scheme: CodeScheme, side: np.ndarray) -> np.ndarray:
-    """M = (C_b E + C_s - W) mod p, formed in place of `side` (scheme.side
-    reduced mod p), one row per decoder symbol: row j*d + t maps a message
-    vector to what decoder j's symbol t decodes minus the symbol it wants,
-    W selecting that symbol."""
+def _product_on(inst: Instance, scheme: CodeScheme, keep: np.ndarray) -> np.ndarray:
+    """C_b E, (m*d) x (n*d), on the columns of the messages that the m x n
+    mask keep marks for each receiver and zero on the others; not reduced
+    mod p, its entries in [0, rows * (p-1)^2]."""
     p, d = scheme.field, scheme.msg_symbols
+    out = _product(np.remainder(scheme.bcast, p), np.remainder(scheme.encoder, p))
+    out4 = out.reshape(inst.m, d, inst.n, d)
+    np.multiply(out4, keep[:, None, :, None], out=out4)
+    return out
+
+
+def side_rows(inst: Instance, scheme: CodeScheme) -> np.ndarray:
+    """The side rows the decoders imply, (m*d) x (n*d): receiver j cancels
+    what bcast_j carries on the messages it knows, so its rows are
+    -(bcast_j E) mod p on the columns of N(j) and 0 elsewhere."""
+    side = _product_on(inst, scheme, _knows(inst))
+    np.negative(side, out=side)
+    return np.remainder(side, scheme.field, out=side)
+
+
+def _residual_map(inst: Instance, scheme: CodeScheme) -> np.ndarray:
+    """M = (C_b E + side_rows - W) mod p, one row per decoder symbol: row
+    j*d + t maps a message vector to what decoder j's symbol t decodes
+    minus the symbol it wants, W selecting that symbol.  The side rows
+    cancel C_b E on N(j), so M is C_b E with those columns zeroed, less W."""
+    p, d = scheme.field, scheme.msg_symbols
+    res = _product_on(inst, scheme, ~_knows(inst))
     wanted = np.array([r.wants * d for r in inst.receivers], np.int64)[:, None] + np.arange(d)
-    side[np.arange(len(side)), wanted.ravel()] -= 1
-    _add_product(side, np.remainder(scheme.bcast, p), np.remainder(scheme.encoder, p))
-    return np.remainder(side, p, out=side)
+    res[np.arange(len(res)), wanted.ravel()] -= 1
+    return np.remainder(res, p, out=res)
 
 
 def verify_code(
@@ -156,9 +169,9 @@ def verify_code(
     with no failure when M is zero, which is exact, and draws nothing;
     otherwise it makes the draw and applies M in float64.  A field past
     _check_field's cap is refused with CapExceeded("verify-field") in either
-    mode, before any product is formed.  Arrays not of the shapes rows x n*d,
-    m*d x rows and m*d x n*d, a decoder reading outside its N(j), a negative
-    seed, too few trials and an unknown mode raise ValueError."""
+    mode, before any product is formed.  Arrays not of the shapes rows x n*d
+    and m*d x rows, a negative seed, too few trials and an unknown mode
+    raise ValueError."""
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if trials < 1:
@@ -168,14 +181,11 @@ def verify_code(
     p, d = scheme.field, scheme.msg_symbols
     rows, cols, checks = scheme.broadcast_symbols, inst.n * d, inst.m * d
     for name, shape, want in (("encoder", scheme.encoder.shape, (rows, cols)),
-                              ("bcast", scheme.bcast.shape, (checks, rows)),
-                              ("side", scheme.side.shape, (checks, cols))):
+                              ("bcast", scheme.bcast.shape, (checks, rows))):
         if shape != want:
             raise ValueError(f"{name} must be {want[0]} x {want[1]}, not {' x '.join(map(str, shape))}")
     _check_field(p, rows, cols)
-    side = np.remainder(scheme.side, p)
-    _check_decoder_locality(side, _knows(inst), d)
-    res = _residual_map(inst, scheme, side)
+    res = _residual_map(inst, scheme)
     if mode == "exhaustive":
         hits = _exhaustive_failures(res, p, inst.m, d)
     elif res.any():
@@ -261,32 +271,13 @@ def _unit_copies(inst: Instance, cover: FractionalCover) -> tuple[list[int], int
     return counts, q
 
 
-def _equalized_cover_sets(inst: Instance, cover: FractionalCover) -> tuple[list[frozenset[int]], int]:
-    """Clear denominators to unit-weight copies, one set object each, and
-    shrink sets until every message is covered exactly q times
-    (highest-index copies lose first)."""
-    counts, q = _unit_copies(inst, cover)
-    sets = [set(s) for (s, _), c in zip(cover.items, counts) for _ in range(c)]
-    count = [sum(1 for s in sets if v in s) for v in range(inst.n)]
-    for v in range(inst.n):
-        for i in range(len(sets) - 1, -1, -1):
-            if count[v] == q:
-                break
-            if v in sets[i]:
-                sets[i].discard(v)
-                count[v] -= 1
-        if count[v] != q:
-            raise ValueError(f"message {v} covered {count[v]} < {q} times")
-    return [frozenset(s) for s in sets], q
-
-
-def _decoders(inst: Instance, p: int, d: int, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decoders(inst: Instance, p: int, d: int, enc: np.ndarray) -> np.ndarray:
     """Every receiver's decoder, solved from the encoder E over F_p: the
-    bcast and side arrays.  Receiver j needs bcast_j E to equal the selector
-    of f(j) on the columns U of the messages outside N(j); its bcast_j is
-    what row-reducing the slice [E_U^T | Sel_U^T] gives, and a pivot in the
-    selector block means no decoder exists.  side then cancels bcast E on
-    N(j), every row at once.
+    bcast array.  Receiver j needs bcast_j E to equal the selector of f(j)
+    on the columns U of the messages outside N(j); its bcast_j is what
+    row-reducing the slice [E_U^T | Sel_U^T] gives, and a pivot in the
+    selector block means no decoder exists.  What bcast_j E carries on N(j)
+    is cancelled by the side rows it implies (see side_rows).
 
     The elimination's answer is read off without it where it can be.  Let r
     be the first row of E with a nonzero in wanted column c = f(j)*d + t,
@@ -321,13 +312,7 @@ def _decoders(inst: Instance, p: int, d: int, enc: np.ndarray) -> tuple[np.ndarr
         if pivots and pivots[-1] >= rows:
             raise ValueError(f"receiver {j} cannot decode message {f[j]}")
         bcast[j * d : (j + 1) * d, pivots] = np.array([row[rows:] for row in red]).T
-    side = np.zeros((m * d, inst.n * d), np.int64)
-    _add_product(side, bcast, enc)
-    np.negative(side, out=side)
-    np.remainder(side, p, out=side)
-    side4 = side.reshape(m, d, inst.n, d)
-    np.multiply(side4, knows[:, None, :, None], out=side4)
-    return bcast, side
+    return bcast
 
 
 def _code(inst: Instance, p: int, d: int, encoder, rate: Fraction, kind: str) -> CodeScheme:
@@ -337,22 +322,31 @@ def _code(inst: Instance, p: int, d: int, encoder, rate: Fraction, kind: str) ->
     rows, cols = len(encoder), inst.n * d
     _check_field(p, rows, cols)
     enc = np.asarray(encoder, np.int64).reshape(rows, cols)
-    return CodeScheme(p, d, enc, *_decoders(inst, p, d, enc), rate, kind)
+    return CodeScheme(p, d, enc, _decoders(inst, p, d, enc), rate, kind)
 
 
 def strong_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:
-    """q bits per message, one broadcast bit per unit-weight set copy: bit k
-    of message x rides in the k-th set containing x."""
+    """q bits per message, one broadcast bit per unit-weight set copy, the
+    weights' common denominator q cleared: bit k of message v rides in the
+    k-th copy holding v, and later copies drop v."""
     if cover.kind != "strong":
         raise ValueError("needs a strong cover")
     if inst.is_weighted():
         raise ValueError("unit rates only")
-    sets, q = _equalized_cover_sets(inst, cover)
-    n = inst.n
-    encoder = np.zeros((len(sets), n, q), np.int64)
-    for v in range(n):  # every message lies in exactly q sets
-        encoder[[i for i, s in enumerate(sets) if v in s], v, range(q)] = 1
-    return _code(inst, 2, q, encoder, Fraction(len(sets), q), "strong-cover")
+    counts, q = _unit_copies(inst, cover)
+    member = np.zeros((len(counts), inst.n), bool)
+    for i, (s, _) in enumerate(cover.items):
+        member[i, list(s)] = True
+    copies = np.repeat(member, counts, axis=0)  # one row per unit-weight copy
+    covered = copies.sum(axis=0)
+    short = np.flatnonzero(covered < q)
+    if len(short):
+        raise ValueError(f"message {short[0]} covered {covered[short[0]]} < {q} times")
+    rank = np.cumsum(copies, axis=0)  # rank[i, v]: the copies 0..i holding v
+    i, v = np.nonzero(copies & (rank <= q))
+    encoder = np.zeros((len(copies), inst.n, q), np.int64)
+    encoder[i, v, rank[i, v] - 1] = 1
+    return _code(inst, 2, q, encoder, Fraction(len(copies), q), "strong-cover")
 
 
 def mds_weak_cover_code(inst: Instance, cover: FractionalCover) -> CodeScheme:

@@ -143,6 +143,19 @@ def test_witness_path_minimality():
     assert cert.bound > 2
 
 
+def test_a_witness_enqueues_new_blind_vertices_in_increasing_order():
+    # random_instance-128 of scripts/beta2_certificates.py: from f(3) = 9
+    # the search expands receiver 1's blind set {0, 1, 2, 4, 7, 8, 9}, which
+    # meets T(3) = {2, 3, 5, 8} at 2 and 8; it ends at the lower, not at the
+    # first in a frozenset's layout
+    inst = Instance(10, (Receiver(0, frozenset(range(1, 10))), Receiver(5, frozenset({3, 6})),
+                         Receiver(7, frozenset({1, 5})), Receiver(9, frozenset({0, 1, 4, 6, 7}))))
+    cert = decide_beta_eq_2(inst)
+    assert (cert.reason, cert.bound) == ("aac", 3)
+    assert (cert.aac.vertices, cert.aac.edges) == ([9, 5, 2], [3, 1])
+    assert validate_aac(inst, cert.aac) == []
+
+
 def _random_instance(rng):
     n = rng.randint(2, 9)
     recs = [Receiver(rng.randrange(n), frozenset()) for _ in range(rng.randint(1, 2 * n))]

@@ -11,7 +11,7 @@ from combinatorial_reference import enumerate_maximal_hypercliques as reference_
 from codes_reference import decoders_reference
 
 from icbounds import codes, combinatorial
-from icbounds.codes import _decoders, minrk_code, strong_cover_code, verify_code
+from icbounds.codes import CodeScheme, _decoders, minrk_code, side_rows, strong_cover_code, verify_code
 from icbounds.combinatorial import (
     ExpandingSequence,
     FractionalCover,
@@ -106,11 +106,12 @@ def test_row_reduce_against_direct_checks(monkeypatch):
             got = [sum(c * mat[b][v] for c, b in zip(e, basis)) % p for v in range(n)]
             assert got == [v % p for v in mat[j]]
         # decoder solve: a random encoder for d symbols per message either
-        # gets decoders meeting bc E + sc = Sel_f(j), sc zero outside N(j),
-        # equal entry for entry to the list solve's, or is refused, as by the
-        # list solve, exactly when some selector is outside E_U's span; the
-        # solved receivers are counted by how _decoders answered them, read
-        # off a local pivot row or through row_reduce, and both must be many
+        # gets decoders meeting bc E + sc = Sel_f(j), sc the side rows bc
+        # implies, zero outside N(j), equal entry for entry to the list
+        # solve's, or is refused, as by the list solve, exactly when some
+        # selector is outside E_U's span; the solved receivers are counted
+        # by how _decoders answered them, read off a local pivot row or
+        # through row_reduce, and both must be many
         d, k = rng.randint(1, 2), rng.randint(1, 3)
         inst = random_instance(k, rng.randint(1, 2 * k), rng)
         enc = [[rng.randrange(p) for _ in range(k * d)]
@@ -132,7 +133,9 @@ def test_row_reduce_against_direct_checks(monkeypatch):
             continue
         solved[True] += 1
         eliminated.clear()
-        bcast, side = (a.tolist() for a in _decoders(inst, p, d, np.array(enc)))
+        coef = _decoders(inst, p, d, np.array(enc))
+        side = side_rows(inst, CodeScheme(p, d, np.array(enc), coef, Fraction(1))).tolist()
+        bcast = coef.tolist()
         assert (bcast, side) == decoders_reference(inst, p, d, enc)
         answered["elimination"] += len(eliminated)
         answered["shortcut"] += inst.m - len(eliminated)
