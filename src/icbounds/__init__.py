@@ -50,14 +50,7 @@ from .combinatorial import (
     verify_cover,
 )
 from .families import FAMILY_NAMES, FamilyOutput, family
-from .hierarchy import (
-    HierarchyBound,
-    build_hierarchy_lp,
-    compose_coverage,
-    decompose_coverage,
-    solve_bk,
-    verify_hierarchy_membership,
-)
+from .hierarchy import HierarchyBound, build_hierarchy_lp, solve_bk
 from .instance import (
     Graph,
     Instance,
@@ -77,19 +70,19 @@ from .report import BoundReport, build_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "AacWitness", "Beta2Certificate", "BoundReport",
-    "CodeScheme", "ExpandingSequence", "FAMILY_NAMES", "FamilyOutput",
-    "FractionalCover", "Graph", "HierarchyBound", "Instance", "LpOptimum",
-    "LpProblem", "MinrkResult", "Receiver", "TauCertificate",
-    "VerificationReport", "alpha_exact", "alpha_greedy", "approximate_beta",
-    "build_cover", "build_hierarchy_lp", "build_report", "compose_coverage",
-    "decide_beta_eq_2", "decide_expanding_or_cover", "decompose_coverage",
-    "disjoint_union", "enumerate_maximal_hypercliques", "family",
-    "fractional_cover", "from_graph", "integer_clique_cover",
-    "is_expanding_sequence", "is_strong_hyperclique", "is_weak_hyperclique",
-    "low_degree_cover", "mds_weak_cover_code", "minrk2", "minrk_code",
-    "read_graph", "read_instance", "read_problem", "representation_rank",
-    "solve_bk", "solve_min", "strong_cover_code", "tau", "two_symbol_code",
+    "AacWitness", "Beta2Certificate", "BoundReport", "CodeScheme",
+    "ExpandingSequence", "FAMILY_NAMES", "FamilyOutput", "FractionalCover",
+    "Graph", "HierarchyBound", "Instance", "LpOptimum", "LpProblem",
+    "MinrkResult", "Receiver", "TauCertificate", "VerificationReport",
+    "alpha_exact", "alpha_greedy", "approximate_beta", "build_cover",
+    "build_hierarchy_lp", "build_report", "decide_beta_eq_2",
+    "decide_expanding_or_cover", "disjoint_union",
+    "enumerate_maximal_hypercliques", "family", "fractional_cover",
+    "from_graph", "integer_clique_cover", "is_expanding_sequence",
+    "is_strong_hyperclique", "is_weak_hyperclique", "low_degree_cover",
+    "mds_weak_cover_code", "minrk2", "minrk_code", "read_graph",
+    "read_instance", "read_problem", "representation_rank", "solve_bk",
+    "solve_min", "strong_cover_code", "tau", "two_symbol_code",
     "undirected_beta2", "validate", "verify_code", "verify_cover",
-    "verify_hierarchy_membership", "write_graph", "write_instance",
+    "write_graph", "write_instance",
 ]

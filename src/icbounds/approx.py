@@ -41,7 +41,7 @@ from .combinatorial import (
     sequence_weight,
     verify_cover,
 )
-from .instance import Instance, Receiver, from_mask, to_mask
+from .instance import Instance, Receiver, bits, to_mask
 from .numeric import log2_enclosure, pow_frac_ceil, pow_frac_enclosure
 
 F0 = Fraction(0)
@@ -242,7 +242,7 @@ def build_cover(inst: Instance, k: int, parts: CoverParts, seed: int = 0) -> Fra
     for item in parts.cliques:
         merged[item] = merged.get(item, F0) + F1
     for vmask, d in parts.leaves:
-        sub, _, emap = induced_subhypergraph(inst, from_mask(vmask))
+        sub, _, emap = induced_subhypergraph(inst, bits(vmask))
         members = _members(sub, emap)
         for cl, w in low_degree_cover(sub, d, seed=seed).items:
             item = frozenset(e for rep in cl for e in members[rep])

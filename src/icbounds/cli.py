@@ -41,7 +41,18 @@ from .combinatorial import (
     representation_rank,
 )
 from .hierarchy import MAX_LP_VARS, solve_bk
-from .instance import CapExceeded, Instance, ParseError, _graph_from_dict, disjoint_union, from_graph, read_problem
+from .instance import (
+    CapExceeded,
+    Instance,
+    ParseError,
+    _graph_from_dict,
+    disjoint_union,
+    from_graph,
+    graph_dict,
+    instance_dict,
+    read_problem,
+    write_json,
+)
 from .lp import Uncertified
 from .numeric import format_rational
 from .report import build_report
@@ -131,16 +142,7 @@ def cmd_gen(args) -> dict:
         k, v = kv.split("=", 1)
         params[k] = int(v)
     out = families.family(args.family, **params)
-    if out.graph is not None:
-        data = {"n": out.graph.n, "edges": out.graph.edge_list()}
-    else:
-        data = {
-            "n": out.instance.n,
-            "receivers": [
-                {"wants": r.wants, "knows": sorted(r.knows)}
-                for r in out.instance.receivers
-            ],
-        }
+    data = graph_dict(out.graph) if out.graph is not None else instance_dict(out.instance)
     data["family"] = {"name": out.name, "params": params}
     if out.matrix is not None:
         data["matrix"] = out.matrix
@@ -149,9 +151,7 @@ def cmd_gen(args) -> dict:
         data["expected"] = {k: _rat(v) for k, v in out.expected.items()}
     if out.symmetry:
         data["symmetry"] = out.symmetry
-    with open(args.output, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+    write_json(data, args.output)
     return {"written": args.output, "n": data["n"], "kind": "graph" if out.graph else "instance"}
 
 
@@ -256,7 +256,9 @@ def cmd_decide2(args) -> dict:
     else:
         out["reason"] = cert.reason
     graph = _graph_from_dict(data) if "receivers" not in data and "edges" in data else None
-    if graph is not None and graph.edges:  # a graph file, as read_problem reads it
+    # a graph file, as read_problem reads it, with edges and not complete:
+    # undirected_beta2 refuses a complete graph (its rate is 1)
+    if graph is not None and 0 < len(graph.edges) < graph.n * (graph.n - 1) // 2:
         out["undirected_check"] = undirected_beta2(graph)
     return out
 

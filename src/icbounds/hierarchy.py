@@ -36,9 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .instance import CapExceeded, Instance
-from .lp import LpProblem, check_feasible, ints, solve_min
-
-F0 = Fraction(0)
+from .lp import LpProblem, ints, solve_min
 
 # Row categories, in emission order; submodularity-2..k follow.
 CATEGORIES = ["initialize", "non-negativity", "slope", "monotonicity", "decode"]
@@ -55,11 +53,16 @@ MAX_LP_VARS = 100_000
 
 
 def validate_symmetry(inst: Instance, perms: list[list[int]]) -> list[str]:
-    """Each generator must permute [0,n), preserve rates, and map the
-    receiver set onto itself."""
+    """Each generator must be a list of integers that permutes [0,n),
+    preserves rates, and maps the receiver set onto itself."""
+    if not isinstance(perms, list):
+        return ["symmetry is not a list of generators"]
     bad = []
     recs = {(r.wants, r.knows) for r in inst.receivers}
     for gi, p in enumerate(perms):
+        if not (isinstance(p, list) and all(isinstance(v, int) for v in p)):
+            bad.append(f"generator {gi} is not a list of integers")
+            continue
         if sorted(p) != list(range(inst.n)):
             bad.append(f"generator {gi} is not a permutation of 0..{inst.n - 1}")
             continue
@@ -124,7 +127,8 @@ def _submasks(gain: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _closure_masks(inst: Instance, masks: np.ndarray) -> np.ndarray:
-    """closure_step of every mask at once."""
+    """Each mask plus every message wanted by a receiver whose side
+    information lies in it, for every mask at once."""
     plus = masks.copy()
     for r, side in zip(inst.receivers, inst.side_masks):
         knows = side & ~(1 << r.wants)
@@ -287,64 +291,3 @@ def solve_bk(
         raise AssertionError(f"hierarchy LP came back {opt.status}")
     vec = {m: opt.x[j] for m, j in enumerate(meta.var_of_mask.tolist())}
     return HierarchyBound(k, opt.value, vec, meta.counts, p.num_vars, p.num_rows)
-
-
-def verify_hierarchy_membership(x: dict[int, Fraction], inst: Instance, k: int) -> bool:
-    """Feasibility of a full vector against the level-k system, checked on
-    its reduced rows, which have the unreduced system's feasible set."""
-    p, _ = build_hierarchy_lp(inst, k)
-    return not check_feasible(p, [x[m] for m in range(1 << inst.n)])
-
-
-def alpha_feasible_vector(inst: Instance) -> dict[int, Fraction]:
-    """X(S) = |S| + (max independent set disjoint from S), the canonical
-    level-1 feasible point of value alpha; graphs only."""
-    n = inst.n
-    closed = [0] * n
-    for r, side in zip(inst.receivers, inst.side_masks):
-        closed[r.wants] |= side
-    maxind = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        skip = maxind[mask & ~(1 << v)]
-        take = 1 + maxind[mask & ~closed[v]]
-        maxind[mask] = max(skip, take)
-    full = (1 << n) - 1
-    return {s: Fraction(s.bit_count() + maxind[full & ~s]) for s in range(1 << n)}
-
-
-# -- coverage-function decomposition ----------------------------------------
-
-
-def decompose_coverage(x: dict[int, Fraction], n: int):
-    """Invert X(S) = |S| + sum_{T not subset of S} w(T) to the unique weight
-    vector w over nonempty sets.  Returns ("ok", w) when w >= 0 everywhere,
-    else ("violation", offending mask, value)."""
-    size = 1 << n
-    # g(S) = X(empty) - X(S) + |S| = sum over nonempty T <= S of w(T)
-    g = [x[0] - x[s] + s.bit_count() for s in range(size)]
-    w = list(g)
-    for v in range(n):
-        bit = 1 << v
-        for m in range(size):
-            if m & bit:
-                w[m] -= w[m ^ bit]
-    for m in range(1, size):
-        if w[m] < 0:
-            return ("violation", m, w[m])
-    return ("ok", {m: w[m] for m in range(1, size)})
-
-
-def compose_coverage(w: dict[int, Fraction], n: int) -> dict[int, Fraction]:
-    """Build X from nonnegative weights: X(S) = |S| + sum_{T !<= S} w(T)."""
-    size = 1 << n
-    sub = [F0] * size
-    for m, wm in w.items():
-        sub[m] = Fraction(wm)
-    for v in range(n):
-        bit = 1 << v
-        for m in range(size):
-            if m & bit:
-                sub[m] += sub[m ^ bit]
-    total = sub[size - 1]
-    return {s: s.bit_count() + total - sub[s] for s in range(size)}

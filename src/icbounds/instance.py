@@ -6,11 +6,15 @@ graphs are the special case with one receiver per vertex knowing its
 neighbors.  Message rates are exact rationals in (0, 1] (all 1 unless
 the instance is weighted).
 
-The bitmask algorithms (hypercliques, covers, greedy and tau, the rate-2
-decision, the hierarchy's closure) read each receiver's S(j) as one
-integer mask, `Instance.side_masks`, worked out once per instance.  A
-graph file's instance is built in one pass over its validated edge pairs;
-a `Graph` is made only to word the faults of a file that is refused.
+Sets are the form in which an instance is built, validated and written:
+each receiver's N(j) is a frozenset.  Masks are what the algorithms read
+(hypercliques, covers, greedy and tau, the rate-2 decision, the
+hierarchy's closure): each receiver's S(j) as one integer mask,
+`Instance.side_masks`, worked out once per instance.  A graph file's
+instance is built in one pass over its validated edge pairs; a `Graph` is
+made only to word the faults of a file that is refused.  Each file format
+has one dict builder (`instance_dict`, `graph_dict`), which the writers
+and `icbounds gen` share.
 """
 
 from __future__ import annotations
@@ -28,14 +32,6 @@ class Receiver:
     wants: int
     knows: frozenset[int]
 
-    def side_set(self) -> frozenset[int]:
-        """S(j) = N(j) | {f(j)}."""
-        return self.knows | {self.wants}
-
-    def blind_set(self, n: int) -> frozenset[int]:
-        """T(j) = V \\ S(j)."""
-        return frozenset(range(n)) - self.side_set()
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -49,9 +45,6 @@ class Instance:
 
     def rate(self, v: int) -> Fraction:
         return Fraction(1) if self.rates is None else self.rates[v]
-
-    def total_rate(self) -> Fraction:
-        return sum((self.rate(v) for v in range(self.n)), Fraction(0))
 
     def is_weighted(self) -> bool:
         return self.rates is not None and any(r != 1 for r in self.rates)
@@ -96,12 +89,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return frozenset((u, v)) in self.edges
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(u for e in self.edges if v in e for u in e if u != v)
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
 
 @dataclass
@@ -164,12 +151,6 @@ def _neighbour_receivers(n: int, pairs) -> Instance:
         if 0 <= v < n:
             adj[v].append(u)
     return Instance(n, tuple(Receiver(v, frozenset(a)) for v, a in enumerate(adj)))
-
-
-def closure_step(inst: Instance, a: frozenset[int]) -> frozenset[int]:
-    """a plus every message wanted by a receiver whose side information lies in a."""
-    extra = {r.wants for r in inst.receivers if r.wants not in a and r.knows <= a}
-    return frozenset(a) | extra
 
 
 def disjoint_union(a: Instance, b: Instance) -> Instance:
@@ -261,7 +242,8 @@ def read_instance(path) -> Instance:
     return _valid(_instance_from_dict(read_json(path)))
 
 
-def write_instance(inst: Instance, path) -> None:
+def instance_dict(inst: Instance) -> dict:
+    """An instance file's contents: n, the receivers and any rates."""
     data: dict = {
         "n": inst.n,
         "receivers": [
@@ -270,9 +252,22 @@ def write_instance(inst: Instance, path) -> None:
     }
     if inst.rates is not None:
         data["rates"] = [format_rational(r) for r in inst.rates]
+    return data
+
+
+def graph_dict(g: Graph) -> dict:
+    """A graph file's contents: n and the sorted edge list."""
+    return {"n": g.n, "edges": [list(e) for e in g.edge_list()]}
+
+
+def write_json(data: dict, path) -> None:
     with open(path, "w") as f:
         json.dump(data, f, indent=1)
         f.write("\n")
+
+
+def write_instance(inst: Instance, path) -> None:
+    write_json(instance_dict(inst), path)
 
 
 def read_graph(path) -> Graph:
@@ -280,9 +275,7 @@ def read_graph(path) -> Graph:
 
 
 def write_graph(g: Graph, path) -> None:
-    with open(path, "w") as f:
-        json.dump({"n": g.n, "edges": [list(e) for e in g.edge_list()]}, f, indent=1)
-        f.write("\n")
+    write_json(graph_dict(g), path)
 
 
 def read_problem(path):
@@ -305,17 +298,6 @@ def to_mask(s) -> int:
     for v in s:
         m |= 1 << v
     return m
-
-
-def from_mask(mask: int) -> frozenset[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
 
 
 def bits(mask: int) -> list[int]:

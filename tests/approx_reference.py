@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from instance_reference import side_set
 
 from icbounds import approx
 from icbounds.approx import (
@@ -55,7 +56,7 @@ def alpha_greedy_reference(inst: Instance) -> ExpandingSequence:
         r = inst.receivers[j]
         if r.wants not in used:
             seq.append(j)
-            used |= r.side_set()
+            used |= side_set(r)
     return ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from instance_reference import blind_set
+
 from icbounds.beta2 import AacWitness
 from icbounds.combinatorial import is_weak_hyperclique
 from icbounds.instance import Instance
@@ -17,7 +19,7 @@ def sharp_relation(inst: Instance) -> dict[frozenset[int], int]:
     """Unordered related pairs, each with one witnessing receiver index."""
     pairs: dict[frozenset[int], int] = {}
     for j in range(inst.m):
-        t = sorted(inst.receivers[j].blind_set(inst.n))
+        t = sorted(blind_set(inst.receivers[j], inst.n))
         for a in range(len(t)):
             for b in range(a + 1, len(t)):
                 pairs.setdefault(frozenset((t[a], t[b])), j)
@@ -50,7 +52,7 @@ def classes(inst: Instance, pairs: dict[frozenset[int], int]) -> tuple[list[int]
 def extract_aac(inst: Instance, j_star: int, pairs: dict[frozenset[int], int]) -> AacWitness:
     """BFS in the pair graph from f(j*) to the blind set of j*, unrolled."""
     src = inst.receivers[j_star].wants
-    goal = inst.receivers[j_star].blind_set(inst.n)
+    goal = blind_set(inst.receivers[j_star], inst.n)
     adj: dict[int, list[tuple[int, int]]] = {}
     for pr, j in pairs.items():
         a, b = sorted(pr)
@@ -93,7 +95,7 @@ def decide_reference(inst: Instance) -> tuple[bool, str, list[int] | None, int, 
     pairs = sharp_relation(inst)
     lab, num = classes(inst, pairs)
     for j in range(inst.m):
-        t = inst.receivers[j].blind_set(inst.n)
+        t = blind_set(inst.receivers[j], inst.n)
         if t and lab[inst.receivers[j].wants] == lab[next(iter(t))]:
             return False, "aac", None, 0, extract_aac(inst, j, pairs)
     return True, "", lab, num, None

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import networkx as nx
+from instance_reference import side_set
 
 from icbounds.instance import Instance, to_mask
 
@@ -21,7 +22,7 @@ def _strong_compat_graph(inst: Instance) -> nx.Graph:
     full = frozenset(range(inst.n))
     allowed = {v: full for v in range(inst.n)}
     for r in inst.receivers:
-        allowed[r.wants] = allowed[r.wants] & r.side_set()
+        allowed[r.wants] = allowed[r.wants] & side_set(r)
     h = nx.Graph()
     h.add_nodes_from(range(inst.n))
     for u in range(inst.n):
@@ -35,7 +36,7 @@ def _weak_compat_graph(inst: Instance) -> tuple[nx.Graph, tuple[int, ...]]:
     reps = inst.distinct_receivers()
     h = nx.Graph()
     h.add_nodes_from(reps)
-    side = {j: inst.receivers[j].side_set() for j in reps}
+    side = {j: side_set(inst.receivers[j]) for j in reps}
     for x, a in enumerate(reps):
         for b in reps[x + 1:]:
             if inst.receivers[b].wants in side[a] and inst.receivers[a].wants in side[b]:

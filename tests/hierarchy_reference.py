@@ -3,14 +3,23 @@ one dict row at a time, kept as the oracle that the array build in
 icbounds.hierarchy must reproduce row for row.  With reduced=False it emits
 the unreduced system (slope and monotonicity for every pair S < T, decode
 for every part of the closure step), whose feasible set the reduced LP
-must have."""
+must have.
+
+The checkers below test the paper's structural claims on a full vector X
+over all 2^n subsets: membership in the level-k system, alpha's canonical
+level-1 point, and b_n as a coverage function (X(S) = |S| + the weight of
+the sets not inside S)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 
-from icbounds.instance import Instance, closure_step, from_mask, to_mask
+from instance_reference import closure_step, from_mask, total_rate
+
+from icbounds.hierarchy import build_hierarchy_lp
+from icbounds.instance import Instance, to_mask
+from icbounds.lp import check_feasible
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -77,7 +86,7 @@ def reference_lp(inst: Instance, k: int, sym: list[list[int]] | None = None, red
         rows.append((row, rhs))
         counts[cat] = counts.get(cat, 0) + 1
 
-    add({full: F1}, inst.total_rate(), "initialize")
+    add({full: F1}, total_rate(inst), "initialize")
     add({0: F1}, F0, "non-negativity")
 
     if reduced:
@@ -141,3 +150,61 @@ def reference_lp(inst: Instance, k: int, sym: list[list[int]] | None = None, red
     objective = {var_of[rep[0]]: F1}
     var_of_mask = [var_of[rep[m]] for m in range(1 << n)]
     return rows, objective, len(reps), counts, var_of_mask
+
+
+def verify_hierarchy_membership(x: dict[int, Fraction], inst: Instance, k: int) -> bool:
+    """Feasibility of a full vector against the level-k system, checked on
+    its reduced rows, which have the unreduced system's feasible set."""
+    p, _ = build_hierarchy_lp(inst, k)
+    return not check_feasible(p, [x[m] for m in range(1 << inst.n)])
+
+
+def alpha_feasible_vector(inst: Instance) -> dict[int, Fraction]:
+    """X(S) = |S| + (max independent set disjoint from S), the canonical
+    level-1 feasible point of value alpha; graphs only."""
+    n = inst.n
+    closed = [0] * n
+    for r, side in zip(inst.receivers, inst.side_masks):
+        closed[r.wants] |= side
+    maxind = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        skip = maxind[mask & ~(1 << v)]
+        take = 1 + maxind[mask & ~closed[v]]
+        maxind[mask] = max(skip, take)
+    full = (1 << n) - 1
+    return {s: Fraction(s.bit_count() + maxind[full & ~s]) for s in range(1 << n)}
+
+
+def decompose_coverage(x: dict[int, Fraction], n: int):
+    """Invert X(S) = |S| + sum_{T not subset of S} w(T) to the unique weight
+    vector w over nonempty sets.  Returns ("ok", w) when w >= 0 everywhere,
+    else ("violation", offending mask, value)."""
+    size = 1 << n
+    # g(S) = X(empty) - X(S) + |S| = sum over nonempty T <= S of w(T)
+    g = [x[0] - x[s] + s.bit_count() for s in range(size)]
+    w = list(g)
+    for v in range(n):
+        bit = 1 << v
+        for m in range(size):
+            if m & bit:
+                w[m] -= w[m ^ bit]
+    for m in range(1, size):
+        if w[m] < 0:
+            return ("violation", m, w[m])
+    return ("ok", {m: w[m] for m in range(1, size)})
+
+
+def compose_coverage(w: dict[int, Fraction], n: int) -> dict[int, Fraction]:
+    """Build X from nonnegative weights: X(S) = |S| + sum_{T !<= S} w(T)."""
+    size = 1 << n
+    sub = [F0] * size
+    for m, wm in w.items():
+        sub[m] = Fraction(wm)
+    for v in range(n):
+        bit = 1 << v
+        for m in range(size):
+            if m & bit:
+                sub[m] += sub[m ^ bit]
+    total = sub[size - 1]
+    return {s: s.bit_count() + total - sub[s] for s in range(size)}

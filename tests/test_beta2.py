@@ -4,6 +4,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 from beta2_reference import decide_reference, sharp_relation
+from instance_reference import blind_set
 
 from icbounds.beta2 import decide_beta_eq_2, undirected_beta2, validate_aac
 from icbounds.codes import two_symbol_code, verify_code
@@ -25,7 +26,7 @@ def bipartite_complement(rng, n):
 
 def test_blind_and_sharp():
     inst = from_graph(cycle(5))
-    assert inst.receivers[0].blind_set(inst.n) == frozenset({2, 3})
+    assert blind_set(inst.receivers[0], inst.n) == frozenset({2, 3})
     rel = sharp_relation(inst)
     assert frozenset({2, 3}) in rel
 
@@ -94,7 +95,7 @@ def test_labeling_properties():
     lab = cert.labeling
     # constant on every blind set, different at the wanted message
     for j, r in enumerate(inst.receivers):
-        t = r.blind_set(inst.n)
+        t = blind_set(r, inst.n)
         vals = {lab[v] for v in t}
         assert len(vals) <= 1
         if vals:

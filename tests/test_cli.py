@@ -202,6 +202,36 @@ def test_decide2_reads_a_file_with_receivers_as_an_instance(capsys, tmp_path):
     assert "undirected_check" not in out
 
 
+def test_decide2_on_a_complete_graph(capsys, tmp_path):
+    # K4's complement has no edge: the decider answers and the undirected
+    # cross-check, which refuses such a graph, is skipped
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}))
+    out = run_json(capsys, "decide2", str(path))
+    assert out["verdict"] is False
+    assert "undirected_check" not in out
+
+
+@pytest.mark.parametrize("generators", [[1, 2], [[0, 1, 2, 3, "x"]]])
+def test_hierarchy_refuses_a_malformed_symmetry_file(capsys, tmp_path, generators):
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps(generators))
+    code, _, err = run(capsys, "hierarchy", str(path), "--level", "2", "--sym", f"file:{sym}")
+    assert code == 2
+    assert "not a list of integers" in err
+
+
+def test_report_refuses_a_malformed_symmetry_key(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    data = json.loads(path.read_text())
+    data["symmetry"] = [[0, 1, 2, 3, "x"]]
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert "not a list of integers" in err
+
+
 def test_code_strongcover(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     out = run_json(capsys, "code", str(path), "--scheme", "strongcover",

@@ -2,7 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hierarchy_reference import reference_lp
+from hierarchy_reference import (
+    alpha_feasible_vector,
+    compose_coverage,
+    decompose_coverage,
+    reference_lp,
+    verify_hierarchy_membership,
+)
 from hierarchy_reference import subset_orbits as reference_orbits
 
 from icbounds.combinatorial import alpha_exact, fractional_cover
@@ -17,14 +23,10 @@ from icbounds.families import (
 )
 from icbounds.hierarchy import (
     MAX_LP_VARS,
-    alpha_feasible_vector,
     build_hierarchy_lp,
-    compose_coverage,
-    decompose_coverage,
     solve_bk,
     subset_orbits,
     validate_symmetry,
-    verify_hierarchy_membership,
 )
 from icbounds.instance import CapExceeded, Graph, Instance, disjoint_union, from_graph
 from icbounds.lp import LpProblem, solve_min

@@ -3,17 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from instance_reference import from_graph_reference, read_graph_problem_reference
+from instance_reference import (
+    blind_set,
+    closure_step,
+    from_graph_reference,
+    from_mask,
+    neighbors,
+    read_graph_problem_reference,
+    side_set,
+)
 
 from icbounds.instance import (
     Graph,
     Instance,
     ParseError,
     Receiver,
-    closure_step,
     disjoint_union,
     from_graph,
-    from_mask,
     read_graph,
     read_instance,
     read_problem,
@@ -34,19 +40,19 @@ def test_from_graph_receivers():
     assert inst.n == 5 and inst.m == 5
     r = inst.receivers[0]
     assert r.wants == 0 and r.knows == frozenset({1, 4})
-    assert r.side_set() == frozenset({0, 1, 4})
-    assert r.blind_set(5) == frozenset({2, 3})
+    assert side_set(r) == frozenset({0, 1, 4})
+    assert blind_set(r, 5) == frozenset({2, 3})
 
 
 def test_from_graph_matches_per_vertex_neighbors():
-    # one pass over the edges gives each vertex Graph.neighbors(v), also on
+    # one pass over the edges gives each vertex neighbors(g, v), also on
     # a self-loop and out-of-range ends, which validate() reports later
     rng = random.Random(17)
     graphs = [Graph.from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
               for n, p in ((rng.randint(1, 30), rng.random()) for _ in range(60))]
     graphs.append(Graph.from_edge_list(5, [(0, 9), (1, 1), (-1, 2), (3, 4)]))
     for g in graphs:
-        assert from_graph(g) == Instance(g.n, tuple(Receiver(v, g.neighbors(v)) for v in range(g.n)))
+        assert from_graph(g) == Instance(g.n, tuple(Receiver(v, neighbors(g, v)) for v in range(g.n)))
     assert not validate(from_graph(graphs[-1])).ok
 
 
