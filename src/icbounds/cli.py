@@ -336,7 +336,6 @@ def cmd_report(args) -> dict:
         descriptor=args.instance,
         levels=args.level,
         sym=_sym_arg(args.sym, inst, data),
-        with_chibar=args.all,
         minrk_cap=args.minrk_cap if args.all else None,
         with_decide2=args.all or args.decide2,
         max_lp_vars=args.max_lp_vars,

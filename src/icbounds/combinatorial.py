@@ -11,12 +11,14 @@ Hyperclique compatibility uses S(j) = N(j) | {f(j)}: two receivers are
 compatible when each one's wanted message lies in the other's S-set.  (Two
 receivers wanting the same message are compatible: the sum code still serves
 both.)  Strong hypercliques are message sets T with T <= S(j) for every
-receiver wanting into T; singletons always qualify and the family is closed
-under subsets.  Both compatibility relations are bitmask adjacency lists
-built from `Instance.side_masks`; the maximal hypercliques are the maximal
-cliques of one of them, found by a bitset Bron-Kerbosch with Tomita's
-pivot, and the cover LP, its verification and the integer cover's
-complement all read the same masks.
+receiver wanting into T; they are the weak hypercliques of the message
+instance, which has one receiver per message v, wanting v and knowing the
+S-set of every receiver that wants v (every message when none does).  So
+one compatibility relation, a bitmask adjacency list built from
+`Instance.side_masks`, serves both kinds: its maximal cliques, found by a
+bitset Bron-Kerbosch with Tomita's pivot, are the maximal hypercliques, and
+the cover LP, its verification and the integer cover's complement all read
+it, on the instance itself (weak) or on its message instance (strong).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .instance import CapExceeded, Instance, Graph, bits, from_graph, to_mask
+from .instance import CapExceeded, Graph, Instance, Receiver, bits, from_graph, to_mask
 from .lp import LpProblem, ints, solve_min
 from .numeric import is_prime
 
@@ -164,49 +166,43 @@ def is_weak_hyperclique(inst: Instance, receiver_set) -> bool:
 
 
 def is_strong_hyperclique(inst: Instance, message_set) -> bool:
-    t = to_mask(message_set)
-    for r, side in zip(inst.receivers, inst.side_masks):
-        if t >> r.wants & 1 and t & ~side:
-            return False
-    return True
+    return is_weak_hyperclique(_view(inst, "strong"), message_set)
 
 
-def _allowed(inst: Instance) -> list[int]:
-    """allowed[v]: the messages in the S-set of every receiver wanting v (a
-    mask; all messages when no receiver wants v).  A message set T is a
-    strong hyperclique iff T <= allowed[v] for every v in T."""
-    allowed = [(1 << inst.n) - 1] * inst.n
-    for r, side in zip(inst.receivers, inst.side_masks):
-        allowed[r.wants] &= side
-    return allowed
-
-
-def _compat(inst: Instance, kind: str) -> tuple[list[int], tuple[int, ...]]:
-    """(adj, targets): the compatibility graph as bitmask adjacency over the
-    positions in targets, the messages (strong) or one representative per
-    distinct receiver (weak)."""
-    if kind == "strong":
-        targets = tuple(range(inst.n))
-        near = _allowed(inst)
-    elif kind == "weak":
-        targets = inst.distinct_receivers()
-        wanting = [0] * inst.n
-        for y, j in enumerate(targets):
-            wanting[inst.receivers[j].wants] |= 1 << y
-        # near[x]: the targets whose wanted message lies in S(targets[x])
-        near = []
-        for j in targets:
-            near.append(0)
-            for v in bits(inst.side_masks[j]):
-                near[-1] |= wanting[v]
-    else:
+def _view(inst: Instance, kind: str) -> Instance:
+    """The instance whose weak hypercliques are inst's hypercliques of kind:
+    inst itself (weak), or its message instance (strong), kept on inst.
+    That has one receiver per message v, wanting v at v's rate and knowing
+    every message in the S-set of every receiver that wants v (every
+    message when none does); receiver v stands for message v, so a strong
+    cover of inst is a weak cover of its message instance."""
+    if kind == "weak":
+        return inst
+    if kind != "strong":
         raise ValueError("kind must be 'weak' or 'strong'")
-    # compatible: each lies near the other
-    back = [0] * len(targets)
-    for x, m in enumerate(near):
-        for y in bits(m):
-            back[y] |= 1 << x
-    return [m & back[x] & ~(1 << x) for x, m in enumerate(near)], targets
+    view = inst._covers.get("messages")
+    if view is None:
+        # receiver v knows what every receiver wanting v knows, v aside
+        knows: list[frozenset[int] | None] = [None] * inst.n
+        for r in inst.receivers:
+            k = knows[r.wants]
+            knows[r.wants] = r.knows if k is None else k & r.knows
+        every = frozenset(range(inst.n))
+        recs = tuple(Receiver(v, every - {v} if k is None else k) for v, k in enumerate(knows))
+        view = inst._covers["messages"] = Instance(inst.n, recs, inst.rates)
+    return view
+
+
+def _compat(inst: Instance) -> tuple[list[int], tuple[int, ...]]:
+    """(adj, targets): the weak compatibility graph as bitmask adjacency
+    over the positions in targets, one representative per distinct
+    receiver; two are compatible when each one's wanted message lies in
+    the other's S-set."""
+    targets = inst.distinct_receivers()
+    # (wanted message as a bit, S-set) of each target
+    pairs = [(1 << inst.receivers[j].wants, inst.side_masks[j]) for j in targets]
+    return [sum(1 << y for y, (w, s) in enumerate(pairs) if y != x and w & side and want & s)
+            for x, (want, side) in enumerate(pairs)], targets
 
 
 def _maximal_cliques(adj: list[int]) -> list[int]:
@@ -241,10 +237,10 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
     return out
 
 
-def _hypercliques(inst: Instance, kind: str) -> tuple[list[list[int]], tuple[int, ...]]:
-    """(cliques, targets): every maximal hyperclique as the increasing
+def _hypercliques(inst: Instance) -> tuple[list[list[int]], tuple[int, ...]]:
+    """(cliques, targets): every maximal weak hyperclique as the increasing
     positions of its members in targets, in canonical sorted order."""
-    adj, targets = _compat(inst, kind)
+    adj, targets = _compat(inst)
     return sorted(map(bits, _maximal_cliques(adj))), targets
 
 
@@ -252,7 +248,7 @@ def enumerate_maximal_hypercliques(inst: Instance, kind: str) -> list[frozenset[
     """All inclusion-maximal strong hypercliques (message sets) or weak
     hypercliques (receiver-index sets, one representative per distinct
     receiver), in canonical sorted order."""
-    cliques, targets = _hypercliques(inst, kind)
+    cliques, targets = _hypercliques(_view(inst, kind))
     return [frozenset(targets[i] for i in c) for c in cliques]
 
 
@@ -267,23 +263,21 @@ class FractionalCover:
 
 
 def verify_cover(inst: Instance, cover: FractionalCover) -> list[str]:
+    """The faults of cover, checked as a weak cover of its view: inst for a
+    weak cover, the message instance for a strong one, whose receiver v is
+    message v."""
+    view = _view(inst, cover.kind)
     bad = []
-    strong = cover.kind == "strong"
-    allowed = _allowed(inst) if strong else None
     masks = []
     for s, w in cover.items:
         if w < 0:
             bad.append(f"negative weight on {sorted(s)}")
         mask = to_mask(s)
-        # a hyperclique's members all lie in the intersection of the sets
-        # each member allows: allowed[v] (strong), S(j) (weak)
-        need, have = (mask if strong else 0), -1
+        # a hyperclique's wanted messages all lie in each member's S-set
+        need, have = 0, -1
         for t in bits(mask):
-            if strong:
-                have &= allowed[t]
-            else:
-                need |= 1 << inst.receivers[t].wants
-                have &= inst.side_masks[t]
+            need |= 1 << view.receivers[t].wants
+            have &= view.side_masks[t]
         if need & ~have:
             bad.append(f"{sorted(s)} is not a {cover.kind} hyperclique")
         masks.append(mask)
@@ -291,21 +285,17 @@ def verify_cover(inst: Instance, cover: FractionalCover) -> list[str]:
     if sum(weights, F0) != cover.total:
         bad.append("total weight mismatch")
     # Coverage in integers: weights and rates over their common denominator.
-    rates = inst.rates or (1,) * inst.n
+    rates = view.rates or (1,) * view.n
     d = math.lcm(*(w.denominator for w in weights), *(r.denominator for r in rates))
-    got = [0] * (inst.n if strong else inst.m)
+    got = [0] * view.m
     for mask, w in zip(masks, weights):
         for t in bits(mask):
             got[t] += w.numerator * (d // w.denominator)
-    if strong:
-        for v in range(inst.n):
-            if got[v] * rates[v].denominator < rates[v].numerator * d:
-                bad.append(f"message {v} covered {Fraction(got[v], d)} < {rates[v]}")
-    else:
-        for j, r in enumerate(inst.receivers):
-            g = got[inst.representative[j]]
-            if g * rates[r.wants].denominator < rates[r.wants].numerator * d:
-                bad.append(f"receiver {j} covered {Fraction(g, d)} < {rates[r.wants]}")
+    target = "message" if cover.kind == "strong" else "receiver"
+    for j, r in enumerate(view.receivers):
+        g = got[view.representative[j]]
+        if g * rates[r.wants].denominator < rates[r.wants].numerator * d:
+            bad.append(f"{target} {j} covered {Fraction(g, d)} < {rates[r.wants]}")
     return bad
 
 
@@ -334,10 +324,11 @@ def fractional_cover(inst: Instance, kind: str) -> FractionalCover:
 
     On a unicast instance (owner[v], the representative wanting v, a
     bijection) the weak hypercliques are the strong ones relabelled by
-    owner, and both LPs have the same rows (allowed[v] = S(owner[v]), the
-    same rates), so the weak cover is the strong one relabelled: one LP
-    serves psi_f and chi_bar_f.  The solved strong cover is kept on inst;
-    every call returns a fresh, verified FractionalCover."""
+    owner, and both LPs have the same rows (the message instance's receiver
+    v knows what owner[v] knows, at the same rate), so the weak cover is
+    the strong one relabelled: one LP serves psi_f and chi_bar_f.  The
+    solved strong cover is kept on inst; every call returns a fresh,
+    verified FractionalCover."""
     owner = _owner(inst) if kind == "weak" else None
     if kind != "strong" and owner is None:  # non-unicast weak, or an unknown kind (refused there)
         return _solve_cover(inst, kind)
@@ -358,20 +349,18 @@ def _verified(inst: Instance, cover: FractionalCover) -> FractionalCover:
 
 
 def _solve_cover(inst: Instance, kind: str) -> FractionalCover:
-    """The cover LP of one kind, built as a target x clique membership
-    matrix, solved and verified."""
-    cliques, targets = _hypercliques(inst, kind)
-    wanted = targets if kind == "strong" else [inst.receivers[j].wants for j in targets]
+    """The weak cover LP of inst's view for kind, built as a target x
+    clique membership matrix, solved and verified."""
+    view = _view(inst, kind)
+    cliques, targets = _hypercliques(view)
     # target x clique membership: row t sums the cliques containing t
     member = np.zeros((len(targets), len(cliques)), bool)
     member[[t for c in cliques for t in c], [j for j, c in enumerate(cliques) for _ in c]] = True
-    uncovered = ~member.any(axis=1)
-    if uncovered.any():
-        raise ValueError(f"no {kind} hyperclique covers {targets[int(uncovered.argmax())]}")
     cols = np.nonzero(member)[1]
     indptr = np.concatenate([[0], np.cumsum(member.sum(axis=1))])
     p = LpProblem(len(cliques), dict.fromkeys(range(len(cliques)), 1), indptr, cols,
-                  np.ones(len(cols), np.int64), *_rate_arrays(inst, wanted))
+                  np.ones(len(cols), np.int64),
+                  *_rate_arrays(view, [view.receivers[j].wants for j in targets]))
     opt = solve_min(p)
     if opt.status != "optimal":
         raise AssertionError(f"cover LP came back {opt.status}")
@@ -381,13 +370,13 @@ def _solve_cover(inst: Instance, kind: str) -> FractionalCover:
 
 def integer_clique_cover(inst: Instance | Graph) -> tuple[int, list[frozenset[int]]]:
     """Exact minimum cover of the messages by strong hypercliques, i.e. by
-    cliques of the pairwise compatibility graph (on a graph instance, the
-    graph itself); a graph is read as its instance.  Branch and bound on a
+    cliques of the message instance's compatibility graph (on a graph
+    instance, the graph itself); a graph is read as its instance.  Branch and bound on a
     coloring of the complement; intended for n <= ~20."""
     if isinstance(inst, Graph):
         inst = from_graph(inst)
     n = inst.n
-    adj, _ = _compat(inst, "strong")
+    adj, _ = _compat(_view(inst, "strong"))
     comp_adj = [bits((1 << n) - 1 & ~a & ~(1 << u)) for u, a in enumerate(adj)]
     order = sorted(range(n), key=lambda v: -len(comp_adj[v]))
     best_k = n + 1
@@ -433,7 +422,7 @@ def fits_graph(inst: Instance, mat: list[list[int]], p: int) -> list[str]:
     """Violations of the fitting pattern: an m x n matrix whose row j is
     nonzero at f(j), free on N(j) and zero elsewhere."""
     if not (isinstance(mat, list) and all(
-            isinstance(row, list) and all(isinstance(v, int) for v in row) for row in mat)):
+            isinstance(row, list) and all(type(v) is int for v in row) for row in mat)):
         return ["matrix is not a list of rows of integers"]
     if len(mat) != inst.m or any(len(row) != inst.n for row in mat):
         return [f"matrix is not {inst.m} x {inst.n}"]

@@ -60,7 +60,7 @@ def validate_symmetry(inst: Instance, perms: list[list[int]]) -> list[str]:
     bad = []
     recs = {(r.wants, r.knows) for r in inst.receivers}
     for gi, p in enumerate(perms):
-        if not (isinstance(p, list) and all(isinstance(v, int) for v in p)):
+        if not (isinstance(p, list) and all(type(v) is int for v in p)):
             bad.append(f"generator {gi} is not a list of integers")
             continue
         if sorted(p) != list(range(inst.n)):
@@ -235,7 +235,7 @@ def build_hierarchy_lp(
     if 1 << n > max_lp_vars:
         raise CapExceeded("max-lp-vars", 1 << n, max_lp_vars)
     masks = np.arange(1 << n)
-    if sym:
+    if sym is not None:
         bad = validate_symmetry(inst, sym)
         if bad:
             raise ValueError(f"invalid symmetry group: {bad}")

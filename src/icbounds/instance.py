@@ -65,8 +65,8 @@ class Instance:
 
     @cached_property
     def _covers(self) -> dict:
-        """{"strong": the solved strong fractional cover}, kept by
-        `combinatorial.fractional_cover` for later calls."""
+        """{"strong": the solved strong fractional cover, "messages": the
+        message instance}, kept by `combinatorial` for later calls."""
         return {}
 
     def distinct_receivers(self) -> tuple[int, ...]:
@@ -185,11 +185,19 @@ def read_json(path) -> dict:
     return data
 
 
+def _int(v) -> int:
+    """v, a JSON integer; anything else (a float, a string, true) raises
+    ValueError rather than being rounded or converted."""
+    if type(v) is not int:
+        raise ValueError(f"{json.dumps(v)} is not an integer")
+    return v
+
+
 def _instance_from_dict(data: dict) -> Instance:
     try:
-        n = int(data["n"])
+        n = _int(data["n"])
         recs = tuple(
-            Receiver(int(r["wants"]), frozenset(int(v) for v in r["knows"]))
+            Receiver(_int(r["wants"]), frozenset(map(_int, r["knows"])))
             for r in data["receivers"]
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -210,7 +218,7 @@ def _instance_from_dict(data: dict) -> Instance:
 def _graph_pairs(data: dict) -> tuple[int, list[tuple[int, int]]]:
     """A graph file's n and its edges as integer pairs, in file order."""
     try:
-        return int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]]
+        return _int(data["n"]), [(_int(u), _int(v)) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph file: {exc}") from exc
 

@@ -79,16 +79,15 @@ def build_report(
     descriptor: str = "instance",
     levels: tuple[int, ...] = (2,),
     sym: list[list[int]] | None = None,
-    with_chibar: bool = False,
     minrk_cap: int | None = None,
     with_decide2: bool = False,
     max_lp_vars: int = MAX_LP_VARS,
     matrix: list[list[int]] | None = None,
     matrix_field: int = 2,
 ) -> BoundReport:
-    """alpha, the b_k of `levels` and chi_bar_f always; the integer clique
-    cover with `with_chibar`; the exact GF(2) minrank under free-entry cap
-    `minrk_cap` unless it is None; the verified rank code of `matrix`, a
+    """alpha, the b_k of `levels` and chi_bar_f always; unless `minrk_cap`
+    is None, the integer clique cover and the exact GF(2) minrank under
+    free-entry cap `minrk_cap`; the verified rank code of `matrix`, a
     fitting matrix over F_`matrix_field`, as `gram`; the rate-2 decision
     with `with_decide2`.  Last, chi_bar_f's verified strong-cover code, the
     `scheme`, on unit rates and only when no upper bound so far is below
@@ -114,13 +113,11 @@ def build_report(
         strong.total, "upper", f"strong fractional cover, {len(strong.items)} sets", ms
     )
 
-    if with_chibar:
+    if minrk_cap is not None:
         (k, cover), ms = _timed(lambda: integer_clique_cover(inst))
         rep.bounds["chibar"] = BoundEntry(
             Fraction(k), "upper", f"clique cover with {k} cliques", ms
         )
-
-    if minrk_cap is not None:
         mr, ms = _timed(lambda: minrk2(inst, cap=minrk_cap))
         rep.bounds["minrk2"] = BoundEntry(
             Fraction(mr.value), "upper", "GF(2) representation" + (" (exact)" if mr.exact else ""), ms

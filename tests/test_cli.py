@@ -232,6 +232,58 @@ def test_report_refuses_a_malformed_symmetry_key(capsys, tmp_path):
     assert "not a list of integers" in err
 
 
+def test_an_empty_symmetry_object_is_refused(capsys, tmp_path):
+    # {} is not a list of generators, from --sym file: or from the file's
+    # own key; no symmetry (none) and no generators ([]) build one LP
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    sym = tmp_path / "sym.json"
+    sym.write_text("{}")
+    code, _, err = run(capsys, "hierarchy", str(path), "--level", "2", "--sym", f"file:{sym}")
+    assert code == 2 and "symmetry is not a list of generators" in err, err
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps({**data, "symmetry": {}}))
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 2 and "symmetry is not a list of generators" in err, err
+    sym.write_text("[]")
+    unreduced = run_json(capsys, "hierarchy", str(path), "--level", "2", "--sym", "none")
+    empty = run_json(capsys, "hierarchy", str(path), "--level", "2", "--sym", f"file:{sym}")
+    del unreduced["runtime_ms"], empty["runtime_ms"]
+    assert empty == unreduced and unreduced["rows"] == 257
+
+
+def _ph3_with_a_true_entry() -> dict:
+    from icbounds.families import family
+    from icbounds.instance import graph_dict
+    f = family("projective-hadamard", q=3)
+    assert f.matrix[0][0] == 1
+    return {**graph_dict(f.graph), "matrix": [[True] + f.matrix[0][1:]] + f.matrix[1:],
+            "matrix_field": 3}
+
+
+C5_EDGES = [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]
+
+
+@pytest.mark.parametrize("data, level, fault", [
+    ({"n": 5, "edges": [[0, 1.9], [True, 2], ["3", 4]]}, "none", "1.9 is not an integer"),
+    ({"n": 5, "edges": [[0, 1], [True, 2]]}, "none", "true is not an integer"),
+    ({"n": 5, "edges": [["3", 4]]}, "none", '"3" is not an integer'),
+    ({"n": 3.9, "receivers": [{"wants": 0, "knows": [1]}]}, "none", "3.9 is not an integer"),
+    ({"n": 3, "receivers": [{"wants": 1.2, "knows": [0]}]}, "none", "1.2 is not an integer"),
+    ({"n": 3, "receivers": [{"wants": 0, "knows": [1.7]}]}, "none", "1.7 is not an integer"),
+    ({"n": 5, "edges": C5_EDGES, "symmetry": [[1, 2, 3, 4, False]]}, "2",
+     "generator 0 is not a list of integers"),
+    (_ph3_with_a_true_entry(), "none", "matrix is not a list of rows of integers"),
+], ids=["edge-float", "edge-true", "edge-string", "n-float", "wants-float", "knows-float",
+        "generator-false", "matrix-true"])
+def test_files_hold_json_integers_only(capsys, tmp_path, data, level, fault):
+    # a float, a string or a boolean where an integer belongs is refused,
+    # not rounded or read as 0 or 1
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "report", str(path), "--level", level)
+    assert code == 2 and fault in err, err
+
+
 def test_code_strongcover(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     out = run_json(capsys, "code", str(path), "--scheme", "strongcover",
@@ -333,6 +385,9 @@ def test_report_all_minrk_cap(capsys, tmp_path):
     assert "minrk-free-entries" in err
     out = run_json(capsys, "report", str(path), "--all", "--minrk-cap", "30")
     assert out["bounds"]["minrk2"]["value"] == "5"
+    assert out["bounds"]["chibar"]["value"] == "5"
+    plain = run_json(capsys, "report", str(path))
+    assert not {"chibar", "minrk2"} & set(plain["bounds"])
 
 
 def test_minrk_on_instance_file(capsys, tmp_path):

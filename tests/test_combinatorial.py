@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+import combinatorial_reference as reference
 from combinatorial_reference import alpha_exact as reference_alpha
 from combinatorial_reference import enumerate_maximal_hypercliques as reference_hypercliques
 from codes_reference import decoders_reference
@@ -626,3 +627,75 @@ def test_cover_verifier_catches_bad_weights():
     cov = fractional_cover(inst, "strong")
     broken = type(cov)(cov.kind, [(s, w / 2) for s, w in cov.items], cov.total / 2)
     assert verify_cover(inst, broken)
+
+
+def _non_unicast(rng):
+    """A random instance with an unwanted message and, often, identical
+    copies of some receivers; every third one weighted."""
+    n = rng.randint(2, 8)
+    recs = []
+    for _ in range(rng.randint(1, 2 * n)):
+        w = rng.randrange(n - 1)  # message n - 1 is wanted by no one
+        rest = [v for v in range(n) if v != w]
+        recs.append(Receiver(w, frozenset(rng.sample(rest, rng.randint(0, len(rest))))))
+    if rng.random() < 0.5:
+        recs += rng.choices(recs, k=rng.randint(1, len(recs)))
+        rng.shuffle(recs)
+    rates = tuple(F(1, rng.choice((1, 2, 3, 5))) for _ in range(n)) if rng.random() < 1 / 3 else None
+    return Instance(n, tuple(recs), rates)
+
+
+def _tampered(cover, inst, rng):
+    """cover with one fault or none: an item dropped, added or reweighted,
+    or the total changed."""
+    items = list(cover.items)
+    pool = range(inst.n) if cover.kind == "strong" else inst.distinct_receivers()
+    change = rng.randrange(5)
+    if change == 0 and items:
+        items.pop(rng.randrange(len(items)))
+    elif change == 1:
+        items.append((frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool))))), F(1, 2)))
+    elif change == 2 and items:
+        k = rng.randrange(len(items))
+        items[k] = (items[k][0], items[k][1] * rng.choice((F(1, 2), F(-1), F(3, 2))))
+    total = sum((w for _, w in items), F(0))
+    if change == 3:
+        total += F(1, 7)
+    return FractionalCover(cover.kind, items, total)
+
+
+def test_both_kinds_match_the_two_relation_reference():
+    # strong hypercliques read as the weak ones of the message instance: on
+    # non-unicast instances the strong predicate, the maximal hypercliques,
+    # both covers and the cover check's faults, tampered covers included,
+    # equal the reference's, which keeps its strong and weak graphs apart
+    rng = random.Random(32)
+    twins = faults = 0
+    for _ in range(250):
+        inst = _non_unicast(rng)
+        twins += len(inst.distinct_receivers()) < inst.m
+        for t in range(1, 1 << inst.n):
+            members = [v for v in range(inst.n) if t >> v & 1]
+            assert is_strong_hyperclique(inst, members) == reference.is_strong_hyperclique(inst, members)
+        for kind in ("weak", "strong"):
+            assert enumerate_maximal_hypercliques(inst, kind) == reference_hypercliques(inst, kind)
+            cover = fractional_cover(inst, kind)
+            assert (cover.items, cover.total) == reference.fractional_cover(inst, kind)
+            for cov in (cover, _tampered(cover, inst, rng)):
+                got = verify_cover(inst, cov)
+                assert got == reference.verify_cover(inst, cov)
+                faults += bool(got)
+    assert twins > 50 and faults > 150
+
+
+def test_a_tampered_strong_cover_is_refused_in_its_own_words():
+    inst = tri3()
+    cover = fractional_cover(inst, "strong")
+    bad = FractionalCover("strong", cover.items + [(frozenset({0, 1}), F(1))], cover.total + 1)
+    assert verify_cover(inst, bad) == ["[0, 1] is not a strong hyperclique"]
+    # message 3, wanted by no one, must still be covered at its rate
+    inst = Instance(4, inst.receivers, (F(1), F(1), F(1), F(1, 2)))
+    cover = fractional_cover(inst, "strong")
+    assert [(sorted(s), w) for s, w in cover.items] == [([0], 1), ([1], 1), ([2], 1), ([3], F(1, 2))]
+    short = FractionalCover("strong", [(frozenset({0}), F(1, 8))] + cover.items[1:3], F(17, 8))
+    assert verify_cover(inst, short) == ["message 0 covered 1/8 < 1", "message 3 covered 0 < 1/2"]
