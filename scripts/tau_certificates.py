@@ -3,16 +3,19 @@ of the library.
 
     PYTHONPATH=src python3 scripts/tau_certificates.py [--out dump.json]
 
-The corpus has 530 instances: random instances and random graphs (every
+The corpus has 531 instances: random instances and random graphs (every
 third one with dyadic and non-dyadic rates), complete graphs K_4..K_16,
 whose one rate class takes the recursion cover from K_7 on, weighted
 disjoint unions of two cliques, dense graphs with 12-16 vertices like the
-benchmark's, and 30 more small instances (the `mc-*` entries, kept under
-their names so that dumps of older versions compare key for key).  Each
-certificate is written with value, k_cap, mode, seed, fallback and, per
-class, s, vertices, k, cover_term, trivial_term, choice and term; a class's
-cover is left out.  The last line printed is the sha256 of the dump, so equal
-digests mean equal certificates.
+benchmark's, 30 more small instances (the `mc-*` entries, kept under
+their names so that dumps of older versions compare key for key), and the
+complement of a perfect matching on 144 vertices, the one entry whose
+cover samples its dense leaves (about 2.5 s).  Each certificate is written
+with value, k_cap, mode, seed, fallback and, per class, s, vertices, k,
+cover_term, trivial_term, choice, term and the class's cover (its items as
+sorted receiver lists with their weights, in sorted order, and its total;
+null for a trivial class).  The last line printed is the sha256 of the
+dump, so equal digests mean equal certificates.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import time
 from fractions import Fraction
 
 from icbounds.approx import tau
-from icbounds.families import random_gnp, random_instance
+from icbounds.families import complement, random_gnp, random_instance
 from icbounds.instance import Graph, Instance, from_graph
 
 
@@ -77,7 +80,16 @@ def corpus() -> list[tuple[str, Instance]]:
         else:
             inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
         out.append((f"mc-{i}", inst))
+    matching = Graph.from_edge_list(144, [(v, v + 1) for v in range(0, 144, 2)])
+    out.append(("matching-complement-144", from_graph(complement(matching))))
     return out
+
+
+def cover_fields(cover) -> dict | None:
+    if cover is None:
+        return None
+    items = sorted((sorted(s), str(w)) for s, w in cover.items)
+    return {"items": items, "total": str(cover.total)}
 
 
 def fields(cert) -> dict:
@@ -87,7 +99,8 @@ def fields(cert) -> dict:
         "seed": cert.seed, "fallback": cert.fallback,
         "classes": [
             {"s": c.s, "vertices": c.vertices, "k": c.k, "cover_term": r(c.cover_term),
-             "trivial_term": r(c.trivial_term), "choice": c.choice, "term": r(c.term)}
+             "trivial_term": r(c.trivial_term), "choice": c.choice, "term": r(c.term),
+             "cover": cover_fields(c.cover)}
             for c in cert.classes
         ],
     }

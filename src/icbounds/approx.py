@@ -8,14 +8,14 @@ recursion (weight at most 12 k n^{1-1/k}) or the trivial one-clique-per-vertex
 cover of weight 2|V_s|.  All arithmetic is rational; irrational thresholds
 n^{1-1/k} enter only through certified rational enclosures.
 
-The recursion is split in two.  decide_expanding_or_cover finds either the
-expanding sequence or the cover's parts (hypercliques and dense leaves),
-recursing on message sets held as masks; build_cover turns the parts into
-the merged cover, sampled by low_degree_cover at each leaf and verified
+The recursion is split in two, both halves in the instance's own receiver
+indices and messages, on message sets held as masks.
+decide_expanding_or_cover finds either the expanding sequence or the
+cover's parts (hypercliques and dense leaves); build_cover merges them,
+each leaf's cover sampled by low_degree_cover, and checks the result
 exactly.  tau's rate classes come from the rates' integer numerators and
-denominators, and its search for k(s) runs only the decision, on the
-class's message mask, so a class whose cover is not taken builds no
-sub-instance.  A class's cover is built only where it sets tau's value:
+denominators, and its search for k(s) decides each class on its message
+mask, once per k.  A class's cover is built only where it sets tau's value:
 with k >= 2 that needs n >= 144, since 12 k n^{1-1/k} > 2n >= 2|V_s| for
 n < 144 (at n = 144, k = 2 and V_s = V the two terms tie and the cover is
 taken).
@@ -41,7 +41,7 @@ from .combinatorial import (
     sequence_weight,
     verify_cover,
 )
-from .instance import Instance, Receiver, bits, to_mask
+from .instance import Instance, bits, to_mask
 from .numeric import log2_enclosure, pow_frac_ceil, pow_frac_enclosure
 
 F0 = Fraction(0)
@@ -49,25 +49,6 @@ F1 = Fraction(1)
 
 MC_BASE_SAMPLES = 50_000
 MC_INFLATION = Fraction(11, 10)
-
-
-def induced_subhypergraph(inst: Instance, verts) -> tuple[Instance, list[int], list[int]]:
-    """Restriction to a vertex set: keeps receivers wanting into it, with side
-    information intersected.  Returns (sub, vertex map, edge map) where maps
-    send sub indices back to the parent's."""
-    vmap = sorted(verts)
-    local = {v: i for i, v in enumerate(vmap)}
-    recs = []
-    emap = []
-    for j, r in enumerate(inst.receivers):
-        if r.wants not in local:
-            continue
-        recs.append(
-            Receiver(local[r.wants], frozenset(local[v] for v in r.knows if v in local))
-        )
-        emap.append(j)
-    rates = tuple(inst.rate(v) for v in vmap) if inst.is_weighted() else None
-    return Instance(len(vmap), tuple(recs), rates), vmap, emap
 
 
 def alpha_greedy(inst: Instance) -> ExpandingSequence:
@@ -91,34 +72,41 @@ def alpha_greedy(inst: Instance) -> ExpandingSequence:
 # -- low-degree cover -------------------------------------------------------
 
 
-def _check_low_degree(inst: Instance, d: int) -> None:
-    """low_degree_cover's precondition: |S(j)| + d >= n for every receiver."""
+def low_degree_cover(inst: Instance, vmask: int, d: int, seed: int = 0) -> FractionalCover:
+    """Weak fractional cover, at unit rate and of total weight at most
+    MC_INFLATION * (4d+2), of the receivers wanting into the message set V
+    (the mask vmask), each with |V - S(j)| <= d.  Its hypercliques are
+    {j : f(j) in T <= S(j)} for a random prefix set T of V, weighted by
+    (4d+2) * MC_INFLATION times their sampled frequency; items are inst's
+    receiver indices, identical copies included."""
+    return next(cover for cover, covered in _sample_rounds(inst, vmask, d, seed) if covered)
+
+
+def _sample_rounds(inst: Instance, vmask: int, d: int, seed: int):
+    """low_degree_cover's rounds of MC_BASE_SAMPLES, then twice as many
+    samples as the round before: (the round's cover, whether it covers
+    every receiver).  Receivers are grouped by (f(j), S(j) & V), and a
+    hyperclique is the union of the groups T takes.  T is the prefix of a
+    uniformly random permutation of [|V| + d] cut just before its first
+    element >= |V|, point i standing for V's i-th message.  A round covers
+    a group that `hits` of its draws take when (4d+2) * 11 * hits >=
+    10 * samples: a stopping rule; build_cover's exact check certifies."""
+    groups: dict[tuple[int, int], list[int]] = {}
     for j, r in enumerate(inst.receivers):
-        if len(r.knows) + 1 + d < inst.n:
-            raise ValueError(f"receiver {j} has |S| + d = {len(r.knows) + 1 + d} < n")
-
-
-def low_degree_cover(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
-    """Weak fractional cover of total weight <= MC_INFLATION * (4d+2) for
-    dense side information (every receiver with |S(j)| + d >= n).
-    Hypercliques are {j : f(j) in T <= S(j)} for a random prefix set T (a
-    uniformly random permutation of [n+d] cut just before its first element
-    >= n, drawn one point at a time up to that element), each weighted by
-    (4d+2) * MC_INFLATION times its sampled frequency; the sample count
-    doubles until the coverage of every receiver verifies exactly."""
-    n = inst.n
-    _check_low_degree(inst, d)
-    reps = inst.distinct_receivers()
-    info = [(j, 1 << inst.receivers[j].wants, inst.side_masks[j]) for j in reps]
-
-    def clique_of(tmask: int) -> frozenset[int]:
-        return frozenset(j for j, fb, sm in info if fb & tmask and not tmask & ~sm)
-
+        if vmask >> r.wants & 1:
+            side = inst.side_masks[j] & vmask
+            if (vmask & ~side).bit_count() > d:
+                raise ValueError(f"receiver {j} has |S| + d = {side.bit_count() + d} < n")
+            groups.setdefault((1 << r.wants, side), []).append(j)
+    keys, members = list(groups), list(groups.values())
+    scale = (4 * d + 2) * MC_INFLATION
+    point = [1 << v for v in bits(vmask)]
+    n = len(point)
     rng = random.Random(seed)
     points = list(range(n + d))
     samples = MC_BASE_SAMPLES
     while True:
-        counts: dict[frozenset[int], int] = {}
+        counts: dict[int, int] = {}  # draws per set of groups taken, as a mask
         for _ in range(samples):
             # a partial Fisher-Yates shuffle, stopped at the first point >= n:
             # its prefix is that of a uniformly random permutation, whatever
@@ -130,20 +118,25 @@ def low_degree_cover(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
                 if x >= n:
                     break
                 points[k], points[i] = points[i], x
-                tmask |= 1 << x
-            cl = clique_of(tmask)
-            if cl:
-                counts[cl] = counts.get(cl, 0) + 1
-        weights = {
-            cl: Fraction(4 * d + 2) * MC_INFLATION * Fraction(c, samples)
-            for cl, c in counts.items()
-        }
+                tmask |= point[x]
+            taken = 0
+            for g, (fb, side) in enumerate(keys):
+                if fb & tmask and not tmask & ~side:
+                    taken |= 1 << g
+            if taken:
+                counts[taken] = counts.get(taken, 0) + 1
+        hits = [0] * len(keys)
+        weights = {}
+        for taken, c in counts.items():
+            for g in bits(taken):
+                hits[g] += c
+            weights[frozenset(j for g in bits(taken) for j in members[g])] = (
+                scale * Fraction(c, samples))
         cover = FractionalCover(
             "weak", sorted(weights.items(), key=lambda kv: sorted(kv[0])),
             sum(weights.values(), F0),
         )
-        if not verify_cover(inst, cover):
-            return cover
+        yield cover, all(scale.numerator * h >= scale.denominator * samples for h in hits)
         samples *= 2  # under-covered: resample at higher resolution
 
 
@@ -153,22 +146,14 @@ def low_degree_cover(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
 @dataclass
 class CoverParts:
     """The cover side of the expanding-or-cover recursion before anything is
-    built: the hypercliques it takes at weight 1, as receiver-index sets,
-    and its dense leaves, each a message set V (a mask) with its d, awaiting
-    low_degree_cover on V's induced sub-instance."""
+    built, decided on the message mask `top`: the hypercliques it takes at
+    weight 1, as receiver-index sets, and its dense leaves, each a message
+    set V (a mask) with its d, awaiting low_degree_cover(inst, V, d).  All
+    in the decided instance's own receiver indices and messages."""
 
+    top: int
     cliques: list[frozenset[int]] = field(default_factory=list)
     leaves: list[tuple[int, int]] = field(default_factory=list)
-
-
-def _members(sub: Instance, emap: list[int]) -> dict[int, list[int]]:
-    """members[rep]: every receiver of `sub` that rep represents, in emap's
-    indices; a hyperclique of representatives lifts to the union of its
-    members' lists."""
-    members: dict[int, list[int]] = {}
-    for e, rep in enumerate(sub.representative):
-        members.setdefault(rep, []).append(emap[e])
-    return members
 
 
 def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | CoverParts:
@@ -185,14 +170,15 @@ def decide_expanding_or_cover(inst: Instance, k: int) -> ExpandingSequence | Cov
 
 
 def _decide(inst: Instance, k: int, top: int) -> ExpandingSequence | CoverParts:
-    """decide_expanding_or_cover on the sub-instance induced by the message
-    mask `top`, |top| messages, in inst's receiver indices and messages."""
+    """decide_expanding_or_cover restricted to the message mask `top`: its
+    |top| messages and the receivers wanting into it, in inst's receiver
+    indices and messages.  The parts record `top`."""
     if k < 1:
         raise ValueError("need k >= 1")
     nn = top.bit_count()
     wants = [r.wants for r in inst.receivers]
     side = inst.side_masks
-    parts = CoverParts()
+    parts = CoverParts(top)
 
     def go(vmask: int, recs: list[int], kk: int) -> list[int] | None:
         # An expanding sequence, or None once V's cover parts are in `parts`.
@@ -232,29 +218,28 @@ def _decide(inst: Instance, k: int, top: int) -> ExpandingSequence | CoverParts:
 
 
 def build_cover(inst: Instance, k: int, parts: CoverParts, seed: int = 0) -> FractionalCover:
-    """The cover from decide_expanding_or_cover(inst, k)'s parts: each
-    dense leaf's low_degree_cover on its induced sub-instance, lifted to
-    inst's receivers, merged with the hypercliques, verified exactly at
-    unit rate and held to MC_INFLATION * 6k * n^{1-1/k}.  Sampling raises
-    only the leaf weights, each to at most MC_INFLATION * (4d+2), so the
-    parts' nominal weight bound carries over inflated."""
+    """The cover from the parts that _decide(inst, k, parts.top) found: the
+    hypercliques merged with each dense leaf's low_degree_cover, in inst's
+    receiver indices.  Its one exact check: a unit-rate weak cover of the
+    receivers wanting into parts.top, of weight at most MC_INFLATION *
+    6k * |top|^{1-1/k}, since sampling raises each leaf's nominal 4d+2 by
+    at most MC_INFLATION."""
     merged: dict[frozenset[int], Fraction] = {}
     for item in parts.cliques:
         merged[item] = merged.get(item, F0) + F1
     for vmask, d in parts.leaves:
-        sub, _, emap = induced_subhypergraph(inst, bits(vmask))
-        members = _members(sub, emap)
-        for cl, w in low_degree_cover(sub, d, seed=seed).items:
-            item = frozenset(e for rep in cl for e in members[rep])
+        for item, w in low_degree_cover(inst, vmask, d, seed=seed).items:
             merged[item] = merged.get(item, F0) + w
     cover = FractionalCover(
         "weak", sorted(merged.items(), key=lambda kv: sorted(kv[0])),
         sum(merged.values(), F0),
     )
-    hi = pow_frac_enclosure(inst.n, k)[1] if inst.n else F0
+    nn = parts.top.bit_count()
+    hi = pow_frac_enclosure(nn, k)[1] if nn else F0
     bound = 6 * k * max(hi, F1)  # n^{1-1/k} >= 1 guard for n = 1
-    flat = Instance(inst.n, inst.receivers)  # rates ignored: unit coverage
-    bad = verify_cover(flat, cover)
+    # rate 0 outside top: a receiver wanting there asks for no coverage
+    need = tuple(F1 if parts.top >> v & 1 else F0 for v in range(inst.n))
+    bad = verify_cover(Instance(inst.n, inst.receivers, need), cover)
     if bad:
         raise AssertionError(f"recursion cover failed verification: {bad}")
     if cover.total > MC_INFLATION * bound:
@@ -299,11 +284,13 @@ def tau(inst: Instance, seed: int = 0) -> TauCertificate:
     """Certified upper bound on the minimum weak-cover weight (hence on the
     broadcast rate): dyadic rate classes 2^{-s} < r <= 2^{1-s}, per class the
     cheaper of the recursion cover bound 12 k(s) n^{1-1/k(s)} and the trivial
-    2|V_s|, scaled by 2^{-s}.  k(s) is the least k <= k_cap at which
-    decide_expanding_or_cover finds no expanding sequence of size k+1.
+    2|V_s|, scaled by 2^{-s}.  k(s) is the least k <= k_cap at which the
+    decision on the class's message mask finds no expanding sequence of
+    size k+1; each class is decided once per k.
 
-    A class's cover is built (by build_cover, with `seed`) and stored on
-    its TauClass only where it sets the value, i.e. choice == "cover".
+    A class's cover is built (by build_cover, with `seed`, from the parts
+    that decided k(s)) and stored on its TauClass only where it sets the
+    value, i.e. choice == "cover".
     With k >= 2 that needs n >= 144, since 12 k n^{1-1/k} > 2n for
     n < 144; with k = 1 the cover is a single hyperclique.  The mode is
     "monte-carlo" exactly when such a cover has a dense leaf to sample."""
@@ -330,7 +317,8 @@ def tau(inst: Instance, seed: int = 0) -> TauCertificate:
         vmask = to_mask(vs)
         kk = cover = None
         for k in range(1, k_cap + 1):
-            if isinstance(_decide(inst, k, vmask), CoverParts):
+            parts = _decide(inst, k, vmask)
+            if isinstance(parts, CoverParts):
                 kk = k
                 break
         trivial = Fraction(2 * len(vs))
@@ -342,17 +330,9 @@ def tau(inst: Instance, seed: int = 0) -> TauCertificate:
             choice = "cover" if cover_term <= trivial else "trivial"
             best = min(cover_term, trivial)
         if choice == "cover":
-            # build_cover reads the parts in the indices of the instance it
-            # covers, so they are decided again on the class's sub-instance
-            sub, _, emap = induced_subhypergraph(Instance(inst.n, inst.receivers), vs)
-            parts = decide_expanding_or_cover(sub, kk)
-            built = build_cover(sub, kk, parts, seed=seed)
+            cover = build_cover(inst, kk, parts, seed=seed)
             if parts.leaves:
                 mode = "monte-carlo"
-            cover = FractionalCover(
-                "weak", [(frozenset(emap[e] for e in c), w) for c, w in built.items],
-                built.total,
-            )
         term = Fraction(1, 2**s) * best
         out.append(TauClass(s, vs, kk, cover_term, trivial, choice, term, cover))
         value += term

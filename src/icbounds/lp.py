@@ -431,6 +431,12 @@ def _handle():
     return highspy, highs
 
 
+def load_binding() -> None:
+    """Import the HiGHS binding as the first solve would, for callers that
+    time their solves."""
+    _handle()
+
+
 def _model(p: LpProblem) -> tuple:
     """p as HiGHS's model: costs, column lower bounds, row lower and upper
     bounds, and the rows as CSR.  Raises CapExceeded("highs-model") for a

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" (or a bare integer / int value) into a Fraction."""
+    """Parse "p/q" (or a bare integer / int value) into a Fraction.  A bool
+    raises ValueError rather than being read as 0 or 1."""
+    if isinstance(s, bool):
+        raise ValueError(f"{str(s).lower()} is not a rational")
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s).strip())

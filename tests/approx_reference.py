@@ -5,6 +5,10 @@ the prefix-set distribution, the construction whose weight 4d+2 the
 recursion's bound is proved for; `icbounds.approx.low_degree_cover` samples
 it.  exact_leaves() patches it into `icbounds.approx` for a block.
 
+induced_subhypergraph is the restriction of an instance to a message set,
+relabelled; the one-pass recursion below works on it, as `icbounds.approx`
+did before its decision and build worked in the instance's own indices.
+
 expanding_or_cover_reference is the expanding-or-cover recursion in one
 pass, on induced sub-instances, as it was before the decision and the build
 were split, and tau_reference is tau's k search on top of it.  They build
@@ -25,13 +29,7 @@ import pytest
 from instance_reference import side_set
 
 from icbounds import approx
-from icbounds.approx import (
-    MC_INFLATION,
-    TauCertificate,
-    TauClass,
-    _check_low_degree,
-    induced_subhypergraph,
-)
+from icbounds.approx import MC_INFLATION, TauCertificate, TauClass
 from icbounds.combinatorial import (
     ExpandingSequence,
     FractionalCover,
@@ -41,7 +39,7 @@ from icbounds.combinatorial import (
     sequence_weight,
     verify_cover,
 )
-from icbounds.instance import Instance
+from icbounds.instance import Instance, Receiver
 from icbounds.numeric import pow_frac_ceil, pow_frac_enclosure
 
 F0 = Fraction(0)
@@ -60,6 +58,25 @@ def alpha_greedy_reference(inst: Instance) -> ExpandingSequence:
     return ExpandingSequence(tuple(seq), sequence_weight(inst, seq))
 
 
+def induced_subhypergraph(inst: Instance, verts) -> tuple[Instance, list[int], list[int]]:
+    """Restriction to a vertex set: keeps receivers wanting into it, with side
+    information intersected.  Returns (sub, vertex map, edge map) where maps
+    send sub indices back to the parent's."""
+    vmap = sorted(verts)
+    local = {v: i for i, v in enumerate(vmap)}
+    recs = []
+    emap = []
+    for j, r in enumerate(inst.receivers):
+        if r.wants not in local:
+            continue
+        recs.append(
+            Receiver(local[r.wants], frozenset(local[v] for v in r.knows if v in local))
+        )
+        emap.append(j)
+    rates = tuple(inst.rate(v) for v in vmap) if inst.is_weighted() else None
+    return Instance(len(vmap), tuple(recs), rates), vmap, emap
+
+
 def _prefix_sets(n: int, d: int):
     """Exact distribution of the random prefix set T: a uniformly random
     permutation of [n+d] is cut just before its first element >= n.  Yields
@@ -74,25 +91,34 @@ def _prefix_sets(n: int, d: int):
         yield mask, Fraction(factorial(t) * d * factorial(n + d - t - 1), denom)
 
 
-def low_degree_cover_reference(inst: Instance, d: int, seed: int = 0) -> FractionalCover:
-    """The low-degree cover with every prefix set weighted by (4d+2) times
-    its exact probability: total weight at most 4d+2, verified.  `seed` is
-    ignored, so this stands in for the sampler."""
-    _check_low_degree(inst, d)
-    info = [
-        (j, 1 << inst.receivers[j].wants,
-         sum(1 << v for v in inst.receivers[j].knows) | 1 << inst.receivers[j].wants)
-        for j in inst.distinct_receivers()
-    ]
+def low_degree_cover_reference(inst: Instance, vmask: int, d: int, seed: int = 0) -> FractionalCover:
+    """The low-degree cover of the receivers wanting into the message mask
+    vmask, with every prefix set of V weighted by (4d+2) times its exact
+    probability: total weight at most 4d+2, verified at unit rate on V's
+    induced sub-instance.  Items are receiver-index sets of inst.  `seed`
+    is ignored, so this stands in for the sampler."""
+    sub, _, emap = induced_subhypergraph(inst, [v for v in range(inst.n) if vmask >> v & 1])
+    for e, r in enumerate(sub.receivers):
+        if len(r.knows) + 1 + d < sub.n:
+            raise ValueError(f"receiver {emap[e]} has |S| + d = {len(r.knows) + 1 + d} < n")
     weights: dict[frozenset[int], Fraction] = {}
-    for tmask, p in _prefix_sets(inst.n, d):
-        cl = frozenset(j for j, fb, sm in info if fb & tmask and not tmask & ~sm)
+    for local, p in _prefix_sets(sub.n, d):
+        t = {i for i in range(sub.n) if local >> i & 1}
+        cl = frozenset(
+            emap[e] for e, r in enumerate(sub.receivers)
+            if r.wants in t and t <= r.knows | {r.wants}
+        )
         if cl:
             weights[cl] = weights.get(cl, F0) + (4 * d + 2) * p
     cover = FractionalCover(
         "weak", sorted(weights.items(), key=lambda kv: sorted(kv[0])), sum(weights.values(), F0)
     )
-    bad = verify_cover(inst, cover)
+    pos = {j: e for e, j in enumerate(emap)}
+    bad = verify_cover(
+        Instance(sub.n, sub.receivers),
+        FractionalCover("weak", [(frozenset(pos[j] for j in s), w) for s, w in cover.items],
+                        cover.total),
+    )
     if bad:
         raise AssertionError(f"low-degree cover failed verification: {bad}")
     if cover.total > 4 * d + 2:
@@ -149,7 +175,7 @@ def _recursion(inst, k, seed):
             if (dsz[j1] - 1) ** kk <= nn ** (kk - 1):
                 d = pow_frac_ceil(nn, kk)
                 leaves += 1
-                ld = approx.low_degree_cover(cur, d, seed=seed)
+                ld = approx.low_degree_cover(cur, (1 << cur.n) - 1, d, seed=seed)
                 for cl, w in ld.items:
                     keys = {_rep_key(cur, j) for j in cl}
                     item = frozenset(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from approx_reference import (
     alpha_greedy_reference,
     exact_leaves,
     expanding_or_cover_reference,
+    induced_subhypergraph,
     low_degree_cover_reference,
     tau_reference,
 )
@@ -21,7 +23,6 @@ from icbounds.approx import (
     approximate_beta,
     build_cover,
     decide_expanding_or_cover,
-    induced_subhypergraph,
     low_degree_cover,
     ratio_bound,
     tau,
@@ -34,7 +35,7 @@ from icbounds.combinatorial import (
     verify_cover,
 )
 from icbounds.families import complement, cycle, random_gnp, random_instance, tri3
-from icbounds.instance import Graph, Instance, Receiver, from_graph
+from icbounds.instance import Graph, Instance, Receiver, from_graph, to_mask
 from icbounds.numeric import pow_frac_enclosure
 
 F = Fraction
@@ -68,10 +69,10 @@ def test_low_degree_cover_small():
     # triangle, degree parameter 0: one full set, weight 2 exactly and
     # MC_INFLATION * 2 sampled
     inst = from_graph(cycle(3))
-    cover = low_degree_cover_reference(inst, 0)
+    cover = low_degree_cover_reference(inst, 0b111, 0)
     assert not verify_cover(inst, cover)
     assert cover.total <= 2
-    assert low_degree_cover(inst, 0) == FractionalCover(
+    assert low_degree_cover(inst, 0b111, 0) == FractionalCover(
         "weak", [(frozenset(range(inst.m)), 2 * MC_INFLATION)], 2 * MC_INFLATION
     )
 
@@ -80,10 +81,10 @@ def test_low_degree_cover_samples_within_the_inflated_cap():
     # the sampler covers, weighs at most MC_INFLATION * (4d+2) and repeats
     # under its seed
     inst = from_graph(complement(cycle(6)))  # blind sets of size 2
-    cover = low_degree_cover(inst, 2, seed=4)
+    cover = low_degree_cover(inst, 0b111111, 2, seed=4)
     assert not verify_cover(inst, cover)
     assert cover.total <= MC_INFLATION * 10
-    assert low_degree_cover(inst, 2, seed=4) == cover
+    assert low_degree_cover(inst, 0b111111, 2, seed=4) == cover
 
 
 def test_low_degree_cover_weight_cap():
@@ -96,16 +97,43 @@ def test_low_degree_cover_weight_cap():
         if any(len(blind_set(r, n)) > d for r in inst.receivers):
             continue  # precondition: blind sets at most d
         done += 1
-        cover = low_degree_cover_reference(inst, d)
+        cover = low_degree_cover_reference(inst, (1 << n) - 1, d)
         assert not verify_cover(inst, cover)
         assert cover.total <= 4 * d + 2
+
+
+def test_low_degree_cover_resamples_until_every_receiver_is_covered(monkeypatch):
+    # one draw a round at first: no hyperclique takes every receiver of
+    # these leaves, so the first round under-covers and the sample count
+    # doubles; on every round the integer stopping rule agrees with the
+    # exact check of that round's cover of V's receivers
+    monkeypatch.setattr(approx, "MC_BASE_SAMPLES", 1)
+    cc6 = from_graph(complement(cycle(6)))  # blind sets {v-1, v+1}
+    twin = Instance(6, cc6.receivers + (cc6.receivers[0],))  # receiver 6 repeats receiver 0
+    leaves = ((cc6, 0b111111), (cc6, 0b011110), (twin, 0b111111), (twin, 0b110011))
+    for (inst, vmask), seed in itertools.product(leaves, range(4)):
+        verts = [v for v in range(inst.n) if vmask >> v & 1]
+        d = max((len(set(verts) & blind_set(r, inst.n)) for r in inst.receivers
+                 if r.wants in verts), default=0)
+        rounds = 0
+        for cover, covered in approx._sample_rounds(inst, vmask, d, seed):
+            rounds += 1
+            assert covered == (not _faults_on(inst, verts, cover))
+            if inst is twin:
+                # identical receivers form one group: an item takes both or neither
+                assert all((0 in s) == (6 in s) for s, _ in cover.items)
+            if covered:
+                break
+        assert rounds > 1
+        assert low_degree_cover(inst, vmask, d, seed=seed) == cover
+        assert cover.total <= MC_INFLATION * (4 * d + 2)
 
 
 def test_low_degree_cover_rejects_high_degree():
     inst = from_graph(cycle(5))  # blind sets have size 2
     for cover in (low_degree_cover, low_degree_cover_reference):
         with pytest.raises(ValueError):
-            cover(inst, 1)
+            cover(inst, 0b11111, 1)
 
 
 def test_expanding_or_cover_certificates():
@@ -185,7 +213,6 @@ def test_decision_matches_single_pass_recursion(monkeypatch):
             for k in range(1, (inst.n - 1).bit_length() + 3):
                 want = expanding_or_cover_reference(inst, k)
                 with monkeypatch.context() as mp:
-                    mp.setattr(approx, "induced_subhypergraph", _refuse)
                     mp.setattr(approx, "Instance", _refuse)
                     decided = decide_expanding_or_cover(inst, k)
                 _same_outcome(inst, k, decided, want)
@@ -193,7 +220,7 @@ def test_decision_matches_single_pass_recursion(monkeypatch):
 
 def test_tau_builds_no_class_sub_instance(monkeypatch):
     # tau decides each rate class on its message mask: a tau whose classes
-    # all take the trivial choice never induces a sub-instance, weighted
+    # all take the trivial choice builds no instance at all, weighted
     # instances with several classes and a 160-vertex graph included
     rng = random.Random(61)
     insts = _corpus(rng, 90)
@@ -204,7 +231,7 @@ def test_tau_builds_no_class_sub_instance(monkeypatch):
         if want.fallback or any(c.choice == "cover" for c in want.classes):
             continue
         with monkeypatch.context() as mp:
-            mp.setattr(approx, "induced_subhypergraph", _refuse)
+            mp.setattr(approx, "Instance", _refuse)
             assert tau(inst, seed=2) == want
         checked += 1
         several += inst.is_weighted() and len(want.classes) > 1
@@ -262,15 +289,22 @@ def test_tau_cover_on_complete_graph():
     assert cert.mode == "exact"  # one hyperclique, no leaf sampled
 
 
+def _faults_on(inst, vertices, cover):
+    """verify_cover's faults of cover as a unit-rate weak cover of the
+    receivers wanting into `vertices`, by receiver index of inst, on their
+    own instance."""
+    ids = sorted(j for j, r in enumerate(inst.receivers) if r.wants in vertices)
+    local = {j: i for i, j in enumerate(ids)}
+    sub = Instance(inst.n, tuple(inst.receivers[j] for j in ids))
+    assert all(s <= set(ids) for s, _ in cover.items)
+    items = [(frozenset(local[j] for j in s), w) for s, w in cover.items]
+    return verify_cover(sub, FractionalCover("weak", items, cover.total))
+
+
 def _assert_class_cover(inst, c):
     # c's cover covers, at unit rate, every receiver wanting into the
     # class, by receiver index of the instance
-    ids = sorted(j for j, r in enumerate(inst.receivers) if r.wants in c.vertices)
-    local = {j: i for i, j in enumerate(ids)}
-    sub = Instance(inst.n, tuple(inst.receivers[j] for j in ids))
-    items = [(frozenset(local[j] for j in s), w) for s, w in c.cover.items]
-    assert all(s <= set(ids) for s, _ in c.cover.items)
-    assert not verify_cover(sub, FractionalCover("weak", items, c.cover.total))
+    assert not _faults_on(inst, c.vertices, c.cover)
 
 
 def test_tau_class_covers():
@@ -287,16 +321,52 @@ def test_tau_class_covers():
     assert seen["cover"] and seen["trivial"]
 
 
-def test_tau_samples_the_leaves_of_a_winning_cover():
+def _counted_tau(monkeypatch, inst, seed=0):
+    """tau(inst, seed), with the (k, message mask) of each decision it ran
+    and the number of exact cover checks it made."""
+    decided, checks = [], []
+    decide, verify = approx._decide, approx.verify_cover
+    with monkeypatch.context() as mp:
+        mp.setattr(approx, "_decide", lambda i, k, top: decided.append((k, top)) or decide(i, k, top))
+        mp.setattr(approx, "verify_cover", lambda *a: checks.append(a) or verify(*a))
+        cert = tau(inst, seed=seed)
+    return cert, decided, len(checks)
+
+
+def _assert_decided_once(cert, decided, checks):
+    # one decision per k up to the class's k, none again for a winning
+    # class, and one exact check per built cover
+    assert decided == [(k, to_mask(c.vertices)) for c in cert.classes for k in range(1, c.k + 1)]
+    assert checks == sum(c.choice == "cover" for c in cert.classes)
+
+
+def test_tau_decides_once_and_checks_each_cover_once(monkeypatch):
+    rng = random.Random(62)
+    built = 0
+    for inst in _corpus(rng, 40):
+        cert, decided, checks = _counted_tau(monkeypatch, inst, seed=3)
+        assert cert == tau(inst, seed=3)
+        if cert.fallback:
+            assert not decided and not checks
+            continue
+        _assert_decided_once(cert, decided, checks)
+        built += checks
+    assert built >= 3
+
+
+def test_tau_samples_the_leaves_of_a_winning_cover(monkeypatch):
     # the complement of a perfect matching on 144 vertices: k = 2, and the
     # cover term 12 * 2 * 12 ties the trivial 2n, so the cover is built and
-    # its dense leaves are sampled
+    # its dense leaves are sampled; the sampler makes no exact check, so
+    # the built cover's one check is the only one
     n = 144
     inst = from_graph(complement(Graph.from_edge_list(n, [(v, v + 1) for v in range(0, n, 2)])))
-    cert = tau(inst, seed=1)
+    cert, decided, checks = _counted_tau(monkeypatch, inst, seed=1)
     (c,) = cert.classes
     assert (c.k, c.cover_term, c.trivial_term, c.choice) == (2, 288, 288, "cover")
     assert cert.mode == "monte-carlo" and cert.value == 144
+    _assert_decided_once(cert, decided, checks)
+    assert checks == 1
     _assert_class_cover(inst, c)
     assert c.cover.total <= MC_INFLATION * c.cover_term / 2 <= c.cover_term
 

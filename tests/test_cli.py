@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -273,8 +276,10 @@ C5_EDGES = [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]
     ({"n": 5, "edges": C5_EDGES, "symmetry": [[1, 2, 3, 4, False]]}, "2",
      "generator 0 is not a list of integers"),
     (_ph3_with_a_true_entry(), "none", "matrix is not a list of rows of integers"),
+    ({"n": 2, "receivers": [{"wants": 0, "knows": []}, {"wants": 1, "knows": []}],
+      "rates": [True, "1/2"]}, "none", "true is not a rational"),
 ], ids=["edge-float", "edge-true", "edge-string", "n-float", "wants-float", "knows-float",
-        "generator-false", "matrix-true"])
+        "generator-false", "matrix-true", "rate-true"])
 def test_files_hold_json_integers_only(capsys, tmp_path, data, level, fault):
     # a float, a string or a boolean where an integer belongs is refused,
     # not rounded or read as 0 or 1
@@ -282,6 +287,40 @@ def test_files_hold_json_integers_only(capsys, tmp_path, data, level, fault):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "report", str(path), "--level", level)
     assert code == 2 and fault in err, err
+
+
+_TIMERS = """
+import json, sys, time
+import icbounds
+from icbounds import cli
+at_import = sorted({m.split(".")[0] for m in sys.modules} & {"scipy"})
+seen, clock = [], time.perf_counter
+def timer():
+    seen.append("scipy.optimize._highspy._core" in sys.modules)
+    return clock()
+time.perf_counter = timer
+cli.QUICK_SUITE[:] = [("a claim that solves nothing", lambda: (True, ""))]
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "at_import": at_import, "seen": seen}, fh)
+"""
+
+
+@pytest.mark.parametrize("argv", [["report"], ["hierarchy", "--level", "2"],
+                                  ["paper-suite", "quick"]], ids=lambda a: a[0])
+def test_timed_commands_load_the_binding_before_the_clock(capsys, tmp_path, argv):
+    # in a fresh process, `import icbounds` loads no scipy, and every timer
+    # the command starts or stops finds the HiGHS binding already loaded,
+    # so no runtime_ms counts its import
+    if argv[0] != "paper-suite":
+        argv = [argv[0], str(gen(capsys, tmp_path, "cycle", "n=7"))] + argv[1:]
+    result = tmp_path / "timers.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", _TIMERS, str(result), *argv], env=env,
+                   check=True, capture_output=True)
+    got = json.loads(result.read_text())
+    assert got["code"] == 0 and got["at_import"] == []
+    assert got["seen"] and all(got["seen"]), got["seen"]
 
 
 def test_code_strongcover(capsys, tmp_path):
