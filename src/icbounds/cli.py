@@ -331,13 +331,16 @@ def cmd_code(args) -> dict:
 
 
 def cmd_report(args) -> dict:
+    if args.minrk_cap is not None and not args.all:
+        raise ParseError("--minrk-cap applies only with --all, which computes minrk2")
+    minrk_cap = MINRK_FREE_ENTRY_CAP if args.minrk_cap is None else args.minrk_cap
     inst, data = read_problem(args.instance)
     rep = build_report(
         inst,
         descriptor=args.instance,
         levels=args.level,
         sym=_sym_arg(args.sym, inst, data),
-        minrk_cap=args.minrk_cap if args.all else None,
+        minrk_cap=minrk_cap if args.all else None,
         with_decide2=args.all or args.decide2,
         max_lp_vars=args.max_lp_vars,
         matrix=data.get("matrix"),
@@ -522,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sym", default="auto")
     p.add_argument("--decide2", action="store_true")
     p.add_argument("--max-lp-vars", type=int, default=MAX_LP_VARS)
-    p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
+    p.add_argument("--minrk-cap", type=int, help=f"with --all (default {MINRK_FREE_ENTRY_CAP})")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("paper-suite", help="run the reproduction suite")

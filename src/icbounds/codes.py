@@ -241,16 +241,11 @@ def _exhaustive_failures(res: np.ndarray, p: int, m: int, d: int):
 
 
 def _random_failures(res: np.ndarray, p: int, m: int, d: int, xs: np.ndarray):
-    """One float64 product x M^T per chunk of drawn vectors: each entry is an
-    integer at most (n*d)(p-1)^2 < 2^53, so v / p is within half an ulp of
-    the true quotient, less than 1/p, and floor(v / p) is exact."""
-    mt = res.T.astype(float)
+    """x M^T mod p per chunk of drawn vectors, each an exact _product."""
     for a in range(0, len(xs), _ROWS):
-        v = xs[a : a + _ROWS].astype(float) @ mt
-        v /= p  # an integer exactly when the residual is 0 mod p
-        bad = v != np.floor(v)
+        bad = _product(xs[a : a + _ROWS], res.T) % p != 0
         if bad.any():
-            s, k = np.nonzero(bad.reshape(len(v), m, d).any(axis=2))
+            s, k = np.nonzero(bad.reshape(len(bad), m, d).any(axis=2))
             for i, j in zip(a + s, k):
                 yield tuple(int(u) for u in xs[i]), int(j)
 

@@ -1,47 +1,45 @@
 """Exact LP solver for covering-form problems.
 
 Every LP here has one shape: minimize c'x subject to A x >= b and x >= 0,
-with c >= 0, so the objective is bounded below and the only outcomes are an
-optimum or infeasibility.  An LP is integer arrays end to end: A is CSR
-with integer coefficients, and b is one array of numerators and one of
-positive denominators.  The hierarchy and cover builders pass the arrays
-in one go; `LpProblem.add` appends a {var: coeff} row (for small
-hand-written LPs), stored times the common denominator of its
-coefficients, and `LpProblem.constraints` shows the stored rows.
+with c >= 0, so the objective is bounded below.  The LPs the library
+builds, the hierarchy and the hyperclique covers, always have an optimum,
+and `solve_min` answers only with one: an LP with no optimum raises
+Uncertified.  An LP is integer arrays end to end: A is CSR with integer
+coefficients, and b is one array of numerators and one of positive
+denominators.  The hierarchy and cover builders pass the arrays in one
+go; `LpProblem.add` appends a {var: coeff} row (for small hand-written
+LPs), stored times the common denominator of its coefficients, and
+`LpProblem.constraints` shows the stored rows.
 
 Floats may propose an answer, but only exact arithmetic accepts one.  An
 optimum comes with a primal x and a dual y, one entry per row, that pass
 `certified_value`: x >= 0 satisfies every row, y >= 0, the reduced costs
-c - A'y are >= 0, and c'x = b'y.  An infeasible LP comes with a Farkas ray
-y, held in `dual`, that passes `certified_infeasible`: y >= 0, A'y <= 0
-and b'y > 0.  The checks read only the nonzero entries of x and y, as
-integers over their common denominators, in int64 when a magnitude bound
-rules out overflow and in Python ints otherwise; no Fraction is built per
-row or per column.
+c - A'y are >= 0, and c'x = b'y.  The check reads only the nonzero
+entries of x and y, as integers over their common denominators, in int64
+when a magnitude bound rules out overflow and in Python ints otherwise; no
+Fraction is built per row or per column.
 
 `solve_min` hands the LP as it is to HiGHS, through the binding scipy ships
 (scipy.optimize._highspy._core), on one HiGHS instance per thread.  An LP
 HiGHS cannot take -- a value beyond the float range, a right-hand side at
 or beyond HIGHS_INFINITE_BOUND, which HiGHS reads as infinite, or a model
-HiGHS refuses -- raises CapExceeded("highs-model").  A row with no entries
-and b_i > 0 is its own ray e_i (this settles an LP with no variables), and
-needs no solve.  At an optimum, HiGHS's primal values and row duals are
-rounded to fractions with denominators at most ROUNDING_BOUND; at
-infeasibility, its dual ray is.  If the check rejects them, HiGHS's basis
-is solved exactly, as in Applegate, Cook, Dash and Espinoza, "Exact
-solutions to linear programming problems" (Oper. Res. Lett. 35, 2007): the
-tight rows and the basic columns form a square system whose solution is x
-on the basic columns and whose transpose gives y on the tight rows.  A
-basis of more than BASIS_CAP columns raises CapExceeded("lp-basis").  When
-that x violates a row (or a bound) that no pivot can repair, the basis
-also gives that row's ray.  When neither passes, HiGHS solves a refined
-model, the LP shifted so that the failed x and y sit at the origin and
-scaled so that their violations are no longer below its tolerances
+HiGHS refuses -- raises CapExceeded("highs-model"), and any model status
+but optimal (or empty, for an LP with no variables) raises Uncertified.
+At an optimum, HiGHS's primal values and row duals are rounded to
+fractions with denominators at most ROUNDING_BOUND.  If the check rejects
+them, HiGHS's basis is solved exactly, as in Applegate, Cook, Dash and
+Espinoza, "Exact solutions to linear programming problems" (Oper. Res.
+Lett. 35, 2007): the tight rows and the basic columns form a square
+system whose solution is x on the basic columns and whose transpose gives
+y on the tight rows.  A basis of more than BASIS_CAP columns raises
+CapExceeded("lp-basis").  When that x and y fail the check, HiGHS solves a
+refined model, the LP shifted so that the failed x and y sit at the origin
+and scaled so that their violations are no longer below its tolerances
 (iterative refinement, as in Gleixner, Steffy and Wolter, "Iterative
 refinement for linear programming", INFORMS J. Comput. 28, 2016), and its
 basis is tried in the same way, at most REFINE_ROUNDS times.  Then
 Uncertified is raised: nothing unchecked is returned.  `LpOptimum.method`
-records which path answered.
+records which of the two paths answered.
 """
 
 from __future__ import annotations
@@ -157,20 +155,24 @@ class _Rows(Sequence):
 
 
 class Uncertified(RuntimeError):
-    """No answer HiGHS proposed for an LP, refined or not, passed its exact
-    check; raised instead of returning an answer without a certificate."""
+    """No optimum HiGHS proposed for an LP, refined or not, passed its exact
+    check, or HiGHS found none; raised instead of returning an answer
+    without a certificate."""
 
 
 @dataclass
 class LpOptimum:
-    status: str  # "optimal" | "infeasible"
-    value: Fraction | None = None
-    x: list[Fraction] | None = None
-    # per row, >= 0: the optimum's dual, or the Farkas ray of an infeasible LP
-    dual: list[Fraction] | None = None
-    # "rounded" (HiGHS's optimum, rounded), "basis" (the exact solution of
-    # a basis HiGHS gives) or "ray" (infeasible: the ray in `dual`)
-    method: str | None = None
+    value: Fraction
+    x: list[Fraction]
+    dual: list[Fraction]  # per row, >= 0
+    # "rounded" (HiGHS's optimum, rounded) or "basis" (the exact solution
+    # of a basis HiGHS gives)
+    method: str
+
+    @property
+    def status(self) -> str:
+        """Always "optimal": solve_min returns nothing else."""
+        return "optimal"
 
 
 def _violations(p: LpProblem, pos, xs, d) -> list[int]:
@@ -200,10 +202,9 @@ def _entries(p: LpProblem, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum()), lens
 
 
-def _dual_value(p: LpProblem, y, costs: dict) -> Fraction | None:
-    """b'y when y >= 0 and A'y <= costs (a {var: cost} dict; an absent var
-    costs 0), else None.  Only the nonzero entries of y are read, as
-    integers over their common denominator."""
+def _dual_value(p: LpProblem, y) -> Fraction | None:
+    """b'y when y >= 0 and A'y <= c, else None.  Only the nonzero entries of
+    y are read, as integers over their common denominator."""
     if len(y) != p.num_rows:
         raise ValueError("a dual needs one value per row")
     # Over the rows R with y_i != 0: A'y = (coefs' W) / e with W_i = y_i e,
@@ -212,8 +213,8 @@ def _dual_value(p: LpProblem, y, costs: dict) -> Fraction | None:
     if min(ws, default=0) < 0:
         return None
     # the costs c_j = cs_j / dc
-    keys = list(costs)
-    opos, cs, dc = _scaled(list(costs.values()))
+    keys = list(p.objective)
+    opos, cs, dc = _scaled(list(p.objective.values()))
     r = np.asarray(rows, np.int64)
     entries, lens = _entries(p, r)
     cols = p.indices[entries]
@@ -235,7 +236,7 @@ def certified_value(p: LpProblem, x, y) -> Fraction | None:
     satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
     c'x = b'y.  None otherwise.  Only the nonzero entries of x and y are
     read, as integers over their common denominators."""
-    value = _dual_value(p, y, p.objective)
+    value = _dual_value(p, y)
     pos, xs, d = _scaled(x)
     if value is None or _violations(p, pos, xs, d):
         return None
@@ -243,13 +244,6 @@ def certified_value(p: LpProblem, x, y) -> Fraction | None:
     cpos, cs, dc = _scaled([p.objective.get(j, 0) for j in pos])
     primal = sum(c * xs[k] for k, c in zip(cpos, cs))
     return value if primal * value.denominator == value.numerator * dc * d else None
-
-
-def certified_infeasible(p: LpProblem, y) -> bool:
-    """Whether y is a Farkas ray proving A x >= b, x >= 0 infeasible: y >= 0,
-    A'y <= 0 and b'y > 0.  Only the nonzero entries of y are read."""
-    value = _dual_value(p, y, {})
-    return value is not None and value > 0
 
 
 # -- exact basis solve --------------------------------------------------------
@@ -329,50 +323,20 @@ def _basis(p: LpProblem, highspy, highs) -> tuple[list[int], list[int], list[tup
                                  coefs[keep].tolist()))
 
 
-def _transposed(a: list[tuple[int, int, int]], rhs: list[Fraction]) -> list[Fraction]:
-    """u with A_TB' u = rhs (one value per basic column), each row of the
-    system times its value's denominator."""
-    rows = [{} for _ in rhs]
-    for t, j, v in a:
-        rows[j][t] = v * rhs[j].denominator
-    return _solve_square(rows, [r.numerator for r in rhs])
-
-
 def _vertex(p: LpProblem, cols, tight, a) -> tuple[list[Fraction], list[Fraction]]:
     """(x, y) of the basis in exact arithmetic: x_B solves A_TB x_B = b_T
-    and y_T solves A_TB' y_T = c_B; every other entry is 0."""
-    rows, dens = [{} for _ in cols], p.rhs_dens[tight].tolist()
+    and y_T solves A_TB' y_T = c_B; every other entry is 0.  Each row of
+    either system is scaled to integers by its right-hand side's
+    denominator."""
+    dens = p.rhs_dens[tight].tolist()
+    costs = [Fraction(p.objective.get(j, 0)) for j in cols]
+    rows, trows = [{} for _ in cols], [{} for _ in cols]
     for t, j, v in a:
         rows[t][j] = v * dens[t]
+        trows[j][t] = v * costs[j].denominator
     xb = dict(zip(cols, _solve_square(rows, p.rhs_nums[tight].tolist())))
-    yt = dict(zip(tight, _transposed(a, [Fraction(p.objective.get(j, 0)) for j in cols])))
+    yt = dict(zip(tight, _solve_square(trows, [c.numerator for c in costs])))
     return [xb.get(j, F0) for j in range(p.num_vars)], [yt.get(i, F0) for i in range(p.num_rows)]
-
-
-def _ray(p: LpProblem, cols, tight, a, x, s) -> list[Fraction] | None:
-    """The ray that proves the LP infeasible when no pivot can repair the
-    basis solution's worst violation, as the dual simplex's ratio test
-    finds it: for a row r with slack s_r < 0, y = e_r - u on T with
-    A_TB' u = a_rB; for x_j < 0, y = -u with A_TB' u = e_j.  None when x
-    violates nothing."""
-    xf = np.array(x, float)
-    row, col = s.min(initial=0), xf.min(initial=0)
-    if min(row, col) >= 0:
-        return None
-    at = {j: q for q, j in enumerate(cols)}
-    rhs, y = [F0] * len(cols), [F0] * p.num_rows
-    if row <= col:
-        r = int(np.argmin(s))
-        y[r] = Fraction(1)
-        lo, hi = p.indptr[r], p.indptr[r + 1]
-        for j, v in zip(p.indices[lo:hi].tolist(), p.coefs[lo:hi].tolist()):
-            if j in at:
-                rhs[at[j]] += v
-    else:
-        rhs[at[int(np.argmin(xf))]] = Fraction(1)
-    for i, u in zip(tight, _transposed(a, rhs)):
-        y[i] -= u
-    return y
 
 
 def _residuals(p: LpProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +352,7 @@ def _residuals(p: LpProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
 # -- HiGHS, rounding and refinement -----------------------------------------
 
 
-# Largest denominator when rounding HiGHS's solution or ray; the hierarchy
+# Largest denominator when rounding HiGHS's solution; the hierarchy
 # and cover LPs certify at it, and the exact basis solve answers the rest.
 ROUNDING_BOUND = 10**3
 
@@ -404,10 +368,10 @@ HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "output_flag": False, 
 HIGHS_INFINITE_BOUND = 1e20
 
 # Refined models solved after a basis fails, and the largest factor one
-# magnifies violations by.  With rounding off, on 513 LPs whose data are
-# 10^-6 .. 10^-14 from ties (tests/test_lp.py's near-degenerate corpus,
-# seeds 5-7), the first basis and its ray left 32 unanswered; 1, 2, 3 and 5
-# rounds left 9, 4, 3 and 3 at 1e9, and 3 rounds left 8 at 1e6 and 6 at 1e12.
+# magnifies violations by.  With rounding off, the first basis left 57 of
+# the 426 optimal LPs of tests/test_lp.py's near-degenerate corpus (data
+# 10^-6 .. 10^-14 from ties; seeds 5-7) uncertified; 1, 2, 3 and 5 rounds
+# left 15, 4, 3 and 3 at 1e9, and 3 rounds left 14 at 1e6 and 10 at 1e12.
 REFINE_ROUNDS = 3
 REFINE_SCALE = 1e9
 
@@ -511,14 +475,7 @@ def _rounded(p: LpProblem, highs) -> LpOptimum | None:
     sol = highs.getSolution()
     x, y = _round(sol.col_value), _round(sol.row_dual)
     value = certified_value(p, x, y)
-    return None if value is None else LpOptimum("optimal", value, x, y, "rounded")
-
-
-def _empty_row(p: LpProblem) -> list[Fraction] | None:
-    """e_i for the first row with no entries and b_i > 0, which is a Farkas
-    ray on its own; None when there is no such row."""
-    empty = np.flatnonzero((np.diff(p.indptr) == 0) & (p.rhs_nums > 0))
-    return [Fraction(int(i == empty[0])) for i in range(p.num_rows)] if len(empty) else None
+    return None if value is None else LpOptimum(value, x, y, "rounded")
 
 
 def _validate(p: LpProblem) -> None:
@@ -538,40 +495,26 @@ def _validate(p: LpProblem) -> None:
 
 
 def solve_min(p: LpProblem) -> LpOptimum:
-    """Exact optimum or infeasibility of the covering-form problem, returned
-    only with a certificate that passed its exact check: an optimum's x and
-    dual pass certified_value, an infeasible LP's ray (in `dual`) passes
-    certified_infeasible.  Raises CapExceeded for an LP HiGHS cannot take
-    or a basis past BASIS_CAP, and Uncertified when no certificate passes."""
+    """Exact optimum of the covering-form problem, returned only with an x
+    and a dual that passed certified_value.  Raises CapExceeded for an LP
+    HiGHS cannot take or a basis past BASIS_CAP, and Uncertified when HiGHS
+    finds no optimum (an infeasible LP among them) or no certificate
+    passes."""
     _validate(p)
-    ray = _empty_row(p)
-    if ray and certified_infeasible(p, ray):
-        return LpOptimum("infeasible", dual=ray, method="ray")
     highspy, highs = _handle()
     done = highspy.HighsModelStatus
     model = _model(p)
     for refinement in range(REFINE_ROUNDS + 1):
         status = _run(highspy, highs, *model)
-        if status in (done.kInfeasible, done.kUnboundedOrInfeasible):  # c >= 0: never unbounded
-            # HiGHS's dual ray, scaled to largest entry 1 and rounded (all
-            # zeros, which no check accepts, if HiGHS has none); a refined
-            # model has p's rows, and its rays are p's
-            ray = highs.getDualRay()[2][:p.num_rows]
-            ray = _round(ray / (np.abs(ray).max(initial=0.0) or 1.0))
-            if certified_infeasible(p, ray):
-                return LpOptimum("infeasible", dual=ray, method="ray")
-        elif status not in (done.kOptimal, done.kModelEmpty):  # empty: no variables
+        if status not in (done.kOptimal, done.kModelEmpty):  # empty: no variables
             raise Uncertified(f"HiGHS ends with model status {highs.modelStatusToString(status)!r}")
-        elif not refinement and (opt := _rounded(p, highs)):
+        if not refinement and (opt := _rounded(p, highs)):
             return opt
         cols, tight, a = _basis(p, highspy, highs)
         x, y = _vertex(p, cols, tight, a)
         value = certified_value(p, x, y)
         if value is not None:
-            return LpOptimum("optimal", value, x, y, "basis")
+            return LpOptimum(value, x, y, "basis")
         s, d = _residuals(p, x, y)
-        ray = _ray(p, cols, tight, a, x, s)
-        if ray and certified_infeasible(p, ray):
-            return LpOptimum("infeasible", dual=ray, method="ray")
         model = _refined(p, x, y, s, d)
     raise Uncertified(f"no answer of HiGHS passes its exact check after {REFINE_ROUNDS} refinements")

@@ -12,12 +12,24 @@ dense basis inverse has num_vars^2 entries, so it is for small LPs only.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from icbounds.lp import LpOptimum, LpProblem
+from icbounds.lp import LpProblem
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+@dataclass
+class Answer:
+    """The reference's outcome: an optimum with its value, x and row duals,
+    or "infeasible" with none of them."""
+
+    status: str  # "optimal" | "infeasible"
+    value: Fraction | None = None
+    x: list[Fraction] | None = None
+    dual: list[Fraction] | None = None
 
 
 class _Unbounded(Exception):
@@ -96,7 +108,7 @@ class _Core:
         return x
 
 
-def dual_simplex(p: LpProblem) -> LpOptimum:
+def dual_simplex(p: LpProblem) -> Answer:
     """The exact optimum or infeasibility of p, by the simplex on its dual."""
     n = p.num_vars
     m = p.num_rows
@@ -112,8 +124,8 @@ def dual_simplex(p: LpProblem) -> LpOptimum:
     try:
         zd = core.solve(cost)
     except _Unbounded:
-        return LpOptimum("infeasible", method="simplex")  # dual unbounded => primal infeasible
+        return Answer("infeasible")  # dual unbounded => primal infeasible
     # Simplex multipliers of the dual solve carry the primal optimum: the
     # slack column j prices to -pi_j >= 0, so x_j = -pi_j.
     x = [-v for v in core.multipliers(cost)]
-    return LpOptimum("optimal", -zd, x, core.primal_values(m), "simplex")
+    return Answer("optimal", -zd, x, core.primal_values(m))

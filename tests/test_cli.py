@@ -37,6 +37,19 @@ def test_gen_writes_graph(capsys, tmp_path):
     assert data["symmetry"] == [[1, 2, 3, 4, 0]]
 
 
+def test_gen_with_expected_writes_the_familys_values(capsys, tmp_path):
+    from icbounds.families import family
+
+    for name, params in (("cycle", {"n": 5}), ("petersen", {}), ("aac", {"n": 2}), ("tri3", {})):
+        path = tmp_path / f"{name}.json"
+        code, _, err = run(capsys, "gen", name, *(f"{k}={v}" for k, v in params.items()),
+                           "--with-expected", "-o", str(path))
+        assert code == 0, err
+        want = family(name, **params).expected
+        assert json.loads(path.read_text())["expected"] == {k: str(v) for k, v in want.items()}
+    assert "expected" not in json.loads(gen(capsys, tmp_path, "cycle", "n=5").read_text())
+
+
 def test_gen_bad_params(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "cycle", "n=2", "-o", str(tmp_path / "x.json"))
     assert code == 2
@@ -139,6 +152,20 @@ def test_hierarchy_c5(capsys, tmp_path):
     assert sym["variables"] < out["variables"]
 
 
+def test_hierarchy_dump_lp_prints_the_builders_counts(capsys, tmp_path):
+    from icbounds.families import family
+    from icbounds.hierarchy import build_hierarchy_lp
+
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    f = family("cycle", n=5)
+    for sym, generators in (("auto", f.symmetry), ("none", None)):
+        out = run_json(capsys, "hierarchy", str(path), "--level", "2", "--sym", sym, "--dump-lp")
+        p, meta = build_hierarchy_lp(f.instance, 2, generators)
+        assert out["constraint_counts"] == meta.counts
+        assert (out["variables"], out["rows"]) == (p.num_vars, p.num_rows)
+    assert "constraint_counts" not in run_json(capsys, "hierarchy", str(path), "--level", "2")
+
+
 def test_hierarchy_lp_cap(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     code, _, err = run(capsys, "hierarchy", str(path), "--level", "2", "--max-lp-vars", "4")
@@ -223,6 +250,38 @@ def test_hierarchy_refuses_a_malformed_symmetry_file(capsys, tmp_path, generator
     code, _, err = run(capsys, "hierarchy", str(path), "--level", "2", "--sym", f"file:{sym}")
     assert code == 2
     assert "not a list of integers" in err
+
+
+def test_hierarchy_refuses_a_generator_that_is_not_a_permutation(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps([[0, 0, 2, 3, 4]]))
+    code, _, err = run(capsys, "hierarchy", str(path), "--level", "2", "--sym", f"file:{sym}")
+    assert code == 2 and "generator 0 is not a permutation of 0..4" in err, err
+
+
+WEIGHTED_C3 = {
+    "n": 3,
+    "receivers": [{"wants": 0, "knows": [1]}, {"wants": 1, "knows": [2]}, {"wants": 2, "knows": [0]}],
+    "rates": ["1", "1/2", "1"],
+}
+
+
+def test_a_rate_vector_shorter_than_n_is_refused(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({**WEIGHTED_C3, "rates": ["1", "1/2"]}))
+    code, _, err = run(capsys, "bounds", str(path), "--alpha")
+    assert code == 2 and "rate vector length differs from message count" in err, err
+
+
+def test_a_symmetry_that_moves_a_rate_is_refused(capsys, tmp_path):
+    # the shift maps receiver j onto j + 1 but message 1 (rate 1/2) onto
+    # message 2 (rate 1)
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps({**WEIGHTED_C3, "symmetry": [[1, 2, 0]]}))
+    for argv in (("report", str(path)), ("hierarchy", str(path), "--level", "2")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "generator 0 does not preserve rates" in err, err
 
 
 def test_report_refuses_a_malformed_symmetry_key(capsys, tmp_path):
@@ -427,6 +486,13 @@ def test_report_all_minrk_cap(capsys, tmp_path):
     assert out["bounds"]["chibar"]["value"] == "5"
     plain = run_json(capsys, "report", str(path))
     assert not {"chibar", "minrk2"} & set(plain["bounds"])
+
+
+def test_report_refuses_minrk_cap_without_all(capsys, tmp_path):
+    # only --all computes minrk2, so a cap for it alone is refused, not ignored
+    path = gen(capsys, tmp_path, "petersen")
+    code, out, err = run(capsys, "report", str(path), "--minrk-cap", "30")
+    assert (code, out) == (2, "") and "--minrk-cap applies only with --all" in err, err
 
 
 def test_minrk_on_instance_file(capsys, tmp_path):

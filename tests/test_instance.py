@@ -110,6 +110,17 @@ def test_validate_catches_bad_receivers():
     assert validate(ok).ok
 
 
+def test_validate_catches_bad_rates():
+    recs = (Receiver(0, frozenset({1})), Receiver(1, frozenset({2})), Receiver(2, frozenset()))
+    assert validate(Instance(3, recs, (Fraction(1), Fraction(1, 2), Fraction(1)))).ok
+    for rates, faults in [
+        ((Fraction(1), Fraction(1, 2)), ["rate vector length differs from message count"]),
+        ((Fraction(1), Fraction(0), Fraction(-1, 2)), ["message 1: nonpositive rate", "message 2: nonpositive rate"]),
+        ((Fraction(1), Fraction(3, 2), Fraction(1)), ["message 1: rate above 1 after normalization"]),
+    ]:
+        assert validate(Instance(3, recs, rates)).violations == faults
+
+
 def test_graph_roundtrip(tmp_path):
     g = c5()
     p = tmp_path / "g.json"

@@ -13,7 +13,7 @@ from icbounds import combinatorial, families
 from icbounds import lp as lpmod
 from icbounds.hierarchy import build_hierarchy_lp
 from icbounds.instance import CapExceeded, from_graph
-from icbounds.lp import LpProblem, Uncertified, certified_infeasible, certified_value, check_feasible, solve_min
+from icbounds.lp import LpProblem, Uncertified, certified_value, check_feasible, solve_min
 
 F = Fraction
 
@@ -48,14 +48,22 @@ def test_dual_certificate():
     assert all(y >= 0 for y in opt.dual)
 
 
-def test_infeasible_lp_is_certified_by_a_ray():
-    # HiGHS reports the LP infeasible, and its rounded dual ray passes the
-    # Farkas check
+def test_infeasible_lp_is_refused(monkeypatch):
+    # an LP with no optimum raises Uncertified, named by HiGHS's status;
+    # so does an optimal LP for which HiGHS reports either status that
+    # infeasibility ends in
+    from scipy.optimize._highspy._core import HighsModelStatus
+
     p = LpProblem(1, {0: F(1)})
     p.add({0: F(-1)}, 1)
-    opt = solve_min(p)
-    assert (opt.status, opt.value, opt.x, opt.method) == ("infeasible", None, None, "ray")
-    assert opt.dual == [1] and certified_infeasible(p, opt.dual)
+    assert dual_simplex(p).status == "infeasible"
+    with pytest.raises(Uncertified, match="model status 'Infeasible'"):
+        solve_min(p)
+    for status, name in ((HighsModelStatus.kInfeasible, "Infeasible"),
+                         (HighsModelStatus.kUnboundedOrInfeasible, "Primal infeasible or unbounded")):
+        _tamper(monkeypatch, getModelStatus=lambda highs: status)
+        with pytest.raises(Uncertified, match=f"model status '{name}'"):
+            solve_min(small_lp())
 
 
 def test_rejects_negative_cost_and_unknown_variable():
@@ -108,6 +116,8 @@ def test_certificate_rejects_each_failed_check():
     assert certified_value(p, [F(3)], [F(0), F(-1)]) is None  # y < 0 on a row
     assert certified_value(p, [F(2)], [F(2), F(0)]) is None  # reduced cost 1 - 2 < 0
     assert certified_value(p, [F(3)], [F(1), F(0)]) is None  # c'x = 3 != 1 = b'y
+    with pytest.raises(ValueError, match="one value per row"):
+        certified_value(p, [F(1)], [F(1)])
 
 
 def _random_lp(rng, n, m):
@@ -140,14 +150,15 @@ def _scipy_status(p):
 def test_random_lps_match_scipy():
     outcomes = Counter()
     for p in _random_lps(7):
-        opt = solve_min(p)
         res = _scipy_status(p)
-        if opt.status == "optimal":
-            assert res.status == 0
-            assert abs(float(opt.value) - res.fun) < 1e-6
-            assert check_feasible(p, opt.x) == []
-        else:
-            assert (opt.status, res.status) == ("infeasible", 2)
+        if res.status == 2:  # infeasible
+            _assert_refused(p)
+            outcomes["infeasible"] += 1
+            continue
+        opt = solve_min(p)
+        assert res.status == 0
+        assert abs(float(opt.value) - res.fun) < 1e-6
+        assert check_feasible(p, opt.x) == []
         outcomes[opt.status] += 1
     # the sampler should hit both outcomes often
     assert outcomes["optimal"] > 50 and outcomes["infeasible"] > 10
@@ -167,6 +178,12 @@ def _assert_certificate(p, opt):
     assert opt.value == objective_value(p, x) == sum(yi * rhs for yi, (_, rhs) in zip(y, p.constraints))
 
 
+def _assert_refused(p):
+    """An LP with no optimum raises Uncertified."""
+    with pytest.raises(Uncertified):
+        solve_min(p)
+
+
 def _without_rounding(monkeypatch):
     """Reject every rounded optimum, so that the exact basis answers."""
     monkeypatch.setattr(lpmod, "_rounded", lambda p, highs: None)
@@ -174,7 +191,7 @@ def _without_rounding(monkeypatch):
 
 def test_rounded_path_matches_exact_simplex(monkeypatch):
     # the rounding, and then the basis with rounding forced off, against the
-    # reference simplex; an infeasible LP is certified by its ray
+    # reference simplex; an infeasible LP is refused
     lps = _random_lps(21)
     refs = [dual_simplex(p) for p in lps]
     outcomes = Counter()
@@ -182,16 +199,16 @@ def test_rounded_path_matches_exact_simplex(monkeypatch):
         if forced:
             _without_rounding(monkeypatch)
         for p, ref in zip(lps, refs):
+            if ref.status == "infeasible":
+                _assert_refused(p)
+                outcomes["infeasible"] += 1
+                continue
             opt = solve_min(p)
-            assert ref.status == opt.status
-            if opt.status == "optimal":
-                assert ref.value == opt.value
-                _assert_certificate(p, ref)
-                _assert_certificate(p, opt)
-            else:
-                assert certified_infeasible(p, opt.dual)
+            assert ref.value == opt.value
+            _assert_certificate(p, ref)
+            _assert_certificate(p, opt)
             outcomes[opt.method] += 1
-    assert outcomes["rounded"] > 50 and outcomes["basis"] > 50 and outcomes["ray"] > 20
+    assert outcomes["rounded"] > 50 and outcomes["basis"] > 50 and outcomes["infeasible"] > 20
 
 
 def test_cover_and_b2_lps_round_to_the_exact_optimum(monkeypatch):
@@ -340,7 +357,8 @@ def _fraction_certifies(p, x, y, rows=None):
 def test_add_stores_rational_rows_as_integer_rows():
     # each row is stored times the common denominator s of its coefficients:
     # the same verdict on every x as the row as given, and the optimum
-    # certifies the rows as given with the dual s y
+    # certifies the rows as given with the dual s y; an LP the reference
+    # finds infeasible is refused
     rng = random.Random(17)
     outcomes = Counter()
     for _ in range(150):
@@ -358,12 +376,15 @@ def test_add_stores_rational_rows_as_integer_rows():
             verdict = check_feasible(p, x)
             assert verdict == _fraction_violations(p, x, given)
             outcomes["feasible" if not verdict else "violated"] += 1
+        if dual_simplex(p).status == "infeasible":
+            _assert_refused(p)
+            outcomes["infeasible"] += 1
+            continue
         opt = solve_min(p)
-        if opt.status == "optimal":
-            assert opt.value == _fraction_certifies(p, opt.x, [s * y for s, y in zip(scales, opt.dual)], given)
+        assert opt.value == _fraction_certifies(p, opt.x, [s * y for s, y in zip(scales, opt.dual)], given)
         outcomes[opt.status, opt.method] += 1
     assert outcomes["feasible"] > 100 and outcomes["violated"] > 100
-    assert outcomes["optimal", "rounded"] > 30 and outcomes["infeasible", "ray"] > 10
+    assert outcomes["optimal", "rounded"] > 30 and outcomes["infeasible"] > 10
 
 
 def _record_dtypes(monkeypatch):
@@ -391,9 +412,10 @@ def test_checks_agree_with_fractions_in_both_dtypes(monkeypatch, denominator):
         p.add({j: F(rng.randint(-9, 9), rng.randint(1, 4)) for j in range(p.num_vars)}, F(rng.randint(-9, 9), 7))
         x = [F(rng.randint(0, 3 * denominator), denominator) for _ in range(p.num_vars)]
         assert check_feasible(p, x) == _fraction_violations(p, x)
-        opt = solve_min(p)
-        if opt.status != "optimal":
+        if dual_simplex(p).status == "infeasible":
+            _assert_refused(p)
             continue
+        opt = solve_min(p)
         scaled = [v * denominator for v in opt.dual]
         # sparse duals: all but one row zeroed, one entry negative, and a
         # nonzero dual on a row the optimum does not use
@@ -508,11 +530,20 @@ def test_rhs_beyond_highs_infinite_bound_falls_back():
 
 def test_threads_solve_on_their_own_handles():
     # each thread passes its models to its own HiGHS instance: concurrent
-    # solves give the serial answers, and no two threads share an instance
+    # solves give the serial answers (an optimum, or a refusal whose message
+    # names why), and no two threads share an instance
     import threading
 
+    def answer(p):
+        try:
+            o = solve_min(p)
+        except Uncertified as e:
+            return str(e)
+        return o.value, o.x, o.dual, o.method
+
     lps = _random_lps(43, count=40)
-    want = [(o.status, o.value, o.x, o.dual, o.method) for o in map(solve_min, lps)]
+    want = list(map(answer, lps))
+    assert 10 < sum(isinstance(w, str) for w in want) < 30
     got, handles = {}, {}
     together = threading.Barrier(4, timeout=60)  # all four instances alive at once
 
@@ -520,8 +551,7 @@ def test_threads_solve_on_their_own_handles():
         handles[k] = id(lpmod._handle()[1])
         together.wait()
         for i in range(k, len(lps), 4):
-            o = solve_min(lps[i])
-            got[i] = (o.status, o.value, o.x, o.dual, o.method)
+            got[i] = answer(lps[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -540,39 +570,33 @@ def test_threads_solve_on_their_own_handles():
 
 def test_lp_without_variables():
     # HiGHS reports an empty model: every row reads 0 >= b_i, so the LP is
-    # optimal at 0 or has an empty row with b_i > 0, its own ray
+    # optimal at 0, or infeasible, and refused, when some b_i > 0
     p = LpProblem(0, {})
     p.add({}, 0)
     opt = solve_min(p)
     assert (opt.status, opt.value, opt.method) == ("optimal", 0, "rounded")
     p.add({}, 1)
-    opt = solve_min(p)
-    assert (opt.status, opt.dual, opt.method) == ("infeasible", [0, 1], "ray")
+    _assert_refused(p)
 
 
-def test_an_empty_row_is_its_own_ray():
-    # with variables too: the first row with no entries and b_i > 0, also
-    # when b_i is below HiGHS's tolerance and HiGHS reports an optimum
+def test_an_empty_row_with_positive_rhs_is_refused():
+    # with variables too, also when b_i is below HiGHS's tolerance
     for b in (F(1, 2), F(1, 10**30)):
         p = LpProblem(2, {0: 1})
         p.add({0: 1, 1: 1}, 1)
         p.add({}, b)
         p.add({}, 3)
-        opt = solve_min(p)
-        assert (opt.status, opt.dual, opt.method) == ("infeasible", [0, 1, 0], "ray")
+        _assert_refused(p)
 
 
-def test_infeasibility_within_highs_tolerance_is_certified():
-    # x >= 1 and x <= 1 - 10^-12: HiGHS reports an optimum within its
-    # tolerance, and the exact solution of its basis, x = 1, violates the
-    # second row, which no pivot can repair: that row's ray answers, as the
-    # reference simplex finds the LP infeasible
+def test_infeasibility_within_highs_tolerance_is_refused():
+    # x >= 1 and x <= 1 - 10^-12, which the reference simplex finds
+    # infeasible: no certificate of an optimum exists, so the LP is refused
     p = LpProblem(1, {0: 1})
     p.add({0: 1}, 1)
     p.add({0: -1}, F(1, 10**12) - 1)
     assert dual_simplex(p).status == "infeasible"
-    opt = solve_min(p)
-    assert (opt.status, opt.dual, opt.method) == ("infeasible", [1, 1], "ray")
+    _assert_refused(p)
 
 
 def _spy_runs(monkeypatch):
@@ -635,29 +659,30 @@ def _near_degenerate_lps(rng):
 
 
 def test_near_degenerate_lps_match_the_reference(monkeypatch):
-    # with rounding forced off, the exact basis, its ray and the refined
-    # models answer every LP of the corpus as the reference simplex does,
-    # but for the one whose optimal vertex (1/2, 1/2) meets two rows at an
-    # angle of 10^-14, beyond what HiGHS resolves in floats: it raises
-    # Uncertified
+    # with rounding forced off, the exact basis and the refined models
+    # answer every optimal LP of the corpus at the reference simplex's
+    # value, but for the one whose optimal vertex (1/2, 1/2) meets two rows
+    # at an angle of 10^-14, beyond what HiGHS resolves in floats: it
+    # raises Uncertified, as every infeasible LP of the corpus does
     _without_rounding(monkeypatch)
     lps = _near_degenerate_lps(random.Random(5))
     refused, methods = [], Counter()
     for i, p in enumerate(lps):
         ref = dual_simplex(p)
+        if ref.status == "infeasible":
+            _assert_refused(p)
+            methods["infeasible"] += 1
+            continue
         try:
             opt = solve_min(p)
         except Uncertified:
             refused.append(i)
             continue
-        assert (opt.status, opt.value) == (ref.status, ref.value)
-        if opt.status == "optimal":
-            _assert_certificate(p, opt)
-        else:
-            assert certified_infeasible(p, opt.dual)
+        assert opt.value == ref.value
+        _assert_certificate(p, opt)
         methods[opt.method] += 1
     assert refused == [57]  # the second shape at eps = 10^-14
-    assert methods["basis"] > 100 and methods["ray"] > 30
+    assert methods["basis"] > 100 and methods["infeasible"] > 30
 
 
 def test_missing_binding_names_the_scipy_needed(monkeypatch):
@@ -677,22 +702,6 @@ def test_checks_scale_past_int64_with_zero_rhs_and_costs():
     assert check_feasible(p, [F(1, d), F(2, d)]) == [0]
     assert certified_value(p, [F(2, d), F(1, d)], [F(0)]) == 0
     assert certified_value(p, [F(2, d), F(1, d)], [F(1, d)]) is None  # reduced cost -1/d
-
-
-def test_farkas_check_rejects_each_failed_condition():
-    # x0 - x1 >= 4 and x1 - x0 >= 6 sum to 0 >= 10: the ray (1, 1)
-    p = LpProblem(2, {0: F(1), 1: F(1)})
-    p.add({0: 1, 1: -1}, 4)
-    p.add({0: -1, 1: 1}, 6)
-    assert certified_infeasible(p, [F(1), F(1)]) and certified_infeasible(p, [F(1, 3), F(1, 3)])
-    assert not certified_infeasible(p, [F(0), F(0)])  # b'y = 0
-    assert not certified_infeasible(p, [F(2), F(-1)])  # y < 0 on a row
-    assert not certified_infeasible(p, [F(1), F(2)])  # (A'y)_1 = 1 > 0
-    q = LpProblem(1, {0: F(1)})
-    q.add({0: 1}, -1)
-    assert not certified_infeasible(q, [F(1)])  # A'y = 1 > 0 and b'y < 0
-    with pytest.raises(ValueError, match="one value per row"):
-        certified_infeasible(p, [F(1)])
 
 
 class _Tampered:
@@ -765,35 +774,6 @@ def test_a_wrong_basis_is_refined(monkeypatch):
     _tamper(monkeypatch, getBasis=once)
     opt = solve_min(small_lp())
     assert (opt.value, opt.method, len(calls)) == (F(14, 5), "basis", 2)
-
-
-def _infeasible_lp():
-    p = LpProblem(2, {0: F(1), 1: F(1)})
-    p.add({0: 1, 1: -1}, 4)
-    p.add({0: -1, 1: 1}, 6)
-    return p
-
-
-@pytest.mark.parametrize("ray", [lambda r: -r, lambda r: r * [1, 0], lambda r: r * 0])
-def test_tampered_ray_is_rejected(monkeypatch, ray):
-    # HiGHS's rounded ray fails the Farkas check: the ray of its basis
-    # answers, and without a square basis the LP is refused
-    p = _infeasible_lp()
-    assert solve_min(p).dual == [1, 1]
-    rays = []
-
-    def tampered(highs):
-        status, found, values = highs.getDualRay()
-        rays.append(ray(values))
-        return status, found, rays[-1]
-
-    _tamper(monkeypatch, getDualRay=tampered)
-    opt = solve_min(p)
-    assert (opt.dual, opt.method, len(rays)) == ([1, 1], "ray", 1)
-    assert not certified_infeasible(p, [F(v) for v in rays[0]])
-    _tamper(monkeypatch, getBasis=_uneven_basis)
-    with pytest.raises(Uncertified, match="no square optimal basis"):
-        solve_min(p)
 
 
 def test_unknown_highs_status_is_rejected(monkeypatch):
