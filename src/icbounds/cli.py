@@ -131,6 +131,16 @@ def _sym_arg(spec: str, inst: Instance, data: dict):
     raise ParseError(f"unknown symmetry spec {spec!r} (use auto, cyclic, none, file:PATH)")
 
 
+def _minrk_cap(args, computes_minrk2: bool, where: str) -> int:
+    """--minrk-cap, or MINRK_FREE_ENTRY_CAP without it; refused where minrk2
+    is not computed, as the flag would be silently ignored there."""
+    if args.minrk_cap is None:
+        return MINRK_FREE_ENTRY_CAP
+    if not computes_minrk2:
+        raise ParseError(f"--minrk-cap applies only with {where}, which computes minrk2")
+    return args.minrk_cap
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -156,6 +166,7 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_bounds(args) -> dict:
+    minrk_cap = _minrk_cap(args, args.minrk2 == "exact", "--minrk2 exact")
     inst, data = read_problem(args.instance)
     out: dict = {"n": inst.n, "m": inst.m}
     if args.alpha:
@@ -178,7 +189,7 @@ def cmd_bounds(args) -> dict:
         out["chibar"] = {"value": str(k), "cover": [sorted(c) for c in cover]}
     if args.minrk2:
         if args.minrk2 == "exact":
-            mr = minrk2(inst, cap=args.minrk_cap)
+            mr = minrk2(inst, cap=minrk_cap)
         else:
             if "matrix" not in data:
                 raise ParseError("gram mode needs a 'matrix' entry in the input file")
@@ -294,6 +305,8 @@ def cmd_code(args) -> dict:
     trials, seed = int(spec[1] or codes.RANDOM_TRIALS), int(spec[2] or 0)
     inst, data = read_problem(args.instance)
     name = args.scheme
+    minrk_cap = _minrk_cap(args, name == "minrk" and "matrix" not in data,
+                           "--scheme minrk on a file without a 'matrix' entry")
     if name == "cliquecover":
         k, cover = integer_clique_cover(inst)
         unit = FractionalCover("strong", [(c, Fraction(1)) for c in cover], Fraction(k))
@@ -306,7 +319,7 @@ def cmd_code(args) -> dict:
         if "matrix" in data:
             rep = representation_rank(inst, data["matrix"], data.get("matrix_field", 2))
         else:
-            rep = minrk2(inst, cap=args.minrk_cap)
+            rep = minrk2(inst, cap=minrk_cap)
         scheme = codes.minrk_code(inst, rep)
     elif name == "twosymbol":
         cert = decide_beta_eq_2(inst)
@@ -314,8 +327,6 @@ def cmd_code(args) -> dict:
             raise ParseError("two-symbol scheme needs a rate-2 instance "
                              f"(decider says no: {cert.reason or 'obstruction found'})")
         scheme = codes.two_symbol_code(inst, cert.labeling, cert.num_classes)
-    else:
-        raise ParseError(f"unknown scheme {name!r}")
 
     ver = codes.verify_code(inst, scheme, mode=mode, trials=trials, seed=seed)
     return {
@@ -331,9 +342,7 @@ def cmd_code(args) -> dict:
 
 
 def cmd_report(args) -> dict:
-    if args.minrk_cap is not None and not args.all:
-        raise ParseError("--minrk-cap applies only with --all, which computes minrk2")
-    minrk_cap = MINRK_FREE_ENTRY_CAP if args.minrk_cap is None else args.minrk_cap
+    minrk_cap = _minrk_cap(args, args.all, "--all")
     inst, data = read_problem(args.instance)
     rep = build_report(
         inst,
@@ -489,7 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chibarf", action="store_true")
     p.add_argument("--chibar", action="store_true")
     p.add_argument("--minrk2", choices=["exact", "gram"])
-    p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
+    p.add_argument("--minrk-cap", type=int,
+                   help=f"with --minrk2 exact (default {MINRK_FREE_ENTRY_CAP})")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("hierarchy", help="solve one LP hierarchy level")
@@ -515,7 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True,
                    choices=["cliquecover", "strongcover", "mds", "minrk", "twosymbol"])
     p.add_argument("--verify", default="exhaustive", help="exhaustive | random[:N[:seed]]")
-    p.add_argument("--minrk-cap", type=int, default=MINRK_FREE_ENTRY_CAP)
+    p.add_argument("--minrk-cap", type=int, help="with --scheme minrk on a file without "
+                   f"a 'matrix' entry (default {MINRK_FREE_ENTRY_CAP})")
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("report", help="paired lower/upper bound report")

@@ -103,7 +103,6 @@ def subset_orbits(n: int, perms: list[list[int]]) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class HierarchyMeta:
-    level: int
     var_of_mask: np.ndarray  # mask -> variable of its orbit
     counts: dict[str, int] = field(default_factory=dict)
 
@@ -136,17 +135,16 @@ def _closure_masks(inst: Instance, masks: np.ndarray) -> np.ndarray:
     return plus
 
 
-def _rhs_ids(inst: Instance, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, nums, dens): nums[ids[mask]] / dens[ids[mask]] = -(rate sum of
-    mask) in lowest terms, and the last value is the total rate, the
-    initialize row's right-hand side."""
+def _rhs_ids(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, nums, dens): the ids of the right-hand sides the rows read, 0,
+    -rate(v) for each v and the total rate, in that order, and
+    nums[id] / dens[id] in lowest terms.  Equal values share an id, so rows
+    deduplicate on ids as on values."""
     n = inst.n
     d = math.lcm(*(inst.rate(v).denominator for v in range(n)))
     nums = [inst.rate(v).numerator * (d // inst.rate(v).denominator) for v in range(n)]
-    bound = sum(map(abs, nums)) + d
-    sums = ints(masks[:, None] >> np.arange(n) & 1, bound) @ ints(nums, bound)
-    distinct, ids = np.unique(sums, return_inverse=True)
-    values = np.append(-distinct, distinct[-1:])  # rates are positive: the full set's sum is largest
+    bound = sum(nums) + d
+    values, ids = np.unique(ints([0] + [-a for a in nums] + [sum(nums)], bound), return_inverse=True)
     g = np.gcd(values, d)
     return ids, values // g, ints([d], bound) // g
 
@@ -162,14 +160,14 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[starts])
 
 
-def _row_blocks(inst: Instance, k: int, ids: np.ndarray, total: int):
+def _row_blocks(inst: Instance, k: int, ids: np.ndarray):
     """The rows over masks, category by category in emission order, as
     blocks (masks, coefficients, right-hand side ids, categories), the
-    coefficients shared by every row of a block."""
+    coefficients shared by every row of a block; ids as _rhs_ids gives them."""
     n = inst.n
     masks = np.arange(1 << n)
     full = (1 << n) - 1
-    zero = ids[0]
+    zero, rate, total = ids[0], ids[1:-1], ids[-1]
     yield np.array([[full]]), [1], [total], [INITIALIZE]
     yield np.array([[0]]), [1], [zero], [NON_NEGATIVITY]
 
@@ -177,7 +175,7 @@ def _row_blocks(inst: Instance, k: int, ids: np.ndarray, total: int):
     s, v = np.nonzero((masks[:, None] >> np.arange(n) & 1) == 0)
     t = s | 1 << v
     # slope X(S) - X(T) >= -rate(T \ S), then monotonicity X(T) - X(S) >= 0
-    rhs = np.stack([ids[t & ~s], np.full_like(s, zero)], 1).ravel()
+    rhs = np.stack([rate[v], np.full_like(s, zero)], 1).ravel()
     yield np.stack([s, t, t, s], 1).reshape(-1, 2), [1, -1], rhs, np.tile([SLOPE, MONOTONICITY], len(s))
 
     # decode X(S) - X(T) >= 0 for T the closure step of S
@@ -243,13 +241,13 @@ def build_hierarchy_lp(
         var_of_mask = (np.cumsum(rep == masks) - 1)[rep]
     else:
         var_of_mask = masks
-    ids, rhs_nums, rhs_dens = _rhs_ids(inst, masks)
+    ids, rhs_nums, rhs_dens = _rhs_ids(inst)
     # Rows are keyed by (columns, coefficients, rhs id) and deduplicated
     # CHUNK_ROWS at a time against every row kept so far, the earlier kept.
     width = max(2, 1 << k)
     keys = np.zeros((0, 2 * width + 1), np.int64)
     cats = np.zeros(0, np.int64)
-    for row_masks, coefs, rhs, cat in _row_blocks(inst, k, ids, len(rhs_nums) - 1):
+    for row_masks, coefs, rhs, cat in _row_blocks(inst, k, ids):
         for lo in range(0, len(row_masks), CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
             cols, vals = _canonical(var_of_mask[row_masks[lo:hi]], coefs, width)
@@ -266,7 +264,7 @@ def build_hierarchy_lp(
                   rhs_nums[rhs], rhs_dens[rhs])
     names = CATEGORIES + [f"submodularity-{order}" for order in range(2, k + 1)]
     counts = {name: int(c) for name, c in zip(names, np.bincount(cats, minlength=len(names))) if c}
-    return p, HierarchyMeta(k, var_of_mask, counts)
+    return p, HierarchyMeta(var_of_mask, counts)
 
 
 @dataclass

@@ -145,7 +145,7 @@ def test_witness_path_minimality():
 
 
 def test_a_witness_enqueues_new_blind_vertices_in_increasing_order():
-    # random_instance-128 of scripts/beta2_certificates.py: from f(3) = 9
+    # random_instance-128 of scripts/certificates.py's decide2 corpus: from f(3) = 9
     # the search expands receiver 1's blind set {0, 1, 2, 4, 7, 8, 9}, which
     # meets T(3) = {2, 3, 5, 8} at 2 and 8; it ends at the lower, not at the
     # first in a frozenset's layout

@@ -252,6 +252,18 @@ def test_hierarchy_refuses_a_malformed_symmetry_file(capsys, tmp_path, generator
     assert "not a list of integers" in err
 
 
+def test_hierarchy_refuses_an_unknown_symmetry_spec(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    code, out, err = run(capsys, "hierarchy", str(path), "--level", "2", "--sym", "bogus")
+    assert (code, out) == (2, "") and "unknown symmetry spec 'bogus'" in err, err
+
+
+def test_gen_refuses_a_parameter_that_is_not_key_value(capsys, tmp_path):
+    code, out, err = run(capsys, "gen", "cycle", "5", "-o", str(tmp_path / "x.json"))
+    assert (code, out) == (2, "") and "family parameter '5' is not key=value" in err, err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_hierarchy_refuses_a_generator_that_is_not_a_permutation(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     sym = tmp_path / "sym.json"
@@ -493,6 +505,22 @@ def test_report_refuses_minrk_cap_without_all(capsys, tmp_path):
     path = gen(capsys, tmp_path, "petersen")
     code, out, err = run(capsys, "report", str(path), "--minrk-cap", "30")
     assert (code, out) == (2, "") and "--minrk-cap applies only with --all" in err, err
+
+
+@pytest.mark.parametrize("family, params, argv, where", [
+    ("cycle", ["n=5"], ["bounds", "--alpha"], "--minrk2 exact"),
+    ("projective-hadamard", ["q=3"], ["bounds", "--minrk2", "gram"], "--minrk2 exact"),
+    ("cycle", ["n=5"], ["code", "--scheme", "strongcover"], "--scheme minrk"),
+    # the file's matrix gives the code, so minrk2 and its cap are never run
+    ("projective-hadamard", ["q=3"], ["code", "--scheme", "minrk"], "--scheme minrk"),
+], ids=["bounds-alpha", "bounds-gram", "code-strongcover", "code-minrk-matrix"])
+def test_minrk_cap_is_refused_where_minrk2_is_not_computed(capsys, tmp_path, family, params,
+                                                           argv, where):
+    path = gen(capsys, tmp_path, family, *params)
+    command, *flags = argv
+    code, out, err = run(capsys, command, str(path), *flags, "--minrk-cap", "0")
+    assert (code, out) == (2, ""), err
+    assert f"--minrk-cap applies only with {where}" in err, err
 
 
 def test_minrk_on_instance_file(capsys, tmp_path):

@@ -147,6 +147,18 @@ def test_mds_weak_cover_code():
     assert verify_code(twins, scheme, mode="random", trials=20_000, seed=1).passed
 
 
+@pytest.mark.parametrize("build, kind, wrong", [
+    (strong_cover_code, "strong", "weak"), (mds_weak_cover_code, "weak", "strong"),
+])
+def test_cover_codes_refuse_the_other_cover_and_weighted_rates(build, kind, wrong):
+    inst = from_graph(cycle(5))
+    with pytest.raises(ValueError, match=f"needs a {kind} cover"):
+        build(inst, fractional_cover(inst, wrong))
+    weighted = Instance(5, inst.receivers, (F(1), F(1, 2), F(1), F(1, 2), F(1)))
+    with pytest.raises(ValueError, match="unit rates only"):
+        build(weighted, fractional_cover(weighted, kind))
+
+
 def test_minrk_code():
     g = cycle(5)
     inst = from_graph(g)

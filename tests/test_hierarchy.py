@@ -334,6 +334,13 @@ def test_solve_bk_rejects_bad_symmetry():
         build_hierarchy_lp(inst, 2, sym=[[1, 0, 2, 3, 4]])
 
 
+def test_builder_refuses_a_level_outside_1_to_n():
+    inst = from_graph(cycle(5))
+    for k in (0, 6):
+        with pytest.raises(ValueError, match="level must be in 1..5"):
+            build_hierarchy_lp(inst, k)
+
+
 def test_builder_enforces_the_lp_vars_cap():
     inst = from_graph(cycle(5))  # 2^5 = 32 subsets
     with pytest.raises(CapExceeded, match="max-lp-vars: needed 32, limit 31"):

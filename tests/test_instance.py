@@ -182,6 +182,20 @@ def test_read_problem_validates(tmp_path):
     assert read_problem(p)[0].receivers[0] == Receiver(1, frozenset({0}))
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2, "receivers": [{"wants": 0, "knows": [1]}], "rates": ["1", "0"]},
+     "rates must be positive"),
+    ({"n": 2, "receivers": [{"wants": 0, "knows": [1]}], "rates": ["1", "-1/2"]},
+     "rates must be positive"),
+    ({"n": 0, "receivers": []}, "instance has no messages"),
+])
+def test_read_problem_refuses_bad_rates_and_no_messages(tmp_path, data, message):
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=message):
+        read_problem(p)
+
+
 def test_read_instance_validates(tmp_path):
     p = tmp_path / "i.json"
     p.write_text(json.dumps({"n": 3, "receivers": [{"wants": 0, "knows": [1, 5]}]}))

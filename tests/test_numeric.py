@@ -101,6 +101,39 @@ def test_log2_digit_passes_bracket_the_exact_digits():
     assert disagree > 100
 
 
+def _just_below_a_digit(j: int, k: int) -> Fraction:
+    """floor(2^(j / 2^k) * 2^300) / 2^300, by k integer square roots in
+    fixed point with 40 guard bits."""
+    r = 1 << (j + 340)
+    for _ in range(k):
+        r = math.isqrt(r << 340)
+    return Fraction(r >> 40, 2**300)
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_log2_enclosure_widens_next_to_a_digit_boundary(monkeypatch, k):
+    # x lies within 2^-300 below the digit boundary j / 2^k and x + 2^-300
+    # above it: the 80- and 160-bit passes disagree there, and the 320-bit
+    # pass settles the digit, j - 1 for x and j for x + 2^-300
+    widths = []
+    passes = numeric._log2_bits
+
+    def spy(p, q, k, width, up):
+        widths.append(width)
+        return passes(p, q, k, width, up)
+
+    monkeypatch.setattr(numeric, "_log2_bits", spy)
+    for j in (1, 3, 12345, 40000):
+        x = _just_below_a_digit(j, k)
+        for y, digit in ((x, j - 1), (x + Fraction(1, 2**300), j)):
+            widths.clear()
+            lo, hi = log2_enclosure(y, 2**k)
+            assert lo == Fraction(digit, 2**k)
+            assert widths == [80, 80, 160, 160, 320, 320]
+            if k == 12:  # at 2^16 the reference's y ** 2^16 takes seconds
+                assert (lo, hi) == log2_enclosure_reference(y, 2**k)
+
+
 def test_primes():
     primes = [2, 3, 5, 7, 11, 13, 8191, 1_000_003]
     for p in primes:
