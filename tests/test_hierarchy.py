@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hierarchy_reference import (
@@ -28,7 +29,7 @@ from icbounds.hierarchy import (
     subset_orbits,
     validate_symmetry,
 )
-from icbounds.instance import CapExceeded, Graph, Instance, disjoint_union, from_graph
+from icbounds.instance import CapExceeded, Graph, Instance, Receiver, disjoint_union, from_graph
 from icbounds.lp import LpProblem, solve_min
 
 F = Fraction
@@ -155,15 +156,63 @@ def test_build_matches_reference_on_random_instances():
         _assert_same_lp(inst, k)
 
 
+def _reflection(n):
+    return [-v % n for v in range(n)]
+
+
 def test_build_matches_reference_with_symmetry():
-    for n in range(4, 10):
+    # circulants under the shift and under shift + reflection, then two
+    # families' own generators at level 3
+    for n in range(4, 11):
         for c in [c for c in (1, 2, 3) if c < (n - 1) / 2]:
             inst = from_graph(circulant(n, c))
-            sym = [shift_perm(n)]
-            rep, reps = subset_orbits(n, sym)
-            assert (rep.tolist(), reps.tolist()) == reference_orbits(n, sym)
-            for k in range(1, 4):
-                _assert_same_lp(inst, k, sym)
+            for sym in ([shift_perm(n)], [shift_perm(n), _reflection(n)]):
+                rep, reps = subset_orbits(n, sym)
+                assert (rep.tolist(), reps.tolist()) == reference_orbits(n, sym)
+                for k in range(1, 4 if n < 10 else 3):
+                    _assert_same_lp(inst, k, sym)
+    for name, params in (("petersen", {}), ("cayley3", {"n": 8})):
+        f = family(name, **params)
+        _assert_same_lp(f.instance, 3, f.symmetry)
+
+
+def _closed_under(inst, perm, rng):
+    """inst with its receivers closed under perm and, half the time, random
+    rates constant on perm's cycles."""
+    recs = set(inst.receivers)
+    todo = list(recs)
+    while todo:
+        r = todo.pop()
+        image = Receiver(perm[r.wants], frozenset(perm[v] for v in r.knows))
+        if image not in recs:
+            recs.add(image)
+            todo.append(image)
+    recs = tuple(sorted(recs, key=lambda r: (r.wants, sorted(r.knows))))
+    if rng.random() < 0.5:
+        return Instance(inst.n, recs)
+    rates = [None] * inst.n
+    for v in range(inst.n):
+        if rates[v] is None:
+            rate, u = F(rng.randint(1, 6), rng.randint(1, 4)), v
+            while rates[u] is None:
+                rates[u], u = rate, perm[u]
+    return Instance(inst.n, recs, tuple(rates))
+
+
+def test_build_matches_reference_under_random_automorphisms():
+    # non-unicast instances closed under a random permutation, reduced by 1-3
+    # generators drawn from all their automorphisms: the decode rows of a
+    # skipped orbit member rest on the closure step commuting with each one
+    rng = random.Random(36)
+    for _ in range(400):
+        n = rng.randrange(2, 7)
+        perm = rng.sample(range(n), n)
+        inst = _closed_under(random_instance(n, rng.randrange(1, n + 2), rng), perm, rng)
+        autos = [list(q) for q in permutations(range(n)) if not validate_symmetry(inst, [list(q)])]
+        assert perm in autos
+        sym = rng.sample(autos, min(len(autos), rng.randint(1, 3)))
+        for k in range(1, min(n, 3) + 1):
+            _assert_same_lp(inst, k, sym)
 
 
 HIERARCHY_B2_LPS = [
