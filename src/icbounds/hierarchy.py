@@ -14,15 +14,23 @@ the unreduced rows, and the property tests compare the two at small n.
 Orbit reduction under a supplied vertex symmetry group replaces X(S) by its
 orbit representative; generators are validated as instance automorphisms.
 
-The LP is built from numpy index arrays over all 2^n masks at once.  Orbit
-labels come from vectorized bit permutations and min-label propagation, and
-one array maps every mask to its variable.  Each category is emitted as a
-block of rows -- mask columns, +-1 coefficients and the id of a right-hand
-side -- in a fixed order: initialize, non-negativity, slope and
+The LP is built from numpy index arrays.  Orbit labels come from
+vectorized bit permutations and min-label propagation over all 2^n masks,
+and one array maps every mask to its variable.  Each category is emitted as
+a block of rows -- mask columns, +-1 coefficients and the id of a
+right-hand side -- in a fixed order: initialize, non-negativity, slope and
 monotonicity interleaved per pair S < T, decode, submodularity-2..k.
-Mapping masks to variables can merge columns within a row, and a row equal
-to an earlier one (same columns, coefficients and right-hand side) is
-dropped, so the rows and their order match a row-by-row build.
+Only rows that can be the first occurrence of their row are emitted
+(orbit first).  A slope, monotonicity or decode row of S is emitted only
+when S is its orbit's smallest mask: some g in the group maps S to that
+mask, keeps rates and commutes with the closure step, so it maps the rows
+of S onto equal rows emitted earlier.  A submodularity row is emitted only
+for the first r-set R of its orbit in combinations order, since an earlier
+g(R) has the same rows.  Mapping masks to variables can still merge columns
+within a row and make rows equal, so the emitted rows are deduplicated
+once, each first occurrence kept; the rows and their order match a
+row-by-row build.  Without a group every mask is its own orbit and the
+same code runs.
 Coefficients are integers; rates appear only in the right-hand sides.
 """
 
@@ -42,7 +50,8 @@ from .lp import LpProblem, ints, solve_min
 CATEGORIES = ["initialize", "non-negativity", "slope", "monotonicity", "decode"]
 INITIALIZE, NON_NEGATIVITY, SLOPE, MONOTONICITY, DECODE = range(len(CATEGORIES))
 
-# Rows deduplicated at a time, which bounds the build's working memory.
+# Rows canonicalized at a time, which bounds _canonical's working memory;
+# the emitted rows are deduplicated once, all together.
 CHUNK_ROWS = 1 << 14
 
 # Default cap on the 2^n subsets the builder allocates arrays for.
@@ -152,43 +161,55 @@ def _rhs_ids(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _first_rows(keys: np.ndarray) -> np.ndarray:
     """Indices, in order, of the first occurrence of each distinct row."""
     # A stable sort keeps equal rows in their original order, so each run
-    # of equal rows starts with its first occurrence.
+    # of equal rows starts with its first occurrence.  Runs are found a
+    # column at a time, so no sorted copy of keys is made.
     order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    starts = np.ones(len(order), bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(1)
+    starts = np.zeros(len(order), bool)
+    starts[0] = True
+    for col in keys.T:
+        ranked = col[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
     return np.sort(order[starts])
 
 
-def _row_blocks(inst: Instance, k: int, ids: np.ndarray):
-    """The rows over masks, category by category in emission order, as
-    blocks (masks, coefficients, right-hand side ids, categories), the
-    coefficients shared by every row of a block; ids as _rhs_ids gives them."""
+def _row_blocks(inst: Instance, k: int, ids: np.ndarray, rep: np.ndarray):
+    """The rows over masks that can be the first occurrence of their row,
+    category by category in emission order, as blocks (masks, coefficients,
+    right-hand side ids, categories), the coefficients shared by every row
+    of a block; ids as _rhs_ids gives them, rep as subset_orbits gives it."""
     n = inst.n
-    masks = np.arange(1 << n)
     full = (1 << n) - 1
     zero, rate, total = ids[0], ids[1:-1], ids[-1]
     yield np.array([[full]]), [1], [total], [INITIALIZE]
     yield np.array([[0]]), [1], [zero], [NON_NEGATIVITY]
 
+    # A slope, monotonicity or decode row of S equals the one of g(S) for
+    # any g in the group (g keeps rates and commutes with the closure step),
+    # and rep(S) = g(S) <= S comes first: only orbit representatives emit.
+    reps = np.flatnonzero(rep == np.arange(1 << n))
+
     # Pairs S < T = S + v, one-element steps.
-    s, v = np.nonzero((masks[:, None] >> np.arange(n) & 1) == 0)
+    s, v = np.nonzero((reps[:, None] >> np.arange(n) & 1) == 0)
+    s = reps[s]
     t = s | 1 << v
     # slope X(S) - X(T) >= -rate(T \ S), then monotonicity X(T) - X(S) >= 0
     rhs = np.stack([rate[v], np.full_like(s, zero)], 1).ravel()
     yield np.stack([s, t, t, s], 1).reshape(-1, 2), [1, -1], rhs, np.tile([SLOPE, MONOTONICITY], len(s))
 
     # decode X(S) - X(T) >= 0 for T the closure step of S
-    plus = _closure_masks(inst, masks)
-    s = np.flatnonzero(plus != masks)
-    t = plus[s]
+    plus = _closure_masks(inst, reps)
+    s, t = reps[plus != reps], plus[plus != reps]
     yield np.stack([s, t], 1), [1, -1], np.full_like(s, zero), np.full_like(s, DECODE)
 
     # submodularity-r, for each r-set R and each Z disjoint from it: the sum
     # over T <= R of (-1)^(r - |T| + 1) X(T | Z) is >= 0 (the definition's
-    # <= 0 row, negated)
+    # <= 0 row, negated).  The rows of g(R) are those of R, so only the
+    # first r-set of each orbit in combinations order emits (not the
+    # smallest mask: {1,2} = 6 comes after {0,3} = 9).
     for order in range(2, k + 1):
         members = np.array(list(combinations(range(n), order)))
+        _, first = np.unique(rep[(1 << members).sum(1)], return_index=True)
+        members = members[np.sort(first)]
         owner, z = _submasks(full & ~(1 << members).sum(1), n)
         t_index = np.arange(1 << order)
         t_subs = ((t_index[:, None] >> np.arange(order) & 1) << members[:, None, :]).sum(2)
@@ -219,6 +240,17 @@ def _canonical(cols: np.ndarray, coefs, width: int) -> tuple[np.ndarray, np.ndar
     return out_cols, out_vals
 
 
+def _keyed(blocks, var_of_mask: np.ndarray, width: int):
+    """The rows of _row_blocks over variables, CHUNK_ROWS at a time, each
+    keyed by its canonical columns, coefficients and right-hand side id,
+    with its category in a last column."""
+    for row_masks, coefs, rhs, cat in blocks:
+        for lo in range(0, len(row_masks), CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            cols, vals = _canonical(var_of_mask[row_masks[lo:hi]], coefs, width)
+            yield np.column_stack([cols, vals, rhs[lo:hi], cat[lo:hi]])
+
+
 def build_hierarchy_lp(
     inst: Instance,
     k: int,
@@ -233,33 +265,22 @@ def build_hierarchy_lp(
     if 1 << n > max_lp_vars:
         raise CapExceeded("max-lp-vars", 1 << n, max_lp_vars)
     masks = np.arange(1 << n)
+    rep = masks
     if sym is not None:
         bad = validate_symmetry(inst, sym)
         if bad:
             raise ValueError(f"invalid symmetry group: {bad}")
         rep, _ = subset_orbits(n, sym)
-        var_of_mask = (np.cumsum(rep == masks) - 1)[rep]
-    else:
-        var_of_mask = masks
+    var_of_mask = (np.cumsum(rep == masks) - 1)[rep]
     ids, rhs_nums, rhs_dens = _rhs_ids(inst)
-    # Rows are keyed by (columns, coefficients, rhs id) and deduplicated
-    # CHUNK_ROWS at a time against every row kept so far, the earlier kept.
     width = max(2, 1 << k)
-    keys = np.zeros((0, 2 * width + 1), np.int64)
-    cats = np.zeros(0, np.int64)
-    for row_masks, coefs, rhs, cat in _row_blocks(inst, k, ids):
-        for lo in range(0, len(row_masks), CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            cols, vals = _canonical(var_of_mask[row_masks[lo:hi]], coefs, width)
-            keys = np.concatenate([keys, np.column_stack([cols, vals, rhs[lo:hi]])])
-            cats = np.concatenate([cats, cat[lo:hi]])
-            first = _first_rows(keys)
-            keys, cats = keys[first], cats[first]
+    # One deduplication of every emitted row, the first occurrence kept.
+    keys = np.concatenate(list(_keyed(_row_blocks(inst, k, ids, rep), var_of_mask, width)))
+    keys = keys[_first_rows(keys[:, :-1])]
 
-    cols, vals = keys[:, :width], keys[:, width:-1]
+    cols, vals, rhs, cats = keys[:, :width], keys[:, width:-2], keys[:, -2], keys[:, -1]
     live = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(live.sum(1))])
-    rhs = keys[:, -1]
     p = LpProblem(int(var_of_mask.max()) + 1, {0: 1}, indptr, cols[live], vals[live],
                   rhs_nums[rhs], rhs_dens[rhs])
     names = CATEGORIES + [f"submodularity-{order}" for order in range(2, k + 1)]

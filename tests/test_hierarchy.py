@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hierarchy_reference import (
     alpha_feasible_vector,
@@ -213,6 +216,29 @@ def test_build_matches_reference_under_random_automorphisms():
         sym = rng.sample(autos, min(len(autos), rng.randint(1, 3)))
         for k in range(1, min(n, 3) + 1):
             _assert_same_lp(inst, k, sym)
+
+
+# (n, under the shift, variables, rows, sha256) of C_n's b2 LP, beyond the
+# loop reference's reach.  Recorded from the build that emitted every row
+# over all 2^n masks and deduplicated each chunk against all kept rows.
+PINNED_B2_LPS = [
+    (15, True, 2192, 91786, "6ab25dd76554f0a47a5049c0e054ad478ead3cf2b68b3aca466cfd7955a9b289"),
+    (16, True, 4116, 191868, "3a13e0ea5b5fcb3084216c7d7447eeec7d206a2ba332d30f702d19adbf062ee3"),
+    (13, False, 8192, 272937, "f953c262583b0b586a52375e4197199e39950e375383d8c1ec5b279e3d15066b"),
+]
+
+
+@pytest.mark.parametrize("n, shift, num_vars, num_rows, digest", PINNED_B2_LPS)
+def test_large_b2_lps_match_their_recorded_digests(n, shift, num_vars, num_rows, digest):
+    p, meta = build_hierarchy_lp(from_graph(cycle(n)), 2, [shift_perm(n)] if shift else None)
+    assert (p.num_vars, p.num_rows) == (num_vars, num_rows)
+    h = hashlib.sha256()
+    for a in (p.indptr, p.indices, p.coefs, p.rhs_nums, p.rhs_dens):
+        assert a.dtype == np.int64
+        h.update(a.tobytes())
+    h.update(json.dumps(meta.counts).encode())
+    h.update(meta.var_of_mask.astype(np.int64).tobytes())
+    assert h.hexdigest() == digest
 
 
 HIERARCHY_B2_LPS = [
