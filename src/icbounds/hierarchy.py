@@ -274,7 +274,9 @@ def build_hierarchy_lp(
     var_of_mask = (np.cumsum(rep == masks) - 1)[rep]
     ids, rhs_nums, rhs_dens = _rhs_ids(inst)
     width = max(2, 1 << k)
-    # One deduplication of every emitted row, the first occurrence kept.
+    # One deduplication of every emitted row keeps each first occurrence.
+    # The keys come from a generator, so that no row block outlives the
+    # concatenation, which would raise a large build's peak memory.
     keys = np.concatenate(list(_keyed(_row_blocks(inst, k, ids, rep), var_of_mask, width)))
     keys = keys[_first_rows(keys[:, :-1])]
 
