@@ -115,7 +115,11 @@ def _rat(x) -> str:
 
 
 def _levels(spec: str) -> tuple[int, ...]:
-    return () if spec == "none" else tuple(int(x) for x in spec.split(","))
+    levels = () if spec == "none" else tuple(int(x) for x in spec.split(","))
+    for k in levels:
+        if levels.count(k) > 1:
+            raise argparse.ArgumentTypeError(f"level {k} given twice")
+    return levels
 
 
 def _sym_arg(spec: str, inst: Instance, data: dict):

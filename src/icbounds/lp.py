@@ -32,14 +32,9 @@ Espinoza, "Exact solutions to linear programming problems" (Oper. Res.
 Lett. 35, 2007): the tight rows and the basic columns form a square
 system whose solution is x on the basic columns and whose transpose gives
 y on the tight rows.  A basis of more than BASIS_CAP columns raises
-CapExceeded("lp-basis").  When that x and y fail the check, HiGHS solves a
-refined model, the LP shifted so that the failed x and y sit at the origin
-and scaled so that their violations are no longer below its tolerances
-(iterative refinement, as in Gleixner, Steffy and Wolter, "Iterative
-refinement for linear programming", INFORMS J. Comput. 28, 2016), and its
-basis is tried in the same way, at most REFINE_ROUNDS times.  Then
-Uncertified is raised: nothing unchecked is returned.  `LpOptimum.method`
-records which of the two paths answered.
+CapExceeded("lp-basis").  When that x and y fail the check too,
+Uncertified is raised: nothing unchecked is returned.  HiGHS runs once per
+solve, and `LpOptimum.method` records which of the two paths answered.
 """
 
 from __future__ import annotations
@@ -155,9 +150,9 @@ class _Rows(Sequence):
 
 
 class Uncertified(RuntimeError):
-    """No optimum HiGHS proposed for an LP, refined or not, passed its exact
-    check, or HiGHS found none; raised instead of returning an answer
-    without a certificate."""
+    """Neither HiGHS's rounded optimum nor the exact solution of its basis
+    passed the exact check, or HiGHS found no optimum; raised instead of
+    returning an answer without a certificate."""
 
 
 @dataclass
@@ -302,14 +297,13 @@ def _solve_square(rows: list[dict], rhs: list[int]) -> list[Fraction]:
 def _basis(p: LpProblem, highspy, highs) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
     """(B, T, A_TB) for HiGHS's basis: B the basic columns, T the tight rows
     (those whose slack is nonbasic), and A_TB's nonzero entries as (position
-    in T, position in B, coefficient).  Column n + i of a refined model (see
-    _refined) is row i's slack."""
+    in T, position in B, coefficient)."""
     n, m = p.num_vars, p.num_rows
     basis = highs.getBasis()
     basic = highspy.HighsBasisStatus.kBasic
     col, row = basis.col_status, basis.row_status
     cols = [j for j in range(n) if col[j] == basic]
-    tight = [i for i in range(m) if row[i] != basic and col[n + i:n + i + 1] != [basic]]
+    tight = [i for i in range(m) if row[i] != basic]
     if not basis.valid or len(cols) != len(tight):
         raise Uncertified("HiGHS gives no square optimal basis")
     if len(cols) > BASIS_CAP:
@@ -339,17 +333,7 @@ def _vertex(p: LpProblem, cols, tight, a) -> tuple[list[Fraction], list[Fraction
     return [xb.get(j, F0) for j in range(p.num_vars)], [yt.get(i, F0) for i in range(p.num_rows)]
 
 
-def _residuals(p: LpProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """(A x - b, c - A'y) in floats: they only shape a refined model."""
-    val, xf, yf = p.coefs.astype(float), np.array(x, float), np.array(y, float)
-    c = np.zeros(p.num_vars)
-    c[list(p.objective)] = [float(v) for v in p.objective.values()]
-    ax = _segment_sums(val * xf[p.indices], p.indptr[:-1])
-    aty = np.bincount(p.indices, val * np.repeat(yf, np.diff(p.indptr)), p.num_vars)
-    return ax - p.rhs_nums / p.rhs_dens, c - aty
-
-
-# -- HiGHS, rounding and refinement -----------------------------------------
+# -- HiGHS and rounding -----------------------------------------------------
 
 
 # Largest denominator when rounding HiGHS's solution; the hierarchy
@@ -358,22 +342,15 @@ ROUNDING_BOUND = 10**3
 
 # The settings scipy's method="highs" solves with, which pick the vertex
 # HiGHS returns: presolve on, the dual simplex (strategy 1), no output.
-# Presolve off would cut a tiny cover LP's solve from 0.52-0.83 to
-# 0.18-0.39 ms, but unreduced C9's b2 LP would take 616 ms instead of 105
-# and fail to round, so presolve stays on at every size.
+# Presolve off would cut a small cover LP's HiGHS run from about 0.13 to
+# 0.07 ms (median of 20 weak-cover LPs of 6-29 variables, on a 2-core Xeon), but
+# unreduced C9's b2 LP would take 380-387 ms instead of 49-56 and fail to
+# round, so presolve stays on at every size.
 HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "output_flag": False, "log_to_console": False}
 
 # HiGHS reads a bound at or beyond this (its option infinite_bound) as
 # infinite, so an LP with such a right-hand side is refused before it.
 HIGHS_INFINITE_BOUND = 1e20
-
-# Refined models solved after a basis fails, and the largest factor one
-# magnifies violations by.  With rounding off, the first basis left 57 of
-# the 426 optimal LPs of tests/test_lp.py's near-degenerate corpus (data
-# 10^-6 .. 10^-14 from ties; seeds 5-7) uncertified; 1, 2, 3 and 5 rounds
-# left 15, 4, 3 and 3 at 1e9, and 3 rounds left 14 at 1e6 and 10 at 1e12.
-REFINE_ROUNDS = 3
-REFINE_SCALE = 1e9
 
 # One HiGHS instance per thread, its options set once; each solve clears
 # the model it passes.
@@ -401,10 +378,11 @@ def load_binding() -> None:
     _handle()
 
 
-def _model(p: LpProblem) -> tuple:
-    """p as HiGHS's model: costs, column lower bounds, row lower and upper
-    bounds, and the rows as CSR.  Raises CapExceeded("highs-model") for a
-    value HiGHS cannot take."""
+def _run(highspy, highs, p: LpProblem):
+    """HiGHS's model status once it minimizes p, passed as it is: the costs,
+    x >= 0, and b as the lower bounds of the CSR rows.  Raises
+    CapExceeded("highs-model") for a value HiGHS cannot take or a model it
+    refuses."""
     n, m = p.num_vars, p.num_rows
     try:
         c = np.zeros(n)
@@ -415,46 +393,10 @@ def _model(p: LpProblem) -> tuple:
         raise CapExceeded("highs-model", "a value beyond the float range", "HiGHS's input range") from None
     if np.any(np.abs(b) >= HIGHS_INFINITE_BOUND):
         raise CapExceeded("highs-model", f"a right-hand side of {np.abs(b).max():.3g}", "HiGHS's input range")
-    return c, np.zeros(n), b, np.full(m, np.inf), p.indptr, p.indices, val
-
-
-def _scale(*parts) -> float:
-    """The factor, at most REFINE_SCALE, that makes the most negative entry
-    among parts read -1, or, with none negative, the largest read 1."""
-    v = np.concatenate(parts)
-    worst = -v.min(initial=0) or np.abs(v).max(initial=0)
-    return min(REFINE_SCALE, 1 / worst) if worst else 1.0
-
-
-def _refined(p: LpProblem, x, y, s, d) -> tuple:
-    """The model of p in x' = sp (x - x*) and s' = sp (A x - b - s*), s the
-    row slacks, with costs sd (c - A'y*) on x' and sd y* on s': the same LP
-    with (x*, y*) at the origin, so the optimal bases are the same, but
-    with the violations of x* and y* magnified by sp and sd.  Rows are
-    A x' - s' = 0."""
-    n, m = p.num_vars, p.num_rows
-    xf, yf = np.array(x, float), np.array(y, float)
-    sp, sd = _scale(xf, s), _scale(d, yf)
-    # [A -I] row-wise: row i's entries, then -1 on column n + i
-    at = np.arange(len(p.indices)) + np.repeat(np.arange(m), np.diff(p.indptr))
-    slack = p.indptr[1:] + np.arange(m)
-    indices, val = np.empty(len(at) + m, np.int64), np.empty(len(at) + m)
-    indices[at], indices[slack] = p.indices, n + np.arange(m)
-    val[at], val[slack] = p.coefs.astype(float), -1.0
-    zero = np.zeros(m)
-    return (sd * np.concatenate([d, yf]), -sp * np.concatenate([xf, s]), zero, zero,
-            p.indptr + np.arange(m + 1), indices, val)
-
-
-def _run(highspy, highs, c, lower, row_lower, row_upper, indptr, indices, val):
-    """HiGHS's model status once it minimizes c'x over x >= lower and
-    row_lower <= A x <= row_upper, A the CSR rows (indptr, indices, val).
-    Raises CapExceeded("highs-model") for a model HiGHS refuses."""
-    n, m = len(c), len(row_lower)
     highs.clearModel()
     status = highs.passModel(n, m, len(val), highspy.MatrixFormat.kRowwise, highspy.ObjSense.kMinimize, 0.0,
-                             c, lower, np.full(n, np.inf), row_lower, row_upper,
-                             indptr, indices, val, np.zeros(n, np.int32))
+                             c, np.zeros(n), np.full(n, np.inf), b, np.full(m, np.inf),
+                             p.indptr, p.indices, val, np.zeros(n, np.int32))
     if status == highspy.HighsStatus.kError:
         raise CapExceeded("highs-model", "a model HiGHS refuses", "HiGHS's input range")
     highs.run()
@@ -496,25 +438,21 @@ def _validate(p: LpProblem) -> None:
 
 def solve_min(p: LpProblem) -> LpOptimum:
     """Exact optimum of the covering-form problem, returned only with an x
-    and a dual that passed certified_value.  Raises CapExceeded for an LP
-    HiGHS cannot take or a basis past BASIS_CAP, and Uncertified when HiGHS
-    finds no optimum (an infeasible LP among them) or no certificate
-    passes."""
+    and a dual that passed certified_value.  One HiGHS run proposes it:
+    first its optimum rounded, then the exact solution of its basis.
+    Raises CapExceeded for an LP HiGHS cannot take or a basis past
+    BASIS_CAP, and Uncertified when HiGHS finds no optimum (an infeasible
+    LP among them) or neither answer passes."""
     _validate(p)
     highspy, highs = _handle()
     done = highspy.HighsModelStatus
-    model = _model(p)
-    for refinement in range(REFINE_ROUNDS + 1):
-        status = _run(highspy, highs, *model)
-        if status not in (done.kOptimal, done.kModelEmpty):  # empty: no variables
-            raise Uncertified(f"HiGHS ends with model status {highs.modelStatusToString(status)!r}")
-        if not refinement and (opt := _rounded(p, highs)):
-            return opt
-        cols, tight, a = _basis(p, highspy, highs)
-        x, y = _vertex(p, cols, tight, a)
-        value = certified_value(p, x, y)
-        if value is not None:
-            return LpOptimum(value, x, y, "basis")
-        s, d = _residuals(p, x, y)
-        model = _refined(p, x, y, s, d)
-    raise Uncertified(f"no answer of HiGHS passes its exact check after {REFINE_ROUNDS} refinements")
+    status = _run(highspy, highs, p)
+    if status not in (done.kOptimal, done.kModelEmpty):  # empty: no variables
+        raise Uncertified(f"HiGHS ends with model status {highs.modelStatusToString(status)!r}")
+    if opt := _rounded(p, highs):
+        return opt
+    x, y = _vertex(p, *_basis(p, highspy, highs))
+    value = certified_value(p, x, y)
+    if value is None:
+        raise Uncertified("the exact solution of HiGHS's basis fails its exact check")
+    return LpOptimum(value, x, y, "basis")

@@ -590,6 +590,15 @@ def test_report_levels(capsys, tmp_path):
     assert "scheme left out: two-symbol = 2 is below chibarf = 3" in out["verdicts"]
 
 
+def test_report_refuses_a_repeated_level(capsys, tmp_path):
+    # each level is solved and reported once, so a repeat is a usage error
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path), "--level", "2,3,2"])
+    assert exc.value.code == 2
+    assert "argument --level: level 2 given twice" in capsys.readouterr().err
+
+
 def test_report_proves_beta_of_projective_hadamard_q5_by_its_gram_matrix(capsys, tmp_path):
     # the file's F_5 Gram matrix gives a rate-3 code that meets alpha; no
     # level LP (b2 would need 2^25 variables) and no strong-cover code

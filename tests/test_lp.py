@@ -87,6 +87,7 @@ def test_degenerate_cycling_guard(monkeypatch):
     # 1/20 = x_2, so no rounding to integers can certify it, and the exact
     # solution of HiGHS's basis answers at the reference's value.
     monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
+    _one_run_each(monkeypatch)
     p = LpProblem(3, {2: F(1)})
     p.add({0: F(1, 4), 1: F(1, 2)}, F(3, 4))
     p.add({0: F(-60), 1: F(-90)}, -150)
@@ -187,6 +188,37 @@ def _assert_refused(p):
 def _without_rounding(monkeypatch):
     """Reject every rounded optimum, so that the exact basis answers."""
     monkeypatch.setattr(lpmod, "_rounded", lambda p, highs: None)
+    _one_run_each(monkeypatch)
+
+
+def _spy_runs(monkeypatch):
+    """The number of variables of each LP HiGHS solves."""
+    runs, run = [], lpmod._run
+
+    def spy(highspy, highs, p):
+        runs.append(p.num_vars)
+        return run(highspy, highs, p)
+
+    monkeypatch.setattr(lpmod, "_run", spy)
+    return runs
+
+
+def _one_run_each(monkeypatch):
+    """From here on in the test, every solve_min call, answered or refused,
+    must run HiGHS exactly once."""
+    if solve_min is not lpmod.solve_min:
+        return  # already installed
+    runs = _spy_runs(monkeypatch)
+
+    def once(p):
+        before = len(runs)
+        try:
+            return lpmod.solve_min(p)
+        finally:
+            if len(runs) != before + 1:  # not an assert: CI also runs this file under python -O
+                pytest.fail(f"{len(runs) - before} HiGHS runs in one solve_min")
+
+    monkeypatch.setitem(globals(), "solve_min", once)
 
 
 def test_rounded_path_matches_exact_simplex(monkeypatch):
@@ -259,6 +291,7 @@ def test_basis_cap(monkeypatch):
     # with no rounding that certifies, the exact basis solve answers a basis
     # of BASIS_CAP columns and refuses one more before it eliminates
     monkeypatch.setattr(lpmod, "ROUNDING_BOUND", 1)
+    _one_run_each(monkeypatch)
     for n in (lpmod.BASIS_CAP, lpmod.BASIS_CAP + 1):
         p = LpProblem(n, dict.fromkeys(range(n), 1))
         for j in range(n):
@@ -271,9 +304,10 @@ def test_basis_cap(monkeypatch):
             solve_min(p)
 
 
-def test_rounding_rejected_falls_back_to_the_basis():
+def test_rounding_rejected_falls_back_to_the_basis(monkeypatch):
     # the optimum's denominator exceeds the rounding bound: the rounded x is
     # 0, and the feasibility check rejects it
+    _one_run_each(monkeypatch)
     assert 1_000_003 > lpmod.ROUNDING_BOUND
     p = LpProblem(1, {0: F(1)})
     p.add({0: F(1_000_003)}, 1)
@@ -599,30 +633,22 @@ def test_infeasibility_within_highs_tolerance_is_refused():
     _assert_refused(p)
 
 
-def _spy_runs(monkeypatch):
-    """The number of columns of each model HiGHS solves."""
-    runs, run = [], lpmod._run
-
-    def spy(highspy, highs, c, *model):
-        runs.append(len(c))
-        return run(highspy, highs, c, *model)
-
-    monkeypatch.setattr(lpmod, "_run", spy)
-    return runs
+BASIS_FAILS = "the exact solution of HiGHS's basis fails its exact check"
 
 
-def test_basis_optimal_within_highs_tolerance_is_refined(monkeypatch):
+def test_basis_optimal_within_highs_tolerance_is_refused(monkeypatch):
     # min x0 + (1 - 10^-12) x1 s.t. x0 + x1 >= 1: HiGHS's basis {x0} leaves
-    # x1 a reduced cost of -10^-12, within its tolerance.  One refined model,
-    # with that cost magnified and a slack column per row, gives {x1}.
+    # x1 a reduced cost of -10^-12, within its tolerance, so its exact
+    # solution fails the reduced-cost check, and after one HiGHS run the
+    # LP is refused, though the reference simplex finds x1 = 1 optimal
     runs = _spy_runs(monkeypatch)
     eps = F(1, 10**12)
     p = LpProblem(2, {0: 1, 1: 1 - eps})
     p.add({0: 1, 1: 1}, 1)
-    opt = solve_min(p)
-    assert (opt.value, opt.x, opt.method, runs) == (1 - eps, [0, 1], "basis", [2, 3])
-    assert opt.value == dual_simplex(p).value
-    _assert_certificate(p, opt)
+    with pytest.raises(Uncertified, match=BASIS_FAILS):
+        solve_min(p)
+    assert runs == [2]
+    assert dual_simplex(p).value == 1 - eps
 
 
 def _near_degenerate_lps(rng):
@@ -659,11 +685,11 @@ def _near_degenerate_lps(rng):
 
 
 def test_near_degenerate_lps_match_the_reference(monkeypatch):
-    # with rounding forced off, the exact basis and the refined models
-    # answer every optimal LP of the corpus at the reference simplex's
-    # value, but for the one whose optimal vertex (1/2, 1/2) meets two rows
-    # at an angle of 10^-14, beyond what HiGHS resolves in floats: it
-    # raises Uncertified, as every infeasible LP of the corpus does
+    # with rounding forced off, the exact basis answers 121 of the 141
+    # optimal LPs of the corpus at the reference simplex's value.  The
+    # other 20 are optimal within HiGHS's tolerances but not exactly, so
+    # the exact solution of its basis fails the check and the LP is
+    # refused; every infeasible LP of the corpus is refused too
     _without_rounding(monkeypatch)
     lps = _near_degenerate_lps(random.Random(5))
     refused, methods = [], Counter()
@@ -675,13 +701,16 @@ def test_near_degenerate_lps_match_the_reference(monkeypatch):
             continue
         try:
             opt = solve_min(p)
-        except Uncertified:
+        except Uncertified as e:
+            assert str(e) == BASIS_FAILS
             refused.append(i)
             continue
         assert opt.value == ref.value
         _assert_certificate(p, opt)
         methods[opt.method] += 1
-    assert refused == [57]  # the second shape at eps = 10^-14
+    # the first shape at eps = 10^-7 .. 10^-14, the second at every eps but
+    # 10^-6 and 10^-8, and five random LPs
+    assert refused == [7, 8, 14, 21, 22, 28, 29, 35, 36, 42, 43, 49, 50, 56, 57, 73, 90, 114, 162, 172]
     assert methods["basis"] > 100 and methods["infeasible"] > 30
 
 
@@ -717,6 +746,7 @@ class _Tampered:
 
 
 def _tamper(monkeypatch, **answers):
+    _one_run_each(monkeypatch)
     _, highs = lpmod._handle()
     monkeypatch.setattr(lpmod._local, "highs", _Tampered(highs, **answers))
 
@@ -740,7 +770,7 @@ def _uneven_basis(highs):
     return basis
 
 
-@pytest.mark.parametrize("basis, message", [(_swapped_basis, r"passes its exact check after \d refinements"),
+@pytest.mark.parametrize("basis, message", [(_swapped_basis, "basis fails its exact check"),
                                             (_uneven_basis, "no square optimal basis")])
 def test_tampered_basis_is_rejected(monkeypatch, basis, message):
     _without_rounding(monkeypatch)
@@ -759,21 +789,6 @@ def test_explicit_zero_coefficients_stay_out_of_the_basis(monkeypatch):
     opt = solve_min(p)
     assert (opt.value, opt.x, opt.dual, opt.method) == (4, [2, 2], [F(1, 2), F(1, 3)], "basis")
     _assert_certificate(p, opt)
-
-
-def test_a_wrong_basis_is_refined(monkeypatch):
-    # the first basis is swapped, and its solution x = (2, 0) fails: the
-    # model refined around it gives the optimal basis
-    _without_rounding(monkeypatch)
-    calls = []
-
-    def once(highs):
-        calls.append(highs.getBasis())
-        return _swapped_basis(highs) if len(calls) == 1 else calls[-1]
-
-    _tamper(monkeypatch, getBasis=once)
-    opt = solve_min(small_lp())
-    assert (opt.value, opt.method, len(calls)) == (F(14, 5), "basis", 2)
 
 
 def test_unknown_highs_status_is_rejected(monkeypatch):
