@@ -122,6 +122,15 @@ def _levels(spec: str) -> tuple[int, ...]:
     return levels
 
 
+def _cap(spec: str) -> int:
+    """A resource cap: a count, 0 or more (a negative one would read as a
+    cap already spent)."""
+    cap = int(spec)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"cap {cap} is negative")
+    return cap
+
+
 def _sym_arg(spec: str, inst: Instance, data: dict):
     if spec == "auto":
         return data.get("symmetry")  # generators stored by `gen`
@@ -502,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chibarf", action="store_true")
     p.add_argument("--chibar", action="store_true")
     p.add_argument("--minrk2", choices=["exact", "gram"])
-    p.add_argument("--minrk-cap", type=int,
+    p.add_argument("--minrk-cap", type=_cap,
                    help=f"with --minrk2 exact (default {MINRK_FREE_ENTRY_CAP})")
     p.set_defaults(fn=cmd_bounds)
 
@@ -512,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sym", default="auto",
                    help="auto (the file's generators) | cyclic | none | file:PATH")
     p.add_argument("--dump-lp", action="store_true")
-    p.add_argument("--max-lp-vars", type=int, default=MAX_LP_VARS)
+    p.add_argument("--max-lp-vars", type=_cap, default=MAX_LP_VARS)
     p.set_defaults(fn=cmd_hierarchy)
 
     p = sub.add_parser("approx", help="greedy lower bound and tau certificate")
@@ -529,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True,
                    choices=["cliquecover", "strongcover", "mds", "minrk", "twosymbol"])
     p.add_argument("--verify", default="exhaustive", help="exhaustive | random[:N[:seed]]")
-    p.add_argument("--minrk-cap", type=int, help="with --scheme minrk on a file without "
+    p.add_argument("--minrk-cap", type=_cap, help="with --scheme minrk on a file without "
                    f"a 'matrix' entry (default {MINRK_FREE_ENTRY_CAP})")
     p.set_defaults(fn=cmd_code)
 
@@ -539,8 +548,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_levels, default=(2,), help="a level, a comma list (e.g. 2,3) or none")
     p.add_argument("--sym", default="auto")
     p.add_argument("--decide2", action="store_true")
-    p.add_argument("--max-lp-vars", type=int, default=MAX_LP_VARS)
-    p.add_argument("--minrk-cap", type=int, help=f"with --all (default {MINRK_FREE_ENTRY_CAP})")
+    p.add_argument("--max-lp-vars", type=_cap, default=MAX_LP_VARS)
+    p.add_argument("--minrk-cap", type=_cap, help=f"with --all (default {MINRK_FREE_ENTRY_CAP})")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("paper-suite", help="run the reproduction suite")

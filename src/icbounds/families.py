@@ -260,9 +260,14 @@ FAMILY_NAMES = list(FAMILY_PARAMS)
 
 
 def family(name: str, **params) -> FamilyOutput:
-    missing = [k for k in FAMILY_PARAMS.get(name, ()) if k not in params]
+    if name not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family {name!r}")
+    missing = [k for k in FAMILY_PARAMS[name] if k not in params]
     if missing:
         raise ValueError(f"family {name!r} needs parameter {', '.join(missing)}")
+    unknown = [k for k in params if k not in FAMILY_PARAMS[name]]
+    if unknown:
+        raise ValueError(f"family {name!r} takes no parameter {', '.join(unknown)}")
     if name == "cycle":
         n = params["n"]
         g = cycle(n)
@@ -319,8 +324,6 @@ def family(name: str, **params) -> FamilyOutput:
         g = groetzsch()
         exp = {"alpha": Fraction(5), "beta": Fraction(11, 2), "b2": Fraction(11, 2)}
         return FamilyOutput(name, params, from_graph(g), g, None, exp, GROETZSCH_SYMMETRY)
-    if name == "chvatal":
-        g = chvatal()
-        exp = {"alpha": Fraction(4), "beta": Fraction(6), "b2": Fraction(6)}
-        return FamilyOutput(name, params, from_graph(g), g, None, exp, CHVATAL_SYMMETRY)
-    raise ValueError(f"unknown family {name!r}")
+    g = chvatal()  # the last name of FAMILY_PARAMS
+    exp = {"alpha": Fraction(4), "beta": Fraction(6), "b2": Fraction(6)}
+    return FamilyOutput(name, params, from_graph(g), g, None, exp, CHVATAL_SYMMETRY)

@@ -26,12 +26,15 @@ when S is its orbit's smallest mask: some g in the group maps S to that
 mask, keeps rates and commutes with the closure step, so it maps the rows
 of S onto equal rows emitted earlier.  A submodularity row is emitted only
 for the first r-set R of its orbit in combinations order, since an earlier
-g(R) has the same rows.  Mapping masks to variables can still merge columns
+g(R) has the same rows; its sets Z, disjoint from R, are one filter of
+the masks.  Mapping masks to variables can still merge columns
 within a row and make rows equal, so the emitted rows are deduplicated
 once, each first occurrence kept; the rows and their order match a
 row-by-row build.  Without a group every mask is its own orbit and the
 same code runs.
 Coefficients are integers; rates appear only in the right-hand sides.
+solve_bk answers in the LP's own variables, one per orbit, with the map
+from masks to them: X(S) = x[var_of_mask[S]].
 """
 
 from __future__ import annotations
@@ -90,9 +93,8 @@ def _permuted(masks: np.ndarray, perm: list[int]) -> np.ndarray:
     return out
 
 
-def subset_orbits(n: int, perms: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(rep, reps): rep[mask] = smallest mask in its orbit; reps = sorted
-    distinct representatives."""
+def subset_orbits(n: int, perms: list[list[int]]) -> np.ndarray:
+    """rep[mask] = smallest mask in its orbit."""
     masks = np.arange(1 << n)
     images = [_permuted(masks, p) for p in perms]
     rep = masks
@@ -104,7 +106,7 @@ def subset_orbits(n: int, perms: list[list[int]]) -> tuple[np.ndarray, np.ndarra
             rep[img] = np.minimum(rep[img], rep)
         rep = rep[rep]
         if np.array_equal(rep, before):
-            return rep, np.flatnonzero(rep == masks)
+            return rep
 
 
 # -- LP construction --------------------------------------------------------
@@ -116,22 +118,14 @@ class HierarchyMeta:
     counts: dict[str, int] = field(default_factory=dict)
 
 
-def _submasks(gain: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, sub): for each gain[i] in turn, its submasks in decreasing
-    order (0 last), each tagged with owner i."""
-    size = 1 << np.bitwise_count(gain).astype(np.int64)
-    owner = np.repeat(np.arange(len(gain)), size)
-    # Count down from size - 1 to 0 per owner and deposit the count's bits
-    # into gain's set bits: a monotone map onto the submasks.
-    count = np.repeat(np.cumsum(size), size) - 1 - np.arange(owner.size)
-    g = gain[owner]
-    sub = np.zeros_like(g)
-    rank = np.zeros_like(g)
-    for v in range(n):
-        bit = g >> v & 1
-        sub |= (count >> rank & bit) << v
-        rank += bit
-    return owner, sub
+def _disjoint_masks(sets: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Row i: the masks disjoint from sets[i], a size-set, in decreasing
+    order (0 last); one filter of all 2^n masks per set."""
+    desc = np.arange(1 << n)[::-1]
+    out = np.empty((len(sets), 1 << n - size), np.int64)
+    for i, r in enumerate(sets):
+        out[i] = desc[desc & r == 0]
+    return out
 
 
 def _closure_masks(inst: Instance, masks: np.ndarray) -> np.ndarray:
@@ -172,11 +166,12 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[starts])
 
 
-def _row_blocks(inst: Instance, k: int, ids: np.ndarray, rep: np.ndarray):
+def _row_blocks(inst: Instance, k: int, ids: np.ndarray, rep: np.ndarray, reps: np.ndarray):
     """The rows over masks that can be the first occurrence of their row,
     category by category in emission order, as blocks (masks, coefficients,
     right-hand side ids, categories), the coefficients shared by every row
-    of a block; ids as _rhs_ids gives them, rep as subset_orbits gives it."""
+    of a block; ids as _rhs_ids gives them, rep as subset_orbits gives it
+    and reps the masks with rep[S] == S, in increasing order."""
     n = inst.n
     full = (1 << n) - 1
     zero, rate, total = ids[0], ids[1:-1], ids[-1]
@@ -186,8 +181,6 @@ def _row_blocks(inst: Instance, k: int, ids: np.ndarray, rep: np.ndarray):
     # A slope, monotonicity or decode row of S equals the one of g(S) for
     # any g in the group (g keeps rates and commutes with the closure step),
     # and rep(S) = g(S) <= S comes first: only orbit representatives emit.
-    reps = np.flatnonzero(rep == np.arange(1 << n))
-
     # Pairs S < T = S + v, one-element steps.
     s, v = np.nonzero((reps[:, None] >> np.arange(n) & 1) == 0)
     s = reps[s]
@@ -205,17 +198,19 @@ def _row_blocks(inst: Instance, k: int, ids: np.ndarray, rep: np.ndarray):
     # over T <= R of (-1)^(r - |T| + 1) X(T | Z) is >= 0 (the definition's
     # <= 0 row, negated).  The rows of g(R) are those of R, so only the
     # first r-set of each orbit in combinations order emits (not the
-    # smallest mask: {1,2} = 6 comes after {0,3} = 9).
+    # smallest mask: {1,2} = 6 comes after {0,3} = 9).  The sets Z of the
+    # emitting R are the index set a separation oracle evaluates.
     for order in range(2, k + 1):
         members = np.array(list(combinations(range(n), order)))
         _, first = np.unique(rep[(1 << members).sum(1)], return_index=True)
         members = members[np.sort(first)]
-        owner, z = _submasks(full & ~(1 << members).sum(1), n)
+        z = _disjoint_masks((1 << members).sum(1), n, order)
         t_index = np.arange(1 << order)
         t_subs = ((t_index[:, None] >> np.arange(order) & 1) << members[:, None, :]).sum(2)
         coefs = np.where((order - np.bitwise_count(t_index)) & 1, 1, -1)
         cat = len(CATEGORIES) + order - 2
-        yield t_subs[owner] | z[:, None], coefs, np.full_like(z, zero), np.full_like(z, cat)
+        rows = (t_subs[:, None, :] | z[:, :, None]).reshape(-1, 1 << order)
+        yield rows, coefs, np.full(len(rows), zero), np.full(len(rows), cat)
 
 
 def _canonical(cols: np.ndarray, coefs, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -270,14 +265,16 @@ def build_hierarchy_lp(
         bad = validate_symmetry(inst, sym)
         if bad:
             raise ValueError(f"invalid symmetry group: {bad}")
-        rep, _ = subset_orbits(n, sym)
-    var_of_mask = (np.cumsum(rep == masks) - 1)[rep]
+        rep = subset_orbits(n, sym)
+    leads = rep == masks
+    var_of_mask = (np.cumsum(leads) - 1)[rep]
     ids, rhs_nums, rhs_dens = _rhs_ids(inst)
     width = max(2, 1 << k)
     # One deduplication of every emitted row keeps each first occurrence.
     # The keys come from a generator, so that no row block outlives the
     # concatenation, which would raise a large build's peak memory.
-    keys = np.concatenate(list(_keyed(_row_blocks(inst, k, ids, rep), var_of_mask, width)))
+    blocks = _row_blocks(inst, k, ids, rep, np.flatnonzero(leads))
+    keys = np.concatenate(list(_keyed(blocks, var_of_mask, width)))
     keys = keys[_first_rows(keys[:, :-1])]
 
     cols, vals, rhs, cats = keys[:, :width], keys[:, width:-2], keys[:, -2], keys[:, -1]
@@ -294,7 +291,8 @@ def build_hierarchy_lp(
 class HierarchyBound:
     level: int
     value: Fraction
-    vector: dict[int, Fraction]  # mask -> X(S), expanded to all subsets
+    x: list[Fraction]  # the LP's optimum: X(S) = x[var_of_mask[S]]
+    var_of_mask: np.ndarray
     counts: dict[str, int]
     variables: int
     rows: int
@@ -308,5 +306,4 @@ def solve_bk(
 ) -> HierarchyBound:
     p, meta = build_hierarchy_lp(inst, k, sym, max_lp_vars=max_lp_vars)
     opt = solve_min(p)
-    vec = {m: opt.x[j] for m, j in enumerate(meta.var_of_mask.tolist())}
-    return HierarchyBound(k, opt.value, vec, meta.counts, p.num_vars, p.num_rows)
+    return HierarchyBound(k, opt.value, opt.x, meta.var_of_mask, meta.counts, p.num_vars, p.num_rows)

@@ -204,13 +204,16 @@ def _instance_from_dict(data: dict) -> Instance:
         raise ParseError(f"malformed instance file: {exc}") from exc
     rates = None
     if data.get("rates") is not None:
+        if not isinstance(data["rates"], list):
+            raise ParseError("rates must be a JSON list, one entry per message")
         try:
             raw = [parse_rational(s) for s in data["rates"]]
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed rate entry: {exc}") from exc
         if any(r <= 0 for r in raw):
             raise ParseError("rates must be positive")
-        scale = max(raw)
+        # an empty list is left to validate's length check
+        scale = max(raw, default=1)
         rates = tuple(r / scale for r in raw)
     return Instance(n, recs, rates)
 

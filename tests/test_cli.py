@@ -264,6 +264,39 @@ def test_gen_refuses_a_parameter_that_is_not_key_value(capsys, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("family, params, unknown", [
+    ("cycle", ["n=5", "k=3"], "k"), ("tri3", ["n=5"], "n"), ("circulant", ["n=7", "k=2", "q=3"], "q"),
+])
+def test_gen_refuses_a_parameter_the_family_does_not_take(capsys, tmp_path, family, params, unknown):
+    # once written as-is into the file's family.params
+    code, out, err = run(capsys, "gen", family, *params, "-o", str(tmp_path / "x.json"))
+    assert (code, out) == (2, "") and f"family {family!r} takes no parameter {unknown}" in err, err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["hierarchy", "--level", "2", "--max-lp-vars", "-5"],
+    ["report", "--max-lp-vars", "-1"],
+    ["report", "--all", "--minrk-cap", "-1"],
+    ["bounds", "--minrk2", "exact", "--minrk-cap", "-1"],
+    ["code", "--scheme", "minrk", "--minrk-cap", "-2"],
+])
+def test_a_negative_cap_is_invalid_input(capsys, tmp_path, argv):
+    # once read as a cap already spent (exit 3)
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, str(path), *flags)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "is negative" in err, err
+
+
+def test_a_zero_cap_is_still_a_cap(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    code, _, err = run(capsys, "hierarchy", str(path), "--level", "2", "--max-lp-vars", "0")
+    assert code == 3 and "limit 0" in err, err
+
+
 def test_hierarchy_refuses_a_generator_that_is_not_a_permutation(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     sym = tmp_path / "sym.json"

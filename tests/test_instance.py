@@ -188,6 +188,16 @@ def test_read_problem_validates(tmp_path):
     ({"n": 2, "receivers": [{"wants": 0, "knows": [1]}], "rates": ["1", "-1/2"]},
      "rates must be positive"),
     ({"n": 0, "receivers": []}, "instance has no messages"),
+    # rates not a list of one entry per message: once read character by
+    # character, by a dict's keys, and as max() of nothing
+    ({"n": 2, "receivers": [{"wants": 0, "knows": [1]}], "rates": "12"},
+     "rates must be a JSON list"),
+    ({"n": 2, "receivers": [{"wants": 0, "knows": [1]}], "rates": {"1": 1, "2": 1}},
+     "rates must be a JSON list"),
+    ({"n": 2, "receivers": [{"wants": 0, "knows": [1]}], "rates": 7},
+     "rates must be a JSON list"),
+    ({"n": 2, "receivers": [{"wants": 0, "knows": [1]}], "rates": []},
+     "rate vector length differs from message count"),
 ])
 def test_read_problem_refuses_bad_rates_and_no_messages(tmp_path, data, message):
     p = tmp_path / "i.json"

@@ -803,3 +803,12 @@ def test_singular_system_is_rejected():
     assert lpmod._solve_square([{0: 1, 1: 2}, {0: 3, 1: 4}], [5, 6]) == [-4, F(9, 2)]
     with pytest.raises(Uncertified, match="singular"):
         lpmod._solve_square([{0: 1, 1: 2}, {0: 2, 1: 4}], [1, 2])
+
+
+def test_this_modules_asserts_survive_python_O():
+    # pytest rewrites a test module's asserts into explicit raises, which
+    # python -O keeps (CI runs this file under -O); modules it does not
+    # rewrite, such as tests/*_reference.py, lose theirs.
+    one = 1
+    with pytest.raises(AssertionError):
+        assert one == 2
