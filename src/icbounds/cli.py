@@ -114,8 +114,17 @@ def _rat(x) -> str:
 # -- input plumbing ----------------------------------------------------------
 
 
+def _int(text: str, what: str) -> int:
+    """int(text), else ArgumentTypeError naming `what`: argparse prints its
+    words (for a ValueError, the type function's name), and so does main."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} {text!r} is not an integer") from None
+
+
 def _levels(spec: str) -> tuple[int, ...]:
-    levels = () if spec == "none" else tuple(int(x) for x in spec.split(","))
+    levels = () if spec == "none" else tuple(_int(x, "level") for x in spec.split(","))
     for k in levels:
         if levels.count(k) > 1:
             raise argparse.ArgumentTypeError(f"level {k} given twice")
@@ -125,7 +134,7 @@ def _levels(spec: str) -> tuple[int, ...]:
 def _cap(spec: str) -> int:
     """A resource cap: a count, 0 or more (a negative one would read as a
     cap already spent)."""
-    cap = int(spec)
+    cap = _int(spec, "cap")
     if cap < 0:
         raise argparse.ArgumentTypeError(f"cap {cap} is negative")
     return cap
@@ -163,7 +172,7 @@ def cmd_gen(args) -> dict:
         if "=" not in kv:
             raise ParseError(f"family parameter {kv!r} is not key=value")
         k, v = kv.split("=", 1)
-        params[k] = int(v)
+        params[k] = _int(v, f"family parameter {k}:")
     out = families.family(args.family, **params)
     data = graph_dict(out.graph) if out.graph is not None else instance_dict(out.instance)
     data["family"] = {"name": out.name, "params": params}
@@ -569,7 +578,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, ValueError, OSError) as e:
+    except (ParseError, ValueError, OSError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     emit(out, args.format)

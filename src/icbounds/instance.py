@@ -20,7 +20,7 @@ and `icbounds gen` share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -91,48 +91,40 @@ class Graph:
         return frozenset((u, v)) in self.edges
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(inst: Instance) -> ValidationReport:
-    rep = ValidationReport()
+def validate(inst: Instance) -> list[str]:
+    """The faults of inst, one message each: none when it is valid."""
+    bad = []
     if inst.n < 1:
-        rep.violations.append("instance has no messages")
+        bad.append("instance has no messages")
     for j, r in enumerate(inst.receivers):
         if not 0 <= r.wants < inst.n:
-            rep.violations.append(f"receiver {j}: wanted message {r.wants} out of range")
+            bad.append(f"receiver {j}: wanted message {r.wants} out of range")
         if any(not 0 <= v < inst.n for v in r.knows):
-            rep.violations.append(f"receiver {j}: side information out of range")
+            bad.append(f"receiver {j}: side information out of range")
         if r.wants in r.knows:
-            rep.violations.append(f"receiver {j}: receiver knows own message")
+            bad.append(f"receiver {j}: receiver knows own message")
     if inst.rates is not None:
         if len(inst.rates) != inst.n:
-            rep.violations.append("rate vector length differs from message count")
+            bad.append("rate vector length differs from message count")
         for v, rv in enumerate(inst.rates):
             if rv <= 0:
-                rep.violations.append(f"message {v}: nonpositive rate")
+                bad.append(f"message {v}: nonpositive rate")
             elif rv > 1:
-                rep.violations.append(f"message {v}: rate above 1 after normalization")
-    return rep
+                bad.append(f"message {v}: rate above 1 after normalization")
+    return bad
 
 
-def validate_graph(g: Graph) -> ValidationReport:
+def validate_graph(g: Graph) -> list[str]:
     """Every fault of g: validate finds no other in from_graph(g)."""
-    rep = ValidationReport()
+    bad = []
     if g.n < 1:
-        rep.violations.append("graph has no vertices, so the instance has no messages")
+        bad.append("graph has no vertices, so the instance has no messages")
     for e in g.edges:
         if len(e) != 2:
-            rep.violations.append(f"self-loop or malformed edge {sorted(e)}")
+            bad.append(f"self-loop or malformed edge {sorted(e)}")
         elif any(not 0 <= v < g.n for v in e):
-            rep.violations.append(f"edge {sorted(e)} out of range")
-    return rep
+            bad.append(f"edge {sorted(e)} out of range")
+    return bad
 
 
 def from_graph(g: Graph) -> Instance:
@@ -243,9 +235,9 @@ def _graph_instance(data: dict) -> Instance:
 def _valid(obj):
     """obj, an Instance or a Graph, unless validate or validate_graph
     reports: ParseError."""
-    rep = validate_graph(obj) if isinstance(obj, Graph) else validate(obj)
-    if rep.violations:
-        raise ParseError(f"invalid instance: {rep.violations}")
+    bad = validate_graph(obj) if isinstance(obj, Graph) else validate(obj)
+    if bad:
+        raise ParseError(f"invalid instance: {bad}")
     return obj
 
 

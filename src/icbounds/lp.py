@@ -13,11 +13,13 @@ LPs), stored times the common denominator of its coefficients, and
 
 Floats may propose an answer, but only exact arithmetic accepts one.  An
 optimum comes with a primal x and a dual y, one entry per row, that pass
-`certified_value`: x >= 0 satisfies every row, y >= 0, the reduced costs
-c - A'y are >= 0, and c'x = b'y.  The check reads only the nonzero
-entries of x and y, as integers over their common denominators, in int64
-when a magnitude bound rules out overflow and in Python ints otherwise; no
-Fraction is built per row or per column.
+`certified_value`, which is two one-sided checks: `_primal_value` gives
+c'x when x >= 0 satisfies every row, `_dual_value` gives b'y when y >= 0
+and the reduced costs c - A'y are >= 0, and the two values must be equal.
+Each side reads only the nonzero entries of its vector, as integers over
+their common denominator, in int64 when a magnitude bound rules out
+overflow and in Python ints otherwise; no Fraction is built per row or
+per column.
 
 `solve_min` hands the LP as it is to HiGHS, through the binding scipy ships
 (scipy.optimize._highspy._core), on one HiGHS instance per thread.  An LP
@@ -170,31 +172,32 @@ class LpOptimum:
         return "optimal"
 
 
-def _violations(p: LpProblem, pos, xs, d) -> list[int]:
-    """check_feasible of the x whose nonzero entries are xs / d at pos."""
-    bad = [-1] if min(xs, default=0) < 0 else []
-    if not p.num_rows:
-        return bad
-    # With X = d x, row i holds iff (coefs_i . X) rhs_dens_i >= rhs_nums_i d,
-    # a comparison of integers.
-    row_len = _mag(np.diff(p.indptr))
-    bound = max(_mag(p.coefs) * row_len * _mag(xs) * _mag(p.rhs_dens), _mag(p.rhs_nums) * d)
-    terms = ints(p.coefs, bound) * _dense(p.num_vars, pos, xs, bound)[p.indices]
-    lhs = _segment_sums(terms, p.indptr[:-1]) * ints(p.rhs_dens, bound)
-    return bad + np.flatnonzero(lhs < ints(p.rhs_nums, bound) * d).tolist()
-
-
-def check_feasible(p: LpProblem, x) -> list[int]:
-    """Indices of violated constraints; index -1 flags a negative variable."""
-    return _violations(p, *_scaled(x))
-
-
 def _entries(p: LpProblem, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(positions in indices and coefs of the entries of the rows, in row
     order; the length of each row)."""
     lo = p.indptr[rows]
     lens = p.indptr[rows + 1] - lo
     return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum()), lens
+
+
+def _primal_value(p: LpProblem, x) -> Fraction | None:
+    """c'x when x >= 0 satisfies every row, else None.  Only the nonzero
+    entries of x are read, as integers over their common denominator."""
+    if len(x) != p.num_vars:
+        raise ValueError("a primal needs one value per variable")
+    pos, xs, d = _scaled(x)
+    if min(xs, default=0) < 0:
+        return None
+    # With X = d x, row i holds iff (coefs_i . X) rhs_dens_i >= rhs_nums_i d,
+    # a comparison of integers.
+    bound = max(_mag(p.coefs) * _mag(np.diff(p.indptr)) * _mag(xs) * _mag(p.rhs_dens), _mag(p.rhs_nums) * d)
+    terms = ints(p.coefs, bound) * _dense(p.num_vars, pos, xs, bound)[p.indices]
+    lhs = _segment_sums(terms, p.indptr[:-1]) * ints(p.rhs_dens, bound)
+    if np.any(lhs < ints(p.rhs_nums, bound) * d):
+        return None
+    # c'x = sum(cs X) / (dc d) over the nonzero X, c_j = cs_j / dc
+    cpos, cs, dc = _scaled([p.objective.get(j, 0) for j in pos])
+    return Fraction(sum(c * xs[k] for k, c in zip(cpos, cs)), dc * d)
 
 
 def _dual_value(p: LpProblem, y) -> Fraction | None:
@@ -227,18 +230,11 @@ def _dual_value(p: LpProblem, y) -> Fraction | None:
 
 
 def certified_value(p: LpProblem, x, y) -> Fraction | None:
-    """c'x when x and the row duals y prove each other optimal: x >= 0
-    satisfies every row, y >= 0, the reduced costs c - A'y are >= 0, and
-    c'x = b'y.  None otherwise.  Only the nonzero entries of x and y are
-    read, as integers over their common denominators."""
-    value = _dual_value(p, y)
-    pos, xs, d = _scaled(x)
-    if value is None or _violations(p, pos, xs, d):
-        return None
-    # c'x = sum(cs X) / (dc d) over the nonzero X = x d, c_j = cs_j / dc
-    cpos, cs, dc = _scaled([p.objective.get(j, 0) for j in pos])
-    primal = sum(c * xs[k] for k, c in zip(cpos, cs))
-    return value if primal * value.denominator == value.numerator * dc * d else None
+    """c'x when x and the row duals y prove each other optimal: y passes
+    `_dual_value`, x passes `_primal_value`, and c'x = b'y.  None otherwise.
+    An x or a y of the wrong length raises ValueError."""
+    value, primal = _dual_value(p, y), _primal_value(p, x)
+    return value if value is not None and value == primal else None
 
 
 # -- exact basis solve --------------------------------------------------------

@@ -19,7 +19,7 @@ from instance_reference import closure_step, from_mask, total_rate
 
 from icbounds.hierarchy import build_hierarchy_lp
 from icbounds.instance import Instance, to_mask
-from icbounds.lp import check_feasible
+from icbounds.lp import _primal_value
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -156,7 +156,7 @@ def verify_hierarchy_membership(x: dict[int, Fraction], inst: Instance, k: int) 
     """Feasibility of a full vector against the level-k system, checked on
     its reduced rows, which have the unreduced system's feasible set."""
     p, _ = build_hierarchy_lp(inst, k)
-    return not check_feasible(p, [x[m] for m in range(1 << inst.n)])
+    return _primal_value(p, [x[m] for m in range(1 << inst.n)]) is not None
 
 
 def alpha_feasible_vector(inst: Instance) -> dict[int, Fraction]:

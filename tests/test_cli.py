@@ -291,6 +291,29 @@ def test_a_negative_cap_is_invalid_input(capsys, tmp_path, argv):
     assert exc.value.code == 2 and "is negative" in err, err
 
 
+@pytest.mark.parametrize("flags, words", [
+    (["--level", "x"], "argument --level: level 'x' is not an integer"),
+    (["--level", "2,x"], "argument --level: level 'x' is not an integer"),
+    (["--max-lp-vars", "x"], "argument --max-lp-vars: cap 'x' is not an integer"),
+    (["--minrk-cap", "1.5"], "argument --minrk-cap: cap '1.5' is not an integer"),
+])
+def test_an_integer_argument_that_is_not_an_integer_says_so(capsys, tmp_path, flags, words):
+    # the argument is named, and no private function is
+    path = gen(capsys, tmp_path, "cycle", "n=5")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "report", str(path), *flags)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and words in err and "_" not in err.partition("error:")[2], err
+
+
+def test_a_family_parameter_that_is_not_an_integer_says_so(capsys, tmp_path):
+    for family, params, words in (("cycle", ["n=x"], "family parameter n: 'x' is not an integer"),
+                                  ("circulant", ["n=7", "k=two"], "family parameter k: 'two' is not an integer")):
+        code, out, err = run(capsys, "gen", family, *params, "-o", str(tmp_path / "x.json"))
+        assert (code, out, err) == (2, "", f"error: {words}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_a_zero_cap_is_still_a_cap(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cycle", "n=5")
     code, _, err = run(capsys, "hierarchy", str(path), "--level", "2", "--max-lp-vars", "0")

@@ -13,6 +13,7 @@ from instance_reference import (
     side_set,
 )
 
+from icbounds.combinatorial import alpha_exact
 from icbounds.instance import (
     Graph,
     Instance,
@@ -53,7 +54,8 @@ def test_from_graph_matches_per_vertex_neighbors():
     graphs.append(Graph.from_edge_list(5, [(0, 9), (1, 1), (-1, 2), (3, 4)]))
     for g in graphs:
         assert from_graph(g) == Instance(g.n, tuple(Receiver(v, neighbors(g, v)) for v in range(g.n)))
-    assert not validate(from_graph(graphs[-1])).ok
+    assert validate(from_graph(graphs[-1])) == ["receiver 0: side information out of range",
+                                                "receiver 2: side information out of range"]
 
 
 def _graph_file(rng, n):
@@ -103,22 +105,22 @@ def test_read_problem_refuses_what_the_graph_path_refuses(tmp_path):
 
 def test_validate_catches_bad_receivers():
     bad = Instance(3, (Receiver(3, frozenset()),))
-    assert not validate(bad).ok
+    assert validate(bad) == ["receiver 0: wanted message 3 out of range"]
     bad = Instance(3, (Receiver(1, frozenset({1})),))  # knows its own want
-    assert not validate(bad).ok
+    assert validate(bad) == ["receiver 0: receiver knows own message"]
     ok = Instance(3, (Receiver(1, frozenset({0})),))
-    assert validate(ok).ok
+    assert validate(ok) == []
 
 
 def test_validate_catches_bad_rates():
     recs = (Receiver(0, frozenset({1})), Receiver(1, frozenset({2})), Receiver(2, frozenset()))
-    assert validate(Instance(3, recs, (Fraction(1), Fraction(1, 2), Fraction(1)))).ok
+    assert validate(Instance(3, recs, (Fraction(1), Fraction(1, 2), Fraction(1)))) == []
     for rates, faults in [
         ((Fraction(1), Fraction(1, 2)), ["rate vector length differs from message count"]),
         ((Fraction(1), Fraction(0), Fraction(-1, 2)), ["message 1: nonpositive rate", "message 2: nonpositive rate"]),
         ((Fraction(1), Fraction(3, 2), Fraction(1)), ["message 1: rate above 1 after normalization"]),
     ]:
-        assert validate(Instance(3, recs, rates)).violations == faults
+        assert validate(Instance(3, recs, rates)) == faults
 
 
 def test_graph_roundtrip(tmp_path):
@@ -250,6 +252,21 @@ def test_disjoint_union():
     assert u.receivers[5].knows == frozenset({6, 9})
 
 
+def test_disjoint_union_of_a_weighted_and_an_unweighted_instance():
+    # each side keeps its rates, 1 on the unweighted side, in either order;
+    # the union is valid and its alpha is the sum of the parts': 3/2 on the
+    # weighted C5 (2 unweighted) and 2 on C4
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = Instance(5, from_graph(c5()).receivers, (half, half, Fraction(1), third, half))
+    b = from_graph(Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert a.is_weighted() and b.rates is None
+    for u, rates in ((disjoint_union(a, b), (*a.rates, *[Fraction(1)] * 4)),
+                     (disjoint_union(b, a), (*[Fraction(1)] * 4, *a.rates))):
+        assert u.rates == rates and u.is_weighted()
+        assert validate(u) == []
+        assert alpha_exact(u)[0] == alpha_exact(a)[0] + alpha_exact(b)[0] == Fraction(3, 2) + 2
+
+
 def test_masks():
     s = frozenset({0, 2, 5})
     assert to_mask(s) == 0b100101
@@ -257,13 +274,13 @@ def test_masks():
 
 
 def test_validate_graph():
-    assert validate_graph(c5()).ok
+    assert validate_graph(c5()) == []
     rng = random.Random(0)
     for _ in range(20):
         n = rng.randrange(2, 8)
         edges = [(u, v) for u, v in [(rng.randrange(n), rng.randrange(n)) for _ in range(n)] if u != v]
         g = Graph.from_edge_list(n, edges)
-        assert validate_graph(g).ok
+        assert validate_graph(g) == []
 
 
 def test_distinct_receivers_dedup():

@@ -13,7 +13,7 @@ from icbounds import combinatorial, families
 from icbounds import lp as lpmod
 from icbounds.hierarchy import build_hierarchy_lp
 from icbounds.instance import CapExceeded, from_graph
-from icbounds.lp import LpProblem, Uncertified, certified_value, check_feasible, solve_min
+from icbounds.lp import LpProblem, Uncertified, certified_value, solve_min
 
 F = Fraction
 
@@ -99,12 +99,14 @@ def test_degenerate_cycling_guard(monkeypatch):
     _assert_certificate(p, opt)
 
 
-def test_check_feasible_reports_rows():
+def test_primal_value_of_small_lp():
+    # c'x for a feasible x; None for an x that misses a row or is negative
     p = small_lp()
-    assert check_feasible(p, [F(0), F(0)]) == [0, 1]
-    assert check_feasible(p, [F(8, 5), F(6, 5)]) == []
-    assert check_feasible(p, [F(-1), F(10)]) == [-1]
-    assert objective_value(p, [F(2), F(1)]) == 3
+    assert lpmod._primal_value(p, [F(0), F(0)]) is None
+    assert lpmod._primal_value(p, [F(8, 5), F(6, 5)]) == F(14, 5)
+    assert lpmod._primal_value(p, [F(2), F(0)]) is None  # misses the first row only
+    assert lpmod._primal_value(p, [F(-1), F(10)]) is None
+    assert lpmod._primal_value(p, [F(5), F(0)]) == 5 == objective_value(p, [F(5), F(0)])
 
 
 def test_certificate_rejects_each_failed_check():
@@ -119,6 +121,21 @@ def test_certificate_rejects_each_failed_check():
     assert certified_value(p, [F(3)], [F(1), F(0)]) is None  # c'x = 3 != 1 = b'y
     with pytest.raises(ValueError, match="one value per row"):
         certified_value(p, [F(1)], [F(1)])
+
+
+def test_certificate_refuses_an_x_of_the_wrong_length():
+    # min x0 + x1  s.t.  x0 >= 1, x1 >= 1: an x is read whole or not at all,
+    # like a y, whether its extra entries are 0 or not, and whatever y says
+    p = LpProblem(2, {0: F(1), 1: F(1)})
+    p.add({0: F(1)}, 1)
+    p.add({1: F(1)}, 1)
+    assert certified_value(p, [F(1), F(1)], [F(1), F(1)]) == 2
+    for x in ([F(1), F(1), F(0)], [F(1), F(1), F(5)], [F(2)], []):
+        for y in ([F(1), F(1)], [F(-1), F(0)]):
+            with pytest.raises(ValueError, match="one value per variable"):
+                certified_value(p, x, y)
+        with pytest.raises(ValueError, match="one value per variable"):
+            lpmod._primal_value(p, x)
 
 
 def _random_lp(rng, n, m):
@@ -159,7 +176,7 @@ def test_random_lps_match_scipy():
         opt = solve_min(p)
         assert res.status == 0
         assert abs(float(opt.value) - res.fun) < 1e-6
-        assert check_feasible(p, opt.x) == []
+        assert lpmod._primal_value(p, opt.x) == opt.value
         outcomes[opt.status] += 1
     # the sampler should hit both outcomes often
     assert outcomes["optimal"] > 50 and outcomes["infeasible"] > 10
@@ -365,25 +382,25 @@ def test_ints_dtype_follows_the_bound():
     assert big.dtype == object and type(big[0]) is int
 
 
-def _fraction_violations(p, x, rows=None):
-    """check_feasible by plain Fraction arithmetic over the rows (p's stored
-    rows unless others are given)."""
+def _fraction_primal(p, x, rows=None):
+    """_primal_value by plain Fraction arithmetic over the rows (p's stored
+    rows unless others are given): c'x, or None."""
     rows = p.constraints if rows is None else rows
-    bad = [-1] if any(v < 0 for v in x) else []
-    return bad + [i for i, (row, rhs) in enumerate(rows)
-                  if sum((F(c) * x[j] for j, c in row.items()), F(0)) < rhs]
+    if any(v < 0 for v in x) or any(sum((F(c) * x[j] for j, c in row.items()), F(0)) < rhs for row, rhs in rows):
+        return None
+    return objective_value(p, x)
 
 
 def _fraction_certifies(p, x, y, rows=None):
     """certified_value by plain Fraction arithmetic: the value, or None."""
     rows = p.constraints if rows is None else rows
-    if _fraction_violations(p, x, rows) or any(v < 0 for v in y):
+    value = _fraction_primal(p, x, rows)
+    if value is None or any(v < 0 for v in y):
         return None
     reduced = [F(p.objective.get(j, 0)) for j in range(p.num_vars)]
     for (row, _), yi in zip(rows, y):
         for j, c in row.items():
             reduced[j] -= yi * c
-    value = objective_value(p, x)
     ok = all(v >= 0 for v in reduced) and value == sum(yi * rhs for yi, (_, rhs) in zip(y, rows))
     return value if ok else None
 
@@ -407,9 +424,9 @@ def test_add_stores_rational_rows_as_integer_rows():
             assert stored == {j: int(c * s) for j, c in row.items() if c} and stored_rhs == rhs * s
         for _ in range(20):
             x = [F(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(n)]
-            verdict = check_feasible(p, x)
-            assert verdict == _fraction_violations(p, x, given)
-            outcomes["feasible" if not verdict else "violated"] += 1
+            verdict = lpmod._primal_value(p, x)
+            assert verdict == _fraction_primal(p, x, given)
+            outcomes["violated" if verdict is None else "feasible"] += 1
         if dual_simplex(p).status == "infeasible":
             _assert_refused(p)
             outcomes["infeasible"] += 1
@@ -445,7 +462,7 @@ def test_checks_agree_with_fractions_in_both_dtypes(monkeypatch, denominator):
     for p in _random_lps(31, count=60):
         p.add({j: F(rng.randint(-9, 9), rng.randint(1, 4)) for j in range(p.num_vars)}, F(rng.randint(-9, 9), 7))
         x = [F(rng.randint(0, 3 * denominator), denominator) for _ in range(p.num_vars)]
-        assert check_feasible(p, x) == _fraction_violations(p, x)
+        assert lpmod._primal_value(p, x) == _fraction_primal(p, x)
         if dual_simplex(p).status == "infeasible":
             _assert_refused(p)
             continue
@@ -474,16 +491,20 @@ def test_checks_agree_with_fractions_in_both_dtypes(monkeypatch, denominator):
 
 def test_check_flags_a_row_missed_by_one_over_the_denominator(monkeypatch):
     # coefficients near 10**15 and x on a large denominator D: the integer
-    # check runs on Python ints and still sees a shortfall of exactly 1/D
+    # check runs on Python ints and still sees a shortfall of exactly 1/D.
+    # The LP with the short row (second) is refused, and the same LP
+    # without it gives c'x, so that row alone is missed.
     seen = _record_dtypes(monkeypatch)
     d = 10**15 + 37
     x = [F(10**15 + 1, d), F(3, d)]
-    p = LpProblem(2, {0: F(1), 1: F(1)})
     lhs = F(10**15 + 3) * x[0] - F(10**15) * x[1]
-    p.add({0: 10**15 + 3, 1: -(10**15)}, lhs)
-    p.add({0: 10**15 + 3, 1: -(10**15)}, lhs + F(1, d))
-    p.add({0: 1}, x[0] - F(1, d))
-    assert check_feasible(p, x) == _fraction_violations(p, x) == [1]
+    rows = [({0: 10**15 + 3, 1: -(10**15)}, lhs), ({0: 10**15 + 3, 1: -(10**15)}, lhs + F(1, d)),
+            ({0: 1}, x[0] - F(1, d))]
+    for kept, want in ((rows, None), ([rows[0], rows[2]], F(10**15 + 4, d))):
+        p = LpProblem(2, {0: F(1), 1: F(1)})
+        for row, rhs in kept:
+            p.add(row, rhs)
+        assert lpmod._primal_value(p, x) == _fraction_primal(p, x) == want
     assert np.dtype(object) in seen
 
 
@@ -613,6 +634,19 @@ def test_lp_without_variables():
     _assert_refused(p)
 
 
+def test_lp_without_rows():
+    # no row to check: every x >= 0 is feasible, so the optimum is x = 0 at
+    # value 0, and a negative x is refused
+    p = LpProblem(2, {0: F(1), 1: F(2)})
+    assert p.num_rows == 0
+    opt = solve_min(p)
+    assert (opt.value, opt.x, opt.dual, opt.method) == (0, [0, 0], [], "rounded")
+    assert lpmod._primal_value(p, [F(1), F(3, 2)]) == 4
+    assert certified_value(p, [F(-1), F(0)], []) is None
+    assert lpmod._primal_value(p, [F(0), F(-1, 2)]) is None
+    assert certified_value(p, [F(1), F(0)], []) is None  # c'x = 1 != 0 = b'y
+
+
 def test_an_empty_row_with_positive_rhs_is_refused():
     # with variables too, also when b_i is below HiGHS's tolerance
     for b in (F(1, 2), F(1, 10**30)):
@@ -728,7 +762,8 @@ def test_checks_scale_past_int64_with_zero_rhs_and_costs():
     p = LpProblem(2, {})
     p.add({0: 1, 1: -1}, 0)
     d = 10**30 + 1
-    assert check_feasible(p, [F(1, d), F(2, d)]) == [0]
+    assert lpmod._primal_value(p, [F(1, d), F(2, d)]) is None
+    assert lpmod._primal_value(p, [F(2, d), F(1, d)]) == 0
     assert certified_value(p, [F(2, d), F(1, d)], [F(0)]) == 0
     assert certified_value(p, [F(2, d), F(1, d)], [F(1, d)]) is None  # reduced cost -1/d
 
