@@ -43,9 +43,11 @@ mean equal answers.  The sections, run in this order in one process:
   a unicast instance); projective-Hadamard q = 7's chi_bar_f cover LP, which
   certifies by the exact basis solve; b_2 of one circulant per class for
   n = 5..12 (103 classes: a connection set S of {1..n/2}, up to the
-  multipliers coprime to n) under the shift and the reflection i -> -i; and
-  b_2 of the six 12-vertex classes whose LP under the shift alone
-  certifies by the exact basis solve.  This section takes most of the time.
+  multipliers coprime to n) under the shift and the reflection i -> -i,
+  where circulant 12 (1,2,3,4) certifies by the exact basis solve; and b_2
+  of the six 12-vertex classes whose LP under the shift alone certified by
+  the exact basis solve when it had a variable per subset orbit (over
+  closure classes they round).  This section takes most of the time.
 
 One `section digest` line per section goes to stdout and a summary with the
 section's time to stderr.  The exit status is 1, naming every section
@@ -80,7 +82,7 @@ RECORDED = {
     "tau": "9bc212189cb388cf6208e2726384559b868f7a9f82b3f832d71fa3b13f640e28",
     "decide2": "b043989b92f5808bdf33ac76390fffa0e8e6f911bbff7ec3e30a4f8da4e0bb3e",
     "covers": "160d695c278e788b7d8c1ed617653509dfcbe696dc6916cdc6d4d06cf368e143",
-    "lp": "fd52ed4a6407a6fd78759a6463e96577f281b2f72faed81244d3d41f39daabc9",
+    "lp": "b86d58087623d2dc3abb3e02eff0caf98ef13d9c7226bd18dbdbbc8f8d91d876",
 }
 
 
@@ -327,8 +329,9 @@ SUITE = [
     ("petersen", {}), ("groetzsch", {}), ("chvatal", {}), ("projective-hadamard", {"q": 5}),
 ]
 
-# the 12-vertex circulant classes whose b_2 LP under the shift alone fails
-# to round
+# the 12-vertex circulant classes whose b_2 LP under the shift alone failed
+# to round when it had a variable per subset orbit; over closure classes
+# they round
 BASIS_C12 = [(1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 6), (1, 3, 6), (2, 3, 4)]
 
 

@@ -6,35 +6,41 @@ all signed inclusion-exclusion ("submodularity") rows of orders 2..k.
 b_1 equals the expanding-sequence bound, b_2 <= beta <= b_n, and b_n equals
 the strong fractional hyperclique-cover value.
 
-The LP is built in reduced form: slope and monotonicity only for
-single-element increments, decode only against the one-step closure.
-Every general slope, monotonicity and decode row is a sum of these, so the
-feasible set is the unreduced system's; tests/hierarchy_reference.py emits
-the unreduced rows, and the property tests compare the two at small n.
-Orbit reduction under a supplied vertex symmetry group replaces X(S) by its
-orbit representative; generators are validated as instance automorphisms.
+The LP is built in reduced form, over closure classes.  The closure cl(S)
+is S plus every message a receiver can decode from S, repeated until
+nothing is added.  The decode and monotonicity rows force X(S) = X(cl(S)),
+so X(S) is the variable of cl(S), and the decode rows, all 0 >= 0 there,
+are not emitted.  Slope and monotonicity are emitted only for
+single-element increments outside the closure of the set they extend: the
+row of any S is that of cl(S), or vanishes when the element lies in cl(S),
+and every general slope or monotonicity row is a sum of these.
+Submodularity rows are emitted only for Z closed and disjoint from R:
+cl(Z | T) = cl(cl(Z) | T), so the row of any other Z is that of cl(Z) or,
+when cl(Z) meets R, cancels to nothing.  tests/hierarchy_reference.py
+emits the unreduced rows over every mask, and the property tests compare
+the two at small n.  Orbit reduction under a supplied vertex symmetry
+group replaces cl(S) by its orbit representative; generators are validated
+as instance automorphisms, so the closure commutes with each of them.
 
-The LP is built from numpy index arrays.  Orbit labels come from
-vectorized bit permutations and min-label propagation over all 2^n masks,
-and one array maps every mask to its variable.  Each category is emitted as
-a block of rows -- mask columns, +-1 coefficients and the id of a
-right-hand side -- in a fixed order: initialize, non-negativity, slope and
-monotonicity interleaved per pair S < T, decode, submodularity-2..k.
-Only rows that can be the first occurrence of their row are emitted
-(orbit first).  A slope, monotonicity or decode row of S is emitted only
-when S is its orbit's smallest mask: some g in the group maps S to that
-mask, keeps rates and commutes with the closure step, so it maps the rows
-of S onto equal rows emitted earlier.  A submodularity row is emitted only
-for the first r-set R of its orbit in combinations order, since an earlier
-g(R) has the same rows; its sets Z, disjoint from R, are one filter of
-the masks.  Mapping masks to variables can still merge columns
-within a row and make rows equal, so the emitted rows are deduplicated
-once, each first occurrence kept; the rows and their order match a
-row-by-row build.  Without a group every mask is its own orbit and the
-same code runs.
+The LP is built from numpy index arrays.  The closure and the orbit labels
+(vectorized bit permutations and min-label propagation) of all 2^n masks
+are computed at once, and one array maps every mask to its variable.  Each
+category is emitted as a block of rows -- mask columns, +-1 coefficients
+and the id of a right-hand side -- in a fixed order: initialize,
+non-negativity, slope and monotonicity interleaved per pair S < T,
+submodularity-2..k.  Only rows that can be the first occurrence of their
+row are emitted (orbit first).  Every mask of a class (the masks whose
+closures share an orbit) has the same slope and monotonicity rows, so only
+the smallest one emits them.  A submodularity row is emitted only for the
+first r-set R of its orbit in combinations order, since an earlier g(R)
+has the same rows.  Mapping masks to variables can still merge columns
+within a row, cancel them, and make rows equal, so zero coefficients and
+empty rows are dropped and the rows are deduplicated once, each first
+occurrence kept; the rows and their order match a row-by-row build.
+Without a group every closed mask is its own orbit and the same code runs.
 Coefficients are integers; rates appear only in the right-hand sides.
-solve_bk answers in the LP's own variables, one per orbit, with the map
-from masks to them: X(S) = x[var_of_mask[S]].
+solve_bk answers in the LP's own variables, one per orbit of closed sets,
+with the map from masks to them: X(S) = x[var_of_mask[S]].
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ from .instance import CapExceeded, Instance
 from .lp import LpProblem, ints, solve_min
 
 # Row categories, in emission order; submodularity-2..k follow.
-CATEGORIES = ["initialize", "non-negativity", "slope", "monotonicity", "decode"]
-INITIALIZE, NON_NEGATIVITY, SLOPE, MONOTONICITY, DECODE = range(len(CATEGORIES))
+CATEGORIES = ["initialize", "non-negativity", "slope", "monotonicity"]
+INITIALIZE, NON_NEGATIVITY, SLOPE, MONOTONICITY = range(len(CATEGORIES))
 
 # Rows canonicalized at a time, which bounds _canonical's working memory;
 # the emitted rows are deduplicated once, all together.
@@ -114,18 +120,8 @@ def subset_orbits(n: int, perms: list[list[int]]) -> np.ndarray:
 
 @dataclass
 class HierarchyMeta:
-    var_of_mask: np.ndarray  # mask -> variable of its orbit
+    var_of_mask: np.ndarray  # mask S -> variable of cl(S)'s orbit
     counts: dict[str, int] = field(default_factory=dict)
-
-
-def _disjoint_masks(sets: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Row i: the masks disjoint from sets[i], a size-set, in decreasing
-    order (0 last); one filter of all 2^n masks per set."""
-    desc = np.arange(1 << n)[::-1]
-    out = np.empty((len(sets), 1 << n - size), np.int64)
-    for i, r in enumerate(sets):
-        out[i] = desc[desc & r == 0]
-    return out
 
 
 def _closure_masks(inst: Instance, masks: np.ndarray) -> np.ndarray:
@@ -166,56 +162,59 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[starts])
 
 
-def _row_blocks(inst: Instance, k: int, ids: np.ndarray, rep: np.ndarray, reps: np.ndarray):
+def _row_blocks(inst: Instance, k: int, ids: np.ndarray, rep: np.ndarray, cl: np.ndarray,
+                firsts: np.ndarray):
     """The rows over masks that can be the first occurrence of their row,
     category by category in emission order, as blocks (masks, coefficients,
     right-hand side ids, categories), the coefficients shared by every row
-    of a block; ids as _rhs_ids gives them, rep as subset_orbits gives it
-    and reps the masks with rep[S] == S, in increasing order."""
+    of a block; ids as _rhs_ids gives them, rep as subset_orbits gives it,
+    cl[S] the closure of S and firsts the smallest mask of each variable's
+    class, in increasing order."""
     n = inst.n
     full = (1 << n) - 1
     zero, rate, total = ids[0], ids[1:-1], ids[-1]
     yield np.array([[full]]), [1], [total], [INITIALIZE]
     yield np.array([[0]]), [1], [zero], [NON_NEGATIVITY]
 
-    # A slope, monotonicity or decode row of S equals the one of g(S) for
-    # any g in the group (g keeps rates and commutes with the closure step),
-    # and rep(S) = g(S) <= S comes first: only orbit representatives emit.
-    # Pairs S < T = S + v, one-element steps.
-    s, v = np.nonzero((reps[:, None] >> np.arange(n) & 1) == 0)
-    s = reps[s]
+    # Pairs S < T = S + v, one-element steps.  The slope and monotonicity
+    # rows of S are those of cl(S), with the ones for v in cl(S) vanishing,
+    # and those of g(cl(S)) for any g in the group (g keeps rates and
+    # commutes with the closure): every mask of a class has the class's
+    # rows.  Only the smallest one emits, for v outside its closure, so T's
+    # column is never S's; in increasing order, that puts every row where
+    # a build over all masks meets it first.
+    s, v = np.nonzero((cl[firsts][:, None] >> np.arange(n) & 1) == 0)
+    s = firsts[s]
     t = s | 1 << v
     # slope X(S) - X(T) >= -rate(T \ S), then monotonicity X(T) - X(S) >= 0
     rhs = np.stack([rate[v], np.full_like(s, zero)], 1).ravel()
     yield np.stack([s, t, t, s], 1).reshape(-1, 2), [1, -1], rhs, np.tile([SLOPE, MONOTONICITY], len(s))
 
-    # decode X(S) - X(T) >= 0 for T the closure step of S
-    plus = _closure_masks(inst, reps)
-    s, t = reps[plus != reps], plus[plus != reps]
-    yield np.stack([s, t], 1), [1, -1], np.full_like(s, zero), np.full_like(s, DECODE)
-
     # submodularity-r, for each r-set R and each Z disjoint from it: the sum
     # over T <= R of (-1)^(r - |T| + 1) X(T | Z) is >= 0 (the definition's
     # <= 0 row, negated).  The rows of g(R) are those of R, so only the
     # first r-set of each orbit in combinations order emits (not the
-    # smallest mask: {1,2} = 6 comes after {0,3} = 9).  The sets Z of the
-    # emitting R are the index set a separation oracle evaluates.
+    # smallest mask: {1,2} = 6 comes after {0,3} = 9).  Its sets Z are the
+    # closed masks disjoint from R, in decreasing order: the index set a
+    # separation oracle evaluates.
+    desc = np.flatnonzero(cl == np.arange(1 << n))[::-1]
     for order in range(2, k + 1):
         members = np.array(list(combinations(range(n), order)))
         _, first = np.unique(rep[(1 << members).sum(1)], return_index=True)
         members = members[np.sort(first)]
-        z = _disjoint_masks((1 << members).sum(1), n, order)
         t_index = np.arange(1 << order)
         t_subs = ((t_index[:, None] >> np.arange(order) & 1) << members[:, None, :]).sum(2)
         coefs = np.where((order - np.bitwise_count(t_index)) & 1, 1, -1)
         cat = len(CATEGORIES) + order - 2
-        rows = (t_subs[:, None, :] | z[:, :, None]).reshape(-1, 1 << order)
+        rows = np.concatenate([t | desc[desc & r == 0, None]
+                               for t, r in zip(t_subs, (1 << members).sum(1))])
         yield rows, coefs, np.full(len(rows), zero), np.full(len(rows), cat)
 
 
 def _canonical(cols: np.ndarray, coefs, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's columns sorted and merged (coefficients summed), padded to
-    width with column -1 and coefficient 0."""
+    """Each row's columns sorted and merged (coefficients summed), those
+    whose coefficients cancel dropped, padded to width with column -1 and
+    coefficient 0."""
     r, w = cols.shape
     order = np.argsort(cols, axis=1, kind="stable")
     cols = np.take_along_axis(cols, order, 1)
@@ -223,9 +222,11 @@ def _canonical(cols: np.ndarray, coefs, width: int) -> tuple[np.ndarray, np.ndar
     run = np.ones((r, w), bool)
     run[:, 1:] = cols[:, 1:] != cols[:, :-1]
     run = np.flatnonzero(run)
-    # Merged columns never cancel: orbits preserve |S|, and within a row
-    # every X(S) of one size has the same sign.
+    # Columns of different sizes merge under the closure, so their
+    # coefficients can cancel.
     sums = np.add.reduceat(vals.ravel(), run)
+    nonzero = sums != 0
+    run, sums = run[nonzero], sums[nonzero]
     row = run // w
     pos = np.arange(len(row)) - np.searchsorted(row, row)
     out_cols = np.full((r, width), -1)
@@ -266,21 +267,29 @@ def build_hierarchy_lp(
         if bad:
             raise ValueError(f"invalid symmetry group: {bad}")
         rep = subset_orbits(n, sym)
-    leads = rep == masks
-    var_of_mask = (np.cumsum(leads) - 1)[rep]
+    cl = masks  # the closure of every mask: at most n closure steps
+    while not np.array_equal(plus := _closure_masks(inst, cl), cl):
+        cl = plus
+    leads = (cl == masks) & (rep == masks)
+    # cl commutes with the group, so the orbit of cl(S) is well defined and
+    # its representative is closed.
+    var_of_mask = (np.cumsum(leads) - 1)[rep[cl]]
+    firsts = np.sort(np.unique(var_of_mask, return_index=True)[1])
     ids, rhs_nums, rhs_dens = _rhs_ids(inst)
     width = max(2, 1 << k)
-    # One deduplication of every emitted row keeps each first occurrence.
+    # One deduplication of every emitted row keeps each first occurrence;
+    # rows whose coefficients all cancelled (0 >= 0) are dropped first.
     # The keys come from a generator, so that no row block outlives the
     # concatenation, which would raise a large build's peak memory.
-    blocks = _row_blocks(inst, k, ids, rep, np.flatnonzero(leads))
+    blocks = _row_blocks(inst, k, ids, rep, cl, firsts)
     keys = np.concatenate(list(_keyed(blocks, var_of_mask, width)))
+    keys = keys[keys[:, 0] >= 0]
     keys = keys[_first_rows(keys[:, :-1])]
 
     cols, vals, rhs, cats = keys[:, :width], keys[:, width:-2], keys[:, -2], keys[:, -1]
     live = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(live.sum(1))])
-    p = LpProblem(int(var_of_mask.max()) + 1, {0: 1}, indptr, cols[live], vals[live],
+    p = LpProblem(int(var_of_mask.max()) + 1, {int(var_of_mask[0]): 1}, indptr, cols[live], vals[live],
                   rhs_nums[rhs], rhs_dens[rhs])
     names = CATEGORIES + [f"submodularity-{order}" for order in range(2, k + 1)]
     counts = {name: int(c) for name, c in zip(names, np.bincount(cats, minlength=len(names))) if c}

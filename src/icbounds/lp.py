@@ -242,9 +242,10 @@ def certified_value(p: LpProblem, x, y) -> Fraction | None:
 
 # Most columns in a basis that the exact solve takes; past it,
 # CapExceeded("lp-basis") is raised before the elimination starts.  The
-# time depends on the fill-in: unreduced C9's b2 basis, 512 sparse columns,
-# solves in 0.1 s, and a random dense 0/1 basis of 512 columns in about
-# 2 minutes (256: 7 s), its entries growing to 1 400 bits.
+# time depends on the fill-in: a sparse 512-column basis (unreduced C9's b2,
+# with a variable per subset) solves in 0.1 s, and a random dense 0/1 basis
+# of 512 columns in about 2 minutes (256: 7 s), its entries growing to
+# 1 400 bits.
 BASIS_CAP = 512
 
 

@@ -1,9 +1,12 @@
 """Reference builder for the level-k hierarchy LP: the plain loop version,
 one dict row at a time, kept as the oracle that the array build in
-icbounds.hierarchy must reproduce row for row.  With reduced=False it emits
-the unreduced system (slope and monotonicity for every pair S < T, decode
-for every part of the closure step), whose feasible set the reduced LP
-must have.
+icbounds.hierarchy must reproduce row for row.  The reduced system is
+stated over every mask and mapped onto closure classes: each mask S goes to
+its closure cl(S) (closure_step repeated until nothing is added), then to
+the orbit representative of cl(S), and a row whose coefficients all cancel
+is skipped.  With reduced=False it emits the unreduced system over every
+mask (slope and monotonicity for every pair S < T, decode for every part
+of the closure step), whose feasible set the reduced LP must have.
 
 The checkers below test the paper's structural claims on a full vector X
 over all 2^n subsets: membership in the level-k system, alpha's canonical
@@ -58,15 +61,23 @@ def subset_orbits(n: int, perms: list[list[int]]) -> tuple[list[int], list[int]]
     return rep, reps
 
 
+def closure(inst: Instance, mask: int) -> int:
+    """cl(S): S with closure_step repeated until nothing is added."""
+    a = from_mask(mask)
+    while (plus := closure_step(inst, a)) != a:
+        a = plus
+    return to_mask(a)
+
+
 def reference_lp(inst: Instance, k: int, sym: list[list[int]] | None = None, reduced: bool = True):
     """(rows, objective, num_vars, counts, var_of_mask) with rows a list of
-    (dict var -> Fraction, rhs) pairs, each meaning row . x >= rhs."""
+    (dict var -> Fraction, rhs) pairs, each meaning row . x >= rhs.  The
+    variables are the closed orbit representatives in increasing order, or
+    with reduced=False every orbit representative."""
     n = inst.n
-    if sym:
-        rep, reps = subset_orbits(n, sym)
-    else:
-        rep = list(range(1 << n))
-        reps = rep
+    rep = subset_orbits(n, sym)[0] if sym else list(range(1 << n))
+    cl = [closure(inst, m) if reduced else m for m in range(1 << n)]
+    reps = [m for m in range(1 << n) if rep[m] == m and cl[m] == m]
     var_of = {m: i for i, m in enumerate(reps)}
     full = (1 << n) - 1
     rows: list[tuple[dict[int, Fraction], Fraction]] = []
@@ -76,9 +87,11 @@ def reference_lp(inst: Instance, k: int, sym: list[list[int]] | None = None, red
     def add(row_masks: dict[int, Fraction], rhs: Fraction, cat: str) -> None:
         row: dict[int, Fraction] = {}
         for m, c in row_masks.items():
-            j = var_of[rep[m]]
+            j = var_of[rep[cl[m]]]
             row[j] = row.get(j, F0) + c
         row = {j: c for j, c in row.items() if c}
+        if not row:  # 0 >= rhs, with rhs <= 0: it holds and is not emitted
+            return
         key = (frozenset(row.items()), rhs)
         if key in seen_rows:
             return
@@ -147,16 +160,23 @@ def reference_lp(inst: Instance, k: int, sym: list[list[int]] | None = None, red
                 if z == 0:
                     break
                 z = (z - 1) & rest
-    objective = {var_of[rep[0]]: F1}
-    var_of_mask = [var_of[rep[m]] for m in range(1 << n)]
+    var_of_mask = [var_of[rep[cl[m]]] for m in range(1 << n)]
+    objective = {var_of_mask[0]: F1}
     return rows, objective, len(reps), counts, var_of_mask
 
 
 def verify_hierarchy_membership(x: dict[int, Fraction], inst: Instance, k: int) -> bool:
-    """Feasibility of a full vector against the level-k system, checked on
-    its reduced rows, which have the unreduced system's feasible set."""
-    p, _ = build_hierarchy_lp(inst, k)
-    return _primal_value(p, [x[m] for m in range(1 << inst.n)]) is not None
+    """Feasibility of a full vector against the level-k system.  The decode
+    and monotonicity rows force X(S) = X(cl(S)), so x must be constant on
+    closure classes; its values on the closed sets are then checked on the
+    library's LP over them, which has the unreduced system's feasible set."""
+    if any(x[m] != x[closure(inst, m)] for m in range(1 << inst.n)):
+        return False
+    p, meta = build_hierarchy_lp(inst, k)
+    per_var: list = [None] * p.num_vars
+    for m, j in enumerate(meta.var_of_mask.tolist()):
+        per_var[j] = x[m]
+    return _primal_value(p, per_var) is not None
 
 
 def alpha_feasible_vector(inst: Instance) -> dict[int, Fraction]:

@@ -378,7 +378,7 @@ def test_an_empty_symmetry_object_is_refused(capsys, tmp_path):
     unreduced = run_json(capsys, "hierarchy", str(path), "--level", "2", "--sym", "none")
     empty = run_json(capsys, "hierarchy", str(path), "--level", "2", "--sym", f"file:{sym}")
     del unreduced["runtime_ms"], empty["runtime_ms"]
-    assert empty == unreduced and unreduced["rows"] == 257
+    assert empty == unreduced and unreduced["rows"] == 127
 
 
 def _ph3_with_a_true_entry() -> dict:

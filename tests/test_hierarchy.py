@@ -33,7 +33,7 @@ from icbounds.hierarchy import (
     validate_symmetry,
 )
 from icbounds.instance import CapExceeded, Graph, Instance, Receiver, disjoint_union, from_graph
-from icbounds.lp import LpProblem, solve_min
+from icbounds.lp import LpProblem, _primal_value, solve_min
 
 F = Fraction
 
@@ -216,18 +216,88 @@ def test_build_matches_reference_under_random_automorphisms():
             _assert_same_lp(inst, k, sym)
 
 
-# (n, under the shift, variables, rows, sha256) of C_n's b2 LP, beyond the
-# loop reference's reach.  Recorded from the build that emitted every row
-# over all 2^n masks and deduplicated each chunk against all kept rows.
+def _assert_lifts_to_the_unreduced_lp(inst, k, sym=None):
+    # The optimum over closure classes, lifted to every mask by var_of_mask,
+    # is feasible for the unreduced LP over all 2^n masks, with the same
+    # value there, and that LP certifies the same b_k.
+    b = solve_bk(inst, k, sym)
+    unreduced = _unreduced_lp(inst, k)
+    assert unreduced.num_vars == 1 << inst.n
+    lifted = [b.x[j] for j in b.var_of_mask.tolist()]
+    assert _primal_value(unreduced, lifted) == b.value == lifted[0]
+    assert solve_min(unreduced).value == b.value
+
+
+def _graph_closed_under(n, perm, rng):
+    """A random graph on n vertices with its edges closed under perm."""
+    edges = {frozenset(e) for e in random_gnp(n, rng.random(), rng).edge_list()}
+    while (more := edges | {frozenset(perm[v] for v in e) for e in edges}) != edges:
+        edges = more
+    return Graph(n, frozenset(edges))
+
+
+def test_optimum_over_closure_classes_lifts_to_the_unreduced_lp():
+    # graph, non-unicast and weighted instances, each without a group and
+    # with 1-3 of its automorphisms, all levels drawn at random
+    rng = random.Random(42)
+    for i in range(120):
+        n = rng.randrange(1, 7)
+        kind = i % 3
+        perm = rng.sample(range(n), n) if i % 2 else list(range(n))
+        if kind == 0:
+            inst = from_graph(_graph_closed_under(n, perm, rng))
+        else:
+            inst = random_instance(n, rng.randrange(1, 2 * n + 1), rng)
+        sym = None
+        if i % 2:
+            inst = _closed_under(inst, perm, rng)
+            autos = [list(q) for q in permutations(range(n)) if not validate_symmetry(inst, [list(q)])]
+            sym = rng.sample(autos, min(len(autos), rng.randint(1, 3)))
+        elif kind == 2:
+            den = rng.randrange(1, 13)
+            inst = Instance(n, inst.receivers, tuple(F(rng.randint(1, den), den) for _ in range(n)))
+        _assert_lifts_to_the_unreduced_lp(inst, rng.randrange(1, n + 1), sym)
+
+
+def test_a_receiver_that_knows_nothing_closes_the_empty_set():
+    # The chain 0 -> 1 -> 2 decodes everything from nothing: cl(empty) is
+    # every message, the LP has one variable, and b_k is the total rate.
+    rates = (F(1, 2), F(1, 3), F(2))
+    chain = Instance(3, (Receiver(0, frozenset()), Receiver(1, frozenset({0})), Receiver(2, frozenset({1}))),
+                     rates)
+    for k in (1, 2, 3):
+        b = solve_bk(chain, k)
+        assert (b.variables, b.value) == (1, sum(rates))
+        assert b.var_of_mask.tolist() == [0] * 8
+        _assert_lifts_to_the_unreduced_lp(chain, k)
+        _assert_same_lp(chain, k)
+    # The same chain beside a 2-cycle that 2 and 4 do not decode: cl(empty)
+    # = {0, 1, 2}, and X(empty) is the variable of that closed set.
+    recs = chain.receivers + (Receiver(3, frozenset({4})), Receiver(4, frozenset({3, 2})))
+    inst = Instance(5, recs, rates + (F(1), F(3, 4)))
+    for k in range(1, 6):
+        b = solve_bk(inst, k)
+        assert b.var_of_mask[0] == b.var_of_mask[0b111] != b.var_of_mask[0b1111]
+        assert b.x[b.var_of_mask[0]] == b.value
+        _assert_lifts_to_the_unreduced_lp(inst, k)
+        _assert_same_lp(inst, k)
+
+
+# (n, under the shift, variables, rows, b2 or None, sha256) of C_n's b2 LP,
+# beyond the tests' reach of the loop reference.  Recorded from the build
+# over closure classes, after its rows, variables, objective and counts were
+# checked equal to the loop reference's, in order, on all three (minutes of
+# work).  The two LPs under the shift are solved, and certify b2 = n/2.
 PINNED_B2_LPS = [
-    (15, True, 2192, 91786, "6ab25dd76554f0a47a5049c0e054ad478ead3cf2b68b3aca466cfd7955a9b289"),
-    (16, True, 4116, 191868, "3a13e0ea5b5fcb3084216c7d7447eeec7d206a2ba332d30f702d19adbf062ee3"),
-    (13, False, 8192, 272937, "f953c262583b0b586a52375e4197199e39950e375383d8c1ec5b279e3d15066b"),
+    (15, True, 312, 12479, F(15, 2), "afa7c3a20dd4569b78f7b8112cf13a6689c77ef2bdc75504d58810a546299ed4"),
+    (16, True, 514, 23087, F(8), "4021e77fd3b489f7d89ca2db4a7975ad4af32362071c9918b8d28b8b079c4b9c"),
+    (13, False, 1497, 48271, None, "e81b49ba98162b7a6765fefb9d18e4d77ec12caf3ed3a6c4f4df5043e9f2d29b"),
 ]
 
 
-@pytest.mark.parametrize("n, shift, num_vars, num_rows, digest", PINNED_B2_LPS)
-def test_large_b2_lps_match_their_recorded_digests(n, shift, num_vars, num_rows, digest):
+@pytest.mark.parametrize("n, shift, num_vars, num_rows, b2, digest", PINNED_B2_LPS,
+                         ids=["C15-shift", "C16-shift", "C13-unreduced"])
+def test_large_b2_lps_match_their_recorded_digests(n, shift, num_vars, num_rows, b2, digest):
     p, meta = build_hierarchy_lp(from_graph(cycle(n)), 2, [shift_perm(n)] if shift else None)
     assert (p.num_vars, p.num_rows) == (num_vars, num_rows)
     h = hashlib.sha256()
@@ -237,6 +307,19 @@ def test_large_b2_lps_match_their_recorded_digests(n, shift, num_vars, num_rows,
     h.update(json.dumps(meta.counts).encode())
     h.update(meta.var_of_mask.astype(np.int64).tobytes())
     assert h.hexdigest() == digest
+    if b2 is not None:
+        assert solve_min(p).value == b2
+
+
+@pytest.mark.parametrize("graph, b2", [(cycle(14), 7), (cycle(15), F(15, 2)), (circulant(13, 2), F(13, 3))],
+                         ids=["C14", "C15", "circulant-13-2"])
+def test_b2_certifies_where_an_lp_over_all_subsets_passed_the_basis_cap(graph, b2):
+    # Over every orbit of subsets these LPs under the shift have 1 182,
+    # 2 192 and 632 variables, and when rounding failed their basis was
+    # above BASIS_CAP (lp-basis); over closure classes they have 193, 312
+    # and 431, and certify.
+    n = graph.n
+    assert solve_bk(from_graph(graph), 2, sym=[shift_perm(n)]).value == b2
 
 
 HIERARCHY_B2_LPS = [
@@ -250,7 +333,7 @@ HIERARCHY_B2_LPS = [
     ("circulant", {"n": 7, "k": 2}, True),
     ("petersen", {}, True),
     ("complement-cycle", {"n": 9}, True),
-    ("cycle", {"n": 9}, False),  # 512 variables, 9 572 rows
+    ("cycle", {"n": 9}, False),  # 512 subsets; 158 variables, 2 783 rows
 ]
 
 
@@ -265,12 +348,13 @@ def test_family_b2_lps_certify_by_rounding(name, params, with_symmetry):
 
 def test_b2_of_c5_lex_k2_without_symmetry():
     # C5[K2], the lexicographic product (vertex 2i + a, adjacent when the
-    # C5 vertices are, or within one K2 block): its unreduced b2 LP is
-    # 1 024 x 21 902, and HiGHS's rounded optimum certifies b2 = 5/2
+    # C5 vertices are, or within one K2 block): its b2 LP without symmetry
+    # is 884 x 19 407 over closure classes (the loop reference's shape),
+    # and HiGHS's rounded optimum certifies b2 = 5/2
     edges = [(2 * i + a, 2 * j + b) for i in range(5) for j in range(5) for a in range(2) for b in range(2)
              if (j - i) % 5 in (0, 1) and 2 * i + a != 2 * j + b]
     p, _ = build_hierarchy_lp(from_graph(Graph.from_edge_list(10, edges)), 2)
-    assert (p.num_vars, p.num_rows) == (1024, 21902)
+    assert (p.num_vars, p.num_rows) == (884, 19407)
     opt = solve_min(p)
     assert (opt.value, opt.method) == (F(5, 2), "rounded")
 
@@ -421,7 +505,9 @@ def test_builder_enforces_the_lp_vars_cap():
         build_hierarchy_lp(inst, 2, max_lp_vars=31)
     with pytest.raises(CapExceeded, match="max-lp-vars"):
         solve_bk(inst, 2, max_lp_vars=4)
-    assert build_hierarchy_lp(inst, 2, max_lp_vars=32)[0].num_vars == 32
+    # the cap is on the 2^n subset arrays; the LP has one variable per
+    # closed subset of C5, 17 of them (the loop reference's count)
+    assert build_hierarchy_lp(inst, 2, max_lp_vars=32)[0].num_vars == 17
     # the default stops before the 2^17 arrays are allocated
     big = Instance(17, ())
     with pytest.raises(CapExceeded, match=f"needed {1 << 17}, limit {MAX_LP_VARS}"):
